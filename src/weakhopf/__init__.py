@@ -9,12 +9,9 @@ from .tensor_space import (
     Subspace,
     Tensor3,
     Vector,
-    compose,
     ground,
     image_basis,
     left_inverse_on_image,
-    map_tensor,
-    rank,
     swap_map,
     tensor_product,
 )

@@ -20,7 +20,7 @@ import json
 import sys
 
 from . import jsonio
-from .errors import WorkbenchError
+from .errors import MalformedInput, WorkbenchError
 from .globalization import (
     check_globalization,
     dual_globalization_transfer,
@@ -62,10 +62,13 @@ class _Parser(argparse.ArgumentParser):
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"whw: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_INPUT)
+    if not isinstance(doc, dict):
+        raise MalformedInput(f"{path}: expected a JSON object")
+    return doc
 
 
 def _emit(doc: dict, out: str | None) -> None:
@@ -289,12 +292,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except (KeyError, TypeError, ValueError) as exc:   # includes MalformedInput
+        print(f"whw: malformed input: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except WorkbenchError as exc:
         print(f"whw: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (KeyError, TypeError, ValueError) as exc:
-        print(f"whw: malformed input: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
 
 
 if __name__ == "__main__":

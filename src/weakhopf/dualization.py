@@ -31,7 +31,7 @@ def dual_convolution_algebra(C: CoalgebraData) -> AlgebraData:
     dspace = dual_space(C.space)
     delta_t = C.comul_tensor().entries   # [k][i][j]
     entries = [[[delta_t[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    return AlgebraData.from_tensor(dspace, entries, C.counit.rows[0])
+    return AlgebraData.from_tensor(dspace, entries, [C.eps_coeff(i) for i in range(n)])
 
 
 @dataclass(frozen=True)
@@ -48,14 +48,10 @@ class DualPairing:
     def pair(self, alpha: Vector, c: Vector):
         out = self.C.space.field.zero()
         for i, a in alpha.nonzeros():
-            b = c.coords[i]
-            if b:
+            b = c.terms.get(i)
+            if b is not None:
                 out = out + a * b
         return out
-
-
-def _transpose_slices(act: ActionTensor):
-    return [LinMap(s.codomain, s.domain, s.transposed_rows()) for s in act.slices]
 
 
 def _as_dual_slices(act: ActionTensor, dual_carrier):

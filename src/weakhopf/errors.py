@@ -13,6 +13,10 @@ class DivisionByZero(WorkbenchError, ZeroDivisionError):
     pass
 
 
+class MalformedInput(WorkbenchError, ValueError):
+    """An input document or scalar string is not well formed."""
+
+
 class ShapeMismatch(WorkbenchError):
     """Matrix/tensor shapes are inconsistent with the declared spaces."""
 

@@ -235,10 +235,7 @@ def groupoid_algebra(G: FiniteGroupoid, field: Field) -> WeakHopfData:
         comul_entries[i][i][i] = o
     coalg = CoalgebraData.from_tensor(space, comul_entries, [o] * n)
 
-    s_rows = [[z] * n for _ in range(n)]
-    for j, g in enumerate(G.elements):
-        s_rows[G.index(G.inv[g])][j] = o
-    antipode = LinMap(space, space, tuple(tuple(r) for r in s_rows))
+    antipode = LinMap(space, space, [{G.index(G.inv[g]): o} for g in G.elements])
     return WeakHopfData(WeakBialgebraData(alg, coalg), antipode)
 
 
@@ -268,10 +265,7 @@ def dual_groupoid_algebra(G: FiniteGroupoid, field: Field) -> WeakHopfData:
     counit = [o if g in set(G.identities) else z for g in G.elements]
     coalg = CoalgebraData.from_tensor(space, comul_entries, counit)
 
-    s_rows = [[z] * n for _ in range(n)]
-    for j, g in enumerate(G.elements):
-        s_rows[G.index(G.inv[g])][j] = o
-    antipode = LinMap(space, space, tuple(tuple(r) for r in s_rows))
+    antipode = LinMap(space, space, [{G.index(G.inv[g]): o} for g in G.elements])
     return WeakHopfData(WeakBialgebraData(alg, coalg), antipode)
 
 

@@ -2,14 +2,17 @@
 
 All scalar entries are canonical strings produced by the field's formatter,
 and `canonical_dumps` sorts keys, so identical inputs serialize to
-byte-identical documents.
+byte-identical documents.  Loaders check every basis, matrix and tensor
+against the declared dimensions before building anything, and report a
+mismatch as :class:`MalformedInput` naming its JSON path (``at`` prefixes
+the path of a document nested in another).
 """
 
 from __future__ import annotations
 
 import json
 
-from .errors import ShapeMismatch
+from .errors import MalformedInput
 from .globalization import GlobalizationTriple
 from .groupoid import (
     FiniteAbelianGroup,
@@ -19,7 +22,7 @@ from .groupoid import (
 )
 from .partial_actions import ActionTensor, GroupoidPartialAction, LambdaFunctional
 from .scalars import Field, field_from_name, field_name
-from .tensor_space import FinVec, LinMap, Vector, ground
+from .tensor_space import FinVec, LinMap, Tensor3, Vector, ground
 from .weak_hopf import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
 
 
@@ -33,6 +36,43 @@ def _matrix_to(field: Field, rows):
 
 def _tensor_to(field: Field, entries):
     return [[[field.fmt(x) for x in row] for row in plane] for plane in entries]
+
+
+def _shaped(value, shape: tuple, path: str):
+    """``value``, once checked to be nested lists of the given shape whose
+    leaves are scalar strings or integers."""
+    if not shape:
+        if isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise MalformedInput(f"{path}: expected a scalar string, got {value!r}")
+        return value
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise MalformedInput(f"{path}: expected a list of {shape[0]} entries")
+    for i, item in enumerate(value):
+        _shaped(item, shape[1:], f"{path}[{i}]")
+    return value
+
+
+def _space(field: Field, labels, path: str) -> FinVec:
+    if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)
+            and len(set(labels)) == len(labels)):
+        raise MalformedInput(f"{path}: expected a list of distinct basis labels")
+    return FinVec(field, tuple(labels))
+
+
+def _basis(d: dict, at: str) -> FinVec:
+    return _space(field_from_name(d["field"]), d["basis"], f"{at}basis")
+
+
+def _algebra(d: dict, space: FinVec, at: str) -> AlgebraData:
+    n = space.dim
+    return AlgebraData.from_tensor(space, _shaped(d["mul"], (n, n, n), f"{at}mul"),
+                                   _shaped(d["unit"], (n,), f"{at}unit"))
+
+
+def _coalgebra(d: dict, space: FinVec, at: str) -> CoalgebraData:
+    n = space.dim
+    return CoalgebraData.from_tensor(space, _shaped(d["comul"], (n, n, n), f"{at}comul"),
+                                     _shaped(d["counit"], (n,), f"{at}counit"))
 
 
 # -- bare linear data --------------------------------------------------------
@@ -50,9 +90,9 @@ def linmap_to_json(f: LinMap) -> dict:
 
 def linmap_from_json(d: dict) -> LinMap:
     field = field_from_name(d["field"])
-    dom = FinVec(field, tuple(d["domain"]))
-    cod = FinVec(field, tuple(d["codomain"]))
-    return LinMap.from_rows(dom, cod, d["rows"])
+    dom = _space(field, d["domain"], "domain")
+    cod = _space(field, d["codomain"], "codomain")
+    return LinMap.from_rows(dom, cod, _shaped(d["rows"], (cod.dim, dom.dim), "rows"))
 
 
 def tensor3_to_json(t) -> dict:
@@ -67,11 +107,13 @@ def tensor3_to_json(t) -> dict:
 
 
 def tensor3_from_json(d: dict):
-    from .tensor_space import Tensor3
-
     field = field_from_name(d["field"])
-    spaces = tuple(FinVec(field, tuple(labels)) for labels in d["spaces"])
-    return Tensor3.from_entries(d["kind"], spaces, d["entries"])
+    if not isinstance(d["spaces"], list) or len(d["spaces"]) != 3:
+        raise MalformedInput("spaces: expected three bases")
+    spaces = tuple(_space(field, labels, f"spaces[{i}]")
+                   for i, labels in enumerate(d["spaces"]))
+    entries = _shaped(d["entries"], tuple(s.dim for s in spaces), "entries")
+    return Tensor3.from_entries(d["kind"], spaces, entries)
 
 
 # -- structures --------------------------------------------------------------
@@ -87,10 +129,8 @@ def algebra_to_json(A: AlgebraData) -> dict:
     }
 
 
-def algebra_from_json(d: dict) -> AlgebraData:
-    f = field_from_name(d["field"])
-    space = FinVec(f, tuple(d["basis"]))
-    return AlgebraData.from_tensor(space, d["mul"], d["unit"])
+def algebra_from_json(d: dict, at: str = "") -> AlgebraData:
+    return _algebra(d, _basis(d, at), at)
 
 
 def coalgebra_to_json(C: CoalgebraData) -> dict:
@@ -104,10 +144,8 @@ def coalgebra_to_json(C: CoalgebraData) -> dict:
     }
 
 
-def coalgebra_from_json(d: dict) -> CoalgebraData:
-    f = field_from_name(d["field"])
-    space = FinVec(f, tuple(d["basis"]))
-    return CoalgebraData.from_tensor(space, d["comul"], d["counit"])
+def coalgebra_from_json(d: dict, at: str = "") -> CoalgebraData:
+    return _coalgebra(d, _basis(d, at), at)
 
 
 def weakhopf_to_json(H: WeakHopfData) -> dict:
@@ -124,13 +162,12 @@ def weakhopf_to_json(H: WeakHopfData) -> dict:
     }
 
 
-def weakhopf_from_json(d: dict) -> WeakHopfData:
-    f = field_from_name(d["field"])
-    space = FinVec(f, tuple(d["basis"]))
-    alg = AlgebraData.from_tensor(space, d["mul"], d["unit"])
-    coalg = CoalgebraData.from_tensor(space, d["comul"], d["counit"])
-    antipode = LinMap.from_rows(space, space, d["antipode"])
-    return WeakHopfData(WeakBialgebraData(alg, coalg), antipode)
+def weakhopf_from_json(d: dict, at: str = "") -> WeakHopfData:
+    space = _basis(d, at)
+    n = space.dim
+    wb = WeakBialgebraData(_algebra(d, space, at), _coalgebra(d, space, at))
+    antipode = LinMap.from_rows(space, space, _shaped(d["antipode"], (n, n), f"{at}antipode"))
+    return WeakHopfData(wb, antipode)
 
 
 def _carrier_to_json(carrier) -> dict:
@@ -139,12 +176,13 @@ def _carrier_to_json(carrier) -> dict:
     return algebra_to_json(carrier)
 
 
-def _carrier_from_json(d: dict):
-    if d.get("schema") == "coalgebra":
-        return coalgebra_from_json(d)
-    if d.get("schema") == "algebra":
-        return algebra_from_json(d)
-    raise ShapeMismatch("carrier must be a coalgebra or algebra document")
+def _carrier_from_json(d: dict, at: str):
+    schema = d.get("schema") if isinstance(d, dict) else None
+    if schema == "coalgebra":
+        return coalgebra_from_json(d, at)
+    if schema == "algebra":
+        return algebra_from_json(d, at)
+    raise MalformedInput(f"{at}schema: the carrier must be a coalgebra or algebra document")
 
 
 def action_to_json(act: ActionTensor, groupoid: FiniteGroupoid | None = None) -> dict:
@@ -162,23 +200,23 @@ def action_to_json(act: ActionTensor, groupoid: FiniteGroupoid | None = None) ->
     return out
 
 
-def action_from_json(d: dict) -> ActionTensor:
-    hopf = weakhopf_from_json(d["hopf"])
-    carrier = _carrier_from_json(d["carrier"])
-    f = hopf.field
+def action_from_json(d: dict, at: str = "") -> ActionTensor:
+    hopf = weakhopf_from_json(d["hopf"], f"{at}hopf.")
+    carrier = _carrier_from_json(d["carrier"], f"{at}carrier.")
     side = d["side"]
+    if side not in ("left", "right"):
+        raise MalformedInput(f"{at}side: expected 'left' or 'right', got {side!r}")
     X = carrier.space
     H = hopf.space
-    entries = d["tensor"]
+    shape = (H.dim, X.dim, X.dim) if side == "left" else (X.dim, H.dim, X.dim)
+    entries = _shaped(d["tensor"], shape, f"{at}tensor")
     slices = []
     for i in range(H.dim):
         if side == "left":
-            rows = [[f.parse(entries[i][j][k]) for j in range(X.dim)]
-                    for k in range(X.dim)]
+            rows = [[entries[i][j][k] for j in range(X.dim)] for k in range(X.dim)]
         else:
-            rows = [[f.parse(entries[j][i][k]) for j in range(X.dim)]
-                    for k in range(X.dim)]
-        slices.append(LinMap(X, X, tuple(tuple(r) for r in rows)))
+            rows = [[entries[j][i][k] for j in range(X.dim)] for k in range(X.dim)]
+        slices.append(LinMap.from_rows(X, X, rows))
     return ActionTensor.from_slices(hopf, carrier, side, slices)
 
 
@@ -217,8 +255,8 @@ def lambda_from_json(d: dict):
     elif G is not None and kind in ("kG", "kG-dual"):
         hopf = groupoid_algebra(G, f) if kind == "kG" else dual_groupoid_algebra(G, f)
     else:
-        raise ShapeMismatch("lambda document needs 'hopf' or 'groupoid'+'hopf_kind'")
-    lf = LambdaFunctional.from_values(hopf, d["values"])
+        raise MalformedInput("lambda document needs 'hopf' or 'groupoid'+'hopf_kind'")
+    lf = LambdaFunctional.from_values(hopf, _shaped(d["values"], (hopf.space.dim,), "values"))
     return lf, G, kind, d.get("side", "left")
 
 
@@ -236,11 +274,14 @@ def gpa_to_json(gpa: GroupoidPartialAction) -> dict:
 
 def gpa_from_json(d: dict) -> GroupoidPartialAction:
     G = groupoid_from_spec(d["groupoid"])
-    C = coalgebra_from_json(d["coalgebra"])
+    C = coalgebra_from_json(d["coalgebra"], "coalgebra.")
     space = C.space
-    projections = {g: LinMap.from_rows(space, space, d["projections"][g])
+    shape = (space.dim, space.dim)
+    projections = {g: LinMap.from_rows(space, space, _shaped(d["projections"][g], shape,
+                                                             f"projections.{g}"))
                    for g in G.elements}
-    isos = {g: LinMap.from_rows(space, space, d["isos"][g]) for g in G.elements}
+    isos = {g: LinMap.from_rows(space, space, _shaped(d["isos"][g], shape, f"isos.{g}"))
+            for g in G.elements}
     return GroupoidPartialAction(G, C, projections, isos)
 
 
@@ -258,19 +299,19 @@ def triple_to_json(gt: GlobalizationTriple) -> dict:
 
 
 def triple_from_json(d: dict) -> GlobalizationTriple:
-    partial = action_from_json(d["partial"])
-    D = coalgebra_from_json(d["D"])
-    f = partial.hopf.field
+    partial = action_from_json(d["partial"], "partial.")
+    D = coalgebra_from_json(d["D"], "D.")
     H = partial.hopf.space
     X = D.space
-    entries = d["global_tensor"]
+    entries = _shaped(d["global_tensor"], (X.dim, H.dim, X.dim), "global_tensor")
     slices = []
     for i in range(H.dim):
-        rows = [[f.parse(entries[j][i][k]) for j in range(X.dim)] for k in range(X.dim)]
-        slices.append(LinMap(X, X, tuple(tuple(r) for r in rows)))
+        rows = [[entries[j][i][k] for j in range(X.dim)] for k in range(X.dim)]
+        slices.append(LinMap.from_rows(X, X, rows))
     global_act = ActionTensor.from_slices(partial.hopf, D, "right", slices)
-    theta = LinMap.from_rows(partial.carrier.space, X, d["theta"])
-    pi = LinMap.from_rows(X, X, d["pi"])
+    C = partial.carrier.space
+    theta = LinMap.from_rows(C, X, _shaped(d["theta"], (X.dim, C.dim), "theta"))
+    pi = LinMap.from_rows(X, X, _shaped(d["pi"], (X.dim, X.dim), "pi"))
     return GlobalizationTriple(partial, D, global_act, theta, pi)
 
 

@@ -83,17 +83,11 @@ class ActionTensor:
             raise ShapeMismatch("need one slice per basis vector of H")
         if side == LEFT:
             dom = tensor_product(H, X)
-            rows = tuple(
-                tuple(slices[i].rows[r][j] for i in range(H.dim) for j in range(X.dim))
-                for r in range(X.dim)
-            )
+            cols = [slices[i].cols[j] for i in range(H.dim) for j in range(X.dim)]
         else:
             dom = tensor_product(X, H)
-            rows = tuple(
-                tuple(slices[i].rows[r][j] for j in range(X.dim) for i in range(H.dim))
-                for r in range(X.dim)
-            )
-        return cls(hopf, carrier, side, LinMap(dom, X, rows))
+            cols = [slices[i].cols[j] for j in range(X.dim) for i in range(H.dim)]
+        return cls(hopf, carrier, side, LinMap(dom, X, cols))
 
     @property
     def space(self) -> FinVec:
@@ -104,20 +98,10 @@ class ActionTensor:
         """The endomorphism of the carrier given by each basis vector of H."""
         X = self.space
         H = self.hopf.space
-        out = []
-        for i in range(H.dim):
-            if self.side == LEFT:
-                rows = tuple(
-                    tuple(self.action.rows[r][i * X.dim + j] for j in range(X.dim))
-                    for r in range(X.dim)
-                )
-            else:
-                rows = tuple(
-                    tuple(self.action.rows[r][j * H.dim + i] for j in range(X.dim))
-                    for r in range(X.dim)
-                )
-            out.append(LinMap(X, X, rows))
-        return tuple(out)
+        cols = self.action.cols
+        if self.side == LEFT:
+            return tuple(LinMap(X, X, cols[i * X.dim:(i + 1) * X.dim]) for i in range(H.dim))
+        return tuple(LinMap(X, X, cols[i::H.dim]) for i in range(H.dim))
 
     def act_by(self, h: Vector) -> LinMap:
         out = LinMap.zero(self.space, self.space)

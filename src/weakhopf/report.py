@@ -80,33 +80,44 @@ class Report:
         }
 
 
+def _first_difference(a: dict, b: dict, zero):
+    """The smallest index where two sparse coordinate dicts differ, with the
+    two values there, or None if they are equal."""
+    if a == b:
+        return None
+    i = min(k for k in a.keys() | b.keys() if a.get(k, zero) != b.get(k, zero))
+    return i, a.get(i, zero), b.get(i, zero)
+
+
 def compare_maps(label: str, lhs, rhs) -> CheckResult:
     """Exact equality of two LinMaps; the witness is the first basis input
-    (scanning domain basis vectors in order) where they disagree."""
+    (scanning domain basis vectors in order, then outputs in order) where
+    they disagree."""
     if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
         return CheckResult(label, False, "shape mismatch between the two sides")
-    fmt = lhs.domain.field.fmt
-    for j in range(lhs.domain.dim):
-        for i in range(lhs.codomain.dim):
-            a, b = lhs.rows[i][j], rhs.rows[i][j]
-            if a != b:
-                witness = (
-                    f"input {lhs.domain.labels[j]}, output {lhs.codomain.labels[i]}: "
-                    f"{fmt(a)} ≠ {fmt(b)}"
-                )
-                return CheckResult(label, False, witness)
+    field = lhs.domain.field
+    for j, (ca, cb) in enumerate(zip(lhs.cols, rhs.cols)):
+        diff = _first_difference(ca, cb, field.zero())
+        if diff is not None:
+            i, a, b = diff
+            witness = (
+                f"input {lhs.domain.labels[j]}, output {lhs.codomain.labels[i]}: "
+                f"{field.fmt(a)} ≠ {field.fmt(b)}"
+            )
+            return CheckResult(label, False, witness)
     return CheckResult(label, True)
 
 
 def compare_vectors(label: str, lhs, rhs, context: str = "") -> CheckResult:
     if lhs.space != rhs.space:
         return CheckResult(label, False, "the two sides live in different spaces")
-    fmt = lhs.space.field.fmt
-    for i, (a, b) in enumerate(zip(lhs.coords, rhs.coords)):
-        if a != b:
-            prefix = f"{context}: " if context else ""
-            witness = f"{prefix}coefficient of {lhs.space.labels[i]}: {fmt(a)} ≠ {fmt(b)}"
-            return CheckResult(label, False, witness)
+    field = lhs.space.field
+    diff = _first_difference(lhs.terms, rhs.terms, field.zero())
+    if diff is not None:
+        i, a, b = diff
+        prefix = f"{context}: " if context else ""
+        return CheckResult(label, False, f"{prefix}coefficient of {lhs.space.labels[i]}: "
+                                         f"{field.fmt(a)} ≠ {field.fmt(b)}")
     return CheckResult(label, True)
 
 

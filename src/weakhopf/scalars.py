@@ -10,11 +10,16 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import DivisionByZero, FieldMismatch
+from .errors import DivisionByZero, FieldMismatch, MalformedInput
 
 
 class GFElement:
-    """An element of GF(p), stored as the canonical representative in [0, p)."""
+    """An element of GF(p), stored as the canonical representative in [0, p).
+
+    It equals another element of the same GF(p) with the same value, and an
+    int only when that int is its canonical representative, so that equal
+    values hash alike.
+    """
 
     __slots__ = ("value", "p")
 
@@ -71,11 +76,11 @@ class GFElement:
         if isinstance(other, GFElement):
             return self.p == other.p and self.value == other.value
         if isinstance(other, int):
-            return self.value == other % self.p
+            return self.value == other
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.value, self.p))
+        return hash(self.value)
 
     def __bool__(self):
         return self.value != 0
@@ -156,10 +161,13 @@ class RationalField(Field):
         return 1 / Fraction(a)
 
     def parse(self, s: str):
-        return Fraction(s.strip())
+        try:
+            return Fraction(s.strip())
+        except ZeroDivisionError:
+            raise MalformedInput(f"zero denominator in {s!r}") from None
 
     def fmt(self, a) -> str:
-        return str(Fraction(a))
+        return str(a if isinstance(a, Fraction) else Fraction(a))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -205,7 +213,13 @@ class PrimeField(Field):
         s = s.strip()
         if s.endswith(f"mod {self.p}"):
             s = s[: -len(f"mod {self.p}")].strip()
-        return GFElement(int(s), self.p)
+        num, _, den = s.partition("/")
+        value = GFElement(int(num), self.p)
+        if not den:
+            return value
+        if int(den) % self.p == 0:
+            raise MalformedInput(f"zero denominator in {s!r} over GF({self.p})")
+        return value / int(den)
 
     def fmt(self, a) -> str:
         return str(self.coerce(a).value)
@@ -241,35 +255,6 @@ def field_name(field: Field) -> str:
     if isinstance(field, PrimeField):
         return f"Fp:{field.p}"
     raise ValueError(f"unknown field {field!r}")
-
-
-def _same_field_of(a, b):
-    a_gf = isinstance(a, GFElement)
-    b_gf = isinstance(b, GFElement)
-    if a_gf != b_gf or (a_gf and b_gf and a.p != b.p):
-        raise FieldMismatch(f"cannot combine {a!r} and {b!r}")
-
-
-def add(a, b):
-    _same_field_of(a, b)
-    return a + b
-
-
-def sub(a, b):
-    _same_field_of(a, b)
-    return a - b
-
-
-def mul(a, b):
-    _same_field_of(a, b)
-    return a * b
-
-
-def div(a, b):
-    _same_field_of(a, b)
-    if not b:
-        raise DivisionByZero("division by zero")
-    return a / b
 
 
 def char_divides(field: Field, n: int) -> bool:

@@ -1,20 +1,26 @@
-"""Named-basis vector spaces, exact linear maps and dense rank-3 tensors.
+"""Named-basis vector spaces, exact sparse linear maps and rank-3 tensors.
 
 Conventions, fixed once for the whole package:
 
-* a ``LinMap`` matrix is indexed ``rows[codomain_index][domain_index]``;
+* a ``LinMap`` stores its columns: one ``{codomain index: coeff}`` dict per
+  domain basis vector; a ``Vector`` stores ``{index: coeff}``.  Neither ever
+  holds an explicit zero, so equality is a comparison of the stored data and
+  every operation touches the nonzero entries only;
+* ``LinMap.rows`` (indexed ``rows[codomain_index][domain_index]``) and
+  ``Vector.coords`` are dense read-only views, built on first use, for exact
+  elimination and JSON output;
 * the tensor product ``V (x) W`` uses row-major flattening,
   ``flat(i, j) = i * dim(W) + j`` with ``i`` indexing the left factor, and
   basis labels are the strings ``"v⊗w"``.
 
 Row-major flattening is associative, so ``(U⊗V)⊗W`` and ``U⊗(V⊗W)`` are the
 same ``FinVec`` and iterated tensor products never need re-bracketing.
-All data is immutable after construction; every operation is pure.
+No operation mutates its operands or its result after construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dc_field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -22,12 +28,14 @@ from .errors import FieldMismatch, NotInjective, ShapeMismatch
 from .scalars import Field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FinVec:
     """A finite-dimensional vector space with a named, ordered basis."""
 
     field: Field
     labels: tuple[str, ...]
+    # id(W) -> (W, self⊗W); holding W keeps its id from being reused
+    _products: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) == 0:
@@ -42,6 +50,13 @@ class FinVec:
     def index(self, label: str) -> int:
         return self.labels.index(label)
 
+    def __eq__(self, other):
+        return self is other or (isinstance(other, FinVec) and self.field == other.field
+                                 and self.labels == other.labels)
+
+    def __hash__(self):
+        return hash(self.labels)
+
     def __repr__(self):
         return f"FinVec({self.field!r}, dim={self.dim})"
 
@@ -52,10 +67,15 @@ def ground(field: Field) -> FinVec:
 
 
 def tensor_product(V: FinVec, W: FinVec) -> FinVec:
+    """V⊗W, built once per pair of space objects and reused afterwards."""
+    hit = V._products.get(id(W))
+    if hit is not None:
+        return hit[1]
     if V.field != W.field:
         raise FieldMismatch("tensor product of spaces over different fields")
-    labels = tuple(f"{a}⊗{b}" for a in V.labels for b in W.labels)
-    return FinVec(V.field, labels)
+    out = FinVec(V.field, tuple(f"{a}⊗{b}" for a in V.labels for b in W.labels))
+    V._products[id(W)] = (W, out)
+    return out
 
 
 def flatten_index(i: int, j: int, dim_right: int) -> int:
@@ -66,76 +86,112 @@ def unflatten_index(idx: int, dim_right: int) -> tuple[int, int]:
     return divmod(idx, dim_right)
 
 
-def unflatten_multi(idx: int, dims: Sequence[int]) -> tuple[int, ...]:
-    out = []
-    for d in reversed(dims):
-        idx, r = divmod(idx, d)
-        out.append(r)
-    return tuple(reversed(out))
+# ---------------------------------------------------------------------------
+# sparse kernels: dicts {index: coeff} without zero values
+# ---------------------------------------------------------------------------
+
+def _sparse(coords: Iterable) -> dict:
+    return {i: c for i, c in enumerate(coords) if c}
 
 
-@dataclass(frozen=True)
+def _sum(a: dict, b: dict) -> dict:
+    """a + b, dropping entries that cancel."""
+    out = dict(a)
+    for k, v in b.items():
+        s = out.pop(k, 0) + v
+        if s:
+            out[k] = s
+    return out
+
+
+def _neg(a: dict) -> dict:
+    return {k: -v for k, v in a.items()}
+
+
+def _combine(cols: Sequence[dict], terms: Iterable) -> dict:
+    """Σ c·cols[k] over the (k, c) pairs of ``terms``."""
+    out = {}
+    for k, c in terms:
+        for i, a in cols[k].items():
+            s = out.get(i)
+            out[i] = a * c if s is None else s + a * c
+    return {i: s for i, s in out.items() if s}
+
+
 class Vector:
-    space: FinVec
-    coords: tuple
+    """An element of a space, stored as ``{index: coeff}`` over its nonzero
+    coordinates."""
 
-    def __post_init__(self):
-        if len(self.coords) != self.space.dim:
-            raise ShapeMismatch("coordinate count does not match the space dimension")
+    def __init__(self, space: FinVec, terms: dict):
+        self.space = space
+        self.terms = terms
 
     @classmethod
     def zero(cls, space: FinVec) -> "Vector":
-        z = space.field.zero()
-        return cls(space, tuple(z for _ in range(space.dim)))
+        return cls(space, {})
 
     @classmethod
     def basis(cls, space: FinVec, i: int) -> "Vector":
-        z, o = space.field.zero(), space.field.one()
-        return cls(space, tuple(o if j == i else z for j in range(space.dim)))
+        return cls(space, {i: space.field.one()})
 
     @classmethod
     def from_coords(cls, space: FinVec, coords: Iterable) -> "Vector":
-        f = space.field
-        return cls(space, tuple(f.coerce(c) for c in coords))
+        coords = [space.field.coerce(c) for c in coords]
+        if len(coords) != space.dim:
+            raise ShapeMismatch("coordinate count does not match the space dimension")
+        return cls(space, _sparse(coords))
 
-    def nonzeros(self):
-        return [(i, c) for i, c in enumerate(self.coords) if c]
+    @cached_property
+    def coords(self) -> tuple:
+        """Dense coordinates (a read-only view)."""
+        out = [self.space.field.zero()] * self.space.dim
+        for i, c in self.terms.items():
+            out[i] = c
+        return tuple(out)
+
+    def nonzeros(self) -> list:
+        """The (index, coeff) pairs in ascending index order."""
+        return sorted(self.terms.items())
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not self.terms
+
+    def __eq__(self, other):
+        return (isinstance(other, Vector) and self.space == other.space
+                and self.terms == other.terms)
 
     def __add__(self, other: "Vector") -> "Vector":
         if other.space != self.space:
             raise ShapeMismatch("vector addition across different spaces")
-        return Vector(self.space, tuple(a + b for a, b in zip(self.coords, other.coords)))
+        return Vector(self.space, _sum(self.terms, other.terms))
 
     def __sub__(self, other: "Vector") -> "Vector":
         if other.space != self.space:
             raise ShapeMismatch("vector subtraction across different spaces")
-        return Vector(self.space, tuple(a - b for a, b in zip(self.coords, other.coords)))
+        return Vector(self.space, _sum(self.terms, _neg(other.terms)))
 
     def scale(self, s) -> "Vector":
         s = self.space.field.coerce(s)
-        return Vector(self.space, tuple(s * c for c in self.coords))
+        if not s:
+            return Vector(self.space, {})
+        return Vector(self.space, {i: s * c for i, c in self.terms.items()})
 
     def tensor(self, other: "Vector") -> "Vector":
         """Kronecker product, landing in ``tensor_product(self.space, other.space)``."""
-        target = tensor_product(self.space, other.space)
-        z = self.space.field.zero()
-        coords = [z] * target.dim
         dw = other.space.dim
-        for i, a in self.nonzeros():
-            base = i * dw
-            for j, b in other.nonzeros():
-                coords[base + j] = a * b
-        return Vector(target, tuple(coords))
+        return Vector(tensor_product(self.space, other.space),
+                      {i * dw + j: a * b for i, a in self.terms.items()
+                       for j, b in other.terms.items()})
 
     def describe(self) -> str:
         """Human-readable linear combination of basis labels."""
         fmt = self.space.field.fmt
         terms = [f"{fmt(c)}·{self.space.labels[i]}" for i, c in self.nonzeros()]
         return " + ".join(terms) if terms else "0"
+
+    def __repr__(self):
+        return f"Vector({self.describe()})"
 
 
 # ---------------------------------------------------------------------------
@@ -219,24 +275,18 @@ def solve(a_rows: Sequence[Sequence], b: Sequence, field: Field):
 # linear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
 class LinMap:
-    """An exact linear map, stored as a codomain×domain matrix."""
+    """An exact linear map, stored as sparse columns: ``cols[j]`` is the
+    ``{codomain index: coeff}`` image of the j-th domain basis vector."""
 
-    domain: FinVec
-    codomain: FinVec
-    rows: tuple[tuple, ...]
-
-    def __post_init__(self):
-        if self.domain.field != self.codomain.field:
+    def __init__(self, domain: FinVec, codomain: FinVec, cols: Sequence[dict]):
+        if domain.field != codomain.field:
             raise FieldMismatch("map between spaces over different fields")
-        if len(self.rows) != self.codomain.dim or any(
-            len(r) != self.domain.dim for r in self.rows
-        ):
-            raise ShapeMismatch(
-                f"matrix shape {len(self.rows)}×{len(self.rows[0]) if self.rows else 0} "
-                f"does not match {self.codomain.dim}×{self.domain.dim}"
-            )
+        if len(cols) != domain.dim:
+            raise ShapeMismatch(f"{len(cols)} columns for a {domain.dim}-dim domain")
+        self.domain = domain
+        self.codomain = codomain
+        self.cols = tuple(cols)
 
     @property
     def field(self) -> Field:
@@ -246,26 +296,38 @@ class LinMap:
 
     @classmethod
     def from_rows(cls, domain: FinVec, codomain: FinVec, rows) -> "LinMap":
+        """Build a map from its dense ``rows[codomain][domain]`` matrix."""
         f = domain.field
-        return cls(domain, codomain, tuple(tuple(f.coerce(x) for x in r) for r in rows))
+        rows = [[f.coerce(x) for x in r] for r in rows]
+        if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
+            raise ShapeMismatch(
+                f"matrix shape {len(rows)}×{len(rows[0]) if rows else 0} "
+                f"does not match {codomain.dim}×{domain.dim}"
+            )
+        cols = [{} for _ in range(domain.dim)]
+        for i, r in enumerate(rows):
+            for j, x in enumerate(r):
+                if x:
+                    cols[j][i] = x
+        return cls(domain, codomain, cols)
 
     @classmethod
     def from_images(cls, domain: FinVec, codomain: FinVec, images) -> "LinMap":
-        """Build a map from the images of the domain basis vectors."""
+        """Build a map from the images of the domain basis vectors, given as
+        Vectors or as dense coordinate sequences."""
         cols = []
         for img in images:
-            coords = img.coords if isinstance(img, Vector) else tuple(img)
-            if len(coords) != codomain.dim:
+            if isinstance(img, Vector):
+                n, col = img.space.dim, img.terms
+            else:
+                coords = [domain.field.coerce(c) for c in img]
+                n, col = len(coords), _sparse(coords)
+            if n != codomain.dim:
                 raise ShapeMismatch("image has wrong length")
-            cols.append(coords)
+            cols.append(col)
         if len(cols) != domain.dim:
             raise ShapeMismatch("need one image per domain basis vector")
-        f = domain.field
-        rows = tuple(
-            tuple(f.coerce(cols[j][i]) for j in range(domain.dim))
-            for i in range(codomain.dim)
-        )
-        return cls(domain, codomain, rows)
+        return cls(domain, codomain, cols)
 
     @classmethod
     def from_function(cls, domain: FinVec, codomain: FinVec,
@@ -274,94 +336,86 @@ class LinMap:
 
     @classmethod
     def identity(cls, space: FinVec) -> "LinMap":
-        z, o = space.field.zero(), space.field.one()
-        rows = tuple(
-            tuple(o if i == j else z for j in range(space.dim)) for i in range(space.dim)
-        )
-        return cls(space, space, rows)
+        o = space.field.one()
+        return cls(space, space, [{i: o} for i in range(space.dim)])
 
     @classmethod
     def zero(cls, domain: FinVec, codomain: FinVec) -> "LinMap":
-        z = domain.field.zero()
-        return cls(domain, codomain, tuple(tuple(z for _ in range(domain.dim))
-                                           for _ in range(codomain.dim)))
+        return cls(domain, codomain, [{} for _ in range(domain.dim)])
+
+    # -- dense view -----------------------------------------------------------
+
+    @cached_property
+    def rows(self) -> tuple[tuple, ...]:
+        """The dense ``rows[codomain][domain]`` matrix (a read-only view)."""
+        z = self.field.zero()
+        out = [[z] * self.domain.dim for _ in range(self.codomain.dim)]
+        for j, col in enumerate(self.cols):
+            for i, c in col.items():
+                out[i][j] = c
+        return tuple(tuple(r) for r in out)
 
     # -- algebra ------------------------------------------------------------
+
+    def __eq__(self, other):
+        return (isinstance(other, LinMap) and self.domain == other.domain
+                and self.codomain == other.codomain and self.cols == other.cols)
 
     def __matmul__(self, other: "LinMap") -> "LinMap":
         """Composition self ∘ other."""
         if other.codomain != self.domain:
             raise ShapeMismatch("composition shape mismatch")
-        z = self.field.zero()
-        n = other.domain.dim
-        out = [[z] * n for _ in range(self.codomain.dim)]
-        for i, arow in enumerate(self.rows):
-            orow = out[i]
-            for k, aval in enumerate(arow):
-                if not aval:
-                    continue
-                brow = other.rows[k]
-                for j, bval in enumerate(brow):
-                    if bval:
-                        orow[j] = orow[j] + aval * bval
-        return LinMap(other.domain, self.codomain, tuple(tuple(r) for r in out))
+        cols = self.cols
+        return LinMap(other.domain, self.codomain,
+                      [_combine(cols, col.items()) for col in other.cols])
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise ShapeMismatch("sum of maps with different shapes")
         return LinMap(self.domain, self.codomain,
-                      tuple(tuple(a + b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, other.rows)))
+                      [_sum(a, b) for a, b in zip(self.cols, other.cols)])
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise ShapeMismatch("difference of maps with different shapes")
         return LinMap(self.domain, self.codomain,
-                      tuple(tuple(a - b for a, b in zip(r1, r2))
-                            for r1, r2 in zip(self.rows, other.rows)))
+                      [_sum(a, _neg(b)) for a, b in zip(self.cols, other.cols)])
 
     def scale(self, s) -> "LinMap":
         s = self.field.coerce(s)
+        if not s:
+            return LinMap.zero(self.domain, self.codomain)
         return LinMap(self.domain, self.codomain,
-                      tuple(tuple(s * x for x in r) for r in self.rows))
+                      [{i: s * x for i, x in col.items()} for col in self.cols])
 
     def tensor(self, other: "LinMap") -> "LinMap":
         """Kronecker product consistent with the row-major basis ordering."""
-        dom = tensor_product(self.domain, other.domain)
-        cod = tensor_product(self.codomain, other.codomain)
-        z = self.field.zero()
-        rows = [[z] * dom.dim for _ in range(cod.dim)]
-        dd, cd = other.domain.dim, other.codomain.dim
-        for i1, r1 in enumerate(self.rows):
-            for j1, a in enumerate(r1):
-                if not a:
-                    continue
-                for i2, r2 in enumerate(other.rows):
-                    for j2, b in enumerate(r2):
-                        if b:
-                            rows[i1 * cd + i2][j1 * dd + j2] = a * b
-        return LinMap(dom, cod, tuple(tuple(r) for r in rows))
+        cd = other.codomain.dim
+        cols = [{i1 * cd + i2: a * b for i1, a in c1.items() for i2, b in c2.items()}
+                for c1 in self.cols for c2 in other.cols]
+        return LinMap(tensor_product(self.domain, other.domain),
+                      tensor_product(self.codomain, other.codomain), cols)
 
     def apply(self, v: Vector) -> Vector:
         if v.space != self.domain:
             raise ShapeMismatch("vector not in the domain")
-        z = self.field.zero()
-        out = [z] * self.codomain.dim
-        for j, c in v.nonzeros():
-            for i in range(self.codomain.dim):
-                a = self.rows[i][j]
-                if a:
-                    out[i] = out[i] + a * c
-        return Vector(self.codomain, tuple(out))
-
-    def __call__(self, v: Vector) -> Vector:
-        return self.apply(v)
+        return Vector(self.codomain, _combine(self.cols, v.terms.items()))
 
     def column(self, j: int) -> Vector:
-        return Vector(self.codomain, tuple(r[j] for r in self.rows))
+        return Vector(self.codomain, self.cols[j])
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.domain.dim)]
+
+    def transposed_rows(self) -> tuple[dict, ...]:
+        """The rows of this map as sparse ``{domain index: coeff}`` dicts,
+        which are the columns of its transpose:
+        ``LinMap(f.codomain, f.domain, f.transposed_rows())`` is fᵀ."""
+        out = [{} for _ in range(self.codomain.dim)]
+        for j, col in enumerate(self.cols):
+            for i, c in col.items():
+                out[i][j] = c
+        return tuple(out)
 
     # -- rank / inverse -----------------------------------------------------
 
@@ -370,10 +424,6 @@ class LinMap:
         _, pivots = rref(self.rows, self.field)
         return len(pivots)
 
-    def transposed_rows(self) -> tuple[tuple, ...]:
-        return tuple(tuple(self.rows[i][j] for i in range(self.codomain.dim))
-                     for j in range(self.domain.dim))
-
     def inverse(self) -> "LinMap | None":
         """Exact two-sided inverse for a square map, or None if singular."""
         if self.domain.dim != self.codomain.dim:
@@ -381,27 +431,17 @@ class LinMap:
         R, E, pivots = rref_with_transform(self.rows, self.field)
         if len(pivots) != self.domain.dim:
             return None
-        return LinMap(self.codomain, self.domain, tuple(tuple(r) for r in E))
+        return LinMap.from_rows(self.codomain, self.domain, E)
 
-
-def map_tensor(f: LinMap, g: LinMap) -> LinMap:
-    return f.tensor(g)
-
-
-def compose(f: LinMap, g: LinMap) -> LinMap:
-    return f @ g
+    def __repr__(self):
+        return f"LinMap({self.domain.dim}→{self.codomain.dim})"
 
 
 def swap_map(V: FinVec, W: FinVec) -> LinMap:
     """The flip V⊗W → W⊗V."""
-    dom = tensor_product(V, W)
-    cod = tensor_product(W, V)
-    z, o = V.field.zero(), V.field.one()
-    rows = [[z] * dom.dim for _ in range(cod.dim)]
-    for i in range(V.dim):
-        for j in range(W.dim):
-            rows[j * V.dim + i][i * W.dim + j] = o
-    return LinMap(dom, cod, tuple(tuple(r) for r in rows))
+    o = V.field.one()
+    cols = [{j * V.dim + i: o} for i in range(V.dim) for j in range(W.dim)]
+    return LinMap(tensor_product(V, W), tensor_product(W, V), cols)
 
 
 def left_inverse_on_image(f: LinMap) -> LinMap:
@@ -416,12 +456,7 @@ def left_inverse_on_image(f: LinMap) -> LinMap:
         raise NotInjective(
             f"rank {len(pivots)} < domain dimension {f.domain.dim}"
         )
-    rows = tuple(tuple(E[r]) for r in range(f.domain.dim))
-    return LinMap(f.codomain, f.domain, rows)
-
-
-def rank(f: LinMap) -> int:
-    return f.rank
+    return LinMap.from_rows(f.codomain, f.domain, E[:f.domain.dim])
 
 
 def image_basis(f: LinMap) -> list[Vector]:
@@ -464,9 +499,9 @@ class Subspace:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
+    @cached_property
     def basis_vectors(self) -> list[Vector]:
-        return [Vector(self.space, tuple(r)) for r in self.rows]
+        return [Vector(self.space, _sparse(r)) for r in self.rows]
 
     def contains(self, v: Vector) -> bool:
         if v.space != self.space:
@@ -478,9 +513,6 @@ class Subspace:
             if c:
                 residual = [a - c * b for a, b in zip(residual, row)]
         return not any(residual)
-
-    def contains_subspace(self, other: "Subspace") -> bool:
-        return all(self.contains(v) for v in other.basis_vectors)
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.space == other.space
@@ -500,7 +532,8 @@ ONE_TO_PAIR = "one_to_pair"   # X → Y⊗Z, entries[i][j][k] = coeff of y_j⊗z
 
 @dataclass(frozen=True)
 class Tensor3:
-    """Dense rank-3 tensor of structure constants with a declared orientation."""
+    """Dense rank-3 tensor of structure constants with a declared orientation;
+    the interchange format between JSON documents and sparse maps."""
 
     kind: str
     spaces: tuple[FinVec, FinVec, FinVec]
@@ -527,36 +560,25 @@ class Tensor3:
     def to_linmap(self) -> LinMap:
         X, Y, Z = self.spaces
         if self.kind == PAIR_TO_ONE:
-            dom = tensor_product(X, Y)
-            rows = tuple(
-                tuple(self.entries[i][j][k] for i in range(X.dim) for j in range(Y.dim))
-                for k in range(Z.dim)
-            )
-            return LinMap(dom, Z, rows)
-        cod = tensor_product(Y, Z)
-        rows = tuple(
-            tuple(self.entries[i][j][k] for i in range(X.dim))
-            for j in range(Y.dim) for k in range(Z.dim)
-        )
-        return LinMap(X, cod, rows)
+            cols = [_sparse(row) for plane in self.entries for row in plane]
+            return LinMap(tensor_product(X, Y), Z, cols)
+        cols = [_sparse(x for row in plane for x in row) for plane in self.entries]
+        return LinMap(X, tensor_product(Y, Z), cols)
 
     @classmethod
     def from_linmap(cls, kind: str, spaces, f: LinMap) -> "Tensor3":
         X, Y, Z = spaces
+        z = X.field.zero()
         if kind == PAIR_TO_ONE:
             entries = tuple(
-                tuple(
-                    tuple(f.rows[k][i * Y.dim + j] for k in range(Z.dim))
-                    for j in range(Y.dim)
-                )
+                tuple(tuple(f.cols[i * Y.dim + j].get(k, z) for k in range(Z.dim))
+                      for j in range(Y.dim))
                 for i in range(X.dim)
             )
         else:
             entries = tuple(
-                tuple(
-                    tuple(f.rows[j * Z.dim + k][i] for k in range(Z.dim))
-                    for j in range(Y.dim)
-                )
+                tuple(tuple(f.cols[i].get(j * Z.dim + k, z) for k in range(Z.dim))
+                      for j in range(Y.dim))
                 for i in range(X.dim)
             )
         return cls(kind, tuple(spaces), entries)

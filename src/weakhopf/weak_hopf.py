@@ -136,10 +136,10 @@ class CoalgebraData:
         return out
 
     def eps(self, x: Vector):
-        return self.counit.apply(x).coords[0]
+        return self.counit.apply(x).terms.get(0, self.field.zero())
 
     def eps_coeff(self, i: int):
-        return self.counit.rows[0][i]
+        return self.counit.cols[i].get(0, self.field.zero())
 
     def delta2(self) -> LinMap:
         """(Δ⊗id)∘Δ : C → C⊗C⊗C (the canonical bracketing)."""
@@ -195,7 +195,7 @@ def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vec
                 factor = alg.product(Vector.basis(alg.space, ip),
                                      Vector.basis(alg.space, jp))
                 term = factor if term is None else term.tensor(factor)
-            out = out + Vector(space, term.coords).scale(a * b)
+            out = out + Vector(space, term.terms).scale(a * b)
     return out
 
 
@@ -778,7 +778,8 @@ def dualize(H: WeakHopfData) -> WeakHopfData:
     conv_entries = [
         [[delta_t[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)
     ]
-    dual_alg = AlgebraData.from_tensor(dspace, conv_entries, H.coalg.counit.rows[0])
+    dual_alg = AlgebraData.from_tensor(dspace, conv_entries,
+                                       [H.coalg.eps_coeff(i) for i in range(n)])
 
     # Δ*(p_k) = Σ_{i,j} mul[i][j][k] p_i⊗p_j, the unique solution of f(hk)=f₁(h)f₂(k)
     comul_entries = [
@@ -786,8 +787,7 @@ def dualize(H: WeakHopfData) -> WeakHopfData:
     ]
     dual_coalg = CoalgebraData.from_tensor(dspace, comul_entries, H.unit.coords)
 
-    s_rows = H.antipode.transposed_rows()
-    dual_s = LinMap(dspace, dspace, s_rows)
+    dual_s = LinMap(dspace, dspace, H.antipode.transposed_rows())
     return WeakHopfData(WeakBialgebraData(dual_alg, dual_coalg), dual_s)
 
 
@@ -796,9 +796,9 @@ def same_structure_constants(a: WeakHopfData, b: WeakHopfData) -> bool:
     if a.space.dim != b.space.dim or a.field != b.field:
         return False
     return (
-        a.alg.mul.rows == b.alg.mul.rows
-        and a.unit.coords == b.unit.coords
-        and a.coalg.comul.rows == b.coalg.comul.rows
-        and a.coalg.counit.rows == b.coalg.counit.rows
-        and a.antipode.rows == b.antipode.rows
+        a.alg.mul.cols == b.alg.mul.cols
+        and a.unit.terms == b.unit.terms
+        and a.coalg.comul.cols == b.coalg.comul.cols
+        and a.coalg.counit.cols == b.coalg.counit.cols
+        and a.antipode.cols == b.antipode.cols
     )

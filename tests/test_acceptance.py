@@ -98,8 +98,8 @@ def test_criterion_02_dual_consistency():
         explicit = dual_groupoid_algebra(G, QQ)
         derived = dualize(H)
         assert same_structure_constants(explicit, derived), name
-        assert derived.eps_t.rows == H.eps_t.transposed_rows(), name
-        assert derived.eps_s.rows == H.eps_s.transposed_rows(), name
+        assert derived.eps_t.cols == H.eps_t.transposed_rows(), name
+        assert derived.eps_s.cols == H.eps_s.transposed_rows(), name
     note(2, "explicit dual equals dualize(kG) tensor-entrywise and the dual "
             "target map is precomposition with the original one")
 
@@ -332,7 +332,7 @@ def _mutated_weak_hopf_detected(H, rng):
     else:
         coords = list(H.unit.coords)
         coords[i] = coords[i] + field.one()
-        alg = AlgebraData(H.space, alg.mul, Vector(H.space, tuple(coords)))
+        alg = AlgebraData(H.space, alg.mul, Vector.from_coords(H.space, coords))
     bad = WeakHopfData(WeakBialgebraData(alg, coalg), antipode)
     if not check_weak_hopf(bad).ok:
         return True

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -8,9 +11,11 @@ from conftest import (
     two_object_gpa,
 )
 
+import weakhopf
 from weakhopf import (
     QQ,
     LambdaFunctional,
+    PrimeField,
     cyclic_group_groupoid,
     disjoint_union_of_cyclic,
     find_basis_grouplikes,
@@ -230,3 +235,83 @@ def test_cli_reports_are_deterministic(tmp_path, capsys):
     main(["--format", "json", "check", "identities", out])
     second = capsys.readouterr().out
     assert first == second
+
+
+# -- malformed input: exit 3 with one line on stderr ------------------------------
+
+def _kG_doc(field=QQ):
+    return weakhopf_to_json(groupoid_algebra(disjoint_union_of_cyclic([1, 2]), field))
+
+
+def _action_doc():
+    act, _ = isotropy_lambda_action(disjoint_union_of_cyclic([1, 2]), QQ, "g1.e")
+    return action_to_json(act)
+
+
+def _edit(doc, fn):
+    fn(doc)
+    return doc
+
+
+def _lambda_doc():
+    G = two_object_iso_groupoid()
+    lam = LambdaFunctional.indicator(groupoid_algebra(G, QQ), ["e"])
+    return lambda_to_json(lam, groupoid=G, hopf_kind="kG")
+
+
+MALFORMED = [
+    ("zero-denominator", "weak-hopf",
+     lambda: _edit(_kG_doc(), lambda d: d["counit"].__setitem__(0, "1/0")), "zero denominator"),
+    ("gf-zero-denominator", "weak-hopf",
+     lambda: _edit(_kG_doc(PrimeField(7)), lambda d: d["counit"].__setitem__(0, "1/7")),
+     "zero denominator"),
+    ("antipode-missing-row", "weak-hopf", lambda: _edit(_kG_doc(), lambda d: d["antipode"].pop()),
+     "antipode"),
+    ("float-scalar", "identities",
+     lambda: _edit(_kG_doc(), lambda d: d["mul"][0][0].__setitem__(0, 1.5)), "mul[0][0][0]"),
+    ("duplicate-basis", "weak-hopf",
+     lambda: _edit(_kG_doc(), lambda d: d["basis"].__setitem__(1, d["basis"][0])), "basis"),
+    ("action-short-tensor", "pmc", lambda: _edit(_action_doc(), lambda d: d["tensor"].pop()),
+     "tensor"),
+    ("nested-antipode", "pmc",
+     lambda: _edit(_action_doc(), lambda d: d["hopf"]["antipode"][0].pop()),
+     "hopf.antipode[0]"),
+    ("carrier-not-a-document", "pmc", lambda: _edit(_action_doc(), lambda d: d.update(carrier=[])),
+     "carrier.schema"),
+    ("unknown-side", "pmc", lambda: _edit(_action_doc(), lambda d: d.update(side="up")), "side"),
+    ("carrier-counit", "pmc",
+     lambda: _edit(_action_doc(), lambda d: d["carrier"]["counit"].append("1")),
+     "carrier.counit"),
+    ("gpa-projection", "groupoid-action",
+     lambda: _edit(gpa_to_json(two_object_gpa(QQ)), lambda d: d["projections"]["e"].pop()),
+     "projections.e"),
+    ("lambda-values", "lambda", lambda: _edit(_lambda_doc(), lambda d: d["values"].pop()),
+     "values"),
+]
+
+
+def test_cli_rejects_a_document_that_is_not_an_object(tmp_path, capsys):
+    path = write(tmp_path, "list.json", [1, 2])
+    assert main(["equiv", path]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "expected a JSON object" in err
+
+
+@pytest.mark.parametrize("name,kind,build,where", MALFORMED, ids=[m[0] for m in MALFORMED])
+def test_cli_malformed_input_exits_3_with_one_line(tmp_path, capsys, name, kind, build, where):
+    path = write(tmp_path, f"{name}.json", build())
+    assert main(["check", kind, path]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert err.startswith("whw: malformed input") and where in err
+
+
+def test_cli_zero_denominator_in_a_child_process(tmp_path):
+    path = write(tmp_path, "bad.json",
+                 _edit(_kG_doc(), lambda d: d["counit"].__setitem__(0, "1/0")))
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", "check", "weak-hopf", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr

@@ -3,27 +3,23 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from weakhopf.errors import DivisionByZero, FieldMismatch
+from weakhopf.errors import DivisionByZero, FieldMismatch, MalformedInput
 from weakhopf.scalars import (
     QQ,
     GFElement,
     PrimeField,
-    add,
     char_divides,
-    div,
     field_from_name,
     field_name,
-    mul,
-    sub,
 )
 
 rationals = st.fractions(min_value=-1000, max_value=1000, max_denominator=1000)
 
 
 def test_rational_examples():
-    assert add(Fraction(1, 2), Fraction(1, 3)) == Fraction(5, 6)
+    assert Fraction(1, 2) + Fraction(1, 3) == Fraction(5, 6)
     x = Fraction(7, 3)
-    assert mul(x, QQ.one()) == x
+    assert x * QQ.one() == x
     assert PrimeField(5).from_int(3) * PrimeField(5).from_int(2) == 1
 
 
@@ -59,17 +55,17 @@ def test_char_divides():
 
 def test_field_mismatch():
     with pytest.raises(FieldMismatch):
-        add(PrimeField(5).from_int(1), PrimeField(7).from_int(1))
+        PrimeField(5).from_int(1) + PrimeField(7).from_int(1)
     with pytest.raises(FieldMismatch):
-        add(Fraction(1), PrimeField(5).from_int(1))
+        Fraction(1) + PrimeField(5).from_int(1)
     with pytest.raises(FieldMismatch):
-        mul(PrimeField(5).from_int(2), Fraction(1, 2))
+        PrimeField(5).from_int(2) * Fraction(1, 2)
 
 
 def test_division():
-    assert div(Fraction(1), Fraction(4)) == Fraction(1, 4)
+    assert Fraction(1) * QQ.inv(Fraction(4)) == Fraction(1, 4)
     with pytest.raises(DivisionByZero):
-        div(Fraction(1), Fraction(0))
+        QQ.inv(Fraction(0))
     with pytest.raises(DivisionByZero):
         PrimeField(5).inv(PrimeField(5).zero())
 
@@ -103,3 +99,29 @@ def test_rational_canonical_form():
     assert QQ.coerce(Fraction(2, 4)) == Fraction(1, 2)
     x = Fraction(3, -6)
     assert x.denominator > 0 and x == Fraction(-1, 2)
+
+
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(-10**40, 10**40), st.integers(-10**40, 10**40))
+def test_gf_equality_implies_equal_hash(p, a, b):
+    x, y = GFElement(a, p), GFElement(b, p)
+    for u, v in ((x, y), (x, b), (b, x), (x, a), (x, a % p), (x, True), (x, False)):
+        if u == v:
+            assert hash(u) == hash(v)
+    assert x == a % p and len({x, a % p}) == 1
+    assert (x == y) == (a % p == b % p)
+    assert x != GFElement(a, 11)
+
+
+def test_gf_element_equals_only_its_canonical_int():
+    x = GFElement(3, 5)
+    assert x == 3 and x != 8 and len({x, 8}) == 2
+
+
+def test_parse_rejects_zero_denominators():
+    with pytest.raises(MalformedInput):
+        QQ.parse("1/0")
+    F = PrimeField(7)
+    assert F.parse("3/2") == F.from_int(5)
+    for bad in ("1/0", "1/7", "2/14 mod 7"):
+        with pytest.raises(MalformedInput):
+            F.parse(bad)

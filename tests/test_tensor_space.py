@@ -14,7 +14,6 @@ from weakhopf.tensor_space import (
     flatten_index,
     left_inverse_on_image,
     image_basis,
-    rank,
     solve_coordinates,
     swap_map,
     tensor_product,
@@ -115,9 +114,9 @@ def test_left_inverse_deterministic_and_rectangular():
 
 
 def test_rank_examples():
-    assert rank(LinMap.identity(V3)) == 3
-    assert rank(LinMap.zero(V2, V3)) == 0
-    assert rank(rmat(V2, V2, [[1, 2], [2, 4]])) == 1
+    assert LinMap.identity(V3).rank == 3
+    assert LinMap.zero(V2, V3).rank == 0
+    assert rmat(V2, V2, [[1, 2], [2, 4]]).rank == 1
 
 
 def test_image_basis_canonical():
@@ -160,7 +159,7 @@ def test_vector_ops_and_gf():
     assert (x + y).coords[0] == F.from_int(2)
     assert x.scale(2).coords == (F.from_int(1), F.from_int(3))
     m = LinMap.from_rows(U, U, [[1, 1], [0, 3]])
-    assert rank(m) == 2
+    assert m.rank == 2
     assert m.inverse() @ m == LinMap.identity(U)
 
 
@@ -182,3 +181,121 @@ def test_contraction_engine_on_associative_structure_constants():
     ).to_linmap()
     ident = LinMap.identity(V2)
     assert mul @ mul.tensor(ident) == mul @ ident.tensor(mul)
+
+
+# -- the sparse core against a dense reference ----------------------------------
+
+from weakhopf.report import compare_maps, compare_vectors  # noqa: E402
+
+GF7 = PrimeField(7)
+ENTRIES = {QQ: [0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)], GF7: [0, 0, 0, 1, 3, 6]}
+DIMS = st.integers(1, 3)
+fields = st.sampled_from([QQ, GF7])
+
+
+def space(F, dim, prefix="v"):
+    return FinVec(F, tuple(f"{prefix}{i}" for i in range(dim)))
+
+
+def draw_map(data, dom, cod):
+    entry = st.sampled_from(ENTRIES[dom.field])
+    rows = data.draw(st.lists(st.lists(entry, min_size=dom.dim, max_size=dom.dim),
+                              min_size=cod.dim, max_size=cod.dim))
+    return LinMap.from_rows(dom, cod, rows)
+
+
+def draw_vector(data, V):
+    entry = st.sampled_from(ENTRIES[V.field])
+    return Vector.from_coords(V, data.draw(st.lists(entry, min_size=V.dim, max_size=V.dim)))
+
+
+def assert_no_stored_zero(x):
+    stored = x.cols if isinstance(x, LinMap) else (x.terms,)
+    assert all(c for col in stored for c in col.values())
+
+
+def dense_matmul(a, b, F):
+    return tuple(tuple(sum((a[i][k] * b[k][j] for k in range(len(b))), F.zero())
+                       for j in range(len(b[0]))) for i in range(len(a)))
+
+
+@settings(max_examples=60)
+@given(fields, DIMS, DIMS, DIMS, st.data())
+def test_sparse_matmul_apply_column_match_dense(F, d1, d2, d3, data):
+    U, V, W = space(F, d1, "u"), space(F, d2, "v"), space(F, d3, "w")
+    f, g = draw_map(data, V, W), draw_map(data, U, V)
+    fg = f @ g
+    assert fg.rows == dense_matmul(f.rows, g.rows, F)
+    v = draw_vector(data, V)
+    fv = f.apply(v)
+    assert fv.coords == tuple(r[0] for r in dense_matmul(f.rows, [(c,) for c in v.coords], F))
+    for j in range(V.dim):
+        assert f.column(j).coords == tuple(r[j] for r in f.rows)
+    for x in (fg, fv, f.column(0)):
+        assert_no_stored_zero(x)
+
+
+@settings(max_examples=60)
+@given(fields, DIMS, DIMS, DIMS, DIMS, st.data())
+def test_sparse_tensor_matches_dense_kronecker(F, a, b, c, d, data):
+    f = draw_map(data, space(F, a, "a"), space(F, b, "b"))
+    g = draw_map(data, space(F, c, "c"), space(F, d, "d"))
+    fg = f.tensor(g)
+    for i1 in range(b):
+        for i2 in range(d):
+            for j1 in range(a):
+                for j2 in range(c):
+                    assert fg.rows[i1 * d + i2][j1 * c + j2] == f.rows[i1][j1] * g.rows[i2][j2]
+    x, y = draw_vector(data, f.domain), draw_vector(data, g.domain)
+    xy = x.tensor(y)
+    assert xy.coords == tuple(p * q for p in x.coords for q in y.coords)
+    assert_no_stored_zero(fg)
+    assert_no_stored_zero(xy)
+
+
+@settings(max_examples=60)
+@given(fields, DIMS, DIMS, st.data())
+def test_sparse_sum_difference_scale_transpose_match_dense(F, m, n, data):
+    V, W = space(F, m), space(F, n, "w")
+    f, g = draw_map(data, V, W), draw_map(data, V, W)
+    s = data.draw(st.sampled_from(ENTRIES[F]))
+    cs = F.coerce(s)
+    zipped = list(zip(f.rows, g.rows))
+    assert (f + g).rows == tuple(tuple(a + b for a, b in zip(r, q)) for r, q in zipped)
+    assert (f - g).rows == tuple(tuple(a - b for a, b in zip(r, q)) for r, q in zipped)
+    assert f.scale(s).rows == tuple(tuple(cs * a for a in r) for r in f.rows)
+    transpose = LinMap(W, V, f.transposed_rows())
+    assert transpose.rows == tuple(zip(*f.rows))
+    x, y = draw_vector(data, V), draw_vector(data, V)
+    assert (x + y).coords == tuple(a + b for a, b in zip(x.coords, y.coords))
+    assert (x - y).coords == tuple(a - b for a, b in zip(x.coords, y.coords))
+    assert x.scale(s).coords == tuple(cs * a for a in x.coords)
+    assert x.nonzeros() == [(i, c) for i, c in enumerate(x.coords) if c]
+    results = [f + g, f - g, f.scale(s), transpose, x + y, x - y, x.scale(s)]
+    for z in results + [f - f, f.scale(0), x - x, x.scale(0), f + f.scale(-1)]:
+        assert_no_stored_zero(z)
+    assert f - f == LinMap.zero(V, W) and (x - x).is_zero
+
+
+@settings(max_examples=80)
+@given(fields, DIMS, DIMS, st.data())
+def test_compare_maps_reports_first_difference_in_dense_scan_order(F, m, n, data):
+    V, W = space(F, m), space(F, n, "w")
+    f, g = draw_map(data, V, W), draw_map(data, V, W)
+    expected = next(
+        (f"input {V.labels[j]}, output {W.labels[i]}: "
+         f"{F.fmt(f.rows[i][j])} ≠ {F.fmt(g.rows[i][j])}"
+         for j in range(m) for i in range(n) if f.rows[i][j] != g.rows[i][j]),
+        None)
+    result = compare_maps("eq", f, g)
+    assert result.passed == (expected is None) == (f == g)
+    assert result.witness == expected
+    x, y = draw_vector(data, W), draw_vector(data, W)
+    expected = next((f"coefficient of {W.labels[i]}: {F.fmt(a)} ≠ {F.fmt(b)}"
+                     for i, (a, b) in enumerate(zip(x.coords, y.coords)) if a != b), None)
+    assert compare_vectors("eq", x, y).witness == expected
+
+
+def test_tensor_product_is_built_once_per_pair():
+    assert tensor_product(V2, V3) is tensor_product(V2, V3)
+    assert Vector.basis(V2, 0).tensor(Vector.basis(V3, 1)).space is tensor_product(V2, V3)

@@ -141,8 +141,8 @@ def test_dual_eps_t_is_transpose():
     G = two_object_iso_groupoid()
     H = groupoid_algebra(G, QQ)
     Hd = dualize(H)
-    assert Hd.eps_t.rows == H.eps_t.transposed_rows()
-    assert Hd.eps_s.rows == H.eps_s.transposed_rows()
+    assert Hd.eps_t.cols == H.eps_t.transposed_rows()
+    assert Hd.eps_s.cols == H.eps_s.transposed_rows()
 
 
 def test_dual_counit_detects_identities():
