@@ -71,8 +71,7 @@ def find_basis_grouplikes(act: ActionTensor) -> list[GrouplikeElement]:
     idempotent_grouplikes = [
         i for i in range(space.dim)
         if is_grouplike(H, Vector.basis(space, i))
-        and H.product(Vector.basis(space, i), Vector.basis(space, i))
-        == Vector.basis(space, i)
+        and H.alg.mul.column(i * space.dim + i) == Vector.basis(space, i)
     ]
     if 2 <= len(idempotent_grouplikes) <= 12:
         for size in range(2, len(idempotent_grouplikes) + 1):

@@ -43,6 +43,7 @@ from .tensor_space import (
     Subspace,
     Tensor3,
     Vector,
+    _combine,
     solve_coordinates,
     tensor_product,
 )
@@ -104,10 +105,23 @@ class ActionTensor:
         return tuple(LinMap(X, X, cols[i::H.dim]) for i in range(H.dim))
 
     def act_by(self, h: Vector) -> LinMap:
-        out = LinMap.zero(self.space, self.space)
-        for i, c in h.nonzeros():
-            out = out + self.slices[i].scale(c)
-        return out
+        return self._slice_sum(h.terms)
+
+    def _slice_sum(self, terms: dict) -> LinMap:
+        """Σ c·slices[i] over the ``{i: c}`` terms, column by column from the
+        action tensor."""
+        m = self.space.dim
+        step, stride = (m, 1) if self.side == LEFT else (1, self.hopf.space.dim)
+        cols = self.action.cols
+        return LinMap(self.space, self.space,
+                      [_combine(cols, [(i * step + t * stride, c) for i, c in terms.items()])
+                       for t in range(m)])
+
+    @cached_property
+    def product_slices(self) -> tuple[LinMap, ...]:
+        """``product_slices[i·n + j]`` is ``act_by(e_i·e_j)``, built once from
+        the multiplication columns of H."""
+        return tuple(self._slice_sum(col) for col in self.hopf.alg.mul.cols)
 
     def act(self, h: Vector, x: Vector) -> Vector:
         return self.act_by(h).apply(x)
@@ -168,8 +182,7 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
         out = Vector.zero(CC)
         for p, q, ch in H.coalg.delta_pairs(i):
             for a, b, cc in C.delta_pairs(j):
-                va = act.slices[p].apply(Vector.basis(C.space, a))
-                vb = act.slices[q].apply(Vector.basis(C.space, b))
+                va, vb = act.slices[p].column(a), act.slices[q].column(b)
                 out = out + va.tensor(vb).scale(ch * cc)
         return out
 
@@ -205,7 +218,7 @@ def check_module_coalgebra(act: ActionTensor) -> Report:
     violated by the computed verdicts.
     """
     C = _require_coalgebra(act)
-    H = act.hopf
+    n = act.hopf.space.dim
     rep = Report(f"{act.side} module coalgebra")
     ident = LinMap.identity(C.space)
 
@@ -218,8 +231,7 @@ def check_module_coalgebra(act: ActionTensor) -> Report:
     mc3 = _aggregate_pairs(
         act, "MC3",
         lambda i, j: _iterated_slice(act, i, j),
-        lambda i, j: act.act_by(H.product(Vector.basis(H.space, i),
-                                          Vector.basis(H.space, j))))
+        lambda i, j: act.product_slices[i * n + j])
     rep.add(mc3)
 
     mc4 = _globality_criterion(act, "MC4")
@@ -277,43 +289,28 @@ class PartialActionVerdict:
 
 def _pmc3_rhs(act: ActionTensor, i: int, j: int, symmetric: bool) -> LinMap:
     """The correction side of PMC3 (or its symmetric variant) as an
-    endomorphism of the carrier, for the basis pair (h_i, h_j)."""
+    endomorphism of the carrier, for the basis pair (h_i, h_j):
+
+        left   (h k₁ · c₁) ε(k₂ · c₂),    sym  ε(k₁ · c₁) (h k₂ · c₂),
+        right  ε(c₁ ↼ h₁) (c₂ ↼ h₂k),    sym  (c₁ ↼ h₁k) ε(c₂ ↼ h₂).
+
+    ``eps_leg`` is the leg of Δ(c) (and of Δ(k), resp. Δ(h)) under ε; the
+    other leg is acted on by the product."""
     C = act.carrier
     H = act.hopf
-    m = C.space.dim
+    n = H.space.dim
+    left = act.side == LEFT
+    eps_leg = 1 if left != symmetric else 0
 
     def image(cidx: int) -> Vector:
         out = Vector.zero(C.space)
-        for a, b, cc in C.delta_pairs(cidx):
-            ea, eb = Vector.basis(C.space, a), Vector.basis(C.space, b)
-            if act.side == LEFT:
-                for p, q, ch in H.coalg.delta_pairs(j):
-                    if not symmetric:
-                        # (h k₁ · c₁) ε(k₂ · c₂)
-                        s = C.eps(act.slices[q].apply(eb))
-                        if s:
-                            hk = H.product(Vector.basis(H.space, i), Vector.basis(H.space, p))
-                            out = out + act.act_by(hk).apply(ea).scale(ch * cc * s)
-                    else:
-                        # ε(k₁ · c₁) (h k₂ · c₂)
-                        s = C.eps(act.slices[p].apply(ea))
-                        if s:
-                            hk = H.product(Vector.basis(H.space, i), Vector.basis(H.space, q))
-                            out = out + act.act_by(hk).apply(eb).scale(ch * cc * s)
-            else:
-                for p, q, ch in H.coalg.delta_pairs(i):
-                    if not symmetric:
-                        # ε(c₁ ↼ h₁) (c₂ ↼ h₂k)
-                        s = C.eps(act.slices[p].apply(ea))
-                        if s:
-                            hk = H.product(Vector.basis(H.space, q), Vector.basis(H.space, j))
-                            out = out + act.act_by(hk).apply(eb).scale(ch * cc * s)
-                    else:
-                        # (c₁ ↼ h₁k) ε(c₂ ↼ h₂)
-                        s = C.eps(act.slices[q].apply(eb))
-                        if s:
-                            hk = H.product(Vector.basis(H.space, p), Vector.basis(H.space, j))
-                            out = out + act.act_by(hk).apply(ea).scale(ch * cc * s)
+        for cpair in C.delta_pairs(cidx):
+            for hpair in H.coalg.delta_pairs(j if left else i):
+                s = C.eps(act.slices[hpair[eps_leg]].column(cpair[eps_leg]))
+                if s:
+                    x = hpair[1 - eps_leg]
+                    prod = act.product_slices[i * n + x if left else x * n + j]
+                    out = out + prod.column(cpair[1 - eps_leg]).scale(hpair[2] * cpair[2] * s)
         return out
 
     return LinMap.from_function(C.space, C.space, image)
@@ -418,7 +415,7 @@ def check_ht_hs_propositions(act: ActionTensor) -> Report:
 def check_module_algebra(act: ActionTensor) -> Report:
     """The global module-algebra axioms MA1-MA4 (either side)."""
     A = _require_algebra(act)
-    H = act.hopf
+    n = act.hopf.space.dim
     rep = Report(f"{act.side} module algebra")
     ident = LinMap.identity(A.space)
     rep.add(compare_maps("MA1", _unit_slice(act), ident))
@@ -426,8 +423,7 @@ def check_module_algebra(act: ActionTensor) -> Report:
     rep.add(_aggregate_pairs(
         act, "MA3",
         lambda i, j: _iterated_slice(act, i, j),
-        lambda i, j: act.act_by(H.product(Vector.basis(H.space, i),
-                                          Vector.basis(H.space, j)))))
+        lambda i, j: act.product_slices[i * n + j]))
     rep.add(_ma4_check(act, "MA4"))
     return rep
 
@@ -473,36 +469,27 @@ def _ma4_check(act: ActionTensor, label: str) -> CheckResult:
 
 
 def _pma3_rhs(act: ActionTensor, i: int, j: int, symmetric: bool) -> LinMap:
+    """The correction side of PMA3 (or its symmetric variant):
+
+        left   (h₁·1)(h₂k·a),    sym  (h₁k·a)(h₂·1),
+        right  (a↼hk₁)(1↼k₂),    sym  (1↼k₁)(a↼hk₂).
+
+    ``unit_leg`` is the leg of Δ(h) (resp. Δ(k)) acting on 1; the unit
+    factor stands left of the product iff it is the first leg."""
     A = act.carrier
     H = act.hopf
+    n = H.space.dim
+    left = act.side == LEFT
+    unit_leg = 0 if left != symmetric else 1
 
     def image(aidx: int) -> Vector:
-        ea = Vector.basis(A.space, aidx)
         out = Vector.zero(A.space)
-        if act.side == LEFT:
-            for p, q, ch in H.coalg.delta_pairs(i):
-                if not symmetric:
-                    # (h₁·1)(h₂k·a)
-                    u = act.slices[p].apply(A.unit)
-                    hk = H.product(Vector.basis(H.space, q), Vector.basis(H.space, j))
-                    out = out + A.product(u, act.act_by(hk).apply(ea)).scale(ch)
-                else:
-                    # (h₁k·a)(h₂·1)
-                    hk = H.product(Vector.basis(H.space, p), Vector.basis(H.space, j))
-                    u = act.slices[q].apply(A.unit)
-                    out = out + A.product(act.act_by(hk).apply(ea), u).scale(ch)
-        else:
-            for p, q, ch in H.coalg.delta_pairs(j):
-                if not symmetric:
-                    # (a↼hk₁)(1↼k₂)
-                    hk = H.product(Vector.basis(H.space, i), Vector.basis(H.space, p))
-                    u = act.slices[q].apply(A.unit)
-                    out = out + A.product(act.act_by(hk).apply(ea), u).scale(ch)
-                else:
-                    # (1↼k₁)(a↼hk₂)
-                    u = act.slices[p].apply(A.unit)
-                    hk = H.product(Vector.basis(H.space, i), Vector.basis(H.space, q))
-                    out = out + A.product(u, act.act_by(hk).apply(ea)).scale(ch)
+        for pair in H.coalg.delta_pairs(i if left else j):
+            u = act.slices[pair[unit_leg]].apply(A.unit)
+            x = pair[1 - unit_leg]
+            moved = act.product_slices[x * n + j if left else i * n + x].column(aidx)
+            prod = A.product(u, moved) if unit_leg == 0 else A.product(moved, u)
+            out = out + prod.scale(pair[2])
         return out
 
     return LinMap.from_function(A.space, A.space, image)
@@ -618,7 +605,7 @@ def check_lambda_global(lf: LambdaFunctional) -> LambdaVerdict:
     fail = None
     for i in range(H.space.dim):
         for j in range(H.space.dim):
-            prod = lf.of_vec(H.product(Vector.basis(H.space, i), Vector.basis(H.space, j)))
+            prod = lf.of_vec(H.alg.mul.column(i * H.space.dim + j))
             if lf.of_basis(i) * lf.of_basis(j) != prod:
                 fail = compare_scalars("(iii)", f, lf.of_basis(i) * lf.of_basis(j), prod,
                                        context=_pair_label_h(H, i, j))
@@ -655,24 +642,25 @@ def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> LambdaVerdic
     rep = Report(f"{side} partial λ-action conditions")
     rep.add(compare_scalars("(i)", f, lf.of_vec(H.unit), f.one(), context="λ(1_H)"))
 
+    n = H.space.dim
+
+    def lam_prod(a: int, b: int):
+        return lf.of_vec(H.alg.mul.column(a * n + b))
+
     def correction(i: int, j: int, symmetric: bool):
         acc = f.zero()
         if side == LEFT:
             for p, q, c in H.coalg.delta_pairs(j):
                 if not symmetric:   # λ(hk₁)λ(k₂)
-                    acc = acc + c * lf.of_vec(H.product(
-                        Vector.basis(H.space, i), Vector.basis(H.space, p))) * lf.of_basis(q)
+                    acc = acc + c * lam_prod(i, p) * lf.of_basis(q)
                 else:               # λ(k₁)λ(hk₂)
-                    acc = acc + c * lf.of_basis(p) * lf.of_vec(H.product(
-                        Vector.basis(H.space, i), Vector.basis(H.space, q)))
+                    acc = acc + c * lf.of_basis(p) * lam_prod(i, q)
         else:
             for p, q, c in H.coalg.delta_pairs(i):
                 if not symmetric:   # λ(h₁)λ(h₂k)
-                    acc = acc + c * lf.of_basis(p) * lf.of_vec(H.product(
-                        Vector.basis(H.space, q), Vector.basis(H.space, j)))
+                    acc = acc + c * lf.of_basis(p) * lam_prod(q, j)
                 else:               # λ(h₁k)λ(h₂)
-                    acc = acc + c * lf.of_vec(H.product(
-                        Vector.basis(H.space, p), Vector.basis(H.space, j))) * lf.of_basis(q)
+                    acc = acc + c * lam_prod(p, j) * lf.of_basis(q)
         return acc
 
     def scan(label: str, symmetric: bool) -> CheckResult:
@@ -835,7 +823,7 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
             raise NotSubcoalgebra(f"Δ({v.describe()}) escapes D⊗D")
 
     rep = Report("induced partial action conditions")
-    CC = tensor_product(C.space, C.space)
+    n = H.space.dim
     pp = proj.tensor(proj)
 
     fail = None
@@ -862,22 +850,17 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
                     dd = C.delta(d)
                     for flat, cc in dd.nonzeros():
                         a, b = divmod(flat, C.space.dim)
-                        ea, eb = Vector.basis(C.space, a), Vector.basis(C.space, b)
                         for p, q, ch in H.coalg.delta_pairs(j):
                             if not symmetric:
-                                s = C.eps(proj.apply(global_act.slices[q].apply(eb)))
+                                s = C.eps(proj.apply(global_act.slices[q].column(b)))
                                 if s:
-                                    hk = H.product(Vector.basis(H.space, i),
-                                                   Vector.basis(H.space, p))
-                                    rhs = rhs + proj.apply(
-                                        global_act.act_by(hk).apply(ea)).scale(cc * ch * s)
+                                    moved = global_act.product_slices[i * n + p].column(a)
+                                    rhs = rhs + proj.apply(moved).scale(cc * ch * s)
                             else:
-                                s = C.eps(proj.apply(global_act.slices[p].apply(ea)))
+                                s = C.eps(proj.apply(global_act.slices[p].column(a)))
                                 if s:
-                                    hk = H.product(Vector.basis(H.space, i),
-                                                   Vector.basis(H.space, q))
-                                    rhs = rhs + proj.apply(
-                                        global_act.act_by(hk).apply(eb)).scale(cc * ch * s)
+                                    moved = global_act.product_slices[i * n + q].column(b)
+                                    rhs = rhs + proj.apply(moved).scale(cc * ch * s)
                     r = compare_vectors(label, lhs, rhs)
                     if not r.passed:
                         return CheckResult(

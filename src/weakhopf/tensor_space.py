@@ -78,14 +78,6 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
     return out
 
 
-def flatten_index(i: int, j: int, dim_right: int) -> int:
-    return i * dim_right + j
-
-
-def unflatten_index(idx: int, dim_right: int) -> tuple[int, int]:
-    return divmod(idx, dim_right)
-
-
 # ---------------------------------------------------------------------------
 # sparse kernels: dicts {index: coeff} without zero values
 # ---------------------------------------------------------------------------

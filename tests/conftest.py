@@ -1,20 +1,28 @@
-"""Shared example structures for the test suite."""
+"""Shared example structures and Hypothesis drawing helpers for the test suite."""
+
+from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from weakhopf import (
     QQ,
     ActionTensor,
+    AlgebraData,
     CoalgebraData,
     FinVec,
     GroupoidPartialAction,
     LambdaFunctional,
     LinMap,
+    PrimeField,
     Vector,
+    WeakBialgebraData,
+    WeakHopfData,
     cyclic_group_groupoid,
     disjoint_union_of_cyclic,
     groupoid_algebra,
     lambda_action,
+    tensor_product,
     trivial_groupoid,
     two_object_iso_groupoid,
 )
@@ -179,3 +187,36 @@ def gpa_examples(field):
     act, _ = isotropy_lambda_action(disjoint_union_of_cyclic([2, 2]), field, "g1.e")
     out.append(("lambda-derived", from_kG_action(act, disjoint_union_of_cyclic([2, 2]))))
     return out
+
+
+# -- Hypothesis drawing helpers --------------------------------------------------
+
+GF7 = PrimeField(7)
+ENTRIES = {QQ: [0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)], GF7: [0, 0, 0, 1, 3, 6]}
+fields = st.sampled_from([QQ, GF7])
+
+
+def space(F, dim, prefix="v"):
+    return FinVec(F, tuple(f"{prefix}{i}" for i in range(dim)))
+
+
+def draw_map(data, dom, cod):
+    entry = st.sampled_from(ENTRIES[dom.field])
+    rows = data.draw(st.lists(st.lists(entry, min_size=dom.dim, max_size=dom.dim),
+                              min_size=cod.dim, max_size=cod.dim))
+    return LinMap.from_rows(dom, cod, rows)
+
+
+def draw_vector(data, V):
+    entry = st.sampled_from(ENTRIES[V.field])
+    return Vector.from_coords(V, data.draw(st.lists(entry, min_size=V.dim, max_size=V.dim)))
+
+
+def draw_structure(data, F, dim) -> WeakHopfData:
+    """Random structure constants for every tensor of a weak Hopf algebra
+    (no axiom holds in general); the antipode is the identity."""
+    H = space(F, dim, "h")
+    HH = tensor_product(H, H)
+    alg = AlgebraData(H, draw_map(data, HH, H), draw_vector(data, H))
+    coalg = CoalgebraData(H, draw_map(data, H, HH), draw_map(data, H, space(F, 1, "k")))
+    return WeakHopfData(WeakBialgebraData(alg, coalg), LinMap.identity(H))

@@ -2,10 +2,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     antipode_twisted_action,
     component_permutation_gpa,
+    draw_map,
+    draw_structure,
+    fields,
     gpa_examples,
     grouplike_coalgebra,
     isotropy_lambda_action,
@@ -393,3 +397,22 @@ def test_zero_action_fails_pma1():
         [LinMap.zero(H.space, H.space) for _ in range(H.space.dim)])
     v = check_partial_module_algebra(zero)
     assert not v.report.result("PMA1").passed
+
+
+# -- cached product slices ---------------------------------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(1, 3), st.integers(1, 3), st.sampled_from(["left", "right"]),
+       st.data())
+def test_product_slices_act_by_basis_products(F, n, m, side, data):
+    H = draw_structure(data, F, n)
+    C = grouplike_coalgebra(F, [f"c{i}" for i in range(m)])
+    slices = [draw_map(data, C.space, C.space) for _ in range(n)]
+    act = ActionTensor.from_slices(H, C, side, slices)
+    for i in range(n):
+        for j in range(n):
+            prod = H.alg.product(Vector.basis(H.space, i), Vector.basis(H.space, j))
+            expected = LinMap.zero(C.space, C.space)
+            for k, c in prod.nonzeros():
+                expected = expected + slices[k].scale(c)
+            assert act.product_slices[i * n + j] == expected == act.act_by(prod)

@@ -11,13 +11,11 @@ from weakhopf.tensor_space import (
     Subspace,
     Tensor3,
     Vector,
-    flatten_index,
     left_inverse_on_image,
     image_basis,
     solve_coordinates,
     swap_map,
     tensor_product,
-    unflatten_index,
 )
 
 V2 = FinVec(QQ, ("a", "b"))
@@ -43,9 +41,14 @@ def test_tensor_product_dims_and_labels():
 
 @given(st.integers(1, 9), st.integers(1, 9))
 def test_flatten_round_trip(d1, d2):
+    """Row-major flattening: e_i ⊗ f_j is basis vector i·dim W + j of V⊗W."""
+    V = FinVec(QQ, tuple(f"v{i}" for i in range(d1)))
+    W = FinVec(QQ, tuple(f"w{j}" for j in range(d2)))
+    VW = tensor_product(V, W)
     for i in range(d1):
         for j in range(d2):
-            assert unflatten_index(flatten_index(i, j, d2), d2) == (i, j)
+            assert (Vector.basis(V, i).tensor(Vector.basis(W, j))
+                    == Vector.basis(VW, i * W.dim + j))
 
 
 small_mats = st.lists(
@@ -187,26 +190,9 @@ def test_contraction_engine_on_associative_structure_constants():
 
 from weakhopf.report import compare_maps, compare_vectors  # noqa: E402
 
-GF7 = PrimeField(7)
-ENTRIES = {QQ: [0, 0, 0, 1, -1, 2, Fraction(1, 3), Fraction(-5, 2)], GF7: [0, 0, 0, 1, 3, 6]}
+from conftest import ENTRIES, draw_map, draw_vector, fields, space  # noqa: E402
+
 DIMS = st.integers(1, 3)
-fields = st.sampled_from([QQ, GF7])
-
-
-def space(F, dim, prefix="v"):
-    return FinVec(F, tuple(f"{prefix}{i}" for i in range(dim)))
-
-
-def draw_map(data, dom, cod):
-    entry = st.sampled_from(ENTRIES[dom.field])
-    rows = data.draw(st.lists(st.lists(entry, min_size=dom.dim, max_size=dom.dim),
-                              min_size=cod.dim, max_size=cod.dim))
-    return LinMap.from_rows(dom, cod, rows)
-
-
-def draw_vector(data, V):
-    entry = st.sampled_from(ENTRIES[V.field])
-    return Vector.from_coords(V, data.draw(st.lists(entry, min_size=V.dim, max_size=V.dim)))
 
 
 def assert_no_stored_zero(x):

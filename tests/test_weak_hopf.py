@@ -1,8 +1,10 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import groupoid_family
+from conftest import GF7, draw_structure, draw_vector, fields, groupoid_family
 
 from weakhopf import (
     QQ,
@@ -22,12 +24,14 @@ from weakhopf import (
     groupoid_algebra,
     is_hopf,
     same_structure_constants,
+    tensor_product,
     trivial_groupoid,
     two_object_iso_groupoid,
 )
 from weakhopf.errors import CharacteristicDividesOrder
 from weakhopf.jsonio import canonical_dumps, weakhopf_from_json, weakhopf_to_json
-from weakhopf.weak_hopf import AlgebraData, WeakBialgebraData, WeakHopfData
+from weakhopf.report import CheckResult, compare_scalars
+from weakhopf.weak_hopf import AlgebraData, WeakBialgebraData, WeakHopfData, pointwise_product
 
 
 @pytest.mark.parametrize("name,G", groupoid_family())
@@ -220,3 +224,102 @@ def test_singular_antipode_marks_skips():
     rep = check_identities(bad)
     skipped = {r.label for r in rep.results if r.skipped}
     assert skipped == {"Eq 4.41a", "Eq 4.42", "Eq 4.43"}
+
+
+# -- structure-tensor lookups against fresh products ------------------------------
+
+def reference_axiom_ii(wb):
+    """Axiom (ii) by the triple loop over basis tuples (h, k, l), with a fresh
+    product for every factor; the (ii)a and (ii)b results."""
+    H, A, C = wb.space, wb.alg, wb.coalg
+    e = [Vector.basis(H, i) for i in range(H.dim)]
+    fail_a = fail_b = None
+    for i, j, l in itertools.product(range(H.dim), repeat=3):
+        full = C.eps(A.product(A.product(e[i], e[j]), e[l]))
+        one = two = wb.field.zero()
+        for a, b, c in C.delta_pairs(j):
+            one = one + c * (C.eps(A.product(e[i], e[a])) * C.eps(A.product(e[b], e[l])))
+            two = two + c * (C.eps(A.product(e[i], e[b])) * C.eps(A.product(e[a], e[l])))
+        ctx = f"(h,k,l)=({H.labels[i]},{H.labels[j]},{H.labels[l]})"
+        if fail_a is None and full != one:
+            fail_a = compare_scalars("(ii)a", wb.field, full, one, ctx)
+        if fail_b is None and full != two:
+            fail_b = compare_scalars("(ii)b", wb.field, full, two, ctx)
+    return fail_a or CheckResult("(ii)a", True), fail_b or CheckResult("(ii)b", True)
+
+
+def with_mutated_product(H, idx, k):
+    """H's weak bialgebra with 1 added to the coefficient of e_k in column
+    ``idx`` (the product e_{idx // n}·e_{idx % n}) of the multiplication."""
+    cols = [dict(c) for c in H.alg.mul.cols]
+    value = cols[idx].pop(k, H.field.zero()) + H.field.one()
+    if value:
+        cols[idx][k] = value
+    mul = LinMap(H.alg.mul.domain, H.space, cols)
+    return WeakBialgebraData(AlgebraData(H.space, mul, H.unit), H.coalg)
+
+
+EXAMPLES = {
+    "kG(Z/2⊔Z/3)": lambda F: groupoid_algebra(disjoint_union_of_cyclic([2, 3]), F),
+    "(kG)* two-object": lambda F: dual_groupoid_algebra(two_object_iso_groupoid(), F),
+    "N=3 averaged": lambda F: abelian_group_weak_hopf(FiniteAbelianGroup((3,)), F),
+}
+
+
+@pytest.mark.parametrize("field", [QQ, GF7], ids=["Q", "GF7"])
+@pytest.mark.parametrize("name,idx,k", [
+    ("kG(Z/2⊔Z/3)", 6, 1), ("kG(Z/2⊔Z/3)", 11, 2),
+    ("(kG)* two-object", 15, 0), ("(kG)* two-object", 12, 0),
+    ("N=3 averaged", 8, 0), ("N=3 averaged", 6, 0), ("N=3 averaged", 0, 1),
+])
+def test_axiom_ii_matches_triple_loop_reference(name, idx, k, field):
+    H = EXAMPLES[name](field)
+    wb = with_mutated_product(H, idx, k)
+    reference = reference_axiom_ii(wb)
+    # the mutation breaks (ii), first at a tuple other than (e₀, e₀, e₀)
+    assert not all(r.passed for r in reference)
+    origin = "(h,k,l)=({0},{0},{0}):".format(H.space.labels[0])
+    assert not any((r.witness or "").startswith(origin) for r in reference)
+    rep = check_weak_bialgebra(wb)
+    assert (rep.result("(ii)a"), rep.result("(ii)b")) == reference
+
+
+def reference_pointwise(A, power, x, y):
+    """(a1⊗...⊗ak)(b1⊗...⊗bk) = a1b1⊗...⊗akbk from fresh products and tensors."""
+    n = A.space.dim
+    out = Vector.zero(x.space)
+    for i, a in x.nonzeros():
+        for j, b in y.nonzeros():
+            i_parts = [i // n ** (power - 1 - t) % n for t in range(power)]
+            j_parts = [j // n ** (power - 1 - t) % n for t in range(power)]
+            term = None
+            for ip, jp in zip(i_parts, j_parts):
+                factor = A.product(Vector.basis(A.space, ip), Vector.basis(A.space, jp))
+                term = factor if term is None else term.tensor(factor)
+            out = out + Vector(x.space, term.terms).scale(a * b)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, st.integers(1, 3), st.sampled_from([2, 3]), st.data())
+def test_pointwise_product_matches_fresh_products(F, dim, power, data):
+    H = draw_structure(data, F, dim)
+    space = H.space
+    for _ in range(power - 1):
+        space = tensor_product(space, H.space)
+    x, y = draw_vector(data, space), draw_vector(data, space)
+    out = pointwise_product(H.alg, power, x, y)
+    assert out == reference_pointwise(H.alg, power, x, y)
+    assert all(out.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(1, 4), st.data())
+def test_eps_form_is_counit_of_products(F, dim, data):
+    H = draw_structure(data, F, dim)
+    form = H.wb.eps_form
+    for i in range(dim):
+        assert all(form[i].values())
+        for j in range(dim):
+            prod = H.alg.product(Vector.basis(H.space, i), Vector.basis(H.space, j))
+            assert form[i].get(j, F.zero()) == H.coalg.eps(prod)
