@@ -1,9 +1,17 @@
 """Exact ground-field arithmetic.
 
-Every algebraic identity in this package is decided by exact equality of
-scalars, so the only supported fields are the rationals (arbitrary-precision
-``fractions.Fraction``) and prime fields GF(p).  All objects carry their
-field; combining values over different fields raises :class:`FieldMismatch`.
+Verdicts are decided by exact equality of scalars over ℚ or GF(p).  A rational
+is an ``int`` when it is integral and a ``fractions.Fraction`` otherwise:
+``RationalField`` normalises every scalar it makes, and arithmetic may leave an
+integral ``Fraction``, which compares and hashes like the ``int``.  A GF(p)
+element is a :class:`GFElement`.
+
+Field mixing: every field accepts an ``int``, so an integral ℚ scalar combines
+with a ``GFElement`` (``QQ.one() * GF7.one()`` is the GF(7) one).  A
+``GFElement`` meeting a ``Fraction`` or an element of another GF(q), ``coerce``
+of a foreign scalar, ``tensor_product`` and maps across fields raise
+:class:`FieldMismatch`; spaces carry their field, so composing, adding or
+applying across fields raises ``ShapeMismatch``.
 """
 
 from __future__ import annotations
@@ -134,23 +142,30 @@ class Field:
         return self.characteristic != 0 and n % self.characteristic == 0
 
 
+def _normal(q: Fraction):
+    """An integral Fraction as its int numerator; any other one unchanged."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField(Field):
     characteristic = 0
 
     def zero(self):
-        return Fraction(0)
+        return 0
 
     def one(self):
-        return Fraction(1)
+        return 1
 
     def from_int(self, n: int):
-        return Fraction(n)
+        return int(n)
 
     def coerce(self, x):
-        if isinstance(x, Fraction):
+        if type(x) is int:
             return x
+        if isinstance(x, Fraction):
+            return _normal(x)
         if isinstance(x, int):
-            return Fraction(x)
+            return int(x)
         if isinstance(x, str):
             return self.parse(x)
         raise FieldMismatch(f"cannot interpret {x!r} as a rational")
@@ -158,16 +173,22 @@ class RationalField(Field):
     def inv(self, a):
         if a == 0:
             raise DivisionByZero("0 has no inverse in Q")
-        return 1 / Fraction(a)
+        return _normal(1 / Fraction(a))
 
     def parse(self, s: str):
+        t = s.strip()
+        # ASCII [+-]?[0-9]+ goes straight to int; int() alone would also
+        # accept '1_0', which Fraction rejects before Python 3.11
+        digits = t[1:] if t[:1] in ("+", "-") else t
+        if digits.isascii() and digits.isdigit():
+            return int(t)
         try:
-            return Fraction(s.strip())
+            return _normal(Fraction(t))
         except ZeroDivisionError:
             raise MalformedInput(f"zero denominator in {s!r}") from None
 
     def fmt(self, a) -> str:
-        return str(a if isinstance(a, Fraction) else Fraction(a))
+        return str(a if type(a) is int or isinstance(a, Fraction) else Fraction(a))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)

@@ -134,13 +134,16 @@ class CoalgebraData:
     def delta(self, x: Vector) -> Vector:
         return self.comul.apply(x)
 
-    def delta_pairs(self, i: int):
+    def delta_pairs(self, i: int) -> tuple:
         """Sweedler terms of Δ(e_i) as sparse (a, b, coeff) triples."""
+        return self._delta_terms[i]
+
+    @cached_property
+    def _delta_terms(self) -> tuple[tuple, ...]:
+        """The ``delta_pairs`` of every basis vector, built once."""
         n = self.space.dim
-        out = []
-        for idx, c in self.comul.column(i).nonzeros():
-            out.append((idx // n, idx % n, c))
-        return out
+        return tuple(tuple((idx // n, idx % n, c) for idx, c in sorted(col.items()))
+                     for col in self.comul.cols)
 
     def eps(self, x: Vector):
         return self.counit.apply(x).terms.get(0, self.field.zero())

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    GF7,
     antipode_twisted_action,
     component_permutation_gpa,
     draw_map,
     draw_structure,
     fields,
+    space,
     gpa_examples,
     grouplike_coalgebra,
     isotropy_lambda_action,
@@ -24,6 +26,7 @@ from conftest import (
 from weakhopf import (
     QQ,
     ActionTensor,
+    CoalgebraData,
     FiniteAbelianGroup,
     LambdaFunctional,
     LinMap,
@@ -47,17 +50,20 @@ from weakhopf import (
     groupoid_algebra,
     induce_partial_action,
     lambda_action,
+    tensor_product,
     to_kG_action,
     trivial_groupoid,
     two_object_iso_groupoid,
     validate_groupoid_partial_action,
 )
 from weakhopf.errors import (
+    FieldMismatch,
     NotDirectSum,
     NotIdempotent,
     NotSubcoalgebra,
     NotSymmetric,
 )
+from weakhopf.report import compare_maps
 
 
 # -- global module coalgebras -------------------------------------------------
@@ -416,3 +422,100 @@ def test_product_slices_act_by_basis_products(F, n, m, side, data):
             for k, c in prod.nonzeros():
                 expected = expected + slices[k].scale(c)
             assert act.product_slices[i * n + j] == expected == act.act_by(prod)
+
+
+# -- per-action tables: iterated slices, the counit table, Sweedler terms -------------
+
+def _sweedler(D, i):
+    """Sweedler terms of Δ(e_i), read off the comultiplication column."""
+    m = D.space.dim
+    return [(idx // m, idx % m, c) for idx, c in D.comul.column(i).nonzeros()]
+
+
+def draw_coalgebra_action(data, F, n, m, side):
+    """Random structure constants for H, a coalgebra C and an action of H on
+    C (no axiom holds in general)."""
+    H = draw_structure(data, F, n)
+    X = space(F, m, "c")
+    C = CoalgebraData(X, draw_map(data, X, tensor_product(X, X)),
+                      draw_map(data, X, space(F, 1, "k")))
+    return ActionTensor.from_slices(H, C, side, [draw_map(data, X, X) for _ in range(n)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(1, 3), st.integers(1, 3), st.sampled_from(["left", "right"]),
+       st.data())
+def test_action_tables_match_fresh_computation(F, n, m, side, data):
+    act = draw_coalgebra_action(data, F, n, m, side)
+    C, slices = act.carrier, act.slices
+    for b in range(m):
+        assert C.delta_pairs(b) == tuple(_sweedler(C, b))
+    for q in range(n):
+        assert all(act.counit_table[q].values())
+        for b in range(m):
+            assert act.counit_table[q].get(b, F.zero()) == C.eps(slices[q].column(b))
+    for i in range(n):
+        for j in range(n):
+            expected = slices[i] @ slices[j] if side == "left" else slices[j] @ slices[i]
+            assert act.iterated_slices[i * n + j] == expected
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_action_rejects_a_carrier_over_another_field(side):
+    H = groupoid_algebra(cyclic_group_groupoid(2), QQ)
+    C = grouplike_coalgebra(GF7, ["c0", "c1"])
+    slices = [LinMap.identity(C.space)] * H.space.dim
+    with pytest.raises(FieldMismatch):
+        ActionTensor.from_slices(H, C, side, slices)
+    gf_act = ActionTensor.from_slices(groupoid_algebra(cyclic_group_groupoid(2), GF7),
+                                      C, side, slices)
+    with pytest.raises(FieldMismatch):
+        ActionTensor(H, C, side, gf_act.action)
+
+
+def reference_pmc3(act, label, symmetric):
+    """(passed, witness) of PMC3 or its symmetric variant, evaluated literally
+    from the formulas in the module docstring."""
+    H, C = act.hopf, act.carrier
+    n, left = H.space.dim, act.side == "left"
+
+    def moved(a, b, x):
+        prod = H.alg.product(Vector.basis(H.space, a), Vector.basis(H.space, b))
+        return act.act_by(prod).column(x)
+
+    def rhs(i, j):
+        def image(c):
+            out = Vector.zero(C.space)
+            for c1, c2, cc in _sweedler(C, c):
+                for h1, h2, ch in _sweedler(H.coalg, j if left else i):
+                    if left and not symmetric:      # (h k₁·c₁) ε(k₂·c₂)
+                        eps, v = C.eps(act.slices[h2].column(c2)), moved(i, h1, c1)
+                    elif left:                      # ε(k₁·c₁) (h k₂·c₂)
+                        eps, v = C.eps(act.slices[h1].column(c1)), moved(i, h2, c2)
+                    elif not symmetric:             # ε(c₁↼h₁) (c₂↼h₂k)
+                        eps, v = C.eps(act.slices[h1].column(c1)), moved(h2, j, c2)
+                    else:                           # (c₁↼h₁k) ε(c₂↼h₂)
+                        eps, v = C.eps(act.slices[h2].column(c2)), moved(h1, j, c1)
+                    out = out + v.scale(cc * ch * eps)
+            return out
+        return LinMap.from_function(C.space, C.space, image)
+
+    s = act.slices
+    for i in range(n):
+        for j in range(n):
+            r = compare_maps(label, s[i] @ s[j] if left else s[j] @ s[i], rhs(i, j))
+            if not r.passed:
+                return False, f"h={H.space.labels[i]}, k={H.space.labels[j]}; {r.witness}"
+    return True, None
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(1, 3), st.integers(1, 3), st.sampled_from(["left", "right"]),
+       st.data())
+def test_pmc3_matches_its_formula(F, n, m, side, data):
+    act = draw_coalgebra_action(data, F, n, m, side)
+    verdict = check_partial_module_coalgebra(act)
+    pmc3 = verdict.report.result("PMC3")
+    assert (pmc3.passed, pmc3.witness) == reference_pmc3(act, "PMC3", False)
+    sym = verdict.symmetric
+    assert (sym.passed, sym.witness) == reference_pmc3(act, "symmetric", True)

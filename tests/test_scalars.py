@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from weakhopf.errors import DivisionByZero, FieldMismatch, MalformedInput
 from weakhopf.scalars import (
@@ -125,3 +125,59 @@ def test_parse_rejects_zero_denominators():
     for bad in ("1/0", "1/7", "2/14 mod 7"):
         with pytest.raises(MalformedInput):
             F.parse(bad)
+
+
+# -- integral rationals are ints ---------------------------------------------------
+
+def test_integral_rationals_are_ints():
+    assert type(QQ.zero()) is int and type(QQ.one()) is int and type(QQ.from_int(5)) is int
+    for x, expected in ((Fraction(4, 2), 2), (True, 1), (False, 0), (-3, -3), ("6/3", 2)):
+        got = QQ.coerce(x)
+        assert got == expected and type(got) is int
+    assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
+    assert type(QQ.inv(Fraction(1, 2))) is int and type(QQ.inv(2)) is Fraction
+    assert QQ.fmt(2) == QQ.fmt(Fraction(2)) == "2" and QQ.fmt(Fraction(-1, 2)) == "-1/2"
+    assert hash(QQ.one()) == hash(Fraction(1)) and {QQ.one(), Fraction(1)} == {1}
+
+
+def test_integral_rational_mixes_with_prime_field_scalars():
+    # every field accepts an int, so a bare integral ℚ scalar combines with GF(p)
+    F = PrimeField(7)
+    product = QQ.one() * F.one()
+    assert isinstance(product, GFElement) and product == F.one()
+    with pytest.raises(FieldMismatch):
+        F.one() * QQ.inv(2)
+
+
+# -- QQ.parse accepts exactly what Fraction accepts ----------------------------------
+
+PARSE_CHARS = ["+", "-", " ", "\t", "\n", "\u3000", "0", "1", "2", "٣", "７", "²",
+               "_", "/", ".", "e", "E"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.text(st.sampled_from(PARSE_CHARS), max_size=8))
+@example("1_0")
+@example("٣")
+@example("+-3")
+@example("007")
+@example(" -12 ")
+@example("+0")
+@example("²")
+@example("4/2")
+@example("1/0")
+@example("1.5e1")
+def test_parse_matches_fraction(s):
+    try:
+        expected = Fraction(s.strip())
+    except ZeroDivisionError:
+        with pytest.raises(MalformedInput):
+            QQ.parse(s)
+        return
+    except ValueError:
+        with pytest.raises(ValueError):
+            QQ.parse(s)
+        return
+    got = QQ.parse(s)
+    assert got == expected
+    assert type(got) is (int if expected.denominator == 1 else Fraction)

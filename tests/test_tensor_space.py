@@ -190,7 +190,7 @@ def test_contraction_engine_on_associative_structure_constants():
 
 from weakhopf.report import compare_maps, compare_vectors  # noqa: E402
 
-from conftest import ENTRIES, draw_map, draw_vector, fields, space  # noqa: E402
+from conftest import ENTRIES, GF7, draw_map, draw_vector, fields, space  # noqa: E402
 
 DIMS = st.integers(1, 3)
 
@@ -285,3 +285,113 @@ def test_compare_maps_reports_first_difference_in_dense_scan_order(F, m, n, data
 def test_tensor_product_is_built_once_per_pair():
     assert tensor_product(V2, V3) is tensor_product(V2, V3)
     assert Vector.basis(V2, 0).tensor(Vector.basis(V3, 1)).space is tensor_product(V2, V3)
+
+
+# -- ℚ scalars: int and integral Fraction are one value -----------------------------
+
+from weakhopf import (  # noqa: E402
+    AlgebraData,
+    CoalgebraData,
+    WeakBialgebraData,
+    WeakHopfData,
+    check_identities,
+    check_weak_hopf,
+    disjoint_union_of_cyclic,
+    groupoid_algebra,
+)
+from weakhopf.jsonio import canonical_dumps, linmap_to_json, weakhopf_to_json  # noqa: E402
+
+MIXED = [0, 0, 1, -1, 2, Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3),
+         Fraction(-5, 2)]
+
+
+def as_fraction(x):
+    """The same map or vector with every stored scalar a ``Fraction``."""
+    if isinstance(x, Vector):
+        return Vector(x.space, {i: Fraction(c) for i, c in x.terms.items()})
+    return LinMap(x.domain, x.codomain,
+                  [{i: Fraction(c) for i, c in col.items()} for col in x.cols])
+
+
+def mixed_terms(data, dim) -> dict:
+    """Sparse terms whose integral values are drawn both as int and as Fraction."""
+    out = {}
+    for i in range(dim):
+        c = data.draw(st.sampled_from(MIXED))
+        if c:
+            out[i] = c
+    return out
+
+
+def mixed_map(data, dom, cod):
+    return LinMap(dom, cod, [mixed_terms(data, cod.dim) for _ in range(dom.dim)])
+
+
+def test_int_and_integral_fraction_structures_are_equal_and_print_alike():
+    H = groupoid_algebra(disjoint_union_of_cyclic([2, 3]), QQ)
+    A, C = H.alg, H.coalg
+    Hf = WeakHopfData(
+        WeakBialgebraData(AlgebraData(H.space, as_fraction(A.mul), as_fraction(A.unit)),
+                          CoalgebraData(H.space, as_fraction(C.comul),
+                                        as_fraction(C.counit))),
+        as_fraction(H.antipode))
+    assert all(type(c) is int for col in A.mul.cols for c in col.values())
+    assert all(type(c) is Fraction for col in Hf.alg.mul.cols for c in col.values())
+    for f, g in ((A.mul, Hf.alg.mul), (C.comul, Hf.coalg.comul), (H.antipode, Hf.antipode)):
+        assert f == g and f.rows == g.rows
+        assert canonical_dumps(linmap_to_json(f)) == canonical_dumps(linmap_to_json(g))
+    assert A.unit == Hf.alg.unit and A.unit.describe() == Hf.alg.unit.describe()
+    assert canonical_dumps(weakhopf_to_json(H)) == canonical_dumps(weakhopf_to_json(Hf))
+    for check in (check_weak_hopf, check_identities):
+        assert check(H).to_json() == check(Hf).to_json()
+    rows = [[Fraction(x) for x in r] for r in A.mul.rows]
+    assert LinMap.from_rows(A.mul.domain, H.space, rows) == A.mul
+    assert Vector.from_coords(H.space, [Fraction(1)] * H.space.dim).terms == \
+        {i: 1 for i in range(H.space.dim)}
+
+
+@settings(max_examples=80, deadline=None)
+@given(DIMS, DIMS, DIMS, st.integers(0, 3), st.data())
+def test_mixed_int_and_fraction_operands_match_a_fraction_reference(a, b, c, k, data):
+    U, V, W = space(QQ, a, "u"), space(QQ, b, "v"), space(QQ, c, "w")
+    f, g, sq = mixed_map(data, V, W), mixed_map(data, U, V), mixed_map(data, V, V)
+    x, target = Vector(V, mixed_terms(data, b)), Vector(V, mixed_terms(data, b))
+    basis = [Vector(V, mixed_terms(data, b)) for _ in range(k)]
+    F = as_fraction
+    assert f @ g == F(f) @ F(g)
+    assert f.tensor(g) == F(f).tensor(F(g))
+    assert x.tensor(target) == F(x).tensor(F(target))
+    assert f.apply(x) == F(f).apply(F(x))
+    assert f.apply(x).describe() == F(f).apply(F(x)).describe()
+    assert sq.inverse() == F(sq).inverse()
+    assert solve_coordinates(basis, target) == solve_coordinates([F(v) for v in basis],
+                                                                  F(target))
+
+
+# -- structure-level guards against mixing ℚ and GF(p) ------------------------------
+
+V2_GF7 = FinVec(GF7, ("a", "b"))
+
+
+def test_structures_over_different_fields_do_not_mix():
+    with pytest.raises(FieldMismatch):
+        tensor_product(V2, V2_GF7)
+    f, g = LinMap.identity(V2), LinMap.identity(V2_GF7)
+    with pytest.raises(FieldMismatch):
+        LinMap(V2, V2_GF7, [{}, {}])
+    with pytest.raises(ShapeMismatch):
+        f @ g
+    with pytest.raises(ShapeMismatch):
+        f + g
+    with pytest.raises(ShapeMismatch):
+        f.apply(Vector.basis(V2_GF7, 0))
+    with pytest.raises(ShapeMismatch):
+        Vector.basis(V2, 0) + Vector.basis(V2_GF7, 0)
+    with pytest.raises(FieldMismatch):
+        Vector.basis(V2, 0).scale(GF7.one())
+    with pytest.raises(FieldMismatch):
+        f.scale(GF7.one())
+    with pytest.raises(FieldMismatch):
+        Vector.basis(V2_GF7, 0).scale(Fraction(1, 2))
+    # an integral ℚ scalar is an int, which every field accepts
+    assert Vector.basis(V2_GF7, 0).scale(QQ.one()) == Vector.basis(V2_GF7, 0)
