@@ -3,7 +3,10 @@
 Every case builds its input document through the public API (or `whw build`),
 runs `whw --format json ...` on it and compares the emitted document and the
 printed report with the strings stored in ``golden_reports.json``.  The
-corrupted documents pin the exact witness strings of failing checks.
+corrupted documents pin the exact witness strings of failing checks.  The
+``api`` cases do the same for checkers the CLI does not reach (the H_t/H_s
+propositions, induced actions, corrupted globalization triples and the
+λ-verdict slots), printing their reports as canonical JSON.
 
 The golden file was written by running this module as a script
 (``python tests/test_golden_reports.py``); regenerate it only for an
@@ -15,12 +18,48 @@ import pathlib
 
 import pytest
 
-from conftest import isotropy_lambda_action
+from conftest import (
+    grouplike_coalgebra,
+    isotropy_lambda_action,
+    regular_action,
+    two_object_gpa,
+)
+from test_globalization import closing_example_one, mutated_triples
 
-from weakhopf import QQ, PrimeField, disjoint_union_of_cyclic, two_object_iso_groupoid
+from weakhopf import (
+    QQ,
+    ActionTensor,
+    LambdaFunctional,
+    LinMap,
+    PrimeField,
+    check_globalization,
+    check_ht_hs_propositions,
+    check_lambda_global,
+    check_lambda_partial,
+    check_partial_module_algebra,
+    check_partial_module_coalgebra,
+    cyclic_group_groupoid,
+    disjoint_union_of_cyclic,
+    dual_globalization_transfer,
+    dual_groupoid_algebra,
+    dualize_coalgebra_action,
+    dualize_right_coalgebra_action,
+    find_basis_grouplikes,
+    groupoid_algebra,
+    induce_partial_action,
+    lambda_action,
+    standard_globalization,
+    two_object_iso_groupoid,
+)
 from weakhopf.cli import main
 from weakhopf.groupoid import groupoid_to_spec
-from weakhopf.jsonio import action_to_json, canonical_dumps
+from weakhopf.jsonio import (
+    action_from_json,
+    action_to_json,
+    canonical_dumps,
+    gpa_to_json,
+    lambda_to_json,
+)
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
 
@@ -52,6 +91,10 @@ def _corrupted(tmp_path, name, capsys, part):
     doc = json.loads(_build(tmp_path, name, capsys).read_text(encoding="utf-8"))
     if part == "counit":
         doc["counit"][0] = "2"
+    elif part == "unit":
+        doc["unit"][2] = "1"
+    elif part == "mul":   # g1.e·g2.e gains a g2.e term
+        doc["mul"][0][1][1] = "1"
     else:  # swap the first two columns of the antipode
         for row in doc["antipode"]:
             row[0], row[1] = row[1], row[0]
@@ -82,13 +125,126 @@ def _dual_doc(tmp_path, capsys, field, corrupt):
     return out
 
 
+def _write(tmp_path, name, doc):
+    out = tmp_path / name
+    out.write_text(canonical_dumps(doc), encoding="utf-8")
+    return out
+
+
+def _hopf(kind):
+    """The weak Hopf algebra and groupoid behind the ``kG`` / ``kG-dual`` cases."""
+    if kind == "kG":
+        G = disjoint_union_of_cyclic([2, 3])
+        return groupoid_algebra(G, QQ), G
+    G = two_object_iso_groupoid()
+    return dual_groupoid_algebra(G, QQ), G
+
+
+def _regular_json(kind, side, corrupt, dual):
+    """The regular action of ``kind`` on its own coalgebra, or (``dual``) its
+    transpose on the convolution algebra; corrupted in one tensor entry."""
+    act = regular_action(_hopf(kind)[0], side)
+    if dual:
+        act = (dualize_coalgebra_action if side == "left"
+               else dualize_right_coalgebra_action)(act, check=False)
+    doc = action_to_json(act)
+    if corrupt:
+        doc["tensor"][0][1][0] = "3"
+    return doc
+
+
+def _regular_doc(tmp_path, kind, side, corrupt, dual):
+    return _write(tmp_path, f"regular-{kind}-{side}-{dual}-{corrupt}.json",
+                  _regular_json(kind, side, corrupt, dual))
+
+
+def _lambda_doc(tmp_path, kind, side, corrupt):
+    H, G = _hopf(kind)
+    lam = LambdaFunctional.indicator(H, ["g1.e" if kind == "kG" else "p_e"])
+    doc = lambda_to_json(lam, G, kind, side)
+    if corrupt:
+        doc["values"][1] = "2"
+    return _write(tmp_path, f"lambda-{kind}-{side}-{corrupt}.json", doc)
+
+
+def _gpa_doc(tmp_path, corrupt):
+    doc = gpa_to_json(two_object_gpa(QQ))
+    if corrupt == "theta":   # θ_g sends x_e to 2·x_f
+        doc["isos"]["g"][1][0] = "2"
+    elif corrupt == "projection":   # P_g = id, invisible in the kG action
+        doc["projections"]["g"][0][0] = "1"
+    return _write(tmp_path, f"gpa-{corrupt}.json", doc)
+
+
+def _closing_doc(tmp_path, corrupt):
+    doc = action_to_json(closing_example_one())
+    if corrupt:   # c1↼δ_{g1.e} = c0 + c1
+        doc["tensor"][1][0][0] = "1"
+    return _write(tmp_path, f"closing-{corrupt}.json", doc)
+
+
+def _corrupted_left_regular():
+    """The regular left action of (kG)* for the two-object groupoid with
+    p_g also sending p_e to itself."""
+    act = regular_action(_hopf("kG-dual")[0])
+    slices = list(act.slices)
+    cols = list(slices[2].cols)
+    cols[0] = {0: QQ.one()}
+    slices[2] = LinMap(act.space, act.space, cols)
+    return ActionTensor.from_slices(act.hopf, act.carrier, "left", slices)
+
+
+def _api_output(name) -> str:
+    if name == "ht-hs corrupted":
+        docs = [check_ht_hs_propositions(_corrupted_left_regular()).to_json()]
+    elif name == "induce corrupted":
+        # π = v·f with v = p_e - p_a grouplike in (kZ/2)* and f = 2p_e* + p_a*
+        H = dual_groupoid_algebra(cyclic_group_groupoid(2), QQ)
+        proj = LinMap.from_rows(H.space, H.space, [[2, 1], [-2, -1]])
+        res = induce_partial_action(regular_action(H), proj)
+        docs = [res.report.to_json(), res.symmetric.line()]
+    elif name == "partial verdict slots":
+        docs = []
+        for kind in ("kG", "kG-dual"):
+            for side in ("left", "right"):
+                for dual, check in ((False, check_partial_module_coalgebra),
+                                    (True, check_partial_module_algebra)):
+                    v = check(action_from_json(_regular_json(kind, side, True, dual)))
+                    docs += [v.symmetric.line(), v.globality.line()]
+    elif name.startswith("lambda"):
+        H = groupoid_algebra(two_object_iso_groupoid(), QQ)
+        lam = LambdaFunctional.from_values(H, [1, 0, 1, 2])
+        glob = check_lambda_global(lam)
+        docs = [glob.report.to_json(), glob.globality.line()]
+        for side in ("left", "right"):
+            v = check_lambda_partial(lam, side)
+            docs += [v.report.to_json(), v.symmetric.line(), v.globality.line()]
+    else:
+        act = closing_example_one()
+        gt = standard_globalization(act, find_basis_grouplikes(act)[0])
+        mutation = name.split()[-1]
+        bad = dict(mutated_triples(gt))[mutation]
+        if name.startswith("globalization"):
+            docs = [check_globalization(bad).to_json()]
+        else:
+            res = dual_globalization_transfer(bad, strict=False)
+            docs = [res.coalgebra_report.to_json(), res.algebra_report.to_json()]
+    return canonical_dumps(docs) + "\n"
+
+
+API_CASES = ["ht-hs corrupted", "induce corrupted", "lambda verdicts",
+             "partial verdict slots"] + [
+    f"{what} {mutation}" for what in ("globalization", "dual-transfer")
+    for mutation in ("corrupt-pi", "corrupt-theta", "break-generation")]
+
+
 def _cases():
     cases = []
     for name in SPECS:
         cases.append((f"build {name}", "build", name))
         for kind in ("weak-hopf", "identities", "hopf"):
             cases.append((f"{kind} {name}", kind, name))
-    for part in ("counit", "antipode"):
+    for part in ("counit", "antipode", "unit", "mul"):
         for kind in ("weak-hopf", "identities"):
             cases.append((f"{kind} kG-Z2+Z3 corrupted {part}", kind, ("kG-Z2+Z3", part)))
     for field in ("Q", "Fp:7"):
@@ -96,6 +252,22 @@ def _cases():
             tag = f"{field}{' corrupted' if corrupt else ''}"
             cases.append((f"pmc {tag}", "pmc", (field, corrupt)))
             cases.append((f"pma {tag}", "pma", (field, corrupt)))
+    for kind in ("mc", "ma", "lambda", "pmc regular", "pma regular"):
+        for hopf in ("kG", "kG-dual"):
+            for side in ("left", "right"):
+                for corrupt in (False, True):
+                    cases.append((f"{kind} {hopf} {side}{' corrupted' if corrupt else ''}",
+                                  kind.split()[0], (hopf, side, corrupt)))
+    for corrupt in (False, True):
+        tag = " corrupted" if corrupt else ""
+        cases.append((f"groupoid-action two-object{tag}", "groupoid-action",
+                      corrupt and "theta"))
+        cases.append((f"equiv two-object{tag}", "equiv", corrupt and "projection"))
+        cases.append((f"globalize closing-one{tag}", "globalize", corrupt))
+    for field in ("Q", "Fp:7"):
+        cases.append((f"dualize {field}", "dualize", field))
+    cases.append(("equiv lambda-derived", "equiv", "lambda"))
+    cases += [(f"api {name}", "api", name) for name in API_CASES]
     return cases
 
 
@@ -105,7 +277,30 @@ CASES = _cases()
 def _output(kind, arg, tmp_path, capsys) -> str:
     if kind == "build":
         return _build(tmp_path, arg, capsys).read_text(encoding="utf-8")
-    if kind in ("pmc", "pma"):
+    if kind == "api":
+        return _api_output(arg)
+    command = ["check", kind]
+    if kind in ("mc", "ma", "pmc", "pma") and len(arg) == 3:
+        path = _regular_doc(tmp_path, *arg, dual=kind in ("ma", "pma"))
+    elif kind == "lambda":
+        path = _lambda_doc(tmp_path, *arg)
+    elif kind == "groupoid-action":
+        path = _gpa_doc(tmp_path, arg)
+    elif kind == "equiv":
+        command = ["equiv"]
+        if arg == "lambda":
+            G = disjoint_union_of_cyclic([2, 2])
+            act, _ = isotropy_lambda_action(G, QQ, "g1.e")
+            path = _write(tmp_path, "lambda-derived.json", action_to_json(act, G))
+        else:
+            path = _gpa_doc(tmp_path, arg)
+    elif kind == "dualize":
+        command = ["dualize"]
+        path = _action_doc(tmp_path, QQ if arg == "Q" else PrimeField(7), False)
+    elif kind == "globalize":
+        command = ["globalize"]
+        path = _closing_doc(tmp_path, arg)
+    elif kind in ("pmc", "pma"):
         field = QQ if arg[0] == "Q" else PrimeField(7)
         path = (_action_doc(tmp_path, field, arg[1]) if kind == "pmc"
                 else _dual_doc(tmp_path, capsys, field, arg[1]))
@@ -113,7 +308,7 @@ def _output(kind, arg, tmp_path, capsys) -> str:
         path = _corrupted(tmp_path, arg[0], capsys, arg[1])
     else:
         path = _build(tmp_path, arg, capsys)
-    return _run(["--format", "json", "check", kind, str(path)], capsys)
+    return _run(["--format", "json", *command, str(path)], capsys)
 
 
 @pytest.mark.parametrize("label,kind,arg", CASES, ids=[c[0] for c in CASES])
