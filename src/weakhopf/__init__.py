@@ -63,7 +63,6 @@ from .partial_actions import (
     validate_groupoid_partial_action,
 )
 from .dualization import (
-    DualPairing,
     dual_convolution_algebra,
     dualize_coalgebra_action,
     dualize_right_coalgebra_action,

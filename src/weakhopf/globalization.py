@@ -18,16 +18,17 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .dualization import dual_convolution_algebra, dualize_right_coalgebra_action
+from .dualization import dualize_right_coalgebra_action
 from .errors import HypothesisViolated, InputNotGlobalization, NotInjective, ShapeMismatch
-from .partial_actions import LEFT, RIGHT, ActionTensor, check_module_algebra, \
-    check_module_coalgebra
-from .report import CheckResult, Report, compare_maps, compare_vectors
+from .partial_actions import RIGHT, ActionTensor, check_module_algebra, check_module_coalgebra
+from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .tensor_space import (
     FinVec,
     LinMap,
     Subspace,
     Vector,
+    _accumulate,
+    _combine,
     left_inverse_on_image,
     solve_coordinates,
     tensor_product,
@@ -76,9 +77,7 @@ def find_basis_grouplikes(act: ActionTensor) -> list[GrouplikeElement]:
     if 2 <= len(idempotent_grouplikes) <= 12:
         for size in range(2, len(idempotent_grouplikes) + 1):
             for combo in itertools.combinations(idempotent_grouplikes, size):
-                v = Vector.zero(space)
-                for i in combo:
-                    v = v + Vector.basis(space, i)
+                v = Vector(space, {i: space.field.one() for i in combo})
                 candidates.append((v, "+".join(space.labels[i] for i in combo)))
     out = []
     for v, label in candidates:
@@ -138,35 +137,23 @@ def check_globalization(gt: GlobalizationTriple) -> Report:
 
     rep.add(compare_maps("Eq 5", gt.pi.tensor(gt.pi) @ D.comul, D.comul @ gt.pi))
 
-    fail = None
-    for k in range(H.space.dim):
-        slice_k = gt.global_act.slices[k]
-        lhs = gt.pi @ slice_k @ gt.pi
+    # Eq 6  π(π(d)◂h) = ε(π(d₁)) π(d₂◂h)
+    eps_pi = [col.get(0) for col in (D.counit @ gt.pi).cols]
 
-        def image(d: int, slice_k=slice_k) -> Vector:
-            out = Vector.zero(D.space)
-            for a, b, c in D.delta_pairs(d):
-                s = D.eps(gt.pi.apply(Vector.basis(D.space, a)))
-                if s:
-                    out = out + gt.pi.apply(slice_k.apply(Vector.basis(D.space, b))).scale(c * s)
-            return out
+    def eq6(pi_k: LinMap) -> CheckResult:
+        rhs = [_combine(pi_k.cols, [(b, c * eps_pi[a]) for a, b, c in D.delta_pairs(d)
+                                    if eps_pi[a]])
+               for d in range(D.space.dim)]
+        return compare_maps("", pi_k @ gt.pi, LinMap(D.space, D.space, rhs))
 
-        rhs = LinMap.from_function(D.space, D.space, image)
-        r = compare_maps("Eq 6", lhs, rhs)
-        if not r.passed:
-            fail = CheckResult("Eq 6", False, f"h={H.space.labels[k]}; {r.witness}")
-            break
-    rep.add(fail or CheckResult("Eq 6", True))
+    def at_h(k: int) -> str:
+        return f"h={H.space.labels[k]}; "
 
-    fail = None
-    for k in range(H.space.dim):
-        lhs = gt.theta @ gt.partial.slices[k]
-        rhs = gt.pi @ gt.global_act.slices[k] @ gt.theta
-        r = compare_maps("Eq 7", lhs, rhs)
-        if not r.passed:
-            fail = CheckResult("Eq 7", False, f"h={H.space.labels[k]}; {r.witness}")
-            break
-    rep.add(fail or CheckResult("Eq 7", True))
+    ks = range(H.space.dim)
+    rep.add(first_failure("Eq 6", ((k, eq6(gt.pi @ gt.global_act.slices[k])) for k in ks), at_h))
+    rep.add(first_failure("Eq 7", ((k, compare_maps(
+        "", gt.theta @ gt.partial.slices[k], gt.pi @ gt.global_act.slices[k] @ gt.theta))
+        for k in ks), at_h))
 
     generated = Subspace.from_vectors(
         D.space,
@@ -217,21 +204,14 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
         f_delta_coords.append(coords)
 
     # comultiplication of D in the product basis
-    DD = tensor_product(dspace, dspace)
+    def comul_column(i: int, j: int) -> dict:
+        """Δ(c_i⊗f_j) = Σ (c_i₁⊗f_p) ⊗ (c_i₂⊗f_q) over Δ(f_j) = Σ f_p⊗f_q."""
+        return _accumulate(({(a * t + pq // t) * dspace.dim + b * t + pq % t: cc}, ch)
+                           for a, b, cc in C.delta_pairs(i)
+                           for pq, ch in enumerate(f_delta_coords[j]) if ch)
 
-    def comul_image(idx: int) -> Vector:
-        i, j = divmod(idx, t)
-        out = Vector.zero(DD)
-        for a, b, cc in C.delta_pairs(i):
-            for pq, ch in enumerate(f_delta_coords[j]):
-                if not ch:
-                    continue
-                p, q = divmod(pq, t)
-                pos = (a * t + p) * dspace.dim + (b * t + q)
-                out = out + Vector.basis(DD, pos).scale(cc * ch)
-        return out
-
-    comul = LinMap.from_function(dspace, DD, comul_image)
+    comul = LinMap(dspace, tensor_product(dspace, dspace),
+                   [comul_column(i, j) for i in range(m) for j in range(t)])
     counit = LinMap.from_rows(
         dspace, C.counit.codomain,
         [[C.eps_coeff(i) * H.eps(f_vectors[j]) for i in range(m) for j in range(t)]])
@@ -317,17 +297,11 @@ def dual_globalization_transfer(gt: GlobalizationTriple,
 
     rep = Report("dual algebra globalization")
     H = gt.partial.hopf
-    C = gt.partial.carrier
-    D = gt.D
-
-    Cstar = dual_convolution_algebra(C)
-    Dstar = dual_convolution_algebra(D)
 
     # left partial action on C* and left global action on D* by transposition
     partial_dual = dualize_right_coalgebra_action(gt.partial, check=False)
-    g_slices = [LinMap(Dstar.space, Dstar.space, s.transposed_rows())
-                for s in gt.global_act.slices]
-    global_dual = ActionTensor.from_slices(H, Dstar, LEFT, g_slices)
+    global_dual = dualize_right_coalgebra_action(gt.global_act, check=False)
+    Cstar, Dstar = partial_dual.carrier, global_dual.carrier
 
     try:
         theta_li = left_inverse_on_image(gt.theta)
@@ -345,25 +319,14 @@ def dual_globalization_transfer(gt: GlobalizationTriple,
               for k in range(H.space.dim) for a in range(Cstar.space.dim)]
     B = Subspace.from_vectors(Dstar.space, b_gens)
 
-    closed_mul = None
-    for b1 in B.basis_vectors:
-        for b2 in B.basis_vectors:
-            if not B.contains(Dstar.product(b1, b2)):
-                closed_mul = f"{b1.describe()} · {b2.describe()} escapes B"
-                break
-        if closed_mul:
-            break
-    rep.add(CheckResult("B-closed-product", closed_mul is None, closed_mul))
-
-    closed_act = None
-    for k in range(H.space.dim):
-        for b in B.basis_vectors:
-            if not B.contains(global_dual.slices[k].apply(b)):
-                closed_act = f"h={H.space.labels[k]} moves B outside itself"
-                break
-        if closed_act:
-            break
-    rep.add(CheckResult("B-closed-action", closed_act is None, closed_act))
+    rep.add(first_failure("B-closed-product", (
+        ((b1, b2), B.contains(Dstar.product(b1, b2)))
+        for b1 in B.basis_vectors for b2 in B.basis_vectors),
+        lambda b: f"{b[0].describe()} · {b[1].describe()} escapes B"))
+    rep.add(first_failure("B-closed-action", (
+        (k, B.contains(global_dual.slices[k].apply(b)))
+        for k in range(H.space.dim) for b in B.basis_vectors),
+        lambda k: f"h={H.space.labels[k]} moves B outside itself"))
 
     injective = phi.rank == Cstar.space.dim
     rep.add(CheckResult("(i)-phi-injective", injective,
@@ -372,33 +335,19 @@ def dual_globalization_transfer(gt: GlobalizationTriple,
                          phi @ Cstar.mul, Dstar.mul @ phi.tensor(phi)))
 
     phi_image = Subspace.from_vectors(Dstar.space, phi.columns())
-    ideal_fail = None
-    for a in range(Cstar.space.dim):
-        fa = phi.column(a)
-        for b in b_gens:
-            if not phi_image.contains(Dstar.product(fa, b)):
-                ideal_fail = (f"φ({Cstar.space.labels[a]})·b escapes φ(C*) "
-                              f"for b={b.describe()}")
-                break
-        if ideal_fail:
-            break
-    rep.add(CheckResult("(i)-right-ideal", ideal_fail is None, ideal_fail))
+    alphas = range(Cstar.space.dim)
+    rep.add(first_failure("(i)-right-ideal", (
+        ((a, b), phi_image.contains(Dstar.product(phi.column(a), b)))
+        for a in alphas for b in b_gens),
+        lambda ab: f"φ({Cstar.space.labels[ab[0]]})·b escapes φ(C*) for b={ab[1].describe()}"))
 
     phi_one = phi.apply(Cstar.unit)
-    induced_fail = None
-    for k in range(H.space.dim):
-        for a in range(Cstar.space.dim):
-            lhs = phi.apply(partial_dual.slices[k].apply(Vector.basis(Cstar.space, a)))
-            rhs = Dstar.product(phi_one, global_dual.slices[k].apply(phi.column(a)))
-            r = compare_vectors("(ii)-induced-action", lhs, rhs)
-            if not r.passed:
-                induced_fail = CheckResult(
-                    "(ii)-induced-action", False,
-                    f"h={H.space.labels[k]}, α={Cstar.space.labels[a]}; {r.witness}")
-                break
-        if induced_fail:
-            break
-    rep.add(induced_fail or CheckResult("(ii)-induced-action", True))
+    rep.add(first_failure("(ii)-induced-action", (
+        ((k, a), compare_vectors(
+            "", phi.apply(partial_dual.slices[k].column(a)),
+            Dstar.product(phi_one, global_dual.slices[k].apply(phi.column(a)))))
+        for k in range(H.space.dim) for a in alphas),
+        lambda ka: f"h={H.space.labels[ka[0]]}, α={Cstar.space.labels[ka[1]]}; "))
 
     contains_phi = all(B.contains(phi.column(a)) for a in range(Cstar.space.dim))
     rep.add(CheckResult("(iii)-generation", contains_phi,

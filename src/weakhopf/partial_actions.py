@@ -36,14 +36,23 @@ from .errors import (
     ShapeMismatch,
 )
 from .groupoid import FiniteGroupoid, groupoid_algebra
-from .report import CheckResult, Report, compare_maps, compare_scalars, compare_vectors
+from .report import (
+    CheckResult,
+    Report,
+    compare_maps,
+    compare_scalars,
+    compare_vectors,
+    first_failure,
+)
 from .tensor_space import (
     FinVec,
     LinMap,
     Subspace,
     Tensor3,
     Vector,
+    _accumulate,
     _combine,
+    _kron,
     solve_coordinates,
     tensor_product,
 )
@@ -140,9 +149,6 @@ class ActionTensor:
         return tuple({b: col[0] for b, col in enumerate((counit @ s).cols) if col}
                      for s in self.slices)
 
-    def act(self, h: Vector, x: Vector) -> Vector:
-        return self.act_by(h).apply(x)
-
     def tensor3(self) -> Tensor3:
         X, H = self.space, self.hopf.space
         if self.side == LEFT:
@@ -172,8 +178,7 @@ def _unit_slice(act: ActionTensor) -> LinMap:
     return act.act_by(act.hopf.unit)
 
 
-def _pair_label(act: ActionTensor, i: int, j: int) -> str:
-    H = act.hopf.space
+def _pair_label(H: FinVec, i: int, j: int) -> str:
     return f"h={H.labels[i]}, k={H.labels[j]}"
 
 
@@ -185,39 +190,29 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
     """Δ(h·c) = h₁·c₁ ⊗ h₂·c₂ (either side), as a map equality on the
     action's domain."""
     C = act.carrier
-    H = act.hopf
-    n = H.space.dim
+    n = act.hopf.space.dim
     m = C.space.dim
-    CC = tensor_product(C.space, C.space)
-    lhs = C.comul @ act.action
+    sl = [s.cols for s in act.slices]
 
-    def image(idx: int) -> Vector:
-        if act.side == LEFT:
-            i, j = divmod(idx, m)
-        else:
-            j, i = divmod(idx, n)
-        out = Vector.zero(CC)
-        for p, q, ch in H.coalg.delta_pairs(i):
-            for a, b, cc in C.delta_pairs(j):
-                va, vb = act.slices[p].column(a), act.slices[q].column(b)
-                out = out + va.tensor(vb).scale(ch * cc)
-        return out
+    def column(i: int, j: int) -> dict:
+        return _accumulate((_kron(sl[p][a], sl[q][b], m), ch * cc)
+                           for p, q, ch in act.hopf.coalg.delta_pairs(i)
+                           for a, b, cc in C.delta_pairs(j))
 
-    rhs = LinMap.from_function(act.action.domain, CC, image)
-    return compare_maps(label, lhs, rhs)
+    cols = ([column(i, j) for i in range(n) for j in range(m)] if act.side == LEFT
+            else [column(i, j) for j in range(m) for i in range(n)])
+    rhs = LinMap(act.action.domain, tensor_product(C.space, C.space), cols)
+    return compare_maps(label, C.comul @ act.action, rhs)
 
 
 def _aggregate_pairs(act: ActionTensor, label: str, rhs_fn) -> CheckResult:
     """Compare the iterated action of each basis pair (h_i, h_j) with the
     endomorphism ``rhs_fn(i, j)``, reporting the smallest failing pair."""
-    n = act.hopf.space.dim
-    for i in range(n):
-        for j in range(n):
-            r = compare_maps(label, act.iterated_slices[i * n + j], rhs_fn(i, j))
-            if not r.passed:
-                return CheckResult(label, False,
-                                   f"{_pair_label(act, i, j)}; {r.witness}")
-    return CheckResult(label, True)
+    H = act.hopf.space
+    n = H.dim
+    return first_failure(label, (
+        ((i, j), compare_maps("", act.iterated_slices[i * n + j], rhs_fn(i, j)))
+        for i in range(n) for j in range(n)), lambda ij: f"{_pair_label(H, *ij)}; ")
 
 
 def check_module_coalgebra(act: ActionTensor) -> Report:
@@ -310,19 +305,12 @@ def _pmc3_rhs(act: ActionTensor, i: int, j: int, symmetric: bool) -> LinMap:
     eps_leg = 1 if left != symmetric else 0
     eps_table = act.counit_table
     hpairs = H.coalg.delta_pairs(j if left else i)
-
-    def image(cidx: int) -> Vector:
-        out = Vector.zero(C.space)
-        for cpair in C.delta_pairs(cidx):
-            for hpair in hpairs:
-                s = eps_table[hpair[eps_leg]].get(cpair[eps_leg])
-                if s:
-                    x = hpair[1 - eps_leg]
-                    prod = act.product_slices[i * n + x if left else x * n + j]
-                    out = out + prod.column(cpair[1 - eps_leg]).scale(hpair[2] * cpair[2] * s)
-        return out
-
-    return LinMap.from_function(C.space, C.space, image)
+    prods = [act.product_slices[i * n + x if left else x * n + j].cols for x in range(n)]
+    return LinMap(C.space, C.space, [
+        _accumulate((prods[hpair[1 - eps_leg]][cpair[1 - eps_leg]], hpair[2] * cpair[2] * s)
+                    for cpair in C.delta_pairs(cidx) for hpair in hpairs
+                    if (s := eps_table[hpair[eps_leg]].get(cpair[eps_leg])))
+        for cidx in range(C.space.dim)])
 
 
 def check_partial_module_coalgebra(act: ActionTensor) -> PartialActionVerdict:
@@ -365,50 +353,31 @@ def check_ht_hs_propositions(act: ActionTensor) -> Report:
     ident = LinMap.identity(C.space)
     n = H.space.dim
 
-    def strict_composition(label: str, basis_vectors) -> CheckResult:
+    def strict_composition(basis_vectors):
         for h in basis_vectors:
             ah = act.act_by(h)
             for k in range(n):
-                lhs = ah @ act.slices[k]
-                rhs = act.act_by(H.product(h, Vector.basis(H.space, k)))
-                r = compare_maps(label, lhs, rhs)
-                if not r.passed:
-                    return CheckResult(
-                        label, False,
-                        f"h={h.describe()}, k={H.space.labels[k]}; {r.witness}")
-        return CheckResult(label, True)
+                yield (h, k), compare_maps(
+                    "", ah @ act.slices[k], act.act_by(H.product(h, Vector.basis(H.space, k))))
 
-    rep.add(strict_composition("Ht-(i)", H.Ht.basis_vectors))
+    def per_h(basis_vectors, sides):
+        return ((h, compare_maps("", *sides(h, act.act_by(h)))) for h in basis_vectors)
 
-    fail = None
-    for h in H.Ht.basis_vectors:
-        ah = act.act_by(h)
-        r = compare_maps("Ht-(ii)", C.comul @ ah, ah.tensor(ident) @ C.comul)
-        if not r.passed:
-            fail = CheckResult("Ht-(ii)", False, f"h={h.describe()}; {r.witness}")
-            break
-    rep.add(fail or CheckResult("Ht-(ii)", True))
+    def at_h(h: Vector) -> str:
+        return f"h={h.describe()}; "
 
-    fail = None
-    for h in H.Ht.basis_vectors:
-        ah = act.act_by(h)
-        a_sh = act.act_by(H.eps_s.apply(h))
-        r = compare_maps("Ht-(iii)", C.counit @ ah, C.counit @ a_sh)
-        if not r.passed:
-            fail = CheckResult("Ht-(iii)", False, f"h={h.describe()}; {r.witness}")
-            break
-    rep.add(fail or CheckResult("Ht-(iii)", True))
+    def at_hk(hk) -> str:
+        return f"h={hk[0].describe()}, k={H.space.labels[hk[1]]}; "
 
+    rep.add(first_failure("Ht-(i)", strict_composition(H.Ht.basis_vectors), at_hk))
+    rep.add(first_failure("Ht-(ii)", per_h(H.Ht.basis_vectors, lambda h, ah: (
+        C.comul @ ah, ah.tensor(ident) @ C.comul)), at_h))
+    rep.add(first_failure("Ht-(iii)", per_h(H.Ht.basis_vectors, lambda h, ah: (
+        C.counit @ ah, C.counit @ act.act_by(H.eps_s.apply(h)))), at_h))
     if check_partial_module_coalgebra(act).is_symmetric:
-        rep.add(strict_composition("Hs-(i)", H.Hs.basis_vectors))
-        fail = None
-        for h in H.Hs.basis_vectors:
-            ah = act.act_by(h)
-            r = compare_maps("Hs-(ii)", C.comul @ ah, ident.tensor(ah) @ C.comul)
-            if not r.passed:
-                fail = CheckResult("Hs-(ii)", False, f"h={h.describe()}; {r.witness}")
-                break
-        rep.add(fail or CheckResult("Hs-(ii)", True))
+        rep.add(first_failure("Hs-(i)", strict_composition(H.Hs.basis_vectors), at_hk))
+        rep.add(first_failure("Hs-(ii)", per_h(H.Hs.basis_vectors, lambda h, ah: (
+            C.comul @ ah, ident.tensor(ah) @ C.comul)), at_h))
     return rep
 
 
@@ -432,41 +401,33 @@ def check_module_algebra(act: ActionTensor) -> Report:
 def _ma2_check(act: ActionTensor, label: str) -> CheckResult:
     """h▷(ab) = (h₁▷a)(h₂▷b), resp. (ab)↼h = (a↼h₁)(b↼h₂)."""
     A = act.carrier
-    H = act.hopf
-    n = H.space.dim
+    H = act.hopf.space
     m = A.space.dim
-    for i in range(n):
-        pairs = H.coalg.delta_pairs(i)
-        for a in range(m):
-            ea = Vector.basis(A.space, a)
-            for b in range(m):
-                eb = Vector.basis(A.space, b)
-                lhs = act.slices[i].apply(A.product(ea, eb))
-                rhs = Vector.zero(A.space)
-                for p, q, ch in pairs:
-                    rhs = rhs + A.product(act.slices[p].apply(ea),
-                                          act.slices[q].apply(eb)).scale(ch)
-                r = compare_vectors(label, lhs, rhs)
-                if not r.passed:
-                    return CheckResult(
-                        label, False,
-                        f"h={H.space.labels[i]}, a={A.space.labels[a]}, "
-                        f"b={A.space.labels[b]}; {r.witness}")
-    return CheckResult(label, True)
+    sl = [s.cols for s in act.slices]
+
+    def cases():
+        for i in range(H.dim):
+            pairs = act.hopf.coalg.delta_pairs(i)
+            for a in range(m):
+                for b in range(m):
+                    lhs = _combine(sl[i], A.mul.cols[a * m + b].items())
+                    rhs = _accumulate((A.times(sl[p][a], sl[q][b]), ch) for p, q, ch in pairs)
+                    yield (i, a, b), compare_vectors(
+                        "", Vector(A.space, lhs), Vector(A.space, rhs))
+
+    return first_failure(label, cases(), lambda c: (
+        f"h={H.labels[c[0]]}, a={A.space.labels[c[1]]}, b={A.space.labels[c[2]]}; "))
 
 
 def _ma4_check(act: ActionTensor, label: str) -> CheckResult:
     """h▷1 = ε_t(h)▷1 for left actions; 1↼h = 1↼ε_s(h) for right actions."""
     A = act.carrier
-    H = act.hopf
-    twist = H.eps_t if act.side == LEFT else H.eps_s
-    for i in range(H.space.dim):
-        lhs = act.slices[i].apply(A.unit)
-        rhs = act.act_by(twist.apply(Vector.basis(H.space, i))).apply(A.unit)
-        r = compare_vectors(label, lhs, rhs, context=f"h={H.space.labels[i]}")
-        if not r.passed:
-            return r
-    return CheckResult(label, True)
+    H = act.hopf.space
+    twist = act.hopf.eps_t if act.side == LEFT else act.hopf.eps_s
+    return first_failure(label, (
+        (i, compare_vectors("", act.slices[i].apply(A.unit),
+                            act.act_by(twist.column(i)).apply(A.unit)))
+        for i in range(H.dim)), lambda i: f"h={H.labels[i]}: ")
 
 
 def _pma3_rhs(act: ActionTensor, i: int, j: int, symmetric: bool) -> LinMap:
@@ -478,22 +439,19 @@ def _pma3_rhs(act: ActionTensor, i: int, j: int, symmetric: bool) -> LinMap:
     ``unit_leg`` is the leg of Δ(h) (resp. Δ(k)) acting on 1; the unit
     factor stands left of the product iff it is the first leg."""
     A = act.carrier
-    H = act.hopf
-    n = H.space.dim
+    n = act.hopf.space.dim
     left = act.side == LEFT
     unit_leg = 0 if left != symmetric else 1
+    pairs = act.hopf.coalg.delta_pairs(i if left else j)
+    units = [_combine(s.cols, A.unit.terms.items()) for s in act.slices]
+    prods = [act.product_slices[x * n + j if left else i * n + x].cols for x in range(n)]
 
-    def image(aidx: int) -> Vector:
-        out = Vector.zero(A.space)
-        for pair in H.coalg.delta_pairs(i if left else j):
-            u = act.slices[pair[unit_leg]].apply(A.unit)
-            x = pair[1 - unit_leg]
-            moved = act.product_slices[x * n + j if left else i * n + x].column(aidx)
-            prod = A.product(u, moved) if unit_leg == 0 else A.product(moved, u)
-            out = out + prod.scale(pair[2])
-        return out
+    def term(pair, aidx: int) -> dict:
+        u, moved = units[pair[unit_leg]], prods[pair[1 - unit_leg]][aidx]
+        return A.times(u, moved) if unit_leg == 0 else A.times(moved, u)
 
-    return LinMap.from_function(A.space, A.space, image)
+    return LinMap(A.space, A.space, [_accumulate((term(pair, aidx), pair[2]) for pair in pairs)
+                                     for aidx in range(A.space.dim)])
 
 
 def check_partial_module_algebra(act: ActionTensor) -> PartialActionVerdict:
@@ -543,10 +501,11 @@ class LambdaFunctional:
         return self.values[i]
 
     def of_vec(self, v: Vector):
-        out = self.hopf.field.zero()
-        for i, c in v.nonzeros():
-            out = out + c * self.values[i]
-        return out
+        return self.of_terms(v.terms)
+
+    def of_terms(self, terms: dict):
+        """λ of the element with the sparse coordinates ``terms``."""
+        return sum((c * self.values[i] for i, c in sorted(terms.items())), self.hopf.field.zero())
 
 
 def lambda_action(lf: LambdaFunctional, C: CoalgebraData, side: str = LEFT) -> ActionTensor:
@@ -586,48 +545,26 @@ def check_lambda_global(lf: LambdaFunctional) -> LambdaVerdict:
     f = H.field
     rep = Report("global λ-action conditions")
     rep.add(compare_scalars("(i)", f, lf.of_vec(H.unit), f.one(), context="λ(1_H)"))
-
-    fail = None
-    for i in range(H.space.dim):
-        acc = f.zero()
-        for p, q, c in H.coalg.delta_pairs(i):
-            acc = acc + c * lf.of_basis(p) * lf.of_basis(q)
-        if lf.of_basis(i) != acc:
-            fail = compare_scalars("(ii)", f, lf.of_basis(i), acc,
-                                   context=f"h={H.space.labels[i]}")
-            break
-    rep.add(fail or CheckResult("(ii)", True))
-
-    fail = None
-    for i in range(H.space.dim):
-        for j in range(H.space.dim):
-            prod = lf.of_vec(H.alg.mul.column(i * H.space.dim + j))
-            if lf.of_basis(i) * lf.of_basis(j) != prod:
-                fail = compare_scalars("(iii)", f, lf.of_basis(i) * lf.of_basis(j), prod,
-                                       context=_pair_label_h(H, i, j))
-                break
-        if fail:
-            break
-    rep.add(fail or CheckResult("(iii)", True))
+    n = H.space.dim
+    lam = lf.values
+    rep.add(first_failure("(ii)", (
+        (i, compare_scalars("", f, lam[i], sum((c * lam[p] * lam[q]
+                                                for p, q, c in H.coalg.delta_pairs(i)), f.zero())))
+        for i in range(n)), lambda i: f"h={H.space.labels[i]}: "))
+    rep.add(first_failure("(iii)", (
+        ((i, j), compare_scalars("", f, lam[i] * lam[j], lf.of_terms(H.alg.mul.cols[i * n + j])))
+        for i in range(n) for j in range(n)), lambda ij: f"{_pair_label(H.space, *ij)}: "))
 
     globality = _lambda_globality(lf, LEFT)
     return LambdaVerdict(rep, None, globality)
 
 
-def _pair_label_h(H: WeakHopfData, i: int, j: int) -> str:
-    return f"h={H.space.labels[i]}, k={H.space.labels[j]}"
-
-
 def _lambda_globality(lf: LambdaFunctional, side: str) -> CheckResult:
     H = lf.hopf
-    f = H.field
     twist = H.eps_s if side == LEFT else H.eps_t
-    for i in range(H.space.dim):
-        other = lf.of_vec(twist.apply(Vector.basis(H.space, i)))
-        if lf.of_basis(i) != other:
-            return compare_scalars("globality", f, lf.of_basis(i), other,
-                                   context=f"h={H.space.labels[i]}")
-    return CheckResult("globality", True)
+    return first_failure("globality", (
+        (i, compare_scalars("", H.field, lf.values[i], lf.of_terms(twist.cols[i])))
+        for i in range(H.space.dim)), lambda i: f"h={H.space.labels[i]}: ")
 
 
 def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> LambdaVerdict:
@@ -639,35 +576,24 @@ def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> LambdaVerdic
     rep.add(compare_scalars("(i)", f, lf.of_vec(H.unit), f.one(), context="λ(1_H)"))
 
     n = H.space.dim
-
-    def lam_prod(a: int, b: int):
-        return lf.of_vec(H.alg.mul.column(a * n + b))
+    lam = lf.values
+    left = side == LEFT
+    lam_prod = [lf.of_terms(col) for col in H.alg.mul.cols]
 
     def correction(i: int, j: int, symmetric: bool):
+        """left λ(hk₁)λ(k₂), sym λ(k₁)λ(hk₂); right λ(h₁)λ(h₂k), sym λ(h₁k)λ(h₂):
+        ``plain`` is the leg of Δ(k) (resp. Δ(h)) under a bare λ."""
+        plain = 1 if left != symmetric else 0
         acc = f.zero()
-        if side == LEFT:
-            for p, q, c in H.coalg.delta_pairs(j):
-                if not symmetric:   # λ(hk₁)λ(k₂)
-                    acc = acc + c * lam_prod(i, p) * lf.of_basis(q)
-                else:               # λ(k₁)λ(hk₂)
-                    acc = acc + c * lf.of_basis(p) * lam_prod(i, q)
-        else:
-            for p, q, c in H.coalg.delta_pairs(i):
-                if not symmetric:   # λ(h₁)λ(h₂k)
-                    acc = acc + c * lf.of_basis(p) * lam_prod(q, j)
-                else:               # λ(h₁k)λ(h₂)
-                    acc = acc + c * lam_prod(p, j) * lf.of_basis(q)
+        for pair in H.coalg.delta_pairs(j if left else i):
+            x = pair[1 - plain]
+            acc = acc + pair[2] * lam_prod[i * n + x if left else x * n + j] * lam[pair[plain]]
         return acc
 
     def scan(label: str, symmetric: bool) -> CheckResult:
-        for i in range(H.space.dim):
-            for j in range(H.space.dim):
-                lhs = lf.of_basis(i) * lf.of_basis(j)
-                rhs = correction(i, j, symmetric)
-                if lhs != rhs:
-                    return compare_scalars(label, f, lhs, rhs,
-                                           context=_pair_label_h(H, i, j))
-        return CheckResult(label, True)
+        return first_failure(label, (
+            ((i, j), compare_scalars("", f, lam[i] * lam[j], correction(i, j, symmetric)))
+            for i in range(n) for j in range(n)), lambda ij: f"{_pair_label(H.space, *ij)}: ")
 
     rep.add(scan("(ii)", symmetric=False))
     symmetric = scan("symmetric", symmetric=True)
@@ -819,50 +745,36 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
             raise NotSubcoalgebra(f"Δ({v.describe()}) escapes D⊗D")
 
     rep = Report("induced partial action conditions")
-    n = H.space.dim
+    n, m = H.space.dim, C.space.dim
     pp = proj.tensor(proj)
+    rep.add(first_failure("(i)", (
+        ((i, d), compare_vectors("", pp.apply(C.delta(moved)), C.delta(proj.apply(moved))))
+        for i in range(n) for d in d_vectors for moved in (global_act.slices[i].apply(d),)),
+        lambda c: f"h={H.space.labels[c[0]]}, d={c[1].describe()}; "))
 
-    fail = None
-    for i in range(H.space.dim):
-        for d in d_vectors:
-            moved = global_act.slices[i].apply(d)
-            r = compare_vectors("(i)", pp.apply(C.delta(moved)),
-                                C.delta(proj.apply(moved)))
-            if not r.passed:
-                fail = CheckResult("(i)", False,
-                                   f"h={H.space.labels[i]}, d={d.describe()}; {r.witness}")
-                break
-        if fail:
-            break
-    rep.add(fail or CheckResult("(i)", True))
+    # ε(π(h_q·e_b)) and π(h_i h_p·e_a), the two legs of the correction side
+    eps_pi = [{b: col[0] for b, col in enumerate((C.counit @ proj @ s).cols) if col}
+              for s in global_act.slices]
+    pi_prod = [(proj @ s).cols for s in global_act.product_slices]
+    pi_sl = [proj @ s for s in global_act.slices]
 
     def condition_two(label: str, symmetric: bool) -> CheckResult:
-        for i in range(H.space.dim):
-            for j in range(H.space.dim):
-                for d in d_vectors:
-                    lhs = proj.apply(global_act.slices[i].apply(
-                        proj.apply(global_act.slices[j].apply(d))))
-                    rhs = Vector.zero(C.space)
-                    dd = C.delta(d)
-                    for flat, cc in dd.nonzeros():
-                        a, b = divmod(flat, C.space.dim)
-                        for p, q, ch in H.coalg.delta_pairs(j):
-                            if not symmetric:
-                                s = C.eps(proj.apply(global_act.slices[q].column(b)))
-                                if s:
-                                    moved = global_act.product_slices[i * n + p].column(a)
-                                    rhs = rhs + proj.apply(moved).scale(cc * ch * s)
-                            else:
-                                s = C.eps(proj.apply(global_act.slices[p].column(a)))
-                                if s:
-                                    moved = global_act.product_slices[i * n + q].column(b)
-                                    rhs = rhs + proj.apply(moved).scale(cc * ch * s)
-                    r = compare_vectors(label, lhs, rhs)
-                    if not r.passed:
-                        return CheckResult(
-                            label, False,
-                            f"{_pair_label(global_act, i, j)}, d={d.describe()}; {r.witness}")
-        return CheckResult(label, True)
+        """π(h·π(k·d)) = π(hk₁·d₁)ε(π(k₂·d₂)), sym ε(π(k₁·d₁))π(hk₂·d₂):
+        ``eps_leg`` is the leg of Δ(d) and Δ(k) under ε."""
+        eps_leg = 0 if symmetric else 1
+
+        def rhs(i: int, j: int, d: Vector) -> dict:
+            dpairs = [(flat // m, flat % m, c) for flat, c in C.delta(d).terms.items()]
+            return _accumulate(
+                (pi_prod[i * n + hp[1 - eps_leg]][dp[1 - eps_leg]], dp[2] * hp[2] * s)
+                for dp in dpairs for hp in H.coalg.delta_pairs(j)
+                if (s := eps_pi[hp[eps_leg]].get(dp[eps_leg])))
+
+        return first_failure(label, (
+            ((i, j, d), compare_vectors("", pi_sl[i].apply(pi_sl[j].apply(d)),
+                                        Vector(C.space, rhs(i, j, d))))
+            for i in range(n) for j in range(n) for d in d_vectors),
+            lambda c: f"{_pair_label(H.space, c[0], c[1])}, d={c[2].describe()}; ")
 
     rep.add(condition_two("(ii)", symmetric=False))
     symmetric = condition_two("symmetric", symmetric=True)
@@ -936,71 +848,19 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
     if missing:
         return rep
 
-    def agg(label: str, items, check) -> CheckResult:
-        for item in items:
-            r = check(item)
-            if not r.passed:
-                return CheckResult(label, False, f"at {item}: {r.witness}")
-        return CheckResult(label, True)
-
     P, TH = gpa.P, gpa.theta
-    ident = LinMap.identity(C.space)
-
-    rep.add(agg("theta-support", G.elements,
-                lambda g: compare_maps("", TH(g), TH(g) @ P(G.inv[g]))))
-    rep.add(agg("(i)-projection", G.elements,
-                lambda g: compare_maps("", P(g) @ P(g), P(g))))
-    rep.add(agg("(i)-comulti", G.elements,
-                lambda g: compare_maps("", P(g).tensor(P(g)) @ C.comul, C.comul @ P(g))))
+    inv, r, mul = G.inv, G.r, G.mul
 
     def quasi(g: str, flip: bool) -> CheckResult:
-        def image(c: int) -> Vector:
-            out = Vector.zero(C.space)
-            for a, b, cc in C.delta_pairs(c):
-                ea, eb = Vector.basis(C.space, a), Vector.basis(C.space, b)
-                if flip:
-                    ea, eb = eb, ea
-                s = C.eps(P(g).apply(eb))
-                if s:
-                    out = out + P(G.r[g]).apply(ea).scale(cc * s)
-            return out
-        return compare_maps("", LinMap.from_function(C.space, C.space, image), P(g))
-
-    rep.add(agg("(i)-quasi-a", G.elements, lambda g: quasi(g, flip=False)))
-    rep.add(agg("(i)-quasi-b", G.elements, lambda g: quasi(g, flip=True)))
-    rep.add(agg("(ii)-theta-objects", G.identities,
-                lambda e: compare_maps("", TH(e), P(e))))
-
-    pairs = [(g, h) for g in G.elements for h in G.elements]
-    comp = sorted(G.composable)
-    rep.add(agg("Eq 1", pairs,
-                lambda gh: compare_maps("", P(gh[0]) @ P(gh[1]), P(gh[1]) @ P(gh[0]))))
-    rep.add(agg("Eq 2", comp, lambda gh: compare_maps(
-        "",
-        TH(G.inv[gh[1]]) @ P(gh[1]) @ P(G.inv[gh[0]]),
-        P(G.inv[G.mul[gh]]) @ TH(G.inv[gh[1]]) @ P(gh[1]))))
-    rep.add(agg("Eq 3", comp, lambda gh: compare_maps(
-        "",
-        TH(gh[0]) @ TH(gh[1]) @ P(G.inv[G.mul[gh]]) @ P(G.inv[gh[1]]),
-        TH(G.mul[gh]) @ P(G.inv[G.mul[gh]]) @ P(G.inv[gh[1]]))))
-    rep.add(agg("Eq 4", G.elements,
-                lambda g: compare_maps("", P(G.r[g]) @ P(g), P(g))))
-
-    rep.add(agg("Lemma-(i)a", G.elements,
-                lambda g: compare_maps("", TH(G.r[g]) @ TH(g), TH(g))))
-    rep.add(agg("Lemma-(i)b", G.elements,
-                lambda g: compare_maps("", TH(G.r[g]) @ P(g), P(g))))
-    rep.add(agg("Lemma-(ii)a", G.elements,
-                lambda g: compare_maps("", TH(G.inv[g]) @ TH(g), P(G.inv[g]))))
-    rep.add(agg("Lemma-(ii)b", G.elements,
-                lambda g: compare_maps("", TH(g) @ TH(G.inv[g]), P(g))))
-    rep.add(agg("Lemma-(iii)", comp, lambda gh: compare_maps(
-        "",
-        P(G.inv[gh[0]]) @ TH(gh[1]),
-        TH(gh[1]) @ P(G.inv[G.mul[gh]]) @ P(G.inv[gh[1]]))))
+        """Σ ε(P_g(c₂))P_{r(g)}(c₁), or with the legs of Δ(c) flipped, is P_g(c)."""
+        eps_p = [col.get(0) for col in (C.counit @ P(g)).cols]
+        cols = [_combine(P(r[g]).cols, [(p[flip], p[2] * eps_p[p[not flip]])
+                                        for p in C.delta_pairs(c) if eps_p[p[not flip]]])
+                for c in range(C.space.dim)]
+        return compare_maps("", LinMap(C.space, C.space, cols), P(g))
 
     def iso_check(g: str) -> CheckResult:
-        dom = gpa.subcoalgebra(G.inv[g])
+        dom = gpa.subcoalgebra(inv[g])
         img = Subspace.from_vectors(C.space, [TH(g).apply(v) for v in dom.basis_vectors])
         target = gpa.subcoalgebra(g)
         if img != target:
@@ -1011,11 +871,40 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
             return CheckResult("", False, "dim C_{g⁻¹} ≠ dim C_g")
         return CheckResult("", True)
 
-    rep.add(agg("theta-iso", G.elements, iso_check))
-    rep.add(agg("theta-comult", G.elements, lambda g: compare_maps(
-        "", C.comul @ TH(g), TH(g).tensor(TH(g)) @ C.comul @ P(G.inv[g]))))
-    rep.add(agg("theta-counit", G.elements, lambda g: compare_maps(
-        "", C.counit @ TH(g), C.counit @ P(G.inv[g]))))
+    def maps(lhs, rhs):
+        return lambda x: compare_maps("", lhs(x), rhs(x))
+
+    pairs = [(g, h) for g in G.elements for h in G.elements]
+    comp = sorted(G.composable)
+    elements = G.elements
+    conditions = [
+        ("theta-support", elements, maps(TH, lambda g: TH(g) @ P(inv[g]))),
+        ("(i)-projection", elements, maps(lambda g: P(g) @ P(g), P)),
+        ("(i)-comulti", elements, maps(lambda g: P(g).tensor(P(g)) @ C.comul,
+                                       lambda g: C.comul @ P(g))),
+        ("(i)-quasi-a", elements, lambda g: quasi(g, flip=False)),
+        ("(i)-quasi-b", elements, lambda g: quasi(g, flip=True)),
+        ("(ii)-theta-objects", G.identities, maps(TH, P)),
+        ("Eq 1", pairs, maps(lambda gh: P(gh[0]) @ P(gh[1]), lambda gh: P(gh[1]) @ P(gh[0]))),
+        ("Eq 2", comp, maps(lambda gh: TH(inv[gh[1]]) @ P(gh[1]) @ P(inv[gh[0]]),
+                            lambda gh: P(inv[mul[gh]]) @ TH(inv[gh[1]]) @ P(gh[1]))),
+        ("Eq 3", comp, maps(lambda gh: TH(gh[0]) @ TH(gh[1]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]),
+                            lambda gh: TH(mul[gh]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]))),
+        ("Eq 4", elements, maps(lambda g: P(r[g]) @ P(g), P)),
+        ("Lemma-(i)a", elements, maps(lambda g: TH(r[g]) @ TH(g), TH)),
+        ("Lemma-(i)b", elements, maps(lambda g: TH(r[g]) @ P(g), P)),
+        ("Lemma-(ii)a", elements, maps(lambda g: TH(inv[g]) @ TH(g), lambda g: P(inv[g]))),
+        ("Lemma-(ii)b", elements, maps(lambda g: TH(g) @ TH(inv[g]), P)),
+        ("Lemma-(iii)", comp, maps(lambda gh: P(inv[gh[0]]) @ TH(gh[1]),
+                                   lambda gh: TH(gh[1]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]))),
+        ("theta-iso", elements, iso_check),
+        ("theta-comult", elements, maps(lambda g: C.comul @ TH(g),
+                                        lambda g: TH(g).tensor(TH(g)) @ C.comul @ P(inv[g]))),
+        ("theta-counit", elements, maps(lambda g: C.counit @ TH(g),
+                                        lambda g: C.counit @ P(inv[g]))),
+    ]
+    for label, items, check in conditions:
+        rep.add(first_failure(label, ((x, check(x)) for x in items), lambda x: f"at {x}: "))
     return rep
 
 
@@ -1052,18 +941,11 @@ def from_kG_action(act: ActionTensor, G: FiniteGroupoid) -> GroupoidPartialActio
     projections = {}
     isos = {}
     for g in G.elements:
-        gi = G.index(G.inv[g])
-        ei = G.index(G.r[g])
-
-        def image(c: int, gi=gi, ei=ei) -> Vector:
-            out = Vector.zero(C.space)
-            for a, b, cc in C.delta_pairs(c):
-                s = act.counit_table[gi].get(a)
-                if s:
-                    out = out + act.slices[ei].column(b).scale(cc * s)
-            return out
-
-        projections[g] = LinMap.from_function(C.space, C.space, image)
+        eps_gi = act.counit_table[G.index(G.inv[g])]
+        r_cols = act.slices[G.index(G.r[g])].cols
+        projections[g] = LinMap(C.space, C.space, [
+            _combine(r_cols, [(b, cc * eps_gi[a]) for a, b, cc in C.delta_pairs(c) if a in eps_gi])
+            for c in range(C.space.dim)])
     for g in G.elements:
         isos[g] = act.slices[G.index(g)] @ projections[G.inv[g]]
     return GroupoidPartialAction(G, C, projections, isos)

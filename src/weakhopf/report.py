@@ -7,6 +7,7 @@ of an identity disagree, so a red line can be reproduced by hand.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable, Iterable
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,22 @@ class Report:
         }
 
 
+def first_failure(label: str, cases: Iterable, where: Callable) -> CheckResult:
+    """The first failing case of a lazy scan, reported under ``label``, or a
+    pass when every case holds.
+
+    ``cases`` yields ``(case, outcome)`` pairs, the outcome a CheckResult or
+    a bool.  The witness of the first failure is ``where(case)`` followed by
+    the outcome's own witness, so a case's context is formatted only if the
+    case fails."""
+    for case, outcome in cases:
+        if outcome is False:
+            return CheckResult(label, False, where(case))
+        if outcome is not True and not outcome.passed:
+            return CheckResult(label, False, where(case) + (outcome.witness or ""))
+    return CheckResult(label, True)
+
+
 def _first_difference(a: dict, b: dict, zero):
     """The smallest index where two sparse coordinate dicts differ, with the
     two values there, or None if they are equal."""
@@ -108,15 +125,14 @@ def compare_maps(label: str, lhs, rhs) -> CheckResult:
     return CheckResult(label, True)
 
 
-def compare_vectors(label: str, lhs, rhs, context: str = "") -> CheckResult:
+def compare_vectors(label: str, lhs, rhs) -> CheckResult:
     if lhs.space != rhs.space:
         return CheckResult(label, False, "the two sides live in different spaces")
     field = lhs.space.field
     diff = _first_difference(lhs.terms, rhs.terms, field.zero())
     if diff is not None:
         i, a, b = diff
-        prefix = f"{context}: " if context else ""
-        return CheckResult(label, False, f"{prefix}coefficient of {lhs.space.labels[i]}: "
+        return CheckResult(label, False, f"coefficient of {lhs.space.labels[i]}: "
                                          f"{field.fmt(a)} ≠ {field.fmt(b)}")
     return CheckResult(label, True)
 

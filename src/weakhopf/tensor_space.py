@@ -34,13 +34,16 @@ class FinVec:
 
     field: Field
     labels: tuple[str, ...]
+    # (V, W) for the product V⊗W, whose labels "v⊗w" may repeat: the labels
+    # "a⊗b"⊗"c" and "a"⊗"b⊗c" print alike
+    factors: tuple = dc_field(default=(), repr=False)
     # id(W) -> (W, self⊗W); holding W keeps its id from being reused
     _products: dict = dc_field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if len(self.labels) == 0:
             raise ShapeMismatch("a space needs at least one basis vector")
-        if len(set(self.labels)) != len(self.labels):
+        if not self.factors and len(set(self.labels)) != len(self.labels):
             raise ShapeMismatch("basis labels must be distinct")
 
     @property
@@ -73,7 +76,7 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
         return hit[1]
     if V.field != W.field:
         raise FieldMismatch("tensor product of spaces over different fields")
-    out = FinVec(V.field, tuple(f"{a}⊗{b}" for a in V.labels for b in W.labels))
+    out = FinVec(V.field, tuple(f"{a}⊗{b}" for a in V.labels for b in W.labels), (V, W))
     V._products[id(W)] = (W, out)
     return out
 
@@ -108,6 +111,22 @@ def _combine(cols: Sequence[dict], terms: Iterable) -> dict:
             s = out.get(i)
             out[i] = a * c if s is None else s + a * c
     return {i: s for i, s in out.items() if s}
+
+
+def _accumulate(terms: Iterable) -> dict:
+    """Σ c·v over the (v, c) pairs of ``terms``, each v a sparse dict: the
+    column of a Sweedler sum whose terms are not columns of one map."""
+    out = {}
+    for v, c in terms:
+        for i, a in v.items():
+            s = out.get(i)
+            out[i] = a * c if s is None else s + a * c
+    return {i: s for i, s in out.items() if s}
+
+
+def _kron(a: dict, b: dict, dim: int) -> dict:
+    """a⊗b for sparse dicts, the right factor of dimension ``dim``."""
+    return {i * dim + j: x * y for i, x in a.items() for j, y in b.items()}
 
 
 class Vector:
@@ -171,10 +190,8 @@ class Vector:
 
     def tensor(self, other: "Vector") -> "Vector":
         """Kronecker product, landing in ``tensor_product(self.space, other.space)``."""
-        dw = other.space.dim
         return Vector(tensor_product(self.space, other.space),
-                      {i * dw + j: a * b for i, a in self.terms.items()
-                       for j, b in other.terms.items()})
+                      _kron(self.terms, other.terms, other.space.dim))
 
     def describe(self) -> str:
         """Human-readable linear combination of basis labels."""
@@ -383,8 +400,7 @@ class LinMap:
     def tensor(self, other: "LinMap") -> "LinMap":
         """Kronecker product consistent with the row-major basis ordering."""
         cd = other.codomain.dim
-        cols = [{i1 * cd + i2: a * b for i1, a in c1.items() for i2, b in c2.items()}
-                for c1 in self.cols for c2 in other.cols]
+        cols = [_kron(c1, c2, cd) for c1 in self.cols for c2 in other.cols]
         return LinMap(tensor_product(self.domain, other.domain),
                       tensor_product(self.codomain, other.codomain), cols)
 

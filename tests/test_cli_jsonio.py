@@ -162,6 +162,19 @@ def test_cli_check_pmc_and_failure_exit_codes(tmp_path, capsys):
     assert "FAIL" in out
 
 
+def test_carrier_with_tensor_like_labels_loads_and_checks(tmp_path, capsys):
+    # C⊗C for the basis ("a", "a⊗a") repeats the label "a⊗a⊗a"; the document
+    # is valid, so it loads and `whw check pmc` decides it
+    C = grouplike_coalgebra(QQ, ["a", "a⊗a"])
+    doc = coalgebra_to_json(C)
+    assert coalgebra_from_json(doc).comul == C.comul
+    act, _ = isotropy_lambda_action(disjoint_union_of_cyclic([2, 3]), QQ, "g1.e", carrier=C)
+    path = write(tmp_path, "act.json", action_to_json(act))
+    assert main(["check", "pmc", path]) == 0
+    out = capsys.readouterr().out
+    assert "PASS PMC2" in out and "PASS PMC3" in out
+
+
 def test_cli_check_lambda(tmp_path, capsys):
     G = two_object_iso_groupoid()
     H = groupoid_algebra(G, QQ)

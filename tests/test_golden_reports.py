@@ -32,6 +32,7 @@ from weakhopf import (
     LambdaFunctional,
     LinMap,
     PrimeField,
+    Vector,
     check_globalization,
     check_ht_hs_propositions,
     check_lambda_global,
@@ -315,6 +316,28 @@ def _output(kind, arg, tmp_path, capsys) -> str:
 def test_golden_output(label, kind, arg, tmp_path, capsys):
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert _output(kind, arg, tmp_path, capsys) == golden[label]
+
+
+def test_no_case_stores_an_explicit_zero(tmp_path, capsys, monkeypatch):
+    """Every map and vector built while producing the golden outputs holds
+    nonzero entries only, which is what makes sparse equality exact."""
+    init_map, init_vector = LinMap.__init__, Vector.__init__
+
+    def checked_map(self, domain, codomain, cols):
+        cols = tuple(cols)
+        assert all(x for col in cols for x in col.values())
+        init_map(self, domain, codomain, cols)
+
+    def checked_vector(self, space, terms):
+        assert all(terms.values())
+        init_vector(self, space, terms)
+
+    monkeypatch.setattr(LinMap, "__init__", checked_map)
+    monkeypatch.setattr(Vector, "__init__", checked_vector)
+    for n, (label, kind, arg) in enumerate(CASES):
+        work = tmp_path / str(n)
+        work.mkdir()
+        _output(kind, arg, work, capsys)
 
 
 def test_golden_file_covers_every_case():

@@ -39,6 +39,20 @@ def test_tensor_product_dims_and_labels():
         tensor_product(V2, FinVec(PrimeField(5), ("a", "b")))
 
 
+def test_tensor_product_of_spaces_whose_labels_collide():
+    # "a⊗b"⊗"c" and "a"⊗"b⊗c" print alike, yet the product of two valid
+    # spaces is a valid space
+    V = FinVec(QQ, ("a⊗b", "a"))
+    W = FinVec(QQ, ("c", "b⊗c"))
+    VW = tensor_product(V, W)
+    assert VW.dim == 4 and VW.labels[0] == VW.labels[3] == "a⊗b⊗c"
+    assert LinMap.identity(V).tensor(LinMap.identity(W)) == LinMap.identity(VW)
+    assert Vector.basis(V, 0).tensor(Vector.basis(W, 0)) != Vector.basis(VW, 3)
+    # a space given by its labels still needs distinct ones
+    with pytest.raises(ShapeMismatch):
+        FinVec(QQ, ("a", "a"))
+
+
 @given(st.integers(1, 9), st.integers(1, 9))
 def test_flatten_round_trip(d1, d2):
     """Row-major flattening: e_i ⊗ f_j is basis vector i·dim W + j of V⊗W."""
