@@ -24,11 +24,12 @@ from conftest import (
     regular_action,
     two_object_gpa,
 )
-from test_globalization import closing_example_one, mutated_triples
+from test_globalization import closing_example_one, closing_example_two, mutated_triples
 
 from weakhopf import (
     QQ,
     ActionTensor,
+    GlobalizationTriple,
     LambdaFunctional,
     LinMap,
     PrimeField,
@@ -195,6 +196,26 @@ def _corrupted_left_regular():
     return ActionTensor.from_slices(act.hopf, act.carrier, "left", slices)
 
 
+def _mutated_triple(mutation):
+    """A corrupted standard globalization of a closing example: one of
+    ``mutated_triples``, or one column of the global action or of π replaced."""
+    act = (closing_example_two if mutation == "global-slice-two" else closing_example_one)()
+    gt = standard_globalization(act, find_basis_grouplikes(act)[0])
+    if mutation not in ("global-slice-one", "global-slice-two", "pi-column"):
+        return dict(mutated_triples(gt))[mutation]
+    if mutation == "pi-column":
+        cols = list(gt.pi.cols)
+        cols[0] = {2: QQ.from_int(2)}
+        return GlobalizationTriple(gt.partial, gt.D, gt.global_act, gt.theta,
+                                   LinMap(gt.D.space, gt.D.space, cols))
+    slices = list(gt.global_act.slices)
+    cols = list(slices[0].cols)
+    cols[0] = {1 if mutation == "global-slice-one" else 2: QQ.one()}
+    slices[0] = LinMap(gt.D.space, gt.D.space, cols)
+    global_act = ActionTensor.from_slices(act.hopf, gt.D, "right", slices)
+    return GlobalizationTriple(gt.partial, gt.D, global_act, gt.theta, gt.pi)
+
+
 def _api_output(name) -> str:
     if name == "ht-hs corrupted":
         docs = [check_ht_hs_propositions(_corrupted_left_regular()).to_json()]
@@ -221,10 +242,7 @@ def _api_output(name) -> str:
             v = check_lambda_partial(lam, side)
             docs += [v.report.to_json(), v.symmetric.line(), v.globality.line()]
     else:
-        act = closing_example_one()
-        gt = standard_globalization(act, find_basis_grouplikes(act)[0])
-        mutation = name.split()[-1]
-        bad = dict(mutated_triples(gt))[mutation]
+        bad = _mutated_triple(name.split()[-1])
         if name.startswith("globalization"):
             docs = [check_globalization(bad).to_json()]
         else:
@@ -236,7 +254,9 @@ def _api_output(name) -> str:
 API_CASES = ["ht-hs corrupted", "induce corrupted", "lambda verdicts",
              "partial verdict slots"] + [
     f"{what} {mutation}" for what in ("globalization", "dual-transfer")
-    for mutation in ("corrupt-pi", "corrupt-theta", "break-generation")]
+    for mutation in ("corrupt-pi", "corrupt-theta", "break-generation")] + [
+    f"dual-transfer {mutation}"
+    for mutation in ("global-slice-one", "global-slice-two", "pi-column")]
 
 
 def _cases():
