@@ -79,6 +79,13 @@ def _run(argv, capsys):
     return f"exit {code}\n" + capsys.readouterr().out
 
 
+def _run_with_stderr(argv, capsys):
+    """Exit code, stdout and the one-line stderr message of a failing run."""
+    code = main(argv)
+    captured = capsys.readouterr()
+    return f"exit {code}\n{captured.out}stderr: {captured.err}"
+
+
 def _build(tmp_path, name, capsys):
     kind, spec, field = SPECS[name]
     spec_path = tmp_path / f"{name}.spec.json"
@@ -89,14 +96,26 @@ def _build(tmp_path, name, capsys):
     return out
 
 
+# one structure-tensor entry set to a new value; on kG-Z2+Z3 "mul" makes
+# g1.e·g2.e gain a g2.e term
+ENTRY_CORRUPTIONS = {
+    "counit": (("counit", 0), "2"),
+    "unit": (("unit", 2), "1"),
+    "mul": (("mul", 0, 1, 1), "1"),
+    "unit[0]=2": (("unit", 0), "2"),
+    "mul[0][1][1]=2": (("mul", 0, 1, 1), "2"),
+    "comul[1][0][1]=2": (("comul", 1, 0, 1), "2"),
+}
+
+
 def _corrupted(tmp_path, name, capsys, part):
     doc = json.loads(_build(tmp_path, name, capsys).read_text(encoding="utf-8"))
-    if part == "counit":
-        doc["counit"][0] = "2"
-    elif part == "unit":
-        doc["unit"][2] = "1"
-    elif part == "mul":   # g1.e·g2.e gains a g2.e term
-        doc["mul"][0][1][1] = "1"
+    if part in ENTRY_CORRUPTIONS:
+        (*path, last), value = ENTRY_CORRUPTIONS[part]
+        target = doc
+        for key in path:
+            target = target[key]
+        target[last] = value
     else:  # swap the first two columns of the antipode
         for row in doc["antipode"]:
             row[0], row[1] = row[1], row[0]
@@ -268,6 +287,12 @@ def _cases():
     for part in ("counit", "antipode", "unit", "mul"):
         for kind in ("weak-hopf", "identities"):
             cases.append((f"{kind} kG-Z2+Z3 corrupted {part}", kind, ("kG-Z2+Z3", part)))
+    # Δ(1) ≠ 1⊗1 on both: between them these fail (i), (iii)a, (iii)b, assoc,
+    # coassoc, S-(iii), S-antimult, S-anticomult and Eq 4.2a/b, 4.17, 4.18
+    for name in ("kG-dual-iso", "abelian-3"):
+        for part in ("unit[0]=2", "mul[0][1][1]=2", "comul[1][0][1]=2", "antipode"):
+            for kind in ("weak-hopf", "identities"):
+                cases.append((f"{kind} {name} corrupted {part}", kind, (name, part)))
     for field in ("Q", "Fp:7"):
         for corrupt in (False, True):
             tag = f"{field}{' corrupted' if corrupt else ''}"
@@ -287,6 +312,8 @@ def _cases():
         cases.append((f"globalize closing-one{tag}", "globalize", corrupt))
     for field in ("Q", "Fp:7"):
         cases.append((f"dualize {field}", "dualize", field))
+    for problem in ("wrong-side", "not-partial"):
+        cases.append((f"dualize {problem}", "dualize", problem))
     cases.append(("equiv lambda-derived", "equiv", "lambda"))
     cases += [(f"api {name}", "api", name) for name in API_CASES]
     return cases
@@ -315,6 +342,12 @@ def _output(kind, arg, tmp_path, capsys) -> str:
             path = _write(tmp_path, "lambda-derived.json", action_to_json(act, G))
         else:
             path = _gpa_doc(tmp_path, arg)
+    elif kind == "dualize" and arg == "wrong-side":
+        path = _regular_doc(tmp_path, "kG", "right", False, dual=False)
+        return _run_with_stderr(["--format", "json", "dualize", str(path)], capsys)
+    elif kind == "dualize" and arg == "not-partial":
+        path = _action_doc(tmp_path, QQ, True)
+        return _run_with_stderr(["--format", "json", "dualize", str(path)], capsys)
     elif kind == "dualize":
         command = ["dualize"]
         path = _action_doc(tmp_path, QQ if arg == "Q" else PrimeField(7), False)
@@ -371,17 +404,20 @@ if __name__ == "__main__":
     import io
     import tempfile
 
+    def _drain(buffer: io.StringIO) -> str:
+        text = buffer.getvalue()
+        buffer.seek(0)
+        buffer.truncate()
+        return text
+
     class _Capsys(io.StringIO):
         """The part of pytest's capsys fixture that `_output` uses."""
 
         def readouterr(self):
-            text = self.getvalue()
-            self.seek(0)
-            self.truncate()
-            return type("Captured", (), {"out": text})
+            return type("Captured", (), {"out": _drain(self), "err": _drain(err)})
 
-    cap, out = _Capsys(), {}
-    with contextlib.redirect_stdout(cap):
+    cap, err, out = _Capsys(), io.StringIO(), {}
+    with contextlib.redirect_stdout(cap), contextlib.redirect_stderr(err):
         for label, kind, arg in CASES:
             with tempfile.TemporaryDirectory() as tmp:
                 out[label] = _output(kind, arg, pathlib.Path(tmp), cap)

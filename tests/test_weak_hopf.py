@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import GF7, draw_structure, draw_vector, fields, groupoid_family
+from conftest import ENTRIES, GF7, draw_map, draw_structure, draw_vector, fields, groupoid_family
 
 from weakhopf import (
     QQ,
@@ -30,8 +30,15 @@ from weakhopf import (
 )
 from weakhopf.errors import CharacteristicDividesOrder
 from weakhopf.jsonio import canonical_dumps, weakhopf_from_json, weakhopf_to_json
-from weakhopf.report import CheckResult, compare_scalars
-from weakhopf.weak_hopf import AlgebraData, WeakBialgebraData, WeakHopfData, pointwise_product
+from weakhopf.report import CheckResult, compare_maps, compare_scalars, compare_vectors
+from weakhopf.tensor_space import swap_map
+from weakhopf.weak_hopf import (
+    AlgebraData,
+    CoalgebraData,
+    WeakBialgebraData,
+    WeakHopfData,
+    pointwise_product,
+)
 
 
 @pytest.mark.parametrize("name,G", groupoid_family())
@@ -323,3 +330,168 @@ def test_eps_form_is_counit_of_products(F, dim, data):
         for j in range(dim):
             prod = H.alg.product(Vector.basis(H.space, i), Vector.basis(H.space, j))
             assert form[i].get(j, F.zero()) == H.coalg.eps(prod)
+
+
+# -- contracted checks against the composite-map formulas -------------------------
+
+def reference_composite_checks(H) -> dict:
+    """The checks of ``check_weak_hopf``, ``check_identities`` and ``is_hopf``
+    that contract Sweedler legs, evaluated instead by building the composite
+    maps on H⊗H and H⊗H⊗H (``LinMap.tensor``, ``swap_map``, the power-3
+    ``pointwise_product``) and comparing them whole; label → CheckResult,
+    with ``hopf (iii)``/``hopf (iv)`` the two Hopf-detection verdicts."""
+    space, A, C, S = H.space, H.alg, H.coalg, H.antipode
+    n = space.dim
+    HH = tensor_product(space, space)
+    ident = LinMap.identity(space)
+    mul, comul, counit = A.mul, C.comul, C.counit
+    et, es = H.eps_t, H.eps_s
+    e = [Vector.basis(space, i) for i in range(n)]
+    delta2 = comul.tensor(ident) @ comul
+    d1 = C.delta(H.unit)
+    swap = swap_map(space, space)
+    out = {}
+
+    def add(label, result):
+        out[label] = CheckResult(label, result.passed, result.witness, result.skipped)
+
+    add("assoc", compare_maps("", mul @ mul.tensor(ident), mul @ ident.tensor(mul)))
+    add("coassoc", compare_maps("", delta2, ident.tensor(comul) @ comul))
+    add("(i)", compare_maps("", comul @ mul, LinMap.from_function(HH, HH, lambda idx: (
+        pointwise_product(A, 2, C.delta(e[idx // n]), C.delta(e[idx % n]))))))
+    one_delta, delta_one_ = H.unit.tensor(d1), d1.tensor(H.unit)
+    delta2_one = delta2.apply(H.unit)
+    add("(iii)a", compare_vectors("", pointwise_product(A, 3, one_delta, delta_one_),
+                                  delta2_one))
+    add("(iii)b", compare_vectors("", pointwise_product(A, 3, delta_one_, one_delta),
+                                  delta2_one))
+    add("S-(i)", compare_maps("", mul @ ident.tensor(S) @ comul, et))
+    add("S-(ii)", compare_maps("", mul @ S.tensor(ident) @ comul, es))
+    add("S-(iii)", compare_maps("", mul @ mul.tensor(ident) @ S.tensor(ident).tensor(S)
+                                @ delta2, S))
+    add("S-antimult", compare_maps("", S @ mul, mul @ S.tensor(S) @ swap))
+    add("S-anticomult", compare_maps("", comul @ S, swap @ S.tensor(S) @ comul))
+    add("Δ(1)=(S⊗S)flip(Δ(1))", compare_vectors("", d1, (swap @ S.tensor(S)).apply(d1)))
+
+    add("Eq 4.2a", compare_maps("", comul, LinMap.from_function(
+        space, HH, lambda j: pointwise_product(A, 2, C.delta(e[j]), d1))))
+    add("Eq 4.2b", compare_maps("", comul, LinMap.from_function(
+        space, HH, lambda j: pointwise_product(A, 2, d1, C.delta(e[j])))))
+    add("Eq 4.5", compare_maps("", counit @ mul @ ident.tensor(et), counit @ mul))
+    add("Eq 4.6", compare_maps("", counit @ mul @ es.tensor(ident), counit @ mul))
+    add("Eq 4.8", compare_maps("", et @ mul @ ident.tensor(et), et @ mul))
+    add("Eq 4.9", compare_maps("", es @ mul @ es.tensor(ident), es @ mul))
+
+    def d1_sandwich(left, right):   # h ↦ Σ left(1₁, h) ⊗ right(1₂, h)
+        return LinMap.from_function(space, HH, lambda j: sum(
+            (left(a, j).tensor(right(b, j)).scale(c) for a, b, c in H.wb.delta_one_pairs),
+            Vector.zero(HH)))
+
+    add("Eq 4.12", compare_maps("", ident.tensor(et) @ comul, d1_sandwich(
+        lambda a, j: A.product(e[a], e[j]), lambda b, j: e[b])))
+    add("Eq 4.13", compare_maps("", es.tensor(ident) @ comul, d1_sandwich(
+        lambda a, j: e[a], lambda b, j: A.product(e[j], e[b]))))
+
+    def eps_of_legs(h, k, leg):     # Σ ε(h₁k)h₂ (leg 0) or Σ k₁ε(hk₂) (leg 1)
+        return sum((e[q if leg == 0 else p].scale(
+            c * C.eps(A.product(e[p], e[k]) if leg == 0 else A.product(e[h], e[q])))
+            for p, q, c in C.delta_pairs(h if leg == 0 else k)), Vector.zero(space))
+
+    add("Eq 4.14", compare_maps("", mul @ ident.tensor(et), LinMap.from_function(
+        HH, space, lambda idx: eps_of_legs(idx // n, idx % n, 0))))
+    add("Eq 4.15", compare_maps("", mul @ es.tensor(ident), LinMap.from_function(
+        HH, space, lambda idx: eps_of_legs(idx // n, idx % n, 1))))
+    middle = lambda f: ident.tensor(f).tensor(ident)   # noqa: E731
+    pairs = [(a, b, c, a2, b2, c2) for a, b, c in H.wb.delta_one_pairs
+             for a2, b2, c2 in H.wb.delta_one_pairs]
+    add("Eq 4.17", compare_vectors("", middle(et).apply(delta2_one), sum(
+        (A.product(e[a], e[a2]).tensor(e[b]).tensor(e[b2]).scale(c * c2)
+         for a, b, c, a2, b2, c2 in pairs), Vector.zero(tensor_product(HH, space)))))
+    add("Eq 4.18", compare_vectors("", middle(es).apply(delta2_one), sum(
+        (e[a].tensor(e[a2]).tensor(A.product(e[b], e[b2])).scale(c * c2)
+         for a, b, c, a2, b2, c2 in pairs), Vector.zero(tensor_product(HH, space)))))
+    add("Eq 4.19", compare_maps("", et @ mul @ et.tensor(ident), mul @ et.tensor(et)))
+    add("Eq 4.20", compare_maps("", es @ mul @ ident.tensor(es), mul @ es.tensor(es)))
+
+    # ε(S(h)·1₁)1₂ and 1₁ε(1₂·S(h)) through ε∘m∘(S⊗id) and ε∘m∘(id⊗S)
+    eps_mul = counit @ mul
+    eS, Se = eps_mul @ S.tensor(ident), eps_mul @ ident.tensor(S)
+
+    def d1_functional(leg, scalar):
+        return LinMap.from_function(space, space, lambda j: sum(
+            (e[(a, b)[leg]].scale(c * scalar(a, b, j)) for a, b, c in H.wb.delta_one_pairs),
+            Vector.zero(space)))
+
+    zero = H.field.zero()
+    add("Eq 4.30", compare_maps("", et, d1_functional(
+        1, lambda a, b, j: eS.cols[j * n + a].get(0, zero))))
+    add("Eq 4.31", compare_maps("", es, d1_functional(
+        0, lambda a, b, j: Se.cols[b * n + j].get(0, zero))))
+
+    def sweedler3(build):           # h ↦ Σ x⊗y over Δ²(h), (x, y) = build(h₁, h₂, h₃)
+        return LinMap.from_function(space, HH, lambda j: sum(
+            (x.tensor(y).scale(c) for idx, c in delta2.cols[j].items()
+             for x, y in (build(e[idx // (n * n)], e[idx // n % n], e[idx % n]),)),
+            Vector.zero(HH)))
+
+    P = A.product
+    add("Eq 4.36", compare_maps("", sweedler3(lambda p, q, r: (p, P(q, H.S(r)))),
+                                d1_sandwich(lambda a, j: P(e[a], e[j]), lambda b, j: e[b])))
+    add("Eq 4.37", compare_maps("", sweedler3(lambda p, q, r: (P(H.S(p), q), r)),
+                                d1_sandwich(lambda a, j: e[a], lambda b, j: P(e[j], e[b]))))
+    add("Eq 4.38", compare_maps("", sweedler3(lambda p, q, r: (p, P(H.S(q), r))),
+                                d1_sandwich(lambda a, j: P(e[j], e[a]), lambda b, j: H.S(e[b]))))
+    add("Eq 4.39", compare_maps("", sweedler3(lambda p, q, r: (P(p, H.S(q)), r)),
+                                d1_sandwich(lambda a, j: H.S(e[a]), lambda b, j: P(e[b], e[j]))))
+    one = H.field.one()
+    eps_times_one = LinMap.from_function(space, space,
+                                         lambda j: H.unit.scale(C.eps_coeff(j) * one))
+    add("hopf (iii)", CheckResult("", (mul @ ident.tensor(S) @ comul) == eps_times_one))
+    add("hopf (iv)", CheckResult("", (mul @ S.tensor(ident) @ comul) == eps_times_one))
+    return out
+
+
+def _mutated(H, data):
+    """H with one entry of one structure tensor (or of the antipode) moved by
+    a drawn nonzero amount."""
+    F, n = H.field, H.space.dim
+    part = data.draw(st.sampled_from(["mul", "comul", "unit", "counit", "antipode"]))
+    delta = F.coerce(data.draw(st.sampled_from([x for x in ENTRIES[F] if x])))
+    if part == "unit":
+        i = data.draw(st.integers(0, n - 1))
+        unit = Vector.from_coords(H.space, [c + delta if k == i else c
+                                            for k, c in enumerate(H.unit.coords)])
+        return WeakHopfData(WeakBialgebraData(AlgebraData(H.space, H.alg.mul, unit),
+                                              H.coalg), H.antipode)
+    f = {"mul": H.alg.mul, "comul": H.coalg.comul, "counit": H.coalg.counit,
+         "antipode": H.antipode}[part]
+    j = data.draw(st.integers(0, f.domain.dim - 1))
+    i = data.draw(st.integers(0, f.codomain.dim - 1))
+    rows = [list(r) for r in f.rows]
+    rows[i][j] += delta
+    g = LinMap.from_rows(f.domain, f.codomain, rows)
+    alg = AlgebraData(H.space, g, H.unit) if part == "mul" else H.alg
+    coalg = CoalgebraData(H.space, g if part == "comul" else H.coalg.comul,
+                          g if part == "counit" else H.coalg.counit)
+    return WeakHopfData(WeakBialgebraData(alg, coalg), g if part == "antipode" else H.antipode)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.data())
+def test_contracted_checks_match_composite_maps(F, data):
+    """Every contracted check returns the CheckResult of its composite-map
+    formula, on random structure constants with a random antipode and on the
+    example structures with one entry moved."""
+    if data.draw(st.booleans()):
+        dim = data.draw(st.integers(1, 3))
+        H = draw_structure(data, F, dim)
+        H = WeakHopfData(H.wb, draw_map(data, H.space, H.space))
+    else:
+        H = _mutated(data.draw(st.sampled_from(sorted(EXAMPLES.items())))[1](F), data)
+    reference = reference_composite_checks(H)
+    results = {r.label: r for r in check_weak_hopf(H).results + check_identities(H).results}
+    verdict = is_hopf(H)
+    results["hopf (iii)"] = CheckResult("hopf (iii)", verdict.left_antipode_classical)
+    results["hopf (iv)"] = CheckResult("hopf (iv)", verdict.right_antipode_classical)
+    for label, expected in reference.items():
+        assert results[label] == expected, label
