@@ -19,17 +19,7 @@ from .partial_actions import (
     check_partial_module_coalgebra,
 )
 from .tensor_space import LinMap
-from .weak_hopf import AlgebraData, CoalgebraData, dual_space
-
-
-def dual_convolution_algebra(C: CoalgebraData) -> AlgebraData:
-    """The convolution algebra on the coordinate dual basis of C:
-    (αβ)(c) = α(c₁)β(c₂), with unit ε."""
-    n = C.space.dim
-    dspace = dual_space(C.space)
-    delta_t = C.comul_tensor().entries   # [k][i][j]
-    entries = [[[delta_t[k][i][j] for k in range(n)] for j in range(n)] for i in range(n)]
-    return AlgebraData.from_tensor(dspace, entries, [C.eps_coeff(i) for i in range(n)])
+from .weak_hopf import CoalgebraData, dual_convolution_algebra
 
 
 def _transpose(act: ActionTensor, side: str, C: CoalgebraData | None,

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 from .errors import AxiomViolation, CharacteristicDividesOrder, ShapeMismatch
 from .scalars import Field
-from .tensor_space import FinVec, LinMap, Vector, ground
+from .tensor_space import FinVec, LinMap, Vector, ground, tensor_product
 from .weak_hopf import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
 
 
@@ -216,27 +216,29 @@ def groupoid_to_spec(G: FiniteGroupoid) -> dict:
 # weak Hopf structures on groupoids
 # ---------------------------------------------------------------------------
 
+def _assemble(space: FinVec, products, unit: dict, coproducts, counit, antipode) -> WeakHopfData:
+    """A weak Hopf algebra from sparse columns: ``products[i·n + j]`` is
+    e_i·e_j, ``coproducts[i]`` is Δ(e_i) keyed a·n + b, ``unit`` the unit's
+    terms, ``counit`` the dense counit values and ``antipode`` S's columns."""
+    HH = tensor_product(space, space)
+    alg = AlgebraData(space, LinMap(HH, space, products), Vector(space, unit))
+    counit_map = LinMap(space, ground(space.field), [{0: c} if c else {} for c in counit])
+    coalg = CoalgebraData(space, LinMap(space, HH, coproducts), counit_map)
+    return WeakHopfData(WeakBialgebraData(alg, coalg), LinMap(space, space, antipode))
+
+
 def groupoid_algebra(G: FiniteGroupoid, field: Field) -> WeakHopfData:
     """The groupoid algebra: basis δ_g, product δ_gδ_h = δ_{gh} on composable
     pairs (zero otherwise), grouplike comultiplication, unit Σ_e δ_e and
     antipode δ_g ↦ δ_{g⁻¹}."""
-    space = FinVec(field, G.elements)
+    space, idx, o = FinVec(field, G.elements), G.index, field.one()
     n = space.dim
-    z, o = field.zero(), field.one()
-
-    mul_entries = [[[z] * n for _ in range(n)] for _ in range(n)]
+    products = [{} for _ in range(n * n)]
     for (g, h), gh in G.mul.items():
-        mul_entries[G.index(g)][G.index(h)][G.index(gh)] = o
-    unit = [o if g in set(G.identities) else z for g in G.elements]
-    alg = AlgebraData.from_tensor(space, mul_entries, unit)
-
-    comul_entries = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        comul_entries[i][i][i] = o
-    coalg = CoalgebraData.from_tensor(space, comul_entries, [o] * n)
-
-    antipode = LinMap(space, space, [{G.index(G.inv[g]): o} for g in G.elements])
-    return WeakHopfData(WeakBialgebraData(alg, coalg), antipode)
+        products[idx(g) * n + idx(h)] = {idx(gh): o}
+    return _assemble(space, products, {idx(e): o for e in G.identities},
+                     [{i * n + i: o} for i in range(n)], [o] * n,
+                     [{idx(G.inv[g]): o} for g in G.elements])
 
 
 def dual_groupoid_algebra(G: FiniteGroupoid, field: Field) -> WeakHopfData:
@@ -247,26 +249,14 @@ def dual_groupoid_algebra(G: FiniteGroupoid, field: Field) -> WeakHopfData:
     Built independently of :func:`weak_hopf.dualize` so the two construction
     routes can be compared tensor-entrywise.
     """
-    space = FinVec(field, tuple(f"p_{g}" for g in G.elements))
+    space, idx, o = FinVec(field, tuple(f"p_{g}" for g in G.elements)), G.index, field.one()
     n = space.dim
-    z, o = field.zero(), field.one()
-
-    mul_entries = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i in range(n):
-        mul_entries[i][i][i] = o
-    alg = AlgebraData.from_tensor(space, mul_entries, [o] * n)
-
-    comul_entries = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for k, g in enumerate(G.elements):
-        for i, h in enumerate(G.elements):
-            hig = G.product(G.inv[h], g)
-            if hig is not None:
-                comul_entries[k][i][G.index(hig)] = o
-    counit = [o if g in set(G.identities) else z for g in G.elements]
-    coalg = CoalgebraData.from_tensor(space, comul_entries, counit)
-
-    antipode = LinMap(space, space, [{G.index(G.inv[g]): o} for g in G.elements])
-    return WeakHopfData(WeakBialgebraData(alg, coalg), antipode)
+    coproducts = [{i * n + idx(hig): o for i, h in enumerate(G.elements)
+                   if (hig := G.product(G.inv[h], g)) is not None} for g in G.elements]
+    counit = [o if g in set(G.identities) else field.zero() for g in G.elements]
+    return _assemble(space, [{i: o} if i == j else {} for i in range(n) for j in range(n)],
+                     {i: o for i in range(n)}, coproducts, counit,
+                     [{idx(G.inv[g]): o} for g in G.elements])
 
 
 # ---------------------------------------------------------------------------
@@ -322,22 +312,9 @@ def abelian_group_weak_hopf(G: FiniteAbelianGroup, field: Field) -> WeakHopfData
     elems = G.elements
     index = {g: i for i, g in enumerate(elems)}
     space = FinVec(field, tuple(G.label(g) for g in elems))
-    n = space.dim
-    z, o = field.zero(), field.one()
-    inv_n = field.inv(field.from_int(N))
-
-    mul_entries = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i, g in enumerate(elems):
-        for j, h in enumerate(elems):
-            mul_entries[i][j][index[G.op(g, h)]] = o
-    unit = [o if g == G.identity else z for g in elems]
-    alg = AlgebraData.from_tensor(space, mul_entries, unit)
-
-    comul_entries = [[[z] * n for _ in range(n)] for _ in range(n)]
-    for i, g in enumerate(elems):
-        for h in elems:
-            comul_entries[i][index[G.op(g, h)]][index[G.neg(h)]] = inv_n
-    counit = [field.from_int(N) if g == G.identity else z for g in elems]
-    coalg = CoalgebraData.from_tensor(space, comul_entries, counit)
-
-    return WeakHopfData(WeakBialgebraData(alg, coalg), LinMap.identity(space))
+    n, o, inv_n = space.dim, field.one(), field.inv(field.from_int(N))
+    coproducts = [{index[G.op(g, h)] * n + index[G.neg(h)]: inv_n for h in elems} for g in elems]
+    counit = [field.from_int(N) if g == G.identity else field.zero() for g in elems]
+    return _assemble(space, [{index[G.op(g, h)]: o} for g in elems for h in elems],
+                     {index[G.identity]: o}, coproducts, counit,
+                     LinMap.identity(space).cols)

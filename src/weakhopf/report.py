@@ -106,33 +106,42 @@ def _first_difference(a: dict, b: dict, zero):
     return i, a.get(i, zero), b.get(i, zero)
 
 
-def compare_maps(label: str, lhs, rhs) -> CheckResult:
-    """Exact equality of two LinMaps; the witness is the first basis input
+def compare_maps(label: str, lhs, rhs, where=None) -> CheckResult:
+    """Exact equality of two LinMaps, or with ``where = (field, name)`` of two
+    lazily produced column sequences; the witness is the first basis input
     (scanning domain basis vectors in order, then outputs in order) where
-    they disagree."""
-    if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
-        return CheckResult(label, False, "shape mismatch between the two sides")
-    field = lhs.domain.field
-    for j, (ca, cb) in enumerate(zip(lhs.cols, rhs.cols)):
-        diff = _first_difference(ca, cb, field.zero())
+    they disagree, labelled ``name(j, i)`` only then."""
+    if where is None:
+        if lhs.domain != rhs.domain or lhs.codomain != rhs.codomain:
+            return CheckResult(label, False, "shape mismatch between the two sides")
+        dom, cod = lhs.domain.labels, lhs.codomain.labels
+        where = (lhs.field, lambda j, i: (dom[j], cod[i]))
+        lhs, rhs = lhs.cols, rhs.cols
+    field, name = where
+    zero = field.zero()
+    for j, (ca, cb) in enumerate(zip(lhs, rhs)):
+        diff = _first_difference(ca, cb, zero)
         if diff is not None:
             i, a, b = diff
-            witness = (
-                f"input {lhs.domain.labels[j]}, output {lhs.codomain.labels[i]}: "
-                f"{field.fmt(a)} ≠ {field.fmt(b)}"
-            )
-            return CheckResult(label, False, witness)
+            x, y = name(j, i)
+            return CheckResult(label, False,
+                               f"input {x}, output {y}: {field.fmt(a)} ≠ {field.fmt(b)}")
     return CheckResult(label, True)
 
 
-def compare_vectors(label: str, lhs, rhs) -> CheckResult:
-    if lhs.space != rhs.space:
-        return CheckResult(label, False, "the two sides live in different spaces")
-    field = lhs.space.field
-    diff = _first_difference(lhs.terms, rhs.terms, field.zero())
+def compare_vectors(label: str, lhs, rhs, where=None) -> CheckResult:
+    """Exact equality of two Vectors, or with ``where = (field, name)`` of two
+    sparse coordinate dicts, coordinate i labelled ``name(i)`` on failure."""
+    if where is None:
+        if lhs.space != rhs.space:
+            return CheckResult(label, False, "the two sides live in different spaces")
+        where = (lhs.space.field, lhs.space.labels.__getitem__)
+        lhs, rhs = lhs.terms, rhs.terms
+    field, name = where
+    diff = _first_difference(lhs, rhs, field.zero())
     if diff is not None:
         i, a, b = diff
-        return CheckResult(label, False, f"coefficient of {lhs.space.labels[i]}: "
+        return CheckResult(label, False, f"coefficient of {name(i)}: "
                                          f"{field.fmt(a)} ≠ {field.fmt(b)}")
     return CheckResult(label, True)
 
