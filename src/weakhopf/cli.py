@@ -201,7 +201,8 @@ def _cmd_dualize(args) -> int:
 
     doc = _load(args.path)
     act = jsonio.action_from_json(doc)
-    dual = dualize_coalgebra_action(act, check=False)   # ShapeMismatch on a wrong-side action
+    # a wrong-side action raises ShapeMismatch here, before the PMC verdict below
+    dual = dualize_coalgebra_action(act, check=False)
     vc = check_partial_module_coalgebra(act)
     if not vc.is_partial:
         raise InputNotPartialAction("input does not satisfy PMC1-PMC3")

@@ -333,9 +333,9 @@ def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
     ue, eu = [A.times(u, x) for x in e], [A.times(x, u) for x in e]
     delta2_one = _combine(C.delta2, u.items())
     d1, where = wb.delta_one_pairs, _where(H, 3)
-    for label, left, right, after in (("(iii)a", ue, eu, False), ("(iii)b", eu, ue, True)):
-        rep.add(compare_vectors(label, _sum3(((left[a], p, right[b2], c) for a, b, a2, b2, c, p
-                                              in _joined(A, d1, 1, d1, 0, after)), n),
+    for label, first, last, b_first in (("(iii)a", ue, eu, False), ("(iii)b", eu, ue, True)):
+        rep.add(compare_vectors(label, _sum3(((first[a], p, last[b2], c) for a, b, a2, b2, c, p
+                                              in _joined(A, d1, 1, d1, 0, b_first)), n),
                                 delta2_one, where))
     return rep
 

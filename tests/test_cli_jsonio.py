@@ -211,6 +211,45 @@ def test_cli_dualize(tmp_path, capsys):
     assert dual.side == "right" and dual.is_algebra_action()
 
 
+def _counting(monkeypatch, fn, *modules):
+    """Replace ``fn`` by a counting wrapper in every listed module that
+    imports it."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted, raising=False)
+    return calls
+
+
+def test_cli_dualize_checks_the_action_once(tmp_path, capsys, monkeypatch):
+    import weakhopf.cli
+    import weakhopf.dualization
+    from weakhopf.partial_actions import check_partial_module_coalgebra
+
+    calls = _counting(monkeypatch, check_partial_module_coalgebra,
+                      weakhopf.cli, weakhopf.dualization)
+    act, _ = isotropy_lambda_action(disjoint_union_of_cyclic([2, 3]), QQ, "g1.e")
+    assert main(["dualize", write(tmp_path, "act.json", action_to_json(act))]) == 0
+    assert len(calls) == 1
+
+
+def test_cli_globalize_checks_the_triple_once(tmp_path, capsys, monkeypatch):
+    import weakhopf.cli
+    import weakhopf.globalization
+    from weakhopf.globalization import check_globalization
+
+    calls = _counting(monkeypatch, check_globalization, weakhopf.cli, weakhopf.globalization)
+    H = groupoid_algebra(disjoint_union_of_cyclic([2, 3]), QQ)
+    lam = LambdaFunctional.indicator(H, ["g1.e"])
+    act = lambda_action(lam, grouplike_coalgebra(QQ, ["c0", "c1"]), "right")
+    assert main(["globalize", write(tmp_path, "act.json", action_to_json(act))]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_globalize(tmp_path, capsys):
     G = disjoint_union_of_cyclic([2, 3])
     H = groupoid_algebra(G, QQ)
