@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 from .errors import AxiomViolation, CharacteristicDividesOrder, ShapeMismatch
 from .scalars import Field
-from .tensor_space import FinVec, LinMap, Vector, ground, tensor_product
-from .weak_hopf import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
+from .tensor_space import FinVec, LinMap
+from .weak_hopf import WeakHopfData, _assemble
 
 
 @dataclass(frozen=True)
@@ -215,17 +215,6 @@ def groupoid_to_spec(G: FiniteGroupoid) -> dict:
 # ---------------------------------------------------------------------------
 # weak Hopf structures on groupoids
 # ---------------------------------------------------------------------------
-
-def _assemble(space: FinVec, products, unit: dict, coproducts, counit, antipode) -> WeakHopfData:
-    """A weak Hopf algebra from sparse columns: ``products[i·n + j]`` is
-    e_i·e_j, ``coproducts[i]`` is Δ(e_i) keyed a·n + b, ``unit`` the unit's
-    terms, ``counit`` the dense counit values and ``antipode`` S's columns."""
-    HH = tensor_product(space, space)
-    alg = AlgebraData(space, LinMap(HH, space, products), Vector(space, unit))
-    counit_map = LinMap(space, ground(space.field), [{0: c} if c else {} for c in counit])
-    coalg = CoalgebraData(space, LinMap(space, HH, coproducts), counit_map)
-    return WeakHopfData(WeakBialgebraData(alg, coalg), LinMap(space, space, antipode))
-
 
 def groupoid_algebra(G: FiniteGroupoid, field: Field) -> WeakHopfData:
     """The groupoid algebra: basis δ_g, product δ_gδ_h = δ_{gh} on composable

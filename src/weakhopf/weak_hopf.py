@@ -93,12 +93,14 @@ class AlgebraData:
     def validate(self) -> Report:
         rep = Report(f"algebra axioms on {self.space.dim}-dim space")
         n, m = self.space.dim, self.mul.cols
-        # assoc per basis pair x = h·n + k: l ↦ (hk)l and l ↦ h(kl) as dicts keyed l·n + output
-        lmul = [{l * n + o: c for l in range(n) for o, c in m[t * n + l].items()} for t in range(n)]
+        # assoc per basis pair x = h·n + k, comparing l ↦ (hk)l with l ↦ h(kl) as dicts keyed
+        # l·n + output; left_by[t] is l ↦ e_t·e_l in that form
+        left_by = [{l * n + o: c for l in range(n) for o, c in m[t * n + l].items()}
+                   for t in range(n)]
         field, name = _where(self.space, 3, 1)
-        rep.add(compare_maps("assoc", (_combine(lmul, col.items()) for col in m), (
+        rep.add(compare_maps("assoc", (_combine(left_by, col.items()) for col in m), (
             _accumulate(({key - key % n + o: v for o, v in m[x - x % n + key % n].items()}, c)
-                        for key, c in lmul[x % n].items()) for x in range(n * n)),
+                        for key, c in left_by[x % n].items()) for x in range(n * n)),
             (field, lambda x, key: name(x * n + key // n, key % n))))
         u, labels, e = self.unit.terms, self.space.labels, LinMap.identity(self.space).cols
         for label, left in (("unit-left", True), ("unit-right", False)):
@@ -420,18 +422,16 @@ def check_weak_hopf(H: WeakHopfData) -> Report:
 
     space, n, S, Sc = H.space, H.space.dim, H.antipode, H.antipode.cols
     m, comul, terms = H.alg.mul.cols, H.coalg.comul.cols, H.coalg._delta_terms
-    where = _where(space, 1, 1)
-
     # S-(i) h₁S(h₂) = ε_t(h), S-(ii) S(h₁)h₂ = ε_s(h), S-(iii) (S(h₁)h₂)S(h₃) = S(h),
     # the last as Σ σ(h₁)S(h₂) over Δ(h) with σ = S-(ii)'s left side
     mul_id_s, mul_s_id = _mul_with(H.alg, Sc, 1), _mul_with(H.alg, Sc, 0)
     sigma = [_combine(mul_s_id, col.items()) for col in comul]
-    rep.add(compare_maps("S-(i)", (_combine(mul_id_s, col.items()) for col in comul),
-                         H.eps_t.cols, where))
-    rep.add(compare_maps("S-(ii)", sigma, H.eps_s.cols, where))
-    rep.add(compare_maps("S-(iii)", (_combine(mul_id_s, _accumulate(
+    rep.add(compare_maps("S-(i)", LinMap(space, space, [_combine(mul_id_s, col.items())
+                                                         for col in comul]), H.eps_t))
+    rep.add(compare_maps("S-(ii)", LinMap(space, space, sigma), H.eps_s))
+    rep.add(compare_maps("S-(iii)", LinMap(space, space, [_combine(mul_id_s, _accumulate(
         ({t * n + b: v for t, v in sigma[a].items()}, c) for a, b, c in t3).items())
-        for t3 in terms), Sc, where))
+        for t3 in terms]), S))
 
     rep.add(compare_vectors("S(1)=1", H.S(H.unit), H.unit))
     rep.add(compare_maps("eps∘S=eps", H.coalg.counit @ S, H.coalg.counit))
@@ -439,6 +439,7 @@ def check_weak_hopf(H: WeakHopfData) -> Report:
     rep.add(compare_maps("S-antimult", (_combine(Sc, col.items()) for col in m), (
         _combine(m, _kron(Sc[x % n], Sc[x // n], n).items()) for x in range(n * n)),
         _where(space, 2, 1)))
+
     def flip_s(t) -> dict:   # flip∘(S⊗S) on Sweedler terms: Σ c·S(e_b)⊗S(e_a)
         return _accumulate((_kron(Sc[b], Sc[a], n), c) for a, b, c in t)
 
@@ -486,10 +487,11 @@ def check_identities(H: WeakHopfData) -> Report:
 
     # 4.2  h₁⊗h₂ = h₁1₁⊗h₂1₂ = 1₁h₁⊗1₂h₂
     d1, d1p = H.wb.delta_one, H.wb.delta_one_pairs
-    rep.add(compare_maps("Eq 4.2a", comul.cols, (pointwise_product(A, 2, comul.column(j), d1).terms
-                                                  for j in range(n)), _where(space, 1, 2)))
-    rep.add(compare_maps("Eq 4.2b", comul.cols, (pointwise_product(A, 2, d1, comul.column(j)).terms
-                                                  for j in range(n)), _where(space, 1, 2)))
+    one_two = _where(space, 1, 2)
+    rep.add(compare_maps("Eq 4.2a", comul.cols, (pointwise_product(A, 2, h, d1).terms
+                                                  for h in comul.columns()), one_two))
+    rep.add(compare_maps("Eq 4.2b", comul.cols, (pointwise_product(A, 2, d1, h).terms
+                                                  for h in comul.columns()), one_two))
 
     rep.add(compare_maps("Eq 4.3", et @ et, et))
     rep.add(compare_maps("Eq 4.4", es @ es, es))
@@ -497,8 +499,8 @@ def check_identities(H: WeakHopfData) -> Report:
     form, etc, esc, m = H.wb.eps_form, et.cols, es.cols, A.mul.cols
     pair, ground_label = _where(space, 2)[1], counit.codomain.labels[0]
     by_h = (H.field, lambda h, k: (pair(h * n + k), ground_label))
-    rep.add(compare_maps("Eq 4.5", (_combine(et.transposed_rows(), row.items()) for row in form),
-                         form, by_h))
+    et_rows = et.transposed_rows()
+    rep.add(compare_maps("Eq 4.5", (_combine(et_rows, row.items()) for row in form), form, by_h))
     rep.add(compare_maps("Eq 4.6", (_combine(form, col.items()) for col in esc), form, by_h))
 
     # 4.7  Δ(1) ∈ Hs⊗Ht
@@ -531,10 +533,10 @@ def check_identities(H: WeakHopfData) -> Report:
     rep.add(first_failure("Eq 4.11", restricted(comul, map_1_h1, H.Hs), at_h))
     rep.add(compare_maps("Eq 4.12", (
         _accumulate(({a * n + t: v for t, v in etc[b].items()}, c) for a, b, c in terms)
-        for terms in C._delta_terms), map_1h_1.cols, _where(space, 1, 2)))
+        for terms in C._delta_terms), map_1h_1.cols, one_two))
     rep.add(compare_maps("Eq 4.13", (
         _accumulate(({t * n + b: v for t, v in esc[a].items()}, c) for a, b, c in terms)
-        for terms in C._delta_terms), map_1_h1.cols, _where(space, 1, 2)))
+        for terms in C._delta_terms), map_1_h1.cols, one_two))
 
     # 4.14  hε_t(k) = ε(h₁k)h₂ ; 4.15  ε_s(h)k = k₁ε(hk₂)
     rep.add(compare_maps("Eq 4.14", h_et, (
@@ -710,12 +712,19 @@ def dualize(H: WeakHopfData) -> WeakHopfData:
     antipode is precomposition with S (the transpose of S's matrix).
     """
     dual_alg = dual_convolution_algebra(H.coalg)
-    dspace = dual_alg.space
-    counit = LinMap(dspace, ground(H.field), [{0: c} if c else {} for c in H.unit.coords])
-    dual_coalg = CoalgebraData(dspace, LinMap(dspace, dual_alg.mul.domain,
-                                              H.alg.mul.transposed_rows()), counit)
-    dual_s = LinMap(dspace, dspace, H.antipode.transposed_rows())
-    return WeakHopfData(WeakBialgebraData(dual_alg, dual_coalg), dual_s)
+    return _assemble(dual_alg.space, dual_alg.mul.cols, dual_alg.unit.terms,
+                     H.alg.mul.transposed_rows(), H.unit.coords, H.antipode.transposed_rows())
+
+
+def _assemble(space: FinVec, products, unit: dict, coproducts, counit, antipode) -> WeakHopfData:
+    """A weak Hopf algebra from sparse columns: ``products[i·n + j]`` is
+    e_i·e_j, ``coproducts[i]`` is Δ(e_i) keyed a·n + b, ``unit`` the unit's
+    terms, ``counit`` the dense counit values and ``antipode`` S's columns."""
+    HH = tensor_product(space, space)
+    alg = AlgebraData(space, LinMap(HH, space, products), Vector(space, unit))
+    counit_map = LinMap(space, ground(space.field), [{0: c} if c else {} for c in counit])
+    coalg = CoalgebraData(space, LinMap(space, HH, coproducts), counit_map)
+    return WeakHopfData(WeakBialgebraData(alg, coalg), LinMap(space, space, antipode))
 
 
 def dual_convolution_algebra(C: CoalgebraData) -> AlgebraData:

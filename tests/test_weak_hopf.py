@@ -337,8 +337,8 @@ def test_eps_form_is_counit_of_products(F, dim, data):
 def reference_composite_checks(H) -> dict:
     """The checks of ``check_weak_hopf``, ``check_identities`` and ``is_hopf``
     that contract Sweedler legs, evaluated instead by building the composite
-    maps on H⊗H and H⊗H⊗H (``LinMap.tensor``, ``swap_map``, the power-3
-    ``pointwise_product``) and comparing them whole; label → CheckResult,
+    maps on H⊗H and H⊗H⊗H (``LinMap.tensor``, ``swap_map``, componentwise
+    products from fresh products) and comparing them whole; label → CheckResult,
     with ``hopf (iii)``/``hopf (iv)`` the two Hopf-detection verdicts."""
     space, A, C, S = H.space, H.alg, H.coalg, H.antipode
     n = space.dim
@@ -358,12 +358,12 @@ def reference_composite_checks(H) -> dict:
     add("assoc", compare_maps("", mul @ mul.tensor(ident), mul @ ident.tensor(mul)))
     add("coassoc", compare_maps("", delta2, ident.tensor(comul) @ comul))
     add("(i)", compare_maps("", comul @ mul, LinMap.from_function(HH, HH, lambda idx: (
-        pointwise_product(A, 2, C.delta(e[idx // n]), C.delta(e[idx % n]))))))
+        reference_pointwise(A, 2, C.delta(e[idx // n]), C.delta(e[idx % n]))))))
     one_delta, delta_one_ = H.unit.tensor(d1), d1.tensor(H.unit)
     delta2_one = delta2.apply(H.unit)
-    add("(iii)a", compare_vectors("", pointwise_product(A, 3, one_delta, delta_one_),
+    add("(iii)a", compare_vectors("", reference_pointwise(A, 3, one_delta, delta_one_),
                                   delta2_one))
-    add("(iii)b", compare_vectors("", pointwise_product(A, 3, delta_one_, one_delta),
+    add("(iii)b", compare_vectors("", reference_pointwise(A, 3, delta_one_, one_delta),
                                   delta2_one))
     add("S-(i)", compare_maps("", mul @ ident.tensor(S) @ comul, et))
     add("S-(ii)", compare_maps("", mul @ S.tensor(ident) @ comul, es))
@@ -374,9 +374,9 @@ def reference_composite_checks(H) -> dict:
     add("Δ(1)=(S⊗S)flip(Δ(1))", compare_vectors("", d1, (swap @ S.tensor(S)).apply(d1)))
 
     add("Eq 4.2a", compare_maps("", comul, LinMap.from_function(
-        space, HH, lambda j: pointwise_product(A, 2, C.delta(e[j]), d1))))
+        space, HH, lambda j: reference_pointwise(A, 2, C.delta(e[j]), d1))))
     add("Eq 4.2b", compare_maps("", comul, LinMap.from_function(
-        space, HH, lambda j: pointwise_product(A, 2, d1, C.delta(e[j])))))
+        space, HH, lambda j: reference_pointwise(A, 2, d1, C.delta(e[j])))))
     add("Eq 4.5", compare_maps("", counit @ mul @ ident.tensor(et), counit @ mul))
     add("Eq 4.6", compare_maps("", counit @ mul @ es.tensor(ident), counit @ mul))
     add("Eq 4.8", compare_maps("", et @ mul @ ident.tensor(et), et @ mul))
