@@ -19,31 +19,10 @@ import argparse
 import json
 import sys
 
-from . import jsonio
 from .errors import InputNotPartialAction, MalformedInput, WorkbenchError
-from .globalization import (
-    dual_globalization_transfer,
-    find_basis_grouplikes,
-    standard_globalization,
-)
-from .groupoid import dual_groupoid_algebra, groupoid_algebra, groupoid_from_spec, \
-    abelian_group_weak_hopf
-from .partial_actions import (
-    check_dual_k_partial_action_criterion,
-    check_k_partial_action_group_criterion,
-    check_lambda_global,
-    check_lambda_partial,
-    check_module_algebra,
-    check_module_coalgebra,
-    check_partial_module_algebra,
-    check_partial_module_coalgebra,
-    from_kG_action,
-    to_kG_action,
-    validate_groupoid_partial_action,
-)
 from .report import CheckResult, Report
-from .scalars import field_from_name
-from .weak_hopf import check_identities, check_weak_bialgebra, check_weak_hopf, is_hopf
+
+# Each command imports the modules it runs, so a `whw` process loads only those.
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
@@ -71,7 +50,9 @@ def _load(path: str) -> dict:
 
 
 def _emit(doc: dict, out: str | None) -> None:
-    text = jsonio.canonical_dumps(doc)
+    from .jsonio import canonical_dumps
+
+    text = canonical_dumps(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -82,7 +63,8 @@ def _emit(doc: dict, out: str | None) -> None:
 def _print_reports(reports: list[Report], fmt: str) -> int:
     ok = all(r.ok for r in reports)
     if fmt == "json":
-        print(jsonio.canonical_dumps({
+        from .jsonio import canonical_dumps
+        print(canonical_dumps({
             "ok": ok,
             "reports": [r.to_json() for r in reports],
         }))
@@ -93,6 +75,8 @@ def _print_reports(reports: list[Report], fmt: str) -> int:
 
 
 def _cmd_validate_groupoid(args) -> int:
+    from .groupoid import groupoid_from_spec
+
     doc = _load(args.path)
     G = groupoid_from_spec(doc)
     rep = Report("groupoid axioms")
@@ -103,6 +87,11 @@ def _cmd_validate_groupoid(args) -> int:
 
 
 def _cmd_build(args) -> int:
+    from . import jsonio
+    from .groupoid import (abelian_group_weak_hopf, dual_groupoid_algebra,
+                           groupoid_algebra, groupoid_from_spec)
+    from .scalars import field_from_name
+
     field = field_from_name(args.field)
     doc = _load(args.spec)
     if args.kind == "kG":
@@ -116,9 +105,12 @@ def _cmd_build(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from . import jsonio
+
     doc = _load(args.path)
     kind = args.kind
     if kind in ("weak-hopf", "wb", "identities", "hopf"):
+        from .weak_hopf import check_identities, check_weak_bialgebra, check_weak_hopf, is_hopf
         H = jsonio.weakhopf_from_json(doc)
         if kind == "weak-hopf":
             reports = [check_weak_hopf(H)]
@@ -130,6 +122,9 @@ def _cmd_check(args) -> int:
             reports = [is_hopf(H).report()]
         return _print_reports(reports, args.format)
     if kind in ("mc", "pmc", "ma", "pma"):
+        from .partial_actions import (check_module_algebra, check_module_coalgebra,
+                                      check_partial_module_algebra,
+                                      check_partial_module_coalgebra)
         act = jsonio.action_from_json(doc)
         if kind == "mc":
             return _print_reports([check_module_coalgebra(act)], args.format)
@@ -141,6 +136,9 @@ def _cmd_check(args) -> int:
             verdict = check_partial_module_algebra(act)
         return _print_reports([verdict.full_report()], args.format)
     if kind == "lambda":
+        from .partial_actions import (check_dual_k_partial_action_criterion,
+                                      check_k_partial_action_group_criterion,
+                                      check_lambda_global, check_lambda_partial)
         lf, G, hopf_kind, side = jsonio.lambda_from_json(doc)
         verdict = check_lambda_partial(lf, side)
         reports = [verdict.report]
@@ -158,12 +156,17 @@ def _cmd_check(args) -> int:
                            .report("dual V-group criterion"))
         return _print_reports(reports, args.format)
     if kind == "groupoid-action":
+        from .partial_actions import validate_groupoid_partial_action
         gpa = jsonio.gpa_from_json(doc)
         return _print_reports([validate_groupoid_partial_action(gpa)], args.format)
     raise AssertionError(kind)
 
 
 def _cmd_equiv(args) -> int:
+    from . import jsonio
+    from .partial_actions import (check_partial_module_coalgebra, from_kG_action,
+                                  to_kG_action, validate_groupoid_partial_action)
+
     doc = _load(args.path)
     rep = Report("equivalence round-trip")
     if doc.get("schema") == "groupoid-action":
@@ -197,7 +200,9 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
+    from . import jsonio
     from .dualization import dualize_coalgebra_action, undualize_algebra_action
+    from .partial_actions import check_partial_module_algebra, check_partial_module_coalgebra
 
     doc = _load(args.path)
     act = jsonio.action_from_json(doc)
@@ -229,6 +234,10 @@ def _cmd_dualize(args) -> int:
 
 
 def _cmd_globalize(args) -> int:
+    from . import jsonio
+    from .globalization import (dual_globalization_transfer, find_basis_grouplikes,
+                                standard_globalization)
+
     doc = _load(args.path)
     act = jsonio.action_from_json(doc)
     if args.grouplike:

@@ -13,16 +13,8 @@ from __future__ import annotations
 import json
 
 from .errors import MalformedInput
-from .globalization import GlobalizationTriple
-from .groupoid import (
-    FiniteAbelianGroup,
-    FiniteGroupoid,
-    groupoid_from_spec,
-    groupoid_to_spec,
-)
-from .partial_actions import ActionTensor, GroupoidPartialAction, LambdaFunctional
 from .scalars import Field, field_from_name, field_name
-from .tensor_space import FinVec, LinMap, Tensor3, Vector, ground
+from .tensor_space import FinVec, LinMap, Tensor3
 from .weak_hopf import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
 
 
@@ -196,11 +188,14 @@ def action_to_json(act: ActionTensor, groupoid: FiniteGroupoid | None = None) ->
         "tensor": _tensor_to(f, act.tensor3().entries),
     }
     if groupoid is not None:
+        from .groupoid import groupoid_to_spec
         out["groupoid"] = groupoid_to_spec(groupoid)
     return out
 
 
 def action_from_json(d: dict, at: str = "") -> ActionTensor:
+    from .partial_actions import ActionTensor
+
     hopf = weakhopf_from_json(d["hopf"], f"{at}hopf.")
     carrier = _carrier_from_json(d["carrier"], f"{at}carrier.")
     side = d["side"]
@@ -222,6 +217,7 @@ def action_from_json(d: dict, at: str = "") -> ActionTensor:
 
 def action_groupoid_from_json(d: dict) -> FiniteGroupoid | None:
     if "groupoid" in d:
+        from .groupoid import groupoid_from_spec
         return groupoid_from_spec(d["groupoid"])
     return None
 
@@ -237,6 +233,7 @@ def lambda_to_json(lf: LambdaFunctional, groupoid: FiniteGroupoid | None = None,
         "values": [f.fmt(v) for v in lf.values],
     }
     if groupoid is not None:
+        from .groupoid import groupoid_to_spec
         out["groupoid"] = groupoid_to_spec(groupoid)
     if hopf_kind is not None:
         out["hopf_kind"] = hopf_kind
@@ -245,7 +242,8 @@ def lambda_to_json(lf: LambdaFunctional, groupoid: FiniteGroupoid | None = None,
 
 def lambda_from_json(d: dict):
     """Returns (functional, groupoid_or_None, hopf_kind_or_None, side)."""
-    from .groupoid import dual_groupoid_algebra, groupoid_algebra
+    from .groupoid import dual_groupoid_algebra, groupoid_algebra, groupoid_from_spec
+    from .partial_actions import LambdaFunctional
 
     f = field_from_name(d["field"])
     G = groupoid_from_spec(d["groupoid"]) if "groupoid" in d else None
@@ -261,6 +259,8 @@ def lambda_from_json(d: dict):
 
 
 def gpa_to_json(gpa: GroupoidPartialAction) -> dict:
+    from .groupoid import groupoid_to_spec
+
     f = gpa.coalgebra.field
     return {
         "schema": "groupoid-action",
@@ -273,6 +273,9 @@ def gpa_to_json(gpa: GroupoidPartialAction) -> dict:
 
 
 def gpa_from_json(d: dict) -> GroupoidPartialAction:
+    from .groupoid import groupoid_from_spec
+    from .partial_actions import GroupoidPartialAction
+
     G = groupoid_from_spec(d["groupoid"])
     C = coalgebra_from_json(d["coalgebra"], "coalgebra.")
     space = C.space
@@ -299,6 +302,9 @@ def triple_to_json(gt: GlobalizationTriple) -> dict:
 
 
 def triple_from_json(d: dict) -> GlobalizationTriple:
+    from .globalization import GlobalizationTriple
+    from .partial_actions import ActionTensor
+
     partial = action_from_json(d["partial"], "partial.")
     D = coalgebra_from_json(d["D"], "D.")
     H = partial.hopf.space
@@ -316,4 +322,6 @@ def triple_from_json(d: dict) -> GlobalizationTriple:
 
 
 def abelian_group_from_spec(d: dict) -> FiniteAbelianGroup:
+    from .groupoid import FiniteAbelianGroup
+
     return FiniteAbelianGroup(tuple(int(n) for n in d["factors"]))

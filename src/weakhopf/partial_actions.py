@@ -35,7 +35,6 @@ from .errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from .groupoid import FiniteGroupoid, groupoid_algebra
 from .report import (
     CheckResult,
     Report,
@@ -289,28 +288,42 @@ class PartialActionVerdict:
         return rep
 
 
-def _pmc3_rhs(act: ActionTensor, i: int, j: int, symmetric: bool) -> LinMap:
-    """The correction side of PMC3 (or its symmetric variant) as an
-    endomorphism of the carrier, for the basis pair (h_i, h_j):
+def _pmc3_rhs(act: ActionTensor, symmetric: bool):
+    """The correction side of PMC3 (or its symmetric variant) as a function
+    of the basis pair (h_i, h_j) to an endomorphism of the carrier:
 
         left   (h k₁ · c₁) ε(k₂ · c₂),    sym  ε(k₁ · c₁) (h k₂ · c₂),
         right  ε(c₁ ↼ h₁) (c₂ ↼ h₂k),    sym  (c₁ ↼ h₁k) ε(c₂ ↼ h₂).
 
     ``eps_leg`` is the leg of Δ(c) (and of Δ(k), resp. Δ(h)) under ε; the
-    other leg is acted on by the product."""
+    other leg is acted on by the product.  Δ(c)'s terms are grouped by their
+    ε-leg, so only the pairs with a nonzero counit-table entry are visited."""
     C = act.carrier
-    H = act.hopf
-    n = H.space.dim
+    n = act.hopf.space.dim
     left = act.side == LEFT
     eps_leg = 1 if left != symmetric else 0
     eps_table = act.counit_table
-    hpairs = H.coalg.delta_pairs(j if left else i)
-    prods = [act.product_slices[i * n + x if left else x * n + j].cols for x in range(n)]
-    return LinMap(C.space, C.space, [
-        _accumulate((prods[hpair[1 - eps_leg]][cpair[1 - eps_leg]], hpair[2] * cpair[2] * s)
-                    for cpair in C.delta_pairs(cidx) for hpair in hpairs
-                    if (s := eps_table[hpair[eps_leg]].get(cpair[eps_leg])))
-        for cidx in range(C.space.dim)])
+    by_eps_leg = []
+    for cidx in range(C.space.dim):
+        group = {}
+        for cpair in C.delta_pairs(cidx):
+            group.setdefault(cpair[eps_leg], []).append((cpair[1 - eps_leg], cpair[2]))
+        by_eps_leg.append(group)
+
+    def rhs(i: int, j: int) -> LinMap:
+        terms = []      # (product slice columns, coefficient, ε-row) per Δ(k) term
+        for hpair in act.hopf.coalg.delta_pairs(j if left else i):
+            if row := eps_table[hpair[eps_leg]]:
+                x = hpair[1 - eps_leg]
+                prod = act.product_slices[i * n + x if left else x * n + j].cols
+                terms.append((prod, hpair[2], row))
+        return LinMap(C.space, C.space, [
+            _accumulate((prod[y], ch * cc * row[b])
+                        for prod, ch, row in terms
+                        for b in row.keys() & group.keys()
+                        for y, cc in group[b])
+            for group in by_eps_leg])
+    return rhs
 
 
 def check_partial_module_coalgebra(act: ActionTensor) -> PartialActionVerdict:
@@ -324,9 +337,8 @@ def check_partial_module_coalgebra(act: ActionTensor) -> PartialActionVerdict:
     rep = Report(f"{act.side} partial module coalgebra")
     rep.add(compare_maps("PMC1", _unit_slice(act), LinMap.identity(C.space)))
     rep.add(_mc2_check(act, "PMC2"))
-    rep.add(_aggregate_pairs(act, "PMC3", lambda i, j: _pmc3_rhs(act, i, j, symmetric=False)))
-    symmetric = _aggregate_pairs(act, "symmetric",
-                                 lambda i, j: _pmc3_rhs(act, i, j, symmetric=True))
+    rep.add(_aggregate_pairs(act, "PMC3", _pmc3_rhs(act, symmetric=False)))
+    symmetric = _aggregate_pairs(act, "symmetric", _pmc3_rhs(act, symmetric=True))
     globality = _globality_criterion(act, "globality")
 
     consistency = None
@@ -911,6 +923,8 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
 def to_kG_action(gpa: GroupoidPartialAction) -> ActionTensor:
     """The groupoid-algebra action δ_g·c = θ_g(P_{g⁻¹}(c)) attached to a
     partial groupoid action whose identity pieces decompose the carrier."""
+    from .groupoid import groupoid_algebra
+
     G = gpa.groupoid
     C = gpa.coalgebra
     total = LinMap.zero(C.space, C.space)

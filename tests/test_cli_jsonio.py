@@ -228,10 +228,11 @@ def _counting(monkeypatch, fn, *modules):
 def test_cli_dualize_checks_the_action_once(tmp_path, capsys, monkeypatch):
     import weakhopf.cli
     import weakhopf.dualization
+    import weakhopf.partial_actions
     from weakhopf.partial_actions import check_partial_module_coalgebra
 
     calls = _counting(monkeypatch, check_partial_module_coalgebra,
-                      weakhopf.cli, weakhopf.dualization)
+                      weakhopf.cli, weakhopf.dualization, weakhopf.partial_actions)
     act, _ = isotropy_lambda_action(disjoint_union_of_cyclic([2, 3]), QQ, "g1.e")
     assert main(["dualize", write(tmp_path, "act.json", action_to_json(act))]) == 0
     assert len(calls) == 1
