@@ -1,4 +1,22 @@
-"""Exception types shared across the workbench."""
+"""Exception types shared across the workbench, and the base of its
+read-only records."""
+
+
+class Frozen:
+    """A record whose ``__init__`` writes its fields through the instance
+    ``__dict__`` (as ``cached_property`` does); assigning or deleting an
+    attribute afterwards raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+def same_fields(self, other):
+    """``__eq__`` of the records compared field by field."""
+    return self.__dict__ == other.__dict__ if other.__class__ is self.__class__ else NotImplemented
 
 
 class WorkbenchError(Exception):

@@ -16,10 +16,10 @@ the two verdicts agree; both directions are checked exactly.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .dualization import dualize_right_coalgebra_action
-from .errors import HypothesisViolated, InputNotGlobalization, NotInjective, ShapeMismatch
+from .errors import (Frozen, HypothesisViolated, InputNotGlobalization, NotInjective,
+                     ShapeMismatch)
 from .partial_actions import RIGHT, ActionTensor, check_module_algebra, check_module_coalgebra
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .tensor_space import (
@@ -36,12 +36,11 @@ from .tensor_space import (
 from .weak_hopf import CoalgebraData, WeakHopfData
 
 
-@dataclass(frozen=True)
-class GrouplikeElement:
+class GrouplikeElement(Frozen):
     """An element e with Δ(e) = e⊗e (hence ε(e) = 1)."""
 
-    element: Vector
-    label: str
+    def __init__(self, element: Vector, label: str):
+        self.__dict__.update(element=element, label=label)
 
 
 def is_grouplike(H: WeakHopfData, v: Vector) -> bool:
@@ -86,23 +85,21 @@ def find_basis_grouplikes(act: ActionTensor) -> list[GrouplikeElement]:
     return out
 
 
-@dataclass(frozen=True)
-class GlobalizationTriple:
-    partial: ActionTensor       # right partial action ↼ on C
-    D: CoalgebraData
-    global_act: ActionTensor    # right global action ◂ on D
-    theta: LinMap               # C → D
-    pi: LinMap                  # D → D, projection onto θ(C)
+class GlobalizationTriple(Frozen):
+    """A right partial action ↼ on C, a right global action ◂ on D, θ: C → D
+    and π: D → D, the projection onto θ(C)."""
 
-    def __post_init__(self):
-        C = self.partial.carrier.space
-        Ds = self.D.space
-        if self.theta.domain != C or self.theta.codomain != Ds:
+    def __init__(self, partial: ActionTensor, D: CoalgebraData, global_act: ActionTensor,
+                 theta: LinMap, pi: LinMap):
+        C = partial.carrier.space
+        Ds = D.space
+        if theta.domain != C or theta.codomain != Ds:
             raise ShapeMismatch("θ must map C into D")
-        if self.pi.domain != Ds or self.pi.codomain != Ds:
+        if pi.domain != Ds or pi.codomain != Ds:
             raise ShapeMismatch("π must be an endomorphism of D")
-        if self.global_act.carrier.space != Ds:
+        if global_act.carrier.space != Ds:
             raise ShapeMismatch("the global action must live on D")
+        self.__dict__.update(partial=partial, D=D, global_act=global_act, theta=theta, pi=pi)
 
 
 def check_globalization(gt: GlobalizationTriple) -> Report:
@@ -263,17 +260,20 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
 # dual transfer
 # ---------------------------------------------------------------------------
 
-@dataclass
 class DualGlobalizationResult:
     """Both sides of the globalization equivalence: the coalgebra-side report
-    for the input triple, and the algebra-side report for (H▷φ(C*), φ)."""
+    for the input triple, and the algebra-side report for (H▷φ(C*), φ), with
+    the left partial action ⇀ on C* and the left global action ▷ on D*."""
 
-    coalgebra_report: Report
-    algebra_report: Report
-    phi: LinMap | None
-    B: Subspace | None
-    partial_dual: ActionTensor | None   # left partial action ⇀ on C*
-    global_dual: ActionTensor | None    # left global action ▷ on D*
+    def __init__(self, coalgebra_report: Report, algebra_report: Report, phi: LinMap | None,
+                 B: Subspace | None, partial_dual: ActionTensor | None,
+                 global_dual: ActionTensor | None):
+        self.coalgebra_report = coalgebra_report
+        self.algebra_report = algebra_report
+        self.phi = phi
+        self.B = B
+        self.partial_dual = partial_dual
+        self.global_dual = global_dual
 
     @property
     def ok(self) -> bool:

@@ -6,16 +6,15 @@ averaged comultiplication.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 
-from .errors import AxiomViolation, CharacteristicDividesOrder, ShapeMismatch
+from .errors import (AxiomViolation, CharacteristicDividesOrder, Frozen, MalformedInput,
+                     ShapeMismatch)
 from .scalars import Field
 from .tensor_space import FinVec, LinMap
 from .weak_hopf import WeakHopfData, _assemble
 
 
-@dataclass(frozen=True)
-class FiniteGroupoid:
+class FiniteGroupoid(Frozen):
     """A validated finite groupoid.
 
     ``mul`` is the partial multiplication as a dict on composable pairs,
@@ -25,12 +24,10 @@ class FiniteGroupoid:
     every downstream basis ordering.
     """
 
-    elements: tuple[str, ...]
-    mul: dict
-    inv: dict
-    d: dict = field(compare=False)
-    r: dict = field(compare=False)
-    identities: tuple[str, ...] = field(compare=False)
+    def __init__(self, elements: tuple[str, ...], mul: dict, inv: dict, d: dict, r: dict,
+                 identities: tuple[str, ...]):
+        self.__dict__.update(elements=elements, mul=mul, inv=inv, d=d, r=r,
+                             identities=identities)
 
     @property
     def composable(self) -> set[tuple[str, str]]:
@@ -184,16 +181,21 @@ def two_object_iso_groupoid() -> FiniteGroupoid:
     return validate_groupoid(elements, mul, inv)
 
 
-def groupoid_from_spec(spec: dict) -> FiniteGroupoid:
-    """Parse the two supported input forms.
+def groupoid_from_spec(spec: dict, at: str = "") -> FiniteGroupoid:
+    """Parse the two supported input forms (``at`` prefixes the JSON path of a
+    spec nested in another document).
 
     Explicit: ``{"elements": [...], "mul": [[g, h, gh], ...], "inv": {g: g⁻¹}}``.
     Shorthand: ``{"disjoint_union": [{"group": "Z/2"}, {"group": "Z/3"}]}``.
     """
     if "disjoint_union" in spec:
         orders = []
-        for item in spec["disjoint_union"]:
-            name = item["group"].strip()
+        for i, item in enumerate(spec["disjoint_union"]):
+            name = item["group"]
+            if not isinstance(name, str):
+                raise MalformedInput(f"{at}disjoint_union[{i}].group: expected a group name "
+                                     f"such as 'Z/2', got {name!r}")
+            name = name.strip()
             if not name.startswith("Z/"):
                 raise ShapeMismatch(f"unsupported group {name!r}; use Z/n")
             orders.append(int(name[2:]))
@@ -252,15 +254,13 @@ def dual_groupoid_algebra(G: FiniteGroupoid, field: Field) -> WeakHopfData:
 # the abelian-group example
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FiniteAbelianGroup:
+class FiniteAbelianGroup(Frozen):
     """A finite abelian group as a product of cyclic factors."""
 
-    factors: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.factors or any(n < 1 for n in self.factors):
+    def __init__(self, factors: tuple[int, ...]):
+        if not factors or any(n < 1 for n in factors):
             raise ShapeMismatch("factors must be positive integers")
+        self.__dict__["factors"] = factors
 
     @property
     def order(self) -> int:

@@ -44,6 +44,13 @@ def _shaped(value, shape: tuple, path: str):
     return value
 
 
+def _field(d: dict, at: str) -> Field:
+    name = d["field"]
+    if not isinstance(name, str):
+        raise MalformedInput(f"{at}field: expected a field name such as 'Q', got {name!r}")
+    return field_from_name(name)
+
+
 def _space(field: Field, labels, path: str) -> FinVec:
     if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)
             and len(set(labels)) == len(labels)):
@@ -52,7 +59,7 @@ def _space(field: Field, labels, path: str) -> FinVec:
 
 
 def _basis(d: dict, at: str) -> FinVec:
-    return _space(field_from_name(d["field"]), d["basis"], f"{at}basis")
+    return _space(_field(d, at), d["basis"], f"{at}basis")
 
 
 def _algebra(d: dict, space: FinVec, at: str) -> AlgebraData:
@@ -81,7 +88,7 @@ def linmap_to_json(f: LinMap) -> dict:
 
 
 def linmap_from_json(d: dict) -> LinMap:
-    field = field_from_name(d["field"])
+    field = _field(d, "")
     dom = _space(field, d["domain"], "domain")
     cod = _space(field, d["codomain"], "codomain")
     return LinMap.from_rows(dom, cod, _shaped(d["rows"], (cod.dim, dom.dim), "rows"))
@@ -99,7 +106,7 @@ def tensor3_to_json(t) -> dict:
 
 
 def tensor3_from_json(d: dict):
-    field = field_from_name(d["field"])
+    field = _field(d, "")
     if not isinstance(d["spaces"], list) or len(d["spaces"]) != 3:
         raise MalformedInput("spaces: expected three bases")
     spaces = tuple(_space(field, labels, f"spaces[{i}]")
@@ -218,7 +225,7 @@ def action_from_json(d: dict, at: str = "") -> ActionTensor:
 def action_groupoid_from_json(d: dict) -> FiniteGroupoid | None:
     if "groupoid" in d:
         from .groupoid import groupoid_from_spec
-        return groupoid_from_spec(d["groupoid"])
+        return groupoid_from_spec(d["groupoid"], "groupoid.")
     return None
 
 
@@ -245,8 +252,8 @@ def lambda_from_json(d: dict):
     from .groupoid import dual_groupoid_algebra, groupoid_algebra, groupoid_from_spec
     from .partial_actions import LambdaFunctional
 
-    f = field_from_name(d["field"])
-    G = groupoid_from_spec(d["groupoid"]) if "groupoid" in d else None
+    f = _field(d, "")
+    G = groupoid_from_spec(d["groupoid"], "groupoid.") if "groupoid" in d else None
     kind = d.get("hopf_kind")
     if "hopf" in d:
         hopf = weakhopf_from_json(d["hopf"])
@@ -276,7 +283,7 @@ def gpa_from_json(d: dict) -> GroupoidPartialAction:
     from .groupoid import groupoid_from_spec
     from .partial_actions import GroupoidPartialAction
 
-    G = groupoid_from_spec(d["groupoid"])
+    G = groupoid_from_spec(d["groupoid"], "groupoid.")
     C = coalgebra_from_json(d["coalgebra"], "coalgebra.")
     space = C.space
     shape = (space.dim, space.dim)

@@ -24,10 +24,10 @@ formulas whose duals are the partial module-algebra axioms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (
+    Frozen,
     InputNotPartialAction,
     NotDirectSum,
     NotIdempotent,
@@ -61,27 +61,23 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class ActionTensor:
+class ActionTensor(Frozen):
     """A rank-3 action tensor: H⊗X → X (left) or X⊗H → X (right).
 
     The carrier X is the coalgebra or algebra being acted on; which one it is
     decides which checkers apply.
     """
 
-    hopf: WeakHopfData
-    carrier: object           # CoalgebraData | AlgebraData
-    side: str
-    action: LinMap
-
-    def __post_init__(self):
-        if self.side not in (LEFT, RIGHT):
-            raise ShapeMismatch(f"side must be left or right, not {self.side!r}")
-        X = self.carrier.space
-        H = self.hopf.space
-        expected = tensor_product(H, X) if self.side == LEFT else tensor_product(X, H)
-        if self.action.domain != expected or self.action.codomain != X:
+    def __init__(self, hopf: WeakHopfData, carrier: CoalgebraData | AlgebraData, side: str,
+                 action: LinMap):
+        if side not in (LEFT, RIGHT):
+            raise ShapeMismatch(f"side must be left or right, not {side!r}")
+        X = carrier.space
+        H = hopf.space
+        expected = tensor_product(H, X) if side == LEFT else tensor_product(X, H)
+        if action.domain != expected or action.codomain != X:
             raise ShapeMismatch("action tensor shape does not match H and the carrier")
+        self.__dict__.update(hopf=hopf, carrier=carrier, side=side, action=action)
 
     @classmethod
     def from_slices(cls, hopf: WeakHopfData, carrier, side: str, slices) -> "ActionTensor":
@@ -222,14 +218,14 @@ def check_module_coalgebra(act: ActionTensor) -> Report:
     violated by the computed verdicts.
     """
     C = _require_coalgebra(act)
-    n = act.hopf.space.dim
-    rep = Report(f"{act.side} module coalgebra")
-    ident = LinMap.identity(C.space)
+    return _module_coalgebra(act, compare_maps("MC1", _unit_slice(act), LinMap.identity(C.space)),
+                             _mc2_check(act, "MC2"))
 
-    mc1 = compare_maps("MC1", _unit_slice(act), ident)
-    rep.add(mc1)
-    mc2 = _mc2_check(act, "MC2")
-    rep.add(mc2)
+
+def _module_coalgebra(act: ActionTensor, mc1: CheckResult, mc2: CheckResult) -> Report:
+    """The MC report, given the MC1 and MC2 verdicts."""
+    n = act.hopf.space.dim
+    rep = Report(f"{act.side} module coalgebra", [mc1, mc2])
 
     # for either side the strict composite must match acting by the product h_i h_j
     mc3 = _aggregate_pairs(act, "MC3", lambda i, j: act.product_slices[i * n + j])
@@ -255,14 +251,16 @@ def _globality_criterion(act: ActionTensor, label: str) -> CheckResult:
     return compare_maps(label, C.counit @ act.action, C.counit @ twisted)
 
 
-@dataclass
 class PartialActionVerdict:
-    """Outcome of the partial module-coalgebra (or -algebra) checks."""
+    """Outcome of the partial module-coalgebra (or -algebra) checks; ``report``
+    holds the required partial axioms."""
 
-    report: Report                 # the required partial axioms
-    symmetric: CheckResult
-    globality: CheckResult
-    consistency: CheckResult | None = None
+    def __init__(self, report: Report, symmetric: CheckResult, globality: CheckResult,
+                 consistency: CheckResult | None = None):
+        self.report = report
+        self.symmetric = symmetric
+        self.globality = globality
+        self.consistency = consistency
 
     @property
     def is_partial(self) -> bool:
@@ -335,17 +333,15 @@ def check_partial_module_coalgebra(act: ActionTensor) -> PartialActionVerdict:
     """
     C = _require_coalgebra(act)
     rep = Report(f"{act.side} partial module coalgebra")
-    rep.add(compare_maps("PMC1", _unit_slice(act), LinMap.identity(C.space)))
-    rep.add(_mc2_check(act, "PMC2"))
+    pmc1 = rep.add(compare_maps("PMC1", _unit_slice(act), LinMap.identity(C.space)))
+    pmc2 = rep.add(_mc2_check(act, "PMC2"))
     rep.add(_aggregate_pairs(act, "PMC3", _pmc3_rhs(act, symmetric=False)))
     symmetric = _aggregate_pairs(act, "symmetric", _pmc3_rhs(act, symmetric=True))
     globality = _globality_criterion(act, "globality")
 
     consistency = None
-    if rep.ok:
-        mc = check_module_coalgebra(act)
-        mc_ok = all(r.passed for r in mc.results if r.label.startswith("MC"))
-        agree = mc_ok == globality.passed
+    if rep.ok:      # PMC1 and PMC2 are MC1 and MC2
+        agree = _module_coalgebra(act, pmc1, pmc2).ok == globality.passed
         consistency = CheckResult(
             "global-iff-criterion", agree,
             None if agree else "globality criterion disagrees with the MC axioms")
@@ -400,14 +396,16 @@ def check_ht_hs_propositions(act: ActionTensor) -> Report:
 def check_module_algebra(act: ActionTensor) -> Report:
     """The global module-algebra axioms MA1-MA4 (either side)."""
     A = _require_algebra(act)
+    return _module_algebra(act, compare_maps("MA1", _unit_slice(act), LinMap.identity(A.space)),
+                           _ma2_check(act, "MA2"))
+
+
+def _module_algebra(act: ActionTensor, ma1: CheckResult, ma2: CheckResult) -> Report:
+    """The MA report, given the MA1 and MA2 verdicts."""
     n = act.hopf.space.dim
-    rep = Report(f"{act.side} module algebra")
-    ident = LinMap.identity(A.space)
-    rep.add(compare_maps("MA1", _unit_slice(act), ident))
-    rep.add(_ma2_check(act, "MA2"))
-    rep.add(_aggregate_pairs(act, "MA3", lambda i, j: act.product_slices[i * n + j]))
-    rep.add(_ma4_check(act, "MA4"))
-    return rep
+    return Report(f"{act.side} module algebra", [
+        ma1, ma2, _aggregate_pairs(act, "MA3", lambda i, j: act.product_slices[i * n + j]),
+        _ma4_check(act, "MA4")])
 
 
 def _ma2_check(act: ActionTensor, label: str) -> CheckResult:
@@ -471,12 +469,12 @@ def check_partial_module_algebra(act: ActionTensor) -> PartialActionVerdict:
     the full global MA axioms hold as well."""
     A = _require_algebra(act)
     rep = Report(f"{act.side} partial module algebra")
-    rep.add(compare_maps("PMA1", _unit_slice(act), LinMap.identity(A.space)))
-    rep.add(_ma2_check(act, "PMA2"))
+    pma1 = rep.add(compare_maps("PMA1", _unit_slice(act), LinMap.identity(A.space)))
+    pma2 = rep.add(_ma2_check(act, "PMA2"))
     rep.add(_aggregate_pairs(act, "PMA3", lambda i, j: _pma3_rhs(act, i, j, symmetric=False)))
     symmetric = _aggregate_pairs(act, "symmetric",
                                  lambda i, j: _pma3_rhs(act, i, j, symmetric=True))
-    ma = check_module_algebra(act)
+    ma = _module_algebra(act, pma1, pma2)     # MA1 and MA2 are PMA1 and PMA2
     globality = CheckResult("global-MA", ma.ok,
                             None if ma.ok else ma.failures[0].witness)
     return PartialActionVerdict(rep, symmetric, globality)
@@ -486,16 +484,13 @@ def check_partial_module_algebra(act: ActionTensor) -> PartialActionVerdict:
 # λ-characterised actions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LambdaFunctional:
+class LambdaFunctional(Frozen):
     """A linear functional on H, as its values on the basis."""
 
-    hopf: WeakHopfData
-    values: tuple
-
-    def __post_init__(self):
-        if len(self.values) != self.hopf.space.dim:
+    def __init__(self, hopf: WeakHopfData, values: tuple):
+        if len(values) != hopf.space.dim:
             raise ShapeMismatch("need one value per basis vector of H")
+        self.__dict__.update(hopf=hopf, values=values)
 
     @classmethod
     def from_values(cls, hopf: WeakHopfData, values) -> "LambdaFunctional":
@@ -527,11 +522,11 @@ def lambda_action(lf: LambdaFunctional, C: CoalgebraData, side: str = LEFT) -> A
     return ActionTensor.from_slices(lf.hopf, C, side, slices)
 
 
-@dataclass
 class LambdaVerdict:
-    report: Report
-    symmetric: CheckResult | None
-    globality: CheckResult
+    def __init__(self, report: Report, symmetric: CheckResult | None, globality: CheckResult):
+        self.report = report
+        self.symmetric = symmetric
+        self.globality = globality
 
     @property
     def ok(self) -> bool:
@@ -613,17 +608,18 @@ def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> LambdaVerdic
     return LambdaVerdict(rep, symmetric, globality)
 
 
-@dataclass
 class GroupCriterionVerdict:
     """Agreement between the λ-condition checker and the subset criterion for
     actions of a groupoid algebra (or its dual) on the ground field."""
 
-    V: tuple[str, ...]
-    v_is_group: bool
-    group_failure: str | None
-    values_match: bool
-    char_ok: bool
-    partial: bool
+    def __init__(self, V: tuple[str, ...], v_is_group: bool, group_failure: str | None,
+                 values_match: bool, char_ok: bool, partial: bool):
+        self.V = V
+        self.v_is_group = v_is_group
+        self.group_failure = group_failure
+        self.values_match = values_match
+        self.char_ok = char_ok
+        self.partial = partial
 
     @property
     def criterion(self) -> bool:
@@ -717,13 +713,17 @@ def check_dual_k_partial_action_criterion(
 # partial actions induced from a global one
 # ---------------------------------------------------------------------------
 
-@dataclass
 class InducedActionResult:
-    action: ActionTensor        # the candidate action on D, in D coordinates
-    report: Report              # conditions (i) and (ii)
-    symmetric: CheckResult
-    D: CoalgebraData
-    inclusion: LinMap           # D → C
+    """The candidate ``action`` on D in D coordinates, the ``report`` of
+    conditions (i) and (ii), and the ``inclusion`` D → C."""
+
+    def __init__(self, action: ActionTensor, report: Report, symmetric: CheckResult,
+                 D: CoalgebraData, inclusion: LinMap):
+        self.action = action
+        self.report = report
+        self.symmetric = symmetric
+        self.D = D
+        self.inclusion = inclusion
 
     @property
     def ok(self) -> bool:
@@ -819,16 +819,17 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
 # groupoid partial actions on coalgebras
 # ---------------------------------------------------------------------------
 
-@dataclass
 class GroupoidPartialAction:
     """A family of subcoalgebras C_g = im(P_g) with isomorphisms
     θ_g: C_{g⁻¹} → C_g, stored as carrier endomorphisms vanishing off their
     supports."""
 
-    groupoid: FiniteGroupoid
-    coalgebra: CoalgebraData
-    projections: dict
-    isos: dict
+    def __init__(self, groupoid: FiniteGroupoid, coalgebra: CoalgebraData, projections: dict,
+                 isos: dict):
+        self.groupoid = groupoid
+        self.coalgebra = coalgebra
+        self.projections = projections
+        self.isos = isos
 
     def P(self, g: str) -> LinMap:
         return self.projections[g]

@@ -6,16 +6,17 @@ of an identity disagree, so a red line can be reproduced by hand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from collections.abc import Callable, Iterable
+
+from .errors import Frozen, same_fields
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    label: str
-    passed: bool
-    witness: str | None = None
-    skipped: bool = False
+class CheckResult(Frozen):
+    def __init__(self, label: str, passed: bool, witness: str | None = None,
+                 skipped: bool = False):
+        self.__dict__.update(label=label, passed=passed, witness=witness, skipped=skipped)
+
+    __eq__ = same_fields
 
     @property
     def ok(self) -> bool:
@@ -29,10 +30,10 @@ class CheckResult:
         return f"FAIL {self.label}" + (f": {self.witness}" if self.witness else "")
 
 
-@dataclass
 class Report:
-    title: str
-    results: list[CheckResult] = field(default_factory=list)
+    def __init__(self, title: str, results: list[CheckResult] | None = None):
+        self.title = title
+        self.results = [] if results is None else results
 
     def add(self, result: CheckResult) -> CheckResult:
         self.results.append(result)

@@ -20,31 +20,26 @@ No operation mutates its operands or its result after construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
 
-from .errors import FieldMismatch, NotInjective, ShapeMismatch
+from .errors import FieldMismatch, Frozen, NotInjective, ShapeMismatch, same_fields
 from .scalars import Field
 
 
-@dataclass(frozen=True, eq=False)
-class FinVec:
-    """A finite-dimensional vector space with a named, ordered basis."""
+class FinVec(Frozen):
+    """A finite-dimensional vector space with a named, ordered basis.
 
-    field: Field
-    labels: tuple[str, ...]
-    # (V, W) for the product V⊗W, whose labels "v⊗w" may repeat: the labels
-    # "a⊗b"⊗"c" and "a"⊗"b⊗c" print alike
-    factors: tuple = dc_field(default=(), repr=False)
-    # id(W) -> (W, self⊗W); holding W keeps its id from being reused
-    _products: dict = dc_field(default_factory=dict, init=False, repr=False)
+    ``factors`` is (V, W) for the product V⊗W, whose labels "v⊗w" may
+    repeat: the labels "a⊗b"⊗"c" and "a"⊗"b⊗c" print alike.  ``_products``
+    maps id(W) to (W, self⊗W); holding W keeps its id from being reused."""
 
-    def __post_init__(self):
-        if len(self.labels) == 0:
+    def __init__(self, field: Field, labels: tuple[str, ...], factors: tuple = ()):
+        if len(labels) == 0:
             raise ShapeMismatch("a space needs at least one basis vector")
-        if not self.factors and len(set(self.labels)) != len(self.labels):
+        if not factors and len(set(labels)) != len(labels):
             raise ShapeMismatch("basis labels must be distinct")
+        self.__dict__.update(field=field, labels=labels, factors=factors, _products={})
 
     @property
     def dim(self) -> int:
@@ -538,24 +533,22 @@ PAIR_TO_ONE = "pair_to_one"   # X⊗Y → Z, entries[i][j][k] = coeff of z_k in 
 ONE_TO_PAIR = "one_to_pair"   # X → Y⊗Z, entries[i][j][k] = coeff of y_j⊗z_k in image of x_i
 
 
-@dataclass(frozen=True)
-class Tensor3:
+class Tensor3(Frozen):
     """Dense rank-3 tensor of structure constants with a declared orientation;
     the interchange format between JSON documents and sparse maps."""
 
-    kind: str
-    spaces: tuple[FinVec, FinVec, FinVec]
-    entries: tuple
-
-    def __post_init__(self):
-        if self.kind not in (PAIR_TO_ONE, ONE_TO_PAIR):
-            raise ShapeMismatch(f"unknown tensor orientation {self.kind!r}")
-        X, Y, Z = self.spaces
-        if len(self.entries) != X.dim or any(
+    def __init__(self, kind: str, spaces: tuple[FinVec, FinVec, FinVec], entries: tuple):
+        if kind not in (PAIR_TO_ONE, ONE_TO_PAIR):
+            raise ShapeMismatch(f"unknown tensor orientation {kind!r}")
+        X, Y, Z = spaces
+        if len(entries) != X.dim or any(
             len(plane) != Y.dim or any(len(row) != Z.dim for row in plane)
-            for plane in self.entries
+            for plane in entries
         ):
             raise ShapeMismatch("tensor entry shape does not match the spaces")
+        self.__dict__.update(kind=kind, spaces=spaces, entries=entries)
+
+    __eq__ = same_fields
 
     @classmethod
     def from_entries(cls, kind: str, spaces, entries) -> "Tensor3":

@@ -8,10 +8,9 @@ sufficient, and it is what makes every verdict exact and reproducible.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
-from .errors import ShapeMismatch
+from .errors import Frozen, ShapeMismatch
 from .report import (
     CheckResult,
     Report,
@@ -38,20 +37,15 @@ from .tensor_space import (
 )
 
 
-@dataclass(frozen=True)
-class AlgebraData:
+class AlgebraData(Frozen):
     """A unital associative algebra: multiplication tensor plus unit vector."""
 
-    space: FinVec
-    mul: LinMap      # space⊗space → space
-    unit: Vector
-
-    def __post_init__(self):
-        HH = tensor_product(self.space, self.space)
-        if self.mul.domain != HH or self.mul.codomain != self.space:
+    def __init__(self, space: FinVec, mul: LinMap, unit: Vector):
+        if mul.domain != tensor_product(space, space) or mul.codomain != space:
             raise ShapeMismatch("multiplication must map H⊗H → H")
-        if self.unit.space != self.space:
+        if unit.space != space:
             raise ShapeMismatch("unit must live in the algebra")
+        self.__dict__.update(space=space, mul=mul, unit=unit)
 
     @classmethod
     def from_tensor(cls, space: FinVec, entries, unit_coords) -> "AlgebraData":
@@ -111,20 +105,15 @@ class AlgebraData:
         return rep
 
 
-@dataclass(frozen=True)
-class CoalgebraData:
+class CoalgebraData(Frozen):
     """A coassociative counital coalgebra: comultiplication tensor plus counit."""
 
-    space: FinVec
-    comul: LinMap    # space → space⊗space
-    counit: LinMap   # space → ground field
-
-    def __post_init__(self):
-        HH = tensor_product(self.space, self.space)
-        if self.comul.domain != self.space or self.comul.codomain != HH:
+    def __init__(self, space: FinVec, comul: LinMap, counit: LinMap):
+        if comul.domain != space or comul.codomain != tensor_product(space, space):
             raise ShapeMismatch("comultiplication must map C → C⊗C")
-        if self.counit.domain != self.space or self.counit.codomain.dim != 1:
+        if counit.domain != space or counit.codomain.dim != 1:
             raise ShapeMismatch("counit must map C → k")
+        self.__dict__.update(space=space, comul=comul, counit=counit)
 
     @classmethod
     def from_tensor(cls, space: FinVec, entries, counit_coords) -> "CoalgebraData":
@@ -238,14 +227,11 @@ def _sum3(terms, n: int) -> dict:
     return _accumulate((_kron(_kron(x, y, n), z, n), c) for x, y, z, c in terms)
 
 
-@dataclass(frozen=True)
-class WeakBialgebraData:
-    alg: AlgebraData
-    coalg: CoalgebraData
-
-    def __post_init__(self):
-        if self.alg.space != self.coalg.space:
+class WeakBialgebraData(Frozen):
+    def __init__(self, alg: AlgebraData, coalg: CoalgebraData):
+        if alg.space != coalg.space:
             raise ShapeMismatch("algebra and coalgebra must share one space")
+        self.__dict__.update(alg=alg, coalg=coalg)
 
     @property
     def space(self) -> FinVec:
@@ -342,16 +328,13 @@ def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
     return rep
 
 
-@dataclass(frozen=True)
-class WeakHopfData:
+class WeakHopfData(Frozen):
     """A weak bialgebra with an antipode, plus cached target/source data."""
 
-    wb: WeakBialgebraData
-    antipode: LinMap
-
-    def __post_init__(self):
-        if self.antipode.domain != self.space or self.antipode.codomain != self.space:
+    def __init__(self, wb: WeakBialgebraData, antipode: LinMap):
+        if antipode.domain != wb.space or antipode.codomain != wb.space:
             raise ShapeMismatch("antipode must be an endomorphism of H")
+        self.__dict__.update(wb=wb, antipode=antipode)
 
     # -- shortcuts ----------------------------------------------------------
 
@@ -641,15 +624,17 @@ def _apply_on_middle_leg(n: int, f_cols, elem: dict) -> dict:
 # Hopf detection
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class HopfVerdict:
-    """The five equivalent Hopf-ness conditions, evaluated independently."""
+class HopfVerdict(Frozen):
+    """The five equivalent Hopf-ness conditions (i)-(v), evaluated independently."""
 
-    delta_one_is_one_tensor_one: bool     # (i)
-    counit_multiplicative: bool           # (ii)
-    left_antipode_classical: bool         # (iii)
-    right_antipode_classical: bool        # (iv)
-    target_source_trivial: bool           # (v)
+    def __init__(self, delta_one_is_one_tensor_one: bool, counit_multiplicative: bool,
+                 left_antipode_classical: bool, right_antipode_classical: bool,
+                 target_source_trivial: bool):
+        self.__dict__.update(delta_one_is_one_tensor_one=delta_one_is_one_tensor_one,
+                             counit_multiplicative=counit_multiplicative,
+                             left_antipode_classical=left_antipode_classical,
+                             right_antipode_classical=right_antipode_classical,
+                             target_source_trivial=target_source_trivial)
 
     @property
     def conditions(self) -> tuple[bool, bool, bool, bool, bool]:

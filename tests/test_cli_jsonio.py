@@ -340,6 +340,23 @@ MALFORMED = [
      "projections.e"),
     ("lambda-values", "lambda", lambda: _edit(_lambda_doc(), lambda d: d["values"].pop()),
      "values"),
+    ("group-not-a-string", "lambda",
+     lambda: _edit(_lambda_doc(), lambda d: d.update(groupoid={"disjoint_union": [{"group": 5}]})),
+     "groupoid.disjoint_union[0].group"),
+]
+
+
+def _bad_field(build, nested, value):
+    """A document whose ``field`` (in its ``nested`` part, if any) is ``value``."""
+    return lambda: _edit(build(), lambda d: (d[nested] if nested else d).update(field=value))
+
+
+MALFORMED += [
+    (f"{nested or 'top'}-field-{name}", kind, _bad_field(build, nested, value),
+     f"{nested}.field: " if nested else "field: ")
+    for kind, build, nested in [("weak-hopf", _kG_doc, ""), ("pmc", _action_doc, "hopf"),
+                                ("pmc", _action_doc, "carrier")]
+    for name, value in [("7", 7), ("null", None), ("list", ["Q"]), ("true", True)]
 ]
 
 

@@ -405,6 +405,41 @@ def test_zero_action_fails_pma1():
     assert not v.report.result("PMA1").passed
 
 
+def _counting(monkeypatch, name):
+    """Replace the checker ``name`` of weakhopf.partial_actions by a wrapper
+    that records the label of each call."""
+    import weakhopf.partial_actions
+
+    fn, labels = getattr(weakhopf.partial_actions, name), []
+
+    def counted(act, label):
+        labels.append(label)
+        return fn(act, label)
+
+    monkeypatch.setattr(weakhopf.partial_actions, name, counted)
+    return labels
+
+
+@pytest.mark.parametrize("global_", [False, True])
+def test_pmc_cross_check_reuses_pmc2(monkeypatch, global_):
+    G = disjoint_union_of_cyclic([2, 3])
+    act = regular_action(groupoid_algebra(G, QQ)) if global_ else \
+        isotropy_lambda_action(G, QQ, "g1.e")[0]
+    labels = _counting(monkeypatch, "_mc2_check")
+    v = check_partial_module_coalgebra(act)
+    assert labels == ["PMC2"]
+    assert v.is_partial and v.is_global == global_ and v.consistency.passed
+
+
+def test_pma_global_check_reuses_pma2(monkeypatch):
+    act, _ = isotropy_lambda_action(disjoint_union_of_cyclic([2, 3]), QQ, "g1.e",
+                                    carrier=groupoid_algebra(cyclic_group_groupoid(2), QQ).coalg)
+    dual = dualize_coalgebra_action(act)
+    labels = _counting(monkeypatch, "_ma2_check")
+    v = check_partial_module_algebra(dual)
+    assert labels == ["PMA2"] and v.globality.label == "global-MA"
+
+
 # -- cached product slices ---------------------------------------------------------
 
 @settings(max_examples=60, deadline=None)

@@ -1,7 +1,11 @@
-"""The shared witness scan: first failure, lazily formatted context."""
+"""The shared witness scan: first failure, lazily formatted context; and the
+record classes' constructors, equality and read-only fields."""
 
-from weakhopf import QQ, FinVec, Vector
-from weakhopf.report import CheckResult, compare_vectors, first_failure
+import pytest
+
+from weakhopf import (QQ, FinVec, LambdaFunctional, Vector, groupoid_algebra, lambda_action,
+                      two_object_iso_groupoid)
+from weakhopf.report import CheckResult, Report, compare_vectors, first_failure
 
 V = FinVec(QQ, ("x", "y"))
 
@@ -38,3 +42,44 @@ def test_first_failure_is_lazy():
 
     assert first_failure("L", cases(), where).witness == "at 3"
     assert evaluated == [0, 1, 2, 3] and formatted == [3]
+
+
+# -- the record classes ------------------------------------------------------------
+
+H = groupoid_algebra(two_object_iso_groupoid(), QQ)
+READ_ONLY = {
+    "CheckResult": (CheckResult("x", True), "passed"),
+    "FinVec": (V, "labels"),
+    "WeakHopfData": (H, "antipode"),
+    "ActionTensor": (lambda_action(LambdaFunctional.indicator(H, ["e"]), H.coalg), "side"),
+}
+
+
+@pytest.mark.parametrize("record,name", READ_ONLY.values(), ids=list(READ_ONLY))
+def test_record_fields_cannot_be_assigned_or_deleted(record, name):
+    before = getattr(record, name)
+    with pytest.raises(AttributeError, match=name):
+        setattr(record, name, None)
+    with pytest.raises(AttributeError, match=name):
+        delattr(record, name)
+    assert getattr(record, name) is before
+
+
+def test_cached_tables_are_kept_on_a_read_only_record():
+    assert H.Ht is H.Ht and "Ht" in vars(H)
+
+
+def test_check_result_equality_compares_every_field():
+    r = CheckResult("x", True)
+    assert r == CheckResult(label="x", passed=True, witness=None, skipped=False)
+    assert r.witness is None and r.skipped is False
+    assert r != CheckResult("x", True, skipped=True)
+    assert r != CheckResult("x", False) and r != CheckResult("y", True)
+    assert r != CheckResult("x", True, "w") and r != ("x", True, None, False)
+
+
+def test_report_gets_a_fresh_result_list():
+    a, b = Report("t"), Report(title="t")
+    a.add(CheckResult("x", True))
+    assert a.results == [CheckResult("x", True)] and b.results == []
+    assert Report("t", [CheckResult("y", False)]).results == [CheckResult("y", False)]
