@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 
 from .errors import InputNotPartialAction, MalformedInput, WorkbenchError
 from .report import CheckResult, Report
@@ -240,27 +241,22 @@ def _cmd_globalize(args) -> int:
 
     doc = _load(args.path)
     act = jsonio.action_from_json(doc)
-    if args.grouplike:
-        grouplikes = [g for g in find_basis_grouplikes(act) if g.label == args.grouplike]
-        if not grouplikes:
-            print(f"whw: no absorbed grouplike labelled {args.grouplike!r}",
-                  file=sys.stderr)
-            return EXIT_PRECONDITION
-        e = grouplikes[0]
-    else:
-        found = find_basis_grouplikes(act)
-        if not found:
-            print("whw: no absorbed grouplike basis element found", file=sys.stderr)
-            return EXIT_PRECONDITION
-        e = found[0]
-    gt = standard_globalization(act, e)
+    wanted = args.grouplike
+    found = [g for g in find_basis_grouplikes(act) if not wanted or g.label == wanted]
+    if not found:
+        print(f"whw: no absorbed grouplike labelled {wanted!r}" if wanted
+              else "whw: no absorbed grouplike basis element found", file=sys.stderr)
+        return EXIT_PRECONDITION
+    gt = standard_globalization(act, found[0])
     transfer = dual_globalization_transfer(gt, strict=False)
     if args.output:
         _emit(jsonio.triple_to_json(gt), args.output)
     return _print_reports([transfer.coalgebra_report, transfer.algebra_report], args.format)
 
 
-def main(argv=None) -> int:
+@cache
+def _parser() -> _Parser:
+    """The `whw` argument parser, built once per process."""
     parser = _Parser(prog="whw", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("--format", choices=["text", "json"], default="text")
@@ -298,8 +294,11 @@ def main(argv=None) -> int:
     p.add_argument("--grouplike")
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_globalize)
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
         return args.fn(args)
     except (KeyError, TypeError, ValueError) as exc:   # includes MalformedInput

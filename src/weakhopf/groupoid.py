@@ -192,13 +192,11 @@ def groupoid_from_spec(spec: dict, at: str = "") -> FiniteGroupoid:
         orders = []
         for i, item in enumerate(spec["disjoint_union"]):
             name = item["group"]
-            if not isinstance(name, str):
+            kind, _, order = (name if isinstance(name, str) else "").strip().partition("/")
+            if kind != "Z" or not order.strip().isdecimal() or int(order) == 0:
                 raise MalformedInput(f"{at}disjoint_union[{i}].group: expected a group name "
                                      f"such as 'Z/2', got {name!r}")
-            name = name.strip()
-            if not name.startswith("Z/"):
-                raise ShapeMismatch(f"unsupported group {name!r}; use Z/n")
-            orders.append(int(name[2:]))
+            orders.append(int(order))
         return disjoint_union_of_cyclic(orders)
     elements = spec["elements"]
     mul = {(g, h): gh for g, h, gh in spec["mul"]}

@@ -47,7 +47,6 @@ from .tensor_space import (
     FinVec,
     LinMap,
     Subspace,
-    Tensor3,
     Vector,
     _accumulate,
     _combine,
@@ -144,12 +143,6 @@ class ActionTensor(Frozen):
         return tuple({b: col[0] for b, col in enumerate((counit @ s).cols) if col}
                      for s in self.slices)
 
-    def tensor3(self) -> Tensor3:
-        X, H = self.space, self.hopf.space
-        if self.side == LEFT:
-            return Tensor3.from_linmap("pair_to_one", (H, X, X), self.action)
-        return Tensor3.from_linmap("pair_to_one", (X, H, X), self.action)
-
     def is_coalgebra_action(self) -> bool:
         return isinstance(self.carrier, CoalgebraData)
 
@@ -189,10 +182,14 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
     m = C.space.dim
     sl = [s.cols for s in act.slices]
 
+    # live[j][p]: the Δ(c_j) terms (a, b, cc) whose column sl[p][a] is not empty
+    live = [[[(a, b, cc) for a, b, cc in C.delta_pairs(j) if s[a]] for s in sl]
+            for j in range(m)]
+
     def column(i: int, j: int) -> dict:
         return _accumulate((_kron(sl[p][a], sl[q][b], m), ch * cc)
                            for p, q, ch in act.hopf.coalg.delta_pairs(i)
-                           for a, b, cc in C.delta_pairs(j))
+                           for a, b, cc in live[j][p] if sl[q][b])
 
     cols = ([column(i, j) for i in range(n) for j in range(m)] if act.side == LEFT
             else [column(i, j) for j in range(m) for i in range(n)])

@@ -8,7 +8,7 @@ Conventions, fixed once for the whole package:
   every operation touches the nonzero entries only;
 * ``LinMap.rows`` (indexed ``rows[codomain_index][domain_index]``) and
   ``Vector.coords`` are dense read-only views, built on first use, for exact
-  elimination and JSON output;
+  elimination;
 * the tensor product ``V (x) W`` uses row-major flattening,
   ``flat(i, j) = i * dim(W) + j`` with ``i`` indexing the left factor, and
   basis labels are the strings ``"v⊗w"``.
@@ -534,8 +534,8 @@ ONE_TO_PAIR = "one_to_pair"   # X → Y⊗Z, entries[i][j][k] = coeff of y_j⊗z
 
 
 class Tensor3(Frozen):
-    """Dense rank-3 tensor of structure constants with a declared orientation;
-    the interchange format between JSON documents and sparse maps."""
+    """Dense rank-3 tensor of structure constants with a declared orientation,
+    as the ``from_tensor`` constructors and ``tensor3`` documents give it."""
 
     def __init__(self, kind: str, spaces: tuple[FinVec, FinVec, FinVec], entries: tuple):
         if kind not in (PAIR_TO_ONE, ONE_TO_PAIR):

@@ -345,6 +345,16 @@ MALFORMED = [
      "groupoid.disjoint_union[0].group"),
 ]
 
+BAD_GROUPS = ["S3", "Z/0", "Z/x", "Z/", "Z3"]
+
+MALFORMED += [
+    (f"group-{name.replace('/', '-')}", "lambda",
+     lambda name=name: _edit(_lambda_doc(), lambda d: d.update(
+         groupoid={"disjoint_union": [{"group": "Z/2"}, {"group": name}]})),
+     "groupoid.disjoint_union[1].group")
+    for name in BAD_GROUPS
+]
+
 
 def _bad_field(build, nested, value):
     """A document whose ``field`` (in its ``nested`` part, if any) is ``value``."""
@@ -356,7 +366,8 @@ MALFORMED += [
      f"{nested}.field: " if nested else "field: ")
     for kind, build, nested in [("weak-hopf", _kG_doc, ""), ("pmc", _action_doc, "hopf"),
                                 ("pmc", _action_doc, "carrier")]
-    for name, value in [("7", 7), ("null", None), ("list", ["Q"]), ("true", True)]
+    for name, value in [("7", 7), ("null", None), ("list", ["Q"]), ("true", True),
+                        ("Fp-x", "Fp:x"), ("Fp-4", "Fp:4"), ("Fp-empty", "Fp:")]
 ]
 
 
@@ -385,3 +396,176 @@ def test_cli_zero_denominator_in_a_child_process(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", BAD_GROUPS)
+def test_validate_groupoid_rejects_a_malformed_group_name(tmp_path, capsys, name):
+    path = write(tmp_path, "G.json", {"disjoint_union": [{"group": name}]})
+    assert main(["validate-groupoid", path]) == 3
+    err = capsys.readouterr().err
+    assert err == (f"whw: malformed input: MalformedInput: disjoint_union[0].group: "
+                   f"expected a group name such as 'Z/2', got {name!r}\n")
+
+
+# -- the decoder: nested arrays straight into sparse columns ----------------------
+
+def _algebra_action_doc():
+    from weakhopf import dualize_coalgebra_action
+
+    act, _ = isotropy_lambda_action(disjoint_union_of_cyclic([1, 2]), QQ, "g1.e")
+    return action_to_json(dualize_coalgebra_action(act, check=False))
+
+
+def _set(doc, keys, value):
+    """``doc`` with the entry at the key path ``keys`` replaced by ``value``."""
+    inner = doc
+    for k in keys[:-1]:
+        inner = inner[k]
+    inner[keys[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("build,load,keys,path", [
+    (_kG_doc, weakhopf_from_json, ("mul", 2, 2, 0), "mul[2][2][0]"),
+    (_algebra_action_doc, action_from_json, ("carrier", "mul", 1, 1, 1), "carrier.mul[1][1][1]"),
+    (_action_doc, action_from_json, ("tensor", 2, 1, 1), "tensor[2][1][1]"),
+    (_lambda_doc, lambda_from_json, ("values", 3), "values[3]"),
+    (lambda: gpa_to_json(two_object_gpa(QQ)), gpa_from_json, ("projections", "g^-1", 0, 0),
+     "projections.g^-1[0][0]"),
+], ids=["mul", "carrier-mul", "tensor", "values", "projections"])
+def test_a_true_leaf_is_rejected_after_a_one_was_decoded(build, load, keys, path):
+    """True == 1 and hashes alike, so a memo of parsed scalars keyed on leaf
+    values would take True for the "1" decoded before it."""
+    from weakhopf.errors import MalformedInput
+
+    doc = build()
+    assert '"1"' in json.dumps(doc)
+    with pytest.raises(MalformedInput) as exc:
+        load(_set(doc, keys, True))
+    assert str(exc.value) == f"{path}: expected a scalar string, got True"
+
+
+def test_json_int_leaves_are_accepted():
+    doc = _kG_doc()
+    ints = json.loads(json.dumps(doc).replace('"0"', "0").replace('"1"', "1"))
+    assert ints["mul"][0][0][0] == 1 and ints["counit"] == [1, 1, 1]
+    H = weakhopf_from_json(ints)
+    assert canonical_dumps(weakhopf_to_json(H)) == canonical_dumps(doc)
+    act = _action_doc()
+    act["tensor"] = [[[int(x) for x in row] for row in plane] for plane in act["tensor"]]
+    assert canonical_dumps(action_to_json(action_from_json(act))) == canonical_dumps(_action_doc())
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+@pytest.mark.parametrize("text", ["1", " 1", "+1", "2/2", "1 ", "3/3"])
+def test_every_spelling_of_one_decodes_to_one(field, text):
+    doc = _kG_doc(field)
+    H = weakhopf_from_json(doc)
+    doc["counit"] = [text] * len(doc["counit"])
+    doc["unit"] = [text if x == "1" else x for x in doc["unit"]]
+    H2 = weakhopf_from_json(doc)
+    assert H2.coalg.counit == H.coalg.counit and H2.unit == H.unit
+
+
+def test_gf7_scalars_decode_as_before():
+    from weakhopf.errors import MalformedInput
+
+    doc = _kG_doc(PrimeField(7))
+    doc["counit"][0] = "3 mod 7"
+    doc["counit"][1] = "10"
+    H = weakhopf_from_json(doc)
+    assert H.coalg.counit.cols[0] == {0: 3} and H.coalg.counit.cols[1] == {0: 3}
+    assert weakhopf_to_json(H)["counit"][:2] == ["3", "3"]
+    doc["counit"][2] = "1/7"
+    with pytest.raises(MalformedInput, match=r"zero denominator in '1/7' over GF\(7\)"):
+        weakhopf_from_json(doc)
+
+
+@pytest.mark.parametrize("where,expected", [
+    # shapes are checked per loader group before anything in the group is parsed
+    (lambda d: d["unit"].pop(), "unit: expected a list of 3 entries"),
+    (lambda d: d["mul"][2].pop(), "mul[2]: expected a list of 3 entries"),
+    # a later group's shape fault comes after an earlier group's parse fault
+    (lambda d: d["comul"][0].pop(), "Invalid literal for Fraction: 'x'"),
+    (lambda d: d["antipode"].pop(), "Invalid literal for Fraction: 'x'"),
+    (lambda d: d["counit"].__setitem__(1, None), "Invalid literal for Fraction: 'x'"),
+], ids=["unit", "mul", "comul", "antipode", "counit"])
+def test_a_parse_fault_and_a_later_shape_fault_report_the_first_fault(where, expected):
+    doc = _kG_doc()
+    doc["mul"][0][1][1] = "x"
+    doc["mul"][1][2][0] = "y"
+    where(doc)
+    with pytest.raises(ValueError) as exc:
+        weakhopf_from_json(doc)
+    assert str(exc.value) == expected
+
+
+def _round_trip_cases(field):
+    from weakhopf import (FiniteAbelianGroup, abelian_group_weak_hopf, dual_groupoid_algebra,
+                          dualize_coalgebra_action)
+    from weakhopf.jsonio import (algebra_from_json, algebra_to_json, linmap_from_json,
+                                 linmap_to_json, tensor3_from_json, tensor3_to_json)
+
+    G = disjoint_union_of_cyclic([2, 3])
+    H = groupoid_algebra(G, field)
+    Hd = dual_groupoid_algebra(disjoint_union_of_cyclic([1, 2]), field)
+    avg = abelian_group_weak_hopf(FiniteAbelianGroup((5,)), field)
+    lam = LambdaFunctional.indicator(H, ["g1.e"])
+    left, _ = isotropy_lambda_action(G, field, "g1.e")
+    right = lambda_action(lam, grouplike_coalgebra(field, ["c0", "c1"]), "right")
+    gt = standard_globalization(right, find_basis_grouplikes(right)[0])
+    return [
+        ("linmap", linmap_to_json(Hd.eps_t), linmap_from_json, linmap_to_json),
+        ("tensor3-mul", tensor3_to_json(avg.alg.mul_tensor()), tensor3_from_json,
+         tensor3_to_json),
+        ("tensor3-comul", tensor3_to_json(avg.coalg.comul_tensor()), tensor3_from_json,
+         tensor3_to_json),
+        ("algebra", algebra_to_json(Hd.alg), algebra_from_json, algebra_to_json),
+        ("coalgebra", coalgebra_to_json(Hd.coalg), coalgebra_from_json, coalgebra_to_json),
+        ("weak-hopf", weakhopf_to_json(avg), weakhopf_from_json, weakhopf_to_json),
+        ("weak-hopf-dual", weakhopf_to_json(Hd), weakhopf_from_json, weakhopf_to_json),
+        ("action-left", action_to_json(left, groupoid=G), action_from_json,
+         lambda a: action_to_json(a, groupoid=G)),
+        ("action-right", action_to_json(right), action_from_json, action_to_json),
+        ("action-algebra", action_to_json(dualize_coalgebra_action(left, check=False)),
+         action_from_json, action_to_json),
+        ("lambda", lambda_to_json(lam, groupoid=G, hopf_kind="kG", side="right"),
+         lambda_from_json, lambda r: lambda_to_json(*r)),
+        ("groupoid-action", gpa_to_json(two_object_gpa(field)), gpa_from_json, gpa_to_json),
+        ("globalization", triple_to_json(gt), triple_from_json, triple_to_json),
+    ]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_every_schema_round_trips_byte_identically(field):
+    for name, doc, load, dump in _round_trip_cases(field):
+        text = canonical_dumps(doc)
+        assert canonical_dumps(dump(load(json.loads(text)))) == text, name
+
+
+# -- the parser is built once per process -----------------------------------------
+
+def test_repeated_cli_runs_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
+    import weakhopf.cli
+
+    monkeypatch.setenv("COLUMNS", "80")
+    good = write(tmp_path, "H.json", _kG_doc())
+    bad = write(tmp_path, "bad.json", _edit(_kG_doc(), lambda d: d["antipode"].pop()))
+    act = write(tmp_path, "act.json", _action_doc())
+    dual = str(tmp_path / "dual.json")
+    runs = [["check", "weak-hopf", good], ["check", "weak-hopf", bad],
+            ["dualize", act, "-o", dual], ["--help"], ["check", "weak-hopf", good]]
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src, COLUMNS="80")
+    for argv in runs + runs:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        emitted = open(dual).read() if "dualize" in argv else None
+        proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", *argv], capture_output=True,
+                              text=True, env=env, timeout=60)
+        assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
+        assert emitted is None or open(dual).read() == emitted
+    assert weakhopf.cli._parser() is weakhopf.cli._parser()
