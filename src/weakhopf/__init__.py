@@ -9,21 +9,21 @@ _EXPORTS = {
     "scalars": "QQ Field PrimeField RationalField field_from_name",
     "tensor_space": "FinVec LinMap Subspace Tensor3 Vector ground image_basis "
                     "left_inverse_on_image swap_map tensor_product",
-    "weak_hopf": "AlgebraData CoalgebraData HopfVerdict WeakBialgebraData WeakHopfData "
-                 "check_identities check_weak_bialgebra check_weak_hopf "
-                 "dual_convolution_algebra dualize eps_s eps_t is_hopf "
-                 "same_structure_constants",
+    "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
+                  "dual_convolution_algebra eps_s eps_t",
+    "weak_hopf": "HopfVerdict check_identities check_weak_bialgebra check_weak_hopf dualize "
+                 "is_hopf same_structure_constants",
     "groupoid": "FiniteAbelianGroup FiniteGroupoid abelian_group_weak_hopf "
                 "cyclic_group_groupoid disjoint_union_of_cyclic dual_groupoid_algebra "
                 "groupoid_algebra groupoid_from_spec trivial_groupoid "
                 "two_object_iso_groupoid validate_groupoid",
-    "partial_actions": "ActionTensor GroupoidPartialAction LambdaFunctional "
+    "actions": "ActionTensor check_module_algebra check_module_coalgebra "
+               "check_partial_module_algebra check_partial_module_coalgebra",
+    "partial_actions": "GroupoidPartialAction LambdaFunctional "
                        "check_dual_k_partial_action_criterion check_ht_hs_propositions "
                        "check_k_partial_action_group_criterion check_lambda_global "
-                       "check_lambda_partial check_module_algebra check_module_coalgebra "
-                       "check_partial_module_algebra check_partial_module_coalgebra "
-                       "from_kG_action induce_partial_action lambda_action to_kG_action "
-                       "validate_groupoid_partial_action",
+                       "check_lambda_partial from_kG_action induce_partial_action "
+                       "lambda_action to_kG_action validate_groupoid_partial_action",
     "dualization": "dualize_coalgebra_action dualize_right_coalgebra_action "
                    "undualize_algebra_action undualize_left_algebra_action",
     "globalization": "GlobalizationTriple GrouplikeElement check_globalization "

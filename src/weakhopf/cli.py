@@ -123,9 +123,8 @@ def _cmd_check(args) -> int:
             reports = [is_hopf(H).report()]
         return _print_reports(reports, args.format)
     if kind in ("mc", "pmc", "ma", "pma"):
-        from .partial_actions import (check_module_algebra, check_module_coalgebra,
-                                      check_partial_module_algebra,
-                                      check_partial_module_coalgebra)
+        from .actions import (check_module_algebra, check_module_coalgebra,
+                              check_partial_module_algebra, check_partial_module_coalgebra)
         act = jsonio.action_from_json(doc)
         if kind == "mc":
             return _print_reports([check_module_coalgebra(act)], args.format)
@@ -165,8 +164,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_equiv(args) -> int:
     from . import jsonio
-    from .partial_actions import (check_partial_module_coalgebra, from_kG_action,
-                                  to_kG_action, validate_groupoid_partial_action)
+    from .actions import check_partial_module_coalgebra
+    from .partial_actions import from_kG_action, to_kG_action, validate_groupoid_partial_action
 
     doc = _load(args.path)
     rep = Report("equivalence round-trip")
@@ -202,8 +201,8 @@ def _cmd_equiv(args) -> int:
 
 def _cmd_dualize(args) -> int:
     from . import jsonio
+    from .actions import check_partial_module_algebra, check_partial_module_coalgebra
     from .dualization import dualize_coalgebra_action, undualize_algebra_action
-    from .partial_actions import check_partial_module_algebra, check_partial_module_coalgebra
 
     doc = _load(args.path)
     act = jsonio.action_from_json(doc)

@@ -10,16 +10,16 @@ transposition on the other side and is used by the globalization machinery.
 
 from __future__ import annotations
 
-from .errors import InputNotPartialAction, ShapeMismatch
-from .partial_actions import (
+from .actions import (
     LEFT,
     RIGHT,
     ActionTensor,
     check_partial_module_algebra,
     check_partial_module_coalgebra,
 )
+from .errors import InputNotPartialAction, ShapeMismatch
+from .structures import CoalgebraData, dual_convolution_algebra
 from .tensor_space import LinMap
-from .weak_hopf import CoalgebraData, dual_convolution_algebra
 
 
 def _transpose(act: ActionTensor, side: str, C: CoalgebraData | None,

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import itertools
 
+from .actions import RIGHT, ActionTensor, check_module_algebra, check_module_coalgebra
 from .dualization import dualize_right_coalgebra_action
 from .errors import (Frozen, HypothesisViolated, InputNotGlobalization, NotInjective,
                      ShapeMismatch)
-from .partial_actions import RIGHT, ActionTensor, check_module_algebra, check_module_coalgebra
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
+from .structures import CoalgebraData, WeakHopfData
 from .tensor_space import (
     FinVec,
     LinMap,
@@ -33,7 +34,6 @@ from .tensor_space import (
     solve_coordinates,
     tensor_product,
 )
-from .weak_hopf import CoalgebraData, WeakHopfData
 
 
 class GrouplikeElement(Frozen):

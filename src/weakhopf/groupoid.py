@@ -10,8 +10,8 @@ import itertools
 from .errors import (AxiomViolation, CharacteristicDividesOrder, Frozen, MalformedInput,
                      ShapeMismatch)
 from .scalars import Field
+from .structures import WeakHopfData, _assemble
 from .tensor_space import FinVec, LinMap
-from .weak_hopf import WeakHopfData, _assemble
 
 
 class FiniteGroupoid(Frozen):

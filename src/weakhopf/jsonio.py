@@ -17,8 +17,8 @@ from math import prod
 
 from .errors import MalformedInput
 from .scalars import Field, field_from_name, field_name
+from .structures import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
 from .tensor_space import PAIR_TO_ONE, FinVec, LinMap, Tensor3, Vector, ground, tensor_product
-from .weak_hopf import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
 
 
 def canonical_dumps(obj) -> str:
@@ -98,6 +98,8 @@ def _field(d: dict, at: str) -> Field:
     name = d["field"]
     try:
         return field_from_name(name)
+    except MalformedInput as exc:
+        raise MalformedInput(f"{at}field: {exc}") from None
     except (AttributeError, ValueError):
         raise MalformedInput(f"{at}field: expected a field name such as 'Q', "
                              f"got {name!r}") from None
@@ -134,7 +136,7 @@ def _coalgebra(d: dict, space: FinVec, at: str) -> CoalgebraData:
 def _action(hopf: WeakHopfData, carrier, side: str, entries, path: str) -> ActionTensor:
     """The action whose tensor is ``entries[i][j][k]``, the coefficient of x_k
     in h_i·x_j (left) or x_i↼h_j (right)."""
-    from .partial_actions import ActionTensor
+    from .actions import ActionTensor
 
     X = carrier.space
     factors = (hopf.space, X) if side == "left" else (X, hopf.space)
@@ -331,4 +333,11 @@ def triple_from_json(d: dict) -> GlobalizationTriple:
 def abelian_group_from_spec(d: dict) -> FiniteAbelianGroup:
     from .groupoid import FiniteAbelianGroup
 
-    return FiniteAbelianGroup(tuple(int(n) for n in d["factors"]))
+    factors = d.get("factors")
+    if not isinstance(factors, list) or not factors:
+        raise MalformedInput(f"factors: expected a non-empty list of positive integers, "
+                             f"got {factors!r}")
+    for i, n in enumerate(factors):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise MalformedInput(f"factors[{i}]: expected a positive integer, got {n!r}")
+    return FiniteAbelianGroup(tuple(factors))

@@ -97,14 +97,20 @@ class GFElement:
         return f"{self.value} mod {self.p}"
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    """Miller–Rabin to the prime bases up to 41, which is exact for n <
+    PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)."""
+    if n < 2 or any(n % a == 0 for a in _BASES):
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d·2^s with d odd
+    for a in _BASES:    # a witnesses n composite unless a^d = 1 or some a^(d·2^r) = -1
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all((x := x * x % n if r else x) != n - 1 for r in range(s)):
             return False
-        d += 1
     return True
 
 
@@ -202,6 +208,9 @@ class RationalField(Field):
 
 class PrimeField(Field):
     def __init__(self, p: int):
+        if p >= PRIME_BOUND:
+            raise MalformedInput(f"p = {p} is not below {PRIME_BOUND}, the bound below "
+                                 f"which primality is decided exactly")
         if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -226,13 +227,14 @@ def _counting(monkeypatch, fn, *modules):
 
 
 def test_cli_dualize_checks_the_action_once(tmp_path, capsys, monkeypatch):
+    import weakhopf.actions
     import weakhopf.cli
     import weakhopf.dualization
     import weakhopf.partial_actions
-    from weakhopf.partial_actions import check_partial_module_coalgebra
+    from weakhopf.actions import check_partial_module_coalgebra
 
-    calls = _counting(monkeypatch, check_partial_module_coalgebra,
-                      weakhopf.cli, weakhopf.dualization, weakhopf.partial_actions)
+    calls = _counting(monkeypatch, check_partial_module_coalgebra, weakhopf.cli,
+                      weakhopf.dualization, weakhopf.partial_actions, weakhopf.actions)
     act, _ = isotropy_lambda_action(disjoint_union_of_cyclic([2, 3]), QQ, "g1.e")
     assert main(["dualize", write(tmp_path, "act.json", action_to_json(act))]) == 0
     assert len(calls) == 1
@@ -405,6 +407,53 @@ def test_validate_groupoid_rejects_a_malformed_group_name(tmp_path, capsys, name
     err = capsys.readouterr().err
     assert err == (f"whw: malformed input: MalformedInput: disjoint_union[0].group: "
                    f"expected a group name such as 'Z/2', got {name!r}\n")
+
+
+# -- field names and abelian-group specs -------------------------------------------
+
+BIG_PRIME = 100000000000000000039    # 21 digits
+
+
+def _one_element_groupoid(tmp_path):
+    return write(tmp_path, "G.json", {"elements": ["e"], "mul": [["e", "e", "e"]],
+                                      "inv": {"e": "e"}})
+
+
+def test_cli_builds_over_a_21_digit_prime_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    assert main(["build", "kG", _one_element_groupoid(tmp_path), "--field", f"Fp:{BIG_PRIME}"]) == 0
+    assert time.perf_counter() - start < 1
+    assert json.loads(capsys.readouterr().out)["field"] == f"Fp:{BIG_PRIME}"
+
+
+@pytest.mark.parametrize("p,message", [(561, "561 is not prime"),
+                                       (2 ** 89 - 1, "not below 3317044064679887385961981")],
+                         ids=["carmichael-561", "mersenne-2^89-1"])
+def test_cli_refuses_a_field_that_is_not_a_prime_below_the_bound(tmp_path, capsys, p, message):
+    assert main(["build", "kG", _one_element_groupoid(tmp_path), "--field", f"Fp:{p}"]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("whw: malformed input") and message in err
+
+
+def test_a_document_field_above_the_bound_names_the_bound(tmp_path, capsys):
+    doc = _edit(_action_doc(), lambda d: d["hopf"].update(field=f"Fp:{2 ** 89 - 1}"))
+    assert main(["check", "pmc", write(tmp_path, "act.json", doc)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("whw: malformed input: MalformedInput: hopf.field: ")
+    assert "not below 3317044064679887385961981" in err
+
+
+@pytest.mark.parametrize("spec,where", [
+    ({"factors": [0]}, "factors[0]"), ({"factors": ["x"]}, "factors[0]"),
+    ({"factors": [2, True]}, "factors[1]"), ({"factors": [2, 1.5]}, "factors[1]"),
+    ({"factors": 3}, "factors"), ({"factors": []}, "factors"), ({}, "factors")],
+    ids=["zero", "string", "bool", "float", "not-a-list", "empty", "missing"])
+def test_cli_abelian_group_spec_is_checked(tmp_path, capsys, spec, where):
+    assert main(["build", "abelian-group", write(tmp_path, "A.json", spec)]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"whw: malformed input: MalformedInput: {where}: expected")
 
 
 # -- the decoder: nested arrays straight into sparse columns ----------------------

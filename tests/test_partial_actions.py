@@ -406,17 +406,17 @@ def test_zero_action_fails_pma1():
 
 
 def _counting(monkeypatch, name):
-    """Replace the checker ``name`` of weakhopf.partial_actions by a wrapper
-    that records the label of each call."""
-    import weakhopf.partial_actions
+    """Replace the checker ``name`` of weakhopf.actions by a wrapper that
+    records the label of each call."""
+    import weakhopf.actions
 
-    fn, labels = getattr(weakhopf.partial_actions, name), []
+    fn, labels = getattr(weakhopf.actions, name), []
 
     def counted(act, label):
         labels.append(label)
         return fn(act, label)
 
-    monkeypatch.setattr(weakhopf.partial_actions, name, counted)
+    monkeypatch.setattr(weakhopf.actions, name, counted)
     return labels
 
 

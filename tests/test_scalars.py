@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from weakhopf.errors import DivisionByZero, FieldMismatch, MalformedInput
 from weakhopf.scalars import (
+    PRIME_BOUND,
     QQ,
     GFElement,
     PrimeField,
@@ -93,6 +95,37 @@ def test_field_names():
         field_from_name("R")
     with pytest.raises(ValueError):
         PrimeField(6)
+
+
+def _prime_field_accepts(p: int) -> bool:
+    try:
+        PrimeField(p)
+    except ValueError:
+        return False
+    return True
+
+
+def test_prime_fields_match_trial_division_below_ten_thousand():
+    assert ([p for p in range(10_000) if _prime_field_accepts(p)]
+            == [p for p in range(2, 10_000) if all(p % d for d in range(2, math.isqrt(p) + 1))])
+
+
+@pytest.mark.parametrize("n", [561, 1105, 1729, 2047, 3215031751, 3825123056546413051,
+                               318665857834031151167461])
+def test_carmichael_numbers_and_strong_pseudoprimes_are_refused(n):
+    # the last three are strong pseudoprimes to every prime base up to 7, 31 and 37
+    with pytest.raises(ValueError, match="is not prime"):
+        PrimeField(n)
+
+
+def test_primes_are_accepted_up_to_the_bound():
+    # the last is the largest prime below PRIME_BOUND
+    for p in (2 ** 61 - 1, 100000000000000000039, PRIME_BOUND - 168):
+        assert field_from_name(f"Fp:{p}").p == p
+    # PRIME_BOUND itself is a strong pseudoprime to all thirteen bases
+    for p in (PRIME_BOUND, 2 ** 89 - 1):
+        with pytest.raises(MalformedInput, match=str(PRIME_BOUND)):
+            PrimeField(p)
 
 
 def test_rational_canonical_form():

@@ -27,7 +27,9 @@ from weakhopf import (
 )
 from weakhopf.jsonio import action_to_json, lambda_to_json, weakhopf_to_json
 
-# the package's exports, module by module
+# the package's exports, module by module, by the names that each module offers
+# (the records and the action checkers are defined in `structures` and `actions`
+# and imported by `weak_hopf` and `partial_actions`)
 EXPORTS = {
     "scalars": "QQ Field PrimeField RationalField field_from_name",
     "tensor_space": "FinVec LinMap Subspace Tensor3 Vector ground image_basis "
@@ -96,8 +98,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
 """
 
-WEAK_HOPF_ONLY = {"groupoid", "partial_actions", "dualization", "globalization"}
+WEAK_HOPF_ONLY = {"groupoid", "actions", "partial_actions", "dualization", "globalization"}
 NOT_ACTIONS = {"dualization", "globalization"}
+CHECKERS = {"weak_hopf"}            # the weak Hopf axiom and identity checkers
+FAMILIES = {"partial_actions"}      # λ, induced and groupoid partial actions
 
 
 @pytest.fixture(scope="module")
@@ -110,7 +114,8 @@ def documents(tmp_path_factory):
     lam = LambdaFunctional.indicator(groupoid_algebra(G2, QQ), ["e"])
     right = lambda_action(LambdaFunctional.indicator(H, ["g1.e"]),
                           grouplike_coalgebra(QQ, ["c0", "c1"]), "right")
-    docs = {"H": weakhopf_to_json(H), "act": action_to_json(act),
+    docs = {"G": {"disjoint_union": [{"group": "Z/2"}, {"group": "Z/3"}]},
+            "H": weakhopf_to_json(H), "act": action_to_json(act),
             "lam": lambda_to_json(lam, groupoid=G2, hopf_kind="kG"),
             "right": action_to_json(right)}
     for name, doc in docs.items():
@@ -129,13 +134,17 @@ def _added(argv):
 
 
 CLOSURES = [     # (argv with document names, modules it must load, modules it must not)
-    (["--help"], set(), {"jsonio", "weak_hopf", "tensor_space", "scalars"} | WEAK_HOPF_ONLY),
-    (["check", "weak-hopf", "H.json"], {"weak_hopf"}, WEAK_HOPF_ONLY),
+    (["--help"], set(),
+     {"jsonio", "structures", "tensor_space", "scalars"} | CHECKERS | WEAK_HOPF_ONLY),
+    (["check", "weak-hopf", "H.json"], {"structures", "weak_hopf"}, WEAK_HOPF_ONLY),
     (["check", "identities", "H.json"], {"weak_hopf"}, WEAK_HOPF_ONLY),
-    (["check", "pmc", "act.json"], {"partial_actions"}, NOT_ACTIONS | {"groupoid"}),
-    (["check", "lambda", "lam.json"], {"partial_actions"}, NOT_ACTIONS),
-    (["dualize", "act.json"], {"dualization"}, {"globalization", "groupoid"}),
-    (["globalize", "right.json"], {"globalization"}, {"groupoid"}),
+    (["check", "pmc", "act.json"], {"structures", "actions"},
+     NOT_ACTIONS | {"groupoid"} | CHECKERS | FAMILIES),
+    (["check", "lambda", "lam.json"], {"actions", "partial_actions"}, NOT_ACTIONS | CHECKERS),
+    (["dualize", "act.json"], {"dualization"}, {"globalization", "groupoid"} | CHECKERS | FAMILIES),
+    (["globalize", "right.json"], {"globalization"}, {"groupoid"} | CHECKERS | FAMILIES),
+    (["build", "kG", "G.json"], {"structures", "groupoid"},
+     {"actions", "dualization", "globalization"} | CHECKERS | FAMILIES),
 ]
 
 
