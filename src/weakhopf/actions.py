@@ -93,18 +93,12 @@ class ActionTensor(Frozen):
 
     @cached_property
     def product_slices(self) -> tuple[LinMap, ...]:
-        """``product_slices[i·n + j]`` is ``act_by(e_i·e_j)``, built once from
-        the multiplication columns of H."""
-        return tuple(self._slice_sum(col) for col in self.hopf.alg.mul.cols)
-
-    @cached_property
-    def iterated_slices(self) -> tuple[LinMap, ...]:
-        """``iterated_slices[i·n + j]`` is c ↦ h_i·(h_j·c) for a left action
-        and c ↦ (c↼h_i)↼h_j for a right one, built once."""
-        s = self.slices
-        if self.side == LEFT:
-            return tuple(a @ b for a in s for b in s)
-        return tuple(b @ a for a in s for b in s)
+        """``product_slices[i·n + j]`` is ``act_by(e_i·e_j)``, built once per
+        distinct product column of H (on kG and (kG)*, at most n + 1 maps)."""
+        memo = {}
+        return tuple(memo[key] if (key := frozenset(col.items())) in memo
+                     else memo.setdefault(key, self._slice_sum(col))
+                     for col in self.hopf.alg.mul.cols)
 
     @cached_property
     def counit_table(self) -> tuple[dict, ...]:
@@ -168,14 +162,25 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
     return compare_maps(label, C.comul @ act.action, rhs)
 
 
-def _aggregate_pairs(act: ActionTensor, label: str, rhs_fn) -> CheckResult:
-    """Compare the iterated action of each basis pair (h_i, h_j) with the
-    endomorphism ``rhs_fn(i, j)``, reporting the smallest failing pair."""
-    H = act.hopf.space
-    n = H.dim
-    return first_failure(label, (
-        ((i, j), compare_maps("", act.iterated_slices[i * n + j], rhs_fn(i, j)))
-        for i in range(n) for j in range(n)), lambda ij: f"{_pair_label(H, *ij)}; ")
+def _pair_checks(act: ActionTensor, checks: dict) -> list[CheckResult]:
+    """Compare the iterated action h_i·(h_j·–) (resp. (–↼h_i)↼h_j) of each
+    basis pair with ``rhs(i, j)`` for every ``label: rhs`` of ``checks``, in
+    one scan that builds each composite once; each check reports its own
+    smallest failing pair and is not evaluated past it."""
+    H, s, left, found = act.hopf.space, act.slices, act.side == LEFT, {}
+    for i, j in ((i, j) for i in range(H.dim) for j in range(H.dim)):
+        if len(found) == len(checks):
+            break
+        lhs = s[i] @ s[j] if left else s[j] @ s[i]
+        for label, rhs in checks.items():
+            if label not in found and not (r := compare_maps("", lhs, rhs(i, j))).passed:
+                found[label] = CheckResult(label, False, f"{_pair_label(H, i, j)}; {r.witness}")
+    return [found.get(label) or CheckResult(label, True) for label in checks]
+
+
+def _strict_rhs(act: ActionTensor):
+    """Acting by the product h_i h_j: the MC3 and MA3 side, for either side."""
+    return lambda i, j: act.product_slices[i * act.hopf.space.dim + j]
 
 
 def check_module_coalgebra(act: ActionTensor) -> Report:
@@ -186,25 +191,14 @@ def check_module_coalgebra(act: ActionTensor) -> Report:
     violated by the computed verdicts.
     """
     C = _require_coalgebra(act)
-    return _module_coalgebra(act, compare_maps("MC1", _unit_slice(act), LinMap.identity(C.space)),
-                             _mc2_check(act, "MC2"))
-
-
-def _module_coalgebra(act: ActionTensor, mc1: CheckResult, mc2: CheckResult) -> Report:
-    """The MC report, given the MC1 and MC2 verdicts."""
-    n = act.hopf.space.dim
-    rep = Report(f"{act.side} module coalgebra", [mc1, mc2])
-
-    # for either side the strict composite must match acting by the product h_i h_j
-    mc3 = _aggregate_pairs(act, "MC3", lambda i, j: act.product_slices[i * n + j])
-    rep.add(mc3)
-
+    mc1 = compare_maps("MC1", _unit_slice(act), LinMap.identity(C.space))
+    mc2 = _mc2_check(act, "MC2")
+    [mc3] = _pair_checks(act, {"MC3": _strict_rhs(act)})
     mc4 = _globality_criterion(act, "MC4")
-    rep.add(mc4)
     implied = not (mc1.passed and mc2.passed and mc3.passed and not mc4.passed)
-    rep.add(CheckResult("MC4-consistency", implied,
-                        None if implied else "MC1-MC3 hold but MC4 fails"))
-    return rep
+    return Report(f"{act.side} module coalgebra", [
+        mc1, mc2, mc3, mc4, CheckResult("MC4-consistency", implied,
+                                        None if implied else "MC1-MC3 hold but MC4 fails")])
 
 
 def _globality_criterion(act: ActionTensor, label: str) -> CheckResult:
@@ -298,22 +292,28 @@ def check_partial_module_coalgebra(act: ActionTensor) -> PartialActionVerdict:
     The verdict also cross-checks the characterisation ``partial + criterion
     ⇔ global``: when PMC1-PMC3 hold, the full MC checker must agree with the
     criterion.  A disagreement is reported as an internal-consistency failure.
+    The verdict is kept on the action, as ``cached_property`` would.
     """
     C = _require_coalgebra(act)
+    if (verdict := act.__dict__.get("_pmc_verdict")) is not None:
+        return verdict
     rep = Report(f"{act.side} partial module coalgebra")
-    pmc1 = rep.add(compare_maps("PMC1", _unit_slice(act), LinMap.identity(C.space)))
-    pmc2 = rep.add(_mc2_check(act, "PMC2"))
-    rep.add(_aggregate_pairs(act, "PMC3", _pmc3_rhs(act, symmetric=False)))
-    symmetric = _aggregate_pairs(act, "symmetric", _pmc3_rhs(act, symmetric=True))
+    rep.add(compare_maps("PMC1", _unit_slice(act), LinMap.identity(C.space)))
+    rep.add(_mc2_check(act, "PMC2"))
+    pmc3, symmetric, mc3 = _pair_checks(act, {"PMC3": _pmc3_rhs(act, symmetric=False),
+                                              "symmetric": _pmc3_rhs(act, symmetric=True),
+                                              "MC3": _strict_rhs(act)})
+    rep.add(pmc3)
     globality = _globality_criterion(act, "globality")
 
     consistency = None
-    if rep.ok:      # PMC1 and PMC2 are MC1 and MC2
-        agree = _module_coalgebra(act, pmc1, pmc2).ok == globality.passed
+    if rep.ok:      # MC1, MC2 and MC4 are PMC1, PMC2 and the criterion
+        agree = mc3.passed or not globality.passed
         consistency = CheckResult(
             "global-iff-criterion", agree,
             None if agree else "globality criterion disagrees with the MC axioms")
-    return PartialActionVerdict(rep, symmetric, globality, consistency)
+    return act.__dict__.setdefault("_pmc_verdict", PartialActionVerdict(
+        rep, symmetric, globality, consistency))
 
 # ---------------------------------------------------------------------------
 # module algebra checkers
@@ -322,16 +322,14 @@ def check_partial_module_coalgebra(act: ActionTensor) -> PartialActionVerdict:
 def check_module_algebra(act: ActionTensor) -> Report:
     """The global module-algebra axioms MA1-MA4 (either side)."""
     A = _require_algebra(act)
+    [ma3] = _pair_checks(act, {"MA3": _strict_rhs(act)})
     return _module_algebra(act, compare_maps("MA1", _unit_slice(act), LinMap.identity(A.space)),
-                           _ma2_check(act, "MA2"))
+                           _ma2_check(act, "MA2"), ma3)
 
 
-def _module_algebra(act: ActionTensor, ma1: CheckResult, ma2: CheckResult) -> Report:
-    """The MA report, given the MA1 and MA2 verdicts."""
-    n = act.hopf.space.dim
-    return Report(f"{act.side} module algebra", [
-        ma1, ma2, _aggregate_pairs(act, "MA3", lambda i, j: act.product_slices[i * n + j]),
-        _ma4_check(act, "MA4")])
+def _module_algebra(act: ActionTensor, *ma: CheckResult) -> Report:
+    """The MA report, given the MA1-MA3 verdicts."""
+    return Report(f"{act.side} module algebra", [*ma, _ma4_check(act, "MA4")])
 
 
 def _ma2_check(act: ActionTensor, label: str) -> CheckResult:
@@ -366,8 +364,9 @@ def _ma4_check(act: ActionTensor, label: str) -> CheckResult:
         for i in range(H.dim)), lambda i: f"h={H.labels[i]}: ")
 
 
-def _pma3_rhs(act: ActionTensor, i: int, j: int, symmetric: bool) -> LinMap:
-    """The correction side of PMA3 (or its symmetric variant):
+def _pma3_rhs(act: ActionTensor, symmetric: bool):
+    """The correction side of PMA3 (or its symmetric variant) as a function
+    of the basis pair (h_i, h_j) to an endomorphism of the carrier:
 
         left   (h₁·1)(h₂k·a),    sym  (h₁k·a)(h₂·1),
         right  (a↼hk₁)(1↼k₂),    sym  (1↼k₁)(a↼hk₂).
@@ -378,16 +377,17 @@ def _pma3_rhs(act: ActionTensor, i: int, j: int, symmetric: bool) -> LinMap:
     n = act.hopf.space.dim
     left = act.side == LEFT
     unit_leg = 0 if left != symmetric else 1
-    pairs = act.hopf.coalg.delta_pairs(i if left else j)
     units = [_combine(s.cols, A.unit.terms.items()) for s in act.slices]
-    prods = [act.product_slices[x * n + j if left else i * n + x].cols for x in range(n)]
+    prods = act.product_slices
 
-    def term(pair, aidx: int) -> dict:
-        u, moved = units[pair[unit_leg]], prods[pair[1 - unit_leg]][aidx]
-        return A.times(u, moved) if unit_leg == 0 else A.times(moved, u)
-
-    return LinMap(A.space, A.space, [_accumulate((term(pair, aidx), pair[2]) for pair in pairs)
-                                     for aidx in range(A.space.dim)])
+    def rhs(i: int, j: int) -> LinMap:
+        terms = [(units[pair[unit_leg]], prods[pair[1 - unit_leg] * n + j if left
+                                               else i * n + pair[1 - unit_leg]].cols, pair[2])
+                 for pair in act.hopf.coalg.delta_pairs(i if left else j)]
+        return LinMap(A.space, A.space, [_accumulate(
+            (A.times(u, moved[aidx]) if unit_leg == 0 else A.times(moved[aidx], u), c)
+            for u, moved, c in terms) for aidx in range(A.space.dim)])
+    return rhs
 
 
 def check_partial_module_algebra(act: ActionTensor) -> PartialActionVerdict:
@@ -397,10 +397,11 @@ def check_partial_module_algebra(act: ActionTensor) -> PartialActionVerdict:
     rep = Report(f"{act.side} partial module algebra")
     pma1 = rep.add(compare_maps("PMA1", _unit_slice(act), LinMap.identity(A.space)))
     pma2 = rep.add(_ma2_check(act, "PMA2"))
-    rep.add(_aggregate_pairs(act, "PMA3", lambda i, j: _pma3_rhs(act, i, j, symmetric=False)))
-    symmetric = _aggregate_pairs(act, "symmetric",
-                                 lambda i, j: _pma3_rhs(act, i, j, symmetric=True))
-    ma = _module_algebra(act, pma1, pma2)     # MA1 and MA2 are PMA1 and PMA2
+    pma3, symmetric, ma3 = _pair_checks(act, {"PMA3": _pma3_rhs(act, symmetric=False),
+                                              "symmetric": _pma3_rhs(act, symmetric=True),
+                                              "MA3": _strict_rhs(act)})
+    rep.add(pma3)
+    ma = _module_algebra(act, pma1, pma2, ma3)     # MA1 and MA2 are PMA1 and PMA2
     globality = CheckResult("global-MA", ma.ok,
                             None if ma.ok else ma.failures[0].witness)
     return PartialActionVerdict(rep, symmetric, globality)

@@ -105,6 +105,11 @@ def _field(d: dict, at: str) -> Field:
                              f"got {name!r}") from None
 
 
+def _same_field(d: dict, field: Field, at: str = "") -> None:
+    if "field" in d and _field(d, at) != field:
+        raise MalformedInput(f"{at}field: the structures are over {field_name(field)}")
+
+
 def _space(field: Field, labels, path: str) -> FinVec:
     if not (isinstance(labels, list) and labels and all(isinstance(x, str) for x in labels)
             and len(set(labels)) == len(labels)):
@@ -244,10 +249,14 @@ def action_to_json(act: ActionTensor, groupoid: FiniteGroupoid | None = None) ->
 def action_from_json(d: dict, at: str = "") -> ActionTensor:
     hopf = weakhopf_from_json(d["hopf"], f"{at}hopf.")
     carrier = _carrier_from_json(d["carrier"], f"{at}carrier.")
-    side = d["side"]
+    _same_field(d, hopf.field, at)
+    return _action(hopf, carrier, _side(d["side"], at), d["tensor"], f"{at}tensor")
+
+
+def _side(side, at: str) -> str:
     if side not in ("left", "right"):
         raise MalformedInput(f"{at}side: expected 'left' or 'right', got {side!r}")
-    return _action(hopf, carrier, side, d["tensor"], f"{at}tensor")
+    return side
 
 
 def action_groupoid_from_json(d: dict) -> FiniteGroupoid | None:
@@ -275,19 +284,21 @@ def lambda_from_json(d: dict):
     from .groupoid import dual_groupoid_algebra, groupoid_algebra, groupoid_from_spec
     from .partial_actions import LambdaFunctional
 
-    f = _field(d, "")
     G = groupoid_from_spec(d["groupoid"], "groupoid.") if "groupoid" in d else None
     kind = d.get("hopf_kind")
+    if kind not in (None, "kG", "kG-dual"):
+        raise MalformedInput(f"hopf_kind: expected 'kG' or 'kG-dual', got {kind!r}")
     if "hopf" in d:
         hopf = weakhopf_from_json(d["hopf"])
-    elif G is not None and kind in ("kG", "kG-dual"):
-        hopf = groupoid_algebra(G, f) if kind == "kG" else dual_groupoid_algebra(G, f)
+    elif G is not None and kind is not None:
+        hopf = (groupoid_algebra if kind == "kG" else dual_groupoid_algebra)(G, _field(d, ""))
     else:
         raise MalformedInput("lambda document needs 'hopf' or 'groupoid'+'hopf_kind'")
+    _same_field(d, hopf.field)
     n = hopf.space.dim
     [values] = _decode(hopf.field, (d["values"], (n,), "values", n))[0]
     lf = LambdaFunctional.from_values(hopf, [values.get(i, 0) for i in range(n)])
-    return lf, G, kind, d.get("side", "left")
+    return lf, G, kind, _side(d.get("side", "left"), "")
 
 
 def gpa_to_json(gpa: GroupoidPartialAction) -> dict:
@@ -306,6 +317,7 @@ def gpa_from_json(d: dict) -> GroupoidPartialAction:
 
     G = groupoid_from_spec(d["groupoid"], "groupoid.")
     C = coalgebra_from_json(d["coalgebra"], "coalgebra.")
+    _same_field(d, C.field)
     X = C.space
     projections = {g: _matrix(d["projections"][g], X, X, f"projections.{g}") for g in G.elements}
     isos = {g: _matrix(d["isos"][g], X, X, f"isos.{g}") for g in G.elements}
@@ -323,6 +335,7 @@ def triple_from_json(d: dict) -> GlobalizationTriple:
     from .globalization import GlobalizationTriple
 
     partial = action_from_json(d["partial"], "partial.")
+    _same_field(d, partial.hopf.field)
     D = coalgebra_from_json(d["D"], "D.")
     global_act = _action(partial.hopf, D, "right", d["global_tensor"], "global_tensor")
     theta = _matrix(d["theta"], partial.carrier.space, D.space, "theta")

@@ -7,6 +7,8 @@ symmetric partial groupoid-algebra actions.
 
 from __future__ import annotations
 
+from functools import cache
+
 # the MA/PMA checkers are not used here; they are imported so that this module
 # still offers every action checker by name
 from .actions import (
@@ -491,9 +493,10 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
     def maps(lhs, rhs):
         return lambda x: compare_maps("", lhs(x), rhs(x))
 
-    pairs = [(g, h) for g in G.elements for h in G.elements]
     comp = sorted(G.composable)
     elements = G.elements
+    pairs = [(g, h) for a, g in enumerate(elements) for h in elements[a:]]   # Eq 1 is symmetric
+    p_p = cache(lambda gh: P(inv[mul[gh]]) @ P(inv[gh[1]]))    # Eq 3 and Lemma-(iii)
     conditions = [
         ("theta-support", elements, maps(TH, lambda g: TH(g) @ P(inv[g]))),
         ("(i)-projection", elements, maps(lambda g: P(g) @ P(g), P)),
@@ -505,15 +508,15 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
         ("Eq 1", pairs, maps(lambda gh: P(gh[0]) @ P(gh[1]), lambda gh: P(gh[1]) @ P(gh[0]))),
         ("Eq 2", comp, maps(lambda gh: TH(inv[gh[1]]) @ P(gh[1]) @ P(inv[gh[0]]),
                             lambda gh: P(inv[mul[gh]]) @ TH(inv[gh[1]]) @ P(gh[1]))),
-        ("Eq 3", comp, maps(lambda gh: TH(gh[0]) @ TH(gh[1]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]),
-                            lambda gh: TH(mul[gh]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]))),
+        ("Eq 3", comp, maps(lambda gh: TH(gh[0]) @ TH(gh[1]) @ p_p(gh),
+                            lambda gh: TH(mul[gh]) @ p_p(gh))),
         ("Eq 4", elements, maps(lambda g: P(r[g]) @ P(g), P)),
         ("Lemma-(i)a", elements, maps(lambda g: TH(r[g]) @ TH(g), TH)),
         ("Lemma-(i)b", elements, maps(lambda g: TH(r[g]) @ P(g), P)),
         ("Lemma-(ii)a", elements, maps(lambda g: TH(inv[g]) @ TH(g), lambda g: P(inv[g]))),
         ("Lemma-(ii)b", elements, maps(lambda g: TH(g) @ TH(inv[g]), P)),
         ("Lemma-(iii)", comp, maps(lambda gh: P(inv[gh[0]]) @ TH(gh[1]),
-                                   lambda gh: TH(gh[1]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]))),
+                                   lambda gh: TH(gh[1]) @ p_p(gh))),
         ("theta-iso", elements, iso_check),
         ("theta-comult", elements, maps(lambda g: C.comul @ TH(g),
                                         lambda g: TH(g).tensor(TH(g)) @ C.comul @ P(inv[g]))),

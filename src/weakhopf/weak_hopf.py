@@ -178,13 +178,16 @@ def _mul_with(A: AlgebraData, f_cols, side: int) -> list[dict]:
             for h in range(n) for k in range(n)]
 
 
-def _map_h_to_d1_sandwich(H: WeakHopfData, left, right) -> LinMap:
-    """The map h ↦ Σ left(1₁, h) ⊗ right(1₂, h) over Δ(1) = Σ 1₁⊗1₂, left and
-    right giving sparse dicts for the basis indices of each (leg, h) pair."""
-    n = H.space.dim
-    return LinMap(H.space, tensor_product(H.space, H.space), [
-        _accumulate((_kron(left(a, j), right(b, j), n), c) for a, b, c in H.wb.delta_one_pairs)
-        for j in range(n)])
+def _map_h_to_d1_sandwich(H: WeakHopfData, leg: int, moved, fixed) -> LinMap:
+    """h_j ↦ Σ x⊗y over Δ(1) = Σ 1₁⊗1₂, x = moved(1₁, j) and y = fixed[1₂] for ``leg`` 0
+    (mirrored for 1); Δ(1) is grouped by that leg, so only nonzero moved(t, j) are paired."""
+    n, one, rest = H.space.dim, H.field.one(), {}
+    for pair in H.wb.delta_one_pairs:
+        rest.setdefault(pair[leg], []).append((pair[1 - leg], pair[2]))
+    rest = [(t, w) for t, terms in rest.items() if (w := _combine(fixed, terms))]
+    return LinMap(H.space, tensor_product(H.space, H.space), [_accumulate(
+        (_kron(x, w, n) if leg == 0 else _kron(w, x, n), one)
+        for t, w in rest if (x := moved(t, j))) for j in range(n)])
 
 
 def check_identities(H: WeakHopfData) -> Report:
@@ -234,8 +237,8 @@ def check_identities(H: WeakHopfData) -> Report:
 
     # builders shared by 4.10-4.13, 4.36-4.43: sparse dicts of e_i, e_i·e_j, S(e_i)
     e, Sc = LinMap.identity(space).cols, S.cols
-    map_1h_1 = _map_h_to_d1_sandwich(H, lambda a, j: m[a * n + j], lambda b, j: e[b])
-    map_1_h1 = _map_h_to_d1_sandwich(H, lambda a, j: e[a], lambda b, j: m[j * n + b])
+    map_1h_1 = _map_h_to_d1_sandwich(H, 0, lambda a, j: m[a * n + j], e)
+    map_1_h1 = _map_h_to_d1_sandwich(H, 1, lambda b, j: m[j * n + b], e)
 
     def restricted(lhs: LinMap, rhs: LinMap, sub: Subspace):
         return ((v, compare_vectors("", lhs.apply(v), rhs.apply(v))) for v in sub.basis_vectors)
@@ -319,13 +322,13 @@ def check_identities(H: WeakHopfData) -> Report:
         lambda p, q, r: (times(Sc[p], e[q]), e[r])), map_1_h1))
     rep.add(compare_maps("Eq 4.38", sweedler3(
         lambda p, q, r: (e[p], times(Sc[q], e[r]))),
-        _map_h_to_d1_sandwich(H, lambda a, j: m[j * n + a], lambda b, j: Sc[b])))
+        _map_h_to_d1_sandwich(H, 0, lambda a, j: m[j * n + a], Sc)))
     rep.add(compare_maps("Eq 4.39", sweedler3(
         lambda p, q, r: (times(e[p], Sc[q]), e[r])),
-        _map_h_to_d1_sandwich(H, lambda a, j: Sc[a], lambda b, j: m[b * n + j])))
+        _map_h_to_d1_sandwich(H, 1, lambda b, j: m[b * n + j], Sc)))
 
     # 4.41  h₂S⁻¹(h₁)⊗h₃ = S(ε_t(h₁))⊗h₂ = 1₁⊗1₂h
-    rhs_441 = _map_h_to_d1_sandwich(H, lambda a, j: e[a], lambda b, j: m[b * n + j])
+    rhs_441 = _map_h_to_d1_sandwich(H, 1, lambda b, j: m[b * n + j], e)
     s_et = (S @ et).cols
     rep.add(compare_maps("Eq 4.41b", LinMap(space, HH, [_accumulate(
         (_kron(s_et[a], e[b], n), c) for a, b, c in t) for t in C._delta_terms]), rhs_441))
@@ -336,10 +339,10 @@ def check_identities(H: WeakHopfData) -> Report:
         Si = Sinv.cols
         rep.add(compare_maps("Eq 4.41a", sweedler3(
             lambda p, q, r: (times(e[q], Si[p]), e[r])), rhs_441))
-        lhs_442 = _map_h_to_d1_sandwich(H, lambda a, j: times(e[a], Si[j]), lambda b, j: e[b])
+        lhs_442 = _map_h_to_d1_sandwich(H, 0, lambda a, j: times(e[a], Si[j]), e)
         rep.add(first_failure("Eq 4.42", restricted(lhs_442, rhs_441, H.Ht), at_h))
-        lhs_443 = _map_h_to_d1_sandwich(H, lambda a, j: e[a], lambda b, j: times(Si[j], e[b]))
-        rhs_443 = _map_h_to_d1_sandwich(H, lambda a, j: m[j * n + a], lambda b, j: e[b])
+        lhs_443 = _map_h_to_d1_sandwich(H, 1, lambda b, j: times(Si[j], e[b]), e)
+        rhs_443 = _map_h_to_d1_sandwich(H, 0, lambda a, j: m[j * n + a], e)
         rep.add(first_failure("Eq 4.43", restricted(lhs_443, rhs_443, H.Hs), at_h))
     return rep
 

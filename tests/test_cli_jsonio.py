@@ -27,6 +27,7 @@ from weakhopf import (
     two_object_iso_groupoid,
 )
 from weakhopf.cli import main
+from weakhopf.errors import MalformedInput
 from weakhopf.jsonio import (
     action_from_json,
     action_to_json,
@@ -240,6 +241,16 @@ def test_cli_dualize_checks_the_action_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
+def test_cli_equiv_decides_the_pmc_verdict_once(tmp_path, capsys, monkeypatch):
+    import weakhopf.actions
+    from weakhopf.actions import _mc2_check
+
+    # equiv checks the action itself and again inside from_kG_action
+    calls = _counting(monkeypatch, _mc2_check, weakhopf.actions)
+    assert main(["equiv", write(tmp_path, "gpa.json", gpa_to_json(two_object_gpa(QQ)))]) == 0
+    assert len(calls) == 1
+
+
 def test_cli_globalize_checks_the_triple_once(tmp_path, capsys, monkeypatch):
     import weakhopf.cli
     import weakhopf.globalization
@@ -334,6 +345,13 @@ MALFORMED = [
     ("carrier-not-a-document", "pmc", lambda: _edit(_action_doc(), lambda d: d.update(carrier=[])),
      "carrier.schema"),
     ("unknown-side", "pmc", lambda: _edit(_action_doc(), lambda d: d.update(side="up")), "side"),
+    ("lambda-side-up", "lambda", lambda: _edit(_lambda_doc(), lambda d: d.update(side="up")),
+     "side: expected 'left' or 'right', got 'up'"),
+    ("lambda-side-3", "lambda", lambda: _edit(_lambda_doc(), lambda d: d.update(side=3)), "side"),
+    ("lambda-side-null", "lambda", lambda: _edit(_lambda_doc(), lambda d: d.update(side=None)),
+     "side"),
+    ("lambda-hopf-kind", "lambda", lambda: _edit(_lambda_doc(), lambda d: d.update(hopf_kind="kH")),
+     "hopf_kind: expected 'kG' or 'kG-dual', got 'kH'"),
     ("carrier-counit", "pmc",
      lambda: _edit(_action_doc(), lambda d: d["carrier"]["counit"].append("1")),
      "carrier.counit"),
@@ -371,6 +389,48 @@ MALFORMED += [
     for name, value in [("7", 7), ("null", None), ("list", ["Q"]), ("true", True),
                         ("Fp-x", "Fp:x"), ("Fp-4", "Fp:4"), ("Fp-empty", "Fp:")]
 ]
+
+
+def _gpa_doc():
+    return gpa_to_json(two_object_gpa(QQ))
+
+
+# the top-level field of an action, λ or groupoid-action document must parse and
+# name the field of its structures
+MALFORMED += [
+    (f"{kind}-top-field-{name}", kind, _bad_field(build, "", value), "MalformedInput: field: ")
+    for kind, build in [("pmc", _action_doc), ("lambda", _lambda_doc),
+                        ("groupoid-action", _gpa_doc)]
+    for name, value in [("Fp-7", "Fp:7"), ("nonsense", "nonsense")]
+]
+
+
+def _triple_doc():
+    H = groupoid_algebra(disjoint_union_of_cyclic([2, 3]), QQ)
+    act = lambda_action(LambdaFunctional.indicator(H, ["g1.e"]),
+                        grouplike_coalgebra(QQ, ["c0", "c1"]), "right")
+    return triple_to_json(standard_globalization(act, find_basis_grouplikes(act)[0]))
+
+
+@pytest.mark.parametrize("value,where", [("Fp:7", "field: "), ("nonsense", "field: "),
+                                         (None, "field: ")])
+def test_globalization_document_field_must_match(value, where):
+    with pytest.raises(MalformedInput, match=f"^{where}"):
+        triple_from_json(_edit(_triple_doc(), lambda d: d.update(field=value)))
+    with pytest.raises(MalformedInput, match="^partial.field: "):
+        triple_from_json(_edit(_triple_doc(), lambda d: d["partial"].update(field=value)))
+
+
+def test_documents_without_a_top_level_field_still_load(tmp_path, capsys):
+    docs = {"pmc": _action_doc(), "lambda": _edit(_lambda_doc(), lambda d: d.update(
+        hopf=weakhopf_to_json(groupoid_algebra(two_object_iso_groupoid(), QQ)))),
+            "groupoid-action": _gpa_doc()}
+    for kind, doc in docs.items():
+        del doc["field"]
+        assert main(["check", kind, write(tmp_path, f"{kind}.json", doc)]) in (0, 2)
+    doc = _triple_doc()
+    del doc["field"]
+    assert triple_from_json(doc).pi == triple_from_json(_triple_doc()).pi
 
 
 def test_cli_rejects_a_document_that_is_not_an_object(tmp_path, capsys):

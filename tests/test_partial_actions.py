@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    ENTRIES,
     GF7,
     antipode_twisted_action,
     component_permutation_gpa,
@@ -46,6 +47,7 @@ from weakhopf import (
     disjoint_union_of_cyclic,
     dual_groupoid_algebra,
     dualize_coalgebra_action,
+    dualize_right_coalgebra_action,
     from_kG_action,
     groupoid_algebra,
     induce_partial_action,
@@ -459,7 +461,7 @@ def test_product_slices_act_by_basis_products(F, n, m, side, data):
             assert act.product_slices[i * n + j] == expected == act.act_by(prod)
 
 
-# -- per-action tables: iterated slices, the counit table, Sweedler terms -------------
+# -- per-action tables: the counit table, Sweedler terms -------------------------------
 
 def _sweedler(D, i):
     """Sweedler terms of Δ(e_i), read off the comultiplication column."""
@@ -489,10 +491,16 @@ def test_action_tables_match_fresh_computation(F, n, m, side, data):
         assert all(act.counit_table[q].values())
         for b in range(m):
             assert act.counit_table[q].get(b, F.zero()) == C.eps(slices[q].column(b))
-    for i in range(n):
-        for j in range(n):
-            expected = slices[i] @ slices[j] if side == "left" else slices[j] @ slices[i]
-            assert act.iterated_slices[i * n + j] == expected
+
+
+def test_pmc_keeps_no_per_pair_table():
+    H = groupoid_algebra(disjoint_union_of_cyclic([4, 4]), QQ)
+    act, n = regular_action(H), H.space.dim
+    assert check_partial_module_coalgebra(act).is_global
+    assert len({id(f) for f in act.product_slices}) <= n + 1
+    per_pair = [k for k, v in vars(act).items() if isinstance(v, tuple) and len(v) >= n * n]
+    assert per_pair == ["product_slices"]
+    assert check_partial_module_coalgebra(act) is check_partial_module_coalgebra(act)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -508,15 +516,29 @@ def test_action_rejects_a_carrier_over_another_field(side):
         ActionTensor(H, C, side, gf_act.action)
 
 
+def reference_pair_scan(act, label, rhs):
+    """(passed, witness) of one check h_i·(h_j·–) = rhs(i, j) (resp.
+    (–↼h_i)↼h_j) scanned on its own, the composite built afresh per pair."""
+    H, s = act.hopf.space, act.slices
+    for i in range(H.dim):
+        for j in range(H.dim):
+            r = compare_maps(label, s[i] @ s[j] if act.side == "left" else s[j] @ s[i], rhs(i, j))
+            if not r.passed:
+                return False, f"h={H.labels[i]}, k={H.labels[j]}; {r.witness}"
+    return True, None
+
+
+def _moved(act, a, b):
+    """Acting by the product e_a·e_b."""
+    H = act.hopf
+    return act.act_by(H.alg.product(Vector.basis(H.space, a), Vector.basis(H.space, b)))
+
+
 def reference_pmc3(act, label, symmetric):
     """(passed, witness) of PMC3 or its symmetric variant, evaluated literally
     from the formulas in the module docstring."""
     H, C = act.hopf, act.carrier
-    n, left = H.space.dim, act.side == "left"
-
-    def moved(a, b, x):
-        prod = H.alg.product(Vector.basis(H.space, a), Vector.basis(H.space, b))
-        return act.act_by(prod).column(x)
+    left = act.side == "left"
 
     def rhs(i, j):
         def image(c):
@@ -524,24 +546,82 @@ def reference_pmc3(act, label, symmetric):
             for c1, c2, cc in _sweedler(C, c):
                 for h1, h2, ch in _sweedler(H.coalg, j if left else i):
                     if left and not symmetric:      # (h k₁·c₁) ε(k₂·c₂)
-                        eps, v = C.eps(act.slices[h2].column(c2)), moved(i, h1, c1)
+                        eps, v = C.eps(act.slices[h2].column(c2)), _moved(act, i, h1).column(c1)
                     elif left:                      # ε(k₁·c₁) (h k₂·c₂)
-                        eps, v = C.eps(act.slices[h1].column(c1)), moved(i, h2, c2)
+                        eps, v = C.eps(act.slices[h1].column(c1)), _moved(act, i, h2).column(c2)
                     elif not symmetric:             # ε(c₁↼h₁) (c₂↼h₂k)
-                        eps, v = C.eps(act.slices[h1].column(c1)), moved(h2, j, c2)
+                        eps, v = C.eps(act.slices[h1].column(c1)), _moved(act, h2, j).column(c2)
                     else:                           # (c₁↼h₁k) ε(c₂↼h₂)
-                        eps, v = C.eps(act.slices[h2].column(c2)), moved(h1, j, c1)
+                        eps, v = C.eps(act.slices[h2].column(c2)), _moved(act, h1, j).column(c1)
                     out = out + v.scale(cc * ch * eps)
             return out
         return LinMap.from_function(C.space, C.space, image)
 
-    s = act.slices
-    for i in range(n):
-        for j in range(n):
-            r = compare_maps(label, s[i] @ s[j] if left else s[j] @ s[i], rhs(i, j))
-            if not r.passed:
-                return False, f"h={H.space.labels[i]}, k={H.space.labels[j]}; {r.witness}"
-    return True, None
+    return reference_pair_scan(act, label, rhs)
+
+
+def reference_pma3(act, label, symmetric):
+    """(passed, witness) of PMA3 or its symmetric variant, evaluated literally:
+    left (h₁·1)(h₂k·a), sym (h₁k·a)(h₂·1); right (a↼hk₁)(1↼k₂), sym (1↼k₁)(a↼hk₂)."""
+    H, A = act.hopf, act.carrier
+    left = act.side == "left"
+
+    def rhs(i, j):
+        def image(a):
+            a, out = Vector.basis(A.space, a), Vector.zero(A.space)
+            for p, q, c in _sweedler(H.coalg, i if left else j):
+                unit_first = left != symmetric     # the unit leg is p, else q
+                u, x = (p, q) if unit_first else (q, p)
+                unit = act.slices[u].apply(A.unit)
+                moved = (_moved(act, x, j) if left else _moved(act, i, x)).apply(a)
+                out = out + (A.product(unit, moved) if unit_first
+                             else A.product(moved, unit)).scale(c)
+            return out
+        return LinMap.from_function(A.space, A.space, image)
+
+    return reference_pair_scan(act, label, rhs)
+
+
+def corrupted_regular_action(data, F, side):
+    """The regular action of kG or (kG)* of a small groupoid with one entry of
+    its action tensor redrawn, so that its checks fail at varying pairs."""
+    G = data.draw(st.sampled_from([cyclic_group_groupoid(2), disjoint_union_of_cyclic([1, 2]),
+                                   two_object_iso_groupoid()]))
+    H = data.draw(st.sampled_from([groupoid_algebra, dual_groupoid_algebra]))(G, F)
+    act = regular_action(H, side)
+    cols = [dict(col) for col in act.action.cols]
+    col = cols[data.draw(st.integers(0, len(cols) - 1))]
+    i, v = data.draw(st.integers(0, act.space.dim - 1)), F.coerce(data.draw(st.sampled_from(ENTRIES[F])))
+    col.pop(i, None)
+    if v:
+        col[i] = v
+    return ActionTensor(H, act.carrier, side, LinMap(act.action.domain, act.space, cols))
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, st.sampled_from(["left", "right"]), st.data())
+def test_pair_checks_match_per_check_scans(F, side, data):
+    act = corrupted_regular_action(data, F, side)
+
+    def strict(a):
+        return lambda i, j: _moved(a, i, j)
+
+    verdict = check_partial_module_coalgebra(act)
+    for result, expected in (
+            (verdict.report.result("PMC3"), reference_pmc3(act, "PMC3", False)),
+            (verdict.symmetric, reference_pmc3(act, "symmetric", True)),
+            (check_module_coalgebra(act).result("MC3"),
+             reference_pair_scan(act, "MC3", strict(act)))):
+        assert (result.passed, result.witness) == expected
+    dual = (dualize_coalgebra_action if side == "left"
+            else dualize_right_coalgebra_action)(act, check=False)
+    verdict = check_partial_module_algebra(dual)
+    for result, expected in (
+            (verdict.report.result("PMA3"), reference_pma3(dual, "PMA3", False)),
+            (verdict.symmetric, reference_pma3(dual, "symmetric", True)),
+            (check_module_algebra(dual).result("MA3"),
+             reference_pair_scan(dual, "MA3", strict(dual)))):
+        assert (result.passed, result.witness) == expected
 
 
 @settings(max_examples=60, deadline=None)
