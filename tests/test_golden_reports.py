@@ -32,7 +32,6 @@ from weakhopf import (
     GlobalizationTriple,
     LambdaFunctional,
     LinMap,
-    PrimeField,
     Vector,
     check_globalization,
     check_ht_hs_propositions,
@@ -46,6 +45,7 @@ from weakhopf import (
     dual_groupoid_algebra,
     dualize_coalgebra_action,
     dualize_right_coalgebra_action,
+    field_from_name,
     find_basis_grouplikes,
     groupoid_algebra,
     induce_partial_action,
@@ -72,6 +72,11 @@ SPECS = {
     "kG-Z2+Z2-gf7": ("kG", {"disjoint_union": [{"group": "Z/2"}, {"group": "Z/2"}]},
                      "Fp:7"),
 }
+# GF(2) and GF(3) twins, where the characteristic divides a group order; the
+# averaged example needs N = 3 invertible, so abelian-3 has no GF(3) twin
+for _name in ("kG-Z2+Z3", "kG-dual-iso", "abelian-3"):
+    for _p in (2,) if _name == "abelian-3" else (2, 3):
+        SPECS[f"{_name}-gf{_p}"] = (*SPECS[_name][:2], f"Fp:{_p}")
 
 
 def _run(argv, capsys):
@@ -278,22 +283,27 @@ API_CASES = ["ht-hs corrupted", "induce corrupted", "lambda verdicts",
     for mutation in ("global-slice-one", "global-slice-two", "pi-column")]
 
 
+FIELDS = ("Q", "Fp:7", "Fp:2", "Fp:3")
+
+
 def _cases():
     cases = []
     for name in SPECS:
         cases.append((f"build {name}", "build", name))
         for kind in ("weak-hopf", "identities", "hopf"):
             cases.append((f"{kind} {name}", kind, name))
-    for part in ("counit", "antipode", "unit", "mul"):
-        for kind in ("weak-hopf", "identities"):
-            cases.append((f"{kind} kG-Z2+Z3 corrupted {part}", kind, ("kG-Z2+Z3", part)))
+    for name in ("kG-Z2+Z3", "kG-Z2+Z3-gf2", "kG-Z2+Z3-gf3"):
+        for part in ("counit", "antipode", "unit", "mul"):
+            for kind in ("weak-hopf", "identities"):
+                cases.append((f"{kind} {name} corrupted {part}", kind, (name, part)))
     # Δ(1) ≠ 1⊗1 on both: between them these fail (i), (iii)a, (iii)b, assoc,
     # coassoc, S-(iii), S-antimult, S-anticomult and Eq 4.2a/b, 4.17, 4.18
-    for name in ("kG-dual-iso", "abelian-3"):
+    for name in ("kG-dual-iso", "abelian-3", "kG-dual-iso-gf2", "kG-dual-iso-gf3",
+                 "abelian-3-gf2"):
         for part in ("unit[0]=2", "mul[0][1][1]=2", "comul[1][0][1]=2", "antipode"):
             for kind in ("weak-hopf", "identities"):
                 cases.append((f"{kind} {name} corrupted {part}", kind, (name, part)))
-    for field in ("Q", "Fp:7"):
+    for field in FIELDS:
         for corrupt in (False, True):
             tag = f"{field}{' corrupted' if corrupt else ''}"
             cases.append((f"pmc {tag}", "pmc", (field, corrupt)))
@@ -310,7 +320,7 @@ def _cases():
                       corrupt and "theta"))
         cases.append((f"equiv two-object{tag}", "equiv", corrupt and "projection"))
         cases.append((f"globalize closing-one{tag}", "globalize", corrupt))
-    for field in ("Q", "Fp:7"):
+    for field in FIELDS:
         cases.append((f"dualize {field}", "dualize", field))
     for problem in ("wrong-side", "not-partial"):
         cases.append((f"dualize {problem}", "dualize", problem))
@@ -350,12 +360,12 @@ def _output(kind, arg, tmp_path, capsys) -> str:
         return _run_with_stderr(["--format", "json", "dualize", str(path)], capsys)
     elif kind == "dualize":
         command = ["dualize"]
-        path = _action_doc(tmp_path, QQ if arg == "Q" else PrimeField(7), False)
+        path = _action_doc(tmp_path, field_from_name(arg), False)
     elif kind == "globalize":
         command = ["globalize"]
         path = _closing_doc(tmp_path, arg)
     elif kind in ("pmc", "pma"):
-        field = QQ if arg[0] == "Q" else PrimeField(7)
+        field = field_from_name(arg[0])
         path = (_action_doc(tmp_path, field, arg[1]) if kind == "pmc"
                 else _dual_doc(tmp_path, capsys, field, arg[1]))
     elif isinstance(arg, tuple):
