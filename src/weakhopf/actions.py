@@ -84,11 +84,11 @@ class ActionTensor(Frozen):
     def _slice_sum(self, terms: dict) -> LinMap:
         """Σ c·slices[i] over the ``{i: c}`` terms, column by column from the
         action tensor."""
-        m = self.space.dim
+        m, p = self.space.dim, self.space.field.characteristic
         step, stride = (m, 1) if self.side == LEFT else (1, self.hopf.space.dim)
         cols = self.action.cols
         return LinMap(self.space, self.space,
-                      [_combine(cols, [(i * step + t * stride, c) for i, c in terms.items()])
+                      [_combine(cols, [(i * step + t * stride, c) for i, c in terms.items()], p)
                        for t in range(m)])
 
     @cached_property
@@ -143,18 +143,17 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
     """Δ(h·c) = h₁·c₁ ⊗ h₂·c₂ (either side), as a map equality on the
     action's domain."""
     C = act.carrier
-    n = act.hopf.space.dim
-    m = C.space.dim
+    n, m, p = act.hopf.space.dim, C.space.dim, C.field.characteristic
     sl = [s.cols for s in act.slices]
 
-    # live[j][p]: the Δ(c_j) terms (a, b, cc) whose column sl[p][a] is not empty
+    # live[j][x]: the Δ(c_j) terms (a, b, cc) whose column sl[x][a] is not empty
     live = [[[(a, b, cc) for a, b, cc in C.delta_pairs(j) if s[a]] for s in sl]
             for j in range(m)]
 
     def column(i: int, j: int) -> dict:
-        return _accumulate((_kron(sl[p][a], sl[q][b], m), ch * cc)
-                           for p, q, ch in act.hopf.coalg.delta_pairs(i)
-                           for a, b, cc in live[j][p] if sl[q][b])
+        return _accumulate(((_kron(sl[x][a], sl[y][b], m, p), ch * cc)
+                            for x, y, ch in act.hopf.coalg.delta_pairs(i)
+                            for a, b, cc in live[j][x] if sl[y][b]), p)
 
     cols = ([column(i, j) for i in range(n) for j in range(m)] if act.side == LEFT
             else [column(i, j) for j in range(m) for i in range(n)])
@@ -259,7 +258,7 @@ def _pmc3_rhs(act: ActionTensor, symmetric: bool):
     other leg is acted on by the product.  Δ(c)'s terms are grouped by their
     ε-leg, so only the pairs with a nonzero counit-table entry are visited."""
     C = act.carrier
-    n = act.hopf.space.dim
+    n, p = act.hopf.space.dim, C.field.characteristic
     left = act.side == LEFT
     eps_leg = 1 if left != symmetric else 0
     eps_table = act.counit_table
@@ -278,10 +277,10 @@ def _pmc3_rhs(act: ActionTensor, symmetric: bool):
                 prod = act.product_slices[i * n + x if left else x * n + j].cols
                 terms.append((prod, hpair[2], row))
         return LinMap(C.space, C.space, [
-            _accumulate((prod[y], ch * cc * row[b])
-                        for prod, ch, row in terms
-                        for b in row.keys() & group.keys()
-                        for y, cc in group[b])
+            _accumulate(((prod[y], ch * cc * row[b])
+                         for prod, ch, row in terms
+                         for b in row.keys() & group.keys()
+                         for y, cc in group[b]), p)
             for group in by_eps_leg])
     return rhs
 
@@ -336,7 +335,7 @@ def _ma2_check(act: ActionTensor, label: str) -> CheckResult:
     """h▷(ab) = (h₁▷a)(h₂▷b), resp. (ab)↼h = (a↼h₁)(b↼h₂)."""
     A = act.carrier
     H = act.hopf.space
-    m = A.space.dim
+    m, p = A.space.dim, A.field.characteristic
     sl = [s.cols for s in act.slices]
 
     def cases():
@@ -344,8 +343,8 @@ def _ma2_check(act: ActionTensor, label: str) -> CheckResult:
             pairs = act.hopf.coalg.delta_pairs(i)
             for a in range(m):
                 for b in range(m):
-                    lhs = _combine(sl[i], A.mul.cols[a * m + b].items())
-                    rhs = _accumulate((A.times(sl[p][a], sl[q][b]), ch) for p, q, ch in pairs)
+                    lhs = _combine(sl[i], A.mul.cols[a * m + b].items(), p)
+                    rhs = _accumulate(((A.times(sl[x][a], sl[y][b]), c) for x, y, c in pairs), p)
                     yield (i, a, b), compare_vectors(
                         "", Vector(A.space, lhs), Vector(A.space, rhs))
 
@@ -374,19 +373,19 @@ def _pma3_rhs(act: ActionTensor, symmetric: bool):
     ``unit_leg`` is the leg of Δ(h) (resp. Δ(k)) acting on 1; the unit
     factor stands left of the product iff it is the first leg."""
     A = act.carrier
-    n = act.hopf.space.dim
+    n, p = act.hopf.space.dim, A.field.characteristic
     left = act.side == LEFT
     unit_leg = 0 if left != symmetric else 1
-    units = [_combine(s.cols, A.unit.terms.items()) for s in act.slices]
+    units = [_combine(s.cols, A.unit.terms.items(), p) for s in act.slices]
     prods = act.product_slices
 
     def rhs(i: int, j: int) -> LinMap:
         terms = [(units[pair[unit_leg]], prods[pair[1 - unit_leg] * n + j if left
                                                else i * n + pair[1 - unit_leg]].cols, pair[2])
                  for pair in act.hopf.coalg.delta_pairs(i if left else j)]
-        return LinMap(A.space, A.space, [_accumulate(
+        return LinMap(A.space, A.space, [_accumulate((
             (A.times(u, moved[aidx]) if unit_leg == 0 else A.times(moved[aidx], u), c)
-            for u, moved, c in terms) for aidx in range(A.space.dim)])
+            for u, moved, c in terms), p) for aidx in range(A.space.dim)])
     return rhs
 
 

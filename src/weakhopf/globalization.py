@@ -135,11 +135,11 @@ def check_globalization(gt: GlobalizationTriple) -> Report:
     rep.add(compare_maps("Eq 5", gt.pi.tensor(gt.pi) @ D.comul, D.comul @ gt.pi))
 
     # Eq 6  π(π(d)◂h) = ε(π(d₁)) π(d₂◂h)
-    eps_pi = [col.get(0) for col in (D.counit @ gt.pi).cols]
+    eps_pi, p = [col.get(0) for col in (D.counit @ gt.pi).cols], D.field.characteristic
 
     def eq6(pi_k: LinMap) -> CheckResult:
         rhs = [_combine(pi_k.cols, [(b, c * eps_pi[a]) for a, b, c in D.delta_pairs(d)
-                                    if eps_pi[a]])
+                                    if eps_pi[a]], p)
                for d in range(D.space.dim)]
         return compare_maps("", pi_k @ gt.pi, LinMap(D.space, D.space, rhs))
 
@@ -188,6 +188,7 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
     t = len(f_vectors)
     m = C.space.dim
     field = C.space.field
+    p = field.characteristic
 
     dspace = FinVec(field, tuple(
         f"{cl}⊗eh{j}" for cl in C.space.labels for j in range(t)))
@@ -203,9 +204,9 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
     # comultiplication of D in the product basis
     def comul_column(i: int, j: int) -> dict:
         """Δ(c_i⊗f_j) = Σ (c_i₁⊗f_p) ⊗ (c_i₂⊗f_q) over Δ(f_j) = Σ f_p⊗f_q."""
-        return _accumulate(({(a * t + pq // t) * dspace.dim + b * t + pq % t: cc}, ch)
-                           for a, b, cc in C.delta_pairs(i)
-                           for pq, ch in enumerate(f_delta_coords[j]) if ch)
+        return _accumulate((({(a * t + pq // t) * dspace.dim + b * t + pq % t: cc}, ch)
+                            for a, b, cc in C.delta_pairs(i)
+                            for pq, ch in enumerate(f_delta_coords[j]) if ch), p)
 
     comul = LinMap(dspace, tensor_product(dspace, dspace),
                    [comul_column(i, j) for i in range(m) for j in range(t)])

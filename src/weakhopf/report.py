@@ -148,7 +148,10 @@ def compare_vectors(label: str, lhs, rhs, where=None) -> CheckResult:
 
 
 def compare_scalars(label: str, field_obj, lhs, rhs, context: str = "") -> CheckResult:
-    if lhs != rhs:
+    """Exact equality of two scalars, compared (and printed) as reduced into
+    the field, so a GF(p) side computed outside the sparse kernels may be an
+    unreduced int."""
+    if lhs != rhs and field_obj.coerce(lhs) != field_obj.coerce(rhs):
         prefix = f"{context}: " if context else ""
         return CheckResult(
             label, False, f"{prefix}{field_obj.fmt(lhs)} ≠ {field_obj.fmt(rhs)}"

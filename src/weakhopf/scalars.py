@@ -4,13 +4,16 @@ Verdicts are decided by exact equality of scalars over ℚ or GF(p).  A rational
 is an ``int`` when it is integral and a ``fractions.Fraction`` otherwise:
 ``RationalField`` normalises every scalar it makes, and arithmetic may leave an
 integral ``Fraction``, which compares and hashes like the ``int``.  A GF(p)
-element is a :class:`GFElement`.
+element is a plain ``int``, stored reduced to its representative in [0, p).
+Python arithmetic on two of them leaves an unreduced ``int``: the sparse
+kernels of :mod:`tensor_space` take the field's ``characteristic`` as their
+modulus and reduce each entry they accumulate once, and scalars computed
+outside them are compared and printed through ``coerce``.
 
-Field mixing: every field accepts an ``int``, so an integral ℚ scalar combines
-with a ``GFElement`` (``QQ.one() * GF7.one()`` is the GF(7) one).  A
-``GFElement`` meeting a ``Fraction`` or an element of another GF(q), ``coerce``
-of a foreign scalar, ``tensor_product`` and maps across fields raise
-:class:`FieldMismatch`; spaces carry their field, so composing, adding or
+Field mixing: scalars carry no field, so every field accepts an ``int``.
+``coerce`` of a ``Fraction`` into GF(p), or of anything that is neither a
+number nor a string, raises :class:`FieldMismatch`, as do ``tensor_product``
+and maps across fields; spaces carry their field, so composing, adding or
 applying across fields raises ``ShapeMismatch``.
 """
 
@@ -19,82 +22,6 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
-
-
-class GFElement:
-    """An element of GF(p), stored as the canonical representative in [0, p).
-
-    It equals another element of the same GF(p) with the same value, and an
-    int only when that int is its canonical representative, so that equal
-    values hash alike.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        self.value = value % p
-        self.p = p
-
-    def _lift(self, other):
-        if isinstance(other, GFElement):
-            if other.p != self.p:
-                raise FieldMismatch(f"GF({self.p}) vs GF({other.p})")
-            return other
-        if isinstance(other, int):
-            return GFElement(other, self.p)
-        raise FieldMismatch(f"cannot mix GF({self.p}) with {type(other).__name__}")
-
-    def __add__(self, other):
-        other = self._lift(other)
-        return GFElement(self.value + other.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._lift(other)
-        return GFElement(self.value - other.value, self.p)
-
-    def __rsub__(self, other):
-        return self._lift(other) - self
-
-    def __mul__(self, other):
-        other = self._lift(other)
-        return GFElement(self.value * other.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._lift(other)
-        if other.value == 0:
-            raise DivisionByZero(f"division by zero in GF({self.p})")
-        return self * other.inverse()
-
-    def __rtruediv__(self, other):
-        return self._lift(other) / self
-
-    def __neg__(self):
-        return GFElement(-self.value, self.p)
-
-    def inverse(self) -> "GFElement":
-        if self.value == 0:
-            raise DivisionByZero(f"0 has no inverse in GF({self.p})")
-        return GFElement(pow(self.value, self.p - 2, self.p), self.p)
-
-    def __eq__(self, other):
-        if isinstance(other, GFElement):
-            return self.p == other.p and self.value == other.value
-        if isinstance(other, int):
-            return self.value == other
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.value)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __repr__(self):
-        return f"{self.value} mod {self.p}"
 
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -115,31 +42,17 @@ def _is_prime(n: int) -> bool:
 
 
 class Field:
-    """A ground field: scalar factory plus the few operations that are not
-    expressible through the scalar's own operators."""
+    """A ground field: scalar factory plus the operations that Python's own
+    operators on its scalars do not provide (inversion, reduction, parsing
+    and printing)."""
 
     characteristic: int
 
     def zero(self):
-        raise NotImplementedError
+        return 0
 
     def one(self):
-        raise NotImplementedError
-
-    def from_int(self, n: int):
-        raise NotImplementedError
-
-    def coerce(self, x):
-        raise NotImplementedError
-
-    def inv(self, a):
-        raise NotImplementedError
-
-    def parse(self, s: str):
-        raise NotImplementedError
-
-    def fmt(self, a) -> str:
-        raise NotImplementedError
+        return 1
 
     def char_divides(self, n: int) -> bool:
         """True iff the field characteristic divides n (char 0 divides nothing)."""
@@ -155,12 +68,6 @@ def _normal(q: Fraction):
 
 class RationalField(Field):
     characteristic = 0
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
 
     def from_int(self, n: int):
         return int(n)
@@ -216,43 +123,34 @@ class PrimeField(Field):
         self.p = p
         self.characteristic = p
 
-    def zero(self):
-        return GFElement(0, self.p)
-
-    def one(self):
-        return GFElement(1, self.p)
-
     def from_int(self, n: int):
-        return GFElement(n, self.p)
+        return n % self.p
 
     def coerce(self, x):
-        if isinstance(x, GFElement):
-            if x.p != self.p:
-                raise FieldMismatch(f"GF({x.p}) element in GF({self.p}) context")
-            return x
         if isinstance(x, int):
-            return GFElement(x, self.p)
+            return x % self.p
         if isinstance(x, str):
             return self.parse(x)
         raise FieldMismatch(f"cannot interpret {x!r} as a GF({self.p}) element")
 
     def inv(self, a):
-        return self.coerce(a).inverse()
+        if not (a := self.coerce(a)):
+            raise DivisionByZero(f"0 has no inverse in GF({self.p})")
+        return pow(a, self.p - 2, self.p)
 
     def parse(self, s: str):
         s = s.strip()
         if s.endswith(f"mod {self.p}"):
             s = s[: -len(f"mod {self.p}")].strip()
         num, _, den = s.partition("/")
-        value = GFElement(int(num), self.p)
         if not den:
-            return value
+            return int(num) % self.p
         if int(den) % self.p == 0:
             raise MalformedInput(f"zero denominator in {s!r} over GF({self.p})")
-        return value / int(den)
+        return int(num) * self.inv(int(den)) % self.p
 
     def fmt(self, a) -> str:
-        return str(self.coerce(a).value)
+        return str(self.coerce(a))
 
     def __eq__(self, other):
         return isinstance(other, PrimeField) and other.p == self.p
@@ -285,7 +183,3 @@ def field_name(field: Field) -> str:
     if isinstance(field, PrimeField):
         return f"Fp:{field.p}"
     raise ValueError(f"unknown field {field!r}")
-
-
-def char_divides(field: Field, n: int) -> bool:
-    return field.char_divides(n)

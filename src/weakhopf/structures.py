@@ -56,7 +56,9 @@ class AlgebraData(Frozen):
 
     def times(self, x: dict, y: dict) -> dict:
         """x·y for sparse coordinate dicts, read off the multiplication columns."""
-        return _combine(self.mul.cols, _kron(x, y, self.space.dim).items())
+        space = self.space
+        p = space.field.characteristic
+        return _combine(self.mul.cols, _kron(x, y, space.dim, p).items(), p)
 
     def lmul(self, x: Vector) -> LinMap:
         """Left multiplication operator y ↦ xy."""
@@ -78,15 +80,15 @@ class AlgebraData(Frozen):
 
     def validate(self) -> Report:
         rep = Report(f"algebra axioms on {self.space.dim}-dim space")
-        n, m = self.space.dim, self.mul.cols
+        n, m, p = self.space.dim, self.mul.cols, self.field.characteristic
         # assoc per basis pair x = h·n + k, comparing l ↦ (hk)l with l ↦ h(kl) as dicts keyed
         # l·n + output; left_by[t] is l ↦ e_t·e_l in that form
         left_by = [{l * n + o: c for l in range(n) for o, c in m[t * n + l].items()}
                    for t in range(n)]
         field, name = _where(self.space, 3, 1)
-        rep.add(compare_maps("assoc", (_combine(left_by, col.items()) for col in m), (
-            _accumulate(({key - key % n + o: v for o, v in m[x - x % n + key % n].items()}, c)
-                        for key, c in left_by[x % n].items()) for x in range(n * n)),
+        rep.add(compare_maps("assoc", (_combine(left_by, col.items(), p) for col in m), (
+            _accumulate((({key - key % n + o: v for o, v in m[x - x % n + key % n].items()}, c)
+                         for key, c in left_by[x % n].items()), p) for x in range(n * n)),
             (field, lambda x, key: name(x * n + key // n, key % n))))
         u, labels, e = self.unit.terms, self.space.labels, LinMap.identity(self.space).cols
         for label, left in (("unit-left", True), ("unit-right", False)):
@@ -135,31 +137,32 @@ class CoalgebraData(Frozen):
                      for col in self.comul.cols)
 
     def eps(self, x: Vector):
-        return self.counit.apply(x).terms.get(0, self.field.zero())
+        return self.counit.apply(x).terms.get(0, 0)
 
     def eps_coeff(self, i: int):
-        return self.counit.cols[i].get(0, self.field.zero())
+        return self.counit.cols[i].get(0, 0)
 
     @cached_property
     def delta2(self) -> tuple[dict, ...]:
         """(Δ⊗id)∘Δ : C → C⊗C⊗C (the canonical bracketing) as sparse columns
         keyed (p·n + q)·n + r, built once."""
-        n, cols = self.space.dim, self.comul.cols
-        return tuple(_accumulate(({x * n + b: v for x, v in cols[a].items()}, c)
-                                 for a, b, c in terms) for terms in self._delta_terms)
+        n, cols, p = self.space.dim, self.comul.cols, self.field.characteristic
+        return tuple(_accumulate((({x * n + b: v for x, v in cols[a].items()}, c)
+                                  for a, b, c in terms), p) for terms in self._delta_terms)
 
     def validate(self) -> Report:
         rep = Report(f"coalgebra axioms on {self.space.dim}-dim space")
         ident = LinMap.identity(self.space)
-        n, cols = self.space.dim, self.comul.cols
+        n, cols, p = self.space.dim, self.comul.cols, self.field.characteristic
         rep.add(compare_maps("coassoc", self.delta2, (
-            _accumulate(({a * n * n + y: v for y, v in cols[b].items()}, c) for a, b, c in terms)
+            _accumulate((({a * n * n + y: v for y, v in cols[b].items()}, c)
+                         for a, b, c in terms), p)
             for terms in self._delta_terms), _where(self.space, 1, 3)))
         # counit laws, checked as maps C → C: ε on the first leg, then the second
         for leg, label in enumerate(("counit-left", "counit-right")):
             contracted = LinMap(self.space, self.space, [
-                _accumulate(({p[1 - leg]: p[2]}, self.eps_coeff(p[leg]))
-                            for p in self.delta_pairs(j))
+                _accumulate((({t[1 - leg]: t[2]}, self.eps_coeff(t[leg]))
+                             for t in self.delta_pairs(j)), p)
                 for j in range(self.space.dim)])
             rep.add(compare_maps(label, contracted, ident))
         return rep
@@ -215,8 +218,9 @@ def _eps_contraction(wb: WeakBialgebraData, pairs, leg: int, k: int) -> dict:
     """Σ c·ε(·)·(other leg) over Sweedler terms (a, b, c), such as those of
     Δ(1) or Δ(e_i), with ε(e_a·e_k) on leg 0 and ε(e_k·e_b) on leg 1."""
     form = wb.eps_form
-    return _accumulate(({p[1 - leg]: p[2]}, s) for p in pairs
-                       if (s := form[p[0]].get(k) if leg == 0 else form[k].get(p[1])))
+    return _accumulate((({t[1 - leg]: t[2]}, s) for t in pairs
+                        if (s := form[t[0]].get(k) if leg == 0 else form[k].get(t[1]))),
+                       wb.field.characteristic)
 
 
 def eps_t(wb: WeakBialgebraData) -> LinMap:

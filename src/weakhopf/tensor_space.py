@@ -78,37 +78,54 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 
 # ---------------------------------------------------------------------------
 # sparse kernels: dicts {index: coeff} without zero values
+#
+# ``p`` is the field's characteristic: over GF(p) every stored entry is an int
+# in [1, p), and each kernel reduces the entries it accumulates once, at the
+# end; over ℚ (p = 0) the kernels branch once per call and reduce nothing.
+# The coefficients of ``terms`` may be unreduced.
 # ---------------------------------------------------------------------------
 
 def _sparse(coords: Iterable) -> dict:
     return {i: c for i, c in enumerate(coords) if c}
 
 
-def _sum(a: dict, b: dict) -> dict:
+def _reduced(out: dict, p: int) -> dict:
+    """The entries of ``out`` reduced mod p, without those that vanish.  The
+    kernels call it only for p > 0, so that over ℚ no comprehension of theirs
+    refers to p."""
+    return {i: r for i, s in out.items() if (r := s % p)}
+
+
+def _sum(a: dict, b: dict, p: int) -> dict:
     """a + b, dropping entries that cancel."""
     out = dict(a)
-    for k, v in b.items():
-        s = out.pop(k, 0) + v
-        if s:
-            out[k] = s
+    sums = {k: out.pop(k, 0) + v for k, v in b.items()}
+    out.update(_reduced(sums, p) if p else {k: s for k, s in sums.items() if s})
     return out
 
 
 def _neg(a: dict) -> dict:
+    """-a, unreduced: only ``_sum`` consumes it, and reduces what it adds."""
     return {k: -v for k, v in a.items()}
 
 
-def _combine(cols: Sequence[dict], terms: Iterable) -> dict:
+def _scale(a: dict, s, p: int) -> dict:
+    """s·a for a scalar s already in the field."""
+    out = {k: s * v for k, v in a.items()} if s else {}
+    return _reduced(out, p) if p else out
+
+
+def _combine(cols: Sequence[dict], terms: Iterable, p: int) -> dict:
     """Σ c·cols[k] over the (k, c) pairs of ``terms``."""
     out = {}
     for k, c in terms:
         for i, a in cols[k].items():
             s = out.get(i)
             out[i] = a * c if s is None else s + a * c
-    return {i: s for i, s in out.items() if s}
+    return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
-def _accumulate(terms: Iterable) -> dict:
+def _accumulate(terms: Iterable, p: int) -> dict:
     """Σ c·v over the (v, c) pairs of ``terms``, each v a sparse dict: the
     column of a Sweedler sum whose terms are not columns of one map."""
     out = {}
@@ -116,12 +133,13 @@ def _accumulate(terms: Iterable) -> dict:
         for i, a in v.items():
             s = out.get(i)
             out[i] = a * c if s is None else s + a * c
-    return {i: s for i, s in out.items() if s}
+    return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
-def _kron(a: dict, b: dict, dim: int) -> dict:
+def _kron(a: dict, b: dict, dim: int, p: int) -> dict:
     """a⊗b for sparse dicts, the right factor of dimension ``dim``."""
-    return {i * dim + j: x * y for i, x in a.items() for j, y in b.items()}
+    out = {i * dim + j: x * y for i, x in a.items() for j, y in b.items()}
+    return _reduced(out, p) if p else out
 
 
 class Vector:
@@ -170,23 +188,23 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         if other.space != self.space:
             raise ShapeMismatch("vector addition across different spaces")
-        return Vector(self.space, _sum(self.terms, other.terms))
+        return Vector(self.space, _sum(self.terms, other.terms, self.space.field.characteristic))
 
     def __sub__(self, other: "Vector") -> "Vector":
         if other.space != self.space:
             raise ShapeMismatch("vector subtraction across different spaces")
-        return Vector(self.space, _sum(self.terms, _neg(other.terms)))
+        return Vector(self.space, _sum(self.terms, _neg(other.terms),
+                                       self.space.field.characteristic))
 
     def scale(self, s) -> "Vector":
-        s = self.space.field.coerce(s)
-        if not s:
-            return Vector(self.space, {})
-        return Vector(self.space, {i: s * c for i, c in self.terms.items()})
+        f = self.space.field
+        return Vector(self.space, _scale(self.terms, f.coerce(s), f.characteristic))
 
     def tensor(self, other: "Vector") -> "Vector":
         """Kronecker product, landing in ``tensor_product(self.space, other.space)``."""
         return Vector(tensor_product(self.space, other.space),
-                      _kron(self.terms, other.terms, other.space.dim))
+                      _kron(self.terms, other.terms, other.space.dim,
+                            self.space.field.characteristic))
 
     def describe(self) -> str:
         """Human-readable linear combination of basis labels."""
@@ -208,7 +226,8 @@ def rref(rows: Sequence[Sequence], field: Field) -> tuple[list[list], list[int]]
     Pivots are normalised to 1 and eliminated above and below, so the result
     is canonical for the row space.  Returns ``(matrix, pivot_columns)``.
     """
-    m = [list(r) for r in rows]
+    p = field.characteristic
+    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if nrows else 0
     pivots: list[int] = []
@@ -223,11 +242,11 @@ def rref(rows: Sequence[Sequence], field: Field) -> tuple[list[list], list[int]]
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
         inv = field.inv(m[pr][pc])
-        m[pr] = [inv * x for x in m[pr]]
+        m[pr] = [inv * x % p for x in m[pr]] if p else [inv * x for x in m[pr]]
         for r in range(nrows):
-            if r != pr and m[r][pc]:
-                f = m[r][pc]
-                m[r] = [a - f * b for a, b in zip(m[r], m[pr])]
+            if r != pr and (f := m[r][pc]):
+                m[r] = ([(a - f * b) % p for a, b in zip(m[r], m[pr])] if p
+                        else [a - f * b for a, b in zip(m[r], m[pr])])
         pivots.append(pc)
         pr += 1
         if pr == nrows:
@@ -369,40 +388,40 @@ class LinMap:
         """Composition self ∘ other."""
         if other.codomain != self.domain:
             raise ShapeMismatch("composition shape mismatch")
-        cols = self.cols
+        cols, p = self.cols, self.domain.field.characteristic
         return LinMap(other.domain, self.codomain,
-                      [_combine(cols, col.items()) for col in other.cols])
+                      [_combine(cols, col.items(), p) for col in other.cols])
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise ShapeMismatch("sum of maps with different shapes")
+        p = self.field.characteristic
         return LinMap(self.domain, self.codomain,
-                      [_sum(a, b) for a, b in zip(self.cols, other.cols)])
+                      [_sum(a, b, p) for a, b in zip(self.cols, other.cols)])
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise ShapeMismatch("difference of maps with different shapes")
+        p = self.field.characteristic
         return LinMap(self.domain, self.codomain,
-                      [_sum(a, _neg(b)) for a, b in zip(self.cols, other.cols)])
+                      [_sum(a, _neg(b), p) for a, b in zip(self.cols, other.cols)])
 
     def scale(self, s) -> "LinMap":
-        s = self.field.coerce(s)
-        if not s:
-            return LinMap.zero(self.domain, self.codomain)
-        return LinMap(self.domain, self.codomain,
-                      [{i: s * x for i, x in col.items()} for col in self.cols])
+        s, p = self.field.coerce(s), self.field.characteristic
+        return LinMap(self.domain, self.codomain, [_scale(col, s, p) for col in self.cols])
 
     def tensor(self, other: "LinMap") -> "LinMap":
         """Kronecker product consistent with the row-major basis ordering."""
-        cd = other.codomain.dim
-        cols = [_kron(c1, c2, cd) for c1 in self.cols for c2 in other.cols]
+        cd, p = other.codomain.dim, self.field.characteristic
+        cols = [_kron(c1, c2, cd, p) for c1 in self.cols for c2 in other.cols]
         return LinMap(tensor_product(self.domain, other.domain),
                       tensor_product(self.codomain, other.codomain), cols)
 
     def apply(self, v: Vector) -> Vector:
         if v.space != self.domain:
             raise ShapeMismatch("vector not in the domain")
-        return Vector(self.codomain, _combine(self.cols, v.terms.items()))
+        return Vector(self.codomain,
+                      _combine(self.cols, v.terms.items(), self.domain.field.characteristic))
 
     def column(self, j: int) -> Vector:
         return Vector(self.codomain, self.cols[j])
@@ -509,12 +528,13 @@ class Subspace:
     def contains(self, v: Vector) -> bool:
         if v.space != self.space:
             raise ShapeMismatch("vector lives in a different space")
+        p = self.space.field.characteristic
         residual = list(v.coords)
         for row in self.rows:
             lead = next(i for i, x in enumerate(row) if x)
-            c = residual[lead]
-            if c:
-                residual = [a - c * b for a, b in zip(residual, row)]
+            if c := residual[lead]:
+                residual = ([(a - c * b) % p for a, b in zip(residual, row)] if p
+                            else [a - c * b for a, b in zip(residual, row)])
         return not any(residual)
 
     def __eq__(self, other):

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ENTRIES, GF7, draw_map, draw_structure, draw_vector, fields, groupoid_family
+from conftest import (ENTRIES, GF7, draw_map, draw_structure, draw_vector, fields,
+                      groupoid_family, regular_action)
 
 from weakhopf import (
     QQ,
@@ -31,7 +32,7 @@ from weakhopf import (
 from weakhopf.errors import CharacteristicDividesOrder
 from weakhopf.jsonio import canonical_dumps, weakhopf_from_json, weakhopf_to_json
 from weakhopf.report import CheckResult, compare_maps, compare_scalars, compare_vectors
-from weakhopf.tensor_space import swap_map
+from weakhopf.tensor_space import rref, rref_with_transform, swap_map
 from weakhopf.weak_hopf import (
     AlgebraData,
     CoalgebraData,
@@ -238,15 +239,16 @@ def test_singular_antipode_marks_skips():
 def reference_axiom_ii(wb):
     """Axiom (ii) by the triple loop over basis tuples (h, k, l), with a fresh
     product for every factor; the (ii)a and (ii)b results."""
-    H, A, C = wb.space, wb.alg, wb.coalg
+    H, A, C, F = wb.space, wb.alg, wb.coalg, wb.field
     e = [Vector.basis(H, i) for i in range(H.dim)]
     fail_a = fail_b = None
     for i, j, l in itertools.product(range(H.dim), repeat=3):
         full = C.eps(A.product(A.product(e[i], e[j]), e[l]))
-        one = two = wb.field.zero()
+        one = two = F.zero()
         for a, b, c in C.delta_pairs(j):
             one = one + c * (C.eps(A.product(e[i], e[a])) * C.eps(A.product(e[b], e[l])))
             two = two + c * (C.eps(A.product(e[i], e[b])) * C.eps(A.product(e[a], e[l])))
+        one, two = F.coerce(one), F.coerce(two)
         ctx = f"(h,k,l)=({H.labels[i]},{H.labels[j]},{H.labels[l]})"
         if fail_a is None and full != one:
             fail_a = compare_scalars("(ii)a", wb.field, full, one, ctx)
@@ -259,7 +261,7 @@ def with_mutated_product(H, idx, k):
     """H's weak bialgebra with 1 added to the coefficient of e_k in column
     ``idx`` (the product e_{idx // n}·e_{idx % n}) of the multiplication."""
     cols = [dict(c) for c in H.alg.mul.cols]
-    value = cols[idx].pop(k, H.field.zero()) + H.field.one()
+    value = H.field.coerce(cols[idx].pop(k, H.field.zero()) + H.field.one())
     if value:
         cols[idx][k] = value
     mul = LinMap(H.alg.mul.domain, H.space, cols)
@@ -495,3 +497,46 @@ def test_contracted_checks_match_composite_maps(F, data):
     results["hopf (iv)"] = CheckResult("hopf (iv)", verdict.right_antipode_classical)
     for label, expected in reference.items():
         assert results[label] == expected, label
+
+
+# -- GF(p) scalars are reduced ints ---------------------------------------------------
+
+GF_EXAMPLES = {
+    "kG(Z/2⊔Z/3)": lambda F: groupoid_algebra(disjoint_union_of_cyclic([2, 3]), F),
+    "(kG)* two-object": lambda F: dual_groupoid_algebra(two_object_iso_groupoid(), F),
+    "N=4 averaged": lambda F: abelian_group_weak_hopf(FiniteAbelianGroup((4,)), F),
+}
+# the averaged example needs N invertible, so it has no GF(2) case
+GF_CASES = [(name, p) for name in GF_EXAMPLES for p in (2, 3, 7)
+            if not (name == "N=4 averaged" and p == 2)]
+
+
+def stored_entries(x) -> list:
+    """Every scalar stored by a map, a vector or a sequence of sparse dicts."""
+    cols = x.cols if isinstance(x, LinMap) else (x.terms,) if isinstance(x, Vector) else x
+    return [c for col in cols for c in col.values()]
+
+
+@pytest.mark.parametrize("name,p", GF_CASES)
+def test_gf_structures_store_reduced_nonzero_ints(name, p):
+    """Over GF(p) every stored entry is an int in [1, p), and every dense row
+    that elimination returns holds ints in [0, p): no entry is left unreduced
+    for a later comparison to mistake for a different scalar."""
+    F = PrimeField(p)
+    H = GF_EXAMPLES[name](F)
+    act = regular_action(H)
+    tri = LinMap.from_rows(H.space, H.space, [
+        [1 if i == j else 5 if j == i + 1 else -1 if j == i + 2 else 0 for j in range(H.space.dim)]
+        for i in range(H.space.dim)])
+    inverses = [H.antipode_inverse, tri.inverse()]
+    sparse = [H.alg.mul, H.coalg.comul, H.coalg.counit, H.antipode, H.eps_t, H.eps_s,
+              H.unit, H.wb.delta_one, H.coalg.delta2, H.wb.eps_form, act.counit_table,
+              *act.slices, *act.product_slices, *inverses, tri.tensor(tri), tri.scale(3),
+              tri - tri.scale(2), tri.column(1).tensor(tri.column(2)), tri.column(2).scale(3)]
+    for x in sparse:
+        assert all(type(c) is int and 0 < c < p for c in stored_entries(x))
+    assert tri.inverse() @ tri == LinMap.identity(H.space)
+    dense = [rref(H.alg.mul.rows, F)[0], rref(H.coalg.comul.rows, F)[0], H.Ht.rows, H.Hs.rows,
+             *(f.rows for f in inverses), *rref_with_transform(tri.rows, F)[:2]]
+    for rows in dense:
+        assert all(type(c) is int and 0 <= c < p for row in rows for c in row)
