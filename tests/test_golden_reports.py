@@ -21,6 +21,7 @@ import pytest
 from conftest import (
     grouplike_coalgebra,
     isotropy_lambda_action,
+    projector_onto_labels,
     regular_action,
     two_object_gpa,
 )
@@ -59,8 +60,10 @@ from weakhopf.jsonio import (
     action_from_json,
     action_to_json,
     canonical_dumps,
+    coalgebra_to_json,
     gpa_to_json,
     lambda_to_json,
+    linmap_to_json,
 )
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
@@ -240,6 +243,19 @@ def _mutated_triple(mutation):
     return GlobalizationTriple(gt.partial, gt.D, global_act, gt.theta, gt.pi)
 
 
+def _induced(example, field):
+    """``induce_partial_action`` on a regular action: (kZ/2)* through the
+    projection of "induce corrupted", or kG of Z/2 ⊔ Z/3 onto the g2.* basis."""
+    if example == "kZ2-dual":
+        H = dual_groupoid_algebra(cyclic_group_groupoid(2), field)
+        proj = LinMap.from_rows(H.space, H.space, [[2, 1], [-2, -1]])
+    else:
+        H = groupoid_algebra(disjoint_union_of_cyclic([2, 3]), field)
+        proj = projector_onto_labels(H.space, [l for l in H.space.labels
+                                               if l.startswith("g2.")])
+    return induce_partial_action(regular_action(H), proj)
+
+
 def _api_output(name) -> str:
     if name == "ht-hs corrupted":
         docs = [check_ht_hs_propositions(_corrupted_left_regular()).to_json()]
@@ -249,6 +265,11 @@ def _api_output(name) -> str:
         proj = LinMap.from_rows(H.space, H.space, [[2, 1], [-2, -1]])
         res = induce_partial_action(regular_action(H), proj)
         docs = [res.report.to_json(), res.symmetric.line()]
+    elif name.startswith("induce structures"):
+        *_, example, field = name.split()
+        res = _induced(example, field_from_name(field))
+        docs = [action_to_json(res.action), coalgebra_to_json(res.D),
+                linmap_to_json(res.inclusion)]
     elif name == "partial verdict slots":
         docs = []
         for kind in ("kG", "kG-dual"):
@@ -280,7 +301,9 @@ API_CASES = ["ht-hs corrupted", "induce corrupted", "lambda verdicts",
     f"{what} {mutation}" for what in ("globalization", "dual-transfer")
     for mutation in ("corrupt-pi", "corrupt-theta", "break-generation")] + [
     f"dual-transfer {mutation}"
-    for mutation in ("global-slice-one", "global-slice-two", "pi-column")]
+    for mutation in ("global-slice-one", "global-slice-two", "pi-column")] + [
+    f"induce structures {example} {field}" for example in ("kZ2-dual", "kG-Z2+Z3")
+    for field in ("Q", "Fp:3")]
 
 
 FIELDS = ("Q", "Fp:7", "Fp:2", "Fp:3")
