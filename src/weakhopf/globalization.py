@@ -20,7 +20,7 @@ import itertools
 from .actions import RIGHT, ActionTensor, check_module_algebra, check_module_coalgebra
 from .dualization import dualize_right_coalgebra_action
 from .errors import (Frozen, HypothesisViolated, InputNotGlobalization, NotInjective,
-                     ShapeMismatch)
+                     NotSubcoalgebra, ShapeMismatch)
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .structures import CoalgebraData, WeakHopfData
 from .tensor_space import (
@@ -30,8 +30,8 @@ from .tensor_space import (
     Vector,
     _accumulate,
     _combine,
+    _kron,
     left_inverse_on_image,
-    solve_coordinates,
     tensor_product,
 )
 
@@ -181,79 +181,39 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
     if not absorbed_by(act, evec):
         raise HypothesisViolated("absorption", "c↼he ≠ c↼h for some basis pair")
 
-    # basis of the subspace eH
-    lmul_e = H.alg.lmul(evec)
-    eH = Subspace.from_vectors(H.space, lmul_e.columns())
-    f_vectors = eH.basis_vectors
-    t = len(f_vectors)
-    m = C.space.dim
-    field = C.space.field
-    p = field.characteristic
+    # eH through its inclusion ι into H and a left inverse back of ι
+    eH = Subspace.from_vectors(H.space, H.alg.lmul(evec).columns()).basis_vectors
+    t, m, p = len(eH), C.space.dim, C.field.characteristic
+    eH_space = FinVec(C.field, tuple(f"eh{j}" for j in range(t)))
+    incl = LinMap.from_images(eH_space, H.space, eH)
+    back = left_inverse_on_image(incl)
+    try:
+        eH_coalg = H.coalg.restrict(incl, back)
+    except NotSubcoalgebra:
+        raise HypothesisViolated("grouplike", "Δ(eH) escapes eH⊗eH") from None
+    dspace = tensor_product(C.space, eH_space)
 
-    dspace = FinVec(field, tuple(
-        f"{cl}⊗eh{j}" for cl in C.space.labels for j in range(t)))
-
-    pair_basis = [a.tensor(b) for a in f_vectors for b in f_vectors]
-    f_delta_coords = []
-    for fj in f_vectors:
-        coords = solve_coordinates(pair_basis, H.delta(fj))
-        if coords is None:
-            raise HypothesisViolated("grouplike", "Δ(eH) escapes eH⊗eH")
-        f_delta_coords.append(coords)
-
-    # comultiplication of D in the product basis
-    def comul_column(i: int, j: int) -> dict:
-        """Δ(c_i⊗f_j) = Σ (c_i₁⊗f_p) ⊗ (c_i₂⊗f_q) over Δ(f_j) = Σ f_p⊗f_q."""
-        return _accumulate((({(a * t + pq // t) * dspace.dim + b * t + pq % t: cc}, ch)
-                            for a, b, cc in C.delta_pairs(i)
-                            for pq, ch in enumerate(f_delta_coords[j]) if ch), p)
-
-    comul = LinMap(dspace, tensor_product(dspace, dspace),
-                   [comul_column(i, j) for i in range(m) for j in range(t)])
-    counit = LinMap.from_rows(
-        dspace, C.counit.codomain,
-        [[C.eps_coeff(i) * H.eps(f_vectors[j]) for i in range(m) for j in range(t)]])
+    # Δ(c_i⊗f_j) = Σ (c_i₁⊗f_p) ⊗ (c_i₂⊗f_q) over Δ(f_j) = Σ f_p⊗f_q
+    comul = LinMap(dspace, tensor_product(dspace, dspace), [_accumulate((
+        ({(a * t + pq // t) * dspace.dim + b * t + pq % t: cc}, ch)
+        for a, b, cc in C.delta_pairs(i) for pq, ch in eH_coalg.comul.cols[j].items()), p)
+        for i in range(m) for j in range(t)])
+    counit = LinMap(dspace, C.counit.codomain, C.counit.tensor(eH_coalg.counit).cols)
     D = CoalgebraData(dspace, comul, counit)
 
-    # right action on the last tensor factor
-    slices = []
-    for k in range(H.space.dim):
-        ek = Vector.basis(H.space, k)
-        cols = []
-        for i in range(m):
-            for j in range(t):
-                prod = H.product(f_vectors[j], ek)
-                coords = solve_coordinates(f_vectors, prod)
-                col = [field.zero()] * dspace.dim
-                for jj, c in enumerate(coords):
-                    if c:
-                        col[i * t + jj] = c
-                cols.append(col)
-        slices.append(LinMap.from_images(dspace, dspace, cols))
-    global_act = ActionTensor.from_slices(H, D, RIGHT, slices)
+    # the right action on the last tensor factor
+    ident_c = LinMap.identity(C.space)
+    global_act = ActionTensor.from_slices(H, D, RIGHT, [
+        ident_c.tensor(back @ (H.alg.rmul(Vector.basis(H.space, k)) @ incl))
+        for k in range(H.space.dim)])
 
-    e_coords = solve_coordinates(f_vectors, evec)
-    theta_cols = []
-    for i in range(m):
-        col = [field.zero()] * dspace.dim
-        for j, c in enumerate(e_coords):
-            if c:
-                col[i * t + j] = c
-        theta_cols.append(col)
-    theta = LinMap.from_images(C.space, dspace, theta_cols)
-
-    pi_cols = []
-    for i in range(m):
-        for j in range(t):
-            moved = act.act_by(f_vectors[j]).apply(Vector.basis(C.space, i))
-            col = [field.zero()] * dspace.dim
-            for ci, cv in moved.nonzeros():
-                for jj, c in enumerate(e_coords):
-                    if c:
-                        col[ci * t + jj] = col[ci * t + jj] + cv * c
-            pi_cols.append(col)
-    pi = LinMap.from_images(dspace, dspace, pi_cols)
-
+    # θ(c) = c⊗e and π(c⊗f_j) = (c↼f_j)⊗e, against the eH-coordinates of e
+    e_coords = back.apply(evec).terms
+    theta = LinMap(C.space, dspace, [_kron({i: C.field.one()}, e_coords, t, p)
+                                     for i in range(m)])
+    moved = [act.act_by(f).cols for f in eH]
+    pi = LinMap(dspace, dspace, [_kron(moved[j][i], e_coords, t, p)
+                                 for i in range(m) for j in range(t)])
     return GlobalizationTriple(act, D, global_act, theta, pi)
 
 

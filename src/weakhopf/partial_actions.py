@@ -26,7 +26,6 @@ from .errors import (
     InputNotPartialAction,
     NotDirectSum,
     NotIdempotent,
-    NotSubcoalgebra,
     NotSymmetric,
     ShapeMismatch,
 )
@@ -40,8 +39,7 @@ from .tensor_space import (
     Vector,
     _accumulate,
     _combine,
-    solve_coordinates,
-    tensor_product,
+    left_inverse_on_image,
 )
 
 
@@ -355,12 +353,11 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
         raise NotIdempotent("π∘π ≠ π")
 
     H = global_act.hopf
-    image = Subspace.from_vectors(C.space, proj.columns())
-    d_vectors = image.basis_vectors
-    pair_basis = [a.tensor(b) for a in d_vectors for b in d_vectors]
-    for v in d_vectors:
-        if solve_coordinates(pair_basis, C.delta(v)) is None:
-            raise NotSubcoalgebra(f"Δ({v.describe()}) escapes D⊗D")
+    d_vectors = Subspace.from_vectors(C.space, proj.columns()).basis_vectors
+    dspace = FinVec(C.space.field, tuple(f"d{i}" for i in range(len(d_vectors))))
+    incl = LinMap.from_images(dspace, C.space, d_vectors)
+    back = left_inverse_on_image(incl)
+    D = C.restrict(incl, back)
 
     rep = Report("induced partial action conditions")
     n, m, p = H.space.dim, C.space.dim, C.field.characteristic
@@ -397,27 +394,8 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
     rep.add(condition_two("(ii)", symmetric=False))
     symmetric = condition_two("symmetric", symmetric=True)
 
-    # materialise D with its own basis and the action in D coordinates
-    dspace = FinVec(C.space.field, tuple(f"d{i}" for i in range(len(d_vectors))))
-    incl = LinMap.from_images(dspace, C.space, d_vectors)
-    comul_rows = []
-    for v in d_vectors:
-        coords = solve_coordinates(pair_basis, C.delta(v))
-        comul_rows.append(coords)
-    comul = LinMap.from_images(dspace, tensor_product(dspace, dspace), comul_rows)
-    counit = LinMap.from_rows(dspace, C.counit.codomain,
-                              [[C.eps(v) for v in d_vectors]])
-    D = CoalgebraData(dspace, comul, counit)
-
-    slices = []
-    for i in range(H.space.dim):
-        cols = []
-        for v in d_vectors:
-            w = proj.apply(global_act.slices[i].apply(v))
-            coords = solve_coordinates(d_vectors, w)
-            cols.append(coords)
-        slices.append(LinMap.from_images(dspace, dspace, cols))
-    induced = ActionTensor.from_slices(H, D, LEFT, slices)
+    # the action in D coordinates: back∘π∘(h_i·–)∘ι
+    induced = ActionTensor.from_slices(H, D, LEFT, [back @ (s @ incl) for s in pi_sl])
     return InducedActionResult(induced, rep, symmetric, D, incl)
 
 

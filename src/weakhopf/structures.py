@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import Frozen, ShapeMismatch
+from .errors import Frozen, NotSubcoalgebra, ShapeMismatch
 from .report import Report, compare_maps, compare_vectors, first_failure
 from .scalars import Field
 from .tensor_space import (
@@ -141,6 +141,18 @@ class CoalgebraData(Frozen):
 
     def eps_coeff(self, i: int):
         return self.counit.cols[i].get(0, 0)
+
+    def restrict(self, incl: LinMap, back: LinMap) -> "CoalgebraData":
+        """The subcoalgebra D that the injection ``incl`` ι includes, with
+        Δ_D = (back⊗back)∘Δ∘ι and ε_D = ε∘ι for a left inverse ``back`` of ι.
+        Raises NotSubcoalgebra at the first basis vector where
+        (ι⊗ι)∘Δ_D ≠ Δ∘ι."""
+        image = self.comul @ incl
+        comul = back.tensor(back) @ image
+        for j, col in enumerate((incl.tensor(incl) @ comul).cols):
+            if col != image.cols[j]:
+                raise NotSubcoalgebra(f"Δ({incl.column(j).describe()}) escapes D⊗D")
+        return CoalgebraData(incl.domain, comul, self.counit @ incl)
 
     @cached_property
     def delta2(self) -> tuple[dict, ...]:

@@ -499,23 +499,25 @@ def solve_coordinates(basis: Sequence[Vector], target: Vector):
 
 
 class Subspace:
-    """A subspace in canonical reduced-row-echelon form.
+    """A subspace in canonical reduced-row-echelon form: the nonzero ``rows``
+    and the column of each row's leading 1 in ``pivots``.
 
     Two subspaces are equal iff their canonical bases coincide, which makes
     span comparisons exact and deterministic.
     """
 
-    def __init__(self, space: FinVec, rref_rows: list[list]):
+    def __init__(self, space: FinVec, rows: list[list], pivots: list[int]):
         self.space = space
-        self.rows = [r for r in rref_rows if any(r)]
+        self.rows = rows
+        self.pivots = pivots
 
     @classmethod
     def from_vectors(cls, space: FinVec, vectors: Iterable[Vector]) -> "Subspace":
         rows = [list(v.coords) for v in vectors]
         if not rows:
-            return cls(space, [])
-        red, _ = rref(rows, space.field)
-        return cls(space, red)
+            return cls(space, [], [])
+        red, pivots = rref(rows, space.field)
+        return cls(space, red[:len(pivots)], pivots)
 
     @property
     def dim(self) -> int:
@@ -530,8 +532,7 @@ class Subspace:
             raise ShapeMismatch("vector lives in a different space")
         p = self.space.field.characteristic
         residual = list(v.coords)
-        for row in self.rows:
-            lead = next(i for i, x in enumerate(row) if x)
+        for row, lead in zip(self.rows, self.pivots):
             if c := residual[lead]:
                 residual = ([(a - c * b) % p for a, b in zip(residual, row)] if p
                             else [a - c * b for a, b in zip(residual, row)])

@@ -410,8 +410,8 @@ def is_hopf(H: WeakHopfData) -> HopfVerdict:
 
     eps_times_one = LinMap.from_function(space, space, lambda j: A.unit.scale(C.eps_coeff(j)))
     cond3, cond4 = (LinMap(space, space, [
-        _combine(_mul_with(A, H.antipode.cols, side), col.items(), f.characteristic)
-        for col in C.comul.cols]) == eps_times_one for side in (1, 0))
+        _combine(mul_s, col.items(), f.characteristic) for col in C.comul.cols]) == eps_times_one
+        for mul_s in (_mul_with(A, H.antipode.cols, 1), _mul_with(A, H.antipode.cols, 0)))
 
     span_one = Subspace.from_vectors(space, [A.unit])
     cond5 = H.Ht == span_one and H.Hs == span_one

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction
 
@@ -27,7 +28,10 @@ from weakhopf import (
     standard_globalization,
     two_object_iso_groupoid,
 )
+from weakhopf.cli import main
 from weakhopf.errors import HypothesisViolated, InputNotGlobalization
+from weakhopf.jsonio import action_to_json
+from weakhopf.structures import _assemble
 from weakhopf.tensor_space import left_inverse_on_image, tensor_product
 
 
@@ -129,6 +133,28 @@ def test_hypothesis_violations_are_reported():
     with pytest.raises(HypothesisViolated) as exc:
         standard_globalization(act, other)
     assert exc.value.which == "absorption"
+
+
+def test_coproduct_escaping_eH_violates_the_grouplike_hypothesis(tmp_path, capsys):
+    """With Δ(δ_{g1.a}) = δ_{g1.a}⊗δ_{g2.e}, e = δ_{g1.e} stays grouplike and
+    absorbed, but Δ(eH) leaves eH⊗eH: the API raises and `whw globalize`
+    exits 4 with one line."""
+    act = closing_example_one()
+    H, n = act.hopf, act.hopf.space.dim
+    a, b = H.space.index("g1.a"), H.space.index("g2.e")
+    coproducts = list(H.coalg.comul.cols)
+    coproducts[a] = {a * n + b: QQ.one()}
+    H = _assemble(H.space, H.alg.mul.cols, H.unit.terms, coproducts,
+                  [H.coalg.eps_coeff(i) for i in range(n)], H.antipode.cols)
+    act = ActionTensor.from_slices(H, act.carrier, "right", act.slices)
+    with pytest.raises(HypothesisViolated) as exc:
+        standard_globalization(act, Vector.basis(H.space, H.space.index("g1.e")))
+    assert exc.value.which == "grouplike"
+    path = tmp_path / "escaping.json"
+    path.write_text(json.dumps(action_to_json(act)), encoding="utf-8")
+    assert main(["globalize", str(path)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Δ(eH) escapes eH⊗eH" in err
 
 
 def pad_with_unreachable_vector(gt):

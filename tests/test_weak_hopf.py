@@ -130,6 +130,22 @@ def test_hopf_detection():
     assert not v2.is_hopf and v2.consistent
 
 
+def test_is_hopf_builds_each_antipode_product_once(monkeypatch):
+    """m∘(id⊗S) and m∘(S⊗id) are built once each, not once per column of Δ."""
+    import weakhopf.weak_hopf
+
+    real, sides = weakhopf.weak_hopf._mul_with, []
+
+    def counted(A, f_cols, side):
+        sides.append(side)
+        return real(A, f_cols, side)
+
+    monkeypatch.setattr(weakhopf.weak_hopf, "_mul_with", counted)
+    v = is_hopf(groupoid_algebra(disjoint_union_of_cyclic([16, 16]), QQ))
+    assert not v.is_hopf and v.consistent
+    assert sorted(sides) == [0, 1]
+
+
 def test_antipode_flip_of_delta_one():
     for _, G in groupoid_family():
         H = groupoid_algebra(G, QQ)
