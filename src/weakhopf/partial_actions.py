@@ -39,6 +39,7 @@ from .tensor_space import (
     Vector,
     _accumulate,
     _combine,
+    _kron,
     left_inverse_on_image,
 )
 
@@ -445,59 +446,75 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
     if missing:
         return rep
 
-    P, TH, p = gpa.P, gpa.theta, C.field.characteristic
-    inv, r, mul = G.inv, G.r, G.mul
+    m, p, labels = C.space.dim, C.field.characteristic, C.space.labels
+    P, TH = ({g: f(g).cols for g in G.elements}.__getitem__ for f in (gpa.P, gpa.theta))
+    inv, r, mul, comul, counit = G.inv, G.r, G.mul, C.comul.cols, C.counit.cols
 
-    def quasi(g: str, flip: bool) -> CheckResult:
-        """Σ ε(P_g(c₂))P_{r(g)}(c₁), or with the legs of Δ(c) flipped, is P_g(c)."""
-        eps_p = [col.get(0) for col in (C.counit @ P(g)).cols]
-        cols = [_combine(P(r[g]).cols, [(t[flip], t[2] * eps_p[t[not flip]])
-                                        for t in C.delta_pairs(c) if eps_p[t[not flip]]], p)
-                for c in range(C.space.dim)]
-        return compare_maps("", LinMap(C.space, C.space, cols), P(g))
+    def comp(*maps) -> tuple:
+        """The composite of maps given as column tuples, applied right to left."""
+        out = maps[-1]
+        for f in reversed(maps[:-1]):
+            out = tuple(_combine(f, col.items(), p) for col in out)
+        return out
+
+    def square(f, cols) -> tuple:
+        """f⊗f applied to columns on C⊗C."""
+        return tuple(_accumulate(((_kron(f[t // m], f[t % m], m, p), c) for t, c in col.items()), p)
+                     for col in cols)
+
+    def quasi(g: str, flip: bool) -> tuple:
+        """Σ ε(P_g(c₂))P_{r(g)}(c₁), or with the legs of Δ(c) flipped."""
+        eps_p = [col.get(0) for col in comp(counit, P(g))]
+        return tuple(_combine(P(r[g]), [(t[flip], t[2] * eps_p[t[not flip]])
+                                         for t in C.delta_pairs(c) if eps_p[t[not flip]]], p)
+                     for c in range(m))
+
+    sub = cache(gpa.subcoalgebra)       # each C_g is eliminated once
 
     def iso_check(g: str) -> CheckResult:
-        dom = gpa.subcoalgebra(inv[g])
-        img = Subspace.from_vectors(C.space, [TH(g).apply(v) for v in dom.basis_vectors])
-        target = gpa.subcoalgebra(g)
-        if img != target:
+        dom = sub(inv[g])
+        img = Subspace.from_vectors(C.space, [gpa.theta(g).apply(v) for v in dom.basis_vectors])
+        if img != sub(g):
             return CheckResult("", False, "θ image differs from C_g")
         if dom.dim != img.dim:
             return CheckResult("", False, "θ not injective on C_{g⁻¹}")
         return CheckResult("", True)
 
-    def maps(lhs, rhs):
-        return lambda x: compare_maps("", lhs(x), rhs(x))
+    def maps(lhs, rhs, cod=labels):     # cod: the codomain labels
+        where = (C.field, lambda j, i: (labels[j], cod[i]))
+        return lambda x: (a := lhs(x)) == (b := rhs(x)) or compare_maps("", a, b, where)
 
-    comp = sorted(G.composable)
+    CC, K = C.comul.codomain.labels, C.counit.codomain.labels     # the labels of C⊗C and k
     elements = G.elements
+    comp_pairs = sorted(G.composable)
     pairs = [(g, h) for a, g in enumerate(elements) for h in elements[a:]]   # Eq 1 is symmetric
-    p_p = cache(lambda gh: P(inv[mul[gh]]) @ P(inv[gh[1]]))    # Eq 3 and Lemma-(iii)
+    p_p = cache(lambda gh: comp(P(inv[mul[gh]]), P(inv[gh[1]])))    # Eq 3 and Lemma-(iii)
     conditions = [
-        ("theta-support", elements, maps(TH, lambda g: TH(g) @ P(inv[g]))),
-        ("(i)-projection", elements, maps(lambda g: P(g) @ P(g), P)),
-        ("(i)-comulti", elements, maps(lambda g: P(g).tensor(P(g)) @ C.comul,
-                                       lambda g: C.comul @ P(g))),
-        ("(i)-quasi-a", elements, lambda g: quasi(g, flip=False)),
-        ("(i)-quasi-b", elements, lambda g: quasi(g, flip=True)),
+        ("theta-support", elements, maps(TH, lambda g: comp(TH(g), P(inv[g])))),
+        ("(i)-projection", elements, maps(lambda g: comp(P(g), P(g)), P)),
+        ("(i)-comulti", elements, maps(lambda g: square(P(g), comul),
+                                       lambda g: comp(comul, P(g)), CC)),
+        ("(i)-quasi-a", elements, maps(lambda g: quasi(g, flip=False), P)),
+        ("(i)-quasi-b", elements, maps(lambda g: quasi(g, flip=True), P)),
         ("(ii)-theta-objects", G.identities, maps(TH, P)),
-        ("Eq 1", pairs, maps(lambda gh: P(gh[0]) @ P(gh[1]), lambda gh: P(gh[1]) @ P(gh[0]))),
-        ("Eq 2", comp, maps(lambda gh: TH(inv[gh[1]]) @ P(gh[1]) @ P(inv[gh[0]]),
-                            lambda gh: P(inv[mul[gh]]) @ TH(inv[gh[1]]) @ P(gh[1]))),
-        ("Eq 3", comp, maps(lambda gh: TH(gh[0]) @ TH(gh[1]) @ p_p(gh),
-                            lambda gh: TH(mul[gh]) @ p_p(gh))),
-        ("Eq 4", elements, maps(lambda g: P(r[g]) @ P(g), P)),
-        ("Lemma-(i)a", elements, maps(lambda g: TH(r[g]) @ TH(g), TH)),
-        ("Lemma-(i)b", elements, maps(lambda g: TH(r[g]) @ P(g), P)),
-        ("Lemma-(ii)a", elements, maps(lambda g: TH(inv[g]) @ TH(g), lambda g: P(inv[g]))),
-        ("Lemma-(ii)b", elements, maps(lambda g: TH(g) @ TH(inv[g]), P)),
-        ("Lemma-(iii)", comp, maps(lambda gh: P(inv[gh[0]]) @ TH(gh[1]),
-                                   lambda gh: TH(gh[1]) @ p_p(gh))),
+        ("Eq 1", pairs, maps(lambda gh: comp(P(gh[0]), P(gh[1])),
+                             lambda gh: comp(P(gh[1]), P(gh[0])))),
+        ("Eq 2", comp_pairs, maps(lambda gh: comp(TH(inv[gh[1]]), P(gh[1]), P(inv[gh[0]])),
+                                  lambda gh: comp(P(inv[mul[gh]]), TH(inv[gh[1]]), P(gh[1])))),
+        ("Eq 3", comp_pairs, maps(lambda gh: comp(TH(gh[0]), TH(gh[1]), p_p(gh)),
+                                  lambda gh: comp(TH(mul[gh]), p_p(gh)))),
+        ("Eq 4", elements, maps(lambda g: comp(P(r[g]), P(g)), P)),
+        ("Lemma-(i)a", elements, maps(lambda g: comp(TH(r[g]), TH(g)), TH)),
+        ("Lemma-(i)b", elements, maps(lambda g: comp(TH(r[g]), P(g)), P)),
+        ("Lemma-(ii)a", elements, maps(lambda g: comp(TH(inv[g]), TH(g)), lambda g: P(inv[g]))),
+        ("Lemma-(ii)b", elements, maps(lambda g: comp(TH(g), TH(inv[g])), P)),
+        ("Lemma-(iii)", comp_pairs, maps(lambda gh: comp(P(inv[gh[0]]), TH(gh[1])),
+                                         lambda gh: comp(TH(gh[1]), p_p(gh)))),
         ("theta-iso", elements, iso_check),
-        ("theta-comult", elements, maps(lambda g: C.comul @ TH(g),
-                                        lambda g: TH(g).tensor(TH(g)) @ C.comul @ P(inv[g]))),
-        ("theta-counit", elements, maps(lambda g: C.counit @ TH(g),
-                                        lambda g: C.counit @ P(inv[g]))),
+        ("theta-comult", elements, maps(lambda g: comp(comul, TH(g)),
+                                        lambda g: square(TH(g), comp(comul, P(inv[g]))), CC)),
+        ("theta-counit", elements, maps(lambda g: comp(counit, TH(g)),
+                                        lambda g: comp(counit, P(inv[g])), K)),
     ]
     for label, items, check in conditions:
         rep.add(first_failure(label, ((x, check(x)) for x in items), lambda x: f"at {x}: "))

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from conftest import (
     ENTRIES,
@@ -65,7 +65,8 @@ from weakhopf.errors import (
     NotSubcoalgebra,
     NotSymmetric,
 )
-from weakhopf.report import compare_maps
+from weakhopf.report import CheckResult, compare_maps, compare_vectors, first_failure
+from weakhopf.tensor_space import Subspace
 
 
 # -- global module coalgebras -------------------------------------------------
@@ -634,3 +635,145 @@ def test_pmc3_matches_its_formula(F, n, m, side, data):
     assert (pmc3.passed, pmc3.witness) == reference_pmc3(act, "PMC3", False)
     sym = verdict.symmetric
     assert (sym.passed, sym.witness) == reference_pmc3(act, "symmetric", True)
+
+
+@pytest.mark.parametrize("F", [QQ, GF7])
+def test_zero_product_pairs_still_compare_the_left_side(F):
+    """With g2.e·g2.e moved to g1.e, g1.e·(g2.e·c) ≠ 0 although g1.e·g2.e = 0:
+    every pair check fails at that pair, with the witness of a literal scan."""
+    H = groupoid_algebra(disjoint_union_of_cyclic([2, 3]), F)
+    act = regular_action(H)
+    e1, e2 = H.space.index("g1.e"), H.space.index("g2.e")
+    assert not H.alg.mul.cols[e1 * H.space.dim + e2]
+    cols = [dict(col) for col in act.slices[e2].cols]
+    cols[e2][e1] = cols[e2].pop(e2)
+    slices = list(act.slices)
+    slices[e2] = LinMap(act.space, act.space, cols)
+    act = ActionTensor.from_slices(H, act.carrier, "left", slices)
+    dual = dualize_coalgebra_action(act, check=False)
+    verdict, dual_verdict = check_partial_module_coalgebra(act), check_partial_module_algebra(dual)
+    for result, expected in (
+            (verdict.report.result("PMC3"), reference_pmc3(act, "PMC3", False)),
+            (verdict.symmetric, reference_pmc3(act, "symmetric", True)),
+            (check_module_coalgebra(act).result("MC3"),
+             reference_pair_scan(act, "MC3", lambda i, j: _moved(act, i, j))),
+            (dual_verdict.report.result("PMA3"), reference_pma3(dual, "PMA3", False)),
+            (check_module_algebra(dual).result("MA3"),
+             reference_pair_scan(dual, "MA3", lambda i, j: _moved(dual, i, j)))):
+        assert (result.passed, result.witness) == expected
+        assert result.witness.startswith("h=g1.e, k=g2.e; ")
+
+
+def reference_ma2(act, label):
+    """(passed, witness) of h▷(ab) = (h₁▷a)(h₂▷b) (resp. (ab)↼h = (a↼h₁)(b↼h₂)),
+    evaluated literally over every (h_i, a, b) in order."""
+    H, A = act.hopf, act.carrier
+    for i in range(H.space.dim):
+        for a in range(A.space.dim):
+            for b in range(A.space.dim):
+                ea, eb = Vector.basis(A.space, a), Vector.basis(A.space, b)
+                rhs = Vector.zero(A.space)
+                for x, y, c in _sweedler(H.coalg, i):
+                    rhs = rhs + A.product(act.slices[x].apply(ea), act.slices[y].apply(eb)).scale(c)
+                r = compare_vectors(label, act.slices[i].apply(A.product(ea, eb)), rhs)
+                if not r.passed:
+                    return False, (f"h={H.space.labels[i]}, a={A.space.labels[a]}, "
+                                   f"b={A.space.labels[b]}; {r.witness}")
+    return True, None
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, st.sampled_from(["left", "right"]), st.data())
+def test_ma2_matches_a_literal_scan(F, side, data):
+    act = corrupted_regular_action(data, F, side)
+    dual = (dualize_coalgebra_action if side == "left"
+            else dualize_right_coalgebra_action)(act, check=False)
+    assume(any(not col for s in dual.slices for col in s.cols))
+    expected = reference_ma2(dual, "MA2")
+    ma2 = check_module_algebra(dual).result("MA2")
+    pma2 = check_partial_module_algebra(dual).report.result("PMA2")
+    assert (ma2.passed, ma2.witness) == (pma2.passed, pma2.witness) == expected
+
+
+def reference_validate(gpa):
+    """(label, passed, witness) of every condition of a groupoid partial
+    action, each side built as a LinMap composite."""
+    G, C = gpa.groupoid, gpa.coalgebra
+    P, TH, inv, r, mul = gpa.P, gpa.theta, G.inv, G.r, G.mul
+
+    def quasi(g, flip):
+        eps_p = [C.eps(P(g).column(c)) for c in range(C.space.dim)]
+        images = []
+        for c in range(C.space.dim):
+            out = Vector.zero(C.space)
+            for t in C.delta_pairs(c):
+                out = out + P(r[g]).column(t[flip]).scale(t[2] * eps_p[t[not flip]])
+            images.append(out)
+        return LinMap.from_images(C.space, C.space, images)
+
+    def iso(g):
+        dom = gpa.subcoalgebra(inv[g])
+        img = Subspace.from_vectors(C.space, [TH(g).apply(v) for v in dom.basis_vectors])
+        if img != gpa.subcoalgebra(g):
+            return CheckResult("", False, "θ image differs from C_g")
+        if dom.dim != img.dim:
+            return CheckResult("", False, "θ not injective on C_{g⁻¹}")
+        return CheckResult("", True)
+
+    def maps(lhs, rhs):
+        return lambda x: compare_maps("", lhs(x), rhs(x))
+
+    comp, elements = sorted(G.composable), G.elements
+    conditions = [
+        ("theta-support", elements, maps(TH, lambda g: TH(g) @ P(inv[g]))),
+        ("(i)-projection", elements, maps(lambda g: P(g) @ P(g), P)),
+        ("(i)-comulti", elements, maps(lambda g: P(g).tensor(P(g)) @ C.comul,
+                                       lambda g: C.comul @ P(g))),
+        ("(i)-quasi-a", elements, maps(lambda g: quasi(g, False), P)),
+        ("(i)-quasi-b", elements, maps(lambda g: quasi(g, True), P)),
+        ("(ii)-theta-objects", G.identities, maps(TH, P)),
+        ("Eq 1", [(g, h) for g in elements for h in elements],
+         maps(lambda gh: P(gh[0]) @ P(gh[1]), lambda gh: P(gh[1]) @ P(gh[0]))),
+        ("Eq 2", comp, maps(lambda gh: TH(inv[gh[1]]) @ P(gh[1]) @ P(inv[gh[0]]),
+                            lambda gh: P(inv[mul[gh]]) @ TH(inv[gh[1]]) @ P(gh[1]))),
+        ("Eq 3", comp, maps(lambda gh: TH(gh[0]) @ TH(gh[1]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]),
+                            lambda gh: TH(mul[gh]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]))),
+        ("Eq 4", elements, maps(lambda g: P(r[g]) @ P(g), P)),
+        ("Lemma-(i)a", elements, maps(lambda g: TH(r[g]) @ TH(g), TH)),
+        ("Lemma-(i)b", elements, maps(lambda g: TH(r[g]) @ P(g), P)),
+        ("Lemma-(ii)a", elements, maps(lambda g: TH(inv[g]) @ TH(g), lambda g: P(inv[g]))),
+        ("Lemma-(ii)b", elements, maps(lambda g: TH(g) @ TH(inv[g]), P)),
+        ("Lemma-(iii)", comp, maps(lambda gh: P(inv[gh[0]]) @ TH(gh[1]),
+                                   lambda gh: TH(gh[1]) @ P(inv[mul[gh]]) @ P(inv[gh[1]]))),
+        ("theta-iso", elements, iso),
+        ("theta-comult", elements, maps(lambda g: C.comul @ TH(g),
+                                        lambda g: TH(g).tensor(TH(g)) @ C.comul @ P(inv[g]))),
+        ("theta-counit", elements, maps(lambda g: C.counit @ TH(g),
+                                        lambda g: C.counit @ P(inv[g]))),
+    ]
+    out = [("shapes", True, None)]
+    for label, items, check in conditions:
+        res = first_failure(label, ((x, check(x)) for x in items), lambda x: f"at {x}: ")
+        out.append((res.label, res.passed, res.witness))
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(fields, st.sampled_from([disjoint_union_of_cyclic([1, 2]), two_object_iso_groupoid()]),
+       st.booleans(), st.data())
+def test_groupoid_action_validator_matches_linmap_formulas(F, G, theta, data):
+    gpa = from_kG_action(regular_action(groupoid_algebra(G, F)), G)
+    maps = dict(gpa.isos if theta else gpa.projections)
+    g = data.draw(st.sampled_from(G.elements))
+    cols = [dict(col) for col in maps[g].cols]
+    col = cols[data.draw(st.integers(0, len(cols) - 1))]
+    i = data.draw(st.integers(0, gpa.coalgebra.space.dim - 1))
+    v = F.coerce(data.draw(st.sampled_from(ENTRIES[F])))
+    col.pop(i, None)
+    if v:
+        col[i] = v
+    maps[g] = LinMap(maps[g].domain, maps[g].codomain, cols)
+    bad = type(gpa)(G, gpa.coalgebra, gpa.projections if theta else maps,
+                    maps if theta else gpa.isos)
+    rep = validate_groupoid_partial_action(bad)
+    assert [(r.label, r.passed, r.witness) for r in rep.results] == reference_validate(bad)
