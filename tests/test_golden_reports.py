@@ -80,6 +80,8 @@ SPECS = {
 for _name in ("kG-Z2+Z3", "kG-dual-iso", "abelian-3"):
     for _p in (2,) if _name == "abelian-3" else (2, 3):
         SPECS[f"{_name}-gf{_p}"] = (*SPECS[_name][:2], f"Fp:{_p}")
+# the averaged example over GF(3), at N = 4
+SPECS["abelian-4-gf3"] = ("abelian-group", {"factors": [4]}, "Fp:3")
 
 
 def _run(argv, capsys):
@@ -114,6 +116,34 @@ ENTRY_CORRUPTIONS = {
     "mul[0][1][1]=2": (("mul", 0, 1, 1), "2"),
     "comul[1][0][1]=2": (("comul", 1, 0, 1), "2"),
 }
+
+# one corrupted document per check evaluated by Sweedler sums of products,
+# on (kG)* of the two-object groupoid and the averaged example over ℚ and
+# GF(3): check → (structure, entry, new value); each fails its check
+SWEEDLER_BREAKS = {
+    "(i)": ("kG-dual-iso", ("comul", 0, 3, 2), "2"),
+    "Eq 4.2a": ("kG-dual-iso-gf3", ("comul", 0, 3, 2), "2"),
+    "Eq 4.2b": ("abelian-3", ("mul", 1, 1, 2), "2"),
+    "(iii)a": ("abelian-4-gf3", ("mul", 1, 1, 3), "1"),
+    "(iii)b": ("kG-dual-iso", ("comul", 2, 2, 2), "1"),
+    "Eq 4.17": ("kG-dual-iso-gf3", ("counit", 0), "0"),
+    "Eq 4.18": ("abelian-3", ("counit", 0), "4"),
+    "Eq 4.36": ("abelian-4-gf3", ("unit", 0), "0"),
+    "Eq 4.37": ("kG-dual-iso", ("antipode", 2, 1), "1"),
+    "Eq 4.38": ("kG-dual-iso-gf3", ("antipode", 2, 2), "1"),
+    "Eq 4.39": ("abelian-3", ("antipode", 1, 1), "2"),
+    "Eq 4.41a": ("abelian-4-gf3", ("antipode", 2, 2), "2"),
+    "Eq 4.42": ("kG-dual-iso", ("antipode", 2, 2), "1"),
+    "Eq 4.43": ("kG-dual-iso-gf3", ("antipode", 3, 3), "1"),
+}
+
+
+def _entry_part(entry, value) -> str:
+    return entry[0] + "".join(f"[{i}]" for i in entry[1:]) + f"={value}"
+
+
+ENTRY_CORRUPTIONS.update({_entry_part(entry, value): (entry, value)
+                          for _, entry, value in SWEEDLER_BREAKS.values()})
 
 
 def _corrupted(tmp_path, name, capsys, part):
@@ -326,6 +356,10 @@ def _cases():
         for part in ("unit[0]=2", "mul[0][1][1]=2", "comul[1][0][1]=2", "antipode"):
             for kind in ("weak-hopf", "identities"):
                 cases.append((f"{kind} {name} corrupted {part}", kind, (name, part)))
+    for name, entry, value in SWEEDLER_BREAKS.values():
+        part = _entry_part(entry, value)
+        for kind in ("weak-hopf", "identities"):
+            cases.append((f"{kind} {name} corrupted {part}", kind, (name, part)))
     for field in FIELDS:
         for corrupt in (False, True):
             tag = f"{field}{' corrupted' if corrupt else ''}"
@@ -424,6 +458,14 @@ def test_no_case_stores_an_explicit_zero(tmp_path, capsys, monkeypatch):
         work = tmp_path / str(n)
         work.mkdir()
         _output(kind, arg, work, capsys)
+
+
+def test_each_sweedler_check_fails_in_its_corrupted_goldens():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    for check, (name, entry, value) in SWEEDLER_BREAKS.items():
+        reports = [golden[f"{kind} {name} corrupted {_entry_part(entry, value)}"]
+                   for kind in ("weak-hopf", "identities")]
+        assert any(f'"label":"{check}","passed":false' in text for text in reports), check
 
 
 def test_golden_file_covers_every_case():

@@ -336,6 +336,11 @@ def test_pointwise_product_matches_fresh_products(F, dim, power, data):
     out = pointwise_product(H.alg, power, x, y)
     assert out == reference_pointwise(H.alg, power, x, y)
     assert all(out.terms.values())
+    if F.characteristic:   # the same inputs as unreduced ints, zeros included
+        lift = data.draw(st.integers(1, 3)) * F.characteristic
+        raw = [Vector(v.space, {i: v.terms.get(i, 0) + lift for i in range(v.space.dim)})
+               for v in (x, y)]
+        assert pointwise_product(H.alg, power, *raw) == out
 
 
 @settings(max_examples=60, deadline=None)
