@@ -335,19 +335,20 @@ def _module_algebra(act: ActionTensor, *ma: CheckResult) -> Report:
 
 
 def _ma2_check(act: ActionTensor, label: str) -> CheckResult:
-    """h▷(ab) = (h₁▷a)(h₂▷b), resp. (ab)↼h = (a↼h₁)(b↼h₂); the Δ(h) terms
-    with an empty slice column at a or at b are skipped."""
+    """h▷(ab) = (h₁▷a)(h₂▷b), resp. (ab)↼h = (a↼h₁)(b↼h₂); skips the Δ(h) terms with
+    an empty slice column at a or b, and each b where none is left and a·b = 0."""
     A = act.carrier
     H = act.hopf.space
     m, p = A.space.dim, A.field.characteristic
-    sl = [s.cols for s in act.slices]
+    sl, right = [s.cols for s in act.slices], A.nonzero_products[0]
+    nonempty = [{b for b in range(m) if col[b]} for col in sl]
 
     def cases():
         for i in range(H.dim):
             pairs = act.hopf.coalg.delta_pairs(i)
             for a in range(m):
                 live = [(x, y, c) for x, y, c in pairs if sl[x][a]]
-                for b in range(m):
+                for b in sorted(set(right[a]).union(*(nonempty[t[1]] for t in live))):
                     lhs = _combine(sl[i], A.mul.cols[a * m + b].items(), p)
                     rhs = _accumulate(((A.times(sl[x][a], sl[y][b]), c)
                                        for x, y, c in live if sl[y][b]), p)

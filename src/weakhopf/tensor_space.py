@@ -527,16 +527,17 @@ class Subspace:
     def basis_vectors(self) -> list[Vector]:
         return [Vector(self.space, _sparse(r)) for r in self.rows]
 
+    @cached_property
+    def _by_pivot(self) -> dict:
+        return {lead: v.terms for lead, v in zip(self.pivots, self.basis_vectors)}
+
     def contains(self, v: Vector) -> bool:
+        """v = Σ v[lead]·row over the pivots, each row 1 at its own and 0 at the others."""
         if v.space != self.space:
             raise ShapeMismatch("vector lives in a different space")
-        p = self.space.field.characteristic
-        residual = list(v.coords)
-        for row, lead in zip(self.rows, self.pivots):
-            if c := residual[lead]:
-                residual = ([(a - c * b) % p for a, b in zip(residual, row)] if p
-                            else [a - c * b for a, b in zip(residual, row)])
-        return not any(residual)
+        p, rows = self.space.field.characteristic, self._by_pivot
+        terms = _reduced(v.terms, p) if p else {i: c for i, c in v.terms.items() if c}
+        return _combine(rows, [(i, c) for i, c in terms.items() if i in rows], p) == terms
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.space == other.space

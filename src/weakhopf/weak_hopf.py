@@ -32,30 +32,35 @@ from .structures import (
     eps_s,
     eps_t,
 )
-from .tensor_space import LinMap, Subspace, Vector, _accumulate, _combine, _kron, tensor_product
+from .tensor_space import (LinMap, Subspace, Vector, _accumulate, _combine, _kron, _reduced,
+                           tensor_product)
 
 
 def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vector:
-    """Componentwise product of two elements of the tensor power H^⊗power,
-    (a1⊗...⊗ak)(b1⊗...⊗bk) = a1b1 ⊗ ... ⊗ akbk, extended bilinearly; pairs
-    of terms whose first factors multiply to zero are skipped."""
+    """Componentwise product (a1⊗...⊗ak)(b1⊗...⊗bk) = a1b1 ⊗ ... ⊗ akbk in H^⊗power,
+    extended bilinearly into one accumulator; pairs of terms whose first factors
+    multiply to zero are skipped, and c·c′ scales each product of constants."""
     n, m, top = alg.space.dim, alg.mul.cols, alg.space.dim ** (power - 1)
-    p = alg.field.characteristic
+    p, stride = alg.field.characteristic, top // n     # place value of leg 2 in t
     if x.space != y.space or x.space.dim != n ** power:
         raise ShapeMismatch("operands must live in the same tensor power of H")
-    by_first = {}
+    by_first, out = {}, {}
     for j, b in y.terms.items():
-        by_first.setdefault(j // top, []).append((j, b))
-
-    def term(i: int, j: int) -> dict:
-        out = {0: alg.field.one()}
-        for s in range(power - 1, -1, -1):
-            out = _kron(out, m[i // n ** s % n * n + j // n ** s % n], n, p)
-        return out
-
-    return Vector(x.space, _accumulate(((term(i, j), a * b) for i, a in x.terms.items()
-                                        for a2 in alg.nonzero_products[0][i // top]
-                                        for j, b in by_first.get(a2, ())), p))
+        by_first.setdefault(j // top, []).append((j % top, b))
+    for i, a in x.terms.items():
+        f, t = divmod(i, top)
+        for f2 in alg.nonzero_products[0][f]:
+            for t2, b in by_first.get(f2, ()):
+                w, tail = a * b, m[t // stride % n * n + t2 // stride % n]   # legs 2..power
+                for s in range(power - 3, -1, -1):
+                    tail = _kron(tail, m[t // n ** s % n * n + t2 // n ** s % n], n, p)
+                for h, u in m[f * n + f2].items():
+                    base = h * top
+                    for k, v in tail.items():
+                        prev, uv = out.get(base + k), u * v
+                        uv = w if uv == 1 else uv * w
+                        out[base + k] = uv if prev is None else prev + uv
+    return Vector(x.space, _reduced(out, p) if p else {i: s for i, s in out.items() if s})
 
 
 def _joined(alg: AlgebraData, xs, x_leg: int, ys, y_leg: int, right: bool):
@@ -75,7 +80,15 @@ def _joined(alg: AlgebraData, xs, x_leg: int, ys, y_leg: int, right: bool):
 
 def _sum3(terms, n: int, p: int) -> dict:
     """Σ c·x⊗y⊗z over (x, y, z, c) with sparse dicts x, y, z, in H⊗H⊗H."""
-    return _accumulate(((_kron(_kron(x, y, n, p), z, n, p), c) for x, y, z, c in terms), p)
+    out = {}
+    for x, y, z, c in terms:
+        for i, a in x.items():
+            for j, b in y.items():
+                ij, abc = (i * n + j) * n, a * b * c
+                for k, v in z.items():
+                    prev = out.get(ij + k)
+                    out[ij + k] = abc * v if prev is None else prev + abc * v
+    return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
 def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
@@ -88,10 +101,10 @@ def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
     p = wb.field.characteristic
 
     # (i)  Δ(hk) = Δ(h)Δ(k)
-    m = A.mul.cols
+    m, delta = A.mul.cols, C.comul.columns()
     rep.add(compare_maps("(i)", (_combine(C.comul.cols, m[x].items(), p) for x in range(n * n)), (
-        pointwise_product(A, 2, C.comul.column(x // n), C.comul.column(x % n)).terms
-        for x in range(n * n)), _where(H, 2, 2)))
+        pointwise_product(A, 2, delta[x // n], delta[x % n]).terms for x in range(n * n)),
+        _where(H, 2, 2)))
 
     # (ii)  ε(hkl) = ε(hk₁)ε(k₂l) = ε(hk₂)ε(k₁l); for each (h, k) the three
     # sides are functionals of l, combined from rows of the counit form.
@@ -275,10 +288,15 @@ def check_identities(H: WeakHopfData) -> Report:
     # 1₁⊗ε_t(1₂)⊗1₃ = 1₁1′₁⊗1₂⊗1′₂ and 1₁⊗ε_s(1₂)⊗1₃ = 1₁⊗1′₁⊗1₂1′₂
     delta2_one = _combine(C.delta2, H.unit.terms.items(), p)
     triple = _where(space, 3)
-    rep.add(compare_vectors("Eq 4.17", _apply_on_middle_leg(n, etc, delta2_one, p), _sum3(
+
+    def on_middle_leg(f_cols) -> dict:   # the endomorphism f applied to leg 2 of Δ²(1)
+        return _sum3(((e[i // (n * n)], f_cols[i // n % n], e[i % n], c)
+                      for i, c in delta2_one.items()), n, p)
+
+    rep.add(compare_vectors("Eq 4.17", on_middle_leg(etc), _sum3(
         ((xy, e[b], e[b2], c) for a, b, a2, b2, c, xy in _joined(A, d1p, 0, d1p, 0, True)),
         n, p), triple))
-    rep.add(compare_vectors("Eq 4.18", _apply_on_middle_leg(n, esc, delta2_one, p), _sum3(
+    rep.add(compare_vectors("Eq 4.18", on_middle_leg(esc), _sum3(
         ((e[a], e[a2], xy, c) for a, b, a2, b2, c, xy
          in _joined(A, d1p, 1, d1p, 1, True)), n, p), triple))
 
@@ -294,8 +312,9 @@ def check_identities(H: WeakHopfData) -> Report:
             _accumulate(((v, c * s) for a, b, c in d1p for v, s in (term(a, b, j),) if s), p)
             for j in range(n)])
 
-    eS = [_combine(counit.cols, col.items(), p) for col in _mul_with(A, Sc, 0)]
-    Se = [_combine(counit.cols, col.items(), p) for col in _mul_with(A, Sc, 1)]
+    mul_id_s, mul_s_id = _mul_with(A, Sc, 1), _mul_with(A, Sc, 0)
+    eS = [_combine(counit.cols, col.items(), p) for col in mul_s_id]
+    Se = [_combine(counit.cols, col.items(), p) for col in mul_id_s]
     # eS[j·n + a] = {0: ε(S(e_j)·e_a)}, Se[b·n + j] = {0: ε(e_b·S(e_j))}
     rep.add(compare_maps("Eq 4.30", et, d1_functional(
         lambda a, b, j: (e[b], eS[j * n + a].get(0)))))
@@ -311,25 +330,27 @@ def check_identities(H: WeakHopfData) -> Report:
     rep.add(compare_maps("Eq 4.35a", es @ S, es @ et))
     rep.add(compare_maps("Eq 4.35b", es @ et, S @ et))
 
-    # Sweedler-triple identities 4.36-4.39
-    def sweedler3(build) -> LinMap:
-        """h ↦ Σ x⊗y over Δ²(h) = Σ e_p⊗e_q⊗e_r, with (x, y) = build(p, q, r)."""
-        return LinMap(space, HH, [
-            _accumulate(((_kron(*build(idx // (n * n), idx // n % n, idx % n), n, p), c)
-                         for idx, c in col.items()), p)
-            for col in C.delta2])
+    def sweedler3(f_cols, first: bool) -> LinMap:
+        """4.36-4.39, 4.41a: h ↦ (f⊗id)(Δ²(h)) (``first``) or (id⊗f)(Δ²(h)), f: H⊗H → H
+        with columns ``f_cols`` on the legs (p, q) or (q, r) of Δ²(h) = Σ c·e_p⊗e_q⊗e_r."""
+        cols = []
+        for col in C.delta2:
+            out = {}
+            for idx, c in col.items():
+                hi, lo = divmod(idx, n if first else n * n)   # (p·n + q, r) or (p, q·n + r)
+                k, base, step = (hi, lo, n) if first else (lo, hi * n, 1)
+                for i, v in f_cols[k].items():
+                    prev = out.get(base + i * step)
+                    out[base + i * step] = v * c if prev is None else prev + v * c
+            cols.append(_reduced(out, p) if p else {i: s for i, s in out.items() if s})
+        return LinMap(space, HH, cols)
 
-    times = A.times
-    rep.add(compare_maps("Eq 4.36", sweedler3(
-        lambda p, q, r: (e[p], times(e[q], Sc[r]))), map_1h_1))
-    rep.add(compare_maps("Eq 4.37", sweedler3(
-        lambda p, q, r: (times(Sc[p], e[q]), e[r])), map_1_h1))
-    rep.add(compare_maps("Eq 4.38", sweedler3(
-        lambda p, q, r: (e[p], times(Sc[q], e[r]))),
-        _map_h_to_d1_sandwich(H, 0, lambda a, j: m[j * n + a], Sc)))
-    rep.add(compare_maps("Eq 4.39", sweedler3(
-        lambda p, q, r: (times(e[p], Sc[q]), e[r])),
-        _map_h_to_d1_sandwich(H, 1, lambda b, j: m[b * n + j], Sc)))
+    rep.add(compare_maps("Eq 4.36", sweedler3(mul_id_s, False), map_1h_1))
+    rep.add(compare_maps("Eq 4.37", sweedler3(mul_s_id, True), map_1_h1))
+    rep.add(compare_maps("Eq 4.38", sweedler3(mul_s_id, False),
+                         _map_h_to_d1_sandwich(H, 0, lambda a, j: m[j * n + a], Sc)))
+    rep.add(compare_maps("Eq 4.39", sweedler3(mul_id_s, True),
+                         _map_h_to_d1_sandwich(H, 1, lambda b, j: m[b * n + j], Sc)))
 
     # 4.41  h₂S⁻¹(h₁)⊗h₃ = S(ε_t(h₁))⊗h₂ = 1₁⊗1₂h
     rhs_441 = _map_h_to_d1_sandwich(H, 1, lambda b, j: m[b * n + j], e)
@@ -339,24 +360,16 @@ def check_identities(H: WeakHopfData) -> Report:
     if Sinv is None:
         for label in ("Eq 4.41a", "Eq 4.42", "Eq 4.43"):
             rep.add(CheckResult(label, False, "antipode not invertible", skipped=True))
-    else:
-        Si = Sinv.cols
+    else:   # e_h·S⁻¹(e_k) and S⁻¹(e_h)·e_k at h·n + k
+        mul_id_si, mul_si_id = _mul_with(A, Sinv.cols, 1), _mul_with(A, Sinv.cols, 0)
         rep.add(compare_maps("Eq 4.41a", sweedler3(
-            lambda p, q, r: (times(e[q], Si[p]), e[r])), rhs_441))
-        lhs_442 = _map_h_to_d1_sandwich(H, 0, lambda a, j: times(e[a], Si[j]), e)
+            [mul_id_si[x % n * n + x // n] for x in hk], True), rhs_441))
+        lhs_442 = _map_h_to_d1_sandwich(H, 0, lambda a, j: mul_id_si[a * n + j], e)
         rep.add(first_failure("Eq 4.42", restricted(lhs_442, rhs_441, H.Ht), at_h))
-        lhs_443 = _map_h_to_d1_sandwich(H, 1, lambda b, j: times(Si[j], e[b]), e)
+        lhs_443 = _map_h_to_d1_sandwich(H, 1, lambda b, j: mul_si_id[j * n + b], e)
         rhs_443 = _map_h_to_d1_sandwich(H, 0, lambda a, j: m[j * n + a], e)
         rep.add(first_failure("Eq 4.43", restricted(lhs_443, rhs_443, H.Hs), at_h))
     return rep
-
-
-def _apply_on_middle_leg(n: int, f_cols, elem: dict, p: int) -> dict:
-    """Apply the endomorphism with columns ``f_cols`` to the middle tensor
-    factor of an element of H⊗H⊗H, given as a sparse dict."""
-    return _accumulate((({(idx // (n * n) * n + i) * n + idx % n: v
-                          for i, v in f_cols[idx // n % n].items()}, c)
-                        for idx, c in elem.items()), p)
 
 
 # ---------------------------------------------------------------------------
