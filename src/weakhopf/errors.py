@@ -43,11 +43,6 @@ class NotInjective(WorkbenchError):
     """A left inverse was requested for a map without full column rank."""
 
 
-class AntipodeNotInvertible(WorkbenchError):
-    """The antipode matrix is singular; identities that need its inverse
-    are skipped instead of evaluated."""
-
-
 class AxiomViolation(WorkbenchError):
     """A groupoid table violates one of the defining axioms."""
 

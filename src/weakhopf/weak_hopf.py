@@ -32,8 +32,7 @@ from .structures import (
     eps_s,
     eps_t,
 )
-from .tensor_space import (LinMap, Subspace, Vector, _accumulate, _combine, _kron, _reduced,
-                           tensor_product)
+from .tensor_space import LinMap, Subspace, Vector, _combine, _kron, _reduced, tensor_product
 
 
 def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vector:
@@ -63,32 +62,69 @@ def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vec
     return Vector(x.space, _reduced(out, p) if p else {i: s for i, s in out.items() if s})
 
 
-def _joined(alg: AlgebraData, xs, x_leg: int, ys, y_leg: int, right: bool):
-    """The pairs of Sweedler terms (a, b, c) of xs and (a′, b′, c′) of ys whose
-    legs x = (a, b)[x_leg] and y = (a′, b′)[y_leg] have a nonzero product xy =
-    e_x·e_y (``right``) or e_y·e_x, and only those, as (a, b, a′, b′, c·c′, xy)."""
-    n, m = alg.space.dim, alg.mul.cols
-    partners, group = alg.nonzero_products[0 if right else 1], {}
-    for t in ys:
-        group.setdefault(t[y_leg], []).append(t)
-    for a, b, c in xs:
-        x = (a, b)[x_leg]
-        for y in partners[x]:
-            for a2, b2, c2 in group.get(y, ()):
-                yield a, b, a2, b2, c * c2, m[x * n + y] if right else m[y * n + x]
+def _sweedler(sums, factors, n: int, p: int, fixed=None) -> list[dict]:
+    """One sparse column per Sweedler sum of ``sums``, each a list of (leg…, c)
+    terms: Σ c·c′·T₁[x₁]⊗…⊗T_r[x_r] over its terms and the (leg…, c′) terms
+    of ``fixed`` (one term of coefficient 1 when None), the legs of a sum term
+    numbered before those of a ``fixed`` term.  A factor (legs, T, dim) reads
+    the column T[x] at one leg x or T[x·n + y] at two, e_x when T is None, as
+    an output leg of dimension dim: n, 1 for a functional, or n² for a column
+    in H⊗H.  The first factor on legs of both sides is the join: ``fixed`` is
+    grouped by its leg once, and a sum term meets only the groups whose column
+    there is nonzero.  Every other factor reads the legs of one side."""
+    k = next((len(terms[0]) - 1 for terms in sums if terms), None)
+    if k is None:
+        return [{} for _ in sums]
+    stride, sides = 1, ([], [], [])   # the factors on legs of the sums, of both, of ``fixed``
+    for legs, table, dim in reversed(factors):
+        legs = (legs,) if type(legs) is int else legs
+        side = sides[(min(legs) >= k) + (max(legs) >= k)]
+        # tables first, so that the terms their zero columns drop are not carried further
+        side.insert(len(side) if table is None else 0, (legs, table, stride))
+        stride *= dim
+    own, mixed, rest = sides
 
+    def apply(facs, state, shift: int) -> list:
+        """(term, offset, coefficient) for each entry of the product of the columns
+        that ``facs`` read off the legs of each term, numbered from ``shift``."""
+        for legs, table, s in facs:
+            i, j, one_leg = legs[0] - shift, legs[-1] - shift, len(legs) == 1
+            if table is None:   # e_x: the leg goes to the output index with no multiply
+                state = [(t, b + t[i] * s, c) for t, b, c in state]
+                continue
+            # each column read once, as (offset, value) pairs, value None for 1 so that no
+            # multiply is made
+            col = {x: [(o * s, None if v == 1 else v) for o, v in table[x].items()]
+                   for x in {t[i] if one_leg else t[i] * n + t[j] for t, _, _ in state}}
+            state = [(t, b + o, c if v is None else c * v) for t, b, c in state
+                     for o, v in col[t[i] if one_leg else t[i] * n + t[j]]]
+        return state
 
-def _sum3(terms, n: int, p: int) -> dict:
-    """Σ c·x⊗y⊗z over (x, y, z, c) with sparse dicts x, y, z, in H⊗H⊗H."""
+    # the sums run as one state, each offset led by the index of its sum
+    state = apply(own, [(t, s * stride, t[-1]) for s, terms in enumerate(sums) for t in terms], 0)
+    if fixed is not None:
+        fixed = apply(rest, [(t, 0, t[-1]) for t in fixed], k)
+    if not mixed:   # each term meets every term of ``fixed``, or the one term 1
+        fixed = [(0, None)] if fixed is None else [(b, None if c == 1 else c) for _, b, c in fixed]
+    else:
+        legs, table, s = mixed[0]
+        (x_leg, y_leg), x_first = sorted(legs), legs[0] < k
+        groups = {}
+        for t, b, c in fixed:
+            groups.setdefault(t[y_leg - k], []).append((b, c))
+        partners = {x: [(o * s + b, None if (w := v * c) == 1 else w) for y, group in groups.items()
+                        for o, v in table[x * n + y if x_first else y * n + x].items()
+                        for b, c in group] for x in {t[x_leg] for t, _, _ in state}}
     out = {}
-    for x, y, z, c in terms:
-        for i, a in x.items():
-            for j, b in y.items():
-                ij, abc = (i * n + j) * n, a * b * c
-                for k, v in z.items():
-                    prev = out.get(ij + k)
-                    out[ij + k] = abc * v if prev is None else prev + abc * v
-    return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
+    for t, b, c in state:
+        for o, v in partners[t[x_leg]] if mixed else fixed:
+            prev, w = out.get(b + o), c if v is None else c * v
+            out[b + o] = w if prev is None else prev + w
+    cols = [{} for _ in sums]
+    for i, v in (_reduced(out, p) if p else out).items():
+        if v:
+            cols[i // stride][i % stride] = v
+    return cols
 
 
 def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
@@ -132,10 +168,9 @@ def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
     ue, eu = [A.times(u, x) for x in e], [A.times(x, u) for x in e]
     delta2_one = _combine(C.delta2, u.items(), p)
     d1, where = wb.delta_one_pairs, _where(H, 3)
-    for label, first, last, b_first in (("(iii)a", ue, eu, False), ("(iii)b", eu, ue, True)):
-        rep.add(compare_vectors(label, _sum3(((first[a], xy, last[b2], c) for a, b, a2, b2, c, xy
-                                              in _joined(A, d1, 1, d1, 0, b_first)), n, p),
-                                delta2_one, where))
+    for label, first, middle, last in (("(iii)a", ue, (2, 1), eu), ("(iii)b", eu, (1, 2), ue)):
+        rep.add(compare_vectors(label, _sweedler(
+            [d1], [(0, first, n), (middle, m, n), (3, last, n)], n, p, d1)[0], delta2_one, where))
     return rep
 
 
@@ -153,15 +188,15 @@ def check_weak_hopf(H: WeakHopfData) -> Report:
     p = H.field.characteristic
     m, comul, terms = H.alg.mul.cols, H.coalg.comul.cols, H.coalg._delta_terms
     # S-(i) h₁S(h₂) = ε_t(h), S-(ii) S(h₁)h₂ = ε_s(h), S-(iii) (S(h₁)h₂)S(h₃) = S(h),
-    # the last as Σ σ(h₁)S(h₂) over Δ(h) with σ = S-(ii)'s left side
+    # the last as m∘(id⊗S) of Σ σ(h₁)⊗h₂ over Δ(h) with σ = S-(ii)'s left side
     mul_id_s, mul_s_id = _mul_with(H.alg, Sc, 1), _mul_with(H.alg, Sc, 0)
     sigma = [_combine(mul_s_id, col.items(), p) for col in comul]
     rep.add(compare_maps("S-(i)", LinMap(space, space, [_combine(mul_id_s, col.items(), p)
                                                          for col in comul]), H.eps_t))
     rep.add(compare_maps("S-(ii)", LinMap(space, space, sigma), H.eps_s))
-    rep.add(compare_maps("S-(iii)", LinMap(space, space, [_combine(mul_id_s, _accumulate((
-        ({t * n + b: v for t, v in sigma[a].items()}, c) for a, b, c in t3), p).items(), p)
-        for t3 in terms]), S))
+    s_iii = _sweedler(terms, [(0, sigma, n), (1, None, n)], n, p)
+    rep.add(compare_maps("S-(iii)", LinMap(space, space, [_combine(mul_id_s, col.items(), p)
+                                                          for col in s_iii]), S))
 
     rep.add(compare_vectors("S(1)=1", H.S(H.unit), H.unit))
     rep.add(compare_maps("eps∘S=eps", H.coalg.counit @ S, H.coalg.counit))
@@ -170,17 +205,15 @@ def check_weak_hopf(H: WeakHopfData) -> Report:
         _combine(m, _kron(Sc[x % n], Sc[x // n], n, p).items(), p) for x in range(n * n)),
         _where(space, 2, 1)))
 
-    def flip_s(t) -> dict:   # flip∘(S⊗S) on Sweedler terms: Σ c·S(e_b)⊗S(e_a)
-        return _accumulate(((_kron(Sc[b], Sc[a], n, p), c) for a, b, c in t), p)
-
+    flip = [(1, Sc, n), (0, Sc, n)]   # flip∘(S⊗S): Σ c·S(e_b)⊗S(e_a)
     rep.add(compare_maps("S-anticomult", (_combine(comul, col.items(), p) for col in Sc),
-                         map(flip_s, terms), _where(space, 1, 2)))
+                         _sweedler(terms, flip, n, p), _where(space, 1, 2)))
     # S exchanges the target and source subalgebras
     for label, sub, image in (("S(Ht)=Hs", H.Ht, H.Hs), ("S(Hs)=Ht", H.Hs, H.Ht)):
         same = Subspace.from_vectors(space, [H.S(v) for v in sub.basis_vectors]) == image
         rep.add(CheckResult(label, same, None if same else "images differ"))
     # 1₁⊗1₂ = S(1₂)⊗S(1₁)
-    flipped = Vector(H.wb.delta_one.space, flip_s(H.wb.delta_one_pairs))
+    flipped = Vector(H.wb.delta_one.space, _sweedler([H.wb.delta_one_pairs], flip, n, p)[0])
     rep.add(compare_vectors("Δ(1)=(S⊗S)flip(Δ(1))", H.wb.delta_one, flipped))
     return rep
 
@@ -192,18 +225,6 @@ def _mul_with(A: AlgebraData, f_cols, side: int) -> list[dict]:
     return [_combine(m, [((h * n + t) if side else (t * n + k), c)
                          for t, c in f_cols[k if side else h].items()], p)
             for h in range(n) for k in range(n)]
-
-
-def _map_h_to_d1_sandwich(H: WeakHopfData, leg: int, moved, fixed) -> LinMap:
-    """h_j ↦ Σ x⊗y over Δ(1) = Σ 1₁⊗1₂, x = moved(1₁, j) and y = fixed[1₂] for ``leg`` 0
-    (mirrored for 1); Δ(1) is grouped by that leg, so only nonzero moved(t, j) are paired."""
-    n, p, rest = H.space.dim, H.field.characteristic, {}
-    for pair in H.wb.delta_one_pairs:
-        rest.setdefault(pair[leg], []).append((pair[1 - leg], pair[2]))
-    rest = [(t, w) for t, terms in rest.items() if (w := _combine(fixed, terms, p))]
-    return LinMap(H.space, tensor_product(H.space, H.space), [_accumulate((
-        (_kron(x, w, n, p) if leg == 0 else _kron(w, x, n, p), 1)
-        for t, w in rest if (x := moved(t, j))), p) for j in range(n)])
 
 
 def check_identities(H: WeakHopfData) -> Report:
@@ -252,10 +273,14 @@ def check_identities(H: WeakHopfData) -> Report:
     rep.add(compare_maps("Eq 4.9", (_combine(esc, col.items(), p) for col in es_h),
                          (_combine(esc, col.items(), p) for col in m), by_hk))
 
-    # builders shared by 4.10-4.13, 4.36-4.43: sparse dicts of e_i, e_i·e_j, S(e_i)
-    e, Sc = LinMap.identity(space).cols, S.cols
-    map_1h_1 = _map_h_to_d1_sandwich(H, 0, lambda a, j: m[a * n + j], e)
-    map_1_h1 = _map_h_to_d1_sandwich(H, 1, lambda b, j: m[j * n + b], e)
+    # h ↦ Σ over Δ(1) of factors on the legs (h, 1₁, 1₂), for 4.10-4.13 and 4.30-4.43
+    basis, Sc, dt = [[(j, H.field.one())] for j in range(n)], S.cols, C._delta_terms
+
+    def sandwich(*factors, codomain=HH) -> LinMap:
+        return LinMap(space, codomain, _sweedler(basis, factors, n, p, d1p))
+
+    map_1h_1 = sandwich(((1, 0), m, n), (2, None, n))
+    map_1_h1 = sandwich((1, None, n), ((0, 2), m, n))
 
     def restricted(lhs: LinMap, rhs: LinMap, sub: Subspace):
         return ((v, compare_vectors("", lhs.apply(v), rhs.apply(v))) for v in sub.basis_vectors)
@@ -265,12 +290,10 @@ def check_identities(H: WeakHopfData) -> Report:
 
     rep.add(first_failure("Eq 4.10", restricted(comul, map_1h_1, H.Ht), at_h))
     rep.add(first_failure("Eq 4.11", restricted(comul, map_1_h1, H.Hs), at_h))
-    rep.add(compare_maps("Eq 4.12", (
-        _accumulate((({a * n + t: v for t, v in etc[b].items()}, c) for a, b, c in terms), p)
-        for terms in C._delta_terms), map_1h_1.cols, one_two))
-    rep.add(compare_maps("Eq 4.13", (
-        _accumulate((({t * n + b: v for t, v in esc[a].items()}, c) for a, b, c in terms), p)
-        for terms in C._delta_terms), map_1_h1.cols, one_two))
+    rep.add(compare_maps("Eq 4.12", _sweedler(dt, [(0, None, n), (1, etc, n)], n, p),
+                         map_1h_1.cols, one_two))
+    rep.add(compare_maps("Eq 4.13", _sweedler(dt, [(0, esc, n), (1, None, n)], n, p),
+                         map_1_h1.cols, one_two))
 
     # 4.14  hε_t(k) = ε(h₁k)h₂ ; 4.15  ε_s(h)k = k₁ε(hk₂)
     rep.add(compare_maps("Eq 4.14", h_et, (
@@ -284,91 +307,66 @@ def check_identities(H: WeakHopfData) -> Report:
         for t in H.Ht.basis_vectors for s in H.Hs.basis_vectors),
         lambda ts: f"h={ts[0].describe()}, k={ts[1].describe()}: "))
 
-    # 4.17 / 4.18: identities of Δ²(1) in H⊗H⊗H,
-    # 1₁⊗ε_t(1₂)⊗1₃ = 1₁1′₁⊗1₂⊗1′₂ and 1₁⊗ε_s(1₂)⊗1₃ = 1₁⊗1′₁⊗1₂1′₂
-    delta2_one = _combine(C.delta2, H.unit.terms.items(), p)
+    # 4.17 / 4.18: identities of Δ²(1) = (Δ⊗id)Δ(1) in H⊗H⊗H,
+    # 1₁⊗ε_t(1₂)⊗1₃ = 1₁1′₁⊗1₂⊗1′₂ and 1₁⊗ε_s(1₂)⊗1₃ = 1₁⊗1′₁⊗1₂1′₂, the left
+    # sides as Σ (id⊗f)Δ(1₁)⊗1₂ over Δ(1), from the columns (id⊗f)Δ(h) in H⊗H
     triple = _where(space, 3)
-
-    def on_middle_leg(f_cols) -> dict:   # the endomorphism f applied to leg 2 of Δ²(1)
-        return _sum3(((e[i // (n * n)], f_cols[i // n % n], e[i % n], c)
-                      for i, c in delta2_one.items()), n, p)
-
-    rep.add(compare_vectors("Eq 4.17", on_middle_leg(etc), _sum3(
-        ((xy, e[b], e[b2], c) for a, b, a2, b2, c, xy in _joined(A, d1p, 0, d1p, 0, True)),
-        n, p), triple))
-    rep.add(compare_vectors("Eq 4.18", on_middle_leg(esc), _sum3(
-        ((e[a], e[a2], xy, c) for a, b, a2, b2, c, xy
-         in _joined(A, d1p, 1, d1p, 1, True)), n, p), triple))
+    for label, f, rhs in (("Eq 4.17", etc, [((0, 2), m, n), (1, None, n), (3, None, n)]),
+                          ("Eq 4.18", esc, [(0, None, n), (2, None, n), ((1, 3), m, n)])):
+        id_f = _sweedler(dt, [(0, None, n), (1, f, n)], n, p)
+        rep.add(compare_vectors(label, _sweedler([d1p], [(0, id_f, n * n), (1, None, n)], n, p)[0],
+                                _sweedler([d1p], rhs, n, p, d1p)[0], triple))
 
     rep.add(compare_maps("Eq 4.19", (_combine(etc, col.items(), p) for col in et_h), (
         _combine(m, _kron(etc[x // n], etc[x % n], n, p).items(), p) for x in hk), by_hk))
     rep.add(compare_maps("Eq 4.20", (_combine(esc, col.items(), p) for col in h_es), (
         _combine(m, _kron(esc[x // n], esc[x % n], n, p).items(), p) for x in hk), by_hk))
 
-    # antipode identities 4.30-4.43
-    def d1_functional(term) -> LinMap:
-        """h_j ↦ Σ c·s·v over Δ(1) = Σ c·e_a⊗e_b, where (v, s) = term(a, b, j)."""
-        return LinMap(space, space, [
-            _accumulate(((v, c * s) for a, b, c in d1p for v, s in (term(a, b, j),) if s), p)
-            for j in range(n)])
-
+    # antipode identities 4.30-4.43; eS, Se and ε∘m as functionals at h·n + k:
+    # ε(S(e_h)·e_k), ε(e_h·S(e_k)) and ε(e_h·e_k)
     mul_id_s, mul_s_id = _mul_with(A, Sc, 1), _mul_with(A, Sc, 0)
     eS = [_combine(counit.cols, col.items(), p) for col in mul_s_id]
     Se = [_combine(counit.cols, col.items(), p) for col in mul_id_s]
-    # eS[j·n + a] = {0: ε(S(e_j)·e_a)}, Se[b·n + j] = {0: ε(e_b·S(e_j))}
-    rep.add(compare_maps("Eq 4.30", et, d1_functional(
-        lambda a, b, j: (e[b], eS[j * n + a].get(0)))))
-    rep.add(compare_maps("Eq 4.31", es, d1_functional(
-        lambda a, b, j: (e[a], Se[b * n + j].get(0)))))
-    rep.add(compare_maps("Eq 4.32", et, d1_functional(
-        lambda a, b, j: (Sc[a], form[b].get(j)))))
-    rep.add(compare_maps("Eq 4.33", es, d1_functional(
-        lambda a, b, j: (Sc[b], form[j].get(a)))))
+    em = [{0: v} if (v := row.get(k)) else {} for row in form for k in range(n)]
+    rep.add(compare_maps("Eq 4.30", et, sandwich(((0, 1), eS, 1), (2, None, n), codomain=space)))
+    rep.add(compare_maps("Eq 4.31", es, sandwich((1, None, n), ((2, 0), Se, 1), codomain=space)))
+    rep.add(compare_maps("Eq 4.32", et, sandwich((1, Sc, n), ((2, 0), em, 1), codomain=space)))
+    rep.add(compare_maps("Eq 4.33", es, sandwich(((0, 1), em, 1), (2, Sc, n), codomain=space)))
 
     rep.add(compare_maps("Eq 4.34a", et @ S, et @ es))
     rep.add(compare_maps("Eq 4.34b", et @ es, S @ es))
     rep.add(compare_maps("Eq 4.35a", es @ S, es @ et))
     rep.add(compare_maps("Eq 4.35b", es @ et, S @ et))
 
-    def sweedler3(f_cols, first: bool) -> LinMap:
-        """4.36-4.39, 4.41a: h ↦ (f⊗id)(Δ²(h)) (``first``) or (id⊗f)(Δ²(h)), f: H⊗H → H
-        with columns ``f_cols`` on the legs (p, q) or (q, r) of Δ²(h) = Σ c·e_p⊗e_q⊗e_r."""
-        cols = []
-        for col in C.delta2:
-            out = {}
-            for idx, c in col.items():
-                hi, lo = divmod(idx, n if first else n * n)   # (p·n + q, r) or (p, q·n + r)
-                k, base, step = (hi, lo, n) if first else (lo, hi * n, 1)
-                for i, v in f_cols[k].items():
-                    prev = out.get(base + i * step)
-                    out[base + i * step] = v * c if prev is None else prev + v * c
-            cols.append(_reduced(out, p) if p else {i: s for i, s in out.items() if s})
-        return LinMap(space, HH, cols)
+    # h ↦ Σ over Δ²(h) = (Δ⊗id)Δ(h) of factors on its legs, as (p, q, r, c) terms
+    d2 = [[(x, y, b, c * v) for a, b, c in terms for x, y, v in dt[a]] for terms in dt]
 
-    rep.add(compare_maps("Eq 4.36", sweedler3(mul_id_s, False), map_1h_1))
-    rep.add(compare_maps("Eq 4.37", sweedler3(mul_s_id, True), map_1_h1))
-    rep.add(compare_maps("Eq 4.38", sweedler3(mul_s_id, False),
-                         _map_h_to_d1_sandwich(H, 0, lambda a, j: m[j * n + a], Sc)))
-    rep.add(compare_maps("Eq 4.39", sweedler3(mul_id_s, True),
-                         _map_h_to_d1_sandwich(H, 1, lambda b, j: m[b * n + j], Sc)))
+    def on_delta2(*factors) -> LinMap:
+        return LinMap(space, HH, _sweedler(d2, factors, n, p))
+
+    rep.add(compare_maps("Eq 4.36", on_delta2((0, None, n), ((1, 2), mul_id_s, n)), map_1h_1))
+    rep.add(compare_maps("Eq 4.37", on_delta2(((0, 1), mul_s_id, n), (2, None, n)), map_1_h1))
+    rep.add(compare_maps("Eq 4.38", on_delta2((0, None, n), ((1, 2), mul_s_id, n)),
+                         sandwich(((0, 1), m, n), (2, Sc, n))))
+    rep.add(compare_maps("Eq 4.39", on_delta2(((0, 1), mul_id_s, n), (2, None, n)),
+                         sandwich((1, Sc, n), ((2, 0), m, n))))
 
     # 4.41  h₂S⁻¹(h₁)⊗h₃ = S(ε_t(h₁))⊗h₂ = 1₁⊗1₂h
-    rhs_441 = _map_h_to_d1_sandwich(H, 1, lambda b, j: m[b * n + j], e)
-    s_et = (S @ et).cols
-    rep.add(compare_maps("Eq 4.41b", LinMap(space, HH, [_accumulate((
-        (_kron(s_et[a], e[b], n, p), c) for a, b, c in t), p) for t in C._delta_terms]), rhs_441))
+    rhs_441 = sandwich((1, None, n), ((2, 0), m, n))
+    rep.add(compare_maps("Eq 4.41b", LinMap(space, HH, _sweedler(
+        dt, [(0, (S @ et).cols, n), (1, None, n)], n, p)), rhs_441))
     if Sinv is None:
         for label in ("Eq 4.41a", "Eq 4.42", "Eq 4.43"):
             rep.add(CheckResult(label, False, "antipode not invertible", skipped=True))
     else:   # e_h·S⁻¹(e_k) and S⁻¹(e_h)·e_k at h·n + k
         mul_id_si, mul_si_id = _mul_with(A, Sinv.cols, 1), _mul_with(A, Sinv.cols, 0)
-        rep.add(compare_maps("Eq 4.41a", sweedler3(
-            [mul_id_si[x % n * n + x // n] for x in hk], True), rhs_441))
-        lhs_442 = _map_h_to_d1_sandwich(H, 0, lambda a, j: mul_id_si[a * n + j], e)
-        rep.add(first_failure("Eq 4.42", restricted(lhs_442, rhs_441, H.Ht), at_h))
-        lhs_443 = _map_h_to_d1_sandwich(H, 1, lambda b, j: mul_si_id[j * n + b], e)
-        rhs_443 = _map_h_to_d1_sandwich(H, 0, lambda a, j: m[j * n + a], e)
-        rep.add(first_failure("Eq 4.43", restricted(lhs_443, rhs_443, H.Hs), at_h))
+        rep.add(compare_maps("Eq 4.41a", on_delta2(((1, 0), mul_id_si, n), (2, None, n)),
+                             rhs_441))
+        rep.add(first_failure("Eq 4.42", restricted(
+            sandwich(((1, 0), mul_id_si, n), (2, None, n)), rhs_441, H.Ht), at_h))
+        rep.add(first_failure("Eq 4.43", restricted(
+            sandwich((1, None, n), ((0, 2), mul_si_id, n)),
+            sandwich(((0, 1), m, n), (2, None, n)), H.Hs), at_h))
     return rep
 
 

@@ -10,6 +10,7 @@ from conftest import (ENTRIES, GF7, draw_map, draw_structure, draw_vector, field
 from weakhopf import (
     QQ,
     FiniteAbelianGroup,
+    FinVec,
     LinMap,
     PrimeField,
     Subspace,
@@ -31,13 +32,15 @@ from weakhopf import (
 )
 from weakhopf.errors import CharacteristicDividesOrder
 from weakhopf.jsonio import canonical_dumps, weakhopf_from_json, weakhopf_to_json
-from weakhopf.report import CheckResult, compare_maps, compare_scalars, compare_vectors
+from weakhopf.report import (CheckResult, compare_maps, compare_scalars, compare_vectors,
+                              first_failure)
 from weakhopf.tensor_space import rref, rref_with_transform, swap_map
 from weakhopf.weak_hopf import (
     AlgebraData,
     CoalgebraData,
     WeakBialgebraData,
     WeakHopfData,
+    _sweedler,
     pointwise_product,
 )
 
@@ -466,12 +469,103 @@ def reference_composite_checks(H) -> dict:
                                 d1_sandwich(lambda a, j: P(e[j], e[a]), lambda b, j: H.S(e[b]))))
     add("Eq 4.39", compare_maps("", sweedler3(lambda p, q, r: (P(p, H.S(q)), r)),
                                 d1_sandwich(lambda a, j: H.S(e[a]), lambda b, j: P(e[b], e[j]))))
+    # 1₁(·)⊗1₂, 1₁⊗(·)1₂, (·)1₁⊗1₂ and 1₁⊗1₂(·) from d1⊗h or h⊗d1 in H⊗H⊗H
+    mul_left, mul_right, middle_swap = mul.tensor(ident), ident.tensor(mul), ident.tensor(swap)
+    one_h_one = lambda h: (mul_left @ middle_swap).apply(d1.tensor(h))    # noqa: E731
+    one_one_h = lambda h: (mul_right @ middle_swap).apply(d1.tensor(h))   # noqa: E731
+
+    def on_basis(label, sub, lhs, rhs):   # lhs(h) = rhs(h) on the basis of Ht or Hs
+        add(label, first_failure("", ((v, compare_vectors("", lhs(v), rhs(v)))
+                                      for v in sub.basis_vectors), lambda v: f"h={v.describe()}: "))
+
+    on_basis("Eq 4.10", H.Ht, C.delta, one_h_one)
+    on_basis("Eq 4.11", H.Hs, C.delta, one_one_h)
+
+    # S(1₁)ε(1₂h) and ε(h1₁)S(1₂), read back from H⊗k and k⊗H into H
+    add("Eq 4.32", compare_maps("", et, LinMap.from_function(space, space, lambda j: Vector(
+        space, S.tensor(eps_mul).apply(d1.tensor(e[j])).terms))))
+    add("Eq 4.33", compare_maps("", es, LinMap.from_function(space, space, lambda j: Vector(
+        space, eps_mul.tensor(S).apply(e[j].tensor(d1)).terms))))
+
+    # 4.41  h₂S⁻¹(h₁)⊗h₃ = S(ε_t(h₁))⊗h₂ = 1₁⊗1₂h, and on Ht and Hs
+    # 1₁S⁻¹(h)⊗1₂ = 1₁⊗1₂h and 1₁⊗S⁻¹(h)1₂ = h1₁⊗1₂
+    one_h = LinMap.from_function(space, HH, lambda j: mul_right.apply(d1.tensor(e[j])))
+    add("Eq 4.41b", compare_maps("", (S @ et).tensor(ident) @ comul, one_h))
+    Sinv = H.antipode_inverse
+    if Sinv is None:
+        for label in ("Eq 4.41a", "Eq 4.42", "Eq 4.43"):
+            add(label, CheckResult("", False, "antipode not invertible", skipped=True))
+    else:
+        add("Eq 4.41a", compare_maps("", mul_left @ swap.tensor(ident)
+                                     @ Sinv.tensor(ident).tensor(ident) @ delta2, one_h))
+        on_basis("Eq 4.42", H.Ht, lambda h: one_h_one(Sinv.apply(h)),
+                 lambda h: mul_right.apply(d1.tensor(h)))
+        on_basis("Eq 4.43", H.Hs, lambda h: one_one_h(Sinv.apply(h)),
+                 lambda h: mul_left.apply(h.tensor(d1)))
+
     one = H.field.one()
     eps_times_one = LinMap.from_function(space, space,
                                          lambda j: H.unit.scale(C.eps_coeff(j) * one))
     add("hopf (iii)", CheckResult("", (mul @ ident.tensor(S) @ comul) == eps_times_one))
     add("hopf (iv)", CheckResult("", (mul @ S.tensor(ident) @ comul) == eps_times_one))
     return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields, st.data())
+def test_sweedler_kernel_matches_literal_sums(F, data):
+    """``_sweedler`` returns, per sum, Σ c·c′·T₁[x₁]⊗…⊗T_r[x_r] written out with
+    ``Vector.tensor``: on random tables with one- and two-leg factors (a leg may
+    repeat), functionals and columns in H⊗H, e_x legs, a join in either leg order
+    or none, GF(p) coefficients as unreduced ints, and empty sums, including an
+    empty ``fixed``."""
+    n, k = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    entry = st.sampled_from(ENTRIES[F])
+    coeff = st.integers(-20, 20) if F.characteristic else entry
+
+    def terms(legs: int) -> list:
+        return data.draw(st.lists(st.tuples(*[st.integers(0, n - 1)] * legs, coeff), max_size=4))
+
+    sums = [terms(k) for _ in range(data.draw(st.integers(0, 3)))]
+    kf = data.draw(st.integers(0, 2))   # the legs of a ``fixed`` term, 0 for no ``fixed``
+    fixed = terms(kf) if kf else None
+    own, others = list(range(k)), list(range(k, k + kf))
+    factors, kinds = [], ["one", "two"] + ["join"] * bool(others)
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(kinds))
+        side = data.draw(st.sampled_from([own] + [others] * bool(others)))
+        if kind == "one":
+            legs = data.draw(st.sampled_from(side))
+        elif kind == "two":
+            legs = (data.draw(st.sampled_from(side)), data.draw(st.sampled_from(side)))
+        else:   # the join, once: a leg of the sum and a leg of ``fixed`` in either order
+            legs = (data.draw(st.sampled_from(own)), data.draw(st.sampled_from(others)))
+            legs, kinds = data.draw(st.sampled_from([legs, legs[::-1]])), ["one", "two"]
+        dim = data.draw(st.sampled_from([n, 1, n * n]))
+        table = None if kind == "one" and dim == n and data.draw(st.booleans()) else [
+            {i: c for i in range(dim) if (c := F.coerce(data.draw(entry))) != 0}
+            for _ in range(n if kind == "one" else n * n)]
+        factors.append((legs, table, dim))
+
+    spaces = [FinVec(F, tuple(f"v{i}" for i in range(dim))) for _, _, dim in factors]
+    got = _sweedler(sums, factors, n, F.characteristic, fixed)
+    assert len(got) == len(sums)
+    for terms_, col in zip(sums, got):
+        total = Vector.zero(spaces[0])
+        for V in spaces[1:]:
+            total = total.tensor(Vector.zero(V))
+        for t in terms_:
+            for f in [((), 1)] if fixed is None else fixed:
+                x, vec = t[:-1] + f[:-1], None
+                for (legs, table, dim), V in zip(factors, spaces):
+                    legs = (legs,) if isinstance(legs, int) else legs
+                    i = x[legs[0]] if len(legs) == 1 else x[legs[0]] * n + x[legs[1]]
+                    c = Vector.basis(V, i) if table is None else Vector(V, table[i])
+                    vec = c if vec is None else vec.tensor(c)
+                total = total + vec.scale(F.coerce(t[-1] * f[-1]))
+        assert col == total.terms
+        assert all(type(c) is int and 0 < c < F.characteristic
+                   for c in col.values()) if F.characteristic else all(col.values())
 
 
 def _mutated(H, data):
