@@ -226,12 +226,31 @@ def _lambda_doc(tmp_path, kind, side, corrupt):
     return _write(tmp_path, f"lambda-{kind}-{side}-{corrupt}.json", doc)
 
 
+# one-entry corruptions of the two-object document, (map, element, row,
+# column) → new value; between them they fail every groupoid-action condition
+# that a correct document passes.  `equiv` stops on each with exit 4
+# (NotDirectSum or NotSymmetric) before it prints a report.
+GPA_BREAKS = {
+    "projections.e[0][0]=0": (("projections", "e", 0, 0), "0"),
+    "projections.e[0][0]=2": (("projections", "e", 0, 0), "2"),
+    "projections.e[0][1]=1": (("projections", "e", 0, 1), "1"),
+    "isos.e[0][0]=0": (("isos", "e", 0, 0), "0"),
+    "projections.e[1][0]=1": (("projections", "e", 1, 0), "1"),
+}
+GPA_CONDITIONS = ("theta-support", "(i)-projection", "(i)-comulti", "(i)-quasi-a",
+                  "(i)-quasi-b", "(ii)-theta-objects", "Eq 1", "Eq 2", "Eq 4", "Lemma-(i)a",
+                  "Lemma-(i)b", "Lemma-(iii)", "theta-iso")
+
+
 def _gpa_doc(tmp_path, corrupt):
     doc = gpa_to_json(two_object_gpa(QQ))
     if corrupt == "theta":   # θ_g sends x_e to 2·x_f
         doc["isos"]["g"][1][0] = "2"
     elif corrupt == "projection":   # P_g = id, invisible in the kG action
         doc["projections"]["g"][0][0] = "1"
+    elif corrupt:
+        (part, g, i, j), value = GPA_BREAKS[corrupt]
+        doc[part][g][i][j] = value
     return _write(tmp_path, f"gpa-{corrupt}.json", doc)
 
 
@@ -377,6 +396,8 @@ def _cases():
                       corrupt and "theta"))
         cases.append((f"equiv two-object{tag}", "equiv", corrupt and "projection"))
         cases.append((f"globalize closing-one{tag}", "globalize", corrupt))
+    for part in GPA_BREAKS:
+        cases.append((f"groupoid-action two-object corrupted {part}", "groupoid-action", part))
     for field in FIELDS:
         cases.append((f"dualize {field}", "dualize", field))
     for problem in ("wrong-side", "not-partial"):
@@ -465,6 +486,13 @@ def test_each_sweedler_check_fails_in_its_corrupted_goldens():
     for check, (name, entry, value) in SWEEDLER_BREAKS.items():
         reports = [golden[f"{kind} {name} corrupted {_entry_part(entry, value)}"]
                    for kind in ("weak-hopf", "identities")]
+        assert any(f'"label":"{check}","passed":false' in text for text in reports), check
+
+
+def test_each_groupoid_action_condition_fails_in_a_corrupted_golden():
+    golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+    reports = [golden[f"groupoid-action two-object corrupted {part}"] for part in GPA_BREAKS]
+    for check in GPA_CONDITIONS:
         assert any(f'"label":"{check}","passed":false' in text for text in reports), check
 
 
