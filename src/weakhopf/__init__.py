@@ -7,7 +7,7 @@ import importlib
 
 _EXPORTS = {
     "scalars": "QQ Field PrimeField RationalField field_from_name",
-    "tensor_space": "FinVec LinMap Subspace Tensor3 Vector ground image_basis "
+    "tensor_space": "FinVec LinMap Subspace Vector ground image_basis "
                     "left_inverse_on_image swap_map tensor_product",
     "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
                   "dual_convolution_algebra eps_s eps_t",

@@ -42,7 +42,7 @@ def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         print(f"whw: cannot read {path}: {exc}", file=sys.stderr)
         sys.exit(EXIT_BAD_INPUT)
     if not isinstance(doc, dict):

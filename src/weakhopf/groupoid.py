@@ -39,9 +39,6 @@ class FiniteGroupoid(Frozen):
     def isotropy(self, e: str) -> tuple[str, ...]:
         return tuple(g for g in self.elements if self.d[g] == e and self.r[g] == e)
 
-    def exists(self, g: str, h: str) -> bool:
-        return (g, h) in self.mul
-
     def product(self, g: str, h: str):
         return self.mul.get((g, h))
 

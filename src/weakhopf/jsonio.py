@@ -15,10 +15,10 @@ import json
 from itertools import chain, compress, count, repeat
 from math import prod
 
-from .errors import MalformedInput
+from .errors import MalformedInput, ShapeMismatch
 from .scalars import Field, field_from_name, field_name
 from .structures import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
-from .tensor_space import PAIR_TO_ONE, FinVec, LinMap, Tensor3, Vector, ground, tensor_product
+from .tensor_space import FinVec, LinMap, Vector, ground, tensor_product
 
 
 def canonical_dumps(obj) -> str:
@@ -163,26 +163,32 @@ def linmap_from_json(d: dict) -> LinMap:
     return _matrix(d["rows"], dom, cod, "rows")
 
 
-def tensor3_to_json(t) -> dict:
-    X, Y, Z = (s.dim for s in t.spaces)
-    field = t.spaces[0].field
-    return {"schema": "tensor3", "field": field_name(field), "kind": t.kind,
-            "spaces": [list(s.labels) for s in t.spaces],
-            "entries": _encode(field, t.to_linmap().cols, (X, Y, Z),
-                               Z if t.kind == PAIR_TO_ONE else Y * Z)}
+def tensor3_to_json(f: LinMap) -> dict:
+    """The dense structure constants of f, a map X⊗Y → Z written ``pair_to_one``
+    (``entries[i][j][k]`` is the coefficient of z_k in (x_i, y_j)) or, when its
+    codomain is a tensor product, X → Y⊗Z written ``one_to_pair`` (the
+    coefficient of y_j⊗z_k in the image of x_i)."""
+    pair = not f.codomain.factors
+    spaces = (*f.domain.factors, f.codomain) if pair else (f.domain, *f.codomain.factors)
+    if len(spaces) != 3:
+        raise ShapeMismatch("a tensor3 document holds a map X⊗Y → Z or X → Y⊗Z")
+    return {"schema": "tensor3", "field": field_name(f.field),
+            "kind": "pair_to_one" if pair else "one_to_pair",
+            "spaces": [list(s.labels) for s in spaces],
+            "entries": _encode(f.field, f.cols, tuple(s.dim for s in spaces), f.codomain.dim)}
 
 
-def tensor3_from_json(d: dict):
+def tensor3_from_json(d: dict) -> LinMap:
     field = _field(d, "")
+    if d["kind"] not in ("pair_to_one", "one_to_pair"):
+        raise MalformedInput(f"kind: expected 'pair_to_one' or 'one_to_pair', got {d['kind']!r}")
     if not isinstance(d["spaces"], list) or len(d["spaces"]) != 3:
         raise MalformedInput("spaces: expected three bases")
-    X, Y, Z = spaces = tuple(_space(field, labels, f"spaces[{i}]")
-                             for i, labels in enumerate(d["spaces"]))
-    pair = d["kind"] == PAIR_TO_ONE
+    X, Y, Z = (_space(field, labels, f"spaces[{i}]") for i, labels in enumerate(d["spaces"]))
+    pair = d["kind"] == "pair_to_one"
     [cols] = _decode(field, (d["entries"], (X.dim, Y.dim, Z.dim), "entries",
                              Z.dim if pair else Y.dim * Z.dim))
-    f = LinMap(tensor_product(X, Y), Z, cols) if pair else LinMap(X, tensor_product(Y, Z), cols)
-    return Tensor3.from_linmap(d["kind"], spaces, f)
+    return LinMap(tensor_product(X, Y), Z, cols) if pair else LinMap(X, tensor_product(Y, Z), cols)
 
 
 # -- structures --------------------------------------------------------------

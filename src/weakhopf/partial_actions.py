@@ -138,16 +138,8 @@ class LambdaVerdict:
         return self.report.ok
 
     @property
-    def is_partial(self) -> bool:
-        return self.ok
-
-    @property
     def is_symmetric(self) -> bool:
         return self.ok and self.symmetric is not None and self.symmetric.passed
-
-    @property
-    def is_global(self) -> bool:
-        return self.ok and self.globality.passed
 
 
 def check_lambda_global(lf: LambdaFunctional) -> LambdaVerdict:

@@ -14,19 +14,31 @@ from .errors import Frozen, NotSubcoalgebra, ShapeMismatch
 from .report import Report, compare_maps, compare_vectors, first_failure
 from .scalars import Field
 from .tensor_space import (
-    ONE_TO_PAIR,
-    PAIR_TO_ONE,
     FinVec,
     LinMap,
     Subspace,
-    Tensor3,
     Vector,
     _accumulate,
     _combine,
     _kron,
+    _sparse,
     ground,
     tensor_product,
 )
+
+
+def _dense_cols(space: FinVec, entries, pair: bool) -> list[dict]:
+    """The sparse columns of dense structure constants ``entries[i][j][k]`` on
+    ``space``: the coefficient of e_k in e_i·e_j, column i·n + j of H⊗H → H
+    (``pair``), or of e_j⊗e_k in Δ(e_i), column i of H → H⊗H."""
+    f, n = space.field, space.dim
+    planes = [[[f.coerce(x) for x in row] for row in plane] for plane in entries]
+    if len(planes) != n or any(len(plane) != n or any(len(row) != n for row in plane)
+                               for plane in planes):
+        raise ShapeMismatch("tensor entry shape does not match the spaces")
+    if pair:
+        return [_sparse(row) for plane in planes for row in plane]
+    return [_sparse(x for row in plane for x in row) for plane in planes]
 
 
 class AlgebraData(Frozen):
@@ -41,15 +53,12 @@ class AlgebraData(Frozen):
 
     @classmethod
     def from_tensor(cls, space: FinVec, entries, unit_coords) -> "AlgebraData":
-        t = Tensor3.from_entries(PAIR_TO_ONE, (space, space, space), entries)
-        return cls(space, t.to_linmap(), Vector.from_coords(space, unit_coords))
+        mul = LinMap(tensor_product(space, space), space, _dense_cols(space, entries, True))
+        return cls(space, mul, Vector.from_coords(space, unit_coords))
 
     @property
     def field(self) -> Field:
         return self.space.field
-
-    def mul_tensor(self) -> Tensor3:
-        return Tensor3.from_linmap(PAIR_TO_ONE, (self.space,) * 3, self.mul)
 
     def product(self, x: Vector, y: Vector) -> Vector:
         return self.mul.apply(x.tensor(y))
@@ -111,16 +120,13 @@ class CoalgebraData(Frozen):
 
     @classmethod
     def from_tensor(cls, space: FinVec, entries, counit_coords) -> "CoalgebraData":
-        t = Tensor3.from_entries(ONE_TO_PAIR, (space, space, space), entries)
+        comul = LinMap(space, tensor_product(space, space), _dense_cols(space, entries, False))
         counit = LinMap.from_rows(space, ground(space.field), [list(counit_coords)])
-        return cls(space, t.to_linmap(), counit)
+        return cls(space, comul, counit)
 
     @property
     def field(self) -> Field:
         return self.space.field
-
-    def comul_tensor(self) -> Tensor3:
-        return Tensor3.from_linmap(ONE_TO_PAIR, (self.space,) * 3, self.comul)
 
     def delta(self, x: Vector) -> Vector:
         return self.comul.apply(x)
@@ -282,9 +288,6 @@ class WeakHopfData(Frozen):
 
     def delta(self, x: Vector) -> Vector:
         return self.wb.coalg.delta(x)
-
-    def eps(self, x: Vector):
-        return self.wb.coalg.eps(x)
 
     def S(self, x: Vector) -> Vector:
         return self.antipode.apply(x)

@@ -1,4 +1,4 @@
-"""Named-basis vector spaces, exact sparse linear maps and rank-3 tensors.
+"""Named-basis vector spaces and exact sparse linear maps.
 
 Conventions, fixed once for the whole package:
 
@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 
-from .errors import FieldMismatch, Frozen, NotInjective, ShapeMismatch, same_fields
+from .errors import FieldMismatch, Frozen, NotInjective, ShapeMismatch
 from .scalars import Field
 
 
@@ -545,63 +545,3 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.space.dim})"
-
-
-# ---------------------------------------------------------------------------
-# rank-3 structure-constant tensors
-# ---------------------------------------------------------------------------
-
-PAIR_TO_ONE = "pair_to_one"   # X⊗Y → Z, entries[i][j][k] = coeff of z_k in (x_i, y_j)
-ONE_TO_PAIR = "one_to_pair"   # X → Y⊗Z, entries[i][j][k] = coeff of y_j⊗z_k in image of x_i
-
-
-class Tensor3(Frozen):
-    """Dense rank-3 tensor of structure constants with a declared orientation,
-    as the ``from_tensor`` constructors and ``tensor3`` documents give it."""
-
-    def __init__(self, kind: str, spaces: tuple[FinVec, FinVec, FinVec], entries: tuple):
-        if kind not in (PAIR_TO_ONE, ONE_TO_PAIR):
-            raise ShapeMismatch(f"unknown tensor orientation {kind!r}")
-        X, Y, Z = spaces
-        if len(entries) != X.dim or any(
-            len(plane) != Y.dim or any(len(row) != Z.dim for row in plane)
-            for plane in entries
-        ):
-            raise ShapeMismatch("tensor entry shape does not match the spaces")
-        self.__dict__.update(kind=kind, spaces=spaces, entries=entries)
-
-    __eq__ = same_fields
-
-    @classmethod
-    def from_entries(cls, kind: str, spaces, entries) -> "Tensor3":
-        f = spaces[0].field
-        ent = tuple(
-            tuple(tuple(f.coerce(x) for x in row) for row in plane) for plane in entries
-        )
-        return cls(kind, tuple(spaces), ent)
-
-    def to_linmap(self) -> LinMap:
-        X, Y, Z = self.spaces
-        if self.kind == PAIR_TO_ONE:
-            cols = [_sparse(row) for plane in self.entries for row in plane]
-            return LinMap(tensor_product(X, Y), Z, cols)
-        cols = [_sparse(x for row in plane for x in row) for plane in self.entries]
-        return LinMap(X, tensor_product(Y, Z), cols)
-
-    @classmethod
-    def from_linmap(cls, kind: str, spaces, f: LinMap) -> "Tensor3":
-        X, Y, Z = spaces
-        z = X.field.zero()
-        if kind == PAIR_TO_ONE:
-            entries = tuple(
-                tuple(tuple(f.cols[i * Y.dim + j].get(k, z) for k in range(Z.dim))
-                      for j in range(Y.dim))
-                for i in range(X.dim)
-            )
-        else:
-            entries = tuple(
-                tuple(tuple(f.cols[i].get(j * Z.dim + k, z) for k in range(Z.dim))
-                      for j in range(Y.dim))
-                for i in range(X.dim)
-            )
-        return cls(kind, tuple(spaces), entries)

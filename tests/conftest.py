@@ -67,6 +67,16 @@ def nilpotent_coalgebra(field):
     return CoalgebraData.from_tensor(space, entries, [o, z])
 
 
+def dense_entries(f):
+    """The structure constants ``entries[i][j][k]`` of a multiplication H⊗H → H
+    or a comultiplication H → H⊗H, read off its sparse columns, in the form
+    the ``from_tensor`` constructors take."""
+    z, pair = f.field.zero(), not f.codomain.factors
+    n = f.codomain.dim if pair else f.domain.dim
+    return [[[f.cols[i * n + j].get(k, z) if pair else f.cols[i].get(j * n + k, z)
+              for k in range(n)] for j in range(n)] for i in range(n)]
+
+
 def regular_action(H, side="left"):
     """H acting on itself (as a coalgebra) by multiplication."""
     n = H.space.dim

@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import (
+    dense_entries,
     gpa_examples,
     grouplike_coalgebra,
     isotropy_lambda_action,
@@ -315,10 +316,10 @@ def _mutated_weak_hopf_detected(H, rng):
     i, j, k = (rng.randrange(n) for _ in range(3))
     alg, coalg, antipode = H.alg, H.coalg, H.antipode
     if part == "mul":
-        entries = _corrupt_tensor3(alg.mul_tensor().entries, i, j, k, field)
+        entries = _corrupt_tensor3(dense_entries(alg.mul), i, j, k, field)
         alg = AlgebraData.from_tensor(H.space, entries, H.unit.coords)
     elif part == "comul":
-        entries = _corrupt_tensor3(coalg.comul_tensor().entries, i, j, k, field)
+        entries = _corrupt_tensor3(dense_entries(coalg.comul), i, j, k, field)
         coalg = CoalgebraData.from_tensor(H.space, entries, coalg.counit.rows[0])
     elif part == "antipode":
         rows = [list(r) for r in antipode.rows]

@@ -102,8 +102,27 @@ def test_linmap_and_tensor3_json_round_trip():
     H = groupoid_algebra(two_object_iso_groupoid(), QQ)
     f = H.eps_t
     assert linmap_from_json(linmap_to_json(f)) == f
-    t = H.alg.mul_tensor()
-    assert tensor3_from_json(tensor3_to_json(t)) == t
+    for t in (H.alg.mul, H.coalg.comul):
+        assert tensor3_from_json(tensor3_to_json(t)) == t
+
+
+@pytest.mark.parametrize("kind", ["pair-to-one", "", None, ["pair_to_one"]],
+                         ids=["hyphens", "empty", "null", "list"])
+def test_a_tensor3_document_of_an_unknown_kind_is_refused(kind):
+    from weakhopf.jsonio import tensor3_from_json, tensor3_to_json
+
+    H = groupoid_algebra(two_object_iso_groupoid(), QQ)
+    doc = _edit(tensor3_to_json(H.alg.mul), lambda d: d.update(kind=kind))
+    with pytest.raises(MalformedInput, match="^kind: expected 'pair_to_one' or 'one_to_pair'"):
+        tensor3_from_json(doc)
+
+
+def test_tensor3_refuses_a_map_with_no_tensor_product_leg():
+    from weakhopf.errors import ShapeMismatch
+    from weakhopf.jsonio import tensor3_to_json
+
+    with pytest.raises(ShapeMismatch, match="X⊗Y → Z or X → Y⊗Z"):
+        tensor3_to_json(groupoid_algebra(two_object_iso_groupoid(), QQ).eps_t)
 
 
 def test_triple_json_round_trip():
@@ -440,6 +459,18 @@ def test_cli_rejects_a_document_that_is_not_an_object(tmp_path, capsys):
     assert len(err.splitlines()) == 1 and "expected a JSON object" in err
 
 
+def test_cli_refuses_a_deeply_nested_document_in_a_child_process(tmp_path):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 200_000, encoding="utf-8")
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", "check", "weak-hopf", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+    assert proc.stderr.startswith(f"whw: cannot read {path}: maximum recursion depth exceeded")
+
+
 @pytest.mark.parametrize("name,kind,build,where", MALFORMED, ids=[m[0] for m in MALFORMED])
 def test_cli_malformed_input_exits_3_with_one_line(tmp_path, capsys, name, kind, build, where):
     path = write(tmp_path, f"{name}.json", build())
@@ -625,10 +656,8 @@ def _round_trip_cases(field):
     gt = standard_globalization(right, find_basis_grouplikes(right)[0])
     return [
         ("linmap", linmap_to_json(Hd.eps_t), linmap_from_json, linmap_to_json),
-        ("tensor3-mul", tensor3_to_json(avg.alg.mul_tensor()), tensor3_from_json,
-         tensor3_to_json),
-        ("tensor3-comul", tensor3_to_json(avg.coalg.comul_tensor()), tensor3_from_json,
-         tensor3_to_json),
+        ("tensor3-mul", tensor3_to_json(avg.alg.mul), tensor3_from_json, tensor3_to_json),
+        ("tensor3-comul", tensor3_to_json(avg.coalg.comul), tensor3_from_json, tensor3_to_json),
         ("algebra", algebra_to_json(Hd.alg), algebra_from_json, algebra_to_json),
         ("coalgebra", coalgebra_to_json(Hd.coalg), coalgebra_from_json, coalgebra_to_json),
         ("weak-hopf", weakhopf_to_json(avg), weakhopf_from_json, weakhopf_to_json),

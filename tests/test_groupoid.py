@@ -107,8 +107,8 @@ def test_prop_consequences_hold():
     G = disjoint_union_of_cyclic([2, 3])
     for g in G.elements:
         for h in G.elements:
-            assert G.exists(g, h) == (G.d[g] == G.r[h])
-            if G.exists(g, h):
+            assert ((g, h) in G.mul) == (G.d[g] == G.r[h])
+            if (g, h) in G.mul:
                 gh = G.mul[g, h]
                 assert G.d[gh] == G.d[h] and G.r[gh] == G.r[g]
                 assert G.mul[G.inv[h], G.inv[g]] == G.inv[gh]

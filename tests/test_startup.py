@@ -32,7 +32,7 @@ from weakhopf.jsonio import action_to_json, lambda_to_json, weakhopf_to_json
 # and imported by `weak_hopf` and `partial_actions`)
 EXPORTS = {
     "scalars": "QQ Field PrimeField RationalField field_from_name",
-    "tensor_space": "FinVec LinMap Subspace Tensor3 Vector ground image_basis "
+    "tensor_space": "FinVec LinMap Subspace Vector ground image_basis "
                     "left_inverse_on_image swap_map tensor_product",
     "weak_hopf": "AlgebraData CoalgebraData HopfVerdict WeakBialgebraData WeakHopfData "
                  "check_identities check_weak_bialgebra check_weak_hopf "

@@ -3,13 +3,18 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import dense_entries
+
 from weakhopf.errors import FieldMismatch, NotInjective, ShapeMismatch
+from weakhopf.groupoid import (FiniteAbelianGroup, abelian_group_weak_hopf,
+                               disjoint_union_of_cyclic, dual_groupoid_algebra,
+                               groupoid_algebra, two_object_iso_groupoid)
 from weakhopf.scalars import QQ, PrimeField
+from weakhopf.structures import AlgebraData, CoalgebraData
 from weakhopf.tensor_space import (
     FinVec,
     LinMap,
     Subspace,
-    Tensor3,
     Vector,
     left_inverse_on_image,
     image_basis,
@@ -197,22 +202,46 @@ def test_elimination_reduces_every_update_over_gf():
     assert solve(m.rows, [1, 5], F) == [4, 0] and solve(m.rows, [1, 0], F) is None
 
 
-def test_tensor3_round_trip():
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_from_tensor_matches_the_assembled_structures(field):
+    """Dense structure constants spelled as strings, as Fractions over ℚ or as
+    unreduced ints over GF(7) give the sparse columns the constructors build."""
+    p = field.characteristic
+    spellings = [field.fmt, lambda x: x + p, lambda x: x - 2 * p] if p else [field.fmt, Fraction]
+    for H in (groupoid_algebra(disjoint_union_of_cyclic([2, 3]), field),
+              dual_groupoid_algebra(two_object_iso_groupoid(), field),
+              abelian_group_weak_hopf(FiniteAbelianGroup((3,)), field)):
+        mul, comul = dense_entries(H.alg.mul), dense_entries(H.coalg.comul)
+        for spell in spellings:
+            def dense(t):
+                return [[[spell(x) for x in row] for row in plane] for plane in t]
+
+            A = AlgebraData.from_tensor(H.space, dense(mul), [spell(x) for x in H.unit.coords])
+            C = CoalgebraData.from_tensor(H.space, dense(comul),
+                                          [spell(x) for x in H.coalg.counit.rows[0]])
+            assert A.mul == H.alg.mul and A.unit == H.unit
+            assert C.comul == H.coalg.comul and C.counit == H.coalg.counit
+            assert_no_stored_zero(A.mul)
+            assert_no_stored_zero(C.comul)
+
+
+@pytest.mark.parametrize("fault", ["planes", "rows", "row length"])
+def test_from_tensor_refuses_a_wrong_shape(fault):
     entries = [[[1, 0], [2, 3]], [[0, 0], [1, 4]]]
-    t = Tensor3.from_entries("pair_to_one", (V2, V2, V2), entries)
-    back = Tensor3.from_linmap("pair_to_one", (V2, V2, V2), t.to_linmap())
-    assert back == t
-    t2 = Tensor3.from_entries("one_to_pair", (V2, V2, V2), entries)
-    back2 = Tensor3.from_linmap("one_to_pair", (V2, V2, V2), t2.to_linmap())
-    assert back2 == t2
+    if fault == "planes":
+        entries.append([[0, 0], [0, 0]])
+    elif fault == "rows":
+        entries[1].append([0, 0])
+    else:
+        entries[1][0].append(0)
+    for build, other in ((AlgebraData.from_tensor, [1, 0]), (CoalgebraData.from_tensor, [1, 1])):
+        with pytest.raises(ShapeMismatch, match="^tensor entry shape does not match the spaces$"):
+            build(V2, entries, other)
 
 
 def test_contraction_engine_on_associative_structure_constants():
     # group algebra of Z/2 built by hand: e0*e0=e0, e0*e1=e1*e0=e1, e1*e1=e0
-    mul = Tensor3.from_entries(
-        "pair_to_one", (V2, V2, V2),
-        [[[1, 0], [0, 1]], [[0, 1], [1, 0]]],
-    ).to_linmap()
+    mul = AlgebraData.from_tensor(V2, [[[1, 0], [0, 1]], [[0, 1], [1, 0]]], [1, 0]).mul
     ident = LinMap.identity(V2)
     assert mul @ mul.tensor(ident) == mul @ ident.tensor(mul)
 
