@@ -24,11 +24,8 @@ from functools import cached_property
 
 from .errors import Frozen, ShapeMismatch
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
-from .structures import AlgebraData, CoalgebraData, WeakHopfData
+from .structures import LEFT, RIGHT, AlgebraData, CoalgebraData, WeakHopfData, _pair_label
 from .tensor_space import FinVec, LinMap, Vector, _accumulate, _combine, _kron, tensor_product
-
-LEFT = "left"
-RIGHT = "right"
 
 
 class ActionTensor(Frozen):
@@ -129,10 +126,6 @@ def _require_algebra(act: ActionTensor) -> AlgebraData:
 
 def _unit_slice(act: ActionTensor) -> LinMap:
     return act.act_by(act.hopf.unit)
-
-
-def _pair_label(H: FinVec, i: int, j: int) -> str:
-    return f"h={H.labels[i]}, k={H.labels[j]}"
 
 
 # ---------------------------------------------------------------------------

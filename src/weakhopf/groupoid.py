@@ -69,17 +69,27 @@ def validate_groupoid(elements, mul, inv) -> FiniteGroupoid:
     def ex(g, h):
         return (g, h) in mul
 
-    # (i)+(ii): ∃(gh)l ⇔ ∃gh ∧ ∃hl ⇔ ∃g(hl), with equal products
-    for g, h, l in itertools.product(elements, repeat=3):
-        left_defined = ex(g, h) and ex(mul[g, h], l)
-        right_defined = ex(h, l) and ex(g, mul[h, l])
-        both_factors = ex(g, h) and ex(h, l)
-        if left_defined != right_defined:
-            raise AxiomViolation("(i)", (g, h, l))
-        if left_defined != both_factors:
-            raise AxiomViolation("(ii)", (g, h, l))
-        if left_defined and mul[mul[g, h], l] != mul[g, mul[h, l]]:
-            raise AxiomViolation("(i)", (g, h, l))
+    # (i)+(ii): ∃(gh)l ⇔ ∃gh ∧ ∃hl ⇔ ∃g(hl), with equal products.  A triple
+    # with neither hl nor (gh)l defined holds, so the scan visits, in
+    # itertools.product order, only the l with one of them defined;
+    # after[x] maps each l with xl defined to xl
+    after = {x: {l: mul[x, l] for l in elements if (x, l) in mul} for x in elements}
+    for g, h in itertools.product(elements, repeat=2):
+        hls = after[h]
+        ghls = after[mul[g, h]] if (g, h) in mul else None
+        if ghls is None and after[g].keys().isdisjoint(hls.values()):
+            continue    # gh and every g(hl) undefined
+        ls = hls if ghls is None or ghls.keys() == hls.keys() else [
+            l for l in elements if l in hls or l in ghls]
+        for l in ls:
+            left_defined = ghls is not None and l in ghls
+            right_defined = l in hls and (g, hls[l]) in mul
+            if left_defined != right_defined:
+                raise AxiomViolation("(i)", (g, h, l))
+            if left_defined != (ghls is not None and l in hls):
+                raise AxiomViolation("(ii)", (g, h, l))
+            if left_defined and ghls[l] != mul[g, hls[l]]:
+                raise AxiomViolation("(i)", (g, h, l))
 
     # (iii): unique local units
     d, r = {}, {}

@@ -9,18 +9,6 @@ from __future__ import annotations
 
 from functools import cache
 
-# the MA/PMA checkers are not used here; they are imported so that this module
-# still offers every action checker by name
-from .actions import (
-    LEFT,
-    ActionTensor,
-    _pair_label,
-    _require_coalgebra,
-    check_module_algebra,
-    check_module_coalgebra,
-    check_partial_module_algebra,
-    check_partial_module_coalgebra,
-)
 from .errors import (
     Frozen,
     InputNotPartialAction,
@@ -31,7 +19,7 @@ from .errors import (
 )
 from .report import (CheckResult, Report, compare_maps, compare_scalars, compare_vectors,
                      first_failure)
-from .structures import CoalgebraData, WeakHopfData
+from .structures import LEFT, CoalgebraData, WeakHopfData, _pair_label
 from .tensor_space import (
     FinVec,
     LinMap,
@@ -43,12 +31,26 @@ from .tensor_space import (
     left_inverse_on_image,
 )
 
+# the action core is imported where an action is built or checked, so that the
+# λ conditions load none of it; its names are still offered here
+_ACTION_CORE = {"ActionTensor", "check_module_algebra", "check_module_coalgebra",
+                "check_partial_module_algebra", "check_partial_module_coalgebra"}
+
+
+def __getattr__(name):
+    if name not in _ACTION_CORE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import actions
+    return getattr(actions, name)
+
 
 def check_ht_hs_propositions(act: ActionTensor) -> Report:
     """Identities forced on a left partial action by elements of the target
     subalgebra (and of the source subalgebra when the action is symmetric):
     the action of H_t composes strictly, Δ(h·c) = h·c₁ ⊗ c₂, and the
     globality criterion holds on H_t; mirrored statements on H_s."""
+    from .actions import _require_coalgebra, check_partial_module_coalgebra
+
     C = _require_coalgebra(act)
     if act.side != LEFT:
         raise ShapeMismatch("the H_t/H_s propositions are stated for left actions")
@@ -122,6 +124,8 @@ class LambdaFunctional(Frozen):
 
 def lambda_action(lf: LambdaFunctional, C: CoalgebraData, side: str = LEFT) -> ActionTensor:
     """The scaling action h⊗c ↦ λ(h)c (or c⊗h ↦ λ(h)c on the right)."""
+    from .actions import ActionTensor
+
     ident = LinMap.identity(C.space)
     slices = [ident.scale(v) for v in lf.values]
     return ActionTensor.from_slices(lf.hopf, C, side, slices)
@@ -335,6 +339,8 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
     a partial action, (π⊗π)Δ(h▷d) = Δ(π(h▷d)) and the counit-weighted
     composition rule, plus the symmetric variant.
     """
+    from .actions import ActionTensor, _require_coalgebra, check_module_coalgebra
+
     C = _require_coalgebra(global_act)
     if global_act.side != LEFT:
         raise ShapeMismatch("induction is implemented for left actions")
@@ -516,6 +522,7 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
 def to_kG_action(gpa: GroupoidPartialAction) -> ActionTensor:
     """The groupoid-algebra action δ_g·c = θ_g(P_{g⁻¹}(c)) attached to a
     partial groupoid action whose identity pieces decompose the carrier."""
+    from .actions import ActionTensor
     from .groupoid import groupoid_algebra
 
     G = gpa.groupoid
@@ -538,6 +545,8 @@ def from_kG_action(act: ActionTensor, G: FiniteGroupoid) -> GroupoidPartialActio
     """Recover the projections and isomorphisms of a partial groupoid action
     from a symmetric partial groupoid-algebra action:
     P_g(c) = ε(δ_{g⁻¹}·c₁)(δ_{r(g)}·c₂) and θ_g = (δ_g· )∘P_{g⁻¹}."""
+    from .actions import _require_coalgebra, check_partial_module_coalgebra
+
     C = _require_coalgebra(act)
     if act.side != LEFT or act.hopf.space.dim != len(G.elements):
         raise ShapeMismatch("expected a left action of the groupoid algebra")

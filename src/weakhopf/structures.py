@@ -186,6 +186,15 @@ class CoalgebraData(Frozen):
         return rep
 
 
+# the sides of an action, and the label of a pair of basis vectors of H
+LEFT = "left"
+RIGHT = "right"
+
+
+def _pair_label(H: FinVec, i: int, j: int) -> str:
+    return f"h={H.labels[i]}, k={H.labels[j]}"
+
+
 def _where(space: FinVec, p: int, q: int | None = None) -> tuple:
     """``(field, name)`` labelling, only when called and as ``tensor_product``
     prints them, input j and output i of H^⊗p → H^⊗q, or (q None) i of H^⊗p."""

@@ -83,6 +83,12 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 # in [1, p), and each kernel reduces the entries it accumulates once, at the
 # end; over ℚ (p = 0) the kernels branch once per call and reduce nothing.
 # The coefficients of ``terms`` may be unreduced.
+#
+# A factor equal to 1 costs no multiply: the other factor is taken as it is.
+# A coefficient that scales a whole column is tested once, before its loop,
+# so that a 0/1 structure constant over ℚ or GF(p) costs one comparison per
+# term and none per entry; an entry is tested only where the coefficient is
+# not 1, which is where a ℚ product would build a new ``Fraction``.
 # ---------------------------------------------------------------------------
 
 def _sparse(coords: Iterable) -> dict:
@@ -111,18 +117,10 @@ def _neg(a: dict) -> dict:
 
 def _scale(a: dict, s, p: int) -> dict:
     """s·a for a scalar s already in the field."""
+    if s == 1:
+        return dict(a)
     out = {k: s * v for k, v in a.items()} if s else {}
     return _reduced(out, p) if p else out
-
-
-def _combine(cols: Sequence[dict], terms: Iterable, p: int) -> dict:
-    """Σ c·cols[k] over the (k, c) pairs of ``terms``."""
-    out = {}
-    for k, c in terms:
-        for i, a in cols[k].items():
-            s = out.get(i)
-            out[i] = a * c if s is None else s + a * c
-    return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
 def _accumulate(terms: Iterable, p: int) -> dict:
@@ -130,16 +128,43 @@ def _accumulate(terms: Iterable, p: int) -> dict:
     column of a Sweedler sum whose terms are not columns of one map."""
     out = {}
     for v, c in terms:
-        for i, a in v.items():
-            s = out.get(i)
-            out[i] = a * c if s is None else s + a * c
+        if c == 1:
+            for i, a in v.items():
+                s = out.get(i)
+                out[i] = a if s is None else s + a
+        else:
+            for i, a in v.items():
+                s, w = out.get(i), c if a == 1 else a * c
+                out[i] = w if s is None else s + w
+    return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
+
+
+def _combine(cols: Sequence[dict], terms: Iterable, p: int) -> dict:
+    """Σ c·cols[k] over the (k, c) pairs of ``terms``."""
+    out = {}
+    for k, c in terms:
+        if c == 1:
+            for i, a in cols[k].items():
+                s = out.get(i)
+                out[i] = a if s is None else s + a
+        else:
+            for i, a in cols[k].items():
+                s, w = out.get(i), c if a == 1 else a * c
+                out[i] = w if s is None else s + w
     return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
 def _kron(a: dict, b: dict, dim: int, p: int) -> dict:
-    """a⊗b for sparse dicts, the right factor of dimension ``dim``."""
-    out = {i * dim + j: x * y for i, x in a.items() for j, y in b.items()}
-    return _reduced(out, p) if p else out
+    """a⊗b for sparse dicts, the right factor of dimension ``dim``.  Over GF(p)
+    an int product costs what a test for 1 does, so only ℚ tests."""
+    if p:
+        return _reduced({i * dim + j: x * y for i, x in a.items() for j, y in b.items()}, p)
+    out = {}
+    for i, x in a.items():
+        base = i * dim
+        out.update({base + j: y for j, y in b.items()} if x == 1 else
+                   {base + j: x if y == 1 else x * y for j, y in b.items()})
+    return out
 
 
 class Vector:
@@ -242,11 +267,12 @@ def rref(rows: Sequence[Sequence], field: Field) -> tuple[list[list], list[int]]
             continue
         m[pr], m[pivot_row] = m[pivot_row], m[pr]
         inv = field.inv(m[pr][pc])
-        m[pr] = [inv * x % p for x in m[pr]] if p else [inv * x for x in m[pr]]
+        if inv != 1:
+            m[pr] = [inv * x % p for x in m[pr]] if p else [inv * x for x in m[pr]]
         for r in range(nrows):
             if r != pr and (f := m[r][pc]):
-                m[r] = ([(a - f * b) % p for a, b in zip(m[r], m[pr])] if p
-                        else [a - f * b for a, b in zip(m[r], m[pr])])
+                m[r] = ([(a - f * b) % p if b else a for a, b in zip(m[r], m[pr])] if p
+                        else [a - f * b if b else a for a, b in zip(m[r], m[pr])])
         pivots.append(pc)
         pr += 1
         if pr == nrows:

@@ -71,7 +71,10 @@ def _sweedler(sums, factors, n: int, p: int, fixed=None) -> list[dict]:
     an output leg of dimension dim: n, 1 for a functional, or n² for a column
     in H⊗H.  The first factor on legs of both sides is the join: ``fixed`` is
     grouped by its leg once, and a sum term meets only the groups whose column
-    there is nonzero.  Every other factor reads the legs of one side."""
+    there is nonzero.  Every other factor reads the legs of one side.  Table
+    entries and partner coefficients are None for 1, and a product whose
+    other factor is 1 takes the factor as it is, so no product with 1 is
+    formed."""
     k = next((len(terms[0]) - 1 for terms in sums if terms), None)
     if k is None:
         return [{} for _ in sums]
@@ -92,11 +95,10 @@ def _sweedler(sums, factors, n: int, p: int, fixed=None) -> list[dict]:
             if table is None:   # e_x: the leg goes to the output index with no multiply
                 state = [(t, b + t[i] * s, c) for t, b, c in state]
                 continue
-            # each column read once, as (offset, value) pairs, value None for 1 so that no
-            # multiply is made
+            # each column read once, as (offset, value) pairs
             col = {x: [(o * s, None if v == 1 else v) for o, v in table[x].items()]
                    for x in {t[i] if one_leg else t[i] * n + t[j] for t, _, _ in state}}
-            state = [(t, b + o, c if v is None else c * v) for t, b, c in state
+            state = [(t, b + o, c if v is None else v if c == 1 else c * v) for t, b, c in state
                      for o, v in col[t[i] if one_leg else t[i] * n + t[j]]]
         return state
 
@@ -112,13 +114,14 @@ def _sweedler(sums, factors, n: int, p: int, fixed=None) -> list[dict]:
         groups = {}
         for t, b, c in fixed:
             groups.setdefault(t[y_leg - k], []).append((b, c))
-        partners = {x: [(o * s + b, None if (w := v * c) == 1 else w) for y, group in groups.items()
+        partners = {x: [(o * s + b, None if (w := c if v == 1 else v if c == 1 else v * c) == 1
+                         else w) for y, group in groups.items()
                         for o, v in table[x * n + y if x_first else y * n + x].items()
                         for b, c in group] for x in {t[x_leg] for t, _, _ in state}}
     out = {}
     for t, b, c in state:
         for o, v in partners[t[x_leg]] if mixed else fixed:
-            prev, w = out.get(b + o), c if v is None else c * v
+            prev, w = out.get(b + o), c if v is None else v if c == 1 else c * v
             out[b + o] = w if prev is None else prev + w
     cols = [{} for _ in sums]
     for i, v in (_reduced(out, p) if p else out).items():
@@ -339,17 +342,24 @@ def check_identities(H: WeakHopfData) -> Report:
     rep.add(compare_maps("Eq 4.35b", es @ et, S @ et))
 
     # h ↦ Σ over Δ²(h) = (Δ⊗id)Δ(h) of factors on its legs, as (p, q, r, c) terms
-    d2 = [[(x, y, b, c * v) for a, b, c in terms for x, y, v in dt[a]] for terms in dt]
+    d2 = [[(x, y, b, v if c == 1 else c if v == 1 else c * v) for a, b, c in terms
+           for x, y, v in dt[a]] for terms in dt]
 
     def on_delta2(*factors) -> LinMap:
         return LinMap(space, HH, _sweedler(d2, factors, n, p))
 
+    def on_h1(table, flip: bool = False) -> LinMap:
+        """Σ f(Δ(h₁))⊗h₂ over Δ(h), for f with the columns ``table`` read at the legs
+        (0, 1) of Δ²(h), or (1, 0) when ``flip``."""
+        g = [_combine(table, ((i % n * n + i // n if flip else i, c) for i, c in col.items()), p)
+             for col in comul.cols]
+        return LinMap(space, HH, _sweedler(dt, [(0, g, n), (1, None, n)], n, p))
+
     rep.add(compare_maps("Eq 4.36", on_delta2((0, None, n), ((1, 2), mul_id_s, n)), map_1h_1))
-    rep.add(compare_maps("Eq 4.37", on_delta2(((0, 1), mul_s_id, n), (2, None, n)), map_1_h1))
+    rep.add(compare_maps("Eq 4.37", on_h1(mul_s_id), map_1_h1))
     rep.add(compare_maps("Eq 4.38", on_delta2((0, None, n), ((1, 2), mul_s_id, n)),
                          sandwich(((0, 1), m, n), (2, Sc, n))))
-    rep.add(compare_maps("Eq 4.39", on_delta2(((0, 1), mul_id_s, n), (2, None, n)),
-                         sandwich((1, Sc, n), ((2, 0), m, n))))
+    rep.add(compare_maps("Eq 4.39", on_h1(mul_id_s), sandwich((1, Sc, n), ((2, 0), m, n))))
 
     # 4.41  h₂S⁻¹(h₁)⊗h₃ = S(ε_t(h₁))⊗h₂ = 1₁⊗1₂h
     rhs_441 = sandwich((1, None, n), ((2, 0), m, n))
@@ -360,8 +370,7 @@ def check_identities(H: WeakHopfData) -> Report:
             rep.add(CheckResult(label, False, "antipode not invertible", skipped=True))
     else:   # e_h·S⁻¹(e_k) and S⁻¹(e_h)·e_k at h·n + k
         mul_id_si, mul_si_id = _mul_with(A, Sinv.cols, 1), _mul_with(A, Sinv.cols, 0)
-        rep.add(compare_maps("Eq 4.41a", on_delta2(((1, 0), mul_id_si, n), (2, None, n)),
-                             rhs_441))
+        rep.add(compare_maps("Eq 4.41a", on_h1(mul_id_si, flip=True), rhs_441))
         rep.add(first_failure("Eq 4.42", restricted(
             sandwich(((1, 0), mul_id_si, n), (2, None, n)), rhs_441, H.Ht), at_h))
         rep.add(first_failure("Eq 4.43", restricted(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from weakhopf import (
@@ -112,3 +114,53 @@ def test_prop_consequences_hold():
                 gh = G.mul[g, h]
                 assert G.d[gh] == G.d[h] and G.r[gh] == G.r[g]
                 assert G.mul[G.inv[h], G.inv[g]] == G.inv[gh]
+
+
+def _literal_scan(elements, mul):
+    """Axioms (i) and (ii) as a literal loop over every triple, in
+    itertools.product order: the first failing (tag, triple), or None."""
+    def ex(g, h):
+        return (g, h) in mul
+
+    for g, h, l in itertools.product(elements, repeat=3):
+        left_defined = ex(g, h) and ex(mul[g, h], l)
+        right_defined = ex(h, l) and ex(g, mul[h, l])
+        if left_defined != right_defined:
+            return "(i)", (g, h, l)
+        if left_defined != (ex(g, h) and ex(h, l)):
+            return "(ii)", (g, h, l)
+        if left_defined and mul[mul[g, h], l] != mul[g, mul[h, l]]:
+            return "(i)", (g, h, l)
+    return None
+
+
+def _one_entry_corruptions(elements, mul):
+    """Every table that differs from ``mul`` in one pair: the pair removed, or
+    its product set to another element (a pair that was not composable gets one)."""
+    for pair in itertools.product(elements, repeat=2):
+        if pair in mul:
+            yield {k: v for k, v in mul.items() if k != pair}
+        for x in elements:
+            if mul.get(pair) != x:
+                yield {**mul, pair: x}
+
+
+@pytest.mark.parametrize("G", [trivial_groupoid(2), cyclic_group_groupoid(3),
+                               disjoint_union_of_cyclic([2, 3]), two_object_iso_groupoid()],
+                         ids=["trivial-2", "Z3", "Z2+Z3", "two-object-iso"])
+def test_associativity_scan_matches_the_literal_triple_loop(G):
+    """On every one-entry corruption, in the stored and the reversed element
+    order, validate_groupoid names the same (i)/(ii) tag and first witness as
+    the literal scan, and passes (i)/(ii) where the literal scan passes."""
+    failing = 0
+    for elements in (list(G.elements), list(reversed(G.elements))):
+        for mul in _one_entry_corruptions(elements, G.mul):
+            expected = _literal_scan(elements, mul)
+            try:
+                validate_groupoid(elements, mul, G.inv)
+                got = None
+            except AxiomViolation as exc:
+                got = (exc.axiom, exc.witness) if exc.axiom in ("(i)", "(ii)") else None
+            assert got == expected, (elements, mul)
+            failing += expected is not None
+    assert failing > 0

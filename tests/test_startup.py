@@ -140,7 +140,7 @@ CLOSURES = [     # (argv with document names, modules it must load, modules it m
     (["check", "identities", "H.json"], {"weak_hopf"}, WEAK_HOPF_ONLY),
     (["check", "pmc", "act.json"], {"structures", "actions"},
      NOT_ACTIONS | {"groupoid"} | CHECKERS | FAMILIES),
-    (["check", "lambda", "lam.json"], {"actions", "partial_actions"}, NOT_ACTIONS | CHECKERS),
+    (["check", "lambda", "lam.json"], {"partial_actions"}, {"actions"} | NOT_ACTIONS | CHECKERS),
     (["dualize", "act.json"], {"dualization"}, {"globalization", "groupoid"} | CHECKERS | FAMILIES),
     (["globalize", "right.json"], {"globalization"}, {"groupoid"} | CHECKERS | FAMILIES),
     (["build", "kG", "G.json"], {"structures", "groupoid"},

@@ -21,6 +21,9 @@ from weakhopf.tensor_space import (
     rref,
     solve,
     solve_coordinates,
+    _accumulate,
+    _combine,
+    _kron,
     swap_map,
     tensor_product,
 )
@@ -428,6 +431,68 @@ def test_mixed_int_and_fraction_operands_match_a_fraction_reference(a, b, c, k, 
     assert sq.inverse() == F(sq).inverse()
     assert solve_coordinates(basis, target) == solve_coordinates([F(v) for v in basis],
                                                                   F(target))
+
+
+# -- the shortcuts of the sparse kernels against literal sums ------------------------
+
+# exact 1 as an int and as a Fraction, 0, and unreduced GF(7) ints ≡ 1 (8, −6),
+# so that both branches of every shortcut run
+KERNEL_COEFFS = {QQ: [0, 1, 1, Fraction(1), -1, 2, Fraction(1, 3), Fraction(-5, 2)],
+                 GF7: [0, 1, 1, 8, -6, 3, 4, 6, 13, -1]}
+
+
+def _column(F, data, dim) -> dict:
+    """A stored column: nonzero entries, reduced over GF(p), 1 among them."""
+    coords = data.draw(st.lists(st.sampled_from(KERNEL_COEFFS[F]), min_size=dim, max_size=dim))
+    return {i: v for i, c in enumerate(coords) if (v := F.coerce(c))}
+
+
+def _literal_rref(rows, F):
+    """Gauss-Jordan elimination with every product formed."""
+    p, m = F.characteristic, [[F.coerce(x) for x in r] for r in rows]
+    pivots, pr = [], 0
+    for pc in range(len(m[0]) if m else 0):
+        found = [r for r in range(pr, len(m)) if m[r][pc] != 0]
+        if pr == len(m) or not found:
+            continue
+        m[pr], m[found[0]] = m[found[0]], m[pr]
+        inv = F.inv(m[pr][pc])
+        m[pr] = [F.coerce(inv * x) for x in m[pr]]
+        for r in range(len(m)):
+            if r != pr:
+                f = m[r][pc]
+                m[r] = [F.coerce(a - f * b) for a, b in zip(m[r], m[pr])]
+        pivots.append(pc)
+        pr += 1
+    return m, pivots
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields, st.data())
+def test_kernel_shortcuts_match_dense_literal_sums(F, data):
+    """``_combine``, ``_accumulate``, ``_kron`` and ``rref`` against dense sums with
+    every product formed, on entries and coefficients that include exact 1
+    (int and Fraction), 0, ℚ fractions and unreduced GF(7) ints ≡ 1."""
+    p, n, dim = F.characteristic, data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    coeff = st.sampled_from(KERNEL_COEFFS[F])
+
+    def literal(dense) -> dict:
+        return {i: v for i, x in enumerate(dense) if (v := F.coerce(x))}
+
+    cols = [_column(F, data, dim) for _ in range(n)]
+    terms = data.draw(st.lists(st.tuples(st.integers(0, n - 1), coeff), max_size=6))
+    expected = literal([sum((c * cols[k].get(i, 0) for k, c in terms), 0) for i in range(dim)])
+    vterms = [(cols[k], c) for k, c in terms]
+    for got in (_combine(cols, terms, p), _accumulate(vterms, p)):
+        assert got == expected
+        assert all(type(v) is int and 0 < v < p for v in got.values()) if p else all(got.values())
+
+    a, b = _column(F, data, n), _column(F, data, dim)
+    assert _kron(a, b, dim, p) == literal([a.get(i, 0) * b.get(j, 0)
+                                           for i in range(n) for j in range(dim)])
+
+    rows = data.draw(st.lists(st.lists(coeff, min_size=dim, max_size=dim), min_size=1, max_size=4))
+    assert rref(rows, F) == _literal_rref(rows, F)
 
 
 # -- structure-level guards against mixing ℚ and GF(p) ------------------------------
