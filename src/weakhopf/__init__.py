@@ -10,9 +10,9 @@ _EXPORTS = {
     "tensor_space": "FinVec LinMap Subspace Vector ground image_basis "
                     "left_inverse_on_image swap_map tensor_product",
     "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
-                  "dual_convolution_algebra eps_s eps_t",
+                  "dual_convolution_algebra eps_s eps_t same_structure_constants",
     "weak_hopf": "HopfVerdict check_identities check_weak_bialgebra check_weak_hopf dualize "
-                 "is_hopf same_structure_constants",
+                 "is_hopf",
     "groupoid": "FiniteAbelianGroup FiniteGroupoid abelian_group_weak_hopf "
                 "cyclic_group_groupoid disjoint_union_of_cyclic dual_groupoid_algebra "
                 "groupoid_algebra groupoid_from_spec trivial_groupoid "

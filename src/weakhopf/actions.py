@@ -1,6 +1,6 @@
-"""Action tensors of a weak Hopf algebra on coalgebras and algebras, and
-the global and partial module-coalgebra and module-algebra axioms (left and
-right).
+"""Actions of a weak Hopf algebra on coalgebras and algebras, stored as
+slices, and the global and partial module-coalgebra and module-algebra
+axioms (left and right).
 
 Axiom conventions.  For a left partial action ``h·c``:
 
@@ -22,71 +22,65 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import Frozen, ShapeMismatch
+from .errors import FieldMismatch, Frozen, ShapeMismatch
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .structures import LEFT, RIGHT, AlgebraData, CoalgebraData, WeakHopfData, _pair_label
 from .tensor_space import FinVec, LinMap, Vector, _accumulate, _combine, _kron, tensor_product
 
 
 class ActionTensor(Frozen):
-    """A rank-3 action tensor: H⊗X → X (left) or X⊗H → X (right).
+    """An action of H on a carrier X, stored as its slices: ``slices[i]`` is
+    the endomorphism x ↦ h_i·x (left) or x ↦ x↼h_i (right) of X.
 
     The carrier X is the coalgebra or algebra being acted on; which one it is
     decides which checkers apply.
     """
 
     def __init__(self, hopf: WeakHopfData, carrier: CoalgebraData | AlgebraData, side: str,
-                 action: LinMap):
+                 slices):
         if side not in (LEFT, RIGHT):
             raise ShapeMismatch(f"side must be left or right, not {side!r}")
-        X = carrier.space
-        H = hopf.space
-        expected = tensor_product(H, X) if side == LEFT else tensor_product(X, H)
-        if action.domain != expected or action.codomain != X:
-            raise ShapeMismatch("action tensor shape does not match H and the carrier")
-        self.__dict__.update(hopf=hopf, carrier=carrier, side=side, action=action)
+        X, slices = carrier.space, tuple(slices)
+        if X.field != hopf.field:
+            raise FieldMismatch("the carrier and H are over different fields")
+        if len(slices) != hopf.space.dim:
+            raise ShapeMismatch("need one slice per basis vector of H")
+        if any(s.domain != X or s.codomain != X for s in slices):
+            raise ShapeMismatch("every slice must be an endomorphism of the carrier")
+        self.__dict__.update(hopf=hopf, carrier=carrier, side=side, slices=slices)
 
     @classmethod
     def from_slices(cls, hopf: WeakHopfData, carrier, side: str, slices) -> "ActionTensor":
-        """Assemble the tensor from one carrier endomorphism per H basis vector."""
+        """The constructor, by the name that scripts build actions with."""
+        return cls(hopf, carrier, side, slices)
+
+    @classmethod
+    def from_tensor(cls, hopf: WeakHopfData, carrier, side: str, action: LinMap) -> "ActionTensor":
+        """The action whose tensor H⊗X → X (left) or X⊗H → X (right) is ``action``."""
         X = carrier.space
-        H = hopf.space
-        if len(slices) != H.dim:
-            raise ShapeMismatch("need one slice per basis vector of H")
-        if side == LEFT:
-            dom = tensor_product(H, X)
-            cols = [slices[i].cols[j] for i in range(H.dim) for j in range(X.dim)]
-        else:
-            dom = tensor_product(X, H)
-            cols = [slices[i].cols[j] for j in range(X.dim) for i in range(H.dim)]
-        return cls(hopf, carrier, side, LinMap(dom, X, cols))
+        dom, order = _layout(hopf, X, side)
+        if action.domain != dom or action.codomain != X:
+            raise ShapeMismatch("action tensor shape does not match H and the carrier")
+        cols = dict(zip(order, action.cols))
+        return cls(hopf, carrier, side, [LinMap(X, X, [cols[i, j] for j in range(X.dim)])
+                                         for i in range(hopf.space.dim)])
 
     @property
     def space(self) -> FinVec:
         return self.carrier.space
 
     @cached_property
-    def slices(self) -> tuple[LinMap, ...]:
-        """The endomorphism of the carrier given by each basis vector of H."""
-        X = self.space
-        H = self.hopf.space
-        cols = self.action.cols
-        if self.side == LEFT:
-            return tuple(LinMap(X, X, cols[i * X.dim:(i + 1) * X.dim]) for i in range(H.dim))
-        return tuple(LinMap(X, X, cols[i::H.dim]) for i in range(H.dim))
+    def action(self) -> LinMap:
+        """The tensor of the action, built for JSON output."""
+        dom, order = _layout(self.hopf, self.space, self.side)
+        return LinMap(dom, self.space, [self.slices[i].cols[j] for i, j in order])
 
     def act_by(self, h: Vector) -> LinMap:
-        return self._slice_sum(h.terms)
-
-    def _slice_sum(self, terms: dict) -> LinMap:
-        """Σ c·slices[i] over the ``{i: c}`` terms, column by column from the
-        action tensor."""
-        m, p = self.space.dim, self.space.field.characteristic
-        step, stride = (m, 1) if self.side == LEFT else (1, self.hopf.space.dim)
-        cols = self.action.cols
+        """Σ c·slices[i] over the terms c·h_i of h, column by column."""
+        p, sl = self.space.field.characteristic, self.slices
         return LinMap(self.space, self.space,
-                      [_combine(cols, [(i * step + t * stride, c) for i, c in terms.items()], p)
-                       for t in range(m)])
+                      [_accumulate(((sl[i].cols[t], c) for i, c in h.terms.items()), p)
+                       for t in range(self.space.dim)])
 
     @cached_property
     def product_slices(self) -> tuple[LinMap, ...]:
@@ -94,7 +88,7 @@ class ActionTensor(Frozen):
         distinct product column of H (on kG and (kG)*, at most n + 1 maps)."""
         memo = {}
         return tuple(memo[key] if (key := frozenset(col.items())) in memo
-                     else memo.setdefault(key, self._slice_sum(col))
+                     else memo.setdefault(key, self.act_by(Vector(self.hopf.space, col)))
                      for col in self.hopf.alg.mul.cols)
 
     @cached_property
@@ -110,6 +104,14 @@ class ActionTensor(Frozen):
 
     def is_algebra_action(self) -> bool:
         return isinstance(self.carrier, AlgebraData)
+
+
+def _layout(hopf: WeakHopfData, X: FinVec, side: str) -> tuple[FinVec, list]:
+    """The domain of an action tensor and, in order, the (i, j) of its columns: h_i on x_j."""
+    n, m = hopf.space.dim, X.dim
+    if side == LEFT:
+        return tensor_product(hopf.space, X), [(i, j) for i in range(n) for j in range(m)]
+    return tensor_product(X, hopf.space), [(i, j) for j in range(m) for i in range(n)]
 
 
 def _require_coalgebra(act: ActionTensor) -> CoalgebraData:
@@ -134,9 +136,9 @@ def _unit_slice(act: ActionTensor) -> LinMap:
 
 def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
     """Δ(h·c) = h₁·c₁ ⊗ h₂·c₂ (either side), as a map equality on the
-    action's domain."""
+    action's domain, scanned up to its first failing column."""
     C = act.carrier
-    n, m, p = act.hopf.space.dim, C.space.dim, C.field.characteristic
+    m, p = C.space.dim, C.field.characteristic
     sl = [s.cols for s in act.slices]
 
     # live[j][x]: the Δ(c_j) terms (a, b, cc) whose column sl[x][a] is not empty
@@ -148,10 +150,10 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
                             for x, y, ch in act.hopf.coalg.delta_pairs(i)
                             for a, b, cc in live[j][x] if sl[y][b]), p)
 
-    cols = ([column(i, j) for i in range(n) for j in range(m)] if act.side == LEFT
-            else [column(i, j) for j in range(m) for i in range(n)])
-    rhs = LinMap(act.action.domain, tensor_product(C.space, C.space), cols)
-    return compare_maps(label, C.comul @ act.action, rhs)
+    (dom, order), CC = _layout(act.hopf, C.space, act.side), C.comul.codomain.labels
+    return compare_maps(label, (_combine(C.comul.cols, sl[i][j].items(), p) for i, j in order),
+                        (column(i, j) for i, j in order),
+                        (C.field, lambda k, r: (dom.labels[k], CC[r])))
 
 
 def _pair_checks(act: ActionTensor, checks: dict) -> list[CheckResult]:
@@ -200,14 +202,13 @@ def check_module_coalgebra(act: ActionTensor) -> Report:
 def _globality_criterion(act: ActionTensor, label: str) -> CheckResult:
     """ε(h·c) = ε(ε_s(h)·c) for left actions; ε(c↼h) = ε(c↼ε_t(h)) for right,
     read off the counit table: ε(ε_s(h_i)·c_b) = Σ_q (ε_s)_{q,i} ε(h_q·c_b)."""
-    H, m, p, table = act.hopf, act.space.dim, act.space.field.characteristic, act.counit_table
-    n, twist = H.space.dim, (H.eps_s if act.side == LEFT else H.eps_t).cols
-    cases = [divmod(k, m) if act.side == LEFT else divmod(k, n)[::-1] for k in range(n * m)]
-    dom, cod = act.action.domain.labels, act.carrier.counit.codomain.labels
+    H, p, table = act.hopf, act.space.field.characteristic, act.counit_table
+    twist = (H.eps_s if act.side == LEFT else H.eps_t).cols
+    (dom, cases), cod = _layout(H, act.space, act.side), act.carrier.counit.codomain.labels
     return compare_maps(label, ({0: table[i][b]} if b in table[i] else {} for i, b in cases),
                         (_accumulate((({0: table[q][b]}, c) for q, c in twist[i].items()
                                       if b in table[q]), p) for i, b in cases),
-                        (act.space.field, lambda j, i: (dom[j], cod[i])))
+                        (act.space.field, lambda j, i: (dom.labels[j], cod[i])))
 
 
 class PartialActionVerdict:
@@ -333,7 +334,7 @@ def _ma2_check(act: ActionTensor, label: str) -> CheckResult:
     A = act.carrier
     H = act.hopf.space
     m, p = A.space.dim, A.field.characteristic
-    sl, right = [s.cols for s in act.slices], A.nonzero_products[0]
+    sl, right = [s.cols for s in act.slices], A.nonzero_products
     nonempty = [{b for b in range(m) if col[b]} for col in sl]
 
     def cases():

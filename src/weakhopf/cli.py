@@ -179,10 +179,10 @@ def _cmd_equiv(args) -> int:
         back = from_kG_action(act, gpa.groupoid)
         rep.add(CheckResult("from(to(θ,P)) == (θ,P)", gpa.same_maps(back)))
         act2 = to_kG_action(back)
-        rep.add(CheckResult("to(from(action)) == action", act2.action == act.action))
+        rep.add(CheckResult("to(from(action)) == action", act2.slices == act.slices))
     elif doc.get("schema") == "action":
         act = jsonio.action_from_json(doc)
-        G = jsonio.action_groupoid_from_json(doc)
+        G = jsonio.action_groupoid_from_json(doc, act.hopf)
         if G is None:
             print("whw: action document needs a 'groupoid' entry for equiv",
                   file=sys.stderr)
@@ -190,7 +190,7 @@ def _cmd_equiv(args) -> int:
         gpa = from_kG_action(act, G)
         rep.extend(validate_groupoid_partial_action(gpa), prefix="derived-")
         act2 = to_kG_action(gpa)
-        rep.add(CheckResult("to(from(action)) == action", act2.action == act.action))
+        rep.add(CheckResult("to(from(action)) == action", act2.slices == act.slices))
         back = from_kG_action(act2, G)
         rep.add(CheckResult("from(to(θ,P)) == (θ,P)", gpa.same_maps(back)))
     else:
@@ -220,7 +220,7 @@ def _cmd_dualize(args) -> int:
     rep.add(CheckResult("symmetric transfers",
                         vc.symmetric.passed == va.symmetric.passed))
     back = undualize_algebra_action(dual, act.carrier, check=False)
-    rep.add(CheckResult("undualize(dualize) == action", back.action == act.action))
+    rep.add(CheckResult("undualize(dualize) == action", back.slices == act.slices))
     if args.output:
         _emit(jsonio.action_to_json(dual), args.output)
     if args.format == "json":
@@ -247,7 +247,7 @@ def _cmd_globalize(args) -> int:
               else "whw: no absorbed grouplike basis element found", file=sys.stderr)
         return EXIT_PRECONDITION
     gt = standard_globalization(act, found[0])
-    transfer = dual_globalization_transfer(gt, strict=False)
+    transfer = dual_globalization_transfer(gt)
     if args.output:
         _emit(jsonio.triple_to_json(gt), args.output)
     return _print_reports([transfer.coalgebra_report, transfer.algebra_report], args.format)

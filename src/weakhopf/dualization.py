@@ -40,7 +40,7 @@ def _transpose(act: ActionTensor, side: str, C: CoalgebraData | None,
         raise InputNotPartialAction(f"input does not satisfy {axioms}1-{axioms}3")
     target = dual_convolution_algebra(act.carrier) if coalgebra else C
     slices = [LinMap(target.space, target.space, s.transposed_rows()) for s in act.slices]
-    return ActionTensor.from_slices(act.hopf, target, RIGHT if side == LEFT else LEFT, slices)
+    return ActionTensor(act.hopf, target, RIGHT if side == LEFT else LEFT, slices)
 
 
 def dualize_coalgebra_action(act: ActionTensor, check: bool = True) -> ActionTensor:

@@ -81,9 +81,5 @@ class HypothesisViolated(WorkbenchError):
         super().__init__(f"hypothesis violated: {which}" + (f" ({detail})" if detail else ""))
 
 
-class InputNotGlobalization(WorkbenchError):
-    pass
-
-
 class InputNotPartialAction(WorkbenchError):
     pass

@@ -195,20 +195,34 @@ def groupoid_from_spec(spec: dict, at: str = "") -> FiniteGroupoid:
     Explicit: ``{"elements": [...], "mul": [[g, h, gh], ...], "inv": {g: g⁻¹}}``.
     Shorthand: ``{"disjoint_union": [{"group": "Z/2"}, {"group": "Z/3"}]}``.
     """
+    def names(value) -> bool:
+        return isinstance(value, list) and all(isinstance(x, str) for x in value)
+
+    def need(ok: bool, path: str, what: str) -> None:
+        if not ok:
+            raise MalformedInput(f"{(at + path).rstrip('.') or 'groupoid'}: expected {what}")
+
+    need(isinstance(spec, dict), "", "a groupoid object")
     if "disjoint_union" in spec:
-        orders = []
-        for i, item in enumerate(spec["disjoint_union"]):
-            name = item["group"]
+        items, orders = spec["disjoint_union"], []
+        need(isinstance(items, list), "disjoint_union", "a list of groups")
+        for i, item in enumerate(items):
+            need(isinstance(item, dict), f"disjoint_union[{i}]",
+                 'an object such as {"group": "Z/2"}')
+            name = item.get("group")
             kind, _, order = (name if isinstance(name, str) else "").strip().partition("/")
-            if kind != "Z" or not order.strip().isdecimal() or int(order) == 0:
-                raise MalformedInput(f"{at}disjoint_union[{i}].group: expected a group name "
-                                     f"such as 'Z/2', got {name!r}")
+            need(kind == "Z" and order.strip().isdecimal() and int(order) > 0,
+                 f"disjoint_union[{i}].group", f"a group name such as 'Z/2', got {name!r}")
             orders.append(int(order))
         return disjoint_union_of_cyclic(orders)
-    elements = spec["elements"]
-    mul = {(g, h): gh for g, h, gh in spec["mul"]}
-    inv = dict(spec["inv"])
-    return validate_groupoid(elements, mul, inv)
+    elements, mul, inv = spec.get("elements"), spec.get("mul"), spec.get("inv")
+    need(names(elements), "elements", "a list of element names")
+    need(isinstance(mul, list), "mul", "a list of triples [g, h, gh]")
+    bad = next((i for i, entry in enumerate(mul) if not (names(entry) and len(entry) == 3)), None)
+    need(bad is None, f"mul[{bad}]", "a triple [g, h, gh] of element names")
+    need(isinstance(inv, dict) and names(list(inv.values())), "inv",
+         "an object mapping each element to its inverse")
+    return validate_groupoid(elements, {(g, h): gh for g, h, gh in mul}, inv)
 
 
 def groupoid_to_spec(G: FiniteGroupoid) -> dict:

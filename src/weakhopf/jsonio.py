@@ -17,7 +17,8 @@ from math import prod
 
 from .errors import MalformedInput, ShapeMismatch
 from .scalars import Field, field_from_name, field_name
-from .structures import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
+from .structures import (AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData,
+                         same_structure_constants)
 from .tensor_space import FinVec, LinMap, Vector, ground, tensor_product
 
 
@@ -146,7 +147,7 @@ def _action(hopf: WeakHopfData, carrier, side: str, entries, path: str) -> Actio
     X = carrier.space
     factors = (hopf.space, X) if side == "left" else (X, hopf.space)
     [cols] = _decode(X.field, (entries, (factors[0].dim, factors[1].dim, X.dim), path, X.dim))
-    return ActionTensor(hopf, carrier, side, LinMap(tensor_product(*factors), X, cols))
+    return ActionTensor.from_tensor(hopf, carrier, side, LinMap(tensor_product(*factors), X, cols))
 
 
 # -- bare linear data --------------------------------------------------------
@@ -265,11 +266,21 @@ def _side(side, at: str) -> str:
     return side
 
 
-def action_groupoid_from_json(d: dict) -> FiniteGroupoid | None:
+def action_groupoid_from_json(d: dict, hopf: WeakHopfData) -> FiniteGroupoid | None:
+    """The document's groupoid, whose groupoid algebra must be the action's ``hopf``."""
     if "groupoid" in d:
-        from .groupoid import groupoid_from_spec
-        return groupoid_from_spec(d["groupoid"], "groupoid.")
+        from .groupoid import groupoid_algebra, groupoid_from_spec
+        return _builds(groupoid_from_spec(d["groupoid"], "groupoid."), hopf, groupoid_algebra)
     return None
+
+
+def _builds(G: FiniteGroupoid, hopf: WeakHopfData, build) -> FiniteGroupoid:
+    """``G``, once ``build(G)`` has the basis labels and structure constants of ``hopf``."""
+    built = build(G, hopf.field)
+    if built.space.labels != hopf.space.labels or not same_structure_constants(built, hopf):
+        raise MalformedInput(f"groupoid: its {build.__name__.replace('_', ' ')} is not "
+                             f"the document's hopf")
+    return G
 
 
 def lambda_to_json(lf: LambdaFunctional, groupoid: FiniteGroupoid | None = None,
@@ -296,6 +307,8 @@ def lambda_from_json(d: dict):
         raise MalformedInput(f"hopf_kind: expected 'kG' or 'kG-dual', got {kind!r}")
     if "hopf" in d:
         hopf = weakhopf_from_json(d["hopf"])
+        if G is not None and kind is not None:
+            _builds(G, hopf, groupoid_algebra if kind == "kG" else dual_groupoid_algebra)
     elif G is not None and kind is not None:
         hopf = (groupoid_algebra if kind == "kG" else dual_groupoid_algebra)(G, _field(d, ""))
     else:

@@ -111,12 +111,6 @@ class LambdaFunctional(Frozen):
         return cls(hopf, tuple(
             f.one() if l in wanted else f.zero() for l in hopf.space.labels))
 
-    def of_basis(self, i: int):
-        return self.values[i]
-
-    def of_vec(self, v: Vector):
-        return self.of_terms(v.terms)
-
     def of_terms(self, terms: dict):
         """λ of the element with the sparse coordinates ``terms``."""
         return sum((c * self.values[i] for i, c in sorted(terms.items())), self.hopf.field.zero())
@@ -128,7 +122,7 @@ def lambda_action(lf: LambdaFunctional, C: CoalgebraData, side: str = LEFT) -> A
 
     ident = LinMap.identity(C.space)
     slices = [ident.scale(v) for v in lf.values]
-    return ActionTensor.from_slices(lf.hopf, C, side, slices)
+    return ActionTensor(lf.hopf, C, side, slices)
 
 
 class LambdaVerdict:
@@ -152,7 +146,7 @@ def check_lambda_global(lf: LambdaFunctional) -> LambdaVerdict:
     H = lf.hopf
     f = H.field
     rep = Report("global λ-action conditions")
-    rep.add(compare_scalars("(i)", f, lf.of_vec(H.unit), f.one(), context="λ(1_H)"))
+    rep.add(compare_scalars("(i)", f, lf.of_terms(H.unit.terms), f.one(), context="λ(1_H)"))
     n = H.space.dim
     lam = lf.values
     rep.add(first_failure("(ii)", (
@@ -181,7 +175,7 @@ def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> LambdaVerdic
     H = lf.hopf
     f = H.field
     rep = Report(f"{side} partial λ-action conditions")
-    rep.add(compare_scalars("(i)", f, lf.of_vec(H.unit), f.one(), context="λ(1_H)"))
+    rep.add(compare_scalars("(i)", f, lf.of_terms(H.unit.terms), f.one(), context="λ(1_H)"))
 
     n = H.space.dim
     lam = lf.values
@@ -258,28 +252,31 @@ def _subset_is_group(G: FiniteGroupoid, V) -> tuple[bool, str | None]:
     return True, None
 
 
+def _group_criterion(lf: LambdaFunctional, G: FiniteGroupoid, in_V,
+                     value_on) -> GroupCriterionVerdict:
+    """The verdict for V = {g : in_V(λ, g)}, with λ read as a dict on G, when λ
+    must be ``value_on(|V|)`` on V and 0 off it; ``value_on`` gives None where
+    the characteristic divides |V|."""
+    if lf.hopf.space.dim != len(G.elements):
+        raise ShapeMismatch("functional does not live on the (dual) groupoid algebra")
+    lam = dict(zip(G.elements, lf.values))
+    V = tuple(g for g in G.elements if in_V(lam, g))
+    is_group, why = _subset_is_group(G, V)
+    expected, vset, zero = value_on(len(V)), set(V), lf.hopf.field.zero()
+    values_match = expected is not None and all(
+        v == (expected if g in vset else zero) for g, v in lam.items())
+    return GroupCriterionVerdict(V, is_group, why, values_match, expected is not None,
+                                 check_lambda_partial(lf).ok)
+
+
 def check_k_partial_action_group_criterion(
         lf: LambdaFunctional, G: FiniteGroupoid) -> GroupCriterionVerdict:
     """For a groupoid algebra acting on the ground field through λ: the action
     is partial iff λ is the indicator of V = {g : λ(δ_g) = 1 = λ(δ_{d(g)})}
     and V is a group."""
-    H = lf.hopf
-    if H.space.dim != len(G.elements):
-        raise ShapeMismatch("functional does not live on the groupoid algebra")
-    f = H.field
-    one = f.one()
-    V = tuple(
-        g for i, g in enumerate(G.elements)
-        if lf.of_basis(i) == one and lf.of_basis(G.index(G.d[g])) == one
-    )
-    is_group, why = _subset_is_group(G, V)
-    vset = set(V)
-    values_match = all(
-        lf.of_basis(i) == (one if g in vset else f.zero())
-        for i, g in enumerate(G.elements)
-    )
-    partial = check_lambda_partial(lf).ok
-    return GroupCriterionVerdict(V, is_group, why, values_match, True, partial)
+    one = lf.hopf.field.one()
+    return _group_criterion(lf, G, lambda lam, g: lam[g] == one == lam[G.d[g]],
+                            lambda size: one)
 
 
 def check_dual_k_partial_action_criterion(
@@ -287,27 +284,9 @@ def check_dual_k_partial_action_criterion(
     """For the dual groupoid algebra acting on the ground field through λ:
     partial iff V = {g : λ(p_g) ≠ 0 ≠ λ(p_{g⁻¹})} is a group, the
     characteristic does not divide |V|, and λ = (1/|V|)·1_V."""
-    H = lf.hopf
-    if H.space.dim != len(G.elements):
-        raise ShapeMismatch("functional does not live on the dual groupoid algebra")
-    f = H.field
-    V = tuple(
-        g for i, g in enumerate(G.elements)
-        if lf.of_basis(i) != f.zero()
-        and lf.of_basis(G.index(G.inv[g])) != f.zero()
-    )
-    is_group, why = _subset_is_group(G, V)
-    char_ok = bool(V) and not f.char_divides(len(V))
-    values_match = False
-    if char_ok:
-        expected = f.inv(f.from_int(len(V)))
-        vset = set(V)
-        values_match = all(
-            lf.of_basis(i) == (expected if g in vset else f.zero())
-            for i, g in enumerate(G.elements)
-        )
-    partial = check_lambda_partial(lf).ok
-    return GroupCriterionVerdict(V, is_group, why, values_match, char_ok, partial)
+    f = lf.hopf.field
+    return _group_criterion(lf, G, lambda lam, g: lam[g] and lam[G.inv[g]], lambda size: (
+        f.inv(f.from_int(size)) if size and not f.char_divides(size) else None))
 
 
 # ---------------------------------------------------------------------------
@@ -394,7 +373,7 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
     symmetric = condition_two("symmetric", symmetric=True)
 
     # the action in D coordinates: back∘π∘(h_i·–)∘ι
-    induced = ActionTensor.from_slices(H, D, LEFT, [back @ (s @ incl) for s in pi_sl])
+    induced = ActionTensor(H, D, LEFT, [back @ (s @ incl) for s in pi_sl])
     return InducedActionResult(induced, rep, symmetric, D, incl)
 
 
@@ -538,7 +517,7 @@ def to_kG_action(gpa: GroupoidPartialAction) -> ActionTensor:
                 raise NotDirectSum(f"P_{e}∘P_{f_} ≠ 0")
     hopf = groupoid_algebra(G, C.space.field)
     slices = [gpa.theta(g) @ gpa.P(G.inv[g]) for g in G.elements]
-    return ActionTensor.from_slices(hopf, C, LEFT, slices)
+    return ActionTensor(hopf, C, LEFT, slices)
 
 
 def from_kG_action(act: ActionTensor, G: FiniteGroupoid) -> GroupoidPartialAction:

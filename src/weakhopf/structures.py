@@ -1,6 +1,6 @@
 """Algebras, coalgebras, weak bialgebras and weak Hopf algebras as exact
-structure-constant data, with the target/source maps ε_t and ε_s and the
-convolution dual of a coalgebra.
+structure-constant data, with the target/source maps ε_t and ε_s, the
+convolution dual of a coalgebra and the entrywise comparison of two records.
 
 These are the records every command builds; the axiom and identity
 checkers that only some commands run are in :mod:`weak_hopf`.
@@ -80,12 +80,11 @@ class AlgebraData(Frozen):
                                                for j in range(self.space.dim)])
 
     @cached_property
-    def nonzero_products(self) -> tuple[tuple, tuple]:
-        """``(right, left)``: ``right[a]`` lists the b with e_a·e_b ≠ 0 and
-        ``left[b]`` the a with e_a·e_b ≠ 0, so Sweedler sums skip zero products."""
+    def nonzero_products(self) -> tuple[list, ...]:
+        """``nonzero_products[a]`` lists the b with e_a·e_b ≠ 0, so that sums
+        over products skip the zero ones."""
         n, m = self.space.dim, self.mul.cols
-        return (tuple([b for b in range(n) if m[a * n + b]] for a in range(n)),
-                tuple([a for a in range(n) if m[a * n + b]] for b in range(n)))
+        return tuple([b for b in range(n) if m[a * n + b]] for a in range(n))
 
     def validate(self) -> Report:
         rep = Report(f"algebra axioms on {self.space.dim}-dim space")
@@ -346,3 +345,12 @@ def dual_convolution_algebra(C: CoalgebraData) -> AlgebraData:
     unit = Vector(dspace, {i: col[0] for i, col in enumerate(C.counit.cols) if col})
     return AlgebraData(dspace, LinMap(tensor_product(dspace, dspace), dspace,
                                       C.comul.transposed_rows()), unit)
+
+
+def same_structure_constants(a: WeakHopfData, b: WeakHopfData) -> bool:
+    """Entrywise equality of all five structure tensors (labels ignored)."""
+    if a.space.dim != b.space.dim or a.field != b.field:
+        return False
+    return (a.alg.mul.cols == b.alg.mul.cols and a.unit.terms == b.unit.terms
+            and a.coalg.comul.cols == b.coalg.comul.cols
+            and a.coalg.counit.cols == b.coalg.counit.cols and a.antipode.cols == b.antipode.cols)

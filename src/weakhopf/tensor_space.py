@@ -300,20 +300,11 @@ def solve(a_rows: Sequence[Sequence], b: Sequence, field: Field):
 
     Free variables are set to zero, which makes the answer deterministic.
     """
-    nrows = len(a_rows)
-    ncols = len(a_rows[0]) if nrows else 0
+    ncols = len(a_rows[0]) if a_rows else 0
     aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
     red, pivots = rref(aug, field)
-    pivots = [p for p in pivots if p < ncols]
-    rank = len(pivots)
-    for r in range(rank, nrows):
-        if red[r] and red[r][ncols]:
-            return None
-    # also catch a pivot in the augmented column
-    for r in range(nrows):
-        lead = next((c for c, v in enumerate(red[r]) if v), None)
-        if lead == ncols:
-            return None
+    if ncols in pivots:     # a row 0 = 1: b is not in the column space
+        return None
     x = [field.zero()] * ncols
     for r, pc in enumerate(pivots):
         x[pc] = red[r][ncols]
@@ -476,10 +467,10 @@ class LinMap:
         """Exact two-sided inverse for a square map, or None if singular."""
         if self.domain.dim != self.codomain.dim:
             return None
-        R, E, pivots = rref_with_transform(self.rows, self.field)
-        if len(pivots) != self.domain.dim:
+        try:
+            return left_inverse_on_image(self)
+        except NotInjective:
             return None
-        return LinMap.from_rows(self.codomain, self.domain, E)
 
     def __repr__(self):
         return f"LinMap({self.domain.dim}→{self.codomain.dim})"

@@ -18,8 +18,8 @@ from .report import (
     compare_vectors,
     first_failure,
 )
-# CoalgebraData, ε_t and ε_s are not used here; they are imported so that this
-# module still offers every record and both target/source maps by name
+# CoalgebraData, ε_t, ε_s and same_structure_constants are not used here; they are
+# imported so that this module still offers every record and map by name
 from .structures import (
     AlgebraData,
     CoalgebraData,
@@ -31,6 +31,7 @@ from .structures import (
     dual_convolution_algebra,
     eps_s,
     eps_t,
+    same_structure_constants,
 )
 from .tensor_space import LinMap, Subspace, Vector, _combine, _kron, _reduced, tensor_product
 
@@ -48,7 +49,7 @@ def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vec
         by_first.setdefault(j // top, []).append((j % top, b))
     for i, a in x.terms.items():
         f, t = divmod(i, top)
-        for f2 in alg.nonzero_products[0][f]:
+        for f2 in alg.nonzero_products[f]:
             for t2, b in by_first.get(f2, ()):
                 w, tail = a * b, m[t // stride % n * n + t2 // stride % n]   # legs 2..power
                 for s in range(power - 3, -1, -1):
@@ -453,12 +454,3 @@ def dualize(H: WeakHopfData) -> WeakHopfData:
     dual_alg = dual_convolution_algebra(H.coalg)
     return _assemble(dual_alg.space, dual_alg.mul.cols, dual_alg.unit.terms,
                      H.alg.mul.transposed_rows(), H.unit.coords, H.antipode.transposed_rows())
-
-
-def same_structure_constants(a: WeakHopfData, b: WeakHopfData) -> bool:
-    """Entrywise equality of all five structure tensors (labels ignored)."""
-    if a.space.dim != b.space.dim or a.field != b.field:
-        return False
-    return (a.alg.mul.cols == b.alg.mul.cols and a.unit.terms == b.unit.terms
-            and a.coalg.comul.cols == b.coalg.comul.cols
-            and a.coalg.counit.cols == b.coalg.counit.cols and a.antipode.cols == b.antipode.cols)

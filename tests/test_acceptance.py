@@ -294,7 +294,7 @@ def test_criterion_10_dual_globalization_biconditional():
             gt.theta, gt.pi)),
     ]
     for mname, bad in mutations:
-        res = dual_globalization_transfer(bad, strict=False)
+        res = dual_globalization_transfer(bad)
         assert not res.coalgebra_report.ok, mname
         assert not res.algebra_report.ok, mname
     note(10, "valid triples transfer to passing algebra globalizations; all "

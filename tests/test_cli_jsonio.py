@@ -9,6 +9,7 @@ import pytest
 from conftest import (
     grouplike_coalgebra,
     isotropy_lambda_action,
+    regular_action,
     two_object_gpa,
 )
 
@@ -25,6 +26,7 @@ from weakhopf import (
     standard_globalization,
     same_structure_constants,
     two_object_iso_groupoid,
+    validate_groupoid,
 )
 from weakhopf.cli import main
 from weakhopf.errors import MalformedInput
@@ -471,10 +473,76 @@ def test_cli_refuses_a_deeply_nested_document_in_a_child_process(tmp_path):
     assert proc.stderr.startswith(f"whw: cannot read {path}: maximum recursion depth exceeded")
 
 
+def _z1_z2_lambda_doc():
+    """λ = the indicator of g2.e on kG of Z/1 ⊔ Z/2, with values 0, 1, 0."""
+    G = disjoint_union_of_cyclic([1, 2])
+    lam = LambdaFunctional.indicator(groupoid_algebra(G, QQ), ["g2.e"])
+    return lambda_to_json(lam, groupoid=G, hopf_kind="kG")
+
+
+def _e_f_lambda_doc():
+    """λ = the indicator of e on kG of Z/2 = {e, f}."""
+    G = validate_groupoid(["e", "f"], {("e", "e"): "e", ("e", "f"): "f", ("f", "e"): "f",
+                                       ("f", "f"): "e"}, {"e": "e", "f": "f"})
+    lam = LambdaFunctional.indicator(groupoid_algebra(G, QQ), ["e"])
+    return lambda_to_json(lam, groupoid=G, hopf_kind="kG")
+
+
+def _z1_z2_regular_doc():
+    G = disjoint_union_of_cyclic([1, 2])
+    return action_to_json(regular_action(groupoid_algebra(G, QQ)), groupoid=G)
+
+
+def _groupoid(spec):
+    return lambda d: d.update(groupoid=spec)
+
+
+Z3 = {"disjoint_union": [{"group": "Z/3"}]}
+ONE_OBJECT = {"elements": ["a"], "mul": [["a", "a", "a"]], "inv": {"a": "a"}}
+
+# a document's groupoid must build its hopf, and a groupoid spec that is not
+# well formed names the faulty entry
+MALFORMED += [
+    ("lambda-groupoid-builds-another-hopf", "lambda",
+     lambda: _edit(_z1_z2_lambda_doc(), _groupoid(Z3)), "MalformedInput: groupoid: "),
+    ("lambda-dual-groupoid-builds-another-hopf", "lambda",
+     lambda: _edit(_z1_z2_lambda_doc(), lambda d: d.update(hopf_kind="kG-dual")),
+     "MalformedInput: groupoid: "),
+    ("lambda-groupoid-same-labels-other-products", "lambda",
+     lambda: _edit(_e_f_lambda_doc(), _groupoid(
+         {"elements": ["e", "f"], "mul": [["e", "e", "e"], ["f", "f", "f"]],
+          "inv": {"e": "e", "f": "f"}})), "MalformedInput: groupoid: "),
+    ("lambda-groupoid-same-products-other-labels", "lambda",
+     lambda: _edit(_z1_z2_lambda_doc(), _groupoid(
+         {"elements": ["x", "y", "z"], "mul": [["x", "x", "x"], ["y", "y", "y"], ["y", "z", "z"],
+                                               ["z", "y", "z"], ["z", "z", "y"]],
+          "inv": {"x": "x", "y": "y", "z": "z"}})), "MalformedInput: groupoid: "),
+    ("equiv-groupoid-builds-another-hopf", "equiv",
+     lambda: _edit(_z1_z2_regular_doc(), _groupoid(Z3)), "MalformedInput: groupoid: "),
+    ("groupoid-elements-a-string", "lambda",
+     lambda: _edit(_z1_z2_lambda_doc(), _groupoid({**ONE_OBJECT, "elements": "a"})),
+     "groupoid.elements: "),
+    ("groupoid-inv-pairs", "lambda",
+     lambda: _edit(_z1_z2_lambda_doc(), _groupoid({**ONE_OBJECT, "inv": [["a", "a"]]})),
+     "groupoid.inv: "),
+    ("groupoid-integer-elements", "lambda",
+     lambda: _edit(_z1_z2_lambda_doc(), _groupoid(
+         {"elements": [0], "mul": [[0, 0, 0]], "inv": {"0": 0}})), "groupoid.elements: "),
+    ("groupoid-mul-pair", "lambda",
+     lambda: _edit(_z1_z2_lambda_doc(), _groupoid({**ONE_OBJECT, "mul": [["a", "a"]]})),
+     "groupoid.mul[0]: "),
+    ("groupoid-union-entry-a-string", "lambda",
+     lambda: _edit(_z1_z2_lambda_doc(), _groupoid({"disjoint_union": ["Z/2"]})),
+     "groupoid.disjoint_union[0]: "),
+    ("groupoid-not-an-object", "equiv",
+     lambda: _edit(_z1_z2_regular_doc(), _groupoid("Z/3")), "groupoid: "),
+]
+
+
 @pytest.mark.parametrize("name,kind,build,where", MALFORMED, ids=[m[0] for m in MALFORMED])
 def test_cli_malformed_input_exits_3_with_one_line(tmp_path, capsys, name, kind, build, where):
     path = write(tmp_path, f"{name}.json", build())
-    assert main(["check", kind, path]) == 3
+    assert main(["equiv", path] if kind == "equiv" else ["check", kind, path]) == 3
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("whw: malformed input") and where in err

@@ -340,7 +340,7 @@ def _api_output(name) -> str:
         if name.startswith("globalization"):
             docs = [check_globalization(bad).to_json()]
         else:
-            res = dual_globalization_transfer(bad, strict=False)
+            res = dual_globalization_transfer(bad)
             docs = [res.coalgebra_report.to_json(), res.algebra_report.to_json()]
     return canonical_dumps(docs) + "\n"
 

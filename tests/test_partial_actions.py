@@ -64,6 +64,7 @@ from weakhopf.errors import (
     NotIdempotent,
     NotSubcoalgebra,
     NotSymmetric,
+    ShapeMismatch,
 )
 from weakhopf.report import CheckResult, compare_maps, compare_vectors, first_failure
 from weakhopf.tensor_space import Subspace
@@ -252,6 +253,12 @@ def test_dual_criterion_examples():
     v3 = check_dual_k_partial_action_criterion(
         LambdaFunctional.indicator(Hd, ["p_e"]), G)
     assert v3.criterion and v3.partial and v3.agrees
+    # λ(p_a) ≠ 0 = λ(p_{a⁻¹}) on Z/3: a stays out of V, and λ ≠ 1_V
+    G3 = cyclic_group_groupoid(3)
+    v4 = check_dual_k_partial_action_criterion(
+        LambdaFunctional.indicator(dual_groupoid_algebra(G3, QQ), ["p_e", "p_a"]), G3)
+    assert v4.V == ("e",) and v4.v_is_group and not v4.values_match
+    assert not v4.partial and v4.agrees
 
 
 # -- induced partial actions --------------------------------------------------
@@ -514,7 +521,42 @@ def test_action_rejects_a_carrier_over_another_field(side):
     gf_act = ActionTensor.from_slices(groupoid_algebra(cyclic_group_groupoid(2), GF7),
                                       C, side, slices)
     with pytest.raises(FieldMismatch):
-        ActionTensor(H, C, side, gf_act.action)
+        ActionTensor.from_tensor(H, C, side, gf_act.action)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_action_rejects_slices_that_are_not_carrier_endomorphisms(side):
+    H = groupoid_algebra(cyclic_group_groupoid(2), QQ)
+    C = grouplike_coalgebra(QQ, ["c0", "c1", "c2"])
+    X, ident = C.space, LinMap.identity(C.space)
+    wider = grouplike_coalgebra(QQ, ["c0", "c1", "c2", "c3"]).space
+    for slices in ([ident],                                      # one slice for dim H = 2
+                   [ident] * 3,
+                   [ident, LinMap(wider, X, [{0: 1}] * 4)],      # 4 columns on a 3-dim carrier
+                   [ident, LinMap(X, wider, [{0: 1}] * 3)],
+                   [ident, LinMap.identity(space(QQ, 3, "x"))]):
+        with pytest.raises(ShapeMismatch):
+            ActionTensor(H, C, side, slices)
+    with pytest.raises(FieldMismatch):
+        ActionTensor(H, grouplike_coalgebra(GF7, ["c0"]), side,
+                     [LinMap.identity(space(GF7, 1, "c"))] * 2)
+
+
+@pytest.mark.parametrize("F", [QQ, GF7])
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_from_tensor_cuts_the_tensor_back_into_its_slices(F, side):
+    G = disjoint_union_of_cyclic([1, 2])
+    for H in (groupoid_algebra(G, F), dual_groupoid_algebra(G, F)):
+        lam = LambdaFunctional.indicator(H, [H.space.labels[0]])
+        for act in (regular_action(H, side), lambda_action(lam, H.coalg, side),
+                    lambda_action(lam, grouplike_coalgebra(F, ["c0", "c1"]), side)):
+            assert ActionTensor.from_tensor(H, act.carrier, side, act.action).slices == act.slices
+            X = act.space
+            wider = space(F, X.dim + 1, "w")
+            for dom, cod in ((tensor_product(H.space, wider), X),
+                             (tensor_product(wider, H.space), X), (act.action.domain, wider)):
+                with pytest.raises(ShapeMismatch):
+                    ActionTensor.from_tensor(H, act.carrier, side, LinMap.zero(dom, cod))
 
 
 def reference_pair_scan(act, label, rhs):
@@ -596,7 +638,8 @@ def corrupted_regular_action(data, F, side):
     col.pop(i, None)
     if v:
         col[i] = v
-    return ActionTensor(H, act.carrier, side, LinMap(act.action.domain, act.space, cols))
+    return ActionTensor.from_tensor(H, act.carrier, side,
+                                    LinMap(act.action.domain, act.space, cols))
 
 
 @settings(max_examples=40, deadline=None)

@@ -520,3 +520,52 @@ def test_structures_over_different_fields_do_not_mix():
         g.scale(Fraction(1, 2))
     # an integral ℚ scalar is an int, which every field accepts
     assert Vector.basis(V2_GF7, 0).scale(QQ.one()) == Vector.basis(V2_GF7, 0)
+
+
+# -- exact elimination: solve and the inverse ---------------------------------------
+
+def test_solve_returns_none_exactly_when_b_is_outside_the_column_space():
+    seen = set()
+
+    @settings(max_examples=120, deadline=None)
+    @given(fields, st.integers(1, 4), st.integers(1, 4), st.data())
+    def run(F, rows, cols, data):
+        dom, cod = space(F, cols, "x"), space(F, rows, "y")
+        a_rows = [list(r) for r in draw_map(data, dom, cod).rows]
+        if rows > 1 and data.draw(st.booleans()):      # a repeated row: a singular system
+            a_rows[-1] = list(a_rows[0])
+        A = LinMap.from_rows(dom, cod, a_rows)
+        b = (draw_vector(data, cod) if data.draw(st.booleans())
+             else A.apply(draw_vector(data, dom))).coords
+        x = solve(a_rows, list(b), F)
+        if x is None:
+            augmented = [r + [c] for r, c in zip(a_rows, b)]
+            assert len(rref(augmented, F)[1]) > len(rref(a_rows, F)[1])
+        else:
+            assert A.apply(Vector.from_coords(dom, x)).coords == b
+        seen.add(x is None)
+
+    run()
+    assert seen == {True, False}
+
+
+def test_inverse_is_the_left_inverse_of_an_invertible_map_and_none_otherwise():
+    seen = set()
+
+    @settings(max_examples=80, deadline=None)
+    @given(fields, st.integers(1, 4), st.data())
+    def run(F, n, data):
+        f = draw_map(data, space(F, n, "x"), space(F, n, "y"))
+        inverse = f.inverse()
+        if f.rank == n:
+            assert inverse == left_inverse_on_image(f)
+            assert inverse @ f == LinMap.identity(f.domain)
+            assert f @ inverse == LinMap.identity(f.codomain)
+        else:
+            assert inverse is None
+        seen.add(inverse is None)
+
+    run()
+    assert seen == {True, False}
+    assert LinMap.identity(V2).tensor(LinMap.identity(V3)).inverse() is not None
+    assert LinMap.zero(V2, V3).inverse() is None
