@@ -252,11 +252,12 @@ def _subset_is_group(G: FiniteGroupoid, V) -> tuple[bool, str | None]:
     return True, None
 
 
-def _group_criterion(lf: LambdaFunctional, G: FiniteGroupoid, in_V,
-                     value_on) -> GroupCriterionVerdict:
+def _group_criterion(lf: LambdaFunctional, G: FiniteGroupoid, in_V, value_on,
+                     partial: bool | None) -> GroupCriterionVerdict:
     """The verdict for V = {g : in_V(λ, g)}, with λ read as a dict on G, when λ
     must be ``value_on(|V|)`` on V and 0 off it; ``value_on`` gives None where
-    the characteristic divides |V|."""
+    the characteristic divides |V|.  ``partial`` is the verdict of the left
+    partial λ-conditions, decided here when None."""
     if lf.hopf.space.dim != len(G.elements):
         raise ShapeMismatch("functional does not live on the (dual) groupoid algebra")
     lam = dict(zip(G.elements, lf.values))
@@ -265,28 +266,30 @@ def _group_criterion(lf: LambdaFunctional, G: FiniteGroupoid, in_V,
     expected, vset, zero = value_on(len(V)), set(V), lf.hopf.field.zero()
     values_match = expected is not None and all(
         v == (expected if g in vset else zero) for g, v in lam.items())
-    return GroupCriterionVerdict(V, is_group, why, values_match, expected is not None,
-                                 check_lambda_partial(lf).ok)
+    if partial is None:
+        partial = check_lambda_partial(lf).ok
+    return GroupCriterionVerdict(V, is_group, why, values_match, expected is not None, partial)
 
 
-def check_k_partial_action_group_criterion(
-        lf: LambdaFunctional, G: FiniteGroupoid) -> GroupCriterionVerdict:
+def check_k_partial_action_group_criterion(lf: LambdaFunctional, G: FiniteGroupoid,
+                                           partial: bool | None = None) -> GroupCriterionVerdict:
     """For a groupoid algebra acting on the ground field through λ: the action
     is partial iff λ is the indicator of V = {g : λ(δ_g) = 1 = λ(δ_{d(g)})}
-    and V is a group."""
+    and V is a group.  ``partial``, when given, is ``check_lambda_partial(lf).ok``."""
     one = lf.hopf.field.one()
     return _group_criterion(lf, G, lambda lam, g: lam[g] == one == lam[G.d[g]],
-                            lambda size: one)
+                            lambda size: one, partial)
 
 
-def check_dual_k_partial_action_criterion(
-        lf: LambdaFunctional, G: FiniteGroupoid) -> GroupCriterionVerdict:
+def check_dual_k_partial_action_criterion(lf: LambdaFunctional, G: FiniteGroupoid,
+                                          partial: bool | None = None) -> GroupCriterionVerdict:
     """For the dual groupoid algebra acting on the ground field through λ:
     partial iff V = {g : λ(p_g) ≠ 0 ≠ λ(p_{g⁻¹})} is a group, the
-    characteristic does not divide |V|, and λ = (1/|V|)·1_V."""
+    characteristic does not divide |V|, and λ = (1/|V|)·1_V.  ``partial``, when
+    given, is ``check_lambda_partial(lf).ok``."""
     f = lf.hopf.field
     return _group_criterion(lf, G, lambda lam, g: lam[g] and lam[G.inv[g]], lambda size: (
-        f.inv(f.from_int(size)) if size and not f.char_divides(size) else None))
+        f.inv(f.from_int(size)) if size and not f.char_divides(size) else None), partial)
 
 
 # ---------------------------------------------------------------------------
@@ -520,16 +523,18 @@ def to_kG_action(gpa: GroupoidPartialAction) -> ActionTensor:
     return ActionTensor(hopf, C, LEFT, slices)
 
 
-def from_kG_action(act: ActionTensor, G: FiniteGroupoid) -> GroupoidPartialAction:
+def from_kG_action(act: ActionTensor, G: FiniteGroupoid, verdict=None) -> GroupoidPartialAction:
     """Recover the projections and isomorphisms of a partial groupoid action
     from a symmetric partial groupoid-algebra action:
-    P_g(c) = ε(δ_{g⁻¹}·c₁)(δ_{r(g)}·c₂) and θ_g = (δ_g· )∘P_{g⁻¹}."""
+    P_g(c) = ε(δ_{g⁻¹}·c₁)(δ_{r(g)}·c₂) and θ_g = (δ_g· )∘P_{g⁻¹}.  ``verdict``,
+    when given, is ``check_partial_module_coalgebra(act)``."""
     from .actions import _require_coalgebra, check_partial_module_coalgebra
 
     C = _require_coalgebra(act)
     if act.side != LEFT or act.hopf.space.dim != len(G.elements):
         raise ShapeMismatch("expected a left action of the groupoid algebra")
-    verdict = check_partial_module_coalgebra(act)
+    if verdict is None:
+        verdict = check_partial_module_coalgebra(act)
     if not (verdict.is_partial and verdict.is_symmetric):
         raise NotSymmetric("the action is not a symmetric partial module coalgebra")
 

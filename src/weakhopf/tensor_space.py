@@ -89,6 +89,14 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 # so that a 0/1 structure constant over ℚ or GF(p) costs one comparison per
 # term and none per entry; an entry is tested only where the coefficient is
 # not 1, which is where a ℚ product would build a new ``Fraction``.
+#
+# Where every term of one operand meets every term of another and their
+# products merge into few outputs, the terms are grouped by coefficient value
+# first (``Vector.classes``): ``weak_hopf.pointwise_product``, and so axiom (i)
+# and Eq 4.2a/b, sums the products of structure constants of each pair of
+# classes c, d (int additions for 0/1 constants) and scales each entry of that
+# sum by c·d once.  Kernels whose outputs do not merge, such as Δ²'s, gain
+# nothing from it and multiply term by term.
 # ---------------------------------------------------------------------------
 
 def _sparse(coords: Iterable) -> dict:
@@ -197,6 +205,23 @@ class Vector:
         for i, c in self.terms.items():
             out[i] = c
         return tuple(out)
+
+    def classes(self, top: int) -> list:
+        """The terms as (c, {i // top: [i % top, …]}) pairs, one per coefficient
+        value c, built once per ``top``: the operand form of a kernel that scales
+        each class of equal coefficients once (``weak_hopf.pointwise_product``)."""
+        hit = self._classes.get(top)
+        if hit is None:
+            groups = {}
+            for i, c in self.terms.items():
+                f, t = divmod(i, top)
+                groups.setdefault(c, {}).setdefault(f, []).append(t)
+            hit = self._classes[top] = list(groups.items())
+        return hit
+
+    @cached_property
+    def _classes(self) -> dict:
+        return {}
 
     def nonzeros(self) -> list:
         """The (index, coeff) pairs in ascending index order."""
