@@ -139,7 +139,6 @@ def _cmd_check(args) -> int:
         from .partial_actions import (check_dual_k_partial_action_criterion,
                                       check_k_partial_action_group_criterion,
                                       check_lambda_global, check_lambda_partial)
-        from .structures import LEFT
         lf, G, hopf_kind, side = jsonio.lambda_from_json(doc)
         verdict = check_lambda_partial(lf, side)
         reports = [verdict.report]
@@ -149,13 +148,11 @@ def _cmd_check(args) -> int:
         extra.add(CheckResult("symmetric [info]", True, f"holds={verdict.is_symmetric}"))
         extra.add(CheckResult("global [info]", True, f"holds={glob.ok}"))
         reports.append(extra)
-        # both criteria compare with the left verdict, decided above for a left document
-        partial = verdict.ok if side == LEFT else None
         if G is not None and hopf_kind == "kG":
-            reports.append(check_k_partial_action_group_criterion(lf, G, partial)
+            reports.append(check_k_partial_action_group_criterion(lf, G)
                            .report("V-group criterion"))
         elif G is not None and hopf_kind == "kG-dual":
-            reports.append(check_dual_k_partial_action_criterion(lf, G, partial)
+            reports.append(check_dual_k_partial_action_criterion(lf, G)
                            .report("dual V-group criterion"))
         return _print_reports(reports, args.format)
     if kind == "groupoid-action":
@@ -179,7 +176,7 @@ def _cmd_equiv(args) -> int:
         verdict = check_partial_module_coalgebra(act)
         rep.add(CheckResult("to-kG-symmetric-PMC",
                             verdict.is_partial and verdict.is_symmetric))
-        back = from_kG_action(act, gpa.groupoid, verdict)
+        back = from_kG_action(act, gpa.groupoid)
         rep.add(CheckResult("from(to(θ,P)) == (θ,P)", gpa.same_maps(back)))
         act2 = to_kG_action(back)
         rep.add(CheckResult("to(from(action)) == action", act2.slices == act.slices))

@@ -171,7 +171,14 @@ def _lambda_globality(lf: LambdaFunctional, side: str) -> CheckResult:
 
 def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> LambdaVerdict:
     """The functional identities equivalent to λ inducing a partial module
-    coalgebra on every coalgebra, plus the symmetric and globality variants."""
+    coalgebra on every coalgebra, plus the symmetric and globality variants.
+    The verdict is kept on λ, one per side, as ``cached_property`` would."""
+    if (verdict := lf.__dict__.get(f"_{side}_verdict")) is None:
+        verdict = lf.__dict__[f"_{side}_verdict"] = _lambda_partial(lf, side)
+    return verdict
+
+
+def _lambda_partial(lf: LambdaFunctional, side: str) -> LambdaVerdict:
     H = lf.hopf
     f = H.field
     rep = Report(f"{side} partial λ-action conditions")
@@ -252,12 +259,11 @@ def _subset_is_group(G: FiniteGroupoid, V) -> tuple[bool, str | None]:
     return True, None
 
 
-def _group_criterion(lf: LambdaFunctional, G: FiniteGroupoid, in_V, value_on,
-                     partial: bool | None) -> GroupCriterionVerdict:
+def _group_criterion(lf: LambdaFunctional, G: FiniteGroupoid, in_V,
+                     value_on) -> GroupCriterionVerdict:
     """The verdict for V = {g : in_V(λ, g)}, with λ read as a dict on G, when λ
     must be ``value_on(|V|)`` on V and 0 off it; ``value_on`` gives None where
-    the characteristic divides |V|.  ``partial`` is the verdict of the left
-    partial λ-conditions, decided here when None."""
+    the characteristic divides |V|."""
     if lf.hopf.space.dim != len(G.elements):
         raise ShapeMismatch("functional does not live on the (dual) groupoid algebra")
     lam = dict(zip(G.elements, lf.values))
@@ -266,30 +272,28 @@ def _group_criterion(lf: LambdaFunctional, G: FiniteGroupoid, in_V, value_on,
     expected, vset, zero = value_on(len(V)), set(V), lf.hopf.field.zero()
     values_match = expected is not None and all(
         v == (expected if g in vset else zero) for g, v in lam.items())
-    if partial is None:
-        partial = check_lambda_partial(lf).ok
-    return GroupCriterionVerdict(V, is_group, why, values_match, expected is not None, partial)
+    return GroupCriterionVerdict(V, is_group, why, values_match, expected is not None,
+                                 check_lambda_partial(lf).ok)
 
 
-def check_k_partial_action_group_criterion(lf: LambdaFunctional, G: FiniteGroupoid,
-                                           partial: bool | None = None) -> GroupCriterionVerdict:
+def check_k_partial_action_group_criterion(
+        lf: LambdaFunctional, G: FiniteGroupoid) -> GroupCriterionVerdict:
     """For a groupoid algebra acting on the ground field through λ: the action
     is partial iff λ is the indicator of V = {g : λ(δ_g) = 1 = λ(δ_{d(g)})}
-    and V is a group.  ``partial``, when given, is ``check_lambda_partial(lf).ok``."""
+    and V is a group."""
     one = lf.hopf.field.one()
     return _group_criterion(lf, G, lambda lam, g: lam[g] == one == lam[G.d[g]],
-                            lambda size: one, partial)
+                            lambda size: one)
 
 
-def check_dual_k_partial_action_criterion(lf: LambdaFunctional, G: FiniteGroupoid,
-                                          partial: bool | None = None) -> GroupCriterionVerdict:
+def check_dual_k_partial_action_criterion(
+        lf: LambdaFunctional, G: FiniteGroupoid) -> GroupCriterionVerdict:
     """For the dual groupoid algebra acting on the ground field through λ:
     partial iff V = {g : λ(p_g) ≠ 0 ≠ λ(p_{g⁻¹})} is a group, the
-    characteristic does not divide |V|, and λ = (1/|V|)·1_V.  ``partial``, when
-    given, is ``check_lambda_partial(lf).ok``."""
+    characteristic does not divide |V|, and λ = (1/|V|)·1_V."""
     f = lf.hopf.field
     return _group_criterion(lf, G, lambda lam, g: lam[g] and lam[G.inv[g]], lambda size: (
-        f.inv(f.from_int(size)) if size and not f.char_divides(size) else None), partial)
+        f.inv(f.from_int(size)) if size and not f.char_divides(size) else None))
 
 
 # ---------------------------------------------------------------------------
@@ -523,18 +527,16 @@ def to_kG_action(gpa: GroupoidPartialAction) -> ActionTensor:
     return ActionTensor(hopf, C, LEFT, slices)
 
 
-def from_kG_action(act: ActionTensor, G: FiniteGroupoid, verdict=None) -> GroupoidPartialAction:
+def from_kG_action(act: ActionTensor, G: FiniteGroupoid) -> GroupoidPartialAction:
     """Recover the projections and isomorphisms of a partial groupoid action
     from a symmetric partial groupoid-algebra action:
-    P_g(c) = ε(δ_{g⁻¹}·c₁)(δ_{r(g)}·c₂) and θ_g = (δ_g· )∘P_{g⁻¹}.  ``verdict``,
-    when given, is ``check_partial_module_coalgebra(act)``."""
+    P_g(c) = ε(δ_{g⁻¹}·c₁)(δ_{r(g)}·c₂) and θ_g = (δ_g· )∘P_{g⁻¹}."""
     from .actions import _require_coalgebra, check_partial_module_coalgebra
 
     C = _require_coalgebra(act)
     if act.side != LEFT or act.hopf.space.dim != len(G.elements):
         raise ShapeMismatch("expected a left action of the groupoid algebra")
-    if verdict is None:
-        verdict = check_partial_module_coalgebra(act)
+    verdict = check_partial_module_coalgebra(act)
     if not (verdict.is_partial and verdict.is_symmetric):
         raise NotSymmetric("the action is not a symmetric partial module coalgebra")
 

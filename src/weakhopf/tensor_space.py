@@ -206,17 +206,21 @@ class Vector:
             out[i] = c
         return tuple(out)
 
-    def classes(self, top: int) -> list:
-        """The terms as (c, {i // top: [i % top, …]}) pairs, one per coefficient
-        value c, built once per ``top``: the operand form of a kernel that scales
-        each class of equal coefficients once (``weak_hopf.pointwise_product``)."""
+    def classes(self, top: int) -> tuple:
+        """The coefficient values [c₀, c₁, …] and the terms as {i // top: [(k,
+        [i % top, …]), …]}, grouped by first leg and then by the class k of equal
+        coefficients c_k, built once per ``top``: the operand form of a kernel
+        that scales each class once (``weak_hopf.pointwise_product``)."""
         hit = self._classes.get(top)
         if hit is None:
-            groups = {}
+            values, index, first = [], {}, {}
             for i, c in self.terms.items():
+                if (k := index.get(c)) is None:
+                    k = index[c] = len(values)
+                    values.append(c)
                 f, t = divmod(i, top)
-                groups.setdefault(c, {}).setdefault(f, []).append(t)
-            hit = self._classes[top] = list(groups.items())
+                first.setdefault(f, {}).setdefault(k, []).append(t)
+            hit = self._classes[top] = values, {f: list(g.items()) for f, g in first.items()}
         return hit
 
     @cached_property

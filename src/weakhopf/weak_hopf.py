@@ -40,22 +40,24 @@ def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vec
     """Componentwise product (a1⊗...⊗ak)(b1⊗...⊗bk) = a1b1 ⊗ ... ⊗ akbk in H^⊗power,
     extended bilinearly as Σ_{c,d} c·d·Σ m(x₁,y₁)⊗...⊗m(x_k,y_k), the inner sum over
     the terms of x with coefficient c and of y with coefficient d: each pair of
-    classes sums its products of structure constants (ints for 0/1 constants) and
-    scales each entry of that sum by c·d once.  Pairs of terms whose first factors
-    multiply to zero are skipped."""
+    classes that meets sums its products of structure constants (ints for 0/1
+    constants) and scales each entry of that sum by c·d once.  Pairs of terms
+    whose first factors multiply to zero are skipped."""
     n, m, top = alg.space.dim, alg.mul.cols, alg.space.dim ** (power - 1)
     p, stride = alg.field.characteristic, top // n     # place value of leg 2 in t
     if x.space != y.space or x.space.dim != n ** power:
         raise ShapeMismatch("operands must live in the same tensor power of H")
-    out, ys = {}, y.classes(top)
-    for c, x_first in x.classes(top):
-        for d, y_first in ys:
-            acc = {}
-            for f, ts in x_first.items():
-                for f2 in alg.nonzero_products[f]:
-                    if (t2s := y_first.get(f2)) is None:
-                        continue
-                    head = m[f * n + f2].items()
+    (xv, x_first), (yv, y_first) = x.classes(top), y.classes(top)
+    ny, sums = len(yv), {}   # class pair kx·ny + ky → its sums of structure constants
+    for f, xs in x_first.items():
+        for f2 in alg.nonzero_products[f]:
+            if (ys := y_first.get(f2)) is None:
+                continue
+            head = m[f * n + f2].items()
+            for kx, ts in xs:
+                for ky, t2s in ys:
+                    if (acc := sums.get(kx * ny + ky)) is None:
+                        acc = sums[kx * ny + ky] = {}
                     for t in ts:
                         for t2 in t2s:
                             tail = m[t // stride % n * n + t2 // stride % n]   # legs 2..power
@@ -66,13 +68,18 @@ def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vec
                                 for k, v in tail.items():
                                     prev, uv = acc.get(base + k), u * v
                                     acc[base + k] = uv if prev is None else prev + uv
-            cd = d if c == 1 else c if d == 1 else c * d
-            if cd == 1 and not out:   # the sums are the entries
-                out = acc
-                continue
-            for k, a in acc.items():
-                prev, w = out.get(k), cd if a == 1 else a if cd == 1 else a * cd
-                out[k] = w if prev is None else prev + w
+    out = {}
+    for key, acc in sums.items():
+        if not acc:
+            continue
+        c, d = xv[key // ny], yv[key % ny]
+        cd = d if c == 1 else c if d == 1 else c * d
+        if cd == 1 and not out:   # the sums are the entries
+            out = acc
+            continue
+        for k, a in acc.items():
+            prev, w = out.get(k), cd if a == 1 else a if cd == 1 else a * cd
+            out[k] = w if prev is None else prev + w
     return Vector(x.space, _reduced(out, p) if p else {i: s for i, s in out.items() if s})
 
 

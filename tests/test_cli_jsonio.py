@@ -272,27 +272,17 @@ def test_cli_equiv_decides_the_pmc_verdict_once(tmp_path, capsys, monkeypatch):
     assert len(calls) == 1
 
 
-def test_cli_equiv_evaluates_the_pmc_conditions_once(tmp_path, capsys, monkeypatch):
-    import weakhopf.actions
-    from weakhopf.actions import check_partial_module_coalgebra
-
-    # the verdict printed as to-kG-symmetric-PMC is the one from_kG_action requires
-    calls = _counting(monkeypatch, check_partial_module_coalgebra, weakhopf.actions)
-    assert main(["equiv", write(tmp_path, "gpa.json", gpa_to_json(two_object_gpa(QQ)))]) == 0
-    assert len(calls) == 1
-
-
 @pytest.mark.parametrize("hopf_kind, side, expected", [
     ("kG", "left", 1), ("kG-dual", "left", 1), ("kG", "right", 2)])
 def test_cli_check_lambda_evaluates_the_left_conditions_once(
         tmp_path, capsys, monkeypatch, hopf_kind, side, expected):
     import weakhopf.partial_actions
     from weakhopf import dual_groupoid_algebra
-    from weakhopf.partial_actions import check_lambda_partial
+    from weakhopf.partial_actions import _lambda_partial
 
-    # the V-group criteria compare with the left verdict; only a right document
-    # needs it decided beside its own
-    calls = _counting(monkeypatch, check_lambda_partial, weakhopf.partial_actions)
+    # the V-group criteria compare with the left verdict, which check_lambda_partial
+    # keeps on λ; only a right document needs it decided beside its own
+    calls = _counting(monkeypatch, _lambda_partial, weakhopf.partial_actions)
     G = two_object_iso_groupoid()
     H = (groupoid_algebra if hopf_kind == "kG" else dual_groupoid_algebra)(G, QQ)
     lam = LambdaFunctional.indicator(H, ["e"])
