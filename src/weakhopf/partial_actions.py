@@ -435,10 +435,13 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
     inv, r, mul, comul, counit = G.inv, G.r, G.mul, C.comul.cols, C.counit.cols
 
     def comp(*maps) -> tuple:
-        """The composite of maps given as column tuples, applied right to left."""
+        """The composite of maps given as column tuples, applied right to left:
+        an empty column passes through, and a zero composite ends the product."""
         out = maps[-1]
         for f in reversed(maps[:-1]):
-            out = tuple(_combine(f, col.items(), p) for col in out)
+            if not any(out):
+                break
+            out = tuple(col and _combine(f, col.items(), p) for col in out)
         return out
 
     def square(f, cols) -> tuple:
@@ -446,11 +449,19 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
         return tuple(_accumulate(((_kron(f[t // m], f[t % m], m, p), c) for t, c in col.items()), p)
                      for col in cols)
 
+    # the composites that two sides share are built once per element or pair
+    # (exact composition is associative): θ_g∘P_{g⁻¹}, θ_h∘P_{(gh)⁻¹}∘P_{h⁻¹},
+    # θ_{g⁻¹}∘θ_g, Δ∘P_g and ε∘P_g
+    th_p = cache(lambda g: comp(TH(g), P(inv[g])))
+    th_p_p = cache(lambda gh: comp(TH(gh[1]), P(inv[mul[gh]]), P(inv[gh[1]])))
+    th_th = cache(lambda g: comp(TH(inv[g]), TH(g)))
+    comul_p, eps_p = (cache(lambda g, f=f: comp(f, P(g))) for f in (comul, counit))
+
     def quasi(g: str, flip: bool) -> tuple:
         """Σ ε(P_g(c₂))P_{r(g)}(c₁), or with the legs of Δ(c) flipped."""
-        eps_p = [col.get(0) for col in comp(counit, P(g))]
-        return tuple(_combine(P(r[g]), [(t[flip], t[2] * eps_p[t[not flip]])
-                                         for t in C.delta_pairs(c) if eps_p[t[not flip]]], p)
+        eps = [col.get(0) for col in eps_p(g)]
+        return tuple(_combine(P(r[g]), [(t[flip], t[2] * eps[t[not flip]])
+                                         for t in C.delta_pairs(c) if eps[t[not flip]]], p)
                      for c in range(m))
 
     sub = cache(gpa.subcoalgebra)       # each C_g is eliminated once
@@ -471,34 +482,31 @@ def validate_groupoid_partial_action(gpa: GroupoidPartialAction) -> Report:
     CC, K = C.comul.codomain.labels, C.counit.codomain.labels     # the labels of C⊗C and k
     elements = G.elements
     comp_pairs = sorted(G.composable)
-    pairs = [(g, h) for a, g in enumerate(elements) for h in elements[a:]]   # Eq 1 is symmetric
-    p_p = cache(lambda gh: comp(P(inv[mul[gh]]), P(inv[gh[1]])))    # Eq 3 and Lemma-(iii)
+    # Eq 1 is symmetric, and it holds at g = h with both sides one composite
+    pairs = [(g, h) for a, g in enumerate(elements) for h in elements[a + 1:]]
     conditions = [
-        ("theta-support", elements, maps(TH, lambda g: comp(TH(g), P(inv[g])))),
+        ("theta-support", elements, maps(TH, th_p)),
         ("(i)-projection", elements, maps(lambda g: comp(P(g), P(g)), P)),
-        ("(i)-comulti", elements, maps(lambda g: square(P(g), comul),
-                                       lambda g: comp(comul, P(g)), CC)),
+        ("(i)-comulti", elements, maps(lambda g: square(P(g), comul), comul_p, CC)),
         ("(i)-quasi-a", elements, maps(lambda g: quasi(g, flip=False), P)),
         ("(i)-quasi-b", elements, maps(lambda g: quasi(g, flip=True), P)),
         ("(ii)-theta-objects", G.identities, maps(TH, P)),
         ("Eq 1", pairs, maps(lambda gh: comp(P(gh[0]), P(gh[1])),
                              lambda gh: comp(P(gh[1]), P(gh[0])))),
-        ("Eq 2", comp_pairs, maps(lambda gh: comp(TH(inv[gh[1]]), P(gh[1]), P(inv[gh[0]])),
-                                  lambda gh: comp(P(inv[mul[gh]]), TH(inv[gh[1]]), P(gh[1])))),
-        ("Eq 3", comp_pairs, maps(lambda gh: comp(TH(gh[0]), TH(gh[1]), p_p(gh)),
-                                  lambda gh: comp(TH(mul[gh]), p_p(gh)))),
+        ("Eq 2", comp_pairs, maps(lambda gh: comp(th_p(inv[gh[1]]), P(inv[gh[0]])),
+                                  lambda gh: comp(P(inv[mul[gh]]), th_p(inv[gh[1]])))),
+        ("Eq 3", comp_pairs, maps(lambda gh: comp(TH(gh[0]), th_p_p(gh)),
+                                  lambda gh: comp(th_p(mul[gh]), P(inv[gh[1]])))),
         ("Eq 4", elements, maps(lambda g: comp(P(r[g]), P(g)), P)),
         ("Lemma-(i)a", elements, maps(lambda g: comp(TH(r[g]), TH(g)), TH)),
         ("Lemma-(i)b", elements, maps(lambda g: comp(TH(r[g]), P(g)), P)),
-        ("Lemma-(ii)a", elements, maps(lambda g: comp(TH(inv[g]), TH(g)), lambda g: P(inv[g]))),
-        ("Lemma-(ii)b", elements, maps(lambda g: comp(TH(g), TH(inv[g])), P)),
-        ("Lemma-(iii)", comp_pairs, maps(lambda gh: comp(P(inv[gh[0]]), TH(gh[1])),
-                                         lambda gh: comp(TH(gh[1]), p_p(gh)))),
+        ("Lemma-(ii)a", elements, maps(th_th, lambda g: P(inv[g]))),
+        ("Lemma-(ii)b", elements, maps(lambda g: th_th(inv[g]), P)),
+        ("Lemma-(iii)", comp_pairs, maps(lambda gh: comp(P(inv[gh[0]]), TH(gh[1])), th_p_p)),
         ("theta-iso", elements, iso_check),
         ("theta-comult", elements, maps(lambda g: comp(comul, TH(g)),
-                                        lambda g: square(TH(g), comp(comul, P(inv[g]))), CC)),
-        ("theta-counit", elements, maps(lambda g: comp(counit, TH(g)),
-                                        lambda g: comp(counit, P(inv[g])), K)),
+                                        lambda g: square(TH(g), comul_p(inv[g])), CC)),
+        ("theta-counit", elements, maps(lambda g: comp(counit, TH(g)), lambda g: eps_p(inv[g]), K)),
     ]
     for label, items, check in conditions:
         rep.add(first_failure(label, ((x, check(x)) for x in items), lambda x: f"at {x}: "))

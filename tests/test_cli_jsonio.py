@@ -264,12 +264,18 @@ def test_cli_dualize_checks_the_action_once(tmp_path, capsys, monkeypatch):
 
 def test_cli_equiv_decides_the_pmc_verdict_once(tmp_path, capsys, monkeypatch):
     import weakhopf.actions
+    from weakhopf import to_kG_action
     from weakhopf.actions import _mc2_check
 
-    # equiv checks the action itself and again inside from_kG_action
-    calls = _counting(monkeypatch, _mc2_check, weakhopf.actions)
-    assert main(["equiv", write(tmp_path, "gpa.json", gpa_to_json(two_object_gpa(QQ)))]) == 0
-    assert len(calls) == 1
+    # a groupoid-action document: equiv checks the action itself and again inside
+    # from_kG_action; an action document: the round trip gives back its slices,
+    # so from_kG_action is not run on them a second time
+    gpa = two_object_gpa(QQ)
+    for doc in (gpa_to_json(gpa), action_to_json(to_kG_action(gpa), gpa.groupoid)):
+        calls = _counting(monkeypatch, _mc2_check, weakhopf.actions)
+        assert main(["equiv", write(tmp_path, "doc.json", doc)]) == 0
+        assert "PASS from(to(θ,P)) == (θ,P)" in capsys.readouterr().out
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("hopf_kind, side, expected", [

@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakhopf import (
     QQ,
@@ -164,3 +166,107 @@ def test_associativity_scan_matches_the_literal_triple_loop(G):
             assert got == expected, (elements, mul)
             failing += expected is not None
     assert failing > 0
+
+
+def _prop_scans(G):
+    """The scans that validate_groupoid once ran after axioms (i)–(iv):
+    consequences of the axioms, re-checked on the accepted groupoid.  The
+    first failing (tag, witness), or None."""
+    elements, mul, inv, d, r = G.elements, G.mul, G.inv, G.d, G.r
+
+    def ex(g, h):
+        return (g, h) in mul
+
+    for e in G.identities:
+        if not (ex(e, e) and mul[e, e] == e and inv[e] == e and d[e] == e and r[e] == e):
+            return "prop-(i)", (e,)
+    for g in elements:
+        candidates = [x for x in elements
+                      if ex(x, g) and mul[x, g] == d[g] and ex(g, x) and mul[g, x] == r[g]]
+        if candidates != [inv[g]] or inv[inv[g]] != g:
+            return "prop-(ii)", (g,)
+    for g, h in itertools.product(elements, repeat=2):
+        if ex(g, h) != (d[g] == r[h]):
+            return "prop-(iii)", (g, h)
+        if ex(g, h):
+            gh = mul[g, h]
+            if d[gh] != d[h] or r[gh] != r[g]:
+                return "prop-(iii)", (g, h)
+            if not ex(inv[h], inv[g]) or mul[inv[h], inv[g]] != inv[gh]:
+                return "prop-(iv)", (g, h)
+    return None
+
+
+def _accepted(elements, mul, inv):
+    """The groupoid validate_groupoid builds from the tables, or None."""
+    try:
+        return validate_groupoid(elements, mul, inv)
+    except AxiomViolation:
+        return None
+
+
+def _one_entry_inverse_corruptions(elements, inv):
+    for g in elements:
+        for x in elements:
+            if inv[g] != x:
+                yield {**inv, g: x}
+
+
+@pytest.mark.parametrize("G", [trivial_groupoid(2), cyclic_group_groupoid(3),
+                               disjoint_union_of_cyclic([2, 3]), two_object_iso_groupoid()],
+                         ids=["trivial-2", "Z3", "Z2+Z3", "two-object-iso"])
+def test_no_table_passing_the_axioms_fails_their_consequences(G):
+    """Every table that passes axioms (i)–(iv), among the groupoid's own and
+    its one-entry corruptions of mul or of inv in either element order, also
+    passes the consequence scans, so validate_groupoid need not run them."""
+    accepted = 0
+    for elements in (list(G.elements), list(reversed(G.elements))):
+        tables = [(G.mul, G.inv)]
+        tables += [(mul, G.inv) for mul in _one_entry_corruptions(elements, G.mul)]
+        tables += [(G.mul, inv) for inv in _one_entry_inverse_corruptions(elements, G.inv)]
+        for mul, inv in tables:
+            H = _accepted(elements, mul, inv)
+            if H is not None:
+                accepted += 1
+                assert _prop_scans(H) is None, (elements, mul, inv)
+    assert accepted >= 2
+
+
+@st.composite
+def _drawn_tables(draw):
+    """Tables near a groupoid: a disjoint union of products Z/n × (the pair
+    groupoid on k objects), its elements shuffled, then up to two entries of
+    mul or inv changed, removed or added; or a table drawn at random."""
+    if draw(st.booleans()):
+        elements = [f"x{i}" for i in range(draw(st.integers(1, 4)))]
+        pick = st.sampled_from(elements)
+        mul = draw(st.dictionaries(st.tuples(pick, pick), pick))
+        return elements, mul, {g: draw(pick) for g in elements}
+    mul, inv = {}, {}
+    for c, (n, k) in enumerate(draw(st.lists(st.tuples(st.integers(1, 3), st.integers(1, 3)),
+                                             min_size=1, max_size=2))):
+        name = {(i, j, a): f"c{c}:{i}{j}{a}" for i in range(k) for j in range(k) for a in range(n)}
+        for (i, j, a), g in name.items():
+            inv[g] = name[j, i, -a % n]
+            for l, b in itertools.product(range(k), range(n)):
+                mul[g, name[j, l, b]] = name[i, l, (a + b) % n]
+    elements = draw(st.permutations(sorted(inv)))
+    pick = st.sampled_from(elements)
+    for _ in range(draw(st.integers(0, 2))):
+        pair, x = (draw(pick), draw(pick)), draw(pick)
+        edit = draw(st.sampled_from(["set", "remove", "inverse"]))
+        if edit == "set":
+            mul[pair] = x
+        elif edit == "remove":
+            mul.pop(pair, None)
+        else:
+            inv[pair[0]] = x
+    return list(elements), mul, inv
+
+
+@settings(max_examples=300, deadline=None)
+@given(_drawn_tables())
+def test_drawn_tables_passing_the_axioms_pass_their_consequences(tables):
+    H = _accepted(*tables)
+    if H is not None:
+        assert _prop_scans(H) is None, tables

@@ -801,20 +801,47 @@ def reference_validate(gpa):
     return out
 
 
-@settings(max_examples=40, deadline=None)
+def _drawn_kG_action(data, F, G):
+    """A symmetric partial action of kG: the regular one, a λ-indicator action
+    on one object (P_g = 0 off that object) or the regular action induced
+    onto a drawn coordinate subcoalgebra (P_g = 0 where it meets no kept
+    coordinate)."""
+    kind = data.draw(st.sampled_from(["regular", "lambda", "induced"]))
+    H = groupoid_algebra(G, F)
+    if kind == "regular":
+        return regular_action(H)
+    if kind == "lambda":
+        return isotropy_lambda_action(G, F, data.draw(st.sampled_from(G.identities)))[0]
+    keep = data.draw(st.sets(st.sampled_from(H.space.labels), min_size=1))
+    return induce_partial_action(regular_action(H), projector_onto_labels(H.space, keep)).action
+
+
+@settings(max_examples=120, deadline=None)
 @given(fields, st.sampled_from([disjoint_union_of_cyclic([1, 2]), two_object_iso_groupoid()]),
        st.booleans(), st.data())
 def test_groupoid_action_validator_matches_linmap_formulas(F, G, theta, data):
-    gpa = from_kG_action(regular_action(groupoid_algebra(G, F)), G)
+    """On regular, λ-indicator and induced actions, with one entry of one P_g or
+    θ_g changed, a whole P_g or θ_g zeroed, or one entry set in a zero map,
+    every condition's verdict and first witness are the literal composites'."""
+    gpa = from_kG_action(_drawn_kG_action(data, F, G), G)
     maps = dict(gpa.isos if theta else gpa.projections)
-    g = data.draw(st.sampled_from(G.elements))
+    corruption = data.draw(st.sampled_from(["entry", "zero", "nonzero"]))
+    zero = [g for g in G.elements if not any(maps[g].cols)]
+    if corruption == "nonzero" and zero:
+        g = data.draw(st.sampled_from(zero))
+    else:
+        g = data.draw(st.sampled_from(G.elements))
     cols = [dict(col) for col in maps[g].cols]
-    col = cols[data.draw(st.integers(0, len(cols) - 1))]
-    i = data.draw(st.integers(0, gpa.coalgebra.space.dim - 1))
-    v = F.coerce(data.draw(st.sampled_from(ENTRIES[F])))
-    col.pop(i, None)
-    if v:
-        col[i] = v
+    if corruption == "zero":
+        cols = [{} for _ in cols]
+    else:
+        col = cols[data.draw(st.integers(0, len(cols) - 1))]
+        i = data.draw(st.integers(0, gpa.coalgebra.space.dim - 1))
+        v = F.coerce(data.draw(st.sampled_from(ENTRIES[F] if corruption == "entry"
+                                               else [e for e in ENTRIES[F] if e])))
+        col.pop(i, None)
+        if v:
+            col[i] = v
     maps[g] = LinMap(maps[g].domain, maps[g].codomain, cols)
     bad = type(gpa)(G, gpa.coalgebra, gpa.projections if theta else maps,
                     maps if theta else gpa.isos)
