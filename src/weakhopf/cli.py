@@ -193,8 +193,8 @@ def _cmd_equiv(args) -> int:
         same = act2.slices == act.slices
         rep.add(CheckResult("to(from(action)) == action", same))
         # from_kG_action reads only the slices, so equal slices give gpa back
-        back = gpa if same else from_kG_action(act2, G)
-        rep.add(CheckResult("from(to(θ,P)) == (θ,P)", gpa.same_maps(back)))
+        rep.add(CheckResult("from(to(θ,P)) == (θ,P)",
+                            same or gpa.same_maps(from_kG_action(act2, G))))
     else:
         print("whw: expected a groupoid-action or action document", file=sys.stderr)
         return EXIT_BAD_INPUT
