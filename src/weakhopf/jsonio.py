@@ -53,10 +53,14 @@ def _decode(field: Field, *arrays) -> list[list[dict]]:
     scalar string is parsed once per call."""
     leaves = [_leaves(value, shape, path) for value, shape, path, _ in arrays]
     memo, live, out = {}, {}, []   # keyed on strings only, since True == 1 hashes alike
-    for ls, (*_, inner) in zip(leaves, arrays):
+    for ls, (_, shape, path, inner) in zip(leaves, arrays):
         for x in dict.fromkeys(ls):
             if x.__class__ is str and x not in memo:
-                memo[x] = v = field.parse(x)
+                try:
+                    memo[x] = v = field.parse(x)
+                except MalformedInput as exc:   # reported at the first leaf holding x
+                    at = [ls.index(x) // prod(shape[k + 1:]) % n for k, n in enumerate(shape)]
+                    raise MalformedInput(f"{path}{''.join(f'[{i}]' for i in at)}: {exc}") from None
                 live[x] = bool(v)
         cols = [{} for _ in range(len(ls) // inner)]
         for t in compress(count(), map(live.get, ls, repeat(True))):

@@ -100,8 +100,8 @@ def first_failure(label: str, cases: Iterable, where: Callable) -> CheckResult:
 
 def _first_difference(a: dict, b: dict, zero):
     """The smallest index where two sparse coordinate dicts differ, with the
-    two values there, or None if they are equal."""
-    if a == b:
+    two values there, or None if they are equal (at once if they are one dict)."""
+    if a is b or a == b:
         return None
     i = min(k for k in a.keys() | b.keys() if a.get(k, zero) != b.get(k, zero))
     return i, a.get(i, zero), b.get(i, zero)

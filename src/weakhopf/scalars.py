@@ -26,6 +26,7 @@ from .errors import DivisionByZero, FieldMismatch, MalformedInput
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
+_MAX_DIGITS = 4300     # Python's default limit on int ↔ str conversions
 
 
 def _is_prime(n: int) -> bool:
@@ -93,8 +94,13 @@ class RationalField(Field):
         # ASCII [+-]?[0-9]+ goes straight to int; int() alone would also
         # accept '1_0', which Fraction rejects before Python 3.11
         digits = t[1:] if t[:1] in ("+", "-") else t
-        if digits.isascii() and digits.isdigit():
+        if digits.isascii() and digits.isdigit() and len(digits) <= _MAX_DIGITS:
             return int(t)
+        body, _, exp = t.lower().partition("e")     # Fraction makes 10^|exponent| first
+        exp = exp.replace("_", "").lstrip("+-")
+        shift = (int(exp) if len(exp) < 9 else _MAX_DIGITS) if exp.isdecimal() else 0
+        if shift + max(sum(map(str.isdecimal, side)) for side in body.split("/")) > _MAX_DIGITS:
+            raise MalformedInput(f"more than {_MAX_DIGITS} digits in {s[:40]!r}")
         try:
             return _normal(Fraction(t))
         except ZeroDivisionError:

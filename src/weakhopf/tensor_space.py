@@ -15,7 +15,7 @@ Conventions, fixed once for the whole package:
 
 Row-major flattening is associative, so ``(U⊗V)⊗W`` and ``U⊗(V⊗W)`` are the
 same ``FinVec`` and iterated tensor products never need re-bracketing.
-No operation mutates its operands or its result after construction.
+No operation mutates its operands or its result, which a result may alias.
 """
 
 from __future__ import annotations
@@ -82,21 +82,18 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 # ``p`` is the field's characteristic: over GF(p) every stored entry is an int
 # in [1, p), and each kernel reduces the entries it accumulates once, at the
 # end; over ℚ (p = 0) the kernels branch once per call and reduce nothing.
-# The coefficients of ``terms`` may be unreduced.
-#
-# A factor equal to 1 costs no multiply: the other factor is taken as it is.
-# A coefficient that scales a whole column is tested once, before its loop,
-# so that a 0/1 structure constant over ℚ or GF(p) costs one comparison per
-# term and none per entry; an entry is tested only where the coefficient is
-# not 1, which is where a ℚ product would build a new ``Fraction``.
-#
-# Where every term of one operand meets every term of another and their
-# products merge into few outputs, the terms are grouped by coefficient value
-# first (``Vector.classes``): ``weak_hopf.pointwise_product``, and so axiom (i)
-# and Eq 4.2a/b, sums the products of structure constants of each pair of
-# classes c, d (int additions for 0/1 constants) and scales each entry of that
-# sum by c·d once.  Kernels whose outputs do not merge, such as Δ²'s, gain
-# nothing from it and multiply term by term.
+# The coefficients of ``terms`` may be unreduced.  Three rules:
+# * ×1: a factor equal to 1 costs no multiply.  A coefficient that scales a
+#   whole column is tested once, before its loop, so a 0/1 structure constant
+#   costs one comparison per term and none per entry.
+# * shared column: a result that is one stored column times 1 is that column
+#   (``_combine``, ``_accumulate``, ``_scale(a, 1)``, ``_sum(a, {})``), copied
+#   only if a second term arrives and never filtered, since stored columns hold
+#   no zeros and are reduced.  So a result may alias a stored column.
+# * coefficient classes: where all terms of two operands meet and the products
+#   merge into few outputs (``weak_hopf.pointwise_product``: axiom (i), Eq
+#   4.2a/b), ``Vector.classes`` groups each operand's terms by value, and each
+#   sum of structure-constant products is scaled by c·d once.
 # ---------------------------------------------------------------------------
 
 def _sparse(coords: Iterable) -> dict:
@@ -111,7 +108,9 @@ def _reduced(out: dict, p: int) -> dict:
 
 
 def _sum(a: dict, b: dict, p: int) -> dict:
-    """a + b, dropping entries that cancel."""
+    """a + b, dropping entries that cancel: ``a`` itself when b is empty."""
+    if not b:
+        return a
     out = dict(a)
     sums = {k: out.pop(k, 0) + v for k, v in b.items()}
     out.update(_reduced(sums, p) if p else {k: s for k, s in sums.items() if s})
@@ -124,9 +123,9 @@ def _neg(a: dict) -> dict:
 
 
 def _scale(a: dict, s, p: int) -> dict:
-    """s·a for a scalar s already in the field."""
+    """s·a for a scalar s already in the field: ``a`` itself when s = 1."""
     if s == 1:
-        return dict(a)
+        return a
     out = {k: s * v for k, v in a.items()} if s else {}
     return _reduced(out, p) if p else out
 
@@ -134,8 +133,13 @@ def _scale(a: dict, s, p: int) -> dict:
 def _accumulate(terms: Iterable, p: int) -> dict:
     """Σ c·v over the (v, c) pairs of ``terms``, each v a sparse dict: the
     column of a Sweedler sum whose terms are not columns of one map."""
-    out = {}
+    out = shared = {}
     for v, c in terms:
+        if out is shared:   # the first term, or a second after a first v×1
+            if c == 1 and not out:
+                out = shared = v
+                continue
+            out = dict(out)
         if c == 1:
             for i, a in v.items():
                 s = out.get(i)
@@ -144,13 +148,18 @@ def _accumulate(terms: Iterable, p: int) -> dict:
             for i, a in v.items():
                 s, w = out.get(i), c if a == 1 else a * c
                 out[i] = w if s is None else s + w
-    return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
+    return out if out is shared else _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
 def _combine(cols: Sequence[dict], terms: Iterable, p: int) -> dict:
     """Σ c·cols[k] over the (k, c) pairs of ``terms``."""
-    out = {}
+    out = shared = {}
     for k, c in terms:
+        if out is shared:
+            if c == 1 and not out:
+                out = shared = cols[k]
+                continue
+            out = dict(out)
         if c == 1:
             for i, a in cols[k].items():
                 s = out.get(i)
@@ -159,7 +168,7 @@ def _combine(cols: Sequence[dict], terms: Iterable, p: int) -> dict:
             for i, a in cols[k].items():
                 s, w = out.get(i), c if a == 1 else a * c
                 out[i] = w if s is None else s + w
-    return _reduced(out, p) if p else {i: s for i, s in out.items() if s}
+    return out if out is shared else _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
 def _kron(a: dict, b: dict, dim: int, p: int) -> dict:
