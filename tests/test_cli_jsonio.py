@@ -565,6 +565,27 @@ MALFORMED += [
 ]
 
 
+# a scalar whose numerator or denominator would pass Python's 4,300-digit int-string
+# limit is refused before Fraction builds 10^|exponent|, and named with its JSON path
+HOSTILE_SCALARS = {"exponent": "1e100000000", "negative-exponent": "1e-100000000",
+                   "underscored-exponent": "1e1_0000_0000", "5000-digit-integer": "7" * 5000,
+                   "5000-digit-denominator": "1/" + "7" * 5000}
+
+MALFORMED += [
+    (f"scalar-{name}", "weak-hopf",
+     lambda x=x: _edit(_kG_doc(), lambda d: d["antipode"][1].__setitem__(2, x)),
+     "MalformedInput: antipode[1][2]: more than 4300 digits in ")
+    for name, x in HOSTILE_SCALARS.items()
+] + [
+    ("scalar-exponent-in-mul", "identities",
+     lambda: _edit(_kG_doc(), lambda d: d["mul"][2][0].__setitem__(1, "1e100000000")),
+     "mul[2][0][1]: more than 4300 digits in '1e100000000'"),
+    ("zero-denominator-path", "weak-hopf",
+     lambda: _edit(_kG_doc(), lambda d: d["counit"].__setitem__(2, "1/0")),
+     "counit[2]: zero denominator"),
+]
+
+
 @pytest.mark.parametrize("name,kind,build,where", MALFORMED, ids=[m[0] for m in MALFORMED])
 def test_cli_malformed_input_exits_3_with_one_line(tmp_path, capsys, name, kind, build, where):
     path = write(tmp_path, f"{name}.json", build())
@@ -583,6 +604,20 @@ def test_cli_zero_denominator_in_a_child_process(tmp_path):
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 3
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", HOSTILE_SCALARS)
+def test_a_hostile_scalar_exits_3_in_a_child_process_within_2_seconds(tmp_path, name):
+    x = HOSTILE_SCALARS[name]
+    path = write(tmp_path, "bad.json", _edit(_kG_doc(), lambda d: d["counit"].__setitem__(0, x)))
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    start = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", "check", "weak-hopf", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert time.perf_counter() - start < 2
+    assert proc.returncode == 3 and len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("whw: malformed input: MalformedInput: counit[0]: more than")
 
 
 @pytest.mark.parametrize("name", BAD_GROUPS)

@@ -24,6 +24,8 @@ from weakhopf.tensor_space import (
     _accumulate,
     _combine,
     _kron,
+    _scale,
+    _sum,
     swap_map,
     tensor_product,
 )
@@ -493,6 +495,34 @@ def test_kernel_shortcuts_match_dense_literal_sums(F, data):
 
     rows = data.draw(st.lists(st.lists(coeff, min_size=dim, max_size=dim), min_size=1, max_size=4))
     assert rref(rows, F) == _literal_rref(rows, F)
+
+
+@pytest.mark.parametrize("F", [QQ, GF7], ids=["Q", "GF7"])
+def test_a_kernel_result_that_is_one_stored_column_is_that_column(F):
+    """One term with coefficient exactly 1 gives its column itself; any other sum
+    is a new dict, and no kernel changes an operand."""
+    p = F.characteristic
+    a, b, zero = {0: F.coerce(2), 2: F.one()}, {1: F.coerce(3), 2: F.coerce(-1)}, {}
+    cols = [a, b, zero]
+    before = [dict(c) for c in cols]
+    assert _combine(cols, [(0, 1)], p) is a and _accumulate([(a, 1)], p) is a
+    assert p or _combine(cols, [(0, Fraction(1))], p) is a     # an integral Fraction 1 is 1
+    assert _scale(a, F.one(), p) is a and _sum(a, {}, p) is a
+    assert _combine(cols, [], p) == {} and _accumulate([], p) == {}
+    assert _combine(cols, [(2, 1), (1, 1)], p) is b         # 0 + b is b
+    for terms in ([(0, 1), (1, 1)], [(1, 1), (0, 1)], [(0, 1), (2, 1)], [(0, 2)],
+                  [(0, 1), (0, -1)], [(1, 1), (1, 1), (0, 3)]):
+        got = _combine(cols, terms, p)
+        assert got == _accumulate([(cols[k], c) for k, c in terms], p)
+        assert all(got is not c for c in cols)
+        assert got == {i: v for i in range(3)
+                       if (v := F.coerce(sum(c * cols[k].get(i, 0) for k, c in terms)))}
+    if p:   # an unreduced coefficient ≡ 1 is scaled and reduced, not shared
+        got = _combine(cols, [(0, p + 1)], p)
+        assert got == a and got is not a
+    for got in (_scale(a, F.coerce(2), p), _sum(a, b, p), _sum(zero, b, p)):
+        assert all(got is not c for c in cols)
+    assert cols == before
 
 
 # -- structure-level guards against mixing ℚ and GF(p) ------------------------------
