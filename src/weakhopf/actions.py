@@ -156,23 +156,25 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
                         (C.field, lambda k, r: (dom.labels[k], CC[r])))
 
 
-def _pair_checks(act: ActionTensor, checks: dict) -> list[CheckResult]:
+def _pair_checks(act: ActionTensor, checks: dict, witness=None) -> list[CheckResult]:
     """Compare the columns of the iterated action h_i·(h_j·–) (resp.
     (–↼h_i)↼h_j) of each basis pair with ``rhs(i, j)`` for every ``label: rhs``
     of ``checks``, in one scan that builds each composite once; each check
-    reports its own smallest failing pair and is not evaluated past it."""
+    reports its own smallest failing pair and is not evaluated past it.  The
+    text after the pair in a failure's witness is ``witness(lhs, rhs)`` of its
+    two column tuples, by default the first differing entry."""
     H, left, found = act.hopf.space, act.side == LEFT, {}
     s, p, labels = [t.cols for t in act.slices], act.space.field.characteristic, act.space.labels
     where = (act.space.field, lambda j, i: (labels[j], labels[i]))
+    witness = witness or (lambda lhs, rhs: f"; {compare_maps('', lhs, rhs, where).witness}")
     for i, j in ((i, j) for i in range(H.dim) for j in range(H.dim)):
         if len(found) == len(checks):
             break
         outer, inner = (s[i], s[j]) if left else (s[j], s[i])
-        lhs = tuple(_combine(outer, col.items(), p) for col in inner)
+        lhs = tuple(col and _combine(outer, col.items(), p) for col in inner)
         for label, rhs in checks.items():
             if label not in found and lhs != (r := rhs(i, j)):
-                witness = compare_maps("", lhs, r, where).witness
-                found[label] = CheckResult(label, False, f"{_pair_label(H, i, j)}; {witness}")
+                found[label] = CheckResult(label, False, _pair_label(H, i, j) + witness(lhs, r))
     return [found.get(label) or CheckResult(label, True) for label in checks]
 
 

@@ -322,10 +322,14 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
     onto a subcoalgebra D = π(C): the candidate action is h⊗d ↦ π(h▷d).
 
     The report records the two conditions equivalent to the candidate being
-    a partial action, (π⊗π)Δ(h▷d) = Δ(π(h▷d)) and the counit-weighted
-    composition rule, plus the symmetric variant.
+    a partial action: (i) (π⊗π)Δ(h▷d) = Δ(π(h▷d)), as two composite maps
+    D → C⊗C per h, and (ii) the counit-weighted composition rule, which with
+    its symmetric variant is PMC3 of the candidate, decided in the action
+    pair scan.  D is a subcoalgebra and ι is injective, so a case fails in D
+    coordinates iff it fails in C coordinates, where its witness is written.
     """
-    from .actions import ActionTensor, _require_coalgebra, check_module_coalgebra
+    from .actions import (ActionTensor, _pair_checks, _pmc3_rhs, _require_coalgebra,
+                          check_module_coalgebra)
 
     C = _require_coalgebra(global_act)
     if global_act.side != LEFT:
@@ -343,44 +347,28 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
     incl = LinMap.from_images(dspace, C.space, d_vectors)
     back = left_inverse_on_image(incl)
     D = C.restrict(incl, back)
+    # π∘(h_i·–)∘ι, and the action in D coordinates: back∘π∘(h_i·–)∘ι
+    moved = [proj @ (s @ incl) for s in global_act.slices]
+    induced = ActionTensor(H, D, LEFT, [back @ s for s in moved])
 
     rep = Report("induced partial action conditions")
-    n, m, p = H.space.dim, C.space.dim, C.field.characteristic
-    pp = proj.tensor(proj)
+    squared, where = proj.tensor(proj) @ C.comul, (C.field, C.comul.codomain.labels.__getitem__)
     rep.add(first_failure("(i)", (
-        ((i, d), compare_vectors("", pp.apply(C.delta(moved)), C.delta(proj.apply(moved))))
-        for i in range(n) for d in d_vectors for moved in (global_act.slices[i].apply(d),)),
-        lambda c: f"h={H.space.labels[c[0]]}, d={c[1].describe()}; "))
+        ((i, d), compare_vectors("", a, b, where))
+        for i, s in enumerate(global_act.slices)
+        for d, (a, b) in enumerate(zip((squared @ (s @ incl)).cols, (C.comul @ moved[i]).cols))),
+        lambda c: f"h={H.space.labels[c[0]]}, d={d_vectors[c[1]].describe()}; "))
 
-    # ε(π(h_q·e_b)) and π(h_i h_p·e_a), the two legs of the correction side
-    eps_pi = [{b: col[0] for b, col in enumerate((C.counit @ proj @ s).cols) if col}
-              for s in global_act.slices]
-    pi_prod = [(proj @ s).cols for s in global_act.product_slices]
-    pi_sl = [proj @ s for s in global_act.slices]
+    def witness(lhs: tuple, rhs: tuple) -> str:
+        """The first failing d, with its columns mapped back into C by ι."""
+        d = next(d for d, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
+        diff = compare_vectors("", *(incl.apply(Vector(dspace, side[d])) for side in (lhs, rhs)))
+        return f", d={d_vectors[d].describe()}; {diff.witness}"
 
-    def condition_two(label: str, symmetric: bool) -> CheckResult:
-        """π(h·π(k·d)) = π(hk₁·d₁)ε(π(k₂·d₂)), sym ε(π(k₁·d₁))π(hk₂·d₂):
-        ``eps_leg`` is the leg of Δ(d) and Δ(k) under ε."""
-        eps_leg = 0 if symmetric else 1
-
-        def rhs(i: int, j: int, d: Vector) -> dict:
-            dpairs = [(flat // m, flat % m, c) for flat, c in C.delta(d).terms.items()]
-            return _accumulate((
-                (pi_prod[i * n + hp[1 - eps_leg]][dp[1 - eps_leg]], dp[2] * hp[2] * s)
-                for dp in dpairs for hp in H.coalg.delta_pairs(j)
-                if (s := eps_pi[hp[eps_leg]].get(dp[eps_leg]))), p)
-
-        return first_failure(label, (
-            ((i, j, d), compare_vectors("", pi_sl[i].apply(pi_sl[j].apply(d)),
-                                        Vector(C.space, rhs(i, j, d))))
-            for i in range(n) for j in range(n) for d in d_vectors),
-            lambda c: f"{_pair_label(H.space, c[0], c[1])}, d={c[2].describe()}; ")
-
-    rep.add(condition_two("(ii)", symmetric=False))
-    symmetric = condition_two("symmetric", symmetric=True)
-
-    # the action in D coordinates: back∘π∘(h_i·–)∘ι
-    induced = ActionTensor(H, D, LEFT, [back @ (s @ incl) for s in pi_sl])
+    two, symmetric = _pair_checks(induced, {"(ii)": _pmc3_rhs(induced, symmetric=False),
+                                            "symmetric": _pmc3_rhs(induced, symmetric=True)},
+                                  witness)
+    rep.add(two)
     return InducedActionResult(induced, rep, symmetric, D, incl)
 
 

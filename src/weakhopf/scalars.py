@@ -42,6 +42,15 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _refuse_long(s: str, body: str, shift: int = 0) -> None:
+    """Refuse the scalar ``s`` if a side of "/" in its ``body``, with ``shift``
+    digits more for a decimal exponent, would pass Python's int ↔ str limit,
+    which raises a ValueError that names no JSON path."""
+    if len(body) + shift > _MAX_DIGITS and shift + max(
+            sum(map(str.isdecimal, side)) for side in body.split("/")) > _MAX_DIGITS:
+        raise MalformedInput(f"more than {_MAX_DIGITS} digits in {s[:40]!r}")
+
+
 class Field:
     """A ground field: scalar factory plus the operations that Python's own
     operators on its scalars do not provide (inversion, reduction, parsing
@@ -99,8 +108,7 @@ class RationalField(Field):
         body, _, exp = t.lower().partition("e")     # Fraction makes 10^|exponent| first
         exp = exp.replace("_", "").lstrip("+-")
         shift = (int(exp) if len(exp) < 9 else _MAX_DIGITS) if exp.isdecimal() else 0
-        if shift + max(sum(map(str.isdecimal, side)) for side in body.split("/")) > _MAX_DIGITS:
-            raise MalformedInput(f"more than {_MAX_DIGITS} digits in {s[:40]!r}")
+        _refuse_long(s, body, shift)
         try:
             return _normal(Fraction(t))
         except ZeroDivisionError:
@@ -145,14 +153,15 @@ class PrimeField(Field):
         return pow(a, self.p - 2, self.p)
 
     def parse(self, s: str):
-        s = s.strip()
-        if s.endswith(f"mod {self.p}"):
-            s = s[: -len(f"mod {self.p}")].strip()
-        num, _, den = s.partition("/")
+        t = s.strip()
+        if t.endswith(f"mod {self.p}"):
+            t = t[: -len(f"mod {self.p}")].strip()
+        _refuse_long(s, t)
+        num, _, den = t.partition("/")
         if not den:
             return int(num) % self.p
         if int(den) % self.p == 0:
-            raise MalformedInput(f"zero denominator in {s!r} over GF({self.p})")
+            raise MalformedInput(f"zero denominator in {t!r} over GF({self.p})")
         return int(num) * self.inv(int(den)) % self.p
 
     def fmt(self, a) -> str:

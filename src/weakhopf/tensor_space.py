@@ -445,7 +445,7 @@ class LinMap:
             raise ShapeMismatch("composition shape mismatch")
         cols, p = self.cols, self.domain.field.characteristic
         return LinMap(other.domain, self.codomain,
-                      [_combine(cols, col.items(), p) for col in other.cols])
+                      [col and _combine(cols, col.items(), p) for col in other.cols])
 
     def __add__(self, other: "LinMap") -> "LinMap":
         if other.domain != self.domain or other.codomain != self.codomain:

@@ -583,6 +583,9 @@ MALFORMED += [
     ("zero-denominator-path", "weak-hopf",
      lambda: _edit(_kG_doc(), lambda d: d["counit"].__setitem__(2, "1/0")),
      "counit[2]: zero denominator"),
+    ("gf-scalar-5000-digit-integer", "weak-hopf",
+     lambda: _edit(_kG_doc(PrimeField(7)), lambda d: d["antipode"][1].__setitem__(0, "7" * 5000)),
+     "MalformedInput: antipode[1][0]: more than 4300 digits in '7777"),
 ]
 
 
@@ -606,10 +609,12 @@ def test_cli_zero_denominator_in_a_child_process(tmp_path):
     assert len(proc.stderr.splitlines()) == 1 and "Traceback" not in proc.stderr
 
 
-@pytest.mark.parametrize("name", HOSTILE_SCALARS)
+@pytest.mark.parametrize("name", [*HOSTILE_SCALARS, "GF7-5000-digit-integer"])
 def test_a_hostile_scalar_exits_3_in_a_child_process_within_2_seconds(tmp_path, name):
-    x = HOSTILE_SCALARS[name]
-    path = write(tmp_path, "bad.json", _edit(_kG_doc(), lambda d: d["counit"].__setitem__(0, x)))
+    field = PrimeField(7) if name.startswith("GF7-") else QQ
+    x = HOSTILE_SCALARS[name.removeprefix("GF7-")]
+    path = write(tmp_path, "bad.json",
+                 _edit(_kG_doc(field), lambda d: d["counit"].__setitem__(0, x)))
     src = os.path.dirname(os.path.dirname(weakhopf.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     start = time.perf_counter()

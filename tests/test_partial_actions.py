@@ -1,5 +1,7 @@
+import itertools
 import random
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -56,6 +58,7 @@ from weakhopf import (
     to_kG_action,
     trivial_groupoid,
     two_object_iso_groupoid,
+    validate_groupoid,
     validate_groupoid_partial_action,
 )
 from weakhopf.errors import (
@@ -66,8 +69,9 @@ from weakhopf.errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from weakhopf.report import CheckResult, compare_maps, compare_vectors, first_failure
-from weakhopf.tensor_space import Subspace
+from weakhopf.report import CheckResult, Report, compare_maps, compare_vectors, first_failure
+from weakhopf.structures import _pair_label
+from weakhopf.tensor_space import Subspace, _accumulate, left_inverse_on_image, swap_map
 
 
 # -- global module coalgebras -------------------------------------------------
@@ -306,6 +310,127 @@ def test_induce_rejects_non_subcoalgebra_image():
     proj = projector_onto_labels(H.space, ["0"])
     with pytest.raises(NotSubcoalgebra):
         induce_partial_action(glob, proj)
+
+
+
+def _reference_induced_report(glob, proj):
+    """Conditions (i), (ii) and "symmetric" of an induced action by the
+    per-vector formulas in C coordinates: for each h, k and basis vector d of
+    D, (π⊗π)Δ(h▷d) = Δ(π(h▷d)) and π(h·π(k·d)) = π(hk₁·d₁)ε(π(k₂·d₂)), resp.
+    ε(π(k₁·d₁))π(hk₂·d₂).  Returns the report's JSON and the symmetric line."""
+    C, H = glob.carrier, glob.hopf
+    d_vectors = Subspace.from_vectors(C.space, proj.columns()).basis_vectors
+    rep = Report("induced partial action conditions")
+    n, m, p = H.space.dim, C.space.dim, C.field.characteristic
+    pp = proj.tensor(proj)
+    rep.add(first_failure("(i)", (
+        ((i, d), compare_vectors("", pp.apply(C.delta(moved)), C.delta(proj.apply(moved))))
+        for i in range(n) for d in d_vectors for moved in (glob.slices[i].apply(d),)),
+        lambda c: f"h={H.space.labels[c[0]]}, d={c[1].describe()}; "))
+    eps_pi = [{b: col[0] for b, col in enumerate((C.counit @ proj @ s).cols) if col}
+              for s in glob.slices]
+    pi_prod = [(proj @ s).cols for s in glob.product_slices]
+    pi_sl = [proj @ s for s in glob.slices]
+
+    def condition_two(label, symmetric):
+        eps_leg = 0 if symmetric else 1
+
+        def rhs(i, j, d):
+            dpairs = [(flat // m, flat % m, c) for flat, c in C.delta(d).terms.items()]
+            return _accumulate((
+                (pi_prod[i * n + hp[1 - eps_leg]][dp[1 - eps_leg]], dp[2] * hp[2] * s)
+                for dp in dpairs for hp in H.coalg.delta_pairs(j)
+                if (s := eps_pi[hp[eps_leg]].get(dp[eps_leg]))), p)
+
+        return first_failure(label, (
+            ((i, j, d), compare_vectors("", pi_sl[i].apply(pi_sl[j].apply(d)),
+                                        Vector(C.space, rhs(i, j, d))))
+            for i in range(n) for j in range(n) for d in d_vectors),
+            lambda c: f"{_pair_label(H.space, c[0], c[1])}, d={c[2].describe()}; ")
+
+    rep.add(condition_two("(ii)", symmetric=False))
+    return rep.to_json(), condition_two("symmetric", symmetric=True).line()
+
+
+def _s3_groupoid():
+    """S_3 as a one-object groupoid: on (kS_3)*, Δ is not cocommutative and has
+    the sign character as a grouplike, so (ii) and "symmetric" can differ."""
+    perms = list(itertools.permutations(range(3)))
+    name = {q: "s" + "".join(map(str, q)) for q in perms}
+    return validate_groupoid(
+        list(name.values()),
+        {(name[a], name[b]): name[tuple(a[b[i]] for i in range(3))] for a in perms for b in perms},
+        {name[a]: name[tuple(a.index(i) for i in range(3))] for a in perms})
+
+
+INDUCING_GROUPOIDS = [cyclic_group_groupoid(2), cyclic_group_groupoid(3),
+                      disjoint_union_of_cyclic([1, 2]), two_object_iso_groupoid(),
+                      _s3_groupoid()]
+
+
+@cache
+def _inducing_actions(F):
+    """The regular and antipode-twisted actions of kG and (kG)* on themselves
+    that are global module coalgebras (the twisted one needs Δ cocommutative)."""
+    out = []
+    for G, build in itertools.product(INDUCING_GROUPOIDS, (groupoid_algebra,
+                                                          dual_groupoid_algebra)):
+        H = build(G, F)
+        out += [act for act in (regular_action(H), antipode_twisted_action(H))
+                if check_module_coalgebra(act).ok]
+    return out
+
+
+@cache
+def _coordinate_subcoalgebras(C):
+    """The nonempty sets of basis indices whose span is a subcoalgebra."""
+    m = C.space.dim
+    return [K for r in range(1, m + 1) for K in itertools.combinations(range(m), r)
+            if all(a in K and b in K for k in K for a, b, _ in C.delta_pairs(k))]
+
+
+@cache
+def _small_grouplikes(C):
+    """The grouplikes of C with every coordinate in {0, ±1}, and for dim C ≤ 4
+    also in {±2, ±4}: over GF(7) these reach the characters of Z/3."""
+    small = (0, 1, -1) + ((2, -2, 4, -4) if C.space.dim <= 4 else ())
+    values = sorted({C.field.coerce(x) for x in small}, key=str)
+    return [v for coords in itertools.product(values, repeat=C.space.dim)
+            if not (v := Vector.from_coords(C.space, coords)).is_zero
+            and C.delta(v) == v.tensor(v)]
+
+
+def _drawn_projection(data, C):
+    """A coordinate projector onto a subcoalgebra, or a projector onto the
+    span of drawn grouplikes v_1..v_r (a subcoalgebra) whose kernel is
+    drawn too: π = V∘(G + F - F∘V∘G) for V: k^r → C the inclusion, G a left
+    inverse of V and F drawn, so that (G + F - F∘V∘G)∘V = id.  With r = 1 this
+    is π = v·f, f(v) = 1.  (kG)* of two_object_iso has no grouplike."""
+    grouplikes = _small_grouplikes(C)
+    if not grouplikes or data.draw(st.booleans()):
+        K = data.draw(st.sampled_from(_coordinate_subcoalgebras(C)))
+        return projector_onto_labels(C.space, [C.space.labels[k] for k in K])
+    chosen = sorted(data.draw(st.sets(st.sampled_from(range(len(grouplikes))), min_size=1)))
+    V = LinMap.from_images(space(C.field, len(chosen), "r"), C.space,
+                           [grouplikes[i] for i in chosen])
+    G, F = left_inverse_on_image(V), draw_map(data, C.space, V.domain)
+    return V @ (G + F - F @ V @ G)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fields, st.data())
+def test_induced_report_matches_the_per_vector_formulas(F, data):
+    """The report (labels, verdicts and witnesses) and the symmetric line of
+    ``induce_partial_action`` are those of the per-vector formulas in C
+    coordinates, on passing and failing projections."""
+    # half the draws from carriers whose Δ is not cocommutative, where the
+    # witnesses of (ii) and "symmetric" can differ
+    cocommutative = data.draw(st.booleans())
+    glob = data.draw(st.sampled_from([act for act in _inducing_actions(F) if cocommutative == (
+        swap_map(act.space, act.space) @ act.carrier.comul == act.carrier.comul)]))
+    proj = _drawn_projection(data, glob.carrier)
+    res = induce_partial_action(glob, proj)
+    assert (res.report.to_json(), res.symmetric.line()) == _reference_induced_report(glob, proj)
 
 
 # -- groupoid partial actions -------------------------------------------------
