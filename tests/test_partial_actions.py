@@ -312,7 +312,6 @@ def test_induce_rejects_non_subcoalgebra_image():
         induce_partial_action(glob, proj)
 
 
-
 def _reference_induced_report(glob, proj):
     """Conditions (i), (ii) and "symmetric" of an induced action by the
     per-vector formulas in C coordinates: for each h, k and basis vector d of
@@ -354,7 +353,8 @@ def _reference_induced_report(glob, proj):
 
 def _s3_groupoid():
     """S_3 as a one-object groupoid: on (kS_3)*, Δ is not cocommutative and has
-    the sign character as a grouplike, so (ii) and "symmetric" can differ."""
+    the sign character as a grouplike, so the witnesses of (ii) and
+    "symmetric" can differ."""
     perms = list(itertools.permutations(range(3)))
     name = {q: "s" + "".join(map(str, q)) for q in perms}
     return validate_groupoid(
@@ -403,8 +403,8 @@ def _small_grouplikes(C):
 def _drawn_projection(data, C):
     """A coordinate projector onto a subcoalgebra, or a projector onto the
     span of drawn grouplikes v_1..v_r (a subcoalgebra) whose kernel is
-    drawn too: π = V∘(G + F - F∘V∘G) for V: k^r → C the inclusion, G a left
-    inverse of V and F drawn, so that (G + F - F∘V∘G)∘V = id.  With r = 1 this
+    drawn too: π = V∘(L + F - F∘V∘L) for V: k^r → C the inclusion, L a left
+    inverse of V and F drawn, so that (L + F - F∘V∘L)∘V = id.  With r = 1 this
     is π = v·f, f(v) = 1.  (kG)* of two_object_iso has no grouplike."""
     grouplikes = _small_grouplikes(C)
     if not grouplikes or data.draw(st.booleans()):
@@ -413,8 +413,8 @@ def _drawn_projection(data, C):
     chosen = sorted(data.draw(st.sets(st.sampled_from(range(len(grouplikes))), min_size=1)))
     V = LinMap.from_images(space(C.field, len(chosen), "r"), C.space,
                            [grouplikes[i] for i in chosen])
-    G, F = left_inverse_on_image(V), draw_map(data, C.space, V.domain)
-    return V @ (G + F - F @ V @ G)
+    L, F = left_inverse_on_image(V), draw_map(data, C.space, V.domain)
+    return V @ (L + F - F @ V @ L)
 
 
 @settings(max_examples=200, deadline=None)
