@@ -11,8 +11,7 @@ _EXPORTS = {
                     "left_inverse_on_image swap_map tensor_product",
     "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
                   "dual_convolution_algebra eps_s eps_t same_structure_constants",
-    "weak_hopf": "HopfVerdict check_identities check_weak_bialgebra check_weak_hopf dualize "
-                 "is_hopf",
+    "weak_hopf": "check_identities check_weak_bialgebra check_weak_hopf dualize is_hopf",
     "groupoid": "FiniteAbelianGroup FiniteGroupoid abelian_group_weak_hopf "
                 "cyclic_group_groupoid disjoint_union_of_cyclic dual_groupoid_algebra "
                 "groupoid_algebra groupoid_from_spec trivial_groupoid "

@@ -54,26 +54,9 @@ class ActionTensor(Frozen):
         """The constructor, by the name that scripts build actions with."""
         return cls(hopf, carrier, side, slices)
 
-    @classmethod
-    def from_tensor(cls, hopf: WeakHopfData, carrier, side: str, action: LinMap) -> "ActionTensor":
-        """The action whose tensor H⊗X → X (left) or X⊗H → X (right) is ``action``."""
-        X = carrier.space
-        dom, order = _layout(hopf, X, side)
-        if action.domain != dom or action.codomain != X:
-            raise ShapeMismatch("action tensor shape does not match H and the carrier")
-        cols = dict(zip(order, action.cols))
-        return cls(hopf, carrier, side, [LinMap(X, X, [cols[i, j] for j in range(X.dim)])
-                                         for i in range(hopf.space.dim)])
-
     @property
     def space(self) -> FinVec:
         return self.carrier.space
-
-    @cached_property
-    def action(self) -> LinMap:
-        """The tensor of the action, built for JSON output."""
-        dom, order = _layout(self.hopf, self.space, self.side)
-        return LinMap(dom, self.space, [self.slices[i].cols[j] for i, j in order])
 
     def act_by(self, h: Vector) -> LinMap:
         """Σ c·slices[i] over the terms c·h_i of h, column by column."""

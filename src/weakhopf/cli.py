@@ -112,16 +112,9 @@ def _cmd_check(args) -> int:
     kind = args.kind
     if kind in ("weak-hopf", "wb", "identities", "hopf"):
         from .weak_hopf import check_identities, check_weak_bialgebra, check_weak_hopf, is_hopf
-        H = jsonio.weakhopf_from_json(doc)
-        if kind == "weak-hopf":
-            reports = [check_weak_hopf(H)]
-        elif kind == "wb":
-            reports = [check_weak_bialgebra(H.wb)]
-        elif kind == "identities":
-            reports = [check_identities(H)]
-        else:
-            reports = [is_hopf(H).report()]
-        return _print_reports(reports, args.format)
+        check = {"weak-hopf": check_weak_hopf, "wb": lambda H: check_weak_bialgebra(H.wb),
+                 "identities": check_identities, "hopf": is_hopf}[kind]
+        return _print_reports([check(jsonio.weakhopf_from_json(doc))], args.format)
     if kind in ("mc", "pmc", "ma", "pma"):
         from .actions import (check_module_algebra, check_module_coalgebra,
                               check_partial_module_algebra, check_partial_module_coalgebra)

@@ -122,8 +122,15 @@ def _space(field: Field, labels, path: str) -> FinVec:
     return FinVec(field, tuple(labels))
 
 
+def _object(d, at: str) -> dict:
+    """``d``, the document at path prefix ``at`` ("hopf."), once checked to be an object."""
+    if not isinstance(d, dict):
+        raise MalformedInput(f"{at[:-1] or 'document'}: expected an object")
+    return d
+
+
 def _basis(d: dict, at: str) -> FinVec:
-    return _space(_field(d, at), d["basis"], f"{at}basis")
+    return _space(_field(_object(d, at), at), d["basis"], f"{at}basis")
 
 
 def _algebra(d: dict, space: FinVec, at: str) -> AlgebraData:
@@ -145,13 +152,15 @@ def _coalgebra(d: dict, space: FinVec, at: str) -> CoalgebraData:
 
 def _action(hopf: WeakHopfData, carrier, side: str, entries, path: str) -> ActionTensor:
     """The action whose tensor is ``entries[i][j][k]``, the coefficient of x_k
-    in h_i·x_j (left) or x_i↼h_j (right)."""
+    in h_i·x_j (left) or x_i↼h_j (right), cut into its slices: on the left,
+    slice i is the columns i·m to (i+1)·m - 1, on the right every n-th column
+    from column i (n = dim H, m = dim X)."""
     from .actions import ActionTensor
 
-    X = carrier.space
-    factors = (hopf.space, X) if side == "left" else (X, hopf.space)
-    [cols] = _decode(X.field, (entries, (factors[0].dim, factors[1].dim, X.dim), path, X.dim))
-    return ActionTensor.from_tensor(hopf, carrier, side, LinMap(tensor_product(*factors), X, cols))
+    X, n, m, left = carrier.space, hopf.space.dim, carrier.space.dim, side == "left"
+    [cols] = _decode(X.field, (entries, (n, m, m) if left else (m, n, m), path, m))
+    return ActionTensor(hopf, carrier, side, [
+        LinMap(X, X, cols[i * m:(i + 1) * m] if left else cols[i::n]) for i in range(n)])
 
 
 # -- bare linear data --------------------------------------------------------
@@ -240,9 +249,11 @@ def _carrier_from_json(d: dict, at: str):
 
 
 def _action_tensor(act: ActionTensor) -> list:
-    X, H = act.space.dim, act.hopf.space.dim
-    return _encode(act.space.field, act.action.cols,
-                   (H, X, X) if act.side == "left" else (X, H, X), X)
+    """The tensor entries of ``act``: its slices' columns in the order `_action` cuts them."""
+    m, n, cols = act.space.dim, act.hopf.space.dim, [s.cols for s in act.slices]
+    left = act.side == "left"
+    return _encode(act.space.field, chain.from_iterable(cols if left else zip(*cols)),
+                   (n, m, m) if left else (m, n, m), m)
 
 
 def action_to_json(act: ActionTensor, groupoid: FiniteGroupoid | None = None) -> dict:
@@ -258,9 +269,10 @@ def action_to_json(act: ActionTensor, groupoid: FiniteGroupoid | None = None) ->
 
 
 def action_from_json(d: dict, at: str = "") -> ActionTensor:
-    hopf = weakhopf_from_json(d["hopf"], f"{at}hopf.")
+    hopf = weakhopf_from_json(_object(d, at)["hopf"], f"{at}hopf.")
     carrier = _carrier_from_json(d["carrier"], f"{at}carrier.")
     _same_field(d, hopf.field, at)
+    _same_field(d["carrier"], hopf.field, f"{at}carrier.")
     return _action(hopf, carrier, _side(d["side"], at), d["tensor"], f"{at}tensor")
 
 
@@ -310,7 +322,7 @@ def lambda_from_json(d: dict):
     if kind not in (None, "kG", "kG-dual"):
         raise MalformedInput(f"hopf_kind: expected 'kG' or 'kG-dual', got {kind!r}")
     if "hopf" in d:
-        hopf = weakhopf_from_json(d["hopf"])
+        hopf = weakhopf_from_json(d["hopf"], "hopf.")
         if G is not None and kind is not None:
             _builds(G, hopf, groupoid_algebra if kind == "kG" else dual_groupoid_algebra)
     elif G is not None and kind is not None:
@@ -341,10 +353,16 @@ def gpa_from_json(d: dict) -> GroupoidPartialAction:
     G = groupoid_from_spec(d["groupoid"], "groupoid.")
     C = coalgebra_from_json(d["coalgebra"], "coalgebra.")
     _same_field(d, C.field)
-    X = C.space
-    projections = {g: _matrix(d["projections"][g], X, X, f"projections.{g}") for g in G.elements}
-    isos = {g: _matrix(d["isos"][g], X, X, f"isos.{g}") for g in G.elements}
-    return GroupoidPartialAction(G, C, projections, isos)
+    return GroupoidPartialAction(G, C, _map_table(d, "projections", G, C.space),
+                                 _map_table(d, "isos", G, C.space))
+
+
+def _map_table(d: dict, key: str, G: FiniteGroupoid, X: FinVec) -> dict:
+    """The endomorphisms of X that the object ``d[key]`` holds for the elements of G."""
+    table = _object(d[key], f"{key}.")
+    if missing := [g for g in G.elements if g not in table]:
+        raise MalformedInput(f"{key}.{missing[0]}: missing")
+    return {g: _matrix(table[g], X, X, f"{key}.{g}") for g in G.elements}
 
 
 def triple_to_json(gt: GlobalizationTriple) -> dict:
@@ -360,6 +378,7 @@ def triple_from_json(d: dict) -> GlobalizationTriple:
     partial = action_from_json(d["partial"], "partial.")
     _same_field(d, partial.hopf.field)
     D = coalgebra_from_json(d["D"], "D.")
+    _same_field(d["D"], partial.hopf.field, "D.")
     global_act = _action(partial.hopf, D, "right", d["global_tensor"], "global_tensor")
     theta = _matrix(d["theta"], partial.carrier.space, D.space, "theta")
     pi = _matrix(d["pi"], D.space, D.space, "pi")

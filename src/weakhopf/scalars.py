@@ -19,7 +19,7 @@ applying across fields raises ``ShapeMismatch``.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from fractions import _RATIONAL_FORMAT, Fraction     # the grammar that Fraction(str) parses
 
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
 
@@ -105,6 +105,10 @@ class RationalField(Field):
         digits = t[1:] if t[:1] in ("+", "-") else t
         if digits.isascii() and digits.isdigit() and len(digits) <= _MAX_DIGITS:
             return int(t)
+        # a zero mantissa in Fraction's grammar is 0 whatever its exponent or length
+        if (m := _RATIONAL_FORMAT.match(t)) and not m["denom"] and not any(
+                c != "_" and int(c) for c in m["num"] + (m["decimal"] or "")):
+            return 0
         body, _, exp = t.lower().partition("e")     # Fraction makes 10^|exponent| first
         exp = exp.replace("_", "").lstrip("+-")
         shift = (int(exp) if len(exp) < 9 else _MAX_DIGITS) if exp.isdecimal() else 0

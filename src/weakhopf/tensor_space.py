@@ -554,49 +554,43 @@ def solve_coordinates(basis: Sequence[Vector], target: Vector):
 
 
 class Subspace:
-    """A subspace in canonical reduced-row-echelon form: the nonzero ``rows``
-    and the column of each row's leading 1 in ``pivots``.
+    """A subspace in canonical reduced-row-echelon form, held as ``basis``:
+    ``{pivot column: sparse row}``, each row 1 at its own pivot and 0 at the
+    others, in ascending pivot order.
 
     Two subspaces are equal iff their canonical bases coincide, which makes
     span comparisons exact and deterministic.
     """
 
-    def __init__(self, space: FinVec, rows: list[list], pivots: list[int]):
+    def __init__(self, space: FinVec, basis: dict):
         self.space = space
-        self.rows = rows
-        self.pivots = pivots
+        self.basis = basis
 
     @classmethod
     def from_vectors(cls, space: FinVec, vectors: Iterable[Vector]) -> "Subspace":
         rows = [list(v.coords) for v in vectors]
-        if not rows:
-            return cls(space, [], [])
-        red, pivots = rref(rows, space.field)
-        return cls(space, red[:len(pivots)], pivots)
+        red, pivots = rref(rows, space.field) if rows else ([], [])
+        return cls(space, {lead: _sparse(r) for lead, r in zip(pivots, red)})
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.basis)
 
-    @cached_property
+    @property
     def basis_vectors(self) -> list[Vector]:
-        return [Vector(self.space, _sparse(r)) for r in self.rows]
-
-    @cached_property
-    def _by_pivot(self) -> dict:
-        return {lead: v.terms for lead, v in zip(self.pivots, self.basis_vectors)}
+        return [Vector(self.space, r) for r in self.basis.values()]
 
     def contains(self, v: Vector) -> bool:
         """v = Σ v[lead]·row over the pivots, each row 1 at its own and 0 at the others."""
         if v.space != self.space:
             raise ShapeMismatch("vector lives in a different space")
-        p, rows = self.space.field.characteristic, self._by_pivot
+        p, rows = self.space.field.characteristic, self.basis
         terms = _reduced(v.terms, p) if p else {i: c for i, c in v.terms.items() if c}
         return _combine(rows, [(i, c) for i, c in terms.items() if i in rows], p) == terms
 
     def __eq__(self, other):
         return (isinstance(other, Subspace) and self.space == other.space
-                and self.rows == other.rows)
+                and self.basis == other.basis)
 
     def __repr__(self):
         return f"Subspace(dim={self.dim} of {self.space.dim})"

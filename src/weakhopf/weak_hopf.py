@@ -8,7 +8,7 @@ sufficient, and it is what makes every verdict exact and reproducible.
 
 from __future__ import annotations
 
-from .errors import Frozen, ShapeMismatch
+from .errors import ShapeMismatch
 from .report import (
     CheckResult,
     Report,
@@ -404,44 +404,9 @@ def check_identities(H: WeakHopfData) -> Report:
 # Hopf detection
 # ---------------------------------------------------------------------------
 
-class HopfVerdict(Frozen):
-    """The five equivalent Hopf-ness conditions (i)-(v), evaluated independently."""
-
-    def __init__(self, delta_one_is_one_tensor_one: bool, counit_multiplicative: bool,
-                 left_antipode_classical: bool, right_antipode_classical: bool,
-                 target_source_trivial: bool):
-        self.__dict__.update(delta_one_is_one_tensor_one=delta_one_is_one_tensor_one,
-                             counit_multiplicative=counit_multiplicative,
-                             left_antipode_classical=left_antipode_classical,
-                             right_antipode_classical=right_antipode_classical,
-                             target_source_trivial=target_source_trivial)
-
-    @property
-    def conditions(self) -> tuple[bool, bool, bool, bool, bool]:
-        return (self.delta_one_is_one_tensor_one, self.counit_multiplicative,
-                self.left_antipode_classical, self.right_antipode_classical,
-                self.target_source_trivial)
-
-    @property
-    def consistent(self) -> bool:
-        return len(set(self.conditions)) == 1
-
-    @property
-    def is_hopf(self) -> bool:
-        return all(self.conditions)
-
-    def report(self) -> Report:
-        rep = Report("Hopf detection")
-        labels = ["(i) Δ(1)=1⊗1", "(ii) ε multiplicative", "(iii) h₁S(h₂)=ε(h)1",
-                  "(iv) S(h₁)h₂=ε(h)1", "(v) Ht=Hs=k·1"]
-        for lbl, val in zip(labels, self.conditions):
-            rep.add(CheckResult(lbl, val))
-        rep.add(CheckResult("conditions agree", self.consistent,
-                            None if self.consistent else "the five conditions disagree"))
-        return rep
-
-
-def is_hopf(H: WeakHopfData) -> HopfVerdict:
+def is_hopf(H: WeakHopfData) -> Report:
+    """The "Hopf detection" report: the five equivalent Hopf conditions (i)-(v),
+    each evaluated on its own, and whether they agree; ``.ok`` iff H is Hopf."""
     space, n, A, C, f = H.space, H.space.dim, H.alg, H.coalg, H.field
 
     cond1 = H.wb.delta_one == A.unit.tensor(A.unit)
@@ -457,7 +422,13 @@ def is_hopf(H: WeakHopfData) -> HopfVerdict:
     span_one = Subspace.from_vectors(space, [A.unit])
     cond5 = H.Ht == span_one and H.Hs == span_one
 
-    return HopfVerdict(cond1, cond2, cond3, cond4, cond5)
+    conditions = (cond1, cond2, cond3, cond4, cond5)
+    agree = len(set(conditions)) == 1
+    labels = ("(i) Δ(1)=1⊗1", "(ii) ε multiplicative", "(iii) h₁S(h₂)=ε(h)1",
+              "(iv) S(h₁)h₂=ε(h)1", "(v) Ht=Hs=k·1")
+    return Report("Hopf detection", [
+        *map(CheckResult, labels, conditions),
+        CheckResult("conditions agree", agree, None if agree else "the five conditions disagree")])
 
 
 # ---------------------------------------------------------------------------

@@ -87,6 +87,15 @@ def regular_action(H, side="left"):
     return ActionTensor.from_slices(H, H.coalg, side, slices)
 
 
+def action_tensor(act):
+    """The action as one map H⊗X → X (left) or X⊗H → X (right), the form the
+    paper writes it in, assembled from its slices for reference checks."""
+    from weakhopf.actions import _layout
+
+    dom, order = _layout(act.hopf, act.space, act.side)
+    return LinMap(dom, act.space, [act.slices[i].cols[j] for i, j in order])
+
+
 def antipode_twisted_action(H):
     """The left action h ⊗ c ↦ c·S(h) on H as a coalgebra."""
     slices = [

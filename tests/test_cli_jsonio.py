@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -58,7 +59,7 @@ def test_action_json_round_trip():
     act, _ = isotropy_lambda_action(G, QQ, "g1.e")
     doc = action_to_json(act, groupoid=G)
     act2 = action_from_json(doc)
-    assert act2.action == act.action
+    assert act2.slices == act.slices
     assert act2.side == act.side
     assert canonical_dumps(doc) == canonical_dumps(action_to_json(act2, groupoid=G))
 
@@ -69,7 +70,40 @@ def test_right_action_json_round_trip():
     lam = LambdaFunctional.indicator(H, ["e"])
     act = lambda_action(lam, grouplike_coalgebra(QQ, ["c0", "c1"]), "right")
     act2 = action_from_json(action_to_json(act))
-    assert act2.action == act.action and act2.side == "right"
+    assert act2.slices == act.slices and act2.side == "right"
+
+
+# kG of Z/2 = {e, g} acting on the span of three grouplikes c0, c1, c2 (dim C ≠ dim H),
+# written by hand: the left tensor is entries[i][j][k], the coefficient of c_k in
+# h_i·c_j, and the right one entries[j][i][k], the coefficient of c_k in c_j↼h_i
+KZ2 = {"schema": "weak-hopf", "field": "Q", "basis": ["e", "g"],
+       "mul": [[["1", "0"], ["0", "1"]], [["0", "1"], ["1", "0"]]], "unit": ["1", "0"],
+       "comul": [[["1", "0"], ["0", "0"]], [["0", "0"], ["0", "1"]]], "counit": ["1", "1"],
+       "antipode": [["1", "0"], ["0", "1"]]}
+GROUPLIKES = {"schema": "coalgebra", "field": "Q", "basis": ["c0", "c1", "c2"],
+              "comul": [[["1", "0", "0"], ["0", "0", "0"], ["0", "0", "0"]],
+                        [["0", "0", "0"], ["0", "1", "0"], ["0", "0", "0"]],
+                        [["0", "0", "0"], ["0", "0", "0"], ["0", "0", "1"]]],
+              "counit": ["1", "1", "1"]}
+LAYOUTS = {
+    "left": [[["1", "2", "0"], ["0", "3", "0"], ["4", "0", "5"]],
+             [["0", "0", "6"], ["-1/2", "7", "0"], ["0", "8", "9"]]],
+    "right": [[["1", "2", "0"], ["0", "0", "6"]],
+              [["0", "3", "0"], ["-1/2", "7", "0"]],
+              [["4", "0", "5"], ["0", "8", "9"]]],
+}
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_a_hand_written_action_decodes_to_the_slices_its_entries_name(side):
+    doc = {"schema": "action", "field": "Q", "side": side, "hopf": KZ2, "carrier": GROUPLIKES,
+           "tensor": LAYOUTS[side]}
+    act = action_from_json(doc)
+    # e·c0 = c0 + 2c1, e·c1 = 3c1, e·c2 = 4c0 + 5c2; g·c0 = 6c2, g·c1 = -c0/2 + 7c1,
+    # g·c2 = 8c1 + 9c2 (or c_j↼e and c_j↼g on the right)
+    assert [s.cols for s in act.slices] == [({0: 1, 1: 2}, {1: 3}, {0: 4, 2: 5}),
+                                            ({2: 6}, {0: Fraction(-1, 2), 1: 7}, {1: 8, 2: 9})]
+    assert canonical_dumps(action_to_json(act)) == canonical_dumps(doc)
 
 
 def test_gpa_json_round_trip():
@@ -135,7 +169,7 @@ def test_triple_json_round_trip():
     gt = standard_globalization(act, find_basis_grouplikes(act)[0])
     gt2 = triple_from_json(triple_to_json(gt))
     assert gt2.theta == gt.theta and gt2.pi == gt.pi
-    assert gt2.global_act.action == gt.global_act.action
+    assert gt2.global_act.slices == gt.global_act.slices
 
 
 # -- CLI ----------------------------------------------------------------------
@@ -452,6 +486,41 @@ MALFORMED += [
 ]
 
 
+# a carrier over another field than its hopf names its field; a nested document or
+# map table that is not an object, or a map table that lacks an element, names its path
+MALFORMED += [
+    ("carrier-field-Fp-7", "pmc", _bad_field(_action_doc, "carrier", "Fp:7"),
+     "MalformedInput: carrier.field: the structures are over Q"),
+    ("action-hopf-a-list", "pmc", lambda: _edit(_action_doc(), lambda d: d.update(hopf=[])),
+     "MalformedInput: hopf: expected an object"),
+    ("lambda-hopf-a-number", "lambda", lambda: _edit(_lambda_doc(), lambda d: d.update(hopf=5)),
+     "MalformedInput: hopf: expected an object"),
+    ("gpa-coalgebra-a-list", "groupoid-action",
+     lambda: _edit(_gpa_doc(), lambda d: d.update(coalgebra=[])),
+     "MalformedInput: coalgebra: expected an object"),
+    ("gpa-isos-a-list", "groupoid-action", lambda: _edit(_gpa_doc(), lambda d: d.update(isos=[])),
+     "MalformedInput: isos: expected an object"),
+    ("gpa-projection-missing", "groupoid-action",
+     lambda: _edit(_gpa_doc(), lambda d: d["projections"].pop("g")),
+     "MalformedInput: projections.g: missing"),
+    ("gpa-iso-missing", "groupoid-action", lambda: _edit(_gpa_doc(), lambda d: d["isos"].pop("f")),
+     "MalformedInput: isos.f: missing"),
+]
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+@pytest.mark.parametrize("argv", [["check", "pmc"], ["check", "mc"], ["dualize"], ["globalize"]],
+                         ids=["pmc", "mc", "dualize", "globalize"])
+def test_a_carrier_over_another_field_exits_3_with_its_path(tmp_path, capsys, argv, side):
+    H = groupoid_algebra(disjoint_union_of_cyclic([1, 2]), QQ)
+    act = lambda_action(LambdaFunctional.indicator(H, ["g1.e"]),
+                        grouplike_coalgebra(QQ, ["c0", "c1"]), side)
+    doc = _edit(action_to_json(act), lambda d: d["carrier"].update(field="Fp:7"))
+    assert main([*argv, write(tmp_path, "act.json", doc)]) == 3
+    assert capsys.readouterr().err == ("whw: malformed input: MalformedInput: carrier.field: "
+                                       "the structures are over Q\n")
+
+
 def _triple_doc():
     H = groupoid_algebra(disjoint_union_of_cyclic([2, 3]), QQ)
     act = lambda_action(LambdaFunctional.indicator(H, ["g1.e"]),
@@ -466,6 +535,11 @@ def test_globalization_document_field_must_match(value, where):
         triple_from_json(_edit(_triple_doc(), lambda d: d.update(field=value)))
     with pytest.raises(MalformedInput, match="^partial.field: "):
         triple_from_json(_edit(_triple_doc(), lambda d: d["partial"].update(field=value)))
+
+
+def test_globalization_document_D_field_must_match():
+    with pytest.raises(MalformedInput, match="^D.field: the structures are over Q$"):
+        triple_from_json(_edit(_triple_doc(), lambda d: d["D"].update(field="Fp:7")))
 
 
 def test_documents_without_a_top_level_field_still_load(tmp_path, capsys):
@@ -623,6 +697,26 @@ def test_a_hostile_scalar_exits_3_in_a_child_process_within_2_seconds(tmp_path, 
     assert time.perf_counter() - start < 2
     assert proc.returncode == 3 and len(proc.stderr.splitlines()) == 1
     assert proc.stderr.startswith("whw: malformed input: MalformedInput: counit[0]: more than")
+
+
+def test_a_zero_with_a_huge_exponent_reads_as_zero_in_a_child_process(tmp_path):
+    """A zero mantissa is 0 whatever its exponent: the report is that of "0", at once."""
+    doc = _kG_doc()
+    i, j = next((i, j) for i, row in enumerate(doc["antipode"]) for j, x in enumerate(row)
+                if x == "0")
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(x):
+        path = write(tmp_path, "H.json", _edit(_kG_doc(), lambda d: d["antipode"][i].__setitem__(j, x)))
+        start = time.perf_counter()
+        proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", "check", "weak-hopf", path],
+                              capture_output=True, text=True, env=env, timeout=60)
+        return (proc.returncode, proc.stdout, proc.stderr), time.perf_counter() - start
+
+    zero, _ = run("0")
+    huge, seconds = run("0e100000000")
+    assert seconds < 2 and huge == zero and zero[0] == 0
 
 
 @pytest.mark.parametrize("name", BAD_GROUPS)

@@ -63,12 +63,14 @@ from weakhopf import (
 )
 from weakhopf.errors import (
     FieldMismatch,
+    MalformedInput,
     NotDirectSum,
     NotIdempotent,
     NotSubcoalgebra,
     NotSymmetric,
     ShapeMismatch,
 )
+from weakhopf.jsonio import action_from_json, action_to_json
 from weakhopf.report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from weakhopf.structures import _pair_label
 from weakhopf.tensor_space import Subspace, _accumulate, left_inverse_on_image, swap_map
@@ -295,7 +297,7 @@ def test_identity_projection_reproduces_global_action():
     res = induce_partial_action(glob, LinMap.identity(H.space))
     assert res.ok
     assert check_module_coalgebra(res.action).ok
-    assert res.action.action.rows == glob.action.rows
+    assert [s.rows for s in res.action.slices] == [s.rows for s in glob.slices]
 
 
 def test_induce_rejects_non_idempotent_projection():
@@ -448,7 +450,7 @@ def test_equivalence_round_trip(name, gpa):
     assert v.is_partial and v.is_symmetric
     back = from_kG_action(act, gpa.groupoid)
     assert gpa.same_maps(back)
-    assert to_kG_action(back).action == act.action
+    assert to_kG_action(back).slices == act.slices
 
 
 def test_group_case_recovers_global_action():
@@ -643,10 +645,6 @@ def test_action_rejects_a_carrier_over_another_field(side):
     slices = [LinMap.identity(C.space)] * H.space.dim
     with pytest.raises(FieldMismatch):
         ActionTensor.from_slices(H, C, side, slices)
-    gf_act = ActionTensor.from_slices(groupoid_algebra(cyclic_group_groupoid(2), GF7),
-                                      C, side, slices)
-    with pytest.raises(FieldMismatch):
-        ActionTensor.from_tensor(H, C, side, gf_act.action)
 
 
 @pytest.mark.parametrize("side", ["left", "right"])
@@ -669,19 +667,19 @@ def test_action_rejects_slices_that_are_not_carrier_endomorphisms(side):
 
 @pytest.mark.parametrize("F", [QQ, GF7])
 @pytest.mark.parametrize("side", ["left", "right"])
-def test_from_tensor_cuts_the_tensor_back_into_its_slices(F, side):
+def test_an_action_document_decodes_to_its_slices(F, side):
+    """The tensor of a written action is cut back into the same slices, and a
+    tensor of another shape is refused with its path."""
     G = disjoint_union_of_cyclic([1, 2])
     for H in (groupoid_algebra(G, F), dual_groupoid_algebra(G, F)):
         lam = LambdaFunctional.indicator(H, [H.space.labels[0]])
         for act in (regular_action(H, side), lambda_action(lam, H.coalg, side),
                     lambda_action(lam, grouplike_coalgebra(F, ["c0", "c1"]), side)):
-            assert ActionTensor.from_tensor(H, act.carrier, side, act.action).slices == act.slices
-            X = act.space
-            wider = space(F, X.dim + 1, "w")
-            for dom, cod in ((tensor_product(H.space, wider), X),
-                             (tensor_product(wider, H.space), X), (act.action.domain, wider)):
-                with pytest.raises(ShapeMismatch):
-                    ActionTensor.from_tensor(H, act.carrier, side, LinMap.zero(dom, cod))
+            doc = action_to_json(act)
+            assert action_from_json(doc).slices == act.slices
+            for wrong in (doc["tensor"][:-1], [row[:-1] for row in doc["tensor"]]):
+                with pytest.raises(MalformedInput, match="^tensor"):
+                    action_from_json({**doc, "tensor": wrong})
 
 
 def reference_pair_scan(act, label, rhs):
@@ -752,19 +750,19 @@ def reference_pma3(act, label, symmetric):
 
 def corrupted_regular_action(data, F, side):
     """The regular action of kG or (kG)* of a small groupoid with one entry of
-    its action tensor redrawn, so that its checks fail at varying pairs."""
+    one slice redrawn, so that its checks fail at varying pairs."""
     G = data.draw(st.sampled_from([cyclic_group_groupoid(2), disjoint_union_of_cyclic([1, 2]),
                                    two_object_iso_groupoid()]))
     H = data.draw(st.sampled_from([groupoid_algebra, dual_groupoid_algebra]))(G, F)
-    act = regular_action(H, side)
-    cols = [dict(col) for col in act.action.cols]
-    col = cols[data.draw(st.integers(0, len(cols) - 1))]
+    act, m = regular_action(H, side), H.space.dim
+    slices = [[dict(col) for col in s.cols] for s in act.slices]
+    t = data.draw(st.integers(0, m * m - 1))
+    col = slices[t // m][t % m]
     i, v = data.draw(st.integers(0, act.space.dim - 1)), F.coerce(data.draw(st.sampled_from(ENTRIES[F])))
     col.pop(i, None)
     if v:
         col[i] = v
-    return ActionTensor.from_tensor(H, act.carrier, side,
-                                    LinMap(act.action.domain, act.space, cols))
+    return ActionTensor(H, act.carrier, side, [LinMap(act.space, act.space, s) for s in slices])
 
 
 @settings(max_examples=40, deadline=None)

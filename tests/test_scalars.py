@@ -204,6 +204,8 @@ PARSE_CHARS = ["+", "-", " ", "\t", "\n", "\u3000", "0", "1", "2", "٣", "７", 
 @example("4/2")
 @example("1/0")
 @example("1.5e1")
+@example("0e10000")
+@example("0E７000")
 def test_parse_matches_fraction(s):
     try:
         expected = Fraction(s.strip())

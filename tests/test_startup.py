@@ -34,7 +34,7 @@ EXPORTS = {
     "scalars": "QQ Field PrimeField RationalField field_from_name",
     "tensor_space": "FinVec LinMap Subspace Vector ground image_basis "
                     "left_inverse_on_image swap_map tensor_product",
-    "weak_hopf": "AlgebraData CoalgebraData HopfVerdict WeakBialgebraData WeakHopfData "
+    "weak_hopf": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
                  "check_identities check_weak_bialgebra check_weak_hopf "
                  "dual_convolution_algebra dualize eps_s eps_t is_hopf "
                  "same_structure_constants",

@@ -125,12 +125,13 @@ def test_identity_catalog_on_dual():
 
 
 def test_hopf_detection():
-    assert is_hopf(groupoid_algebra(cyclic_group_groupoid(3), QQ)).is_hopf
+    rep = is_hopf(groupoid_algebra(cyclic_group_groupoid(3), QQ))
+    assert rep.ok and rep.title == "Hopf detection" and len(rep.results) == 6
     v = is_hopf(groupoid_algebra(two_object_iso_groupoid(), QQ))
-    assert not v.is_hopf and v.consistent
-    assert v.conditions == (False,) * 5
+    assert not v.ok and v.result("conditions agree").passed
+    assert [r.passed for r in v.results[:5]] == [False] * 5
     v2 = is_hopf(abelian_group_weak_hopf(FiniteAbelianGroup((2,)), QQ))
-    assert not v2.is_hopf and v2.consistent
+    assert not v2.ok and v2.result("conditions agree").passed
 
 
 def test_is_hopf_builds_each_antipode_product_once(monkeypatch):
@@ -145,7 +146,7 @@ def test_is_hopf_builds_each_antipode_product_once(monkeypatch):
 
     monkeypatch.setattr(weakhopf.weak_hopf, "_mul_with", counted)
     v = is_hopf(groupoid_algebra(disjoint_union_of_cyclic([16, 16]), QQ))
-    assert not v.is_hopf and v.consistent
+    assert not v.ok and v.result("conditions agree").passed
     assert sorted(sides) == [0, 1]
 
 
@@ -621,8 +622,8 @@ def test_contracted_checks_match_composite_maps(F, data):
     reference = reference_composite_checks(H)
     results = {r.label: r for r in check_weak_hopf(H).results + check_identities(H).results}
     verdict = is_hopf(H)
-    results["hopf (iii)"] = CheckResult("hopf (iii)", verdict.left_antipode_classical)
-    results["hopf (iv)"] = CheckResult("hopf (iv)", verdict.right_antipode_classical)
+    results["hopf (iii)"] = CheckResult("hopf (iii)", verdict.result("(iii) h₁S(h₂)=ε(h)1").passed)
+    results["hopf (iv)"] = CheckResult("hopf (iv)", verdict.result("(iv) S(h₁)h₂=ε(h)1").passed)
     for label, expected in reference.items():
         assert results[label] == expected, label
 
@@ -660,11 +661,12 @@ def test_gf_structures_store_reduced_nonzero_ints(name, p):
     sparse = [H.alg.mul, H.coalg.comul, H.coalg.counit, H.antipode, H.eps_t, H.eps_s,
               H.unit, H.wb.delta_one, H.coalg.delta2, H.wb.eps_form, act.counit_table,
               *act.slices, *act.product_slices, *inverses, tri.tensor(tri), tri.scale(3),
-              tri - tri.scale(2), tri.column(1).tensor(tri.column(2)), tri.column(2).scale(3)]
+              tri - tri.scale(2), tri.column(1).tensor(tri.column(2)), tri.column(2).scale(3),
+              H.Ht.basis.values(), H.Hs.basis.values()]
     for x in sparse:
         assert all(type(c) is int and 0 < c < p for c in stored_entries(x))
     assert tri.inverse() @ tri == LinMap.identity(H.space)
-    dense = [rref(H.alg.mul.rows, F)[0], rref(H.coalg.comul.rows, F)[0], H.Ht.rows, H.Hs.rows,
+    dense = [rref(H.alg.mul.rows, F)[0], rref(H.coalg.comul.rows, F)[0],
              *(f.rows for f in inverses), *rref_with_transform(tri.rows, F)[:2]]
     for rows in dense:
         assert all(type(c) is int and 0 <= c < p for row in rows for c in row)
