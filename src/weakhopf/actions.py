@@ -23,7 +23,8 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import FieldMismatch, Frozen, ShapeMismatch
-from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
+from .report import (CheckResult, PartialActionVerdict, Report, compare_maps,
+                     compare_vectors, first_failure)
 from .structures import LEFT, RIGHT, AlgebraData, CoalgebraData, WeakHopfData, _pair_label
 from .tensor_space import FinVec, LinMap, Vector, _accumulate, _combine, _kron, tensor_product
 
@@ -194,41 +195,6 @@ def _globality_criterion(act: ActionTensor, label: str) -> CheckResult:
                         (_accumulate((({0: table[q][b]}, c) for q, c in twist[i].items()
                                       if b in table[q]), p) for i, b in cases),
                         (act.space.field, lambda j, i: (dom.labels[j], cod[i])))
-
-
-class PartialActionVerdict:
-    """Outcome of the partial module-coalgebra (or -algebra) checks; ``report``
-    holds the required partial axioms."""
-
-    def __init__(self, report: Report, symmetric: CheckResult, globality: CheckResult,
-                 consistency: CheckResult | None = None):
-        self.report = report
-        self.symmetric = symmetric
-        self.globality = globality
-        self.consistency = consistency
-
-    @property
-    def is_partial(self) -> bool:
-        return self.report.ok
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.is_partial and self.symmetric.passed
-
-    @property
-    def is_global(self) -> bool:
-        return self.is_partial and self.globality.passed
-
-    def full_report(self) -> Report:
-        rep = Report(self.report.title)
-        rep.results = list(self.report.results)
-        rep.add(CheckResult("symmetric [info]", True,
-                            f"holds={self.symmetric.passed}"))
-        rep.add(CheckResult("globality [info]", True,
-                            f"holds={self.globality.passed}"))
-        if self.consistency is not None:
-            rep.add(self.consistency)
-        return rep
 
 
 def _pmc3_rhs(act: ActionTensor, symmetric: bool):

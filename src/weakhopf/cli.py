@@ -137,9 +137,9 @@ def _cmd_check(args) -> int:
         reports = [verdict.report]
         glob = check_lambda_global(lf)
         extra = Report("λ summary")
-        extra.add(CheckResult("partial [info]", True, f"holds={verdict.ok}"))
+        extra.add(CheckResult("partial [info]", True, f"holds={verdict.is_partial}"))
         extra.add(CheckResult("symmetric [info]", True, f"holds={verdict.is_symmetric}"))
-        extra.add(CheckResult("global [info]", True, f"holds={glob.ok}"))
+        extra.add(CheckResult("global [info]", True, f"holds={glob.is_partial}"))
         reports.append(extra)
         if G is not None and hopf_kind == "kG":
             reports.append(check_k_partial_action_group_criterion(lf, G)

@@ -23,7 +23,6 @@ from .errors import Frozen, HypothesisViolated, NotInjective, NotSubcoalgebra, S
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .structures import CoalgebraData, WeakHopfData
 from .tensor_space import (
-    FinVec,
     LinMap,
     Subspace,
     Vector,
@@ -180,16 +179,13 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
         raise HypothesisViolated("absorption", "c↼he ≠ c↼h for some basis pair")
 
     # eH through its inclusion ι into H and a left inverse back of ι
-    eH = Subspace.from_vectors(H.space, H.alg.lmul(evec).columns()).basis_vectors
-    t, m, p = len(eH), C.space.dim, C.field.characteristic
-    eH_space = FinVec(C.field, tuple(f"eh{j}" for j in range(t)))
-    incl = LinMap.from_images(eH_space, H.space, eH)
-    back = left_inverse_on_image(incl)
+    incl, back = Subspace.from_vectors(H.space, H.alg.lmul(evec).columns()).inclusion("eh")
+    t, m, p = incl.domain.dim, C.space.dim, C.field.characteristic
     try:
         eH_coalg = H.coalg.restrict(incl, back)
     except NotSubcoalgebra:
         raise HypothesisViolated("grouplike", "Δ(eH) escapes eH⊗eH") from None
-    dspace = tensor_product(C.space, eH_space)
+    dspace = tensor_product(C.space, incl.domain)
 
     # Δ(c_i⊗f_j) = Σ (c_i₁⊗f_p) ⊗ (c_i₂⊗f_q) over Δ(f_j) = Σ f_p⊗f_q
     comul = LinMap(dspace, tensor_product(dspace, dspace), [_accumulate((
@@ -209,7 +205,7 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
     e_coords = back.apply(evec).terms
     theta = LinMap(C.space, dspace, [_kron({i: C.field.one()}, e_coords, t, p)
                                      for i in range(m)])
-    moved = [act.act_by(f).cols for f in eH]
+    moved = [act.act_by(f).cols for f in incl.columns()]
     pi = LinMap(dspace, dspace, [_kron(moved[j][i], e_coords, t, p)
                                  for i in range(m) for j in range(t)])
     return GlobalizationTriple(act, D, global_act, theta, pi)
@@ -221,18 +217,12 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
 
 class DualGlobalizationResult:
     """Both sides of the globalization equivalence: the coalgebra-side report
-    for the input triple, and the algebra-side report for (H▷φ(C*), φ), with
+    for the input triple, and the algebra-side report for (H▷φ(C*), φ), from
     the left partial action ⇀ on C* and the left global action ▷ on D*."""
 
-    def __init__(self, coalgebra_report: Report, algebra_report: Report, phi: LinMap | None,
-                 B: Subspace | None, partial_dual: ActionTensor | None,
-                 global_dual: ActionTensor | None):
+    def __init__(self, coalgebra_report: Report, algebra_report: Report):
         self.coalgebra_report = coalgebra_report
         self.algebra_report = algebra_report
-        self.phi = phi
-        self.B = B
-        self.partial_dual = partial_dual
-        self.global_dual = global_dual
 
     @property
     def ok(self) -> bool:
@@ -261,8 +251,7 @@ def dual_globalization_transfer(gt: GlobalizationTriple) -> DualGlobalizationRes
         theta_li = left_inverse_on_image(gt.theta)
     except NotInjective:
         rep.add(CheckResult("(i)-phi-injective", False, "θ is not injective"))
-        return DualGlobalizationResult(coalg_rep, rep, None, None,
-                                       partial_dual, global_dual)
+        return DualGlobalizationResult(coalg_rep, rep)
 
     n_map = theta_li @ gt.pi                       # D → C
     phi = LinMap(Cstar.space, Dstar.space, n_map.transposed_rows())
@@ -308,4 +297,4 @@ def dual_globalization_transfer(gt: GlobalizationTriple) -> DualGlobalizationRes
                         None if contains_phi
                         else "φ(C*) ⊄ H▷φ(C*) (the unit slice is corrupted)"))
 
-    return DualGlobalizationResult(coalg_rep, rep, phi, B, partial_dual, global_dual)
+    return DualGlobalizationResult(coalg_rep, rep)

@@ -100,7 +100,7 @@ def _matrix(rows, dom: FinVec, cod: FinVec, path: str) -> LinMap:
 
 
 def _field(d: dict, at: str) -> Field:
-    name = d["field"]
+    name = _get(d, "field", at)
     try:
         return field_from_name(name)
     except MalformedInput as exc:
@@ -129,22 +129,31 @@ def _object(d, at: str) -> dict:
     return d
 
 
+def _get(d, key: str, at: str):
+    """The member ``key`` of the document ``d`` at path prefix ``at``: every
+    read of a required member goes through here, so that a missing one is
+    named by its path ("hopf.antipode: missing")."""
+    if key not in _object(d, at):
+        raise MalformedInput(f"{at}{key}: missing")
+    return d[key]
+
+
 def _basis(d: dict, at: str) -> FinVec:
-    return _space(_field(_object(d, at), at), d["basis"], f"{at}basis")
+    return _space(_field(d, at), _get(d, "basis", at), f"{at}basis")
 
 
 def _algebra(d: dict, space: FinVec, at: str) -> AlgebraData:
     n = space.dim
-    mul, [unit] = _decode(space.field, (d["mul"], (n, n, n), f"{at}mul", n),
-                          (d["unit"], (n,), f"{at}unit", n))
+    mul, [unit] = _decode(space.field, (_get(d, "mul", at), (n, n, n), f"{at}mul", n),
+                          (_get(d, "unit", at), (n,), f"{at}unit", n))
     return AlgebraData(space, LinMap(tensor_product(space, space), space, mul),
                        Vector(space, unit))
 
 
 def _coalgebra(d: dict, space: FinVec, at: str) -> CoalgebraData:
     n = space.dim
-    comul, [counit] = _decode(space.field, (d["comul"], (n, n, n), f"{at}comul", n * n),
-                              (d["counit"], (n,), f"{at}counit", n))
+    comul, [counit] = _decode(space.field, (_get(d, "comul", at), (n, n, n), f"{at}comul", n * n),
+                              (_get(d, "counit", at), (n,), f"{at}counit", n))
     k = ground(space.field)
     return CoalgebraData(space, LinMap(space, tensor_product(space, space), comul),
                          LinMap(space, k, LinMap(k, space, [counit]).transposed_rows()))
@@ -172,9 +181,9 @@ def linmap_to_json(f: LinMap) -> dict:
 
 def linmap_from_json(d: dict) -> LinMap:
     field = _field(d, "")
-    dom = _space(field, d["domain"], "domain")
-    cod = _space(field, d["codomain"], "codomain")
-    return _matrix(d["rows"], dom, cod, "rows")
+    dom = _space(field, _get(d, "domain", ""), "domain")
+    cod = _space(field, _get(d, "codomain", ""), "codomain")
+    return _matrix(_get(d, "rows", ""), dom, cod, "rows")
 
 
 def tensor3_to_json(f: LinMap) -> dict:
@@ -193,14 +202,14 @@ def tensor3_to_json(f: LinMap) -> dict:
 
 
 def tensor3_from_json(d: dict) -> LinMap:
-    field = _field(d, "")
-    if d["kind"] not in ("pair_to_one", "one_to_pair"):
-        raise MalformedInput(f"kind: expected 'pair_to_one' or 'one_to_pair', got {d['kind']!r}")
-    if not isinstance(d["spaces"], list) or len(d["spaces"]) != 3:
+    field, kind, spaces = _field(d, ""), _get(d, "kind", ""), _get(d, "spaces", "")
+    if kind not in ("pair_to_one", "one_to_pair"):
+        raise MalformedInput(f"kind: expected 'pair_to_one' or 'one_to_pair', got {kind!r}")
+    if not isinstance(spaces, list) or len(spaces) != 3:
         raise MalformedInput("spaces: expected three bases")
-    X, Y, Z = (_space(field, labels, f"spaces[{i}]") for i, labels in enumerate(d["spaces"]))
-    pair = d["kind"] == "pair_to_one"
-    [cols] = _decode(field, (d["entries"], (X.dim, Y.dim, Z.dim), "entries",
+    X, Y, Z = (_space(field, labels, f"spaces[{i}]") for i, labels in enumerate(spaces))
+    pair = kind == "pair_to_one"
+    [cols] = _decode(field, (_get(d, "entries", ""), (X.dim, Y.dim, Z.dim), "entries",
                              Z.dim if pair else Y.dim * Z.dim))
     return LinMap(tensor_product(X, Y), Z, cols) if pair else LinMap(X, tensor_product(Y, Z), cols)
 
@@ -236,7 +245,7 @@ def weakhopf_to_json(H: WeakHopfData) -> dict:
 def weakhopf_from_json(d: dict, at: str = "") -> WeakHopfData:
     space = _basis(d, at)
     wb = WeakBialgebraData(_algebra(d, space, at), _coalgebra(d, space, at))
-    return WeakHopfData(wb, _matrix(d["antipode"], space, space, f"{at}antipode"))
+    return WeakHopfData(wb, _matrix(_get(d, "antipode", at), space, space, f"{at}antipode"))
 
 
 def _carrier_from_json(d: dict, at: str):
@@ -269,11 +278,12 @@ def action_to_json(act: ActionTensor, groupoid: FiniteGroupoid | None = None) ->
 
 
 def action_from_json(d: dict, at: str = "") -> ActionTensor:
-    hopf = weakhopf_from_json(_object(d, at)["hopf"], f"{at}hopf.")
-    carrier = _carrier_from_json(d["carrier"], f"{at}carrier.")
+    hopf = weakhopf_from_json(_get(d, "hopf", at), f"{at}hopf.")
+    carrier = _carrier_from_json(_get(d, "carrier", at), f"{at}carrier.")
     _same_field(d, hopf.field, at)
-    _same_field(d["carrier"], hopf.field, f"{at}carrier.")
-    return _action(hopf, carrier, _side(d["side"], at), d["tensor"], f"{at}tensor")
+    _same_field(_get(d, "carrier", at), hopf.field, f"{at}carrier.")
+    return _action(hopf, carrier, _side(_get(d, "side", at), at), _get(d, "tensor", at),
+                   f"{at}tensor")
 
 
 def _side(side, at: str) -> str:
@@ -286,7 +296,8 @@ def action_groupoid_from_json(d: dict, hopf: WeakHopfData) -> FiniteGroupoid | N
     """The document's groupoid, whose groupoid algebra must be the action's ``hopf``."""
     if "groupoid" in d:
         from .groupoid import groupoid_algebra, groupoid_from_spec
-        return _builds(groupoid_from_spec(d["groupoid"], "groupoid."), hopf, groupoid_algebra)
+        return _builds(groupoid_from_spec(_get(d, "groupoid", ""), "groupoid."), hopf,
+                       groupoid_algebra)
     return None
 
 
@@ -317,12 +328,12 @@ def lambda_from_json(d: dict):
     from .groupoid import dual_groupoid_algebra, groupoid_algebra, groupoid_from_spec
     from .partial_actions import LambdaFunctional
 
-    G = groupoid_from_spec(d["groupoid"], "groupoid.") if "groupoid" in d else None
+    G = groupoid_from_spec(_get(d, "groupoid", ""), "groupoid.") if "groupoid" in d else None
     kind = d.get("hopf_kind")
     if kind not in (None, "kG", "kG-dual"):
         raise MalformedInput(f"hopf_kind: expected 'kG' or 'kG-dual', got {kind!r}")
     if "hopf" in d:
-        hopf = weakhopf_from_json(d["hopf"], "hopf.")
+        hopf = weakhopf_from_json(_get(d, "hopf", ""), "hopf.")
         if G is not None and kind is not None:
             _builds(G, hopf, groupoid_algebra if kind == "kG" else dual_groupoid_algebra)
     elif G is not None and kind is not None:
@@ -331,7 +342,7 @@ def lambda_from_json(d: dict):
         raise MalformedInput("lambda document needs 'hopf' or 'groupoid'+'hopf_kind'")
     _same_field(d, hopf.field)
     n = hopf.space.dim
-    [values] = _decode(hopf.field, (d["values"], (n,), "values", n))[0]
+    [values] = _decode(hopf.field, (_get(d, "values", ""), (n,), "values", n))[0]
     lf = LambdaFunctional.from_values(hopf, [values.get(i, 0) for i in range(n)])
     return lf, G, kind, _side(d.get("side", "left"), "")
 
@@ -350,8 +361,8 @@ def gpa_from_json(d: dict) -> GroupoidPartialAction:
     from .groupoid import groupoid_from_spec
     from .partial_actions import GroupoidPartialAction
 
-    G = groupoid_from_spec(d["groupoid"], "groupoid.")
-    C = coalgebra_from_json(d["coalgebra"], "coalgebra.")
+    G = groupoid_from_spec(_get(d, "groupoid", ""), "groupoid.")
+    C = coalgebra_from_json(_get(d, "coalgebra", ""), "coalgebra.")
     _same_field(d, C.field)
     return GroupoidPartialAction(G, C, _map_table(d, "projections", G, C.space),
                                  _map_table(d, "isos", G, C.space))
@@ -359,7 +370,7 @@ def gpa_from_json(d: dict) -> GroupoidPartialAction:
 
 def _map_table(d: dict, key: str, G: FiniteGroupoid, X: FinVec) -> dict:
     """The endomorphisms of X that the object ``d[key]`` holds for the elements of G."""
-    table = _object(d[key], f"{key}.")
+    table = _object(_get(d, key, ""), f"{key}.")
     if missing := [g for g in G.elements if g not in table]:
         raise MalformedInput(f"{key}.{missing[0]}: missing")
     return {g: _matrix(table[g], X, X, f"{key}.{g}") for g in G.elements}
@@ -375,13 +386,13 @@ def triple_to_json(gt: GlobalizationTriple) -> dict:
 def triple_from_json(d: dict) -> GlobalizationTriple:
     from .globalization import GlobalizationTriple
 
-    partial = action_from_json(d["partial"], "partial.")
+    partial = action_from_json(_get(d, "partial", ""), "partial.")
     _same_field(d, partial.hopf.field)
-    D = coalgebra_from_json(d["D"], "D.")
-    _same_field(d["D"], partial.hopf.field, "D.")
-    global_act = _action(partial.hopf, D, "right", d["global_tensor"], "global_tensor")
-    theta = _matrix(d["theta"], partial.carrier.space, D.space, "theta")
-    pi = _matrix(d["pi"], D.space, D.space, "pi")
+    D = coalgebra_from_json(_get(d, "D", ""), "D.")
+    _same_field(_get(d, "D", ""), partial.hopf.field, "D.")
+    global_act = _action(partial.hopf, D, "right", _get(d, "global_tensor", ""), "global_tensor")
+    theta = _matrix(_get(d, "theta", ""), partial.carrier.space, D.space, "theta")
+    pi = _matrix(_get(d, "pi", ""), D.space, D.space, "pi")
     return GlobalizationTriple(partial, D, global_act, theta, pi)
 
 

@@ -17,18 +17,16 @@ from .errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from .report import (CheckResult, Report, compare_maps, compare_scalars, compare_vectors,
-                     first_failure)
+from .report import (CheckResult, PartialActionVerdict, Report, compare_maps, compare_scalars,
+                     compare_vectors, first_failure)
 from .structures import LEFT, CoalgebraData, WeakHopfData, _pair_label
 from .tensor_space import (
-    FinVec,
     LinMap,
     Subspace,
     Vector,
     _accumulate,
     _combine,
     _kron,
-    left_inverse_on_image,
 )
 
 # the action core is imported where an action is built or checked, so that the
@@ -125,22 +123,7 @@ def lambda_action(lf: LambdaFunctional, C: CoalgebraData, side: str = LEFT) -> A
     return ActionTensor(lf.hopf, C, side, slices)
 
 
-class LambdaVerdict:
-    def __init__(self, report: Report, symmetric: CheckResult | None, globality: CheckResult):
-        self.report = report
-        self.symmetric = symmetric
-        self.globality = globality
-
-    @property
-    def ok(self) -> bool:
-        return self.report.ok
-
-    @property
-    def is_symmetric(self) -> bool:
-        return self.ok and self.symmetric is not None and self.symmetric.passed
-
-
-def check_lambda_global(lf: LambdaFunctional) -> LambdaVerdict:
+def check_lambda_global(lf: LambdaFunctional) -> PartialActionVerdict:
     """The functional identities equivalent to λ inducing a global module
     coalgebra: λ(1) = 1, λ = (λ⊗λ)Δ, and multiplicativity."""
     H = lf.hopf
@@ -158,7 +141,7 @@ def check_lambda_global(lf: LambdaFunctional) -> LambdaVerdict:
         for i in range(n) for j in range(n)), lambda ij: f"{_pair_label(H.space, *ij)}: "))
 
     globality = _lambda_globality(lf, LEFT)
-    return LambdaVerdict(rep, None, globality)
+    return PartialActionVerdict(rep, None, globality)
 
 
 def _lambda_globality(lf: LambdaFunctional, side: str) -> CheckResult:
@@ -169,7 +152,7 @@ def _lambda_globality(lf: LambdaFunctional, side: str) -> CheckResult:
         for i in range(H.space.dim)), lambda i: f"h={H.space.labels[i]}: ")
 
 
-def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> LambdaVerdict:
+def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> PartialActionVerdict:
     """The functional identities equivalent to λ inducing a partial module
     coalgebra on every coalgebra, plus the symmetric and globality variants.
     The verdict is kept on λ, one per side, as ``cached_property`` would."""
@@ -178,7 +161,7 @@ def check_lambda_partial(lf: LambdaFunctional, side: str = LEFT) -> LambdaVerdic
     return verdict
 
 
-def _lambda_partial(lf: LambdaFunctional, side: str) -> LambdaVerdict:
+def _lambda_partial(lf: LambdaFunctional, side: str) -> PartialActionVerdict:
     H = lf.hopf
     f = H.field
     rep = Report(f"{side} partial λ-action conditions")
@@ -207,7 +190,7 @@ def _lambda_partial(lf: LambdaFunctional, side: str) -> LambdaVerdict:
     rep.add(scan("(ii)", symmetric=False))
     symmetric = scan("symmetric", symmetric=True)
     globality = _lambda_globality(lf, side)
-    return LambdaVerdict(rep, symmetric, globality)
+    return PartialActionVerdict(rep, symmetric, globality)
 
 
 class GroupCriterionVerdict:
@@ -273,7 +256,7 @@ def _group_criterion(lf: LambdaFunctional, G: FiniteGroupoid, in_V,
     values_match = expected is not None and all(
         v == (expected if g in vset else zero) for g, v in lam.items())
     return GroupCriterionVerdict(V, is_group, why, values_match, expected is not None,
-                                 check_lambda_partial(lf).ok)
+                                 check_lambda_partial(lf).is_partial)
 
 
 def check_k_partial_action_group_criterion(
@@ -342,10 +325,7 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
         raise NotIdempotent("π∘π ≠ π")
 
     H = global_act.hopf
-    d_vectors = Subspace.from_vectors(C.space, proj.columns()).basis_vectors
-    dspace = FinVec(C.space.field, tuple(f"d{i}" for i in range(len(d_vectors))))
-    incl = LinMap.from_images(dspace, C.space, d_vectors)
-    back = left_inverse_on_image(incl)
+    incl, back = Subspace.from_vectors(C.space, proj.columns()).inclusion("d")
     D = C.restrict(incl, back)
     # π∘(h_i·–)∘ι, and the action in D coordinates: back∘π∘(h_i·–)∘ι
     moved = [proj @ (s @ incl) for s in global_act.slices]
@@ -357,13 +337,13 @@ def induce_partial_action(global_act: ActionTensor, proj: LinMap) -> InducedActi
         ((i, d), compare_vectors("", a, b, where))
         for i, s in enumerate(global_act.slices)
         for d, (a, b) in enumerate(zip((squared @ (s @ incl)).cols, (C.comul @ moved[i]).cols))),
-        lambda c: f"h={H.space.labels[c[0]]}, d={d_vectors[c[1]].describe()}; "))
+        lambda c: f"h={H.space.labels[c[0]]}, d={incl.column(c[1]).describe()}; "))
 
     def witness(lhs: tuple, rhs: tuple) -> str:
         """The first failing d, with its columns mapped back into C by ι."""
         d = next(d for d, (a, b) in enumerate(zip(lhs, rhs)) if a != b)
-        diff = compare_vectors("", *(incl.apply(Vector(dspace, side[d])) for side in (lhs, rhs)))
-        return f", d={d_vectors[d].describe()}; {diff.witness}"
+        diff = compare_vectors("", *(incl.apply(Vector(D.space, side[d])) for side in (lhs, rhs)))
+        return f", d={incl.column(d).describe()}; {diff.witness}"
 
     two, symmetric = _pair_checks(induced, {"(ii)": _pmc3_rhs(induced, symmetric=False),
                                             "symmetric": _pmc3_rhs(induced, symmetric=True)},

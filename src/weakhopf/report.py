@@ -82,6 +82,42 @@ class Report:
         }
 
 
+class PartialActionVerdict:
+    """Outcome of the partial module-coalgebra (or -algebra) checks, or of the
+    λ conditions; ``report`` holds the required axioms.  The global λ verdict
+    has no ``symmetric`` variant, so it is never symmetric."""
+
+    def __init__(self, report: Report, symmetric: CheckResult | None, globality: CheckResult,
+                 consistency: CheckResult | None = None):
+        self.report = report
+        self.symmetric = symmetric
+        self.globality = globality
+        self.consistency = consistency
+
+    @property
+    def is_partial(self) -> bool:
+        return self.report.ok
+
+    @property
+    def is_symmetric(self) -> bool:
+        return self.is_partial and self.symmetric is not None and self.symmetric.passed
+
+    @property
+    def is_global(self) -> bool:
+        return self.is_partial and self.globality.passed
+
+    def full_report(self) -> Report:
+        rep = Report(self.report.title)
+        rep.results = list(self.report.results)
+        rep.add(CheckResult("symmetric [info]", True,
+                            f"holds={self.symmetric.passed}"))
+        rep.add(CheckResult("globality [info]", True,
+                            f"holds={self.globality.passed}"))
+        if self.consistency is not None:
+            rep.add(self.consistency)
+        return rep
+
+
 def first_failure(label: str, cases: Iterable, where: Callable) -> CheckResult:
     """The first failing case of a lazy scan, reported under ``label``, or a
     pass when every case holds.

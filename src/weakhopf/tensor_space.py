@@ -6,9 +6,12 @@ Conventions, fixed once for the whole package:
   domain basis vector; a ``Vector`` stores ``{index: coeff}``.  Neither ever
   holds an explicit zero, so equality is a comparison of the stored data and
   every operation touches the nonzero entries only;
+* exact elimination runs on sparse rows: one kernel, ``_echelon``, gives the
+  canonical reduced echelon basis ``{pivot: row}``, and a ``Subspace`` hands
+  out the inclusion ι of that basis and the left inverse of ι;
 * ``LinMap.rows`` (indexed ``rows[codomain_index][domain_index]``) and
-  ``Vector.coords`` are dense read-only views, built on first use, for exact
-  elimination;
+  ``Vector.coords`` are dense read-only views, built on first use, for the
+  benchmark, the tests and the dense-list adapters (``rref``, ``solve``, …);
 * the tensor product ``V (x) W`` uses row-major flattening,
   ``flat(i, j) = i * dim(W) + j`` with ``i`` indexing the left factor, and
   basis labels are the strings ``"v⊗w"``.
@@ -283,54 +286,49 @@ class Vector:
 # exact elimination
 # ---------------------------------------------------------------------------
 
-def rref(rows: Sequence[Sequence], field: Field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form over an exact field.
-
-    Pivots are normalised to 1 and eliminated above and below, so the result
-    is canonical for the row space.  Returns ``(matrix, pivot_columns)``.
-    """
-    p = field.characteristic
-    m = [[x % p for x in r] for r in rows] if p else [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if nrows else 0
-    pivots: list[int] = []
-    pr = 0
-    for pc in range(ncols):
-        pivot_row = None
-        for r in range(pr, nrows):
-            if m[r][pc]:
-                pivot_row = r
-                break
-        if pivot_row is None:
+def _echelon(rows: Iterable[dict], field: Field) -> dict:
+    """The canonical reduced echelon basis ``{pivot: row}`` of the span of
+    ``rows`` (read as ``Subspace.contains`` reads a vector: zeros dropped,
+    GF(p) entries reduced), in ascending pivot order, a row being 1 at its
+    pivot, 0 at the others and before its own.  As basis rows vanish at each
+    other's pivots, one ``_accumulate`` reduces a new row against all of them;
+    its pivot is then normalised and eliminated from the earlier rows."""
+    p, basis = field.characteristic, {}
+    for row in rows:
+        row = _reduced(row, p) if p else {i: c for i, c in row.items() if c}
+        row = _accumulate([(row, 1), *((basis[k], -c) for k, c in row.items() if k in basis)], p)
+        if not row:
             continue
-        m[pr], m[pivot_row] = m[pivot_row], m[pr]
-        inv = field.inv(m[pr][pc])
-        if inv != 1:
-            m[pr] = [inv * x % p for x in m[pr]] if p else [inv * x for x in m[pr]]
-        for r in range(nrows):
-            if r != pr and (f := m[r][pc]):
-                m[r] = ([(a - f * b) % p if b else a for a, b in zip(m[r], m[pr])] if p
-                        else [a - f * b if b else a for a, b in zip(m[r], m[pr])])
-        pivots.append(pc)
-        pr += 1
-        if pr == nrows:
-            break
-    return m, pivots
+        lead = min(row)
+        row = _scale(row, field.inv(row[lead]), p)
+        for k, b in basis.items():
+            if c := b.get(lead):
+                basis[k] = _accumulate(((b, 1), (row, -c)), p)
+        basis[lead] = row
+    return {k: basis[k] for k in sorted(basis)}
+
+
+def rref(rows: Sequence[Sequence], field: Field) -> tuple[list[list], list[int]]:
+    """Reduced row echelon form of a dense matrix over an exact field, which is
+    canonical for the row space.  Returns ``(matrix, pivot_columns)``: the
+    ``_echelon`` basis as dense rows, then zero rows, as many as the input has.
+    """
+    ncols, z = len(rows[0]) if rows else 0, field.zero()
+    basis = _echelon([_sparse(r) for r in rows], field)
+    out = [[z] * ncols for _ in rows]
+    for dense, row in zip(out, basis.values()):
+        for j, c in row.items():
+            dense[j] = c
+    return out, list(basis)
 
 
 def rref_with_transform(rows: Sequence[Sequence], field: Field):
     """RREF of A together with the row-operation matrix E, so that E·A = R."""
-    nrows = len(rows)
-    z, o = field.zero(), field.one()
-    aug = [list(r) + [o if j == i else z for j in range(nrows)] for i, r in enumerate(rows)]
-    red, pivots = rref(aug, field)
-    ncols = len(rows[0]) if nrows else 0
-    # pivots inside the original columns only; the identity block cannot
-    # contribute pivots before rank is exhausted
-    pivots = [p for p in pivots if p < ncols]
-    R = [row[:ncols] for row in red]
-    E = [row[ncols:] for row in red]
-    return R, E, pivots
+    n, ncols = len(rows), len(rows[0]) if rows else 0
+    red, pivots = rref([list(r) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)],
+                       field)
+    # the identity block takes no pivot before the rank of A is exhausted
+    return [r[:ncols] for r in red], [r[ncols:] for r in red], [q for q in pivots if q < ncols]
 
 
 def solve(a_rows: Sequence[Sequence], b: Sequence, field: Field):
@@ -498,8 +496,7 @@ class LinMap:
 
     @cached_property
     def rank(self) -> int:
-        _, pivots = rref(self.rows, self.field)
-        return len(pivots)
+        return len(_echelon(self.cols, self.field))
 
     def inverse(self) -> "LinMap | None":
         """Exact two-sided inverse for a square map, or None if singular."""
@@ -522,18 +519,19 @@ def swap_map(V: FinVec, W: FinVec) -> LinMap:
 
 
 def left_inverse_on_image(f: LinMap) -> LinMap:
-    """A map g with g∘f = id on f's domain.
+    """A map g with g∘f = id on f's domain: the rows of E in the reduced
+    echelon form [R | E] of [A | I] whose pivots lie in A.
 
     Requires f injective (full column rank, decided by exact elimination).
-    Off the image g is whatever the reduced-row-echelon pseudo-solve
-    produces, which is deterministic.
+    Off the image g is what that canonical form gives, which is deterministic.
     """
-    R, E, pivots = rref_with_transform(f.rows, f.field)
-    if len(pivots) != f.domain.dim:
-        raise NotInjective(
-            f"rank {len(pivots)} < domain dimension {f.domain.dim}"
-        )
-    return LinMap.from_rows(f.codomain, f.domain, E[:f.domain.dim])
+    n, one = f.domain.dim, f.field.one()
+    basis = _echelon([{**row, n + i: one} for i, row in enumerate(f.transposed_rows())], f.field)
+    rank = sum(lead < n for lead in basis)
+    if rank != n:
+        raise NotInjective(f"rank {rank} < domain dimension {n}")
+    e_rows = [{j - n: c for j, c in row.items() if j >= n} for row in list(basis.values())[:n]]
+    return LinMap(f.codomain, f.domain, LinMap(f.domain, f.codomain, e_rows).transposed_rows())
 
 
 def image_basis(f: LinMap) -> list[Vector]:
@@ -568,9 +566,7 @@ class Subspace:
 
     @classmethod
     def from_vectors(cls, space: FinVec, vectors: Iterable[Vector]) -> "Subspace":
-        rows = [list(v.coords) for v in vectors]
-        red, pivots = rref(rows, space.field) if rows else ([], [])
-        return cls(space, {lead: _sparse(r) for lead, r in zip(pivots, red)})
+        return cls(space, _echelon([v.terms for v in vectors], space.field))
 
     @property
     def dim(self) -> int:
@@ -579,6 +575,15 @@ class Subspace:
     @property
     def basis_vectors(self) -> list[Vector]:
         return [Vector(self.space, r) for r in self.basis.values()]
+
+    def inclusion(self, prefix: str) -> tuple[LinMap, LinMap]:
+        """The inclusion ι of the canonical basis, from a space labelled
+        ``<prefix>0, <prefix>1, …``, and the left inverse of ι that reads the
+        pivot coordinates: v = Σ v[pivot k]·ι(e_k) for every v in the image."""
+        sub = FinVec(self.space.field, tuple(f"{prefix}{k}" for k in range(self.dim)))
+        back = {lead: {k: self.space.field.one()} for k, lead in enumerate(self.basis)}
+        return (LinMap(sub, self.space, list(self.basis.values())),
+                LinMap(self.space, sub, [back.get(i, {}) for i in range(self.space.dim)]))
 
     def contains(self, v: Vector) -> bool:
         """v = Σ v[lead]·row over the pivots, each row 1 at its own and 0 at the others."""

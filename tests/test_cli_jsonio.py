@@ -508,6 +508,30 @@ MALFORMED += [
 ]
 
 
+
+def _drop(doc: dict, path: str) -> dict:
+    """``doc`` without the member at the dotted ``path``."""
+    *outer, key = path.split(".")
+    part = doc
+    for k in outer:
+        part = part[k]
+    del part[key]
+    return doc
+
+
+# a required member that is missing is named by its path, at the top level and in a
+# nested document of each kind (a weak-hopf document nests none)
+MISSING = [("weak-hopf", _kG_doc, "antipode"), ("weak-hopf", _kG_doc, "field"),
+           ("pmc", _action_doc, "tensor"), ("pmc", _action_doc, "hopf.antipode"),
+           ("pmc", _action_doc, "carrier.counit"), ("lambda", _lambda_doc, "values"),
+           ("lambda", _lambda_doc, "hopf.comul"), ("groupoid-action", _gpa_doc, "isos"),
+           ("groupoid-action", _gpa_doc, "coalgebra.comul")]
+MALFORMED += [
+    (f"{kind}-missing-{path}", kind, lambda build=build, path=path: _drop(build(), path),
+     f"MalformedInput: {path}: missing")
+    for kind, build, path in MISSING
+]
+
 @pytest.mark.parametrize("side", ["left", "right"])
 @pytest.mark.parametrize("argv", [["check", "pmc"], ["check", "mc"], ["dualize"], ["globalize"]],
                          ids=["pmc", "mc", "dualize", "globalize"])
@@ -670,6 +694,16 @@ def test_cli_malformed_input_exits_3_with_one_line(tmp_path, capsys, name, kind,
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert err.startswith("whw: malformed input") and where in err
+
+
+def test_a_missing_nested_member_exits_3_with_its_path_in_a_child_process(tmp_path):
+    path = write(tmp_path, "act.json", _drop(_action_doc(), "hopf.antipode"))
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", "check", "pmc", path],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 3
+    assert proc.stderr == "whw: malformed input: MalformedInput: hopf.antipode: missing\n"
 
 
 def test_cli_zero_denominator_in_a_child_process(tmp_path):

@@ -142,7 +142,7 @@ def test_full_target_algebra_forces_globality():
     # partial action is global; λ ≡ 1 gives a global action
     H = abelian_group_weak_hopf(FiniteAbelianGroup((3,)), QQ)
     lam = LambdaFunctional.from_values(H, [1, 1, 1])
-    assert check_lambda_global(lam).ok
+    assert check_lambda_global(lam).is_partial
     act = lambda_action(lam, grouplike_coalgebra(QQ, ["c0", "c1"]))
     assert check_module_coalgebra(act).ok
     v = check_partial_module_coalgebra(act)
@@ -156,7 +156,7 @@ def test_lambda_indicator_of_isotropy_group_is_partial():
     H = groupoid_algebra(G, QQ)
     lam = LambdaFunctional.indicator(H, [g for g in G.elements if g.startswith("g1.")])
     v = check_lambda_partial(lam)
-    assert v.ok and v.is_symmetric
+    assert v.is_partial and v.is_symmetric
 
 
 def test_lambda_counit_fails_when_several_objects():
@@ -166,7 +166,7 @@ def test_lambda_counit_fails_when_several_objects():
     lam = LambdaFunctional.from_values(H, eps_values)
     v = check_lambda_partial(lam)
     # λ(1_H) = |G₀| = 2 ≠ 1
-    assert not v.ok
+    assert not v.is_partial
     assert not v.report.result("(i)").passed
 
 
@@ -176,7 +176,7 @@ def test_lambda_subgroup_of_component_is_partial():
     G = disjoint_union_of_cyclic([4, 2])
     H = groupoid_algebra(G, QQ)
     lam = LambdaFunctional.indicator(H, ["g1.e", "g1.a2"])   # index-2 subgroup
-    assert check_lambda_partial(lam).ok
+    assert check_lambda_partial(lam).is_partial
 
 
 def test_lambda_non_closed_subset_fails():
@@ -184,16 +184,16 @@ def test_lambda_non_closed_subset_fails():
     H = groupoid_algebra(G, QQ)
     lam = LambdaFunctional.indicator(H, ["g1.e", "g1.a"])    # a⁻¹ = a3 missing
     v = check_lambda_partial(lam)
-    assert not v.ok
+    assert not v.is_partial
 
 
 def test_lambda_unit_needs_exactly_one_identity():
     G = disjoint_union_of_cyclic([2, 3])
     H = groupoid_algebra(G, QQ)
     both = LambdaFunctional.indicator(H, ["g1.e", "g2.e"])
-    assert not check_lambda_partial(both).ok
+    assert not check_lambda_partial(both).is_partial
     none = LambdaFunctional.indicator(H, ["g1.a"])
-    assert not check_lambda_partial(none).ok
+    assert not check_lambda_partial(none).is_partial
 
 
 @pytest.mark.parametrize("seed", [3, 11])
@@ -209,13 +209,14 @@ def test_lambda_checker_agrees_with_full_pmc_checker(seed):
         lam = LambdaFunctional.indicator(H, labels)
         lv = check_lambda_partial(lam)
         gv = check_lambda_global(lam)
+        assert gv.symmetric is None and not gv.is_symmetric    # no symmetric variant
         for C in carriers:
             act = lambda_action(lam, C)
             pv = check_partial_module_coalgebra(act)
-            assert pv.is_partial == lv.ok
+            assert pv.is_partial == lv.is_partial
             if pv.is_partial:
                 assert pv.is_symmetric == lv.is_symmetric
-            assert check_module_coalgebra(act).ok == gv.ok
+            assert check_module_coalgebra(act).ok == gv.is_partial
 
 
 def test_group_criterion_examples():
@@ -508,7 +509,7 @@ def test_global_lambda_action_on_algebra_carrier():
     G = disjoint_union_of_cyclic([2, 3])
     H = groupoid_algebra(G, QQ)
     lam = LambdaFunctional.indicator(H, [g for g in G.elements if g.startswith("g1.")])
-    assert check_lambda_global(lam).ok
+    assert check_lambda_global(lam).is_partial
     A = groupoid_algebra(cyclic_group_groupoid(2), QQ).alg
     ident = LinMap.identity(A.space)
     act = ActionTensor.from_slices(H, A, "left",

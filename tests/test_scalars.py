@@ -206,7 +206,13 @@ PARSE_CHARS = ["+", "-", " ", "\t", "\n", "\u3000", "0", "1", "2", "٣", "７", 
 @example("1.5e1")
 @example("0e10000")
 @example("0E７000")
+@example(".７1e７021")
+@example("٣E+７٣٣７1")
+@example("\u300010E７10٣")
 def test_parse_matches_fraction(s):
+    """Fraction's value, except that a nonzero literal is refused when a side of
+    its "/", plus the magnitude of its decimal exponent, passes 4,300 digits (the
+    README's rule: such a value cannot be printed under the int-string limit)."""
     try:
         expected = Fraction(s.strip())
     except ZeroDivisionError:
@@ -215,6 +221,12 @@ def test_parse_matches_fraction(s):
         return
     except ValueError:
         with pytest.raises(ValueError):
+            QQ.parse(s)
+        return
+    body, _, exponent = s.strip().lower().partition("e")
+    shift = abs(int(exponent.replace("_", ""))) if exponent else 0
+    if expected and shift + max(sum(map(str.isdecimal, side)) for side in body.split("/")) > 4300:
+        with pytest.raises(MalformedInput, match="more than 4300 digits"):
             QQ.parse(s)
         return
     got = QQ.parse(s)

@@ -23,6 +23,7 @@ from weakhopf.tensor_space import (
     solve_coordinates,
     _accumulate,
     _combine,
+    _echelon,
     _kron,
     _scale,
     _sum,
@@ -496,6 +497,56 @@ def test_kernel_shortcuts_match_dense_literal_sums(F, data):
     rows = data.draw(st.lists(st.lists(coeff, min_size=dim, max_size=dim), min_size=1, max_size=4))
     assert rref(rows, F) == _literal_rref(rows, F)
 
+
+@settings(max_examples=200, deadline=None)
+@given(fields, st.integers(1, 4), st.data())
+def test_elimination_contract_against_literal_gauss_jordan(F, ncols, data):
+    """``_echelon`` and what is built on it, against ``_literal_rref``, on
+    unreduced GF(7) ints (7 and -14 among them), stored zeros, dependent rows,
+    zero rows and no rows: the basis is the literal RREF's nonzero rows keyed by their pivots;
+    ``rank`` is the pivot count; ``left_inverse_on_image(f)`` is the E block of
+    the literal RREF [R | E] of [A | I]; a subspace's ι has the basis as its
+    columns and its back satisfies back∘ι = id."""
+    coeff = st.sampled_from(KERNEL_COEFFS[F] + ([7, -14] if F.characteristic else []))
+    rows = data.draw(st.lists(st.lists(coeff, min_size=ncols, max_size=ncols), max_size=4))
+    for _ in range(data.draw(st.integers(0, 2))):     # a zero row, or c·a + b of two rows
+        if rows and data.draw(st.booleans()):
+            a, b = data.draw(st.sampled_from(rows)), data.draw(st.sampled_from(rows))
+            c = data.draw(coeff)
+            new = [c * x + y for x, y in zip(a, b)]
+        else:
+            new = [0] * ncols
+        rows.insert(data.draw(st.integers(0, len(rows))), new)
+
+    literal, pivots = _literal_rref(rows, F)
+    expected = [{j: x for j, x in enumerate(r) if x} for r in literal if any(r)]
+    basis = _echelon([dict(enumerate(r)) for r in rows], F)     # zero entries included
+    assert list(basis) == pivots and list(basis.values()) == expected
+    assert rref(rows, F) == (literal, pivots)
+
+    V = space(F, ncols, "x")
+    sub = Subspace.from_vectors(V, [Vector.from_coords(V, r) for r in rows])
+    assert sub.basis == basis
+    if sub.dim:
+        incl, back = sub.inclusion("b")
+        assert incl.domain.labels == tuple(f"b{k}" for k in range(sub.dim))
+        assert list(incl.cols) == expected
+        assert back @ incl == LinMap.identity(incl.domain)
+    else:
+        with pytest.raises(ShapeMismatch):
+            sub.inclusion("b")
+    if not rows:
+        return
+    f = LinMap.from_rows(V, space(F, len(rows), "y"), rows)
+    assert f.rank == len(pivots)
+    identity = [[int(i == k) for k in range(len(rows))] for i in range(len(rows))]
+    red, aug_pivots = _literal_rref([r + e for r, e in zip(rows, identity)], F)
+    if sum(p < ncols for p in aug_pivots) == ncols:
+        assert left_inverse_on_image(f) == LinMap.from_rows(f.codomain, V,
+                                                            [r[ncols:] for r in red[:ncols]])
+    else:
+        with pytest.raises(NotInjective):
+            left_inverse_on_image(f)
 
 @pytest.mark.parametrize("F", [QQ, GF7], ids=["Q", "GF7"])
 def test_a_kernel_result_that_is_one_stored_column_is_that_column(F):
