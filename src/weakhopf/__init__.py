@@ -8,7 +8,7 @@ import importlib
 _EXPORTS = {
     "scalars": "QQ Field PrimeField RationalField field_from_name",
     "tensor_space": "FinVec LinMap Subspace Vector ground image_basis "
-                    "left_inverse_on_image swap_map tensor_product",
+                    "left_inverse_on_image tensor_product",
     "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
                   "dual_convolution_algebra eps_s eps_t same_structure_constants",
     "weak_hopf": "check_identities check_weak_bialgebra check_weak_hopf dualize is_hopf",

@@ -64,7 +64,7 @@ class ActionTensor(Frozen):
         p, sl = self.space.field.characteristic, self.slices
         return LinMap(self.space, self.space,
                       [_accumulate(((sl[i].cols[t], c) for i, c in h.terms.items()), p)
-                       for t in range(self.space.dim)])
+                       if h.terms else {} for t in range(self.space.dim)])
 
     @cached_property
     def product_slices(self) -> tuple[LinMap, ...]:
@@ -130,12 +130,14 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
             for j in range(m)]
 
     def column(i: int, j: int) -> dict:
-        return _accumulate(((_kron(sl[x][a], sl[y][b], m, p), ch * cc)
-                            for x, y, ch in act.hopf.coalg.delta_pairs(i)
-                            for a, b, cc in live[j][x] if sl[y][b]), p)
+        terms = [(_kron(sl[x][a], sl[y][b], m, p), ch * cc)
+                 for x, y, ch in act.hopf.coalg.delta_pairs(i)
+                 for a, b, cc in live[j][x] if sl[y][b]]
+        return _accumulate(terms, p) if terms else {}
 
     (dom, order), CC = _layout(act.hopf, C.space, act.side), C.comul.codomain.labels
-    return compare_maps(label, (_combine(C.comul.cols, sl[i][j].items(), p) for i, j in order),
+    return compare_maps(label, (sl[i][j] and _combine(C.comul.cols, sl[i][j].items(), p)
+                                for i, j in order),
                         (column(i, j) for i, j in order),
                         (C.field, lambda k, r: (dom.labels[k], CC[r])))
 
@@ -191,9 +193,10 @@ def _globality_criterion(act: ActionTensor, label: str) -> CheckResult:
     H, p, table = act.hopf, act.space.field.characteristic, act.counit_table
     twist = (H.eps_s if act.side == LEFT else H.eps_t).cols
     (dom, cases), cod = _layout(H, act.space, act.side), act.carrier.counit.codomain.labels
+    sums = ([({0: table[q][b]}, c) for q, c in twist[i].items() if b in table[q]]
+            for i, b in cases)
     return compare_maps(label, ({0: table[i][b]} if b in table[i] else {} for i, b in cases),
-                        (_accumulate((({0: table[q][b]}, c) for q, c in twist[i].items()
-                                      if b in table[q]), p) for i, b in cases),
+                        (_accumulate(terms, p) if terms else {} for terms in sums),
                         (act.space.field, lambda j, i: (dom.labels[j], cod[i])))
 
 

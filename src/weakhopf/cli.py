@@ -8,17 +8,17 @@
     whw globalize ACTION.json [--grouplike LABEL] [-o OUT]
 
 Text reports print one PASS/FAIL line per axiom or identity; `--format json`
-emits the same verdicts as a canonical JSON document.  Exit codes: 0 all
-selected checks pass, 2 a check failed, 3 unreadable or malformed input,
-4 a construction precondition was violated.
+(before the command) emits the same verdicts as a canonical JSON document.
+An option's value is the next word or follows `=`; `-h` prints this text.
+Exit codes: 0 all selected checks pass, 2 a check failed, 3 unreadable or
+malformed input, 4 a construction precondition was violated, 64 a usage error.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
-from functools import cache
+from types import SimpleNamespace
 
 from .errors import InputNotPartialAction, MalformedInput, WorkbenchError
 from .report import CheckResult, Report
@@ -29,13 +29,6 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_BAD_INPUT = 3
 EXIT_PRECONDITION = 4
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"whw: error: {message}", file=sys.stderr)
-        sys.exit(64)
 
 
 def _load(path: str) -> dict:
@@ -248,51 +241,71 @@ def _cmd_globalize(args) -> int:
     return _print_reports([transfer.coalgebra_report, transfer.algebra_report], args.format)
 
 
-@cache
-def _parser() -> _Parser:
-    """The `whw` argument parser, built once per process."""
-    parser = _Parser(prog="whw", description=__doc__,
-                     formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--format", choices=["text", "json"], default="text")
-    sub = parser.add_subparsers(dest="command", required=True)
+# The grammar: each command's handler and arguments, and `_TOP`, the arguments
+# before the command, in usage order, each (flags, default, allowed values or
+# None); a positional's one flag is its name, an option's last flag its attribute.
+_PATH, _OUTPUT = (("path",), None, None), (("-o", "--output"), None, None)
+COMMANDS = {
+    "validate-groupoid": (_cmd_validate_groupoid, [_PATH]),
+    "build": (_cmd_build, [(("kind",), None, ("kG", "kG-dual", "abelian-group")),
+                           (("spec",), None, None), (("--field",), "Q", None), _OUTPUT]),
+    "check": (_cmd_check, [(("kind",), None, tuple("weak-hopf wb identities hopf mc pmc ma pma "
+                                                   "lambda groupoid-action".split())), _PATH]),
+    "equiv": (_cmd_equiv, [_PATH]),
+    "dualize": (_cmd_dualize, [_PATH, _OUTPUT]),
+    "globalize": (_cmd_globalize, [_PATH, (("--grouplike",), None, None), _OUTPUT]),
+}
+_TOP = [(("--format",), "text", ("text", "json")), (("command",), None, tuple(COMMANDS))]
 
-    p = sub.add_parser("validate-groupoid")
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_validate_groupoid)
 
-    p = sub.add_parser("build")
-    p.add_argument("kind", choices=["kG", "kG-dual", "abelian-group"])
-    p.add_argument("spec")
-    p.add_argument("--field", default="Q")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_build)
+def _read(words: list, args: SimpleNamespace, prog: str, spec: list, rest=False) -> list:
+    """Set on ``args`` what ``words`` give for the arguments ``spec``, options
+    anywhere among the positionals; with ``rest``, stop after the last
+    positional and return the words after it."""
+    def shown(arg):
+        flags, _, choices = arg
+        text = "{" + ",".join(choices) + "}" if choices else flags[-1].lstrip("-").upper()
+        return f"[{flags[0]} {text}]" if flags[0].startswith("-") else text
 
-    p = sub.add_parser("check")
-    p.add_argument("kind", choices=["weak-hopf", "wb", "identities", "hopf",
-                                    "mc", "pmc", "ma", "pma", "lambda",
-                                    "groupoid-action"])
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_check)
+    def error(message):
+        print("usage:", prog, "[-h]", *map(shown, spec), file=sys.stderr)
+        print(f"whw: error: {message}", file=sys.stderr)
+        raise SystemExit(64)
 
-    p = sub.add_parser("equiv")
-    p.add_argument("path")
-    p.set_defaults(fn=_cmd_equiv)
+    def put(arg, value):
+        flags, _, choices = arg
+        if choices and value not in choices:
+            error(f"argument {'/'.join(flags)}: invalid choice: {value!r} "
+                  f"(choose from {', '.join(map(repr, choices))})")
+        setattr(args, flags[-1].lstrip("-"), value)
 
-    p = sub.add_parser("dualize")
-    p.add_argument("path")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_dualize)
-
-    p = sub.add_parser("globalize")
-    p.add_argument("path")
-    p.add_argument("--grouplike")
-    p.add_argument("-o", "--output")
-    p.set_defaults(fn=_cmd_globalize)
-    return parser
+    vars(args).update({flags[-1].lstrip("-"): default for flags, default, _ in spec})
+    options = {flag: arg for arg in spec for flag in arg[0] if flag.startswith("-")}
+    wanted = [arg for arg in spec if not arg[0][0].startswith("-")]
+    while words and (wanted or not rest):
+        word = words.pop(0)
+        flag, eq, value = word.partition("=")
+        if word in ("-h", "--help"):
+            print(__doc__, end="")
+            raise SystemExit(0)
+        if flag in options:
+            if not (eq or words):
+                error(f"argument {'/'.join(options[flag][0])}: expected one argument")
+            put(options[flag], value if eq else words.pop(0))
+        elif word.startswith("-") or not wanted:
+            error(f"unrecognized arguments: {word}")
+        else:
+            put(wanted.pop(0), word)
+    if wanted:
+        error(f"the following arguments are required: {', '.join(a[0][0] for a in wanted)}")
+    return words
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    args = SimpleNamespace()
+    words = _read(list(sys.argv[1:] if argv is None else argv), args, "whw", _TOP, rest=True)
+    args.fn, spec = COMMANDS[args.command]
+    _read(words, args, f"whw {args.command}", spec)
     try:
         return args.fn(args)
     except (KeyError, TypeError, ValueError) as exc:   # includes MalformedInput
@@ -301,7 +314,6 @@ def main(argv=None) -> int:
     except WorkbenchError as exc:
         print(f"whw: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -102,10 +102,6 @@ class PartialActionVerdict:
     def is_symmetric(self) -> bool:
         return self.is_partial and self.symmetric is not None and self.symmetric.passed
 
-    @property
-    def is_global(self) -> bool:
-        return self.is_partial and self.globality.passed
-
     def full_report(self) -> Report:
         rep = Report(self.report.title)
         rep.results = list(self.report.results)

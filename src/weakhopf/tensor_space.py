@@ -196,10 +196,6 @@ class Vector:
         self.terms = terms
 
     @classmethod
-    def zero(cls, space: FinVec) -> "Vector":
-        return cls(space, {})
-
-    @classmethod
     def basis(cls, space: FinVec, i: int) -> "Vector":
         return cls(space, {i: space.field.one()})
 
@@ -509,13 +505,6 @@ class LinMap:
 
     def __repr__(self):
         return f"LinMap({self.domain.dim}→{self.codomain.dim})"
-
-
-def swap_map(V: FinVec, W: FinVec) -> LinMap:
-    """The flip V⊗W → W⊗V."""
-    o = V.field.one()
-    cols = [{j * V.dim + i: o} for i in range(V.dim) for j in range(W.dim)]
-    return LinMap(tensor_product(V, W), tensor_product(W, V), cols)
 
 
 def left_inverse_on_image(f: LinMap) -> LinMap:

@@ -87,6 +87,19 @@ def regular_action(H, side="left"):
     return ActionTensor.from_slices(H, H.coalg, side, slices)
 
 
+def swap_map(V, W):
+    """The flip V⊗W → W⊗V."""
+    o = V.field.one()
+    return LinMap(tensor_product(V, W), tensor_product(W, V),
+                  [{j * V.dim + i: o} for i in range(V.dim) for j in range(W.dim)])
+
+
+def is_global(verdict):
+    """A PMC or PMA verdict's partial action is global: partial, with the
+    globality criterion."""
+    return verdict.is_partial and verdict.globality.passed
+
+
 def action_tensor(act):
     """The action as one map H⊗X → X (left) or X⊗H → X (right), the form the
     paper writes it in, assembled from its slices for reference checks."""

@@ -943,7 +943,7 @@ def test_every_schema_round_trips_byte_identically(field):
         assert canonical_dumps(dump(load(json.loads(text)))) == text, name
 
 
-# -- the parser is built once per process -----------------------------------------
+# -- repeated runs in one process ---------------------------------------------------
 
 def test_repeated_cli_runs_in_one_process_match_fresh_processes(tmp_path, capsys, monkeypatch):
     import weakhopf.cli
@@ -968,4 +968,102 @@ def test_repeated_cli_runs_in_one_process_match_fresh_processes(tmp_path, capsys
                               text=True, env=env, timeout=60)
         assert (code, out, err) == (proc.returncode, proc.stdout, proc.stderr), argv
         assert emitted is None or open(dual).read() == emitted
-    assert weakhopf.cli._parser() is weakhopf.cli._parser()
+
+
+# -- the command line, read by the command table ------------------------------------
+
+FORMS = [   # argv, the attributes the handler receives besides `fn`
+    (["validate-groupoid", "G.json"], {"path": "G.json"}),
+    (["build", "kG", "G.json"], {"kind": "kG", "spec": "G.json", "field": "Q", "output": None}),
+    (["build", "kG-dual", "G.json", "--field", "Fp:7", "-o", "H.json"],
+     {"kind": "kG-dual", "spec": "G.json", "field": "Fp:7", "output": "H.json"}),
+    (["build", "abelian-group", "A.json", "--field=Fp:5", "--output=H.json"],
+     {"kind": "abelian-group", "spec": "A.json", "field": "Fp:5", "output": "H.json"}),
+    (["build", "--field", "Fp:7", "kG", "-o", "H.json", "G.json"],
+     {"kind": "kG", "spec": "G.json", "field": "Fp:7", "output": "H.json"}),
+    *[(["check", kind, "IN.json"], {"kind": kind, "path": "IN.json"})
+      for kind in ["weak-hopf", "wb", "identities", "hopf", "mc", "pmc", "ma", "pma", "lambda",
+                   "groupoid-action"]],
+    (["--format", "json", "check", "pmc", "IN.json"],
+     {"format": "json", "kind": "pmc", "path": "IN.json"}),
+    (["--format=json", "equiv", "IN.json"], {"format": "json", "path": "IN.json"}),
+    (["--format", "text", "equiv", "IN.json"], {"path": "IN.json"}),
+    (["dualize", "A.json"], {"path": "A.json", "output": None}),
+    (["dualize", "A.json", "-o", "D.json"], {"path": "A.json", "output": "D.json"}),
+    (["dualize", "-o=D.json", "A.json"], {"path": "A.json", "output": "D.json"}),
+    (["globalize", "A.json", "--grouplike", "g1.e", "-o", "T.json"],
+     {"path": "A.json", "grouplike": "g1.e", "output": "T.json"}),
+    (["--format", "json", "globalize", "A.json", "--grouplike=g=h", "--output", "T.json"],
+     {"format": "json", "path": "A.json", "grouplike": "g=h", "output": "T.json"}),
+    (["globalize", "A.json", "-o", "first.json", "-o", "T.json"],
+     {"path": "A.json", "grouplike": None, "output": "T.json"}),
+]
+
+
+@pytest.mark.parametrize("argv,expected", FORMS, ids=[" ".join(argv) for argv, _ in FORMS])
+def test_every_documented_form_dispatches_its_arguments(monkeypatch, argv, expected):
+    from weakhopf import cli
+
+    command = next(word for word in argv if word in cli.COMMANDS)
+    handler, spec = cli.COMMANDS[command]
+    assert handler is getattr(cli, "_cmd_" + command.replace("-", "_"))
+    received = []
+    monkeypatch.setitem(cli.COMMANDS, command, (lambda args: received.append(args) or 7, spec))
+    assert main(argv) == 7
+    [args] = received
+    assert vars(args) == {"format": "text", "command": command, **expected,
+                          "fn": cli.COMMANDS[command][0]}
+
+
+USAGE_ERRORS = [    # argv, the usage line's program, the error after "whw: error: "
+    ([], "whw", "the following arguments are required: command"),
+    (["bogus", "x.json"], "whw", "argument command: invalid choice: 'bogus' (choose from "
+     "'validate-groupoid', 'build', 'check', 'equiv', 'dualize', 'globalize')"),
+    (["check", "bogus", "x.json"], "whw check", "argument kind: invalid choice: 'bogus'"),
+    (["build", "kG-bogus", "G.json"], "whw build", "argument kind: invalid choice: 'kG-bogus'"),
+    (["--format", "xml", "check", "pmc", "x.json"], "whw",
+     "argument --format: invalid choice: 'xml' (choose from 'text', 'json')"),
+    (["--format=yaml", "equiv", "x.json"], "whw", "argument --format: invalid choice: 'yaml'"),
+    (["check", "pmc"], "whw check", "the following arguments are required: path"),
+    (["build"], "whw build", "the following arguments are required: kind, spec"),
+    (["equiv", "a.json", "b.json"], "whw equiv", "unrecognized arguments: b.json"),
+    (["dualize", "a.json", "-o"], "whw dualize", "argument -o/--output: expected one argument"),
+    (["--format"], "whw", "argument --format: expected one argument"),
+    (["globalize", "a.json", "--bogus", "1"], "whw globalize", "unrecognized arguments: --bogus"),
+    (["check", "pmc", "a.json", "--format", "json"], "whw check",
+     "unrecognized arguments: --format"),
+    (["dualize", "a.json", "--grouplike", "g"], "whw dualize",
+     "unrecognized arguments: --grouplike"),
+    (["build", "kG", "G.json", "--fi", "Q"], "whw build", "unrecognized arguments: --fi"),
+    (["-o", "x.json", "equiv", "a.json"], "whw", "unrecognized arguments: -o"),
+]
+
+
+@pytest.mark.parametrize("argv,prog,message", USAGE_ERRORS,
+                         ids=[" ".join(argv) or "no command" for argv, _, _ in USAGE_ERRORS])
+def test_a_usage_error_exits_64_with_the_usage_line_and_one_error_line(
+        capsys, argv, prog, message):
+    import weakhopf.cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    out, err = capsys.readouterr()
+    assert (exc.value.code, out) == (64, "")
+    usage, error = err.splitlines()
+    assert usage.startswith(f"usage: {prog} [-h]") and error.startswith(f"whw: error: {message}")
+    assert err.endswith("\n") and len(err.splitlines()) == 2
+    src = os.path.dirname(os.path.dirname(weakhopf.cli.__file__))
+    proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", *argv], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (64, "", err)
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["--help"], ["build", "--help"],
+                                  ["--format", "json", "check", "pmc", "-h"]])
+def test_help_prints_the_module_docstring_and_exits_0(capsys, argv):
+    import weakhopf.cli
+
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr() == (weakhopf.cli.__doc__, "")

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import dense_entries
+from conftest import dense_entries, swap_map
 
 from weakhopf.errors import FieldMismatch, NotInjective, ShapeMismatch
 from weakhopf.groupoid import (FiniteAbelianGroup, abelian_group_weak_hopf,
@@ -27,7 +27,6 @@ from weakhopf.tensor_space import (
     _kron,
     _scale,
     _sum,
-    swap_map,
     tensor_product,
 )
 

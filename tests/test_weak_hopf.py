@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (ENTRIES, GF7, dense_entries, draw_map, draw_structure, draw_vector,
-                      fields, groupoid_family, regular_action)
+                      fields, groupoid_family, regular_action, swap_map)
 
 from weakhopf import (
     QQ,
@@ -34,7 +34,7 @@ from weakhopf.errors import CharacteristicDividesOrder
 from weakhopf.jsonio import canonical_dumps, weakhopf_from_json, weakhopf_to_json
 from weakhopf.report import (CheckResult, compare_maps, compare_scalars, compare_vectors,
                               first_failure)
-from weakhopf.tensor_space import rref, rref_with_transform, swap_map
+from weakhopf.tensor_space import rref, rref_with_transform
 from weakhopf.weak_hopf import (
     AlgebraData,
     CoalgebraData,
@@ -316,7 +316,7 @@ def test_axiom_ii_matches_triple_loop_reference(name, idx, k, field):
 def reference_pointwise(A, power, x, y):
     """(a1⊗...⊗ak)(b1⊗...⊗bk) = a1b1⊗...⊗akbk from fresh products and tensors."""
     n = A.space.dim
-    out = Vector.zero(x.space)
+    out = Vector(x.space, {})
     for i, a in x.nonzeros():
         for j, b in y.nonzeros():
             i_parts = [i // n ** (power - 1 - t) % n for t in range(power)]
@@ -422,7 +422,7 @@ def reference_composite_checks(H) -> dict:
     def d1_sandwich(left, right):   # h ↦ Σ left(1₁, h) ⊗ right(1₂, h)
         return LinMap.from_function(space, HH, lambda j: sum(
             (left(a, j).tensor(right(b, j)).scale(c) for a, b, c in H.wb.delta_one_pairs),
-            Vector.zero(HH)))
+            Vector(HH, {})))
 
     add("Eq 4.12", compare_maps("", ident.tensor(et) @ comul, d1_sandwich(
         lambda a, j: A.product(e[a], e[j]), lambda b, j: e[b])))
@@ -432,7 +432,7 @@ def reference_composite_checks(H) -> dict:
     def eps_of_legs(h, k, leg):     # Σ ε(h₁k)h₂ (leg 0) or Σ k₁ε(hk₂) (leg 1)
         return sum((e[q if leg == 0 else p].scale(
             c * C.eps(A.product(e[p], e[k]) if leg == 0 else A.product(e[h], e[q])))
-            for p, q, c in C.delta_pairs(h if leg == 0 else k)), Vector.zero(space))
+            for p, q, c in C.delta_pairs(h if leg == 0 else k)), Vector(space, {}))
 
     add("Eq 4.14", compare_maps("", mul @ ident.tensor(et), LinMap.from_function(
         HH, space, lambda idx: eps_of_legs(idx // n, idx % n, 0))))
@@ -443,10 +443,10 @@ def reference_composite_checks(H) -> dict:
              for a2, b2, c2 in H.wb.delta_one_pairs]
     add("Eq 4.17", compare_vectors("", middle(et).apply(delta2_one), sum(
         (A.product(e[a], e[a2]).tensor(e[b]).tensor(e[b2]).scale(c * c2)
-         for a, b, c, a2, b2, c2 in pairs), Vector.zero(tensor_product(HH, space)))))
+         for a, b, c, a2, b2, c2 in pairs), Vector(tensor_product(HH, space), {}))))
     add("Eq 4.18", compare_vectors("", middle(es).apply(delta2_one), sum(
         (e[a].tensor(e[a2]).tensor(A.product(e[b], e[b2])).scale(c * c2)
-         for a, b, c, a2, b2, c2 in pairs), Vector.zero(tensor_product(HH, space)))))
+         for a, b, c, a2, b2, c2 in pairs), Vector(tensor_product(HH, space), {}))))
     add("Eq 4.19", compare_maps("", et @ mul @ et.tensor(ident), mul @ et.tensor(et)))
     add("Eq 4.20", compare_maps("", es @ mul @ ident.tensor(es), mul @ es.tensor(es)))
 
@@ -457,7 +457,7 @@ def reference_composite_checks(H) -> dict:
     def d1_functional(leg, scalar):
         return LinMap.from_function(space, space, lambda j: sum(
             (e[(a, b)[leg]].scale(c * scalar(a, b, j)) for a, b, c in H.wb.delta_one_pairs),
-            Vector.zero(space)))
+            Vector(space, {})))
 
     zero = H.field.zero()
     add("Eq 4.30", compare_maps("", et, d1_functional(
@@ -469,7 +469,7 @@ def reference_composite_checks(H) -> dict:
         return LinMap.from_function(space, HH, lambda j: sum(
             (x.tensor(y).scale(c) for idx, c in delta2.cols[j].items()
              for x, y in (build(e[idx // (n * n)], e[idx // n % n], e[idx % n]),)),
-            Vector.zero(HH)))
+            Vector(HH, {})))
 
     P = A.product
     add("Eq 4.36", compare_maps("", sweedler3(lambda p, q, r: (p, P(q, H.S(r)))),
@@ -565,9 +565,9 @@ def test_sweedler_kernel_matches_literal_sums(F, data):
     got = _sweedler(sums, factors, n, F.characteristic, fixed)
     assert len(got) == len(sums)
     for terms_, col in zip(sums, got):
-        total = Vector.zero(spaces[0])
+        total = Vector(spaces[0], {})
         for V in spaces[1:]:
-            total = total.tensor(Vector.zero(V))
+            total = total.tensor(Vector(V, {}))
         for t in terms_:
             for f in [((), 1)] if fixed is None else fixed:
                 x, vec = t[:-1] + f[:-1], None
