@@ -130,10 +130,9 @@ def _mc2_check(act: ActionTensor, label: str) -> CheckResult:
             for j in range(m)]
 
     def column(i: int, j: int) -> dict:
-        terms = [(_kron(sl[x][a], sl[y][b], m, p), ch * cc)
-                 for x, y, ch in act.hopf.coalg.delta_pairs(i)
-                 for a, b, cc in live[j][x] if sl[y][b]]
-        return _accumulate(terms, p) if terms else {}
+        legs = [(sl[x][a], sl[y][b], ch * cc) for x, y, ch in act.hopf.coalg.delta_pairs(i)
+                for a, b, cc in live[j][x] if sl[y][b]]
+        return _accumulate(((_kron(u, v, m, p), c) for u, v, c in legs), p) if legs else {}
 
     (dom, order), CC = _layout(act.hopf, C.space, act.side), C.comul.codomain.labels
     return compare_maps(label, (sl[i][j] and _combine(C.comul.cols, sl[i][j].items(), p)

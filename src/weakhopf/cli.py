@@ -29,6 +29,7 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 2
 EXIT_BAD_INPUT = 3
 EXIT_PRECONDITION = 4
+EXIT_USAGE = 64
 
 
 def _load(path: str) -> dict:
@@ -270,7 +271,7 @@ def _read(words: list, args: SimpleNamespace, prog: str, spec: list, rest=False)
     def error(message):
         print("usage:", prog, "[-h]", *map(shown, spec), file=sys.stderr)
         print(f"whw: error: {message}", file=sys.stderr)
-        raise SystemExit(64)
+        raise SystemExit(EXIT_USAGE)
 
     def put(arg, value):
         flags, _, choices = arg

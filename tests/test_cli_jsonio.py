@@ -1051,7 +1051,7 @@ def test_a_usage_error_exits_64_with_the_usage_line_and_one_error_line(
     assert (exc.value.code, out) == (64, "")
     usage, error = err.splitlines()
     assert usage.startswith(f"usage: {prog} [-h]") and error.startswith(f"whw: error: {message}")
-    assert err.endswith("\n") and len(err.splitlines()) == 2
+    assert err.endswith("\n")
     src = os.path.dirname(os.path.dirname(weakhopf.cli.__file__))
     proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", *argv], capture_output=True,
                           text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
