@@ -15,8 +15,6 @@ the two verdicts agree; both directions are checked exactly.
 
 from __future__ import annotations
 
-import itertools
-
 from .actions import RIGHT, ActionTensor, check_module_algebra, check_module_coalgebra
 from .dualization import dualize_right_coalgebra_action
 from .errors import Frozen, HypothesisViolated, NotInjective, NotSubcoalgebra, ShapeMismatch
@@ -53,31 +51,14 @@ def absorbed_by(act: ActionTensor, v: Vector) -> bool:
 
 def find_basis_grouplikes(act: ActionTensor) -> list[GrouplikeElement]:
     """Grouplike elements absorbed by a right partial action, among the basis
-    vectors of H and 0/1-sums of the idempotent grouplike basis vectors.
-
-    The general variety of grouplikes (solutions of quadratic systems) is not
-    searched; the returned list may be empty.
-    """
+    vectors of H: no sum of several grouplike basis vectors is grouplike, and
+    other grouplikes are not searched, so the list may be empty."""
     if act.side != RIGHT or not act.is_coalgebra_action():
         raise ShapeMismatch("grouplike search expects a right action on a coalgebra")
     H = act.hopf
-    space = H.space
-    candidates: list[tuple[Vector, str]] = [
-        (Vector.basis(space, i), space.labels[i]) for i in range(space.dim)
-    ]
-    idempotent_grouplikes = [
-        i for i in range(space.dim)
-        if is_grouplike(H, Vector.basis(space, i))
-        and H.alg.mul.column(i * space.dim + i) == Vector.basis(space, i)
-    ]
-    if 2 <= len(idempotent_grouplikes) <= 12:
-        for size in range(2, len(idempotent_grouplikes) + 1):
-            for combo in itertools.combinations(idempotent_grouplikes, size):
-                v = Vector(space, {i: space.field.one() for i in combo})
-                candidates.append((v, "+".join(space.labels[i] for i in combo)))
     out = []
-    for v, label in candidates:
-        if is_grouplike(H, v) and absorbed_by(act, v):
+    for i, label in enumerate(H.space.labels):
+        if is_grouplike(H, v := Vector.basis(H.space, i)) and absorbed_by(act, v):
             out.append(GrouplikeElement(v, label))
     return out
 

@@ -37,9 +37,6 @@ class FiniteGroupoid(Frozen):
     def index(self, g: str) -> int:
         return self._positions[g]
 
-    def isotropy(self, e: str) -> tuple[str, ...]:
-        return tuple(g for g in self.elements if self.d[g] == e and self.r[g] == e)
-
     def product(self, g: str, h: str):
         return self.mul.get((g, h))
 

@@ -53,18 +53,9 @@ class Report:
     def failures(self) -> list[CheckResult]:
         return [r for r in self.results if not r.ok]
 
-    def result(self, label: str) -> CheckResult:
-        for r in self.results:
-            if r.label == label:
-                return r
-        raise KeyError(label)
-
-    def lines(self) -> list[str]:
-        return [r.line() for r in self.results]
-
     def format_text(self) -> str:
         head = f"== {self.title}: {'OK' if self.ok else 'FAILED'}"
-        return "\n".join([head] + self.lines())
+        return "\n".join([head] + [r.line() for r in self.results])
 
     def to_json(self) -> dict:
         return {

@@ -117,6 +117,8 @@ class RationalField(Field):
             return _normal(Fraction(t))
         except ZeroDivisionError:
             raise MalformedInput(f"zero denominator in {s!r}") from None
+        except ValueError:
+            raise MalformedInput(f"not a rational number: {s[:40]!r}") from None
 
     def fmt(self, a) -> str:
         return str(a if type(a) is int or isinstance(a, Fraction) else Fraction(a))
@@ -162,11 +164,13 @@ class PrimeField(Field):
             t = t[: -len(f"mod {self.p}")].strip()
         _refuse_long(s, t)
         num, _, den = t.partition("/")
-        if not den:
-            return int(num) % self.p
-        if int(den) % self.p == 0:
+        try:
+            num, den = int(num), int(den or 1)
+        except ValueError:
+            raise MalformedInput(f"not an element of GF({self.p}): {s[:40]!r}") from None
+        if den % self.p == 0:
             raise MalformedInput(f"zero denominator in {t!r} over GF({self.p})")
-        return int(num) * self.inv(int(den)) % self.p
+        return num % self.p if den == 1 else num * self.inv(den) % self.p
 
     def fmt(self, a) -> str:
         return str(self.coerce(a))

@@ -141,9 +141,6 @@ class CoalgebraData(Frozen):
         return tuple(tuple((idx // n, idx % n, c) for idx, c in sorted(col.items()))
                      for col in self.comul.cols)
 
-    def eps(self, x: Vector):
-        return self.counit.apply(x).terms.get(0, 0)
-
     def eps_coeff(self, i: int):
         return self.counit.cols[i].get(0, 0)
 

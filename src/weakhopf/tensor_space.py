@@ -48,9 +48,6 @@ class FinVec(Frozen):
     def dim(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def __eq__(self, other):
         return self is other or (isinstance(other, FinVec) and self.field == other.field
                                  and self.labels == other.labels)
@@ -384,27 +381,13 @@ class LinMap:
         return cls(domain, codomain, cols)
 
     @classmethod
-    def from_images(cls, domain: FinVec, codomain: FinVec, images) -> "LinMap":
-        """Build a map from the images of the domain basis vectors, given as
-        Vectors or as dense coordinate sequences."""
-        cols = []
-        for img in images:
-            if isinstance(img, Vector):
-                n, col = img.space.dim, img.terms
-            else:
-                coords = [domain.field.coerce(c) for c in img]
-                n, col = len(coords), _sparse(coords)
-            if n != codomain.dim:
-                raise ShapeMismatch("image has wrong length")
-            cols.append(col)
-        if len(cols) != domain.dim:
-            raise ShapeMismatch("need one image per domain basis vector")
-        return cls(domain, codomain, cols)
-
-    @classmethod
     def from_function(cls, domain: FinVec, codomain: FinVec,
                       fn: Callable[[int], Vector]) -> "LinMap":
-        return cls.from_images(domain, codomain, [fn(j) for j in range(domain.dim)])
+        """Build a map from the Vector images ``fn(j)`` of the basis vectors."""
+        images = [fn(j) for j in range(domain.dim)]
+        if any(v.space.dim != codomain.dim for v in images):
+            raise ShapeMismatch("image has wrong length")
+        return cls(domain, codomain, [v.terms for v in images])
 
     @classmethod
     def identity(cls, space: FinVec) -> "LinMap":

@@ -100,6 +100,19 @@ def is_global(verdict):
     return verdict.is_partial and verdict.globality.passed
 
 
+def labelled(report, label):
+    """The result of a Report under ``label``."""
+    for r in report.results:
+        if r.label == label:
+            return r
+    raise KeyError(label)
+
+
+def counit_value(C, x):
+    """ε(x) for a Vector x of the coalgebra C."""
+    return C.counit.apply(x).terms.get(0, 0)
+
+
 def action_tensor(act):
     """The action as one map H⊗X → X (left) or X⊗H → X (right), the form the
     paper writes it in, assembled from its slices for reference checks."""
@@ -129,7 +142,7 @@ def isotropy_lambda_action(G, field, e_label, carrier=None, side="left"):
 def projector_onto_labels(space, labels):
     field = space.field
     z, o = field.zero(), field.one()
-    wanted = {space.index(l) for l in labels}
+    wanted = {space.labels.index(l) for l in labels}
     rows = [[o if (i == j and i in wanted) else z for j in range(space.dim)]
             for i in range(space.dim)]
     return LinMap.from_rows(space, space, rows)
@@ -193,7 +206,7 @@ def component_permutation_gpa(field):
     def perm(mapping):
         rows = [[z] * C.space.dim for _ in range(C.space.dim)]
         for src, dst in mapping.items():
-            rows[C.space.index(dst)][C.space.index(src)] = o
+            rows[C.space.labels.index(dst)][C.space.labels.index(src)] = o
         return LinMap.from_rows(C.space, C.space, rows)
 
     swap_u = perm({"u0": "u1", "u1": "u0"})

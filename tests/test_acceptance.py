@@ -16,6 +16,7 @@ from conftest import (
     grouplike_coalgebra,
     is_global,
     isotropy_lambda_action,
+    labelled,
     nilpotent_coalgebra,
     regular_action,
 )
@@ -109,7 +110,7 @@ def test_criterion_02_dual_consistency():
 def test_criterion_03_hopf_detection():
     for name, G in acceptance_family():
         v = is_hopf(groupoid_algebra(G, QQ))
-        assert v.result("conditions agree").passed, name
+        assert labelled(v, "conditions agree").passed, name
         assert [r.passed for r in v.results[:5]] == [len(G.identities) == 1] * 5, name
     note(3, "the five Hopf conditions are all-true exactly for one-object "
             "groupoids, all-false otherwise, and never disagree")

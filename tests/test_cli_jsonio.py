@@ -888,9 +888,9 @@ def test_gf7_scalars_decode_as_before():
     (lambda d: d["unit"].pop(), "unit: expected a list of 3 entries"),
     (lambda d: d["mul"][2].pop(), "mul[2]: expected a list of 3 entries"),
     # a later group's shape fault comes after an earlier group's parse fault
-    (lambda d: d["comul"][0].pop(), "Invalid literal for Fraction: 'x'"),
-    (lambda d: d["antipode"].pop(), "Invalid literal for Fraction: 'x'"),
-    (lambda d: d["counit"].__setitem__(1, None), "Invalid literal for Fraction: 'x'"),
+    (lambda d: d["comul"][0].pop(), "mul[0][1][1]: not a rational number: 'x'"),
+    (lambda d: d["antipode"].pop(), "mul[0][1][1]: not a rational number: 'x'"),
+    (lambda d: d["counit"].__setitem__(1, None), "mul[0][1][1]: not a rational number: 'x'"),
 ], ids=["unit", "mul", "comul", "antipode", "counit"])
 def test_a_parse_fault_and_a_later_shape_fault_report_the_first_fault(where, expected):
     doc = _kG_doc()
@@ -900,6 +900,17 @@ def test_a_parse_fault_and_a_later_shape_fault_report_the_first_fault(where, exp
     with pytest.raises(ValueError) as exc:
         weakhopf_from_json(doc)
     assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("field,scalar", [
+    (PrimeField(7), "1.5"), (PrimeField(7), ""), (PrimeField(7), "3/x"), (QQ, "abc"),
+], ids=["gf7-decimal", "gf7-empty", "gf7-letter-denominator", "q-letters"])
+def test_an_unparseable_scalar_exits_3_naming_its_path(tmp_path, capsys, field, scalar):
+    doc = _edit(_kG_doc(field), lambda d: d["mul"][0][0].__setitem__(0, scalar))
+    assert main(["check", "weak-hopf", write(tmp_path, "H.json", doc)]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "mul[0][0][0]" in err and repr(scalar) in err
 
 
 def _round_trip_cases(field):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -5,8 +6,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (ENTRIES, action_tensor, fields, grouplike_coalgebra,
-                      nilpotent_coalgebra, regular_action)
+from conftest import (ENTRIES, action_tensor, draw_structure, fields, grouplike_coalgebra,
+                      labelled, nilpotent_coalgebra, regular_action)
 
 from weakhopf import (
     QQ,
@@ -18,6 +19,8 @@ from weakhopf import (
     LinMap,
     PrimeField,
     Vector,
+    WeakBialgebraData,
+    WeakHopfData,
     check_globalization,
     check_module_coalgebra,
     check_partial_module_coalgebra,
@@ -29,11 +32,12 @@ from weakhopf import (
     groupoid_algebra,
     lambda_action,
     standard_globalization,
+    trivial_groupoid,
     two_object_iso_groupoid,
 )
 from weakhopf.cli import main
 from weakhopf.errors import HypothesisViolated
-from weakhopf.globalization import absorbed_by
+from weakhopf.globalization import absorbed_by, is_grouplike
 from weakhopf.jsonio import action_to_json
 from weakhopf.structures import _assemble
 from weakhopf.tensor_space import left_inverse_on_image, tensor_product
@@ -77,6 +81,65 @@ def test_find_grouplikes_empty_when_support_straddles():
     lam = LambdaFunctional.indicator(H, ["g1.e", "g2.e"])
     act = lambda_action(lam, grouplike_coalgebra(QQ, ["c"]), "right")
     assert find_basis_grouplikes(act) == []
+
+
+# -- the grouplike search needs only the basis vectors ------------------------------
+
+def _sums_of_grouplike_basis_vectors(H):
+    """Every sum of two or more distinct grouplike basis vectors of H: by
+    linearity Δ of such a sum has no cross term e_i⊗e_j, so none is grouplike."""
+    space, one = H.space, H.field.one()
+    grouplike = [i for i in range(space.dim) if is_grouplike(H, Vector.basis(space, i))]
+    return [Vector(space, dict.fromkeys(combo, one))
+            for size in range(2, len(grouplike) + 1)
+            for combo in itertools.combinations(grouplike, size)]
+
+
+def _assert_basis_search_is_complete(H, lambdas):
+    """No grouplike sum exists, and each absorbed grouplike found on a right
+    λ-action is a basis vector; returns the labels found."""
+    assert not any(is_grouplike(H, v) for v in _sums_of_grouplike_basis_vectors(H))
+    found = set()
+    for lam in lambdas:
+        act = lambda_action(lam, grouplike_coalgebra(H.field, ["c"]), "right")
+        found |= {g.label for g in find_basis_grouplikes(act)}
+    assert found <= set(H.space.labels)
+    return found
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2)], ids=["Q", "GF2"])
+@pytest.mark.parametrize("G", [
+    *(trivial_groupoid(k) for k in range(2, 6)),
+    two_object_iso_groupoid(),
+    disjoint_union_of_cyclic([1, 2]),
+    disjoint_union_of_cyclic([2, 1, 3]),
+    disjoint_union_of_cyclic([1, 1, 2, 2]),
+    disjoint_union_of_cyclic([1, 2, 1, 2, 1]),
+], ids=["trivial-2", "trivial-3", "trivial-4", "trivial-5", "two-object-iso", "Z1+Z2",
+        "Z2+Z1+Z3", "Z1+Z1+Z2+Z2", "Z1+Z2+Z1+Z2+Z1"])
+def test_no_sum_of_grouplike_basis_vectors_of_kG_is_grouplike(G, field):
+    H = groupoid_algebra(G, field)
+    assert len(_sums_of_grouplike_basis_vectors(H)) == 2 ** H.space.dim - H.space.dim - 1
+    lambdas = [LambdaFunctional.indicator(H, objects)
+               for size in range(1, len(G.identities) + 1)
+               for objects in itertools.combinations(G.identities, size)]
+    assert _assert_basis_search_is_complete(H, lambdas)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(1, 4), st.data())
+def test_no_sum_of_grouplike_basis_vectors_of_a_drawn_structure_is_grouplike(F, dim, data):
+    """Drawn structure constants with Δ(e_i) = e_i⊗e_i forced on drawn basis
+    vectors, so that there are sums to test."""
+    drawn = draw_structure(data, F, dim)
+    forced = data.draw(st.sets(st.integers(0, dim - 1)))
+    comul = drawn.coalg.comul
+    cols = [{i * dim + i: F.one()} if i in forced else col for i, col in enumerate(comul.cols)]
+    coalg = CoalgebraData(drawn.space, LinMap(comul.domain, comul.codomain, cols),
+                          drawn.coalg.counit)
+    H = WeakHopfData(WeakBialgebraData(drawn.alg, coalg), LinMap.identity(drawn.space))
+    values = data.draw(st.lists(st.sampled_from(ENTRIES[F]), min_size=dim, max_size=dim))
+    _assert_basis_search_is_complete(H, [LambdaFunctional.from_values(H, values)])
 
 
 @pytest.mark.parametrize("build", [closing_example_one, closing_example_two])
@@ -181,14 +244,14 @@ def test_coproduct_escaping_eH_violates_the_grouplike_hypothesis(tmp_path, capsy
     exits 4 with one line."""
     act = closing_example_one()
     H, n = act.hopf, act.hopf.space.dim
-    a, b = H.space.index("g1.a"), H.space.index("g2.e")
+    a, b = H.space.labels.index("g1.a"), H.space.labels.index("g2.e")
     coproducts = list(H.coalg.comul.cols)
     coproducts[a] = {a * n + b: QQ.one()}
     H = _assemble(H.space, H.alg.mul.cols, H.unit.terms, coproducts,
                   [H.coalg.eps_coeff(i) for i in range(n)], H.antipode.cols)
     act = ActionTensor.from_slices(H, act.carrier, "right", act.slices)
     with pytest.raises(HypothesisViolated) as exc:
-        standard_globalization(act, Vector.basis(H.space, H.space.index("g1.e")))
+        standard_globalization(act, Vector.basis(H.space, H.space.labels.index("g1.e")))
     assert exc.value.which == "grouplike"
     path = tmp_path / "escaping.json"
     path.write_text(json.dumps(action_to_json(act)), encoding="utf-8")
@@ -214,7 +277,7 @@ def pad_with_unreachable_vector(gt):
         out.append([z] * n + [extra_diag])
         return out
 
-    comul_rows = []
+    comul_cols = []
     DD2 = tensor_product(space2, space2)
     for j in range(n):
         col = [z] * DD2.dim
@@ -222,11 +285,11 @@ def pad_with_unreachable_vector(gt):
         for idx, c in old.nonzeros():
             a, b = divmod(idx, n)
             col[a * space2.dim + b] = c
-        comul_rows.append(col)
+        comul_cols.append(col)
     pad_col = [z] * DD2.dim
     pad_col[n * space2.dim + n] = o          # Δ(pad) = pad⊗pad
-    comul_rows.append(pad_col)
-    comul2 = LinMap.from_images(space2, DD2, comul_rows)
+    comul_cols.append(pad_col)
+    comul2 = LinMap.from_function(space2, DD2, lambda j: Vector.from_coords(DD2, comul_cols[j]))
     counit2 = LinMap.from_rows(space2, D.counit.codomain,
                                [list(D.counit.rows[0]) + [o]])
     D2 = CoalgebraData(space2, comul2, counit2)
@@ -256,7 +319,7 @@ def test_identity_projection_breaks_image_clause():
     bad = GlobalizationTriple(gt.partial, gt.D, gt.global_act, gt.theta,
                               LinMap.identity(gt.D.space))
     rep = check_globalization(bad)
-    assert not rep.result("(iii)-pi-image").passed
+    assert not labelled(rep, "(iii)-pi-image").passed
 
 
 def test_dual_transfer_passes_on_valid_triples():
@@ -304,7 +367,7 @@ def test_break_generation_mutation_breaks_generation():
     gt = standard_globalization(act, find_basis_grouplikes(act)[0])
     bad = dict(mutated_triples(gt))["break-generation"]
     rep = check_globalization(bad)
-    assert not rep.result("(iv)-generation").passed
+    assert not labelled(rep, "(iv)-generation").passed
 
 
 def test_phi_ignores_off_image_choice_of_theta_inverse():

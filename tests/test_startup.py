@@ -6,11 +6,12 @@ tests run each command in a fresh interpreter and list the modules it has
 added to `sys.modules` once `cli.main` returns.
 """
 
-import importlib
+import importlib.util
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -82,6 +83,18 @@ def test_unknown_names_raise():
     with pytest.raises(ImportError):
         exec("from weakhopf import no_such_checker", {})
     assert weakhopf.__version__ == "0.1.0"
+
+
+def test_no_definition_is_named_only_by_the_tests():
+    """``tools/test_only_names.py`` finds no definition in ``src/`` that only
+    the tests name, but the H_t/H_s checker that no command runs yet."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "test_only_names.py"
+    spec = importlib.util.spec_from_file_location("test_only_names", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    groups = tool.unreferenced()
+    assert groups["named only by tests/"] == ["partial_actions.check_ht_hs_propositions (function)"]
+    assert groups["named nowhere"] == []
 
 
 # -- the import closure of each command --------------------------------------------

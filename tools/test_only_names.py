@@ -1,64 +1,108 @@
-"""List the functions, classes and methods defined in ``src/weakhopf`` whose
-name nothing in ``src/`` references, split by who does reference them.
+"""List the functions, classes and methods defined in ``src/weakhopf`` that
+nothing in ``src/`` references, split by who does reference them.
 
     python3 tools/test_only_names.py
 
-A name counts as referenced in ``src/`` when it occurs there as a name or an
-attribute outside its own definition; the package's export table (strings in
-``__init__.py``) does not count, and dunders, which Python calls implicitly,
-are left out.  The unreferenced names are split into those that ``bench/`` or
-``tools/`` name (the benchmark resolves them, so they stay while it does),
-those that only ``tests/`` name, and those that nothing names.  Matching is by
-name alone, so a name shared by two definitions is referenced if either is.
+References are read from the syntax tree, so comments never count, and a
+string counts only as a whole.  Dunders, which Python calls implicitly, are
+left out.
+
+- A function or class is referenced by a name, an attribute, an import, or,
+  outside ``src/``, a string equal to its name (``bench/tracing.py``
+  ``TARGETS`` names functions that way).  In ``src/`` no string counts, so
+  neither does the package's export table in ``__init__.py``.
+- A method is referenced only by an attribute access ``.name`` or by a
+  string ``"Class.name"``, which is how ``TARGETS`` names methods; a local
+  variable or a word in a message that shares the method's name does not
+  count.
+
+The unreferenced definitions are split into those that ``bench/`` or
+``tools/`` reference (the benchmark resolves them, so they stay while it
+does), those that only ``tests/`` reference, and those that nothing
+references.  Matching is by name, not by type, so two methods that share a
+name are referenced together: the tool could not see that ``FinVec.index``
+was named only by tests, since ``src/`` calls ``FiniteGroupoid.index`` as
+``G.index``.
 """
 
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 KINDS = {ast.FunctionDef: "function", ast.AsyncFunctionDef: "function", ast.ClassDef: "class"}
+GROUPS = ("named by bench/ or tools/", "named only by tests/", "named nowhere")
 
 
 def definitions(tree: ast.Module, module: str):
-    """(qualified name, bare name, kind) of each top-level function and class
-    and of each method of a top-level class, dunders left out."""
+    """(qualified name, class or None, bare name, kind) of each top-level
+    function and class and of each method of a top-level class, dunders left
+    out."""
     defs = tuple(KINDS)
     for node in tree.body:
         if isinstance(node, defs) and not node.name.startswith("__"):
-            yield f"{module}.{node.name}", node.name, KINDS[type(node)]
+            yield f"{module}.{node.name}", None, node.name, KINDS[type(node)]
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, defs) and not item.name.startswith("__"):
-                    yield f"{module}.{node.name}.{item.name}", item.name, "method"
+                    yield f"{module}.{node.name}.{item.name}", node.name, item.name, "method"
 
 
-def used_names(tree: ast.Module) -> set:
-    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(tree)
-            if isinstance(n, (ast.Name, ast.Attribute))}
+def references(tree: ast.Module) -> tuple[set, set, set]:
+    """The identifiers (names, imports and attributes), the attribute names
+    and the string constants that ``tree`` uses."""
+    idents, attrs, strings = set(), set(), set()
+    for n in ast.walk(tree):
+        if isinstance(n, ast.Name):
+            idents.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            idents.add(n.attr)
+            attrs.add(n.attr)
+        elif isinstance(n, ast.alias):
+            idents.add(n.name.rpartition(".")[2])
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            strings.add(n.value)
+    return idents, attrs, strings
 
 
-def named_in(folder: str, name: str) -> bool:
-    word = re.compile(rf"\b{re.escape(name)}\b")
-    return any(word.search(p.read_text(encoding="utf-8"))
-               for p in sorted((ROOT / folder).rglob("*.py")))
+def folder_references(folder: str) -> tuple[set, set, set]:
+    """`references` over every Python file under ``folder``; in ``src/`` no
+    string counts."""
+    idents, attrs, strings = set(), set(), set()
+    for path in sorted((ROOT / folder).rglob("*.py")):
+        i, a, s = references(ast.parse(path.read_text(encoding="utf-8")))
+        idents |= i
+        attrs |= a
+        strings |= s
+    return idents, attrs, strings if folder != "src" else set()
+
+
+def _referenced(refs: tuple[set, set, set], cls, name: str) -> bool:
+    idents, attrs, strings = refs
+    if cls is None:
+        return name in idents or name in strings
+    return name in attrs or f"{cls}.{name}" in strings
+
+
+def unreferenced() -> dict:
+    """The definitions that nothing in ``src/`` references, by group, each
+    as ``"qualified name (kind)"``."""
+    defined = []
+    for path in sorted((ROOT / "src" / "weakhopf").glob("*.py")):
+        defined += definitions(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    refs = {folder: folder_references(folder) for folder in ("src", "bench", "tools", "tests")}
+    groups = {key: [] for key in GROUPS}
+    for qualified, cls, name, kind in defined:
+        if _referenced(refs["src"], cls, name):
+            continue
+        key = (GROUPS[0] if any(_referenced(refs[f], cls, name) for f in ("bench", "tools"))
+               else GROUPS[1] if _referenced(refs["tests"], cls, name) else GROUPS[2])
+        groups[key].append(f"{qualified} ({kind})")
+    return groups
 
 
 def main() -> None:
-    used, defined = set(), []
-    for path in sorted((ROOT / "src" / "weakhopf").glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        used |= used_names(tree)
-        defined += definitions(tree, path.stem)
-    groups = {"named by bench/ or tools/": [], "named only by tests/": [], "named nowhere": []}
-    for qualified, name, kind in defined:
-        if name in used:
-            continue
-        key = ("named by bench/ or tools/" if named_in("bench", name) or named_in("tools", name)
-               else "named only by tests/" if named_in("tests", name) else "named nowhere")
-        groups[key].append(f"{qualified} ({kind})")
     print("definitions in src/weakhopf that nothing in src/ references:")
-    for key, names in groups.items():
+    for key, names in unreferenced().items():
         print(f"  {key}: {len(names)}")
         for line in names:
             print(f"    {line}")
