@@ -3,7 +3,12 @@
 Verdicts are decided by exact equality of scalars over ℚ or GF(p).  A rational
 is an ``int`` when it is integral and a ``fractions.Fraction`` otherwise:
 ``RationalField`` normalises every scalar it makes, and arithmetic may leave an
-integral ``Fraction``, which compares and hashes like the ``int``.  A GF(p)
+integral ``Fraction``, which compares and hashes like the ``int``.  It imports
+``fractions`` (and with it ``decimal`` and ``numbers``) only on first need: when
+``parse`` reads a string other than ``[+-]?[0-9]+``, when a non-integral value
+reaches ``coerce`` or ``fmt``, or when ``inv`` inverts anything but an ``int``
+±1, which is its own inverse.  So a process that reads and decides a document
+whose scalars are all integers never loads it.  A GF(p)
 element is a plain ``int``, stored reduced to its representative in [0, p).
 Python arithmetic on two of them leaves an unreduced ``int``: the sparse
 kernels of :mod:`tensor_space` take the field's ``characteristic`` as their
@@ -19,10 +24,11 @@ applying across fields raises ``ShapeMismatch``.
 
 from __future__ import annotations
 
-from fractions import _RATIONAL_FORMAT, Fraction     # the grammar that Fraction(str) parses
-
 from .errors import DivisionByZero, FieldMismatch, MalformedInput
 
+# fractions.Fraction and _RATIONAL_FORMAT (the grammar that Fraction(str) parses),
+# bound by _import_fractions on first need
+Fraction = _RATIONAL_FORMAT = None
 
 _BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 PRIME_BOUND = 3317044064679887385961981
@@ -71,6 +77,11 @@ class Field:
         return self.characteristic != 0 and n % self.characteristic == 0
 
 
+def _import_fractions() -> None:
+    global Fraction, _RATIONAL_FORMAT
+    from fractions import _RATIONAL_FORMAT, Fraction
+
+
 def _normal(q: Fraction):
     """An integral Fraction as its int numerator; any other one unchanged."""
     return q.numerator if q.denominator == 1 else q
@@ -85,17 +96,23 @@ class RationalField(Field):
     def coerce(self, x):
         if type(x) is int:
             return x
-        if isinstance(x, Fraction):
-            return _normal(x)
         if isinstance(x, int):
             return int(x)
         if isinstance(x, str):
             return self.parse(x)
+        if Fraction is None:
+            _import_fractions()
+        if isinstance(x, Fraction):
+            return _normal(x)
         raise FieldMismatch(f"cannot interpret {x!r} as a rational")
 
     def inv(self, a):
+        if type(a) is int and (a == 1 or a == -1):
+            return a
         if a == 0:
             raise DivisionByZero("0 has no inverse in Q")
+        if Fraction is None:
+            _import_fractions()
         return _normal(1 / Fraction(a))
 
     def parse(self, s: str):
@@ -105,6 +122,8 @@ class RationalField(Field):
         digits = t[1:] if t[:1] in ("+", "-") else t
         if digits.isascii() and digits.isdigit() and len(digits) <= _MAX_DIGITS:
             return int(t)
+        if Fraction is None:
+            _import_fractions()
         # a zero mantissa in Fraction's grammar is 0 whatever its exponent or length
         if (m := _RATIONAL_FORMAT.match(t)) and not m["denom"] and not any(
                 c != "_" and int(c) for c in m["num"] + (m["decimal"] or "")):
@@ -121,7 +140,11 @@ class RationalField(Field):
             raise MalformedInput(f"not a rational number: {s[:40]!r}") from None
 
     def fmt(self, a) -> str:
-        return str(a if type(a) is int or isinstance(a, Fraction) else Fraction(a))
+        if type(a) is int:
+            return str(a)
+        if Fraction is None:
+            _import_fractions()
+        return str(a if isinstance(a, Fraction) else Fraction(a))
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -163,9 +186,9 @@ class PrimeField(Field):
         if t.endswith(f"mod {self.p}"):
             t = t[: -len(f"mod {self.p}")].strip()
         _refuse_long(s, t)
-        num, _, den = t.partition("/")
-        try:
-            num, den = int(num), int(den or 1)
+        num, slash, den = t.partition("/")
+        try:     # "3/" has a slash with nothing after it, which int("") refuses
+            num, den = int(num), int(den) if slash else 1
         except ValueError:
             raise MalformedInput(f"not an element of GF({self.p}): {s[:40]!r}") from None
         if den % self.p == 0:

@@ -903,8 +903,10 @@ def test_a_parse_fault_and_a_later_shape_fault_report_the_first_fault(where, exp
 
 
 @pytest.mark.parametrize("field,scalar", [
-    (PrimeField(7), "1.5"), (PrimeField(7), ""), (PrimeField(7), "3/x"), (QQ, "abc"),
-], ids=["gf7-decimal", "gf7-empty", "gf7-letter-denominator", "q-letters"])
+    (PrimeField(7), "1.5"), (PrimeField(7), ""), (PrimeField(7), "3/x"), (PrimeField(7), "3/"),
+    (PrimeField(7), "3/ mod 7"), (QQ, "abc"),
+], ids=["gf7-decimal", "gf7-empty", "gf7-letter-denominator", "gf7-empty-denominator",
+        "gf7-empty-denominator-mod", "q-letters"])
 def test_an_unparseable_scalar_exits_3_naming_its_path(tmp_path, capsys, field, scalar):
     doc = _edit(_kG_doc(field), lambda d: d["mul"][0][0].__setitem__(0, scalar))
     assert main(["check", "weak-hopf", write(tmp_path, "H.json", doc)]) == 3

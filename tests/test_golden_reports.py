@@ -15,6 +15,8 @@ intended change of the report or document format.
 
 import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -502,6 +504,20 @@ def test_golden_file_covers_every_case():
     assert any('"passed":false' in text and "witness" in text for text in golden.values())
 
 
+# the digest over the SHA-256 of every benchmark output of seeds 1-3 (exit code,
+# stdout, stderr and written document of each job, and each corpus document)
+OUTPUT_DIGEST = "d340065ed54ed8f9829a8270af7a2c2947729d08e1e803913234d2235b0b7750"
+
+
+def test_benchmark_outputs_of_seeds_1_to_3_are_byte_identical():
+    tool = pathlib.Path(__file__).resolve().parent.parent / "tools" / "output_hashes.py"
+    proc = subprocess.run([sys.executable, str(tool), "--seed", "1", "--seed", "2", "--seed", "3",
+                           "--digest-only"], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("digest of 651 output hashes (sparse-ladder, dense-coproduct, "
+                           f"action-pipeline; seeds [1, 2, 3]): {OUTPUT_DIGEST}\n")
+
+
 if __name__ == "__main__":
     import contextlib
     import io
@@ -527,3 +543,4 @@ if __name__ == "__main__":
     GOLDEN.write_text(json.dumps(out, indent=1, sort_keys=True, ensure_ascii=False) + "\n",
                       encoding="utf-8")
     print(f"wrote {len(out)} cases to {GOLDEN}")
+

@@ -1,9 +1,13 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import weakhopf
 from weakhopf.errors import DivisionByZero, FieldMismatch, MalformedInput
 from weakhopf.scalars import (
     PRIME_BOUND,
@@ -155,11 +159,13 @@ def test_gf_element_equals_only_its_canonical_int():
 
 
 def test_parse_rejects_zero_denominators():
-    with pytest.raises(MalformedInput):
-        QQ.parse("1/0")
+    # and empty ones, over either field
+    for bad in ("1/0", "3/"):
+        with pytest.raises(MalformedInput):
+            QQ.parse(bad)
     F = PrimeField(7)
     assert F.parse("3/2") == F.from_int(5)
-    for bad in ("1/0", "1/7", "2/14 mod 7"):
+    for bad in ("1/0", "1/7", "2/14 mod 7", "3/", "3/ mod 7", "/", "/2", " 3 / "):
         with pytest.raises(MalformedInput):
             F.parse(bad)
 
@@ -173,8 +179,35 @@ def test_integral_rationals_are_ints():
         assert got == expected and type(got) is int
     assert QQ.coerce(Fraction(1, 2)) == Fraction(1, 2)
     assert type(QQ.inv(Fraction(1, 2))) is int and type(QQ.inv(2)) is Fraction
+    for a in (1, -1, Fraction(1, 1), Fraction(-2, -2), Fraction(-1, 1)):
+        assert QQ.inv(a) == a and type(QQ.inv(a)) is int
     assert QQ.fmt(2) == QQ.fmt(Fraction(2)) == "2" and QQ.fmt(Fraction(-1, 2)) == "-1/2"
     assert hash(QQ.one()) == hash(Fraction(1)) and {QQ.one(), Fraction(1)} == {1}
+
+
+# integer scalars in a fresh interpreter: fractions (with decimal and numbers) is
+# imported only by the first non-integral rational
+INTEGRAL_ONLY = """
+import sys
+from weakhopf.scalars import QQ, PrimeField, field_from_name
+assert [QQ.parse(s) for s in ("0", "-1", " +12 ", "007")] == [0, -1, 12, 7]
+assert (QQ.inv(1), QQ.inv(-1), QQ.fmt(5), QQ.coerce(True), QQ.coerce("-3")) == (1, -1, "5", 1, -3)
+F = field_from_name("Fp:7")
+assert F == PrimeField(7) and (F.zero(), F.one(), F.from_int(8), F.coerce(-1)) == (0, 1, 1, 6)
+assert (F.parse("3/2"), F.parse("4 mod 7"), F.inv(3), F.fmt(9)) == (5, 4, 5, "2")
+assert F.char_divides(14) and not QQ.char_divides(14)
+print(sorted({"fractions", "decimal", "numbers"} & set(sys.modules)))
+q = QQ.parse("1/5")
+print(type(q) is sys.modules["fractions"].Fraction, q)
+"""
+
+
+def test_integer_scalars_do_not_import_fractions():
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    proc = subprocess.run([sys.executable, "-S", "-c", INTEGRAL_ONLY], capture_output=True,
+                          text=True, env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True 1/5"]
 
 
 def test_integral_rational_mixes_with_prime_field_scalars():

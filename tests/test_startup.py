@@ -20,7 +20,9 @@ from conftest import grouplike_coalgebra, isotropy_lambda_action
 import weakhopf
 from weakhopf import (
     QQ,
+    FiniteAbelianGroup,
     LambdaFunctional,
+    abelian_group_weak_hopf,
     disjoint_union_of_cyclic,
     groupoid_algebra,
     lambda_action,
@@ -130,7 +132,9 @@ def documents(tmp_path_factory):
     docs = {"G": {"disjoint_union": [{"group": "Z/2"}, {"group": "Z/3"}]},
             "H": weakhopf_to_json(H), "act": action_to_json(act),
             "lam": lambda_to_json(lam, groupoid=G2, hopf_kind="kG"),
-            "right": action_to_json(right)}
+            "right": action_to_json(right),
+            # the averaged example holds 1/3 in its coproduct
+            "avg": weakhopf_to_json(abelian_group_weak_hopf(FiniteAbelianGroup((3,)), QQ))}
     for name, doc in docs.items():
         (d / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
     return d
@@ -150,6 +154,7 @@ CLOSURES = [     # (argv with document names, modules it must load, modules it m
     (["--help"], set(),
      {"jsonio", "structures", "tensor_space", "scalars"} | CHECKERS | WEAK_HOPF_ONLY),
     (["check", "weak-hopf", "H.json"], {"structures", "weak_hopf"}, WEAK_HOPF_ONLY),
+    (["check", "weak-hopf", "avg.json"], {"structures", "weak_hopf"}, WEAK_HOPF_ONLY),
     (["check", "identities", "H.json"], {"weak_hopf"}, WEAK_HOPF_ONLY),
     (["check", "pmc", "act.json"], {"structures", "actions"},
      NOT_ACTIONS | {"groupoid"} | CHECKERS | FAMILIES),
@@ -173,3 +178,8 @@ def test_command_imports_only_what_it_runs(documents, argv, needed, absent):
     # no command pays for importing these
     assert not added & {"dataclasses", "inspect", "typing",
                         "argparse", "gettext", "locale", "textwrap"}, sorted(added)
+    # only a document that holds a non-integral rational needs `fractions`
+    if argv[-1].endswith("avg.json"):
+        assert "fractions" in added
+    else:
+        assert not added & {"fractions", "decimal", "numbers"}, sorted(added)
