@@ -3,12 +3,12 @@ partial actions on coalgebras: example constructors, axiom and identity
 checkers, dualization and globalization.  Each name is imported from its
 module on first use, so a ``whw`` process loads only the modules it runs."""
 
-import importlib
+from .errors import forward
 
 _EXPORTS = {
     "scalars": "QQ Field PrimeField RationalField field_from_name",
-    "tensor_space": "FinVec LinMap Subspace Vector ground image_basis "
-                    "left_inverse_on_image tensor_product",
+    "tensor_space": "FinVec LinMap Vector ground tensor_product",
+    "elimination": "Subspace image_basis left_inverse_on_image",
     "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
                   "dual_convolution_algebra eps_s eps_t same_structure_constants",
     "weak_hopf": "check_identities check_weak_bialgebra check_weak_hopf dualize is_hopf",
@@ -18,11 +18,11 @@ _EXPORTS = {
                 "two_object_iso_groupoid validate_groupoid",
     "actions": "ActionTensor check_module_algebra check_module_coalgebra "
                "check_partial_module_algebra check_partial_module_coalgebra",
-    "partial_actions": "GroupoidPartialAction LambdaFunctional "
-                       "check_dual_k_partial_action_criterion check_ht_hs_propositions "
+    "partial_actions": "LambdaFunctional check_dual_k_partial_action_criterion "
                        "check_k_partial_action_group_criterion check_lambda_global "
-                       "check_lambda_partial from_kG_action induce_partial_action "
-                       "lambda_action to_kG_action validate_groupoid_partial_action",
+                       "check_lambda_partial lambda_action",
+    "groupoid_actions": "GroupoidPartialAction check_ht_hs_propositions from_kG_action "
+                        "induce_partial_action to_kG_action validate_groupoid_partial_action",
     "dualization": "dualize_coalgebra_action dualize_right_coalgebra_action "
                    "undualize_algebra_action undualize_left_algebra_action",
     "globalization": "GlobalizationTriple GrouplikeElement check_globalization "
@@ -35,13 +35,7 @@ _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in nam
 __all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
 
-
-def __getattr__(name):
-    if name not in _MODULE_OF:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(f"{__name__}.{_MODULE_OF[name]}"), name)
-    globals()[name] = value
-    return value
+__getattr__ = forward(globals(), _MODULE_OF)
 
 
 def __dir__():

@@ -296,9 +296,9 @@ def _ma2_check(act: ActionTensor, label: str) -> CheckResult:
             for a in range(m):
                 live = [(x, y, c) for x, y, c in pairs if sl[x][a]]
                 for b in sorted(set(right[a]).union(*(nonempty[t[1]] for t in live))):
-                    lhs = _combine(sl[i], A.mul.cols[a * m + b].items(), p)
-                    rhs = _accumulate(((A.times(sl[x][a], sl[y][b]), c)
-                                       for x, y, c in live if sl[y][b]), p)
+                    lhs = (col := A.mul.cols[a * m + b]) and _combine(sl[i], col.items(), p)
+                    terms = [(A.times(sl[x][a], sl[y][b]), c) for x, y, c in live if sl[y][b]]
+                    rhs = _accumulate(terms, p) if terms else {}
                     yield (i, a, b), lhs == rhs or compare_vectors(
                         "", lhs, rhs, (A.field, A.space.labels.__getitem__))
 

@@ -21,7 +21,6 @@ import sys
 from types import SimpleNamespace
 
 from .errors import InputNotPartialAction, MalformedInput, WorkbenchError
-from .report import CheckResult, Report
 
 # Each command imports the modules it runs, so a `whw` process loads only those.
 
@@ -44,9 +43,13 @@ def _load(path: str) -> dict:
     return doc
 
 
-def _emit(doc: dict, out: str | None) -> None:
-    from .jsonio import canonical_dumps
+def canonical_dumps(obj) -> str:
+    """The text of a document or report: sorted keys, no spaces, so that equal
+    documents are written byte for byte alike."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
+
+def _emit(doc: dict, out: str | None) -> None:
     text = canonical_dumps(doc)
     if out:
         with open(out, "w", encoding="utf-8") as fh:
@@ -58,7 +61,6 @@ def _emit(doc: dict, out: str | None) -> None:
 def _print_reports(reports: list[Report], fmt: str) -> int:
     ok = all(r.ok for r in reports)
     if fmt == "json":
-        from .jsonio import canonical_dumps
         print(canonical_dumps({
             "ok": ok,
             "reports": [r.to_json() for r in reports],
@@ -71,6 +73,7 @@ def _print_reports(reports: list[Report], fmt: str) -> int:
 
 def _cmd_validate_groupoid(args) -> int:
     from .groupoid import groupoid_from_spec
+    from .report import CheckResult, Report
 
     doc = _load(args.path)
     G = groupoid_from_spec(doc)
@@ -82,9 +85,9 @@ def _cmd_validate_groupoid(args) -> int:
 
 
 def _cmd_build(args) -> int:
-    from . import jsonio
-    from .groupoid import (abelian_group_weak_hopf, dual_groupoid_algebra,
-                           groupoid_algebra, groupoid_from_spec)
+    from .groupoid import (abelian_group_from_spec, abelian_group_weak_hopf,
+                           dual_groupoid_algebra, groupoid_algebra, groupoid_from_spec)
+    from .jsonwrite import weakhopf_to_json
     from .scalars import field_from_name
 
     field = field_from_name(args.field)
@@ -94,8 +97,8 @@ def _cmd_build(args) -> int:
     elif args.kind == "kG-dual":
         H = dual_groupoid_algebra(groupoid_from_spec(doc), field)
     else:
-        H = abelian_group_weak_hopf(jsonio.abelian_group_from_spec(doc), field)
-    _emit(jsonio.weakhopf_to_json(H), args.output)
+        H = abelian_group_weak_hopf(abelian_group_from_spec(doc), field)
+    _emit(weakhopf_to_json(H), args.output)
     return EXIT_OK
 
 
@@ -125,8 +128,10 @@ def _cmd_check(args) -> int:
     if kind == "lambda":
         from .partial_actions import (check_dual_k_partial_action_criterion,
                                       check_k_partial_action_group_criterion,
-                                      check_lambda_global, check_lambda_partial)
-        lf, G, hopf_kind, side = jsonio.lambda_from_json(doc)
+                                      check_lambda_global, check_lambda_partial,
+                                      lambda_from_json)
+        from .report import CheckResult, Report
+        lf, G, hopf_kind, side = lambda_from_json(doc)
         verdict = check_lambda_partial(lf, side)
         reports = [verdict.report]
         glob = check_lambda_global(lf)
@@ -143,21 +148,23 @@ def _cmd_check(args) -> int:
                            .report("dual V-group criterion"))
         return _print_reports(reports, args.format)
     if kind == "groupoid-action":
-        from .partial_actions import validate_groupoid_partial_action
-        gpa = jsonio.gpa_from_json(doc)
+        from .groupoid_actions import gpa_from_json, validate_groupoid_partial_action
+        gpa = gpa_from_json(doc)
         return _print_reports([validate_groupoid_partial_action(gpa)], args.format)
     raise AssertionError(kind)
 
 
 def _cmd_equiv(args) -> int:
-    from . import jsonio
     from .actions import check_partial_module_coalgebra
-    from .partial_actions import from_kG_action, to_kG_action, validate_groupoid_partial_action
+    from .groupoid_actions import (action_groupoid_from_json, from_kG_action, gpa_from_json,
+                                   to_kG_action, validate_groupoid_partial_action)
+    from .jsonio import action_from_json
+    from .report import CheckResult, Report
 
     doc = _load(args.path)
     rep = Report("equivalence round-trip")
     if doc.get("schema") == "groupoid-action":
-        gpa = jsonio.gpa_from_json(doc)
+        gpa = gpa_from_json(doc)
         rep.extend(validate_groupoid_partial_action(gpa), prefix="input-")
         act = to_kG_action(gpa)
         verdict = check_partial_module_coalgebra(act)
@@ -168,8 +175,8 @@ def _cmd_equiv(args) -> int:
         act2 = to_kG_action(back)
         rep.add(CheckResult("to(from(action)) == action", act2.slices == act.slices))
     elif doc.get("schema") == "action":
-        act = jsonio.action_from_json(doc)
-        G = jsonio.action_groupoid_from_json(doc, act.hopf)
+        act = action_from_json(doc)
+        G = action_groupoid_from_json(doc, act.hopf)
         if G is None:
             print("whw: action document needs a 'groupoid' entry for equiv",
                   file=sys.stderr)
@@ -189,12 +196,14 @@ def _cmd_equiv(args) -> int:
 
 
 def _cmd_dualize(args) -> int:
-    from . import jsonio
     from .actions import check_partial_module_algebra, check_partial_module_coalgebra
     from .dualization import dualize_coalgebra_action, undualize_algebra_action
+    from .jsonio import action_from_json
+    from .jsonwrite import action_to_json
+    from .report import CheckResult, Report
 
     doc = _load(args.path)
-    act = jsonio.action_from_json(doc)
+    act = action_from_json(doc)
     # a wrong-side action raises ShapeMismatch here, before the PMC verdict below
     dual = dualize_coalgebra_action(act, check=False)
     vc = check_partial_module_coalgebra(act)
@@ -211,11 +220,11 @@ def _cmd_dualize(args) -> int:
     back = undualize_algebra_action(dual, act.carrier, check=False)
     rep.add(CheckResult("undualize(dualize) == action", back.slices == act.slices))
     if args.output:
-        _emit(jsonio.action_to_json(dual), args.output)
+        _emit(action_to_json(dual), args.output)
     if args.format == "json":
-        print(jsonio.canonical_dumps({
+        print(canonical_dumps({
             "ok": rep.ok,
-            "dual": jsonio.action_to_json(dual),
+            "dual": action_to_json(dual),
             "report": rep.to_json(),
         }))
         return EXIT_OK if rep.ok else EXIT_CHECK_FAILED
@@ -223,12 +232,13 @@ def _cmd_dualize(args) -> int:
 
 
 def _cmd_globalize(args) -> int:
-    from . import jsonio
     from .globalization import (dual_globalization_transfer, find_basis_grouplikes,
                                 standard_globalization)
+    from .jsonio import action_from_json
+    from .jsonwrite import triple_to_json
 
     doc = _load(args.path)
-    act = jsonio.action_from_json(doc)
+    act = action_from_json(doc)
     wanted = args.grouplike
     found = [g for g in find_basis_grouplikes(act) if not wanted or g.label == wanted]
     if not found:
@@ -238,7 +248,7 @@ def _cmd_globalize(args) -> int:
     gt = standard_globalization(act, found[0])
     transfer = dual_globalization_transfer(gt)
     if args.output:
-        _emit(jsonio.triple_to_json(gt), args.output)
+        _emit(triple_to_json(gt), args.output)
     return _print_reports([transfer.coalgebra_report, transfer.algebra_report], args.format)
 
 

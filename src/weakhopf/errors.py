@@ -1,5 +1,5 @@
-"""Exception types shared across the workbench, and the base of its
-read-only records."""
+"""Exception types shared across the workbench, the base of its read-only
+records, and the module ``__getattr__`` that still offers a moved name."""
 
 
 class Frozen:
@@ -17,6 +17,19 @@ class Frozen:
 def same_fields(self, other):
     """``__eq__`` of the records compared field by field."""
     return self.__dict__ == other.__dict__ if other.__class__ is self.__class__ else NotImplemented
+
+
+def forward(namespace: dict, moved: dict):
+    """The ``__getattr__`` of the module with globals ``namespace``, offering the
+    names that moved to the sibling modules ``moved`` maps them to; kept on first use."""
+    def __getattr__(name):
+        if name not in moved:
+            raise AttributeError(f"module {namespace['__name__']!r} has no attribute {name!r}")
+        from importlib import import_module
+        module = import_module(f"{namespace['__package__']}.{moved[name]}")
+        namespace[name] = getattr(module, name)
+        return namespace[name]
+    return __getattr__
 
 
 class WorkbenchError(Exception):

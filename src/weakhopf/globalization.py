@@ -16,20 +16,27 @@ the two verdicts agree; both directions are checked exactly.
 from __future__ import annotations
 
 from .actions import RIGHT, ActionTensor, check_module_algebra, check_module_coalgebra
+from .axioms import check_coalgebra
 from .dualization import dualize_right_coalgebra_action
+from .elimination import Subspace, left_inverse_on_image
 from .errors import Frozen, HypothesisViolated, NotInjective, NotSubcoalgebra, ShapeMismatch
+from .jsonio import _action, _get, _matrix, _same_field, action_from_json, coalgebra_from_json
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .structures import CoalgebraData, WeakHopfData
-from .tensor_space import (
-    LinMap,
-    Subspace,
-    Vector,
-    _accumulate,
-    _combine,
-    _kron,
-    left_inverse_on_image,
-    tensor_product,
-)
+from .tensor_space import LinMap, Vector, _accumulate, _combine, _kron, tensor_product
+
+
+def restrict(C: CoalgebraData, incl: LinMap, back: LinMap) -> CoalgebraData:
+    """The subcoalgebra D that the injection ``incl`` ι includes into C, with
+    Δ_D = (back⊗back)∘Δ∘ι and ε_D = ε∘ι for a left inverse ``back`` of ι.
+    Raises NotSubcoalgebra at the first basis vector where
+    (ι⊗ι)∘Δ_D ≠ Δ∘ι."""
+    image = C.comul @ incl
+    comul = back.tensor(back) @ image
+    for j, col in enumerate((incl.tensor(incl) @ comul).cols):
+        if col != image.cols[j]:
+            raise NotSubcoalgebra(f"Δ({incl.column(j).describe()}) escapes D⊗D")
+    return CoalgebraData(incl.domain, comul, C.counit @ incl)
 
 
 class GrouplikeElement(Frozen):
@@ -80,6 +87,17 @@ class GlobalizationTriple(Frozen):
         self.__dict__.update(partial=partial, D=D, global_act=global_act, theta=theta, pi=pi)
 
 
+def triple_from_json(d: dict) -> GlobalizationTriple:
+    partial = action_from_json(_get(d, "partial", ""), "partial.")
+    _same_field(d, partial.hopf.field)
+    D = coalgebra_from_json(_get(d, "D", ""), "D.")
+    _same_field(_get(d, "D", ""), partial.hopf.field, "D.")
+    global_act = _action(partial.hopf, D, "right", _get(d, "global_tensor", ""), "global_tensor")
+    theta = _matrix(_get(d, "theta", ""), partial.carrier.space, D.space, "theta")
+    pi = _matrix(_get(d, "pi", ""), D.space, D.space, "pi")
+    return GlobalizationTriple(partial, D, global_act, theta, pi)
+
+
 def check_globalization(gt: GlobalizationTriple) -> Report:
     """Every clause of the globalization definition, exactly:
 
@@ -93,7 +111,7 @@ def check_globalization(gt: GlobalizationTriple) -> Report:
     D = gt.D
     H = gt.partial.hopf
 
-    rep.extend(D.validate(), prefix="(i)-")
+    rep.extend(check_coalgebra(D), prefix="(i)-")
     rep.extend(check_module_coalgebra(gt.global_act), prefix="(i)-")
 
     injective = gt.theta.rank == C.space.dim
@@ -163,7 +181,7 @@ def standard_globalization(act: ActionTensor, e) -> GlobalizationTriple:
     incl, back = Subspace.from_vectors(H.space, H.alg.lmul(evec).columns()).inclusion("eh")
     t, m, p = incl.domain.dim, C.space.dim, C.field.characteristic
     try:
-        eH_coalg = H.coalg.restrict(incl, back)
+        eH_coalg = restrict(H.coalg, incl, back)
     except NotSubcoalgebra:
         raise HypothesisViolated("grouplike", "Δ(eH) escapes eH⊗eH") from None
     dspace = tensor_product(C.space, incl.domain)

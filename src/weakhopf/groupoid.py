@@ -10,7 +10,7 @@ import itertools
 from .errors import (AxiomViolation, CharacteristicDividesOrder, Frozen, MalformedInput,
                      ShapeMismatch)
 from .scalars import Field
-from .structures import WeakHopfData, _assemble
+from .structures import WeakHopfData, _assemble, same_structure_constants
 from .tensor_space import FinVec, LinMap
 
 
@@ -200,6 +200,15 @@ def groupoid_from_spec(spec: dict, at: str = "") -> FiniteGroupoid:
     return validate_groupoid(elements, {(g, h): gh for g, h, gh in mul}, inv)
 
 
+def _builds(G: FiniteGroupoid, hopf: WeakHopfData, build) -> FiniteGroupoid:
+    """``G``, once ``build(G)`` has the basis labels and structure constants of ``hopf``."""
+    built = build(G, hopf.field)
+    if built.space.labels != hopf.space.labels or not same_structure_constants(built, hopf):
+        raise MalformedInput(f"groupoid: its {build.__name__.replace('_', ' ')} is not "
+                             f"the document's hopf")
+    return G
+
+
 def groupoid_to_spec(G: FiniteGroupoid) -> dict:
     return {
         "elements": list(G.elements),
@@ -279,6 +288,17 @@ class FiniteAbelianGroup(Frozen):
     @property
     def identity(self):
         return tuple(0 for _ in self.factors)
+
+
+def abelian_group_from_spec(d: dict) -> FiniteAbelianGroup:
+    factors = d.get("factors")
+    if not isinstance(factors, list) or not factors:
+        raise MalformedInput(f"factors: expected a non-empty list of positive integers, "
+                             f"got {factors!r}")
+    for i, n in enumerate(factors):
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+            raise MalformedInput(f"factors[{i}]: expected a positive integer, got {n!r}")
+    return FiniteAbelianGroup(tuple(factors))
 
 
 def abelian_group_weak_hopf(G: FiniteAbelianGroup, field: Field) -> WeakHopfData:

@@ -1,29 +1,30 @@
-"""JSON import/export for every workbench object.
+"""JSON import of the structures and actions that most commands read.
 
-All scalar entries are canonical strings produced by the field's formatter,
-and `canonical_dumps` sorts keys, so identical inputs serialize to
-byte-identical documents.  Loaders check every basis, matrix and tensor
-against the declared dimensions before building anything, and report a
-mismatch as :class:`MalformedInput` naming its JSON path (``at`` prefixes
-the path of a document nested in another).  Nested arrays are read straight
-into sparse columns (`_decode`) and written straight from them (`_encode`).
+Loaders check every basis, matrix and tensor against the declared
+dimensions before building anything, and report a mismatch as
+:class:`MalformedInput` naming its JSON path (``at`` prefixes the path of a
+document nested in another).  Nested arrays are read straight into sparse
+columns (`_decode`).  The writers are in :mod:`jsonwrite`; a document kind
+that one command reads is read in the module of that kind.
 """
 
 from __future__ import annotations
 
-import json
 from itertools import chain, compress, count, repeat
 from math import prod
 
-from .errors import MalformedInput, ShapeMismatch
+from .errors import MalformedInput, forward
 from .scalars import Field, field_from_name, field_name
-from .structures import (AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData,
-                         same_structure_constants)
+from .structures import AlgebraData, CoalgebraData, WeakBialgebraData, WeakHopfData
 from .tensor_space import FinVec, LinMap, Vector, ground, tensor_product
 
-
-def canonical_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+__getattr__ = forward(globals(), {**dict.fromkeys(
+    "linmap_to_json linmap_from_json tensor3_to_json tensor3_from_json algebra_to_json "
+    "coalgebra_to_json weakhopf_to_json action_to_json lambda_to_json gpa_to_json "
+    "triple_to_json".split(), "jsonwrite"), "canonical_dumps": "cli",
+    "lambda_from_json": "partial_actions", "gpa_from_json": "groupoid_actions",
+    "action_groupoid_from_json": "groupoid_actions", "triple_from_json": "globalization",
+    "abelian_group_from_spec": "groupoid"})
 
 
 def _leaves(value, shape: tuple, path: str) -> list:
@@ -70,27 +71,6 @@ def _decode(field: Field, *arrays) -> list[list[dict]]:
                 cols[t // inner][t % inner] = v
         out.append(cols)
     return out
-
-
-def _encode(field: Field, cols, shape: tuple, inner: int) -> list:
-    """The nested array that `_decode` reads as ``cols`` with the same
-    ``shape`` and ``inner``, formatting each distinct scalar once."""
-    flat = [field.fmt(field.zero())] * prod(shape)
-    text = {}
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            s = text.get(v)
-            if s is None:
-                s = text[v] = field.fmt(v)
-            flat[j * inner + i] = s
-    for n in reversed(shape[1:]):
-        flat = [flat[k:k + n] for k in range(0, len(flat), n)]
-    return flat
-
-
-def _rows(f: LinMap) -> list:
-    """The dense ``rows[codomain][domain]`` matrix of ``f``."""
-    return _encode(f.field, f.transposed_rows(), (f.codomain.dim, f.domain.dim), f.domain.dim)
 
 
 def _matrix(rows, dom: FinVec, cod: FinVec, path: str) -> LinMap:
@@ -172,74 +152,14 @@ def _action(hopf: WeakHopfData, carrier, side: str, entries, path: str) -> Actio
         LinMap(X, X, cols[i * m:(i + 1) * m] if left else cols[i::n]) for i in range(n)])
 
 
-# -- bare linear data --------------------------------------------------------
-
-def linmap_to_json(f: LinMap) -> dict:
-    return {"schema": "linmap", "field": field_name(f.field), "domain": list(f.domain.labels),
-            "codomain": list(f.codomain.labels), "rows": _rows(f)}
-
-
-def linmap_from_json(d: dict) -> LinMap:
-    field = _field(d, "")
-    dom = _space(field, _get(d, "domain", ""), "domain")
-    cod = _space(field, _get(d, "codomain", ""), "codomain")
-    return _matrix(_get(d, "rows", ""), dom, cod, "rows")
-
-
-def tensor3_to_json(f: LinMap) -> dict:
-    """The dense structure constants of f, a map X⊗Y → Z written ``pair_to_one``
-    (``entries[i][j][k]`` is the coefficient of z_k in (x_i, y_j)) or, when its
-    codomain is a tensor product, X → Y⊗Z written ``one_to_pair`` (the
-    coefficient of y_j⊗z_k in the image of x_i)."""
-    pair = not f.codomain.factors
-    spaces = (*f.domain.factors, f.codomain) if pair else (f.domain, *f.codomain.factors)
-    if len(spaces) != 3:
-        raise ShapeMismatch("a tensor3 document holds a map X⊗Y → Z or X → Y⊗Z")
-    return {"schema": "tensor3", "field": field_name(f.field),
-            "kind": "pair_to_one" if pair else "one_to_pair",
-            "spaces": [list(s.labels) for s in spaces],
-            "entries": _encode(f.field, f.cols, tuple(s.dim for s in spaces), f.codomain.dim)}
-
-
-def tensor3_from_json(d: dict) -> LinMap:
-    field, kind, spaces = _field(d, ""), _get(d, "kind", ""), _get(d, "spaces", "")
-    if kind not in ("pair_to_one", "one_to_pair"):
-        raise MalformedInput(f"kind: expected 'pair_to_one' or 'one_to_pair', got {kind!r}")
-    if not isinstance(spaces, list) or len(spaces) != 3:
-        raise MalformedInput("spaces: expected three bases")
-    X, Y, Z = (_space(field, labels, f"spaces[{i}]") for i, labels in enumerate(spaces))
-    pair = kind == "pair_to_one"
-    [cols] = _decode(field, (_get(d, "entries", ""), (X.dim, Y.dim, Z.dim), "entries",
-                             Z.dim if pair else Y.dim * Z.dim))
-    return LinMap(tensor_product(X, Y), Z, cols) if pair else LinMap(X, tensor_product(Y, Z), cols)
-
-
-# -- structures --------------------------------------------------------------
-
-def algebra_to_json(A: AlgebraData) -> dict:
-    f, n = A.field, A.space.dim
-    return {"schema": "algebra", "field": field_name(f), "basis": list(A.space.labels),
-            "mul": _encode(f, A.mul.cols, (n, n, n), n),
-            "unit": _encode(f, [A.unit.terms], (n,), n)}
-
+# -- structures and actions --------------------------------------------------
 
 def algebra_from_json(d: dict, at: str = "") -> AlgebraData:
     return _algebra(d, _basis(d, at), at)
 
 
-def coalgebra_to_json(C: CoalgebraData) -> dict:
-    f, n = C.field, C.space.dim
-    return {"schema": "coalgebra", "field": field_name(f), "basis": list(C.space.labels),
-            "comul": _encode(f, C.comul.cols, (n, n, n), n * n), "counit": _rows(C.counit)[0]}
-
-
 def coalgebra_from_json(d: dict, at: str = "") -> CoalgebraData:
     return _coalgebra(d, _basis(d, at), at)
-
-
-def weakhopf_to_json(H: WeakHopfData) -> dict:
-    return {**algebra_to_json(H.alg), **coalgebra_to_json(H.coalg),
-            "schema": "weak-hopf", "antipode": _rows(H.antipode)}
 
 
 def weakhopf_from_json(d: dict, at: str = "") -> WeakHopfData:
@@ -257,26 +177,6 @@ def _carrier_from_json(d: dict, at: str):
     raise MalformedInput(f"{at}schema: the carrier must be a coalgebra or algebra document")
 
 
-def _action_tensor(act: ActionTensor) -> list:
-    """The tensor entries of ``act``: its slices' columns in the order `_action` cuts them."""
-    m, n, cols = act.space.dim, act.hopf.space.dim, [s.cols for s in act.slices]
-    left = act.side == "left"
-    return _encode(act.space.field, chain.from_iterable(cols if left else zip(*cols)),
-                   (n, m, m) if left else (m, n, m), m)
-
-
-def action_to_json(act: ActionTensor, groupoid: FiniteGroupoid | None = None) -> dict:
-    carrier = (coalgebra_to_json if isinstance(act.carrier, CoalgebraData)
-               else algebra_to_json)(act.carrier)
-    out = {"schema": "action", "field": field_name(act.hopf.field), "side": act.side,
-           "hopf": weakhopf_to_json(act.hopf), "carrier": carrier,
-           "tensor": _action_tensor(act)}
-    if groupoid is not None:
-        from .groupoid import groupoid_to_spec
-        out["groupoid"] = groupoid_to_spec(groupoid)
-    return out
-
-
 def action_from_json(d: dict, at: str = "") -> ActionTensor:
     hopf = weakhopf_from_json(_get(d, "hopf", at), f"{at}hopf.")
     carrier = _carrier_from_json(_get(d, "carrier", at), f"{at}carrier.")
@@ -292,118 +192,3 @@ def _side(side, at: str) -> str:
     return side
 
 
-def action_groupoid_from_json(d: dict, hopf: WeakHopfData) -> FiniteGroupoid | None:
-    """The document's groupoid, whose groupoid algebra must be the action's ``hopf``."""
-    if "groupoid" in d:
-        from .groupoid import groupoid_algebra, groupoid_from_spec
-        return _builds(groupoid_from_spec(_get(d, "groupoid", ""), "groupoid."), hopf,
-                       groupoid_algebra)
-    return None
-
-
-def _builds(G: FiniteGroupoid, hopf: WeakHopfData, build) -> FiniteGroupoid:
-    """``G``, once ``build(G)`` has the basis labels and structure constants of ``hopf``."""
-    built = build(G, hopf.field)
-    if built.space.labels != hopf.space.labels or not same_structure_constants(built, hopf):
-        raise MalformedInput(f"groupoid: its {build.__name__.replace('_', ' ')} is not "
-                             f"the document's hopf")
-    return G
-
-
-def lambda_to_json(lf: LambdaFunctional, groupoid: FiniteGroupoid | None = None,
-                   hopf_kind: str | None = None, side: str = "left") -> dict:
-    f = lf.hopf.field
-    out = {"schema": "lambda", "field": field_name(f), "side": side,
-           "hopf": weakhopf_to_json(lf.hopf), "values": [f.fmt(v) for v in lf.values]}
-    if groupoid is not None:
-        from .groupoid import groupoid_to_spec
-        out["groupoid"] = groupoid_to_spec(groupoid)
-    if hopf_kind is not None:
-        out["hopf_kind"] = hopf_kind
-    return out
-
-
-def lambda_from_json(d: dict):
-    """Returns (functional, groupoid_or_None, hopf_kind_or_None, side)."""
-    from .groupoid import dual_groupoid_algebra, groupoid_algebra, groupoid_from_spec
-    from .partial_actions import LambdaFunctional
-
-    G = groupoid_from_spec(_get(d, "groupoid", ""), "groupoid.") if "groupoid" in d else None
-    kind = d.get("hopf_kind")
-    if kind not in (None, "kG", "kG-dual"):
-        raise MalformedInput(f"hopf_kind: expected 'kG' or 'kG-dual', got {kind!r}")
-    if "hopf" in d:
-        hopf = weakhopf_from_json(_get(d, "hopf", ""), "hopf.")
-        if G is not None and kind is not None:
-            _builds(G, hopf, groupoid_algebra if kind == "kG" else dual_groupoid_algebra)
-    elif G is not None and kind is not None:
-        hopf = (groupoid_algebra if kind == "kG" else dual_groupoid_algebra)(G, _field(d, ""))
-    else:
-        raise MalformedInput("lambda document needs 'hopf' or 'groupoid'+'hopf_kind'")
-    _same_field(d, hopf.field)
-    n = hopf.space.dim
-    [values] = _decode(hopf.field, (_get(d, "values", ""), (n,), "values", n))[0]
-    lf = LambdaFunctional.from_values(hopf, [values.get(i, 0) for i in range(n)])
-    return lf, G, kind, _side(d.get("side", "left"), "")
-
-
-def gpa_to_json(gpa: GroupoidPartialAction) -> dict:
-    from .groupoid import groupoid_to_spec
-
-    C, elements = gpa.coalgebra, gpa.groupoid.elements
-    return {"schema": "groupoid-action", "field": field_name(C.field),
-            "groupoid": groupoid_to_spec(gpa.groupoid), "coalgebra": coalgebra_to_json(C),
-            "projections": {g: _rows(gpa.P(g)) for g in elements},
-            "isos": {g: _rows(gpa.theta(g)) for g in elements}}
-
-
-def gpa_from_json(d: dict) -> GroupoidPartialAction:
-    from .groupoid import groupoid_from_spec
-    from .partial_actions import GroupoidPartialAction
-
-    G = groupoid_from_spec(_get(d, "groupoid", ""), "groupoid.")
-    C = coalgebra_from_json(_get(d, "coalgebra", ""), "coalgebra.")
-    _same_field(d, C.field)
-    return GroupoidPartialAction(G, C, _map_table(d, "projections", G, C.space),
-                                 _map_table(d, "isos", G, C.space))
-
-
-def _map_table(d: dict, key: str, G: FiniteGroupoid, X: FinVec) -> dict:
-    """The endomorphisms of X that the object ``d[key]`` holds for the elements of G."""
-    table = _object(_get(d, key, ""), f"{key}.")
-    if missing := [g for g in G.elements if g not in table]:
-        raise MalformedInput(f"{key}.{missing[0]}: missing")
-    return {g: _matrix(table[g], X, X, f"{key}.{g}") for g in G.elements}
-
-
-def triple_to_json(gt: GlobalizationTriple) -> dict:
-    return {"schema": "globalization", "field": field_name(gt.partial.hopf.field),
-            "partial": action_to_json(gt.partial), "D": coalgebra_to_json(gt.D),
-            "global_tensor": _action_tensor(gt.global_act),
-            "theta": _rows(gt.theta), "pi": _rows(gt.pi)}
-
-
-def triple_from_json(d: dict) -> GlobalizationTriple:
-    from .globalization import GlobalizationTriple
-
-    partial = action_from_json(_get(d, "partial", ""), "partial.")
-    _same_field(d, partial.hopf.field)
-    D = coalgebra_from_json(_get(d, "D", ""), "D.")
-    _same_field(_get(d, "D", ""), partial.hopf.field, "D.")
-    global_act = _action(partial.hopf, D, "right", _get(d, "global_tensor", ""), "global_tensor")
-    theta = _matrix(_get(d, "theta", ""), partial.carrier.space, D.space, "theta")
-    pi = _matrix(_get(d, "pi", ""), D.space, D.space, "pi")
-    return GlobalizationTriple(partial, D, global_act, theta, pi)
-
-
-def abelian_group_from_spec(d: dict) -> FiniteAbelianGroup:
-    from .groupoid import FiniteAbelianGroup
-
-    factors = d.get("factors")
-    if not isinstance(factors, list) or not factors:
-        raise MalformedInput(f"factors: expected a non-empty list of positive integers, "
-                             f"got {factors!r}")
-    for i, n in enumerate(factors):
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
-            raise MalformedInput(f"factors[{i}]: expected a positive integer, got {n!r}")
-    return FiniteAbelianGroup(tuple(factors))

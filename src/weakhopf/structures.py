@@ -2,43 +2,18 @@
 structure-constant data, with the target/source maps ε_t and ε_s, the
 convolution dual of a coalgebra and the entrywise comparison of two records.
 
-These are the records every command builds; the axiom and identity
-checkers that only some commands run are in :mod:`weak_hopf`.
+These are the records every command builds; the axioms that only some
+commands check are in :mod:`axioms` and :mod:`weak_hopf`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import Frozen, NotSubcoalgebra, ShapeMismatch
-from .report import Report, compare_maps, compare_vectors, first_failure
+from .errors import Frozen, ShapeMismatch
 from .scalars import Field
-from .tensor_space import (
-    FinVec,
-    LinMap,
-    Subspace,
-    Vector,
-    _accumulate,
-    _combine,
-    _kron,
-    _sparse,
-    ground,
-    tensor_product,
-)
-
-
-def _dense_cols(space: FinVec, entries, pair: bool) -> list[dict]:
-    """The sparse columns of dense structure constants ``entries[i][j][k]`` on
-    ``space``: the coefficient of e_k in e_i·e_j, column i·n + j of H⊗H → H
-    (``pair``), or of e_j⊗e_k in Δ(e_i), column i of H → H⊗H."""
-    f, n = space.field, space.dim
-    planes = [[[f.coerce(x) for x in row] for row in plane] for plane in entries]
-    if len(planes) != n or any(len(plane) != n or any(len(row) != n for row in plane)
-                               for plane in planes):
-        raise ShapeMismatch("tensor entry shape does not match the spaces")
-    if pair:
-        return [_sparse(row) for plane in planes for row in plane]
-    return [_sparse(x for row in plane for x in row) for plane in planes]
+from .tensor_space import (FinVec, LinMap, Vector, _accumulate, _combine, _kron, ground,
+                           tensor_product)
 
 
 class AlgebraData(Frozen):
@@ -53,6 +28,7 @@ class AlgebraData(Frozen):
 
     @classmethod
     def from_tensor(cls, space: FinVec, entries, unit_coords) -> "AlgebraData":
+        from .elimination import _dense_cols
         mul = LinMap(tensor_product(space, space), space, _dense_cols(space, entries, True))
         return cls(space, mul, Vector.from_coords(space, unit_coords))
 
@@ -67,7 +43,7 @@ class AlgebraData(Frozen):
         """x·y for sparse coordinate dicts, read off the multiplication columns."""
         space = self.space
         p = space.field.characteristic
-        return _combine(self.mul.cols, _kron(x, y, space.dim, p).items(), p)
+        return _combine(self.mul.cols, _kron(x, y, space.dim, p).items(), p) if x and y else {}
 
     def lmul(self, x: Vector) -> LinMap:
         """Left multiplication operator y ↦ xy."""
@@ -86,27 +62,6 @@ class AlgebraData(Frozen):
         n, m = self.space.dim, self.mul.cols
         return tuple([b for b in range(n) if m[a * n + b]] for a in range(n))
 
-    def validate(self) -> Report:
-        rep = Report(f"algebra axioms on {self.space.dim}-dim space")
-        n, m, p = self.space.dim, self.mul.cols, self.field.characteristic
-        # assoc per basis pair x = h·n + k, comparing l ↦ (hk)l with l ↦ h(kl) as dicts keyed
-        # l·n + output; left_by[t] is l ↦ e_t·e_l in that form
-        left_by = [{l * n + o: c for l in range(n) for o, c in m[t * n + l].items()}
-                   for t in range(n)]
-        field, name = _where(self.space, 3, 1)
-        rep.add(compare_maps("assoc", (_combine(left_by, col.items(), p) for col in m), (
-            _accumulate((({key - key % n + o: v for o, v in m[x - x % n + key % n].items()}, c)
-                         for key, c in left_by[x % n].items()), p) for x in range(n * n)),
-            (field, lambda x, key: name(x * n + key // n, key % n))))
-        u, labels, e = self.unit.terms, self.space.labels, LinMap.identity(self.space).cols
-        for label, left in (("unit-left", True), ("unit-right", False)):
-            rep.add(first_failure(label, (
-                (i, compare_vectors("", Vector(self.space, self.times(u, x) if left
-                                               else self.times(x, u)), Vector(self.space, x)))
-                for i, x in enumerate(e)), lambda i: f"{labels[i]}: "))
-        return rep
-
-
 class CoalgebraData(Frozen):
     """A coassociative counital coalgebra: comultiplication tensor plus counit."""
 
@@ -119,6 +74,7 @@ class CoalgebraData(Frozen):
 
     @classmethod
     def from_tensor(cls, space: FinVec, entries, counit_coords) -> "CoalgebraData":
+        from .elimination import _dense_cols
         comul = LinMap(space, tensor_product(space, space), _dense_cols(space, entries, False))
         counit = LinMap.from_rows(space, ground(space.field), [list(counit_coords)])
         return cls(space, comul, counit)
@@ -144,18 +100,6 @@ class CoalgebraData(Frozen):
     def eps_coeff(self, i: int):
         return self.counit.cols[i].get(0, 0)
 
-    def restrict(self, incl: LinMap, back: LinMap) -> "CoalgebraData":
-        """The subcoalgebra D that the injection ``incl`` ι includes, with
-        Δ_D = (back⊗back)∘Δ∘ι and ε_D = ε∘ι for a left inverse ``back`` of ι.
-        Raises NotSubcoalgebra at the first basis vector where
-        (ι⊗ι)∘Δ_D ≠ Δ∘ι."""
-        image = self.comul @ incl
-        comul = back.tensor(back) @ image
-        for j, col in enumerate((incl.tensor(incl) @ comul).cols):
-            if col != image.cols[j]:
-                raise NotSubcoalgebra(f"Δ({incl.column(j).describe()}) escapes D⊗D")
-        return CoalgebraData(incl.domain, comul, self.counit @ incl)
-
     @cached_property
     def delta2(self) -> tuple[dict, ...]:
         """(Δ⊗id)∘Δ : C → C⊗C⊗C (the canonical bracketing) as sparse columns
@@ -163,23 +107,6 @@ class CoalgebraData(Frozen):
         n, cols, p = self.space.dim, self.comul.cols, self.field.characteristic
         return tuple(_accumulate((({x * n + b: v for x, v in cols[a].items()}, c)
                                   for a, b, c in terms), p) for terms in self._delta_terms)
-
-    def validate(self) -> Report:
-        rep = Report(f"coalgebra axioms on {self.space.dim}-dim space")
-        ident = LinMap.identity(self.space)
-        n, cols, p = self.space.dim, self.comul.cols, self.field.characteristic
-        rep.add(compare_maps("coassoc", self.delta2, (
-            _accumulate((({a * n * n + y: v for y, v in cols[b].items()}, c)
-                         for a, b, c in terms), p)
-            for terms in self._delta_terms), _where(self.space, 1, 3)))
-        # counit laws, checked as maps C → C: ε on the first leg, then the second
-        for leg, label in enumerate(("counit-left", "counit-right")):
-            contracted = LinMap(self.space, self.space, [
-                _accumulate((({t[1 - leg]: t[2]}, self.eps_coeff(t[leg]))
-                             for t in self.delta_pairs(j)), p)
-                for j in range(self.space.dim)])
-            rep.add(compare_maps(label, contracted, ident))
-        return rep
 
 
 # the sides of an action, and the label of a pair of basis vectors of H
@@ -189,18 +116,6 @@ RIGHT = "right"
 
 def _pair_label(H: FinVec, i: int, j: int) -> str:
     return f"h={H.labels[i]}, k={H.labels[j]}"
-
-
-def _where(space: FinVec, p: int, q: int | None = None) -> tuple:
-    """``(field, name)`` labelling, only when called and as ``tensor_product``
-    prints them, input j and output i of H^⊗p → H^⊗q, or (q None) i of H^⊗p."""
-    labels, n = space.labels, space.dim
-
-    def label(idx: int, power: int) -> str:
-        return "⊗".join(labels[idx // n ** s % n] for s in range(power - 1, -1, -1))
-
-    return space.field, ((lambda i: label(i, p)) if q is None
-                         else (lambda j, i: (label(j, p), label(i, q))))
 
 
 class WeakBialgebraData(Frozen):
@@ -309,10 +224,12 @@ class WeakHopfData(Frozen):
 
     @cached_property
     def Ht(self) -> Subspace:
+        from .elimination import Subspace
         return Subspace.from_vectors(self.space, self.eps_t.columns())
 
     @cached_property
     def Hs(self) -> Subspace:
+        from .elimination import Subspace
         return Subspace.from_vectors(self.space, self.eps_s.columns())
 
     @cached_property

@@ -6,12 +6,9 @@ Conventions, fixed once for the whole package:
   domain basis vector; a ``Vector`` stores ``{index: coeff}``.  Neither ever
   holds an explicit zero, so equality is a comparison of the stored data and
   every operation touches the nonzero entries only;
-* exact elimination runs on sparse rows: one kernel, ``_echelon``, gives the
-  canonical reduced echelon basis ``{pivot: row}``, and a ``Subspace`` hands
-  out the inclusion ι of that basis and the left inverse of ι;
-* ``LinMap.rows`` (indexed ``rows[codomain_index][domain_index]``) and
-  ``Vector.coords`` are dense read-only views, built on first use, for the
-  benchmark, the tests and the dense-list adapters (``rref``, ``solve``, …);
+* elimination, ``Subspace`` and the dense-list adapters (``rref``, ``solve``,
+  ``LinMap.from_rows``, …) are in :mod:`elimination`; ``LinMap.rows`` (indexed
+  ``rows[codomain][domain]``) and ``Vector.coords`` are dense read-only views;
 * the tensor product ``V (x) W`` uses row-major flattening,
   ``flat(i, j) = i * dim(W) + j`` with ``i`` indexing the left factor, and
   basis labels are the strings ``"v⊗w"``.
@@ -26,8 +23,12 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable, Sequence
 from functools import cached_property
 
-from .errors import FieldMismatch, Frozen, NotInjective, ShapeMismatch
+from .errors import FieldMismatch, Frozen, NotInjective, ShapeMismatch, forward
 from .scalars import Field
+
+__getattr__ = forward(globals(), dict.fromkeys(
+    "Subspace image_basis left_inverse_on_image rref rref_with_transform solve "
+    "solve_coordinates".split(), "elimination"))
 
 
 class FinVec(Frozen):
@@ -92,7 +93,7 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 #   no zeros and are reduced.  So a result may alias a stored column.
 # * coefficient classes: where all terms of two operands meet and the products
 #   merge into few outputs (``weak_hopf.pointwise_product``: axiom (i), Eq
-#   4.2a/b), ``Vector.classes`` groups each operand's terms by value, and each
+#   4.2a/b), ``weak_hopf._classes`` groups each operand's terms by value, and each
 #   sum of structure-constant products is scaled by c·d once.
 # ---------------------------------------------------------------------------
 
@@ -211,27 +212,6 @@ class Vector:
             out[i] = c
         return tuple(out)
 
-    def classes(self, top: int) -> tuple:
-        """The coefficient values [c₀, c₁, …] and the terms as {i // top: [(k,
-        [i % top, …]), …]}, grouped by first leg and then by the class k of equal
-        coefficients c_k, built once per ``top``: the operand form of a kernel
-        that scales each class once (``weak_hopf.pointwise_product``)."""
-        hit = self._classes.get(top)
-        if hit is None:
-            values, index, first = [], {}, {}
-            for i, c in self.terms.items():
-                if (k := index.get(c)) is None:
-                    k = index[c] = len(values)
-                    values.append(c)
-                f, t = divmod(i, top)
-                first.setdefault(f, {}).setdefault(k, []).append(t)
-            hit = self._classes[top] = values, {f: list(g.items()) for f, g in first.items()}
-        return hit
-
-    @cached_property
-    def _classes(self) -> dict:
-        return {}
-
     def nonzeros(self) -> list:
         """The (index, coeff) pairs in ascending index order."""
         return sorted(self.terms.items())
@@ -276,71 +256,6 @@ class Vector:
 
 
 # ---------------------------------------------------------------------------
-# exact elimination
-# ---------------------------------------------------------------------------
-
-def _echelon(rows: Iterable[dict], field: Field) -> dict:
-    """The canonical reduced echelon basis ``{pivot: row}`` of the span of
-    ``rows`` (read as ``Subspace.contains`` reads a vector: zeros dropped,
-    GF(p) entries reduced), in ascending pivot order, a row being 1 at its
-    pivot, 0 at the others and before its own.  As basis rows vanish at each
-    other's pivots, one ``_accumulate`` reduces a new row against all of them;
-    its pivot is then normalised and eliminated from the earlier rows."""
-    p, basis = field.characteristic, {}
-    for row in rows:
-        row = _reduced(row, p) if p else {i: c for i, c in row.items() if c}
-        row = _accumulate([(row, 1), *((basis[k], -c) for k, c in row.items() if k in basis)], p)
-        if not row:
-            continue
-        lead = min(row)
-        row = _scale(row, field.inv(row[lead]), p)
-        for k, b in basis.items():
-            if c := b.get(lead):
-                basis[k] = _accumulate(((b, 1), (row, -c)), p)
-        basis[lead] = row
-    return {k: basis[k] for k in sorted(basis)}
-
-
-def rref(rows: Sequence[Sequence], field: Field) -> tuple[list[list], list[int]]:
-    """Reduced row echelon form of a dense matrix over an exact field, which is
-    canonical for the row space.  Returns ``(matrix, pivot_columns)``: the
-    ``_echelon`` basis as dense rows, then zero rows, as many as the input has.
-    """
-    ncols, z = len(rows[0]) if rows else 0, field.zero()
-    basis = _echelon([_sparse(r) for r in rows], field)
-    out = [[z] * ncols for _ in rows]
-    for dense, row in zip(out, basis.values()):
-        for j, c in row.items():
-            dense[j] = c
-    return out, list(basis)
-
-
-def rref_with_transform(rows: Sequence[Sequence], field: Field):
-    """RREF of A together with the row-operation matrix E, so that E·A = R."""
-    n, ncols = len(rows), len(rows[0]) if rows else 0
-    red, pivots = rref([list(r) + [int(i == k) for k in range(n)] for i, r in enumerate(rows)],
-                       field)
-    # the identity block takes no pivot before the rank of A is exhausted
-    return [r[:ncols] for r in red], [r[ncols:] for r in red], [q for q in pivots if q < ncols]
-
-
-def solve(a_rows: Sequence[Sequence], b: Sequence, field: Field):
-    """One exact solution x of A·x = b, or None if inconsistent.
-
-    Free variables are set to zero, which makes the answer deterministic.
-    """
-    ncols = len(a_rows[0]) if a_rows else 0
-    aug = [list(r) + [bv] for r, bv in zip(a_rows, b)]
-    red, pivots = rref(aug, field)
-    if ncols in pivots:     # a row 0 = 1: b is not in the column space
-        return None
-    x = [field.zero()] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
-# ---------------------------------------------------------------------------
 # linear maps
 # ---------------------------------------------------------------------------
 
@@ -365,20 +280,8 @@ class LinMap:
 
     @classmethod
     def from_rows(cls, domain: FinVec, codomain: FinVec, rows) -> "LinMap":
-        """Build a map from its dense ``rows[codomain][domain]`` matrix."""
-        f = domain.field
-        rows = [[f.coerce(x) for x in r] for r in rows]
-        if len(rows) != codomain.dim or any(len(r) != domain.dim for r in rows):
-            raise ShapeMismatch(
-                f"matrix shape {len(rows)}×{len(rows[0]) if rows else 0} "
-                f"does not match {codomain.dim}×{domain.dim}"
-            )
-        cols = [{} for _ in range(domain.dim)]
-        for i, r in enumerate(rows):
-            for j, x in enumerate(r):
-                if x:
-                    cols[j][i] = x
-        return cls(domain, codomain, cols)
+        from .elimination import from_rows
+        return from_rows(domain, codomain, rows)
 
     @classmethod
     def from_function(cls, domain: FinVec, codomain: FinVec,
@@ -475,10 +378,12 @@ class LinMap:
 
     @cached_property
     def rank(self) -> int:
+        from .elimination import _echelon
         return len(_echelon(self.cols, self.field))
 
     def inverse(self) -> "LinMap | None":
         """Exact two-sided inverse for a square map, or None if singular."""
+        from .elimination import left_inverse_on_image
         if self.domain.dim != self.codomain.dim:
             return None
         try:
@@ -488,86 +393,3 @@ class LinMap:
 
     def __repr__(self):
         return f"LinMap({self.domain.dim}→{self.codomain.dim})"
-
-
-def left_inverse_on_image(f: LinMap) -> LinMap:
-    """A map g with g∘f = id on f's domain: the rows of E in the reduced
-    echelon form [R | E] of [A | I] whose pivots lie in A.
-
-    Requires f injective (full column rank, decided by exact elimination).
-    Off the image g is what that canonical form gives, which is deterministic.
-    """
-    n, one = f.domain.dim, f.field.one()
-    basis = _echelon([{**row, n + i: one} for i, row in enumerate(f.transposed_rows())], f.field)
-    rank = sum(lead < n for lead in basis)
-    if rank != n:
-        raise NotInjective(f"rank {rank} < domain dimension {n}")
-    e_rows = [{j - n: c for j, c in row.items() if j >= n} for row in list(basis.values())[:n]]
-    return LinMap(f.codomain, f.domain, LinMap(f.domain, f.codomain, e_rows).transposed_rows())
-
-
-def image_basis(f: LinMap) -> list[Vector]:
-    """Canonical (echelonised) basis of the image of f."""
-    return Subspace.from_vectors(f.codomain, f.columns()).basis_vectors
-
-
-def solve_coordinates(basis: Sequence[Vector], target: Vector):
-    """Coordinates of ``target`` in the span of ``basis`` (or None).
-
-    The basis vectors need not be independent; free coefficients are zero.
-    """
-    if not basis:
-        return None if not target.is_zero else []
-    space = target.space
-    a_rows = [[v.coords[i] for v in basis] for i in range(space.dim)]
-    return solve(a_rows, list(target.coords), space.field)
-
-
-class Subspace:
-    """A subspace in canonical reduced-row-echelon form, held as ``basis``:
-    ``{pivot column: sparse row}``, each row 1 at its own pivot and 0 at the
-    others, in ascending pivot order.
-
-    Two subspaces are equal iff their canonical bases coincide, which makes
-    span comparisons exact and deterministic.
-    """
-
-    def __init__(self, space: FinVec, basis: dict):
-        self.space = space
-        self.basis = basis
-
-    @classmethod
-    def from_vectors(cls, space: FinVec, vectors: Iterable[Vector]) -> "Subspace":
-        return cls(space, _echelon([v.terms for v in vectors], space.field))
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-    @property
-    def basis_vectors(self) -> list[Vector]:
-        return [Vector(self.space, r) for r in self.basis.values()]
-
-    def inclusion(self, prefix: str) -> tuple[LinMap, LinMap]:
-        """The inclusion ι of the canonical basis, from a space labelled
-        ``<prefix>0, <prefix>1, …``, and the left inverse of ι that reads the
-        pivot coordinates: v = Σ v[pivot k]·ι(e_k) for every v in the image."""
-        sub = FinVec(self.space.field, tuple(f"{prefix}{k}" for k in range(self.dim)))
-        back = {lead: {k: self.space.field.one()} for k, lead in enumerate(self.basis)}
-        return (LinMap(sub, self.space, list(self.basis.values())),
-                LinMap(self.space, sub, [back.get(i, {}) for i in range(self.space.dim)]))
-
-    def contains(self, v: Vector) -> bool:
-        """v = Σ v[lead]·row over the pivots, each row 1 at its own and 0 at the others."""
-        if v.space != self.space:
-            raise ShapeMismatch("vector lives in a different space")
-        p, rows = self.space.field.characteristic, self.basis
-        terms = _reduced(v.terms, p) if p else {i: c for i, c in v.terms.items() if c}
-        return _combine(rows, [(i, c) for i, c in terms.items() if i in rows], p) == terms
-
-    def __eq__(self, other):
-        return (isinstance(other, Subspace) and self.space == other.space
-                and self.basis == other.basis)
-
-    def __repr__(self):
-        return f"Subspace(dim={self.dim} of {self.space.dim})"

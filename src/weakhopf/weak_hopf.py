@@ -1,4 +1,4 @@
-"""The weak bialgebra and weak Hopf axioms, the numbered identity catalog,
+"""The algebra, weak bialgebra and weak Hopf axioms, the numbered identity catalog,
 the Hopf-detection test and dualization, for the structure records of
 :mod:`structures`.
 
@@ -8,7 +8,9 @@ sufficient, and it is what makes every verdict exact and reproducible.
 
 from __future__ import annotations
 
-from .errors import ShapeMismatch
+from .axioms import _where, check_algebra, check_coalgebra
+from .elimination import Subspace
+from .errors import ShapeMismatch, forward
 from .report import (
     CheckResult,
     Report,
@@ -18,22 +20,37 @@ from .report import (
     compare_vectors,
     first_failure,
 )
-# CoalgebraData, ε_t, ε_s and same_structure_constants are not used here; they are
-# imported so that this module still offers every record and map by name
 from .structures import (
     AlgebraData,
-    CoalgebraData,
     WeakBialgebraData,
     WeakHopfData,
     _assemble,
     _eps_contraction,
-    _where,
     dual_convolution_algebra,
-    eps_s,
-    eps_t,
-    same_structure_constants,
 )
-from .tensor_space import LinMap, Subspace, Vector, _combine, _kron, _reduced, tensor_product
+from .tensor_space import LinMap, Vector, _combine, _kron, _reduced, tensor_product
+
+# the records and maps that this module still offers by name
+__getattr__ = forward(globals(), dict.fromkeys(
+    "CoalgebraData eps_s eps_t same_structure_constants".split(), "structures"))
+
+
+def _classes(v: Vector, top: int) -> tuple:
+    """The coefficient values [c₀, c₁, …] and the terms of ``v`` as {i // top:
+    [(k, [i % top, …]), …]}, grouped by first leg and then by the class k of
+    equal coefficients c_k, built once per ``top`` and kept on ``v``: the
+    operand form of a kernel that scales each class once (`pointwise_product`)."""
+    hit = (cache := v.__dict__.setdefault("_classes", {})).get(top)
+    if hit is None:
+        values, index, first = [], {}, {}
+        for i, c in v.terms.items():
+            if (k := index.get(c)) is None:
+                k = index[c] = len(values)
+                values.append(c)
+            f, t = divmod(i, top)
+            first.setdefault(f, {}).setdefault(k, []).append(t)
+        hit = cache[top] = values, {f: list(g.items()) for f, g in first.items()}
+    return hit
 
 
 def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vector:
@@ -47,7 +64,7 @@ def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vec
     p, stride = alg.field.characteristic, top // n     # place value of leg 2 in t
     if x.space != y.space or x.space.dim != n ** power:
         raise ShapeMismatch("operands must live in the same tensor power of H")
-    (xv, x_first), (yv, y_first) = x.classes(top), y.classes(top)
+    (xv, x_first), (yv, y_first) = _classes(x, top), _classes(y, top)
     ny, sums = len(yv), {}   # class pair kx·ny + ky → its sums of structure constants
     for f, xs in x_first.items():
         for f2 in alg.nonzero_products[f]:
@@ -155,8 +172,8 @@ def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
     """Algebra axioms, coalgebra axioms, and the three compatibility axioms
     (multiplicativity of Δ, weak multiplicativity of ε, the Δ²(1) identity)."""
     rep = Report("weak bialgebra axioms")
-    rep.extend(wb.alg.validate())
-    rep.extend(wb.coalg.validate())
+    rep.extend(check_algebra(wb.alg))
+    rep.extend(check_coalgebra(wb.coalg))
     H, A, C, n = wb.space, wb.alg, wb.coalg, wb.space.dim
     p = wb.field.characteristic
 

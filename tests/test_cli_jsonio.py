@@ -29,23 +29,20 @@ from weakhopf import (
     two_object_iso_groupoid,
     validate_groupoid,
 )
-from weakhopf.cli import main
+from weakhopf.cli import canonical_dumps, main
 from weakhopf.errors import MalformedInput
-from weakhopf.jsonio import (
-    action_from_json,
+from weakhopf.globalization import triple_from_json
+from weakhopf.groupoid_actions import gpa_from_json
+from weakhopf.jsonio import action_from_json, coalgebra_from_json, weakhopf_from_json
+from weakhopf.jsonwrite import (
     action_to_json,
-    canonical_dumps,
-    coalgebra_from_json,
     coalgebra_to_json,
-    gpa_from_json,
     gpa_to_json,
-    lambda_from_json,
     lambda_to_json,
-    triple_from_json,
     triple_to_json,
-    weakhopf_from_json,
     weakhopf_to_json,
 )
+from weakhopf.partial_actions import lambda_from_json
 
 
 def write(tmp_path, name, doc):
@@ -132,8 +129,8 @@ def test_coalgebra_json_round_trip():
 
 
 def test_linmap_and_tensor3_json_round_trip():
-    from weakhopf.jsonio import (linmap_from_json, linmap_to_json,
-                                 tensor3_from_json, tensor3_to_json)
+    from weakhopf.jsonwrite import (linmap_from_json, linmap_to_json,
+                                    tensor3_from_json, tensor3_to_json)
 
     H = groupoid_algebra(two_object_iso_groupoid(), QQ)
     f = H.eps_t
@@ -145,7 +142,7 @@ def test_linmap_and_tensor3_json_round_trip():
 @pytest.mark.parametrize("kind", ["pair-to-one", "", None, ["pair_to_one"]],
                          ids=["hyphens", "empty", "null", "list"])
 def test_a_tensor3_document_of_an_unknown_kind_is_refused(kind):
-    from weakhopf.jsonio import tensor3_from_json, tensor3_to_json
+    from weakhopf.jsonwrite import tensor3_from_json, tensor3_to_json
 
     H = groupoid_algebra(two_object_iso_groupoid(), QQ)
     doc = _edit(tensor3_to_json(H.alg.mul), lambda d: d.update(kind=kind))
@@ -155,7 +152,7 @@ def test_a_tensor3_document_of_an_unknown_kind_is_refused(kind):
 
 def test_tensor3_refuses_a_map_with_no_tensor_product_leg():
     from weakhopf.errors import ShapeMismatch
-    from weakhopf.jsonio import tensor3_to_json
+    from weakhopf.jsonwrite import tensor3_to_json
 
     with pytest.raises(ShapeMismatch, match="X⊗Y → Z or X → Y⊗Z"):
         tensor3_to_json(groupoid_algebra(two_object_iso_groupoid(), QQ).eps_t)
@@ -918,8 +915,9 @@ def test_an_unparseable_scalar_exits_3_naming_its_path(tmp_path, capsys, field, 
 def _round_trip_cases(field):
     from weakhopf import (FiniteAbelianGroup, abelian_group_weak_hopf, dual_groupoid_algebra,
                           dualize_coalgebra_action)
-    from weakhopf.jsonio import (algebra_from_json, algebra_to_json, linmap_from_json,
-                                 linmap_to_json, tensor3_from_json, tensor3_to_json)
+    from weakhopf.jsonio import algebra_from_json
+    from weakhopf.jsonwrite import (algebra_to_json, linmap_from_json, linmap_to_json,
+                                    tensor3_from_json, tensor3_to_json)
 
     G = disjoint_union_of_cyclic([2, 3])
     H = groupoid_algebra(G, field)

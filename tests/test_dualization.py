@@ -29,6 +29,7 @@ from weakhopf import (
     undualize_algebra_action,
     undualize_left_algebra_action,
 )
+from weakhopf.axioms import check_algebra
 from weakhopf.errors import InputNotPartialAction
 from weakhopf.tensor_space import LinMap
 from weakhopf.partial_actions import ActionTensor
@@ -53,7 +54,7 @@ def test_convolution_algebra_of_grouplike_coalgebra_is_pointwise():
     # all-ones unit; oracle computed by hand
     C = grouplike_coalgebra(QQ, ["a", "b", "c"])
     A = dual_convolution_algebra(C)
-    assert A.validate().ok
+    assert check_algebra(A).ok
     assert A.unit.coords == (Fraction(1),) * 3
     for i in range(3):
         for j in range(3):

@@ -36,11 +36,12 @@ from weakhopf import (
     two_object_iso_groupoid,
 )
 from weakhopf.cli import main
+from weakhopf.elimination import left_inverse_on_image
 from weakhopf.errors import HypothesisViolated
 from weakhopf.globalization import absorbed_by, is_grouplike
-from weakhopf.jsonio import action_to_json
+from weakhopf.jsonwrite import action_to_json
 from weakhopf.structures import _assemble
-from weakhopf.tensor_space import left_inverse_on_image, tensor_product
+from weakhopf.tensor_space import tensor_product
 
 
 def closing_example_one(field=QQ):

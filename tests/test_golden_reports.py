@@ -56,12 +56,11 @@ from weakhopf import (
     standard_globalization,
     two_object_iso_groupoid,
 )
-from weakhopf.cli import main
+from weakhopf.cli import canonical_dumps, main
 from weakhopf.groupoid import groupoid_to_spec
-from weakhopf.jsonio import (
-    action_from_json,
+from weakhopf.jsonio import action_from_json
+from weakhopf.jsonwrite import (
     action_to_json,
-    canonical_dumps,
     coalgebra_to_json,
     gpa_to_json,
     lambda_to_json,

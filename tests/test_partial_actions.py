@@ -65,6 +65,7 @@ from weakhopf import (
     validate_groupoid,
     validate_groupoid_partial_action,
 )
+from weakhopf.elimination import Subspace, left_inverse_on_image
 from weakhopf.errors import (
     FieldMismatch,
     MalformedInput,
@@ -74,10 +75,11 @@ from weakhopf.errors import (
     NotSymmetric,
     ShapeMismatch,
 )
-from weakhopf.jsonio import action_from_json, action_to_json
+from weakhopf.jsonio import action_from_json
+from weakhopf.jsonwrite import action_to_json
 from weakhopf.report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from weakhopf.structures import _pair_label
-from weakhopf.tensor_space import Subspace, _accumulate, left_inverse_on_image
+from weakhopf.tensor_space import _accumulate
 
 
 # -- global module coalgebras -------------------------------------------------

@@ -6,7 +6,9 @@ tests run each command in a fresh interpreter and list the modules it has
 added to `sys.modules` once `cli.main` returns.
 """
 
+import ast
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import grouplike_coalgebra, isotropy_lambda_action
+from conftest import grouplike_coalgebra, isotropy_lambda_action, two_object_gpa
 
 import weakhopf
 from weakhopf import (
@@ -24,11 +26,12 @@ from weakhopf import (
     LambdaFunctional,
     abelian_group_weak_hopf,
     disjoint_union_of_cyclic,
+    dualize_coalgebra_action,
     groupoid_algebra,
     lambda_action,
     two_object_iso_groupoid,
 )
-from weakhopf.jsonio import action_to_json, lambda_to_json, weakhopf_to_json
+from weakhopf.jsonwrite import action_to_json, gpa_to_json, lambda_to_json, weakhopf_to_json
 
 # the package's exports, module by module, by the names that each module offers
 # (the records and the action checkers are defined in `structures` and `actions`
@@ -95,8 +98,67 @@ def test_no_definition_is_named_only_by_the_tests():
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
     groups = tool.unreferenced()
-    assert groups["named only by tests/"] == ["partial_actions.check_ht_hs_propositions (function)"]
+    assert groups["named only by tests/"] == [
+        "groupoid_actions.check_ht_hs_propositions (function)"]
     assert groups["named nowhere"] == []
+
+
+# -- names that moved, reached through the modules that the benchmark names --------
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _tracing():
+    """``bench/tracing.py``, loaded by its path: ``bench/`` is not a package."""
+    spec = importlib.util.spec_from_file_location("bench_tracing", ROOT / "bench" / "tracing.py")
+    tracing = sys.modules["bench_tracing"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_benchmark_target_resolves_through_the_module_it_names():
+    tracing = _tracing()
+    for module, path, *_ in tracing.TARGETS:
+        owner, name, raw = tracing._resolve(importlib.import_module(f"weakhopf.{module}"), path)
+        assert raw is not None, (module, path)
+
+
+def test_every_name_the_benchmark_corpus_imports_resolves():
+    tree = ast.parse((ROOT / "bench" / "corpus.py").read_text(encoding="utf-8"))
+    imported = {alias.asname or alias.name: getattr(importlib.import_module(node.module),
+                                                    alias.name)
+                for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module.startswith("weakhopf") for alias in node.names}
+    assert {"LinMap", "CoalgebraData", "gpa_to_json"} <= set(imported)
+    # and every attribute that it reads off them, such as CoalgebraData.from_tensor
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in imported:
+            assert hasattr(imported[node.value.id], node.attr), (node.value.id, node.attr)
+
+
+def _reached_by_name() -> set:
+    """(module, name) for each name that bench/, tools/ or tests/ read off a
+    weakhopf module by name: the tracer's targets, imports, and EXPORTS above."""
+    pairs = {(module, path.split(".")[0]) for module, path, *_ in _tracing().TARGETS}
+    for path in [*ROOT.glob("bench/*.py"), *ROOT.glob("tools/*.py"), *ROOT.glob("tests/*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("weakhopf."):
+                pairs |= {(node.module.split(".")[1], alias.name) for alias in node.names}
+    return pairs | set(EXPORTED)
+
+
+def test_each_forwarded_name_is_reached_and_is_its_new_modules_object():
+    reached, forwarded = _reached_by_name(), 0
+    for stem in sorted(p.stem for p in (ROOT / "src" / "weakhopf").glob("[!_]*.py")):
+        module = importlib.import_module(f"weakhopf.{stem}")
+        if "__getattr__" not in vars(module):
+            continue
+        for name, new in inspect.getclosurevars(module.__getattr__).nonlocals["moved"].items():
+            assert (stem, name) in reached, f"{stem}.{name} is forwarded for no reader"
+            assert getattr(module, name) is getattr(importlib.import_module(f"weakhopf.{new}"),
+                                                    name)
+            forwarded += 1
+    assert forwarded, "no module forwards a name"
 
 
 # -- the import closure of each command --------------------------------------------
@@ -113,10 +175,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
 """
 
-WEAK_HOPF_ONLY = {"groupoid", "actions", "partial_actions", "dualization", "globalization"}
-NOT_ACTIONS = {"dualization", "globalization"}
-CHECKERS = {"weak_hopf"}            # the weak Hopf axiom and identity checkers
-FAMILIES = {"partial_actions"}      # λ, induced and groupoid partial actions
+WEAK_HOPF_ONLY = {"groupoid", "actions", "partial_actions", "dualization", "globalization",
+                  "groupoid_actions", "jsonwrite"}
+NOT_ACTIONS = {"dualization", "globalization", "elimination", "jsonwrite"}
+CHECKERS = {"weak_hopf", "axioms"}  # the weak Hopf axiom and identity checkers
+FAMILIES = {"partial_actions", "groupoid_actions"}  # λ, induced and groupoid partial actions
 
 
 @pytest.fixture(scope="module")
@@ -133,6 +196,8 @@ def documents(tmp_path_factory):
             "H": weakhopf_to_json(H), "act": action_to_json(act),
             "lam": lambda_to_json(lam, groupoid=G2, hopf_kind="kG"),
             "right": action_to_json(right),
+            "dual": action_to_json(dualize_coalgebra_action(act)),
+            "gpa": gpa_to_json(two_object_gpa(QQ)),
             # the averaged example holds 1/3 in its coproduct
             "avg": weakhopf_to_json(abelian_group_weak_hopf(FiniteAbelianGroup((3,)), QQ))}
     for name, doc in docs.items():
@@ -152,17 +217,28 @@ def _added(argv):
 
 CLOSURES = [     # (argv with document names, modules it must load, modules it must not)
     (["--help"], set(),
-     {"jsonio", "structures", "tensor_space", "scalars"} | CHECKERS | WEAK_HOPF_ONLY),
-    (["check", "weak-hopf", "H.json"], {"structures", "weak_hopf"}, WEAK_HOPF_ONLY),
+     {"jsonio", "structures", "tensor_space", "scalars", "report", "elimination"}
+     | CHECKERS | WEAK_HOPF_ONLY),
+    (["check", "weak-hopf", "H.json"], {"structures", "weak_hopf", "axioms", "elimination"},
+     WEAK_HOPF_ONLY),
     (["check", "weak-hopf", "avg.json"], {"structures", "weak_hopf"}, WEAK_HOPF_ONLY),
     (["check", "identities", "H.json"], {"weak_hopf"}, WEAK_HOPF_ONLY),
     (["check", "pmc", "act.json"], {"structures", "actions"},
      NOT_ACTIONS | {"groupoid"} | CHECKERS | FAMILIES),
-    (["check", "lambda", "lam.json"], {"partial_actions"}, {"actions"} | NOT_ACTIONS | CHECKERS),
+    (["check", "pma", "dual.json"], {"structures", "actions"},
+     NOT_ACTIONS | {"groupoid"} | CHECKERS | FAMILIES),
+    (["check", "lambda", "lam.json"], {"partial_actions"},
+     {"actions", "groupoid_actions"} | NOT_ACTIONS | CHECKERS),
+    (["check", "groupoid-action", "gpa.json"], {"groupoid_actions", "elimination"},
+     {"actions", "partial_actions"} | NOT_ACTIONS - {"elimination"} | CHECKERS),
+    (["equiv", "gpa.json"], {"groupoid_actions", "actions", "groupoid"},
+     {"partial_actions"} | NOT_ACTIONS - {"elimination"} | CHECKERS),
     (["dualize", "act.json"], {"dualization"}, {"globalization", "groupoid"} | CHECKERS | FAMILIES),
-    (["globalize", "right.json"], {"globalization"}, {"groupoid"} | CHECKERS | FAMILIES),
-    (["build", "kG", "G.json"], {"structures", "groupoid"},
-     {"actions", "dualization", "globalization"} | CHECKERS | FAMILIES),
+    (["globalize", "right.json"], {"globalization", "axioms"},
+     {"groupoid", "weak_hopf"} | FAMILIES),
+    (["build", "kG", "G.json"], {"structures", "groupoid", "jsonwrite"},
+     {"actions", "dualization", "globalization", "report", "jsonio", "elimination"}
+     | CHECKERS | FAMILIES),
 ]
 
 

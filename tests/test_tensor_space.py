@@ -5,6 +5,15 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_entries, swap_map
 
+from weakhopf.elimination import (
+    Subspace,
+    _echelon,
+    image_basis,
+    left_inverse_on_image,
+    rref,
+    solve,
+    solve_coordinates,
+)
 from weakhopf.errors import FieldMismatch, NotInjective, ShapeMismatch
 from weakhopf.groupoid import (FiniteAbelianGroup, abelian_group_weak_hopf,
                                disjoint_union_of_cyclic, dual_groupoid_algebra,
@@ -14,16 +23,9 @@ from weakhopf.structures import AlgebraData, CoalgebraData
 from weakhopf.tensor_space import (
     FinVec,
     LinMap,
-    Subspace,
     Vector,
-    left_inverse_on_image,
-    image_basis,
-    rref,
-    solve,
-    solve_coordinates,
     _accumulate,
     _combine,
-    _echelon,
     _kron,
     _scale,
     _sum,
@@ -366,7 +368,8 @@ from weakhopf import (  # noqa: E402
     disjoint_union_of_cyclic,
     groupoid_algebra,
 )
-from weakhopf.jsonio import canonical_dumps, linmap_to_json, weakhopf_to_json  # noqa: E402
+from weakhopf.cli import canonical_dumps  # noqa: E402
+from weakhopf.jsonwrite import linmap_to_json, weakhopf_to_json  # noqa: E402
 
 MIXED = [0, 0, 1, -1, 2, Fraction(1), Fraction(-1), Fraction(2), Fraction(1, 3),
          Fraction(-5, 2)]

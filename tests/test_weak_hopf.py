@@ -30,11 +30,13 @@ from weakhopf import (
     trivial_groupoid,
     two_object_iso_groupoid,
 )
+from weakhopf.cli import canonical_dumps
+from weakhopf.elimination import rref, rref_with_transform
 from weakhopf.errors import CharacteristicDividesOrder
-from weakhopf.jsonio import canonical_dumps, weakhopf_from_json, weakhopf_to_json
+from weakhopf.jsonio import weakhopf_from_json
+from weakhopf.jsonwrite import weakhopf_to_json
 from weakhopf.report import (CheckResult, compare_maps, compare_scalars, compare_vectors,
                               first_failure)
-from weakhopf.tensor_space import rref, rref_with_transform
 from weakhopf.weak_hopf import (
     AlgebraData,
     CoalgebraData,
