@@ -25,7 +25,7 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-KERNEL_MODULES = ("tensor_space", "elimination", "structures", "weak_hopf", "actions",
+KERNEL_MODULES = ("tensor_space", "elimination", "structures", "axioms", "weak_hopf", "actions",
                   "partial_actions", "groupoid_actions", "globalization")
 SHAPES = ("empty", "shared", "other")
 
