@@ -8,10 +8,12 @@ from .errors import forward
 _EXPORTS = {
     "scalars": "QQ Field PrimeField RationalField field_from_name",
     "tensor_space": "FinVec LinMap Vector ground tensor_product",
-    "elimination": "Subspace image_basis left_inverse_on_image",
+    "elimination": "Subspace left_inverse_on_image",
+    "dense": "image_basis",
     "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
                   "dual_convolution_algebra eps_s eps_t same_structure_constants",
-    "weak_hopf": "check_identities check_weak_bialgebra check_weak_hopf dualize is_hopf",
+    "weak_hopf": "check_weak_bialgebra check_weak_hopf dualize is_hopf",
+    "identities": "check_identities",
     "groupoid": "FiniteAbelianGroup FiniteGroupoid abelian_group_weak_hopf "
                 "cyclic_group_groupoid disjoint_union_of_cyclic dual_groupoid_algebra "
                 "groupoid_algebra groupoid_from_spec trivial_groupoid "

@@ -6,6 +6,7 @@ A left partial action `h·c` on C dualizes to the right partial action
 transposes of each other, so the round trip is the exact identity.  The
 mirror transfer (right coalgebra action ↔ left algebra action) is the same
 transposition on the other side and is used by the globalization machinery.
+``whw dualize`` (`dualize_command`) checks that the verdicts transfer.
 """
 
 from __future__ import annotations
@@ -65,3 +66,29 @@ def undualize_left_algebra_action(act: ActionTensor, C: CoalgebraData,
                                   check: bool = True) -> ActionTensor:
     """Left partial action on C*  →  the right action on C it came from."""
     return _transpose(act, LEFT, C, check)
+
+
+def dualize_command(args):
+    """``whw dualize``: the dual of the action ``args.doc`` as a document, and the
+    report that its PMC verdicts carry over to the dual and undualize back."""
+    from .jsonio import action_from_json
+    from .jsonwrite import action_to_json
+    from .report import CheckResult, Report
+
+    act = action_from_json(args.doc)
+    # a wrong-side action raises ShapeMismatch here, before the PMC verdict below
+    dual = dualize_coalgebra_action(act, check=False)
+    vc = check_partial_module_coalgebra(act)
+    if not vc.is_partial:
+        raise InputNotPartialAction("input does not satisfy PMC1-PMC3")
+    rep = Report("dualization transfer")
+    va = check_partial_module_algebra(dual)
+    for (rc, ra) in zip(vc.report.results, va.report.results):
+        rep.add(CheckResult(f"{rc.label}<->{ra.label}", rc.passed == ra.passed,
+                            None if rc.passed == ra.passed else
+                            f"{rc.label}={rc.passed} but {ra.label}={ra.passed}"))
+    rep.add(CheckResult("symmetric transfers",
+                        vc.symmetric.passed == va.symmetric.passed))
+    back = undualize_algebra_action(dual, act.carrier, check=False)
+    rep.add(CheckResult("undualize(dualize) == action", back.slices == act.slices))
+    return [rep], action_to_json(dual)

@@ -1,5 +1,8 @@
 """Exception types shared across the workbench, the base of its read-only
-records, and the module ``__getattr__`` that still offers a moved name."""
+records, the module ``__getattr__`` that still offers a moved name, and the
+canonical JSON text that every command writes."""
+
+import json
 
 
 class Frozen:
@@ -32,8 +35,19 @@ def forward(namespace: dict, moved: dict):
     return __getattr__
 
 
+def canonical_dumps(obj) -> str:
+    """The text of a document or report: sorted keys, no spaces, so that equal
+    documents are written byte for byte alike."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
+
+
 class WorkbenchError(Exception):
     """Base class for every structured error raised by this package."""
+
+
+class Refused(WorkbenchError):
+    """``Refused(message, code)``: a command cannot run on its input, so ``whw``
+    prints the message as it is and exits with the code."""
 
 
 class FieldMismatch(WorkbenchError):

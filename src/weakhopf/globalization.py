@@ -19,7 +19,8 @@ from .actions import RIGHT, ActionTensor, check_module_algebra, check_module_coa
 from .axioms import check_coalgebra
 from .dualization import dualize_right_coalgebra_action
 from .elimination import Subspace, left_inverse_on_image
-from .errors import Frozen, HypothesisViolated, NotInjective, NotSubcoalgebra, ShapeMismatch
+from .errors import (Frozen, HypothesisViolated, NotInjective, NotSubcoalgebra, Refused,
+                     ShapeMismatch)
 from .jsonio import _action, _get, _matrix, _same_field, action_from_json, coalgebra_from_json
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .structures import CoalgebraData, WeakHopfData
@@ -134,9 +135,9 @@ def check_globalization(gt: GlobalizationTriple) -> Report:
     eps_pi, p = [col.get(0) for col in (D.counit @ gt.pi).cols], D.field.characteristic
 
     def eq6(pi_k: LinMap) -> CheckResult:
-        rhs = [_combine(pi_k.cols, [(b, c * eps_pi[a]) for a, b, c in D.delta_pairs(d)
-                                    if eps_pi[a]], p)
-               for d in range(D.space.dim)]
+        rhs = [_combine(pi_k.cols, ts, p) if ts else {} for ts in (
+            [(b, c * eps_pi[a]) for a, b, c in D.delta_pairs(d) if eps_pi[a]]
+            for d in range(D.space.dim))]
         return compare_maps("", pi_k @ gt.pi, LinMap(D.space, D.space, rhs))
 
     def at_h(k: int) -> str:
@@ -297,3 +298,19 @@ def dual_globalization_transfer(gt: GlobalizationTriple) -> DualGlobalizationRes
                         else "φ(C*) ⊄ H▷φ(C*) (the unit slice is corrupted)"))
 
     return DualGlobalizationResult(coalg_rep, rep)
+
+
+def globalize_command(args):
+    """``whw globalize``: the standard globalization of ``args.doc`` at the absorbed
+    grouplike ``args.grouplike`` (or the first one) and the reports of its dual transfer."""
+    from .jsonwrite import triple_to_json
+
+    act, wanted = action_from_json(args.doc), args.grouplike
+    found = [g for g in find_basis_grouplikes(act) if not wanted or g.label == wanted]
+    if not found:
+        raise Refused(f"no absorbed grouplike labelled {wanted!r}" if wanted
+                      else "no absorbed grouplike basis element found", 4)
+    gt = standard_globalization(act, found[0])
+    transfer = dual_globalization_transfer(gt)
+    return ([transfer.coalgebra_report, transfer.algebra_report],
+            triple_to_json(gt) if args.output else None)

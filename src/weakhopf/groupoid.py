@@ -321,3 +321,28 @@ def abelian_group_weak_hopf(G: FiniteAbelianGroup, field: Field) -> WeakHopfData
     return _assemble(space, [{index[G.op(g, h)]: o} for g in elems for h in elems],
                      {index[G.identity]: o}, coproducts, counit,
                      LinMap.identity(space).cols)
+
+
+def validate_command(args):
+    """``whw validate-groupoid``: the axioms of ``args.doc``, checked as it is read."""
+    from .report import CheckResult, Report
+
+    G = groupoid_from_spec(args.doc)
+    return [Report("groupoid axioms", [CheckResult("axioms", True, (
+        f"{len(G.elements)} elements, {len(G.identities)} objects, "
+        f"{len(G.composable)} composable pairs"))])], None
+
+
+def build_command(args):
+    """``whw build``: the weak Hopf algebra ``args.kind`` of the spec ``args.doc``
+    over the field ``args.field``, as a document."""
+    from .jsonwrite import weakhopf_to_json
+    from .scalars import field_from_name
+
+    field, kind = field_from_name(args.field), args.kind
+    if kind == "abelian-group":
+        H = abelian_group_weak_hopf(abelian_group_from_spec(args.doc), field)
+    else:
+        H = (groupoid_algebra if kind == "kG" else dual_groupoid_algebra)(
+            groupoid_from_spec(args.doc), field)
+    return None, weakhopf_to_json(H)

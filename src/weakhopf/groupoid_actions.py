@@ -9,8 +9,8 @@ from functools import cache
 
 from .elimination import Subspace
 from .errors import (InputNotPartialAction, MalformedInput, NotDirectSum, NotIdempotent,
-                     NotSymmetric, ShapeMismatch)
-from .jsonio import _get, _matrix, _object, _same_field, coalgebra_from_json
+                     NotSymmetric, Refused, ShapeMismatch)
+from .jsonio import _get, _matrix, _object, _same_field, action_from_json, coalgebra_from_json
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .structures import LEFT
 from .tensor_space import LinMap, Vector, _accumulate, _combine, _kron
@@ -181,9 +181,10 @@ def from_kG_action(act: ActionTensor, G: FiniteGroupoid) -> GroupoidPartialActio
     for g in G.elements:
         eps_gi = act.counit_table[G.index(G.inv[g])]
         r_cols = act.slices[G.index(G.r[g])].cols
-        projections[g] = LinMap(C.space, C.space, [_combine(
-            r_cols, [(b, cc * eps_gi[a]) for a, b, cc in C.delta_pairs(c) if a in eps_gi],
-            C.field.characteristic) for c in range(C.space.dim)])
+        projections[g] = LinMap(C.space, C.space, [
+            _combine(r_cols, ts, C.field.characteristic) if ts else {} for ts in (
+                [(b, cc * eps_gi[a]) for a, b, cc in C.delta_pairs(c) if a in eps_gi]
+                for c in range(C.space.dim))])
     for g in G.elements:
         isos[g] = act.slices[G.index(g)] @ projections[G.inv[g]]
     return GroupoidPartialAction(G, C, projections, isos)
@@ -214,6 +215,41 @@ def action_groupoid_from_json(d: dict, hopf: WeakHopfData) -> FiniteGroupoid | N
         return _builds(groupoid_from_spec(_get(d, "groupoid", ""), "groupoid."), hopf,
                        groupoid_algebra)
     return None
+
+
+def equiv_command(args):
+    """``whw equiv``: the equivalence round trip of the groupoid partial action or
+    the kG action ``args.doc`` through the other side and back."""
+    from .actions import check_partial_module_coalgebra
+
+    doc, rep = args.doc, Report("equivalence round-trip")
+    if doc.get("schema") == "groupoid-action":
+        gpa = gpa_from_json(doc)
+        rep.extend(validate_groupoid_partial_action(gpa), prefix="input-")
+        act = to_kG_action(gpa)
+        verdict = check_partial_module_coalgebra(act)
+        rep.add(CheckResult("to-kG-symmetric-PMC",
+                            verdict.is_partial and verdict.is_symmetric))
+        back = from_kG_action(act, gpa.groupoid)
+        rep.add(CheckResult("from(to(θ,P)) == (θ,P)", gpa.same_maps(back)))
+        act2 = to_kG_action(back)
+        rep.add(CheckResult("to(from(action)) == action", act2.slices == act.slices))
+    elif doc.get("schema") == "action":
+        act = action_from_json(doc)
+        G = action_groupoid_from_json(doc, act.hopf)
+        if G is None:
+            raise Refused("action document needs a 'groupoid' entry for equiv", 3)
+        gpa = from_kG_action(act, G)
+        rep.extend(validate_groupoid_partial_action(gpa), prefix="derived-")
+        act2 = to_kG_action(gpa)
+        same = act2.slices == act.slices
+        rep.add(CheckResult("to(from(action)) == action", same))
+        # from_kG_action reads only the slices, so equal slices give gpa back
+        rep.add(CheckResult("from(to(θ,P)) == (θ,P)",
+                            same or gpa.same_maps(from_kG_action(act2, G))))
+    else:
+        raise Refused("expected a groupoid-action or action document", 3)
+    return [rep], None
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from .tensor_space import FinVec, LinMap, Vector, ground, tensor_product
 __getattr__ = forward(globals(), {**dict.fromkeys(
     "linmap_to_json linmap_from_json tensor3_to_json tensor3_from_json algebra_to_json "
     "coalgebra_to_json weakhopf_to_json action_to_json lambda_to_json gpa_to_json "
-    "triple_to_json".split(), "jsonwrite"), "canonical_dumps": "cli",
+    "triple_to_json".split(), "jsonwrite"), "canonical_dumps": "errors",
     "lambda_from_json": "partial_actions", "gpa_from_json": "groupoid_actions",
     "action_groupoid_from_json": "groupoid_actions", "triple_from_json": "globalization",
     "abelian_group_from_spec": "groupoid"})

@@ -1,6 +1,6 @@
 """JSON export for every workbench object, and the ``linmap`` and ``tensor3``
 documents read back.  Scalars are written by the field's formatter, so equal
-inputs give equal documents, which `cli.canonical_dumps` writes byte for byte
+inputs give equal documents, which `errors.canonical_dumps` writes byte for byte
 alike; nested arrays are written straight from sparse columns (`_encode`).
 """
 

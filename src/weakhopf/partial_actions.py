@@ -234,3 +234,22 @@ def lambda_from_json(d: dict):
     [values] = _decode(hopf.field, (_get(d, "values", ""), (n,), "values", n))[0]
     lf = LambdaFunctional.from_values(hopf, [values.get(i, 0) for i in range(n)])
     return lf, G, kind, _side(d.get("side", "left"), "")
+
+
+def lambda_reports(doc: dict) -> list[Report]:
+    """``whw check lambda``: the λ conditions of ``doc``, a summary of its verdicts,
+    and the V-group criterion when the document names a groupoid and its kind."""
+    lf, G, hopf_kind, side = lambda_from_json(doc)
+    verdict = check_lambda_partial(lf, side)
+    glob = check_lambda_global(lf)
+    reports = [verdict.report, Report("λ summary", [
+        CheckResult("partial [info]", True, f"holds={verdict.is_partial}"),
+        CheckResult("symmetric [info]", True, f"holds={verdict.is_symmetric}"),
+        CheckResult("global [info]", True, f"holds={glob.is_partial}")])]
+    if G is not None and hopf_kind == "kG":
+        reports.append(check_k_partial_action_group_criterion(lf, G)
+                       .report("V-group criterion"))
+    elif G is not None and hopf_kind == "kG-dual":
+        reports.append(check_dual_k_partial_action_criterion(lf, G)
+                       .report("dual V-group criterion"))
+    return reports

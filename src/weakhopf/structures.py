@@ -28,7 +28,7 @@ class AlgebraData(Frozen):
 
     @classmethod
     def from_tensor(cls, space: FinVec, entries, unit_coords) -> "AlgebraData":
-        from .elimination import _dense_cols
+        from .dense import _dense_cols
         mul = LinMap(tensor_product(space, space), space, _dense_cols(space, entries, True))
         return cls(space, mul, Vector.from_coords(space, unit_coords))
 
@@ -74,7 +74,7 @@ class CoalgebraData(Frozen):
 
     @classmethod
     def from_tensor(cls, space: FinVec, entries, counit_coords) -> "CoalgebraData":
-        from .elimination import _dense_cols
+        from .dense import _dense_cols
         comul = LinMap(space, tensor_product(space, space), _dense_cols(space, entries, False))
         counit = LinMap.from_rows(space, ground(space.field), [list(counit_coords)])
         return cls(space, comul, counit)

@@ -6,9 +6,10 @@ Conventions, fixed once for the whole package:
   domain basis vector; a ``Vector`` stores ``{index: coeff}``.  Neither ever
   holds an explicit zero, so equality is a comparison of the stored data and
   every operation touches the nonzero entries only;
-* elimination, ``Subspace`` and the dense-list adapters (``rref``, ``solve``,
-  ``LinMap.from_rows``, …) are in :mod:`elimination`; ``LinMap.rows`` (indexed
-  ``rows[codomain][domain]``) and ``Vector.coords`` are dense read-only views;
+* elimination and ``Subspace`` are in :mod:`elimination`, the dense-list
+  adapters (``rref``, ``solve``, ``LinMap.from_rows``, …) in :mod:`dense`;
+  ``LinMap.rows`` (indexed ``rows[codomain][domain]``) and ``Vector.coords``
+  are dense read-only views;
 * the tensor product ``V (x) W`` uses row-major flattening,
   ``flat(i, j) = i * dim(W) + j`` with ``i`` indexing the left factor, and
   basis labels are the strings ``"v⊗w"``.
@@ -26,9 +27,10 @@ from functools import cached_property
 from .errors import FieldMismatch, Frozen, NotInjective, ShapeMismatch, forward
 from .scalars import Field
 
-__getattr__ = forward(globals(), dict.fromkeys(
-    "Subspace image_basis left_inverse_on_image rref rref_with_transform solve "
-    "solve_coordinates".split(), "elimination"))
+__getattr__ = forward(globals(), {
+    **dict.fromkeys("Subspace left_inverse_on_image".split(), "elimination"),
+    **dict.fromkeys("image_basis rref rref_with_transform solve solve_coordinates".split(),
+                    "dense")})
 
 
 class FinVec(Frozen):
@@ -280,7 +282,7 @@ class LinMap:
 
     @classmethod
     def from_rows(cls, domain: FinVec, codomain: FinVec, rows) -> "LinMap":
-        from .elimination import from_rows
+        from .dense import from_rows
         return from_rows(domain, codomain, rows)
 
     @classmethod
@@ -355,8 +357,8 @@ class LinMap:
     def apply(self, v: Vector) -> Vector:
         if v.space != self.domain:
             raise ShapeMismatch("vector not in the domain")
-        return Vector(self.codomain,
-                      _combine(self.cols, v.terms.items(), self.domain.field.characteristic))
+        return Vector(self.codomain, v.terms and _combine(
+            self.cols, v.terms.items(), self.domain.field.characteristic))
 
     def column(self, j: int) -> Vector:
         return Vector(self.codomain, self.cols[j])

@@ -1013,17 +1013,32 @@ FORMS = [   # argv, the attributes the handler receives besides `fn`
 
 @pytest.mark.parametrize("argv,expected", FORMS, ids=[" ".join(argv) for argv, _ in FORMS])
 def test_every_documented_form_dispatches_its_arguments(monkeypatch, argv, expected):
+    import importlib
+
     from weakhopf import cli
 
     command = next(word for word in argv if word in cli.COMMANDS)
     handler, spec = cli.COMMANDS[command]
-    assert handler is getattr(cli, "_cmd_" + command.replace("-", "_"))
     received = []
-    monkeypatch.setitem(cli.COMMANDS, command, (lambda args: received.append(args) or 7, spec))
-    assert main(argv) == 7
+
+    def fake(args):
+        received.append(args)
+        return [], None
+
+    if isinstance(handler, str):   # "module.function": replaced where main looks it up
+        module, name = handler.split(".")
+        owner = importlib.import_module(f"weakhopf.{module}")
+        assert callable(getattr(owner, name)) and name.endswith("_command")
+        monkeypatch.setattr(owner, name, fake)
+    else:
+        assert handler is cli._cmd_check and command == "check"
+        monkeypatch.setitem(cli.COMMANDS, command, (fake, spec))
+    monkeypatch.setattr(cli, "_load", lambda path: {"read": path})
+    assert main(argv) == 0
     [args] = received
+    path = expected.get("path", expected.get("spec"))
     assert vars(args) == {"format": "text", "command": command, **expected,
-                          "fn": cli.COMMANDS[command][0]}
+                          "doc": {"read": path}}
 
 
 USAGE_ERRORS = [    # argv, the usage line's program, the error after "whw: error: "

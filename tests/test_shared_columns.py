@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from conftest import gpa_examples, regular_action
+from conftest import gpa_examples, grouplike_coalgebra, isotropy_lambda_action, regular_action
 
 from weakhopf import (
     QQ,
@@ -26,6 +26,7 @@ from weakhopf import (
     LambdaFunctional,
     LinMap,
     PrimeField,
+    Subspace,
     Vector,
     WeakHopfData,
     abelian_group_weak_hopf,
@@ -49,8 +50,8 @@ from weakhopf import (
     validate_groupoid_partial_action,
 )
 
-KERNEL_MODULES = ("tensor_space", "structures", "weak_hopf", "actions", "partial_actions",
-                  "globalization")
+KERNEL_MODULES = ("tensor_space", "elimination", "structures", "axioms", "weak_hopf",
+                  "identities", "actions", "partial_actions", "groupoid_actions", "globalization")
 
 
 def stored_columns(*objs) -> list:
@@ -173,3 +174,35 @@ def test_no_check_mutates_a_stored_column_and_shared_columns_are_reduced(field, 
     p = field.characteristic
     for col in handed_back:
         assert all(type(v) is int and 0 < v < p for v in col.values()) if p else all(col.values())
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_no_kernel_call_is_made_with_no_terms_on_the_action_paths(field, monkeypatch):
+    """``Subspace.contains``, ``from_kG_action``'s projections, ``LinMap.apply`` on
+    a zero vector and Eq 6 of ``check_globalization`` skip ``_combine`` where
+    they have no terms for it, which the λ-indicator actions give them often."""
+    calls, empty = [], []
+
+    def watch(kernel):
+        def combine(cols, terms, p):
+            terms = list(terms)
+            (calls if terms else empty).append(terms)
+            return kernel(cols, terms, p)
+        return combine
+
+    for name in KERNEL_MODULES:
+        module = importlib.import_module(f"weakhopf.{name}")
+        if hasattr(module, "_combine"):
+            monkeypatch.setattr(module, "_combine", watch(module._combine))
+    G = disjoint_union_of_cyclic([2, 3])
+    act, _ = isotropy_lambda_action(G, field, "g1.e")
+    H = act.hopf
+    e0, e1 = Vector.basis(H.space, 0), Vector.basis(H.space, 1)
+    line = Subspace.from_vectors(H.space, [e0])
+    assert line.contains(e0) and not line.contains(e1) and line.contains(Vector(H.space, {}))
+    assert act.slices[1].apply(Vector(act.carrier.space, {})).terms == {}
+    from_kG_action(act, G)
+    right = lambda_action(LambdaFunctional.indicator(H, ["g1.e"]),
+                          grouplike_coalgebra(field, ["c0", "c1"]), "right")
+    assert check_globalization(standard_globalization(right, find_basis_grouplikes(right)[0])).ok
+    assert calls and not empty, f"{len(empty)} of {len(calls) + len(empty)} calls had no terms"

@@ -178,7 +178,8 @@ print(json.dumps({"code": code, "added": sorted(set(sys.modules) - before)}))
 WEAK_HOPF_ONLY = {"groupoid", "actions", "partial_actions", "dualization", "globalization",
                   "groupoid_actions", "jsonwrite"}
 NOT_ACTIONS = {"dualization", "globalization", "elimination", "jsonwrite"}
-CHECKERS = {"weak_hopf", "axioms"}  # the weak Hopf axiom and identity checkers
+CHECKERS = {"weak_hopf", "axioms", "identities"}  # the weak Hopf axiom and identity checkers
+NEVER = {"dense"}   # the dense-list adapters, which no command runs
 FAMILIES = {"partial_actions", "groupoid_actions"}  # λ, induced and groupoid partial actions
 
 
@@ -198,6 +199,8 @@ def documents(tmp_path_factory):
             "right": action_to_json(right),
             "dual": action_to_json(dualize_coalgebra_action(act)),
             "gpa": gpa_to_json(two_object_gpa(QQ)),
+            # kG of one group is a Hopf algebra, which `check hopf` passes
+            "kZ3": weakhopf_to_json(groupoid_algebra(disjoint_union_of_cyclic([3]), QQ)),
             # the averaged example holds 1/3 in its coproduct
             "avg": weakhopf_to_json(abelian_group_weak_hopf(FiniteAbelianGroup((3,)), QQ))}
     for name, doc in docs.items():
@@ -220,9 +223,12 @@ CLOSURES = [     # (argv with document names, modules it must load, modules it m
      {"jsonio", "structures", "tensor_space", "scalars", "report", "elimination"}
      | CHECKERS | WEAK_HOPF_ONLY),
     (["check", "weak-hopf", "H.json"], {"structures", "weak_hopf", "axioms", "elimination"},
-     WEAK_HOPF_ONLY),
-    (["check", "weak-hopf", "avg.json"], {"structures", "weak_hopf"}, WEAK_HOPF_ONLY),
-    (["check", "identities", "H.json"], {"weak_hopf"}, WEAK_HOPF_ONLY),
+     WEAK_HOPF_ONLY | {"identities"}),
+    (["check", "weak-hopf", "avg.json"], {"structures", "weak_hopf"},
+     WEAK_HOPF_ONLY | {"identities"}),
+    (["check", "wb", "H.json"], {"weak_hopf", "axioms"}, WEAK_HOPF_ONLY | {"identities"}),
+    (["check", "hopf", "kZ3.json"], {"weak_hopf"}, WEAK_HOPF_ONLY | {"identities"}),
+    (["check", "identities", "H.json"], {"weak_hopf", "identities"}, WEAK_HOPF_ONLY),
     (["check", "pmc", "act.json"], {"structures", "actions"},
      NOT_ACTIONS | {"groupoid"} | CHECKERS | FAMILIES),
     (["check", "pma", "dual.json"], {"structures", "actions"},
@@ -239,6 +245,8 @@ CLOSURES = [     # (argv with document names, modules it must load, modules it m
     (["build", "kG", "G.json"], {"structures", "groupoid", "jsonwrite"},
      {"actions", "dualization", "globalization", "report", "jsonio", "elimination"}
      | CHECKERS | FAMILIES),
+    (["validate-groupoid", "G.json"], {"groupoid", "report"},
+     {"jsonio", "elimination"} | CHECKERS | FAMILIES | WEAK_HOPF_ONLY - {"groupoid"}),
 ]
 
 
@@ -249,7 +257,7 @@ def test_command_imports_only_what_it_runs(documents, argv, needed, absent):
     added = _added(argv)
     loaded = {m.split(".", 1)[1] for m in added if m.startswith("weakhopf.")}
     assert needed <= loaded
-    assert not loaded & absent, sorted(loaded & absent)
+    assert not loaded & (absent | NEVER), sorted(loaded & (absent | NEVER))
     # the records are plain classes and the command table is read without argparse:
     # no command pays for importing these
     assert not added & {"dataclasses", "inspect", "typing",
@@ -259,3 +267,43 @@ def test_command_imports_only_what_it_runs(documents, argv, needed, absent):
         assert "fractions" in added
     else:
         assert not added & {"fractions", "decimal", "numbers"}, sorted(added)
+
+
+def test_no_module_imports_cli():
+    """Under ``python -m weakhopf.cli`` the running ``cli`` is ``__main__``, so a
+    module that imported ``weakhopf.cli`` would compile it a second time: no
+    import statement, forwarding table or handler name in the package names it."""
+    for path in sorted((ROOT / "src" / "weakhopf").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom):
+                module = (node.module or "").removeprefix("weakhopf").strip(".")
+                assert "cli" not in ({module} if module else {a.name for a in node.names}), \
+                    path.name
+            elif isinstance(node, ast.Import):
+                assert "weakhopf.cli" not in {a.name for a in node.names}, path.name
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "forward":
+                values = {n.value for n in ast.walk(node) if isinstance(n, ast.Constant)}
+                assert "cli" not in values, path.name
+    from weakhopf import cli
+    assert all(isinstance(handler, str) and not handler.startswith("cli.") or
+               handler is cli._cmd_check for handler, _ in cli.COMMANDS.values())
+
+
+def test_closure_lines_lists_what_a_job_compiles_and_never_calls(documents):
+    """``tools/closure_lines.py --by-function`` on one ``check weak-hopf`` job:
+    each function that the job compiles and never calls, with its lines."""
+    spec = importlib.util.spec_from_file_location("closure_lines",
+                                                  ROOT / "tools" / "closure_lines.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    closure = tool.job_closure(["check", "weak-hopf", str(documents / "H.json")], documents)
+    listing = tool.by_function([closure])
+    names = {name for _, _, name in listing}
+    assert [n for n, _, _ in listing] == sorted((n for n, _, _ in listing), reverse=True)
+    assert sum(n for n, _, _ in listing) == sum(sum(idle.values()) for _, idle in closure.values())
+    from weakhopf.weak_hopf import is_hopf
+    assert (len(inspect.getsource(is_hopf).splitlines()), 1, "weak_hopf.is_hopf") in listing
+    assert "cli._emit" in names and "weak_hopf.check_weak_hopf" not in names
+    assert not any(name.startswith(("identities.", "dense.")) for name in names)
+    # summed over the jobs that compile a function and never call it
+    assert tool.by_function([closure, closure]) == [(2 * n, 2, name) for n, _, name in listing]

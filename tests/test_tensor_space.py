@@ -5,15 +5,8 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import dense_entries, swap_map
 
-from weakhopf.elimination import (
-    Subspace,
-    _echelon,
-    image_basis,
-    left_inverse_on_image,
-    rref,
-    solve,
-    solve_coordinates,
-)
+from weakhopf.dense import image_basis, rref, solve, solve_coordinates
+from weakhopf.elimination import Subspace, _echelon, left_inverse_on_image
 from weakhopf.errors import FieldMismatch, NotInjective, ShapeMismatch
 from weakhopf.groupoid import (FiniteAbelianGroup, abelian_group_weak_hopf,
                                disjoint_union_of_cyclic, dual_groupoid_algebra,

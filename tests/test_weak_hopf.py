@@ -31,7 +31,7 @@ from weakhopf import (
     two_object_iso_groupoid,
 )
 from weakhopf.cli import canonical_dumps
-from weakhopf.elimination import rref, rref_with_transform
+from weakhopf.dense import rref, rref_with_transform
 from weakhopf.errors import CharacteristicDividesOrder
 from weakhopf.jsonio import weakhopf_from_json
 from weakhopf.jsonwrite import weakhopf_to_json

@@ -9,8 +9,10 @@ left out.
 
 - A function or class is referenced by a name, an attribute, an import, or,
   outside ``src/``, a string equal to its name (``bench/tracing.py``
-  ``TARGETS`` names functions that way).  In ``src/`` no string counts, so
-  neither does the package's export table in ``__init__.py``.
+  ``TARGETS`` names functions that way).  In ``src/`` a string counts only as
+  ``"module.function"`` with a module of the package, which is how
+  ``cli.COMMANDS`` names a handler, so the package's export table in
+  ``__init__.py`` does not.
 - A method is referenced only by an attribute access ``.name`` or by a
   string ``"Class.name"``, which is how ``TARGETS`` names methods; a local
   variable or a word in a message that shares the method's name does not
@@ -65,15 +67,21 @@ def references(tree: ast.Module) -> tuple[set, set, set]:
 
 
 def folder_references(folder: str) -> tuple[set, set, set]:
-    """`references` over every Python file under ``folder``; in ``src/`` no
-    string counts."""
+    """`references` over every Python file under ``folder``; in ``src/`` a
+    string counts only as ``"module.function"``, naming the function."""
     idents, attrs, strings = set(), set(), set()
     for path in sorted((ROOT / folder).rglob("*.py")):
         i, a, s = references(ast.parse(path.read_text(encoding="utf-8")))
         idents |= i
         attrs |= a
         strings |= s
-    return idents, attrs, strings if folder != "src" else set()
+    if folder != "src":
+        return idents, attrs, strings
+    stems = {path.stem for path in (ROOT / "src" / "weakhopf").glob("*.py")}
+    for module, dot, name in (text.partition(".") for text in strings):
+        if dot and module in stems and name.isidentifier():
+            idents.add(name)
+    return idents, attrs, set()
 
 
 def _referenced(refs: tuple[set, set, set], cls, name: str) -> bool:
