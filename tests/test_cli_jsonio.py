@@ -1,3 +1,4 @@
+import importlib
 import json
 import os
 import subprocess
@@ -1013,8 +1014,6 @@ FORMS = [   # argv, the attributes the handler receives besides `fn`
 
 @pytest.mark.parametrize("argv,expected", FORMS, ids=[" ".join(argv) for argv, _ in FORMS])
 def test_every_documented_form_dispatches_its_arguments(monkeypatch, argv, expected):
-    import importlib
-
     from weakhopf import cli
 
     command = next(word for word in argv if word in cli.COMMANDS)
