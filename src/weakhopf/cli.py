@@ -13,12 +13,14 @@ Text reports print one PASS/FAIL line per axiom or identity; `--format json`
 (before the command) emits the same verdicts as a canonical JSON document.
 An option's value is the next word or follows `=`; `-h` prints this text.
 Exit codes: 0 all selected checks pass, 2 a check failed, 3 unreadable or
-malformed input, 4 a construction precondition was violated, 64 a usage error.
+malformed input, 4 a construction precondition was violated, 64 a usage error,
+74 the output could not be written.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import sys
 from importlib import import_module
 from types import SimpleNamespace
@@ -32,6 +34,7 @@ EXIT_CHECK_FAILED = 2
 EXIT_BAD_INPUT = 3
 EXIT_PRECONDITION = 4
 EXIT_USAGE = 64
+EXIT_IOERR = 74
 
 
 def _load(path: str) -> dict:
@@ -48,11 +51,14 @@ def _load(path: str) -> dict:
 
 def _emit(doc: dict, out: str | None) -> None:
     text = canonical_dumps(doc)
-    if out:
+    if not out:
+        print(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    else:
-        print(text)
+    except OSError as exc:
+        raise Refused(f"cannot write {out}: {exc.strerror or exc}", EXIT_IOERR) from None
 
 
 def _cmd_check(args) -> tuple:
@@ -176,7 +182,7 @@ def main(argv=None) -> int:
     _read(words, args, f"whw {args.command}", spec)
     try:
         return _run(handler, args)
-    except (KeyError, TypeError, ValueError) as exc:   # includes MalformedInput
+    except MalformedInput as exc:
         print(f"whw: malformed input: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except Refused as exc:
@@ -187,5 +193,30 @@ def main(argv=None) -> int:
         print(f"whw: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
 
+
+def run() -> None:
+    """The `whw` program: `main` on the command line, then leave at once with its
+    exit code, stdout and stderr flushed, skipping the interpreter's teardown.
+    `_load` and `_emit` report the files they fail to read or write, so an
+    OSError here is a failed write to stdout.  Under `python -i`, a tracer or a
+    profiler the interpreter exits as usual, so that they can finish."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:   # usage 64, `--help` 0, unreadable input 3
+            code = exc.code
+        if sys.stdout:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"whw: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # drop what is left
+        code = EXIT_IOERR
+    if sys.stderr:
+        sys.stderr.flush()
+    if sys.flags.inspect or sys.gettrace() or sys.getprofile():
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

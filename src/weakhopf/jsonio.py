@@ -85,9 +85,6 @@ def _field(d: dict, at: str) -> Field:
         return field_from_name(name)
     except MalformedInput as exc:
         raise MalformedInput(f"{at}field: {exc}") from None
-    except (AttributeError, ValueError):
-        raise MalformedInput(f"{at}field: expected a field name such as 'Q', "
-                             f"got {name!r}") from None
 
 
 def _same_field(d: dict, field: Field, at: str = "") -> None:

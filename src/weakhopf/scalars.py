@@ -73,7 +73,7 @@ class Field:
     def char_divides(self, n: int) -> bool:
         """True iff the field characteristic divides n (char 0 divides nothing)."""
         if n < 1:
-            raise ValueError("n must be a positive integer")
+            raise MalformedInput(f"n = {n} is not a positive integer")
         return self.characteristic != 0 and n % self.characteristic == 0
 
 
@@ -162,7 +162,7 @@ class PrimeField(Field):
             raise MalformedInput(f"p = {p} is not below {PRIME_BOUND}, the bound below "
                                  f"which primality is decided exactly")
         if not _is_prime(p):
-            raise ValueError(f"{p} is not prime")
+            raise MalformedInput(f"p = {p} is not prime")
         self.p = p
         self.characteristic = p
 
@@ -213,14 +213,16 @@ QQ = RationalField()
 
 def field_from_name(name: str) -> Field:
     """Parse a field spec string: "Q" or "Fp:<p>" (also accepts "GF(p)")."""
-    name = name.strip()
-    if name in ("Q", "QQ", "rational"):
+    spec = name.strip() if isinstance(name, str) else ""
+    if spec in ("Q", "QQ", "rational"):
         return QQ
-    if name.startswith("Fp:"):
-        return PrimeField(int(name[3:]))
-    if name.startswith("GF(") and name.endswith(")"):
-        return PrimeField(int(name[3:-1]))
-    raise ValueError(f"unknown field spec {name!r}")
+    digits = spec[3:-1] if spec.startswith("GF(") and spec.endswith(")") else (
+        spec[3:] if spec.startswith("Fp:") else "")
+    try:
+        p = int(digits)
+    except ValueError:
+        raise MalformedInput(f"expected a field name such as 'Q', got {name!r}") from None
+    return PrimeField(p)
 
 
 def field_name(field: Field) -> str:
@@ -228,4 +230,4 @@ def field_name(field: Field) -> str:
         return "Q"
     if isinstance(field, PrimeField):
         return f"Fp:{field.p}"
-    raise ValueError(f"unknown field {field!r}")
+    raise MalformedInput(f"field = {field!r} is neither Q nor GF(p)")

@@ -1092,3 +1092,65 @@ def test_help_prints_the_module_docstring_and_exits_0(capsys, argv):
         main(argv)
     assert exc.value.code == 0
     assert capsys.readouterr() == (weakhopf.cli.__doc__, "")
+
+
+# -- write failures: exit 74 with one line on stderr ---------------------------------
+
+def _whw_child(argv, stdout):
+    """A ``whw`` child with its stdout block-buffered, as it is when not a terminal."""
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, "-m", "weakhopf.cli", *argv], stdout=stdout,
+                          stderr=subprocess.PIPE, text=True, env=dict(env, PYTHONPATH=src),
+                          timeout=60)
+
+
+def _closed_pipe():
+    """The write end of a pipe whose read end is closed, as ``| head -c 0`` leaves it."""
+    read, write_end = os.pipe()
+    os.close(read)
+    return write_end
+
+
+WRITE_FAILURES = [   # id, argv after the document names are filled in, stdout, what fails
+    ("missing-directory", ["build", "kG", "G.json", "-o", "MISSING"], None,
+     "MISSING: No such file or directory"),
+    ("dev-full", ["build", "kG", "G.json", "-o", "/dev/full"], None,
+     "/dev/full: No space left on device"),
+    ("stdout-dev-full", ["--format", "json", "check", "weak-hopf", "H.json"], "/dev/full",
+     "stdout: No space left on device"),
+    ("stdout-closed-pipe", ["--format", "json", "check", "weak-hopf", "H.json"], "closed",
+     "stdout: Broken pipe"),
+    # a document larger than the stdout buffer fails while it is printed, not at the flush
+    ("stdout-closed-pipe-while-printing", ["build", "kG", "G16.json"], "closed",
+     "stdout: Broken pipe"),
+]
+
+
+@pytest.mark.parametrize("argv,stdout,message", [case[1:] for case in WRITE_FAILURES],
+                         ids=[case[0] for case in WRITE_FAILURES])
+def test_a_write_failure_exits_74_with_one_line(tmp_path, argv, stdout, message):
+    paths = {"G.json": _one_element_groupoid(tmp_path),
+             "H.json": write(tmp_path, "H.json", _kG_doc()),
+             "G16.json": write(tmp_path, "G16.json", {"disjoint_union": [{"group": "Z/8"}] * 2}),
+             "MISSING": str(tmp_path / "missing" / "x.json")}
+    argv = [paths.get(a, a) for a in argv]
+    if stdout == "closed":
+        stdout = _closed_pipe()
+        try:
+            proc = _whw_child(argv, stdout)
+        finally:
+            os.close(stdout)
+    elif stdout:
+        with open(stdout, "w") as fh:
+            proc = _whw_child(argv, fh)
+    else:
+        proc = _whw_child(argv, subprocess.DEVNULL)
+    assert proc.returncode == 74
+    assert proc.stderr == f"whw: cannot write {message.replace('MISSING', paths['MISSING'])}\n"
+
+
+def test_main_reports_an_output_it_cannot_open(tmp_path, capsys):
+    missing = str(tmp_path / "missing" / "x.json")
+    assert main(["build", "kG", _one_element_groupoid(tmp_path), "-o", missing]) == 74
+    assert capsys.readouterr() == ("", f"whw: cannot write {missing}: No such file or directory\n")

@@ -307,3 +307,85 @@ def test_closure_lines_lists_what_a_job_compiles_and_never_calls(documents):
     assert not any(name.startswith(("identities.", "dense.")) for name in names)
     # summed over the jobs that compile a function and never call it
     assert tool.by_function([closure, closure]) == [(2 * n, 2, name) for n, _, name in listing]
+
+
+# -- the exit path -------------------------------------------------------------------
+
+# `weakhopf.cli` run as `__main__` by a process that registered an atexit handler first
+RUN_AS_MAIN = """
+import atexit, runpy, sys
+atexit.register(lambda: print("atexit handler ran", file=sys.stderr))
+sys.argv[0] = "whw"
+runpy.run_module("weakhopf.cli", run_name="__main__")
+"""
+
+
+def _child(args, **kwargs):
+    """A Python child on this package, with stdout block-buffered into its pipe."""
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          env=dict(env, PYTHONPATH=src), timeout=60, **kwargs)
+
+
+def _in_process(argv, capsys):
+    from weakhopf.cli import main
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+EXITS = [   # argv with document names, the exit code
+    (["check", "weak-hopf", "H.json"], 0),
+    (["--help"], 0),
+    (["check", "weak-hopf", "bad-counit.json"], 2),
+    (["check", "weak-hopf", "no-antipode.json"], 3),
+    (["check", "weak-hopf", "missing.json"], 3),
+    (["build", "abelian-group", "A3.json", "--field", "Fp:3"], 4),
+    (["check", "nothing", "H.json"], 64),
+]
+
+
+@pytest.mark.parametrize("argv,code", EXITS, ids=[" ".join(argv) for argv, _ in EXITS])
+def test_whw_leaves_without_finalizing_and_prints_what_main_prints(documents, capsys, argv, code):
+    H = json.loads((documents / "H.json").read_text(encoding="utf-8"))
+    for name, doc in (("bad-counit", dict(H, counit=[str(2 * int(c)) for c in H["counit"]])),
+                      ("no-antipode", {k: v for k, v in H.items() if k != "antipode"}),
+                      ("A3", {"factors": [3]})):
+        (documents / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    argv = [str(documents / a) if a.endswith(".json") else a for a in argv]
+    proc = _child(["-c", RUN_AS_MAIN, *argv], text=True)
+    assert "atexit handler ran" not in proc.stderr
+    assert (proc.returncode, proc.stdout, proc.stderr) == _in_process(argv, capsys)
+    assert proc.returncode == code
+
+
+def test_a_document_larger_than_a_pipe_reaches_it_whole(tmp_path, capsys):
+    """kG of Z/12 ⊔ Z/12 (dimension 24) is 116 kB of JSON, beyond a 64 KiB pipe buffer."""
+    spec = tmp_path / "G.json"
+    spec.write_text(json.dumps({"disjoint_union": [{"group": "Z/12"}] * 2}), encoding="utf-8")
+    proc = _child(["-m", "weakhopf.cli", "build", "kG", str(spec)])
+    code, out, err = _in_process(["build", "kG", str(spec)], capsys)
+    assert (proc.returncode, proc.stderr) == (code, b"") == (0, err.encode())
+    assert len(proc.stdout) > 64 * 1024 and proc.stdout == out.encode("utf-8")
+
+
+def test_a_profiler_still_prints_its_table():
+    proc = _child(["-m", "cProfile", "-m", "weakhopf.cli", "--help"], text=True)
+    assert proc.returncode == 0 and proc.stdout.startswith("Command-line front-end")
+    assert "function calls" in proc.stdout and "Ordered by" in proc.stdout
+
+
+def test_the_whw_script_and_the_main_guard_call_one_entry():
+    """``pyproject.toml`` is read as text: Python 3.10 has no ``tomllib``."""
+    import re
+
+    [script] = re.findall(r'^whw = "weakhopf\.cli:(\w+)"$',
+                          (ROOT / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+    [guard] = [node for node in ast.parse((ROOT / "src" / "weakhopf" / "cli.py").read_text(
+        encoding="utf-8")).body if isinstance(node, ast.If) and "__main__" in ast.unparse(node.test)]
+    [call] = [node for node in ast.walk(guard) if isinstance(node, ast.Call)]
+    assert ast.unparse(call) == f"{script}()"
