@@ -205,13 +205,13 @@ def run() -> None:
             code = main()
         except SystemExit as exc:   # usage 64, `--help` 0, unreadable input 3
             code = exc.code
-        if sys.stdout:
+        if sys.stdout:   # None when whw was started with stdout closed
             sys.stdout.flush()
     except OSError as exc:
         print(f"whw: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # drop what is left
         code = EXIT_IOERR
-    if sys.stderr:
+    if sys.stderr:   # likewise stderr
         sys.stderr.flush()
     if sys.flags.inspect or sys.gettrace() or sys.getprofile():
         sys.exit(code)

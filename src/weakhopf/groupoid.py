@@ -339,7 +339,11 @@ def build_command(args):
     from .jsonwrite import weakhopf_to_json
     from .scalars import field_from_name
 
-    field, kind = field_from_name(args.field), args.kind
+    try:
+        field = field_from_name(args.field)
+    except MalformedInput as exc:
+        raise MalformedInput(f"--field: {exc}") from None
+    kind = args.kind
     if kind == "abelian-group":
         H = abelian_group_weak_hopf(abelian_group_from_spec(args.doc), field)
     else:

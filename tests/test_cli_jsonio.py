@@ -786,6 +786,14 @@ def test_cli_refuses_a_field_that_is_not_a_prime_below_the_bound(tmp_path, capsy
     assert len(err.splitlines()) == 1 and err.startswith("whw: malformed input") and message in err
 
 
+@pytest.mark.parametrize("value", ["Fp:x", "Fp:", "nonsense", "GF(4)", "Fp:561"])
+def test_cli_names_the_field_option_that_it_refuses(tmp_path, capsys, value):
+    assert main(["build", "kG", _one_element_groupoid(tmp_path), "--field", value]) == 3
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("whw: malformed input: MalformedInput: --field: ")
+
+
 def test_a_document_field_above_the_bound_names_the_bound(tmp_path, capsys):
     doc = _edit(_action_doc(), lambda d: d["hopf"].update(field=f"Fp:{2 ** 89 - 1}"))
     assert main(["check", "pmc", write(tmp_path, "act.json", doc)]) == 3

@@ -373,6 +373,18 @@ def test_a_document_larger_than_a_pipe_reaches_it_whole(tmp_path, capsys):
     assert len(proc.stdout) > 64 * 1024 and proc.stdout == out.encode("utf-8")
 
 
+@pytest.mark.parametrize("fd", [1, 2], ids=["stdout", "stderr"])
+def test_whw_started_with_a_stream_closed_exits_with_the_code_of_its_check(documents, fd):
+    """With file descriptor 1 or 2 closed at start, ``sys.stdout`` or ``sys.stderr`` is None."""
+    src = os.path.dirname(os.path.dirname(weakhopf.__file__))
+    proc = subprocess.run([sys.executable, "-m", "weakhopf.cli", "check", "weak-hopf",
+                           str(documents / "H.json")], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), preexec_fn=lambda: os.close(fd),
+                          timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert fd == 1 or "PASS" in proc.stdout
+
+
 def test_a_profiler_still_prints_its_table():
     proc = _child(["-m", "cProfile", "-m", "weakhopf.cli", "--help"], text=True)
     assert proc.returncode == 0 and proc.stdout.startswith("Command-line front-end")
