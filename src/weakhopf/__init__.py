@@ -6,13 +6,15 @@ module on first use, so a ``whw`` process loads only the modules it runs."""
 from .errors import forward
 
 _EXPORTS = {
-    "scalars": "QQ Field PrimeField RationalField field_from_name",
+    "scalars": "QQ Field RationalField field_from_name",
+    "prime_field": "PrimeField",
     "tensor_space": "FinVec LinMap Vector ground tensor_product",
     "elimination": "Subspace left_inverse_on_image",
     "dense": "image_basis",
     "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
                   "dual_convolution_algebra eps_s eps_t same_structure_constants",
-    "weak_hopf": "check_weak_bialgebra check_weak_hopf dualize is_hopf",
+    "weak_hopf": "dualize is_hopf",
+    "weak_axioms": "check_weak_bialgebra check_weak_hopf",
     "identities": "check_identities",
     "groupoid": "FiniteAbelianGroup FiniteGroupoid abelian_group_weak_hopf "
                 "cyclic_group_groupoid disjoint_union_of_cyclic dual_groupoid_algebra "

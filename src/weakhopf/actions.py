@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import FieldMismatch, Frozen, ShapeMismatch
+from .errors import FieldMismatch, Frozen, MalformedInput, ShapeMismatch
+from .jsonio import (_decode, _get, _same_field, _side, algebra_from_json, coalgebra_from_json,
+                     weakhopf_from_json)
 from .report import (CheckResult, PartialActionVerdict, Report, compare_maps,
                      compare_vectors, first_failure)
 from .structures import LEFT, RIGHT, AlgebraData, CoalgebraData, WeakHopfData, _pair_label
@@ -112,6 +114,35 @@ def _require_algebra(act: ActionTensor) -> AlgebraData:
 
 def _unit_slice(act: ActionTensor) -> LinMap:
     return act.act_by(act.hopf.unit)
+
+
+def _action(hopf: WeakHopfData, carrier, side: str, entries, path: str) -> ActionTensor:
+    """The action whose tensor is ``entries[i][j][k]``, the coefficient of x_k
+    in h_i·x_j (left) or x_i↼h_j (right), cut into its slices: on the left,
+    slice i is the columns i·m to (i+1)·m - 1, on the right every n-th column
+    from column i (n = dim H, m = dim X)."""
+    X, n, m, left = carrier.space, hopf.space.dim, carrier.space.dim, side == "left"
+    [cols] = _decode(X.field, (entries, (n, m, m) if left else (m, n, m), path, m))
+    return ActionTensor(hopf, carrier, side, [
+        LinMap(X, X, cols[i * m:(i + 1) * m] if left else cols[i::n]) for i in range(n)])
+
+
+def _carrier_from_json(d: dict, at: str):
+    schema = d.get("schema") if isinstance(d, dict) else None
+    if schema == "coalgebra":
+        return coalgebra_from_json(d, at)
+    if schema == "algebra":
+        return algebra_from_json(d, at)
+    raise MalformedInput(f"{at}schema: the carrier must be a coalgebra or algebra document")
+
+
+def action_from_json(d: dict, at: str = "") -> ActionTensor:
+    hopf = weakhopf_from_json(_get(d, "hopf", at), f"{at}hopf.")
+    carrier = _carrier_from_json(_get(d, "carrier", at), f"{at}carrier.")
+    _same_field(d, hopf.field, at)
+    _same_field(_get(d, "carrier", at), hopf.field, f"{at}carrier.")
+    return _action(hopf, carrier, _side(_get(d, "side", at), at), _get(d, "tensor", at),
+                   f"{at}tensor")
 
 
 # ---------------------------------------------------------------------------

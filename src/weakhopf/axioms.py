@@ -30,7 +30,7 @@ def check_algebra(A: AlgebraData) -> Report:
     left_by = [{l * n + o: c for l in range(n) for o, c in m[t * n + l].items()}
                for t in range(n)]
     field, name = _where(A.space, 3, 1)
-    rep.add(compare_maps("assoc", (_combine(left_by, col.items(), p) for col in m), (
+    rep.add(compare_maps("assoc", (_combine(left_by, col.items(), p) if col else {} for col in m), (
         _accumulate((({key - key % n + o: v for o, v in m[x - x % n + key % n].items()}, c)
                      for key, c in left_by[x % n].items()), p) for x in range(n * n)),
         (field, lambda x, key: name(x * n + key // n, key % n))))

@@ -66,18 +66,20 @@ def _cmd_check(args) -> tuple:
 
     doc, kind = args.doc, args.kind
     if kind in ("weak-hopf", "wb", "identities", "hopf"):
-        if kind == "identities":   # the catalogue is compiled by its own command only
+        # the catalogue, the axioms and Hopf detection are each compiled by their own commands
+        if kind == "identities":
             from .identities import check_identities as check
+        elif kind == "hopf":
+            from .weak_hopf import is_hopf as check
         else:
-            from .weak_hopf import check_weak_bialgebra, check_weak_hopf, is_hopf
-            check = {"weak-hopf": check_weak_hopf, "wb": lambda H: check_weak_bialgebra(H.wb),
-                     "hopf": is_hopf}[kind]
+            from .weak_axioms import check_weak_bialgebra, check_weak_hopf
+            check = check_weak_hopf if kind == "weak-hopf" else lambda H: check_weak_bialgebra(H.wb)
         return [check(jsonio.weakhopf_from_json(doc))], None
     if kind in ("mc", "pmc", "ma", "pma"):
         from . import actions
         result = {"mc": actions.check_module_coalgebra, "ma": actions.check_module_algebra,
                   "pmc": actions.check_partial_module_coalgebra,
-                  "pma": actions.check_partial_module_algebra}[kind](jsonio.action_from_json(doc))
+                  "pma": actions.check_partial_module_algebra}[kind](actions.action_from_json(doc))
         return [result.full_report() if kind.startswith("p") else result], None
     if kind == "lambda":
         from .partial_actions import lambda_reports

@@ -15,6 +15,7 @@ from .actions import (
     LEFT,
     RIGHT,
     ActionTensor,
+    action_from_json,
     check_partial_module_algebra,
     check_partial_module_coalgebra,
 )
@@ -71,7 +72,6 @@ def undualize_left_algebra_action(act: ActionTensor, C: CoalgebraData,
 def dualize_command(args):
     """``whw dualize``: the dual of the action ``args.doc`` as a document, and the
     report that its PMC verdicts carry over to the dual and undualize back."""
-    from .jsonio import action_from_json
     from .jsonwrite import action_to_json
     from .report import CheckResult, Report
 

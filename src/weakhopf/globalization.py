@@ -15,13 +15,14 @@ the two verdicts agree; both directions are checked exactly.
 
 from __future__ import annotations
 
-from .actions import RIGHT, ActionTensor, check_module_algebra, check_module_coalgebra
+from .actions import (RIGHT, ActionTensor, _action, action_from_json, check_module_algebra,
+                      check_module_coalgebra)
 from .axioms import check_coalgebra
 from .dualization import dualize_right_coalgebra_action
 from .elimination import Subspace, left_inverse_on_image
 from .errors import (Frozen, HypothesisViolated, NotInjective, NotSubcoalgebra, Refused,
                      ShapeMismatch)
-from .jsonio import _action, _get, _matrix, _same_field, action_from_json, coalgebra_from_json
+from .jsonio import _get, _matrix, _same_field, coalgebra_from_json
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .structures import CoalgebraData, WeakHopfData
 from .tensor_space import LinMap, Vector, _accumulate, _combine, _kron, tensor_product

@@ -10,7 +10,7 @@ from functools import cache
 from .elimination import Subspace
 from .errors import (InputNotPartialAction, MalformedInput, NotDirectSum, NotIdempotent,
                      NotSymmetric, Refused, ShapeMismatch)
-from .jsonio import _get, _matrix, _object, _same_field, action_from_json, coalgebra_from_json
+from .jsonio import _get, _matrix, _object, _same_field, coalgebra_from_json
 from .report import CheckResult, Report, compare_maps, compare_vectors, first_failure
 from .structures import LEFT
 from .tensor_space import LinMap, Vector, _accumulate, _combine, _kron
@@ -220,7 +220,7 @@ def action_groupoid_from_json(d: dict, hopf: WeakHopfData) -> FiniteGroupoid | N
 def equiv_command(args):
     """``whw equiv``: the equivalence round trip of the groupoid partial action or
     the kG action ``args.doc`` through the other side and back."""
-    from .actions import check_partial_module_coalgebra
+    from .actions import action_from_json, check_partial_module_coalgebra
 
     doc, rep = args.doc, Report("equivalence round-trip")
     if doc.get("schema") == "groupoid-action":

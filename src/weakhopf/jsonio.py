@@ -1,11 +1,12 @@
-"""JSON import of the structures and actions that most commands read.
+"""JSON import of the structures that most commands read.
 
 Loaders check every basis, matrix and tensor against the declared
 dimensions before building anything, and report a mismatch as
 :class:`MalformedInput` naming its JSON path (``at`` prefixes the path of a
 document nested in another).  Nested arrays are read straight into sparse
 columns (`_decode`).  The writers are in :mod:`jsonwrite`; a document kind
-that one command reads is read in the module of that kind.
+that one command reads is read in the module of that kind (actions in
+:mod:`actions`).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ __getattr__ = forward(globals(), {**dict.fromkeys(
     "triple_to_json".split(), "jsonwrite"), "canonical_dumps": "errors",
     "lambda_from_json": "partial_actions", "gpa_from_json": "groupoid_actions",
     "action_groupoid_from_json": "groupoid_actions", "triple_from_json": "globalization",
+    "action_from_json": "actions",
     "abelian_group_from_spec": "groupoid"})
 
 
@@ -136,20 +138,7 @@ def _coalgebra(d: dict, space: FinVec, at: str) -> CoalgebraData:
                          LinMap(space, k, LinMap(k, space, [counit]).transposed_rows()))
 
 
-def _action(hopf: WeakHopfData, carrier, side: str, entries, path: str) -> ActionTensor:
-    """The action whose tensor is ``entries[i][j][k]``, the coefficient of x_k
-    in h_i·x_j (left) or x_i↼h_j (right), cut into its slices: on the left,
-    slice i is the columns i·m to (i+1)·m - 1, on the right every n-th column
-    from column i (n = dim H, m = dim X)."""
-    from .actions import ActionTensor
-
-    X, n, m, left = carrier.space, hopf.space.dim, carrier.space.dim, side == "left"
-    [cols] = _decode(X.field, (entries, (n, m, m) if left else (m, n, m), path, m))
-    return ActionTensor(hopf, carrier, side, [
-        LinMap(X, X, cols[i * m:(i + 1) * m] if left else cols[i::n]) for i in range(n)])
-
-
-# -- structures and actions --------------------------------------------------
+# -- structures --------------------------------------------------------------
 
 def algebra_from_json(d: dict, at: str = "") -> AlgebraData:
     return _algebra(d, _basis(d, at), at)
@@ -163,24 +152,6 @@ def weakhopf_from_json(d: dict, at: str = "") -> WeakHopfData:
     space = _basis(d, at)
     wb = WeakBialgebraData(_algebra(d, space, at), _coalgebra(d, space, at))
     return WeakHopfData(wb, _matrix(_get(d, "antipode", at), space, space, f"{at}antipode"))
-
-
-def _carrier_from_json(d: dict, at: str):
-    schema = d.get("schema") if isinstance(d, dict) else None
-    if schema == "coalgebra":
-        return coalgebra_from_json(d, at)
-    if schema == "algebra":
-        return algebra_from_json(d, at)
-    raise MalformedInput(f"{at}schema: the carrier must be a coalgebra or algebra document")
-
-
-def action_from_json(d: dict, at: str = "") -> ActionTensor:
-    hopf = weakhopf_from_json(_get(d, "hopf", at), f"{at}hopf.")
-    carrier = _carrier_from_json(_get(d, "carrier", at), f"{at}carrier.")
-    _same_field(d, hopf.field, at)
-    _same_field(_get(d, "carrier", at), hopf.field, f"{at}carrier.")
-    return _action(hopf, carrier, _side(_get(d, "side", at), at), _get(d, "tensor", at),
-                   f"{at}tensor")
 
 
 def _side(side, at: str) -> str:

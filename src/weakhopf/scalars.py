@@ -24,28 +24,16 @@ applying across fields raises ``ShapeMismatch``.
 
 from __future__ import annotations
 
-from .errors import DivisionByZero, FieldMismatch, MalformedInput
+from .errors import DivisionByZero, FieldMismatch, MalformedInput, forward
 
 # fractions.Fraction and _RATIONAL_FORMAT (the grammar that Fraction(str) parses),
 # bound by _import_fractions on first need
 Fraction = _RATIONAL_FORMAT = None
 
-_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-PRIME_BOUND = 3317044064679887385961981
+# GF(p), defined in `prime_field` and loaded on first need like `fractions`
+__getattr__ = forward(globals(), dict.fromkeys(("PrimeField", "PRIME_BOUND"), "prime_field"))
+
 _MAX_DIGITS = 4300     # Python's default limit on int ↔ str conversions
-
-
-def _is_prime(n: int) -> bool:
-    """Miller–Rabin to the prime bases up to 41, which is exact for n <
-    PRIME_BOUND (Sorenson and Webster, Math. Comp. 86, 2017)."""
-    if n < 2 or any(n % a == 0 for a in _BASES):
-        return n in _BASES
-    s = ((n - 1) & (1 - n)).bit_length() - 1     # n - 1 = d·2^s with d odd
-    for a in _BASES:    # a witnesses n composite unless a^d = 1 or some a^(d·2^r) = -1
-        x = pow(a, (n - 1) >> s, n)
-        if x != 1 and all((x := x * x % n if r else x) != n - 1 for r in range(s)):
-            return False
-    return True
 
 
 def _refuse_long(s: str, body: str, shift: int = 0) -> None:
@@ -156,58 +144,6 @@ class RationalField(Field):
         return "Q"
 
 
-class PrimeField(Field):
-    def __init__(self, p: int):
-        if p >= PRIME_BOUND:
-            raise MalformedInput(f"p = {p} is not below {PRIME_BOUND}, the bound below "
-                                 f"which primality is decided exactly")
-        if not _is_prime(p):
-            raise MalformedInput(f"p = {p} is not prime")
-        self.p = p
-        self.characteristic = p
-
-    def from_int(self, n: int):
-        return n % self.p
-
-    def coerce(self, x):
-        if isinstance(x, int):
-            return x % self.p
-        if isinstance(x, str):
-            return self.parse(x)
-        raise FieldMismatch(f"cannot interpret {x!r} as a GF({self.p}) element")
-
-    def inv(self, a):
-        if not (a := self.coerce(a)):
-            raise DivisionByZero(f"0 has no inverse in GF({self.p})")
-        return pow(a, self.p - 2, self.p)
-
-    def parse(self, s: str):
-        t = s.strip()
-        if t.endswith(f"mod {self.p}"):
-            t = t[: -len(f"mod {self.p}")].strip()
-        _refuse_long(s, t)
-        num, slash, den = t.partition("/")
-        try:     # "3/" has a slash with nothing after it, which int("") refuses
-            num, den = int(num), int(den) if slash else 1
-        except ValueError:
-            raise MalformedInput(f"not an element of GF({self.p}): {s[:40]!r}") from None
-        if den % self.p == 0:
-            raise MalformedInput(f"zero denominator in {t!r} over GF({self.p})")
-        return num % self.p if den == 1 else num * self.inv(den) % self.p
-
-    def fmt(self, a) -> str:
-        return str(self.coerce(a))
-
-    def __eq__(self, other):
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self):
-        return hash(("Fp", self.p))
-
-    def __repr__(self):
-        return f"GF({self.p})"
-
-
 QQ = RationalField()
 
 
@@ -222,12 +158,14 @@ def field_from_name(name: str) -> Field:
         p = int(digits)
     except ValueError:
         raise MalformedInput(f"expected a field name such as 'Q', got {name!r}") from None
+    from .prime_field import PrimeField
     return PrimeField(p)
 
 
 def field_name(field: Field) -> str:
     if isinstance(field, RationalField):
         return "Q"
+    from .prime_field import PrimeField
     if isinstance(field, PrimeField):
         return f"Fp:{field.p}"
     raise MalformedInput(f"field = {field!r} is neither Q nor GF(p)")

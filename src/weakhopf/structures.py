@@ -156,9 +156,9 @@ def _eps_contraction(wb: WeakBialgebraData, pairs, leg: int, k: int) -> dict:
     """Σ c·ε(·)·(other leg) over Sweedler terms (a, b, c), such as those of
     Δ(1) or Δ(e_i), with ε(e_a·e_k) on leg 0 and ε(e_k·e_b) on leg 1."""
     form = wb.eps_form
-    return _accumulate((({t[1 - leg]: t[2]}, s) for t in pairs
-                        if (s := form[t[0]].get(k) if leg == 0 else form[k].get(t[1]))),
-                       wb.field.characteristic)
+    terms = [({t[1 - leg]: t[2]}, s) for t in pairs
+             if (s := form[t[0]].get(k) if leg == 0 else form[k].get(t[1]))]
+    return _accumulate(terms, wb.field.characteristic) if terms else {}
 
 
 def eps_t(wb: WeakBialgebraData) -> LinMap:

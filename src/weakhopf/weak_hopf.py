@@ -1,6 +1,6 @@
-"""The weak bialgebra and weak Hopf axioms, the Hopf-detection test and
-dualization, for the structure records of :mod:`structures`, with the sparse
-kernels that they share with the identity catalog of :mod:`identities`.
+"""The sparse Sweedler kernels that the weak bialgebra and weak Hopf axioms
+(:mod:`weak_axioms`) share with the identity catalog (:mod:`identities`), the
+Hopf-detection test and dualization, for the records of :mod:`structures`.
 
 All checkers quantify over basis elements only; by multilinearity this is
 sufficient, and it is what makes every verdict exact and reproducible.
@@ -8,31 +8,17 @@ sufficient, and it is what makes every verdict exact and reproducible.
 
 from __future__ import annotations
 
-from .axioms import _where, check_algebra, check_coalgebra
 from .elimination import Subspace
 from .errors import ShapeMismatch, forward
-from .report import (
-    CheckResult,
-    Report,
-    _first_difference,
-    compare_maps,
-    compare_scalars,
-    compare_vectors,
-    first_failure,
-)
-from .structures import (
-    AlgebraData,
-    WeakBialgebraData,
-    WeakHopfData,
-    _assemble,
-    dual_convolution_algebra,
-)
+from .report import CheckResult, Report
+from .structures import AlgebraData, WeakHopfData, _assemble, dual_convolution_algebra
 from .tensor_space import LinMap, Vector, _combine, _kron, _reduced
 
-# the records, maps and checker that this module still offers by name
+# the records, maps and checkers that this module still offers by name
 __getattr__ = forward(globals(), {**dict.fromkeys(
-    "CoalgebraData eps_s eps_t same_structure_constants".split(), "structures"),
-    "check_identities": "identities"})
+    "CoalgebraData WeakBialgebraData eps_s eps_t same_structure_constants".split(), "structures"),
+    "check_identities": "identities",
+    **dict.fromkeys(("check_weak_bialgebra", "check_weak_hopf"), "weak_axioms")})
 
 
 def _classes(v: Vector, top: int) -> tuple:
@@ -168,104 +154,12 @@ def _sweedler(sums, factors, n: int, p: int, fixed=None) -> list[dict]:
     return cols
 
 
-def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
-    """Algebra axioms, coalgebra axioms, and the three compatibility axioms
-    (multiplicativity of Δ, weak multiplicativity of ε, the Δ²(1) identity)."""
-    rep = Report("weak bialgebra axioms")
-    rep.extend(check_algebra(wb.alg))
-    rep.extend(check_coalgebra(wb.coalg))
-    H, A, C, n = wb.space, wb.alg, wb.coalg, wb.space.dim
-    p = wb.field.characteristic
-
-    # (i)  Δ(hk) = Δ(h)Δ(k), each Δ(e_b) grouped into coefficient classes once
-    m, delta = A.mul.cols, C.comul.columns()
-    rep.add(compare_maps("(i)", (_combine(C.comul.cols, m[x].items(), p) for x in range(n * n)), (
-        pointwise_product(A, 2, delta[x // n], delta[x % n]).terms for x in range(n * n)),
-        _where(H, 2, 2)))
-
-    # (ii)  ε(hkl) = ε(hk₁)ε(k₂l) = ε(hk₂)ε(k₁l); for each (h, k) the three
-    # sides are functionals of l, combined from rows of the counit form.
-    # In (ii)a the first leg of Δ(k) meets h and the second meets l.
-    form = wb.eps_form
-    zero = wb.field.zero()
-
-    def cases(hk: int, kl: int):
-        for i in range(n):
-            row = form[i]
-            for j in range(n):
-                full = _combine(form, A.mul.cols[i * n + j].items(), p)
-                side = _combine(form, [(t[kl], t[2] * row[t[hk]])
-                                       for t in C.delta_pairs(j) if t[hk] in row], p)
-                diff = _first_difference(full, side, zero)
-                yield (i, j, diff), diff is None or compare_scalars("", wb.field, *diff[1:])
-
-    for label, hk, kl in (("(ii)a", 0, 1), ("(ii)b", 1, 0)):
-        rep.add(first_failure(label, cases(hk, kl), lambda c: (
-            f"(h,k,l)=({H.labels[c[0]]},{H.labels[c[1]]},{H.labels[c[2][0]]}): ")))
-
-    # (iii)  (1⊗Δ(1))(Δ(1)⊗1) = Σ u1₁ ⊗ 1′₁1₂ ⊗ 1′₂u and its mirror
-    # (Δ(1)⊗1)(1⊗Δ(1)) = Σ 1₁u ⊗ 1₂1′₁ ⊗ u1′₂, both = Δ²(1), with u the stored unit
-    u, e = A.unit.terms, LinMap.identity(H).cols
-    ue, eu = [A.times(u, x) for x in e], [A.times(x, u) for x in e]
-    delta2_one = _combine(C.delta2, u.items(), p)
-    d1, where = wb.delta_one_pairs, _where(H, 3)
-    for label, first, middle, last in (("(iii)a", ue, (2, 1), eu), ("(iii)b", eu, (1, 2), ue)):
-        rep.add(compare_vectors(label, _sweedler(
-            [d1], [(0, first, n), (middle, m, n), (3, last, n)], n, p, d1)[0], delta2_one, where))
-    return rep
-
-
-# ---------------------------------------------------------------------------
-# weak Hopf checkers
-# ---------------------------------------------------------------------------
-
-def check_weak_hopf(H: WeakHopfData) -> Report:
-    """Weak bialgebra axioms, the three antipode axioms, and the standard
-    derived antipode facts."""
-    rep = Report("weak Hopf axioms")
-    rep.extend(check_weak_bialgebra(H.wb))
-
-    space, n, S, Sc = H.space, H.space.dim, H.antipode, H.antipode.cols
-    p = H.field.characteristic
-    m, comul, terms = H.alg.mul.cols, H.coalg.comul.cols, H.coalg._delta_terms
-    # S-(i) h₁S(h₂) = ε_t(h), S-(ii) S(h₁)h₂ = ε_s(h), S-(iii) (S(h₁)h₂)S(h₃) = S(h),
-    # the last as m∘(id⊗S) of Σ σ(h₁)⊗h₂ over Δ(h) with σ = S-(ii)'s left side
-    mul_id_s, mul_s_id = _mul_with(H.alg, Sc, 1), _mul_with(H.alg, Sc, 0)
-    sigma = [_combine(mul_s_id, col.items(), p) for col in comul]
-    rep.add(compare_maps("S-(i)", LinMap(space, space, [_combine(mul_id_s, col.items(), p)
-                                                         for col in comul]), H.eps_t))
-    rep.add(compare_maps("S-(ii)", LinMap(space, space, sigma), H.eps_s))
-    s_iii = _sweedler(terms, [(0, sigma, n), (1, None, n)], n, p)
-    rep.add(compare_maps("S-(iii)", LinMap(space, space, [_combine(mul_id_s, col.items(), p)
-                                                          for col in s_iii]), S))
-
-    rep.add(compare_vectors("S(1)=1", H.S(H.unit), H.unit))
-    rep.add(compare_maps("eps∘S=eps", H.coalg.counit @ S, H.coalg.counit))
-    # anti-multiplicativity S(hk) = S(k)S(h), anti-comultiplicativity Δ(S(h)) = S(h₂)⊗S(h₁)
-    rep.add(compare_maps("S-antimult", (_combine(Sc, col.items(), p) for col in m), (
-        _combine(m, _kron(Sc[x % n], Sc[x // n], n, p).items(), p) for x in range(n * n)),
-        _where(space, 2, 1)))
-
-    flip = [(1, Sc, n), (0, Sc, n)]   # flip∘(S⊗S): Σ c·S(e_b)⊗S(e_a)
-    rep.add(compare_maps("S-anticomult", (_combine(comul, col.items(), p) for col in Sc),
-                         _sweedler(terms, flip, n, p), _where(space, 1, 2)))
-    # S exchanges the target and source subalgebras
-    for label, sub, image in (("S(Ht)=Hs", H.Ht, H.Hs), ("S(Hs)=Ht", H.Hs, H.Ht)):
-        same = Subspace.from_vectors(space, [H.S(v) for v in sub.basis_vectors]) == image
-        rep.add(CheckResult(label, same, None if same else "images differ"))
-    # 1₁⊗1₂ = S(1₂)⊗S(1₁)
-    flipped = Vector(H.wb.delta_one.space, _sweedler([H.wb.delta_one_pairs], flip, n, p)[0])
-    rep.add(compare_vectors("Δ(1)=(S⊗S)flip(Δ(1))", H.wb.delta_one, flipped))
-    return rep
-
-
 def _mul_with(A: AlgebraData, f_cols, side: int) -> list[dict]:
     """The columns e_h·f(e_k) of m∘(id⊗f) (``side`` 1) or f(e_h)·e_k of
     m∘(f⊗id) (``side`` 0), f an endomorphism with columns ``f_cols``."""
     n, m, p = A.space.dim, A.mul.cols, A.field.characteristic
-    return [_combine(m, [((h * n + t) if side else (t * n + k), c)
-                         for t, c in f_cols[k if side else h].items()], p)
-            for h in range(n) for k in range(n)]
+    return [_combine(m, [((h * n + t) if side else (t * n + k), c) for t, c in f.items()], p)
+            if (f := f_cols[k if side else h]) else {} for h in range(n) for k in range(n)]
 
 
 # ---------------------------------------------------------------------------
