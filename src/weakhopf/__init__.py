@@ -12,13 +12,13 @@ _EXPORTS = {
     "elimination": "Subspace left_inverse_on_image",
     "dense": "image_basis",
     "structures": "AlgebraData CoalgebraData WeakBialgebraData WeakHopfData "
-                  "dual_convolution_algebra eps_s eps_t same_structure_constants",
-    "weak_hopf": "dualize is_hopf",
+                  "dual_convolution_algebra eps_s eps_t",
+    "hopf": "dualize is_hopf",
     "weak_axioms": "check_weak_bialgebra check_weak_hopf",
     "identities": "check_identities",
     "groupoid": "FiniteAbelianGroup FiniteGroupoid abelian_group_weak_hopf "
                 "cyclic_group_groupoid disjoint_union_of_cyclic dual_groupoid_algebra "
-                "groupoid_algebra groupoid_from_spec trivial_groupoid "
+                "groupoid_algebra groupoid_from_spec same_structure_constants trivial_groupoid "
                 "two_object_iso_groupoid validate_groupoid",
     "actions": "ActionTensor check_module_algebra check_module_coalgebra "
                "check_partial_module_algebra check_partial_module_coalgebra",

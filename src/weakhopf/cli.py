@@ -37,12 +37,18 @@ EXIT_USAGE = 64
 EXIT_IOERR = 74
 
 
+def _error(*lines: str) -> None:
+    """Print the lines on stderr, or drop them if fd 2 was closed (print would use stdout)."""
+    if sys.stderr:
+        print(*lines, sep="\n", file=sys.stderr)
+
+
 def _load(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
-        print(f"whw: cannot read {path}: {exc}", file=sys.stderr)
+        _error(f"whw: cannot read {path}: {exc}")
         sys.exit(EXIT_BAD_INPUT)
     if not isinstance(doc, dict):
         raise MalformedInput(f"{path}: expected a JSON object")
@@ -66,11 +72,10 @@ def _cmd_check(args) -> tuple:
 
     doc, kind = args.doc, args.kind
     if kind in ("weak-hopf", "wb", "identities", "hopf"):
-        # the catalogue, the axioms and Hopf detection are each compiled by their own commands
-        if kind == "identities":
+        if kind == "identities":   # each family is compiled by its own commands only
             from .identities import check_identities as check
         elif kind == "hopf":
-            from .weak_hopf import is_hopf as check
+            from .hopf import is_hopf as check
         else:
             from .weak_axioms import check_weak_bialgebra, check_weak_hopf
             check = check_weak_hopf if kind == "weak-hopf" else lambda H: check_weak_bialgebra(H.wb)
@@ -123,8 +128,7 @@ def _read(words: list, args: SimpleNamespace, prog: str, spec: list, rest=False)
         return f"[{flags[0]} {text}]" if flags[0].startswith("-") else text
 
     def error(message):
-        print("usage:", prog, "[-h]", *map(shown, spec), file=sys.stderr)
-        print(f"whw: error: {message}", file=sys.stderr)
+        _error(" ".join(["usage:", prog, "[-h]", *map(shown, spec)]), f"whw: error: {message}")
         raise SystemExit(EXIT_USAGE)
 
     def put(arg, value):
@@ -185,14 +189,14 @@ def main(argv=None) -> int:
     try:
         return _run(handler, args)
     except MalformedInput as exc:
-        print(f"whw: malformed input: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _error(f"whw: malformed input: {type(exc).__name__}: {exc}")
         return EXIT_BAD_INPUT
     except Refused as exc:
         message, code = exc.args
-        print(f"whw: {message}", file=sys.stderr)
+        _error(f"whw: {message}")
         return code
     except WorkbenchError as exc:
-        print(f"whw: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _error(f"whw: {type(exc).__name__}: {exc}")
         return EXIT_PRECONDITION
 
 
@@ -210,7 +214,7 @@ def run() -> None:
         if sys.stdout:   # None when whw was started with stdout closed
             sys.stdout.flush()
     except OSError as exc:
-        print(f"whw: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        _error(f"whw: cannot write stdout: {exc.strerror or exc}")
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())   # drop what is left
         code = EXIT_IOERR
     if sys.stderr:   # likewise stderr

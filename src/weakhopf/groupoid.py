@@ -10,7 +10,7 @@ import itertools
 from .errors import (AxiomViolation, CharacteristicDividesOrder, Frozen, MalformedInput,
                      ShapeMismatch)
 from .scalars import Field
-from .structures import WeakHopfData, _assemble, same_structure_constants
+from .structures import WeakHopfData, _assemble
 from .tensor_space import FinVec, LinMap
 
 
@@ -200,6 +200,15 @@ def groupoid_from_spec(spec: dict, at: str = "") -> FiniteGroupoid:
     return validate_groupoid(elements, {(g, h): gh for g, h, gh in mul}, inv)
 
 
+def same_structure_constants(a: WeakHopfData, b: WeakHopfData) -> bool:
+    """Entrywise equality of all five structure tensors (labels ignored)."""
+    if a.space.dim != b.space.dim or a.field != b.field:
+        return False
+    return (a.alg.mul.cols == b.alg.mul.cols and a.unit.terms == b.unit.terms
+            and a.coalg.comul.cols == b.coalg.comul.cols
+            and a.coalg.counit.cols == b.coalg.counit.cols and a.antipode.cols == b.antipode.cols)
+
+
 def _builds(G: FiniteGroupoid, hopf: WeakHopfData, build) -> FiniteGroupoid:
     """``G``, once ``build(G)`` has the basis labels and structure constants of ``hopf``."""
     built = build(G, hopf.field)
@@ -240,7 +249,7 @@ def dual_groupoid_algebra(G: FiniteGroupoid, field: Field) -> WeakHopfData:
     product, unit Σ p_g, coproduct Δ(p_g) = Σ_{∃h⁻¹g} p_h ⊗ p_{h⁻¹g},
     counit p_g ↦ p_g(Σ δ_e) and antipode p_g ↦ p_{g⁻¹}.
 
-    Built independently of :func:`weak_hopf.dualize` so the two construction
+    Built independently of :func:`hopf.dualize` so the two construction
     routes can be compared tensor-entrywise.
     """
     space, idx, o = FinVec(field, tuple(f"p_{g}" for g in G.elements)), G.index, field.one()

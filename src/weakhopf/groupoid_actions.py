@@ -238,7 +238,7 @@ def equiv_command(args):
         act = action_from_json(doc)
         G = action_groupoid_from_json(doc, act.hopf)
         if G is None:
-            raise Refused("action document needs a 'groupoid' entry for equiv", 3)
+            raise Refused("groupoid: missing, which equiv needs on an action document", 3)
         gpa = from_kG_action(act, G)
         rep.extend(validate_groupoid_partial_action(gpa), prefix="derived-")
         act2 = to_kG_action(gpa)
@@ -248,7 +248,7 @@ def equiv_command(args):
         rep.add(CheckResult("from(to(θ,P)) == (θ,P)",
                             same or gpa.same_maps(from_kG_action(act2, G))))
     else:
-        raise Refused("expected a groupoid-action or action document", 3)
+        raise Refused(f"schema: {doc.get('schema')!r} is neither 'groupoid-action' nor 'action'", 3)
     return [rep], None
 
 

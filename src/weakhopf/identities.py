@@ -1,5 +1,5 @@
 """The numbered identity catalog of ε_t, ε_s and the antipode (Eq 4.2-4.43),
-which only ``whw check identities`` runs; the axioms are in :mod:`weak_hopf`."""
+which only ``whw check identities`` runs; the axioms are in :mod:`weak_axioms`."""
 
 from __future__ import annotations
 

@@ -5,8 +5,7 @@ dimensions before building anything, and report a mismatch as
 :class:`MalformedInput` naming its JSON path (``at`` prefixes the path of a
 document nested in another).  Nested arrays are read straight into sparse
 columns (`_decode`).  The writers are in :mod:`jsonwrite`; a document kind
-that one command reads is read in the module of that kind (actions in
-:mod:`actions`).
+that one command reads is read in the module of that kind.
 """
 
 from __future__ import annotations

@@ -228,7 +228,7 @@ def lambda_from_json(d: dict):
     elif G is not None and kind is not None:
         hopf = (groupoid_algebra if kind == "kG" else dual_groupoid_algebra)(G, _field(d, ""))
     else:
-        raise MalformedInput("lambda document needs 'hopf' or 'groupoid'+'hopf_kind'")
+        raise MalformedInput("hopf: missing, and no 'groupoid' with a 'hopf_kind' to build it")
     _same_field(d, hopf.field)
     n = hopf.space.dim
     [values] = _decode(hopf.field, (_get(d, "values", ""), (n,), "values", n))[0]

@@ -1,6 +1,5 @@
-"""GF(p), which :func:`scalars.field_from_name` loads only for an ``Fp:`` or
-``GF(`` name, so that a process deciding a document over ℚ does not compile it.
-A GF(p) element is a plain ``int`` reduced into [0, p) (see :mod:`scalars`)."""
+"""GF(p), loaded by :func:`scalars.field_from_name` only for an ``Fp:`` or ``GF(`` name,
+so that a ℚ document compiles none of it; an element is an ``int`` in [0, p)."""
 
 from __future__ import annotations
 

@@ -1,9 +1,9 @@
 """Algebras, coalgebras, weak bialgebras and weak Hopf algebras as exact
-structure-constant data, with the target/source maps ε_t and ε_s, the
-convolution dual of a coalgebra and the entrywise comparison of two records.
+structure-constant data, with the target/source maps ε_t and ε_s and the
+convolution dual of a coalgebra.
 
 These are the records every command builds; the axioms that only some
-commands check are in :mod:`axioms` and :mod:`weak_hopf`.
+commands check are in :mod:`axioms` and :mod:`weak_axioms`.
 """
 
 from __future__ import annotations
@@ -259,12 +259,3 @@ def dual_convolution_algebra(C: CoalgebraData) -> AlgebraData:
     unit = Vector(dspace, {i: col[0] for i, col in enumerate(C.counit.cols) if col})
     return AlgebraData(dspace, LinMap(tensor_product(dspace, dspace), dspace,
                                       C.comul.transposed_rows()), unit)
-
-
-def same_structure_constants(a: WeakHopfData, b: WeakHopfData) -> bool:
-    """Entrywise equality of all five structure tensors (labels ignored)."""
-    if a.space.dim != b.space.dim or a.field != b.field:
-        return False
-    return (a.alg.mul.cols == b.alg.mul.cols and a.unit.terms == b.unit.terms
-            and a.coalg.comul.cols == b.coalg.comul.cols
-            and a.coalg.counit.cols == b.coalg.counit.cols and a.antipode.cols == b.antipode.cols)

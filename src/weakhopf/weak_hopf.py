@@ -1,6 +1,6 @@
 """The sparse Sweedler kernels that the weak bialgebra and weak Hopf axioms
-(:mod:`weak_axioms`) share with the identity catalog (:mod:`identities`), the
-Hopf-detection test and dualization, for the records of :mod:`structures`.
+(:mod:`weak_axioms`), the identity catalog (:mod:`identities`) and Hopf
+detection (:mod:`hopf`) share, for the records of :mod:`structures`.
 
 All checkers quantify over basis elements only; by multilinearity this is
 sufficient, and it is what makes every verdict exact and reproducible.
@@ -8,17 +8,17 @@ sufficient, and it is what makes every verdict exact and reproducible.
 
 from __future__ import annotations
 
-from .elimination import Subspace
 from .errors import ShapeMismatch, forward
-from .report import CheckResult, Report
-from .structures import AlgebraData, WeakHopfData, _assemble, dual_convolution_algebra
-from .tensor_space import LinMap, Vector, _combine, _kron, _reduced
+from .structures import AlgebraData
+from .tensor_space import Vector, _combine, _kron, _reduced
 
 # the records, maps and checkers that this module still offers by name
 __getattr__ = forward(globals(), {**dict.fromkeys(
-    "CoalgebraData WeakBialgebraData eps_s eps_t same_structure_constants".split(), "structures"),
-    "check_identities": "identities",
-    **dict.fromkeys(("check_weak_bialgebra", "check_weak_hopf"), "weak_axioms")})
+    "CoalgebraData WeakBialgebraData WeakHopfData dual_convolution_algebra eps_s eps_t".split(),
+    "structures"),
+    "check_identities": "identities", "same_structure_constants": "groupoid",
+    **dict.fromkeys(("check_weak_bialgebra", "check_weak_hopf"), "weak_axioms"),
+    **dict.fromkeys(("is_hopf", "dualize"), "hopf")})
 
 
 def _classes(v: Vector, top: int) -> tuple:
@@ -160,50 +160,3 @@ def _mul_with(A: AlgebraData, f_cols, side: int) -> list[dict]:
     n, m, p = A.space.dim, A.mul.cols, A.field.characteristic
     return [_combine(m, [((h * n + t) if side else (t * n + k), c) for t, c in f.items()], p)
             if (f := f_cols[k if side else h]) else {} for h in range(n) for k in range(n)]
-
-
-# ---------------------------------------------------------------------------
-# Hopf detection
-# ---------------------------------------------------------------------------
-
-def is_hopf(H: WeakHopfData) -> Report:
-    """The "Hopf detection" report: the five equivalent Hopf conditions (i)-(v),
-    each evaluated on its own, and whether they agree; ``.ok`` iff H is Hopf."""
-    space, n, A, C, f = H.space, H.space.dim, H.alg, H.coalg, H.field
-
-    cond1 = H.wb.delta_one == A.unit.tensor(A.unit)
-
-    cond2 = all(H.wb.eps_form[i].get(j, 0) == f.coerce(C.eps_coeff(i) * C.eps_coeff(j))
-                for i in range(n) for j in range(n))
-
-    eps_times_one = LinMap.from_function(space, space, lambda j: A.unit.scale(C.eps_coeff(j)))
-    cond3, cond4 = (LinMap(space, space, [
-        _combine(mul_s, col.items(), f.characteristic) for col in C.comul.cols]) == eps_times_one
-        for mul_s in (_mul_with(A, H.antipode.cols, 1), _mul_with(A, H.antipode.cols, 0)))
-
-    span_one = Subspace.from_vectors(space, [A.unit])
-    cond5 = H.Ht == span_one and H.Hs == span_one
-
-    conditions = (cond1, cond2, cond3, cond4, cond5)
-    agree = len(set(conditions)) == 1
-    labels = ("(i) Δ(1)=1⊗1", "(ii) ε multiplicative", "(iii) h₁S(h₂)=ε(h)1",
-              "(iv) S(h₁)h₂=ε(h)1", "(v) Ht=Hs=k·1")
-    return Report("Hopf detection", [
-        *map(CheckResult, labels, conditions),
-        CheckResult("conditions agree", agree, None if agree else "the five conditions disagree")])
-
-
-# ---------------------------------------------------------------------------
-# dualization
-# ---------------------------------------------------------------------------
-
-def dualize(H: WeakHopfData) -> WeakHopfData:
-    """The dual weak Hopf algebra on the coordinate dual basis.
-
-    Product is convolution (the transpose of Δ), coproduct is the transpose
-    of the multiplication, unit is ε, counit is evaluation at 1, and the
-    antipode is precomposition with S (the transpose of S's matrix).
-    """
-    dual_alg = dual_convolution_algebra(H.coalg)
-    return _assemble(dual_alg.space, dual_alg.mul.cols, dual_alg.unit.terms,
-                     H.alg.mul.transposed_rows(), H.unit.coords, H.antipode.transposed_rows())

@@ -6,7 +6,8 @@ element longer or shorter, a list shuffled, an unknown member added, a label
 repeated, or a node replaced by a value of the wrong type or a hostile scalar
 string.  Whatever the mutant, ``whw`` must end with a documented exit code,
 and an input it refuses (3) or a construction it cannot make (4) is reported on
-one line of stderr: no exception escapes ``main``.
+one line of stderr: no exception escapes ``main``.  The line of a refused input
+names where the fault is: a JSON path in the mutant or a command-line argument.
 """
 
 import contextlib
@@ -36,6 +37,27 @@ def _corpus():
     corpus = sys.modules["bench_corpus"] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(corpus)
     return corpus
+
+
+def names_a_path(doc, path: str) -> bool:
+    """Whether ``path`` ("hopf.mul[0][2]", "document") reaches a node of ``doc``
+    or a missing member of an object that it reaches.  A member name may hold a
+    dot (a groupoid element such as "g1.e"), so the longest name that the path
+    continues with is taken first."""
+    node = doc
+    while path and path != "document":
+        if path.startswith("["):
+            i, _, path = path[1:].partition("]")
+            if not (isinstance(node, list) and i.isdecimal() and int(i) < len(node)):
+                return False
+            node, path = node[int(i)], path.removeprefix(".")
+            continue
+        key = max((k for k in node if path == k or path.startswith((f"{k}.", f"{k}["))),
+                  key=len, default=None) if isinstance(node, dict) else None
+        if key is None:   # a member missing, or of a node that is no object: one name
+            return not any(c in path for c in "[] '\"")
+        node, path = node[key], path[len(key):].removeprefix(".")
+    return True
 
 
 def mutate(doc, rng: random.Random):
@@ -73,8 +95,8 @@ def test_no_mutant_of_a_corpus_document_escapes_main(tmp_path, workload):
         at = next(i for i, a in enumerate(argv) if a.endswith(".json") and a != output)
         doc = json.loads(Path(argv[at]).read_text(encoding="utf-8"))
         for n in range(MUTANTS_PER_JOB):
-            mutant = tmp_path / "mutant.json"
-            mutant.write_text(json.dumps(mutate(doc, rng)), encoding="utf-8")
+            mutant, mutated = tmp_path / "mutant.json", mutate(doc, rng)
+            mutant.write_text(json.dumps(mutated), encoding="utf-8")
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 try:
@@ -85,5 +107,11 @@ def test_no_mutant_of_a_corpus_document_escapes_main(tmp_path, workload):
             lines = err.getvalue().splitlines()
             if code not in (0, 2, 3, 4) or code in (3, 4) and len(lines) != 1:
                 faults.append(f"{job.name} mutant {n}: exit {code}, stderr {lines}")
+            elif code == 3:   # "whw: [malformed input: MalformedInput: |cannot read ]<where>: …"
+                where = lines[0].removeprefix("whw: ").removeprefix(
+                    "malformed input: MalformedInput: ").removeprefix("cannot read ")
+                where = where.partition(": ")[0]
+                if not (where in (str(mutant), *argv) or names_a_path(mutated, where)):
+                    faults.append(f"{job.name} mutant {n}: {lines[0]!r} names no path")
     assert not faults, "\n".join(faults)
     assert {0, 3} <= codes   # the mutants reach both the checkers and the readers

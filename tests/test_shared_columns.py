@@ -51,7 +51,8 @@ from weakhopf import (
 )
 
 KERNEL_MODULES = ("tensor_space", "elimination", "structures", "axioms", "weak_hopf",
-                  "identities", "actions", "partial_actions", "groupoid_actions", "globalization")
+                  "weak_axioms", "identities", "actions", "partial_actions", "groupoid_actions",
+                  "globalization")
 
 
 def stored_columns(*objs) -> list:
@@ -176,24 +177,33 @@ def test_no_check_mutates_a_stored_column_and_shared_columns_are_reduced(field, 
         assert all(type(v) is int and 0 < v < p for v in col.values()) if p else all(col.values())
 
 
+def watch_for_no_terms(monkeypatch, kernels=("_combine",)) -> tuple[list, list]:
+    """The term lists of the calls of ``kernels`` in every module that imports
+    them: (those with terms, those without)."""
+    calls, empty = [], []
+
+    def watch(kernel):
+        def counted(*args):
+            *cols, terms, p = args
+            terms = list(terms)
+            (calls if terms else empty).append(terms)
+            return kernel(*cols, terms, p)
+        return counted
+
+    for name in KERNEL_MODULES:
+        module = importlib.import_module(f"weakhopf.{name}")
+        for kernel in kernels:
+            if hasattr(module, kernel):
+                monkeypatch.setattr(module, kernel, watch(getattr(module, kernel)))
+    return calls, empty
+
+
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
 def test_no_kernel_call_is_made_with_no_terms_on_the_action_paths(field, monkeypatch):
     """``Subspace.contains``, ``from_kG_action``'s projections, ``LinMap.apply`` on
     a zero vector and Eq 6 of ``check_globalization`` skip ``_combine`` where
     they have no terms for it, which the λ-indicator actions give them often."""
-    calls, empty = [], []
-
-    def watch(kernel):
-        def combine(cols, terms, p):
-            terms = list(terms)
-            (calls if terms else empty).append(terms)
-            return kernel(cols, terms, p)
-        return combine
-
-    for name in KERNEL_MODULES:
-        module = importlib.import_module(f"weakhopf.{name}")
-        if hasattr(module, "_combine"):
-            monkeypatch.setattr(module, "_combine", watch(module._combine))
+    calls, empty = watch_for_no_terms(monkeypatch)
     G = disjoint_union_of_cyclic([2, 3])
     act, _ = isotropy_lambda_action(G, field, "g1.e")
     H = act.hopf
@@ -205,4 +215,18 @@ def test_no_kernel_call_is_made_with_no_terms_on_the_action_paths(field, monkeyp
     right = lambda_action(LambdaFunctional.indicator(H, ["g1.e"]),
                           grouplike_coalgebra(field, ["c0", "c1"]), "right")
     assert check_globalization(standard_globalization(right, find_basis_grouplikes(right)[0])).ok
+    assert calls and not empty, f"{len(empty)} of {len(calls) + len(empty)} calls had no terms"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_no_kernel_call_is_made_with_no_terms_by_the_weak_hopf_checkers(field, monkeypatch):
+    """The weak bialgebra axioms, associativity, S-antimult, Hopf detection and the
+    products and ε∘S tables of the identity catalogue skip ``_combine`` and
+    ``_accumulate`` where they have no terms: on kG the product of every
+    non-composable pair is 0, and on (kG)* most products of basis vectors are."""
+    calls, empty = watch_for_no_terms(monkeypatch, ("_combine", "_accumulate"))
+    for name, H, _ in shipped_families(field):
+        if name.startswith(("kG", "(kG)*")):
+            assert check_weak_hopf(H).ok and check_identities(H).ok
+            is_hopf(H)
     assert calls and not empty, f"{len(empty)} of {len(calls) + len(empty)} calls had no terms"

@@ -138,15 +138,15 @@ def test_hopf_detection():
 
 def test_is_hopf_builds_each_antipode_product_once(monkeypatch):
     """m∘(id⊗S) and m∘(S⊗id) are built once each, not once per column of Δ."""
-    import weakhopf.weak_hopf
+    import weakhopf.hopf
 
-    real, sides = weakhopf.weak_hopf._mul_with, []
+    real, sides = weakhopf.hopf._mul_with, []
 
     def counted(A, f_cols, side):
         sides.append(side)
         return real(A, f_cols, side)
 
-    monkeypatch.setattr(weakhopf.weak_hopf, "_mul_with", counted)
+    monkeypatch.setattr(weakhopf.hopf, "_mul_with", counted)
     v = is_hopf(groupoid_algebra(disjoint_union_of_cyclic([16, 16]), QQ))
     assert not v.ok and labelled(v, "conditions agree").passed
     assert sorted(sides) == [0, 1]

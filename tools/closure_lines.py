@@ -6,10 +6,11 @@ are in functions the job never calls.
 
 The workload's documents are built with ``bench/corpus.py`` in a temporary
 directory.  Each job then runs in a fresh child interpreter with this
-checkout's ``src/`` on its path, which imports ``weakhopf.cli`` and calls
-``cli.main`` on the job's arguments under ``sys.settrace``, recording the code
-object of every call.
-Once ``cli.main`` returns, the child reads the ``weakhopf`` modules in
+checkout's ``src/`` on its path, which imports ``weakhopf.cli`` and runs the
+``whw`` entry ``cli.run`` on the job's arguments under ``sys.settrace``,
+recording the code object of every call; under a tracer ``cli.run`` leaves by
+``sys.exit``, which the child catches.
+Once ``cli.run`` has left, the child reads the ``weakhopf`` modules in
 ``sys.modules``: every line of each module's file is compiled, since no
 bytecode cache is read or written.  A function whose code object was never
 called counts with all its lines (from its first line, a decorator if it has
@@ -46,7 +47,7 @@ sys.settrace(trace)
 from weakhopf import cli
 with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
     try:
-        cli.main(sys.argv[1:])
+        cli.run()
     except SystemExit:
         pass
 sys.settrace(None)

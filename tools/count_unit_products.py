@@ -25,8 +25,8 @@ import tempfile
 from fractions import Fraction
 from pathlib import Path
 
-KERNEL_MODULES = ("tensor_space", "elimination", "structures", "axioms", "weak_hopf", "actions",
-                  "partial_actions", "groupoid_actions", "globalization")
+KERNEL_MODULES = ("tensor_space", "elimination", "structures", "axioms", "weak_hopf", "weak_axioms",
+                  "identities", "actions", "partial_actions", "groupoid_actions", "globalization")
 SHAPES = ("empty", "shared", "other")
 
 ROOT = Path(__file__).resolve().parent.parent
