@@ -51,8 +51,8 @@ from weakhopf import (
 )
 
 KERNEL_MODULES = ("tensor_space", "elimination", "structures", "axioms", "weak_hopf",
-                  "weak_axioms", "identities", "actions", "partial_actions", "groupoid_actions",
-                  "globalization")
+                  "weak_axioms", "hopf", "identities", "actions", "partial_actions",
+                  "groupoid_actions", "globalization")
 
 
 def stored_columns(*objs) -> list:

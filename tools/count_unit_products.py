@@ -26,7 +26,8 @@ from fractions import Fraction
 from pathlib import Path
 
 KERNEL_MODULES = ("tensor_space", "elimination", "structures", "axioms", "weak_hopf", "weak_axioms",
-                  "identities", "actions", "partial_actions", "groupoid_actions", "globalization")
+                  "hopf", "identities", "actions", "partial_actions", "groupoid_actions",
+                  "globalization")
 SHAPES = ("empty", "shared", "other")
 
 ROOT = Path(__file__).resolve().parent.parent
