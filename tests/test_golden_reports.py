@@ -13,14 +13,17 @@ The golden file was written by running this module as a script
 intended change of the report or document format.
 """
 
+import importlib.util
 import json
 import pathlib
+import random
 import subprocess
 import sys
 
 import pytest
 
 from conftest import (
+    ENTRIES,
     grouplike_coalgebra,
     isotropy_lambda_action,
     projector_onto_labels,
@@ -32,10 +35,17 @@ from test_globalization import closing_example_one, closing_example_two, mutated
 from weakhopf import (
     QQ,
     ActionTensor,
+    AlgebraData,
+    CoalgebraData,
+    FiniteAbelianGroup,
+    FinVec,
     GlobalizationTriple,
     LambdaFunctional,
     LinMap,
     Vector,
+    WeakBialgebraData,
+    WeakHopfData,
+    abelian_group_weak_hopf,
     check_globalization,
     check_ht_hs_propositions,
     check_lambda_global,
@@ -54,6 +64,7 @@ from weakhopf import (
     induce_partial_action,
     lambda_action,
     standard_globalization,
+    tensor_product,
     two_object_iso_groupoid,
 )
 from weakhopf.cli import canonical_dumps, main
@@ -65,6 +76,7 @@ from weakhopf.jsonwrite import (
     gpa_to_json,
     lambda_to_json,
     linmap_to_json,
+    weakhopf_to_json,
 )
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
@@ -183,6 +195,59 @@ def _dual_doc(tmp_path, capsys, field, corrupt):
         doc["tensor"][0][1][1] = "3"
         out.write_text(canonical_dumps(doc), encoding="utf-8")
     return out
+
+
+def _corpus():
+    """``bench/corpus.py``, loaded by its path: ``bench/`` is not a package."""
+    if "bench_corpus" not in sys.modules:
+        path = pathlib.Path(__file__).resolve().parent.parent / "bench" / "corpus.py"
+        spec = importlib.util.spec_from_file_location("bench_corpus", path)
+        sys.modules["bench_corpus"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["bench_corpus"])
+    return sys.modules["bench_corpus"]
+
+
+def _drawn(seed: int) -> WeakHopfData:
+    """A ℚ structure drawn as ``conftest.draw_structure`` draws one, from a seeded
+    ``random.Random``: every structure constant from ``ENTRIES[QQ]``, which holds
+    1/3 and -5/2, and the identity as antipode, on 2 or 3 basis vectors."""
+    rng, n = random.Random(seed), 2 + seed % 2
+    H = FinVec(QQ, tuple(f"h{i}" for i in range(n)))
+    HH = tensor_product(H, H)
+
+    def draw(dom, cod):
+        return LinMap.from_rows(dom, cod, [[rng.choice(ENTRIES[QQ]) for _ in range(dom.dim)]
+                                           for _ in range(cod.dim)])
+
+    alg = AlgebraData(H, draw(HH, H), Vector.from_coords(H, [rng.choice(ENTRIES[QQ])
+                                                             for _ in range(n)]))
+    coalg = CoalgebraData(H, draw(H, HH), draw(H, FinVec(QQ, ("k0",))))
+    return WeakHopfData(WeakBialgebraData(alg, coalg), LinMap.identity(H))
+
+
+# M for `check weak-hopf` and for `check identities` on the averaged example of Z/5 over
+# ℚ: the least integers above 2·5²¹ and 2·5¹² prime to 5 (D = 5, max(A, D) = 25)
+ADVERSARIAL_SHIFT = 953674316406251 * 488281251
+
+
+def _structure_doc(name: str) -> dict:
+    """``drawn-<seed>``, ``averaged-Z<N> <corruption of bench/corpus.py>``, or the averaged
+    example of Z/5 with its counit at 1 moved by a multiple of both moduli above."""
+    if name.startswith("drawn-"):
+        return weakhopf_to_json(_drawn(int(name[6:])))
+    stem, corruption = name.split()
+    H = abelian_group_weak_hopf(FiniteAbelianGroup((int(stem[10:]),)), QQ)
+    if corruption != "adversarial":
+        return weakhopf_to_json(_corpus()._WEAK_HOPF_CORRUPTIONS[corruption][0](H))
+    doc = weakhopf_to_json(H)
+    doc["counit"][0] = str(int(doc["counit"][0]) + ADVERSARIAL_SHIFT)
+    return doc
+
+
+STRUCTURE_DOCS = [f"drawn-{seed}" for seed in range(1, 13)] + [
+    f"averaged-Z{N} {corruption}" for N in (4, 5)
+    for corruption in ("double-antipode", "double-counit", "double-unit")] + [
+    "averaged-Z5 adversarial"]
 
 
 def _write(tmp_path, name, doc):
@@ -403,6 +468,9 @@ def _cases():
         cases.append((f"dualize {field}", "dualize", field))
     for problem in ("wrong-side", "not-partial"):
         cases.append((f"dualize {problem}", "dualize", problem))
+    for name in STRUCTURE_DOCS:
+        for kind in ("weak-hopf", "identities"):
+            cases.append((f"{kind} {name}", kind, ("doc", name)))
     cases.append(("equiv lambda-derived", "equiv", "lambda"))
     cases += [(f"api {name}", "api", name) for name in API_CASES]
     return cases
@@ -447,6 +515,8 @@ def _output(kind, arg, tmp_path, capsys) -> str:
         field = field_from_name(arg[0])
         path = (_action_doc(tmp_path, field, arg[1]) if kind == "pmc"
                 else _dual_doc(tmp_path, capsys, field, arg[1]))
+    elif isinstance(arg, tuple) and arg[0] == "doc":
+        path = _write(tmp_path, f"{arg[1]}.json", _structure_doc(arg[1]))
     elif isinstance(arg, tuple):
         path = _corrupted(tmp_path, arg[0], capsys, arg[1])
     else:
