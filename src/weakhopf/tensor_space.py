@@ -85,7 +85,7 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 # ``p`` is the field's characteristic: over GF(p) every stored entry is an int
 # in [1, p), and each kernel reduces the entries it accumulates once, at the
 # end; over ℚ (p = 0) the kernels branch once per call and reduce nothing.
-# The coefficients of ``terms`` may be unreduced.  Three rules:
+# The coefficients of ``terms`` may be unreduced.  Two rules:
 # * ×1: a factor equal to 1 costs no multiply.  A coefficient that scales a
 #   whole column is tested once, before its loop, so a 0/1 structure constant
 #   costs one comparison per term and none per entry.
@@ -93,10 +93,6 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 #   (``_combine``, ``_accumulate``, ``_scale(a, 1)``, ``_sum(a, {})``), copied
 #   only if a second term arrives and never filtered, since stored columns hold
 #   no zeros and are reduced.  So a result may alias a stored column.
-# * coefficient classes: where all terms of two operands meet and the products
-#   merge into few outputs (``weak_hopf.pointwise_product``: axiom (i), Eq
-#   4.2a/b), ``weak_hopf._classes`` groups each operand's terms by value, and each
-#   sum of structure-constant products is scaled by c·d once.
 # ---------------------------------------------------------------------------
 
 def _sparse(coords: Iterable) -> dict:

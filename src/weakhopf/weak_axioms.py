@@ -10,19 +10,19 @@ from .report import (CheckResult, Report, _first_difference, compare_maps, compa
                      compare_vectors, first_failure)
 from .structures import WeakBialgebraData, WeakHopfData
 from .tensor_space import LinMap, Vector, _combine, _kron
-from .weak_hopf import _mul_with, _sweedler, pointwise_product
+from .weak_hopf import _mul_with, _on_image, _sweedler, pointwise_product
 
 
 def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
     """Algebra axioms, coalgebra axioms, and the three compatibility axioms
     (multiplicativity of Δ, weak multiplicativity of ε, the Δ²(1) identity)."""
-    rep = Report("weak bialgebra axioms")
+    rep, wb = Report("weak bialgebra axioms"), _on_image(wb, "wb")
     rep.extend(check_algebra(wb.alg))
     rep.extend(check_coalgebra(wb.coalg))
     H, A, C, n = wb.space, wb.alg, wb.coalg, wb.space.dim
     p = wb.field.characteristic
 
-    # (i)  Δ(hk) = Δ(h)Δ(k), each Δ(e_b) grouped into coefficient classes once
+    # (i)  Δ(hk) = Δ(h)Δ(k)
     m, delta = A.mul.cols, C.comul.columns()
     comul = C.comul.cols
     rep.add(compare_maps("(i)", (_combine(comul, col.items(), p) if col else {} for col in m), (
@@ -63,7 +63,7 @@ def check_weak_bialgebra(wb: WeakBialgebraData) -> Report:
 def check_weak_hopf(H: WeakHopfData) -> Report:
     """Weak bialgebra axioms, the three antipode axioms, and the standard
     derived antipode facts."""
-    rep = Report("weak Hopf axioms")
+    rep, Q, H = Report("weak Hopf axioms"), H, _on_image(H, "weak Hopf")
     rep.extend(check_weak_bialgebra(H.wb))
 
     space, n, S, Sc = H.space, H.space.dim, H.antipode, H.antipode.cols
@@ -90,9 +90,9 @@ def check_weak_hopf(H: WeakHopfData) -> Report:
     flip = [(1, Sc, n), (0, Sc, n)]   # flip∘(S⊗S): Σ c·S(e_b)⊗S(e_a)
     rep.add(compare_maps("S-anticomult", (_combine(comul, col.items(), p) for col in Sc),
                          _sweedler(terms, flip, n, p), _where(space, 1, 2)))
-    # S exchanges the target and source subalgebras
-    for label, sub, image in (("S(Ht)=Hs", H.Ht, H.Hs), ("S(Hs)=Ht", H.Hs, H.Ht)):
-        same = Subspace.from_vectors(space, [H.S(v) for v in sub.basis_vectors]) == image
+    # S exchanges the target and source subalgebras, decided over ℚ
+    for label, sub, image in (("S(Ht)=Hs", Q.Ht, Q.Hs), ("S(Hs)=Ht", Q.Hs, Q.Ht)):
+        same = Subspace.from_vectors(Q.space, [Q.S(v) for v in sub.basis_vectors]) == image
         rep.add(CheckResult(label, same, None if same else "images differ"))
     # 1₁⊗1₂ = S(1₂)⊗S(1₁)
     flipped = Vector(H.wb.delta_one.space, _sweedler([H.wb.delta_one_pairs], flip, n, p)[0])

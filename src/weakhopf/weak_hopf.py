@@ -21,68 +21,29 @@ __getattr__ = forward(globals(), {**dict.fromkeys(
     **dict.fromkeys(("is_hopf", "dualize"), "hopf")})
 
 
-def _classes(v: Vector, top: int) -> tuple:
-    """The coefficient values [c₀, c₁, …] and the terms of ``v`` as {i // top:
-    [(k, [i % top, …]), …]}, grouped by first leg and then by the class k of
-    equal coefficients c_k, built once per ``top`` and kept on ``v``: the
-    operand form of a kernel that scales each class once (`pointwise_product`)."""
-    hit = (cache := v.__dict__.setdefault("_classes", {})).get(top)
-    if hit is None:
-        values, index, first = [], {}, {}
-        for i, c in v.terms.items():
-            if (k := index.get(c)) is None:
-                k = index[c] = len(values)
-                values.append(c)
-            f, t = divmod(i, top)
-            first.setdefault(f, {}).setdefault(k, []).append(t)
-        hit = cache[top] = values, {f: list(g.items()) for f, g in first.items()}
-    return hit
-
-
 def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vector:
     """Componentwise product (a1⊗...⊗ak)(b1⊗...⊗bk) = a1b1 ⊗ ... ⊗ akbk in H^⊗power,
-    extended bilinearly as Σ_{c,d} c·d·Σ m(x₁,y₁)⊗...⊗m(x_k,y_k), the inner sum over
-    the terms of x with coefficient c and of y with coefficient d: each pair of
-    classes that meets sums its products of structure constants (ints for 0/1
-    constants) and scales each entry of that sum by c·d once.  Pairs of terms
-    whose first factors multiply to zero are skipped."""
+    extended bilinearly into one accumulator; pairs of terms whose first factors
+    multiply to zero are skipped, and c·c′ scales each product of constants."""
     n, m, top = alg.space.dim, alg.mul.cols, alg.space.dim ** (power - 1)
     p, stride = alg.field.characteristic, top // n     # place value of leg 2 in t
     if x.space != y.space or x.space.dim != n ** power:
         raise ShapeMismatch("operands must live in the same tensor power of H")
-    (xv, x_first), (yv, y_first) = _classes(x, top), _classes(y, top)
-    ny, sums = len(yv), {}   # class pair kx·ny + ky → its sums of structure constants
-    for f, xs in x_first.items():
+    by_first, out = {}, {}
+    for j, b in y.terms.items():
+        by_first.setdefault(j // top, []).append((j % top, b))
+    for i, a in x.terms.items():
+        f, t = divmod(i, top)
         for f2 in alg.nonzero_products[f]:
-            if (ys := y_first.get(f2)) is None:
-                continue
-            head = m[f * n + f2].items()
-            for kx, ts in xs:
-                for ky, t2s in ys:
-                    if (acc := sums.get(kx * ny + ky)) is None:
-                        acc = sums[kx * ny + ky] = {}
-                    for t in ts:
-                        for t2 in t2s:
-                            tail = m[t // stride % n * n + t2 // stride % n]   # legs 2..power
-                            for s in range(power - 3, -1, -1):
-                                tail = _kron(tail, m[t // n ** s % n * n + t2 // n ** s % n], n, p)
-                            for h, u in head:
-                                base = h * top
-                                for k, v in tail.items():
-                                    prev, uv = acc.get(base + k), u * v
-                                    acc[base + k] = uv if prev is None else prev + uv
-    out = {}
-    for key, acc in sums.items():
-        if not acc:
-            continue
-        c, d = xv[key // ny], yv[key % ny]
-        cd = d if c == 1 else c if d == 1 else c * d
-        if cd == 1 and not out:   # the sums are the entries
-            out = acc
-            continue
-        for k, a in acc.items():
-            prev, w = out.get(k), cd if a == 1 else a if cd == 1 else a * cd
-            out[k] = w if prev is None else prev + w
+            for t2, b in by_first.get(f2, ()):
+                w, tail = a * b, m[t // stride % n * n + t2 // stride % n]   # legs 2..power
+                for s in range(power - 3, -1, -1):
+                    tail = _kron(tail, m[t // n ** s % n * n + t2 // n ** s % n], n, p)
+                for h, u in m[f * n + f2].items():
+                    base, uw = h * top, w if u == 1 else u * w
+                    for k, v in tail.items():
+                        prev, uv = out.get(base + k), uw if v == 1 else v * uw
+                        out[base + k] = uv if prev is None else prev + uv
     return Vector(x.space, _reduced(out, p) if p else {i: s for i, s in out.items() if s})
 
 
@@ -154,9 +115,53 @@ def _sweedler(sums, factors, n: int, p: int, fixed=None) -> list[dict]:
     return cols
 
 
-def _mul_with(A: AlgebraData, f_cols, side: int) -> list[dict]:
+class Table(dict):
+    """The columns ``column(x)`` for x < size, each built on its first read:
+    indexing builds one column, iterating builds them all in order."""
+
+    def __init__(self, size: int, column):
+        self.size, self.column = size, column
+
+    def __missing__(self, x):
+        col = self[x] = self.column(x)
+        return col
+
+    def __iter__(self):
+        return map(self.__getitem__, range(self.size))
+
+    def __len__(self):
+        return self.size
+
+
+def _mul_with(A: AlgebraData, f_cols, side: int) -> Table:
     """The columns e_h·f(e_k) of m∘(id⊗f) (``side`` 1) or f(e_h)·e_k of
-    m∘(f⊗id) (``side`` 0), f an endomorphism with columns ``f_cols``."""
+    m∘(f⊗id) (``side`` 0) at h·n + k, f an endomorphism with columns ``f_cols``."""
     n, m, p = A.space.dim, A.mul.cols, A.field.characteristic
-    return [_combine(m, [((h * n + t) if side else (t * n + k), c) for t, c in f.items()], p)
-            if (f := f_cols[k if side else h]) else {} for h in range(n) for k in range(n)]
+
+    def column(x):
+        h, k = divmod(x, n)
+        f = f_cols[k if side else h]
+        return _combine(m, [((h * n + t) if side else (t * n + k), c) for t, c in f.items()],
+                        p) if f else {}
+    return Table(n * n, column)
+
+
+def _on_image(H, family: str):
+    """H, or for a ℚ structure with a non-integral entry in a table that
+    ``family`` reads (:mod:`modular`) its image in ℤ/M, on which the family's
+    sums of products are decided exactly."""
+    if H.field.characteristic:
+        return H
+    wb = H if family == "wb" else H.wb
+    tables = {"mul": wb.alg.mul.cols, "unit": [wb.alg.unit.terms], "comul": wb.coalg.comul.cols,
+              "counit": wb.coalg.counit.cols, "delta_one": [wb.delta_one.terms],
+              "eps_form": wb.eps_form}
+    if family != "wb":
+        tables.update(antipode=H.antipode.cols, eps_t=H.eps_t.cols, eps_s=H.eps_s.cols)
+    if family == "identities":
+        tables.update({"S⁻¹": H.antipode_inverse.cols if H.antipode_inverse else (),
+                       "Ht": H.Ht.basis.values(), "Hs": H.Hs.basis.values()})
+    if all(c.denominator == 1 for cols in tables.values() for col in cols for c in col.values()):
+        return H
+    from .modular import image
+    return image(H, family, tables)

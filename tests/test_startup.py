@@ -234,8 +234,11 @@ CLOSURES = [     # (argv with document names, modules it must load, modules it m
     (["check", "weak-hopf", "H.json"],
      {"structures", "weak_hopf", "weak_axioms", "axioms", "elimination"},
      WEAK_HOPF_ONLY | {"identities", "hopf"}),
-    (["check", "weak-hopf", "avg.json"], {"structures", "weak_hopf", "weak_axioms"},
+    # the averaged example's 1/3 sends its checks to the image in ℤ/M
+    (["check", "weak-hopf", "avg.json"], {"structures", "weak_hopf", "weak_axioms", "modular"},
      WEAK_HOPF_ONLY | {"identities", "hopf"}),
+    (["check", "identities", "avg.json"], {"weak_hopf", "identities", "modular"},
+     WEAK_HOPF_ONLY | {"weak_axioms", "hopf"}),
     (["check", "weak-hopf", "H7.json"], {"weak_axioms", "prime_field"},
      WEAK_HOPF_ONLY | {"identities", "hopf"}),
     (["check", "wb", "H.json"], {"weak_hopf", "weak_axioms", "axioms"},
@@ -278,8 +281,10 @@ def test_command_imports_only_what_it_runs(documents, argv, needed, absent):
     # no command pays for importing these
     assert not added & {"dataclasses", "inspect", "typing",
                         "argparse", "gettext", "locale", "textwrap"}, sorted(added)
-    # only a GF(p) document loads GF(p)
+    # only a GF(p) document loads GF(p), and only a ℚ one with a non-integral constant
+    # the modular image: no other closure gains a module
     assert ("prime_field" in loaded) == argv[-1].endswith("H7.json")
+    assert ("modular" in loaded) == argv[-1].endswith("avg.json")
     # only a document that holds a non-integral rational needs `fractions`
     if argv[-1].endswith("avg.json"):
         assert "fractions" in added
