@@ -677,3 +677,31 @@ def test_gf_structures_store_reduced_nonzero_ints(name, p):
              *(f.rows for f in inverses), *rref_with_transform(tri.rows, F)[:2]]
     for rows in dense:
         assert all(type(c) is int and 0 <= c < p for row in rows for c in row)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_rational_change_of_basis_keeps_every_verdict(seed):
+    """The averaged example of Z/3 and (kG)* of the two-object groupoid in a
+    drawn basis with rational entries: every structure constant may now be
+    non-integral, so the checks run on the image in ℤ/M, and every label still
+    passes; one antipode entry moved by 1/7 fails in both reports."""
+    import random
+
+    rng = random.Random(seed)
+    H0 = (abelian_group_weak_hopf(FiniteAbelianGroup((3,)), QQ) if seed % 2
+          else dual_groupoid_algebra(two_object_iso_groupoid(), QQ))
+    V, n = H0.space, H0.space.dim
+    while (P := LinMap.from_rows(V, V, [[rng.choice(ENTRIES[QQ]) for _ in range(n)]
+                                        for _ in range(n)])).inverse() is None:
+        pass
+    Pi = P.inverse()
+    wb = WeakBialgebraData(
+        AlgebraData(V, Pi @ H0.alg.mul @ P.tensor(P), Pi.apply(H0.alg.unit)),
+        CoalgebraData(V, Pi.tensor(Pi) @ H0.coalg.comul @ P, H0.coalg.counit @ P))
+    S = Pi @ H0.antipode @ P
+    H = WeakHopfData(wb, S)
+    assert check_weak_hopf(H).ok and check_identities(H).ok
+    cols = [dict(col) for col in S.cols]
+    cols[0][0] = cols[0].get(0, 0) + Fraction(1, 7)
+    bad = WeakHopfData(wb, LinMap(V, V, [{i: c for i, c in col.items() if c} for col in cols]))
+    assert not check_weak_hopf(bad).ok and not check_identities(bad).ok
