@@ -68,6 +68,7 @@ from weakhopf import (
     two_object_iso_groupoid,
 )
 from weakhopf.cli import canonical_dumps, main
+from weakhopf.weak_hopf import _on_image
 from weakhopf.groupoid import groupoid_to_spec
 from weakhopf.jsonio import action_from_json
 from weakhopf.jsonwrite import (
@@ -571,6 +572,29 @@ def test_golden_file_covers_every_case():
     golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
     assert sorted(golden) == sorted(c[0] for c in CASES)
     assert any('"passed":false' in text and "witness" in text for text in golden.values())
+
+
+# the modulus M of each family's image (``modular.image``): the least integer above
+# 2·n^k·max(A, D)^F prime to D, with D the lcm of the denominators and A the largest
+# |D·entry| of the tables that the family reads, and (F, k) the family's bound
+MODULI = {
+    # the averaged example of Z/3: n = 3, D = 3 and A = 9 in each family
+    "averaged-Z3": {"wb": 6973568803,               # 2·3⁶·9⁷ + 1, (F, k) = (7, 6)
+                    "weak Hopf": 20920706407,       # 2·3⁷·9⁷ + 1, (F, k) = (7, 7)
+                    "identities": 1062883},         # 2·3⁴·9⁴ + 1, (F, k) = (4, 4)
+    # drawn-2: n = 2, D = 6 and A = 18 in each family
+    "drawn-2": {"wb": 78364164097,                  # 2·2⁶·18⁷ + 1, (F, k) = (7, 6)
+                "weak Hopf": 156728328193,          # 2·2⁷·18⁷ + 1, (F, k) = (7, 7)
+                "identities": 3359233},             # 2·2⁴·18⁴ + 1, (F, k) = (4, 4)
+}
+
+
+@pytest.mark.parametrize("name", sorted(MODULI))
+def test_each_family_gets_the_modulus_of_its_height_bound(name):
+    """Pins each family's bound, not its proof: an F or k one short changes that M."""
+    H = _drawn(2) if name == "drawn-2" else abelian_group_weak_hopf(FiniteAbelianGroup((3,)), QQ)
+    assert {family: _on_image(H.wb if family == "wb" else H, family).field.characteristic
+            for family in MODULI[name]} == MODULI[name]
 
 
 # the digest over the SHA-256 of every benchmark output of seeds 1-3 (exit code,
