@@ -125,8 +125,7 @@ def check_identities(H: WeakHopfData) -> Report:
     rep.add(compare_maps("Eq 4.35b", es @ et, S @ et))
 
     # h ↦ Σ over Δ²(h) = (Δ⊗id)Δ(h) of factors on its legs, as (p, q, r, c) terms
-    d2 = [[(x, y, b, v if c == 1 else c if v == 1 else c * v) for a, b, c in terms
-           for x, y, v in dt[a]] for terms in dt]
+    d2 = [[(x, y, b, c * v) for a, b, c in terms for x, y, v in dt[a]] for terms in dt]
 
     def on_delta2(*factors) -> LinMap:
         return LinMap(space, HH, _sweedler(d2, factors, n, p))

@@ -85,14 +85,12 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 # ``p`` is the field's characteristic: over GF(p) every stored entry is an int
 # in [1, p), and each kernel reduces the entries it accumulates once, at the
 # end; over ℚ (p = 0) the kernels branch once per call and reduce nothing.
-# The coefficients of ``terms`` may be unreduced.  Two rules:
-# * ×1: a factor equal to 1 costs no multiply.  A coefficient that scales a
-#   whole column is tested once, before its loop, so a 0/1 structure constant
-#   costs one comparison per term and none per entry.
-# * shared column: a result that is one stored column times 1 is that column
-#   (``_combine``, ``_accumulate``, ``_scale(a, 1)``, ``_sum(a, {})``), copied
-#   only if a second term arrives and never filtered, since stored columns hold
-#   no zeros and are reduced.  So a result may alias a stored column.
+# The coefficients of ``terms`` may be unreduced.  One rule, the shared column:
+# a result that is one stored column times 1 is that column (``_combine``,
+# ``_accumulate``, ``_scale(a, 1)``, ``_sum(a, {})``), copied only if a second
+# term arrives and never filtered, since stored columns hold no zeros and are
+# reduced.  So a result may alias a stored column.  Every other product is
+# formed, a factor equal to 1 included.
 # ---------------------------------------------------------------------------
 
 def _sparse(coords: Iterable) -> dict:
@@ -139,14 +137,9 @@ def _accumulate(terms: Iterable, p: int) -> dict:
                 out = shared = v
                 continue
             out = dict(out)
-        if c == 1:
-            for i, a in v.items():
-                s = out.get(i)
-                out[i] = a if s is None else s + a
-        else:
-            for i, a in v.items():
-                s, w = out.get(i), c if a == 1 else a * c
-                out[i] = w if s is None else s + w
+        for i, a in v.items():
+            s, w = out.get(i), a * c
+            out[i] = w if s is None else s + w
     return out if out is shared else _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
@@ -159,28 +152,16 @@ def _combine(cols: Sequence[dict], terms: Iterable, p: int) -> dict:
                 out = shared = cols[k]
                 continue
             out = dict(out)
-        if c == 1:
-            for i, a in cols[k].items():
-                s = out.get(i)
-                out[i] = a if s is None else s + a
-        else:
-            for i, a in cols[k].items():
-                s, w = out.get(i), c if a == 1 else a * c
-                out[i] = w if s is None else s + w
+        for i, a in cols[k].items():
+            s, w = out.get(i), a * c
+            out[i] = w if s is None else s + w
     return out if out is shared else _reduced(out, p) if p else {i: s for i, s in out.items() if s}
 
 
 def _kron(a: dict, b: dict, dim: int, p: int) -> dict:
-    """a⊗b for sparse dicts, the right factor of dimension ``dim``.  Over GF(p)
-    an int product costs what a test for 1 does, so only ℚ tests."""
-    if p:
-        return _reduced({i * dim + j: x * y for i, x in a.items() for j, y in b.items()}, p)
-    out = {}
-    for i, x in a.items():
-        base = i * dim
-        out.update({base + j: y for j, y in b.items()} if x == 1 else
-                   {base + j: x if y == 1 else x * y for j, y in b.items()})
-    return out
+    """a⊗b for sparse dicts, the right factor of dimension ``dim``."""
+    out = {i * dim + j: x * y for i, x in a.items() for j, y in b.items()}
+    return _reduced(out, p) if p else out
 
 
 class Vector:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .errors import ShapeMismatch, forward
 from .structures import AlgebraData
-from .tensor_space import Vector, _combine, _kron, _reduced
+from .tensor_space import Vector, _combine, _reduced
 
 # the records, maps and checkers that this module still offers by name
 __getattr__ = forward(globals(), {**dict.fromkeys(
@@ -22,27 +22,24 @@ __getattr__ = forward(globals(), {**dict.fromkeys(
 
 
 def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vector:
-    """Componentwise product (a1⊗...⊗ak)(b1⊗...⊗bk) = a1b1 ⊗ ... ⊗ akbk in H^⊗power,
-    extended bilinearly into one accumulator; pairs of terms whose first factors
-    multiply to zero are skipped, and c·c′ scales each product of constants."""
-    n, m, top = alg.space.dim, alg.mul.cols, alg.space.dim ** (power - 1)
-    p, stride = alg.field.characteristic, top // n     # place value of leg 2 in t
-    if x.space != y.space or x.space.dim != n ** power:
-        raise ShapeMismatch("operands must live in the same tensor power of H")
+    """Componentwise product (a1⊗a2)(b1⊗b2) = a1b1 ⊗ a2b2 in H⊗H, extended
+    bilinearly into one accumulator; pairs of terms whose first factors multiply
+    to zero are skipped.  ``power`` is the number of legs, which must be 2."""
+    n, m, p = alg.space.dim, alg.mul.cols, alg.field.characteristic
+    if power != 2 or x.space != y.space or x.space.dim != n * n:
+        raise ShapeMismatch("operands must both live in H⊗H")
     by_first, out = {}, {}
     for j, b in y.terms.items():
-        by_first.setdefault(j // top, []).append((j % top, b))
+        by_first.setdefault(j // n, []).append((j % n, b))
     for i, a in x.terms.items():
-        f, t = divmod(i, top)
+        f, t = divmod(i, n)
         for f2 in alg.nonzero_products[f]:
             for t2, b in by_first.get(f2, ()):
-                w, tail = a * b, m[t // stride % n * n + t2 // stride % n]   # legs 2..power
-                for s in range(power - 3, -1, -1):
-                    tail = _kron(tail, m[t // n ** s % n * n + t2 // n ** s % n], n, p)
+                w, second = a * b, m[t * n + t2]
                 for h, u in m[f * n + f2].items():
-                    base, uw = h * top, w if u == 1 else u * w
-                    for k, v in tail.items():
-                        prev, uv = out.get(base + k), uw if v == 1 else v * uw
+                    base, uw = h * n, u * w
+                    for k, v in second.items():
+                        prev, uv = out.get(base + k), v * uw
                         out[base + k] = uv if prev is None else prev + uv
     return Vector(x.space, _reduced(out, p) if p else {i: s for i, s in out.items() if s})
 
@@ -50,16 +47,13 @@ def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vec
 def _sweedler(sums, factors, n: int, p: int, fixed=None) -> list[dict]:
     """One sparse column per Sweedler sum of ``sums``, each a list of (leg…, c)
     terms: Σ c·c′·T₁[x₁]⊗…⊗T_r[x_r] over its terms and the (leg…, c′) terms
-    of ``fixed`` (one term of coefficient 1 when None), the legs of a sum term
+    of ``fixed`` (one term 1, with no legs, when None), the legs of a sum term
     numbered before those of a ``fixed`` term.  A factor (legs, T, dim) reads
     the column T[x] at one leg x or T[x·n + y] at two, e_x when T is None, as
     an output leg of dimension dim: n, 1 for a functional, or n² for a column
     in H⊗H.  The first factor on legs of both sides is the join: ``fixed`` is
     grouped by its leg once, and a sum term meets only the groups whose column
-    there is nonzero.  Every other factor reads the legs of one side.  Table
-    entries and partner coefficients are None for 1, and a product whose
-    other factor is 1 takes the factor as it is, so no product with 1 is
-    formed."""
+    there is nonzero.  Every other factor reads the legs of one side."""
     k = next((len(terms[0]) - 1 for terms in sums if terms), None)
     if k is None:
         return [{} for _ in sums]
@@ -81,32 +75,30 @@ def _sweedler(sums, factors, n: int, p: int, fixed=None) -> list[dict]:
                 state = [(t, b + t[i] * s, c) for t, b, c in state]
                 continue
             # each column read once, as (offset, value) pairs
-            col = {x: [(o * s, None if v == 1 else v) for o, v in table[x].items()]
+            col = {x: [(o * s, v) for o, v in table[x].items()]
                    for x in {t[i] if one_leg else t[i] * n + t[j] for t, _, _ in state}}
-            state = [(t, b + o, c if v is None else v if c == 1 else c * v) for t, b, c in state
+            state = [(t, b + o, c * v) for t, b, c in state
                      for o, v in col[t[i] if one_leg else t[i] * n + t[j]]]
         return state
 
     # the sums run as one state, each offset led by the index of its sum
     state = apply(own, [(t, s * stride, t[-1]) for s, terms in enumerate(sums) for t in terms], 0)
-    if fixed is not None:
-        fixed = apply(rest, [(t, 0, t[-1]) for t in fixed], k)
-    if not mixed:   # each term meets every term of ``fixed``, or the one term 1
-        fixed = [(0, None)] if fixed is None else [(b, None if c == 1 else c) for _, b, c in fixed]
+    fixed = apply(rest, [(t, 0, t[-1]) for t in ([(1,)] if fixed is None else fixed)], k)
+    if not mixed:   # each term meets every term of ``fixed``
+        fixed = [(b, c) for _, b, c in fixed]
     else:
         legs, table, s = mixed[0]
         (x_leg, y_leg), x_first = sorted(legs), legs[0] < k
         groups = {}
         for t, b, c in fixed:
             groups.setdefault(t[y_leg - k], []).append((b, c))
-        partners = {x: [(o * s + b, None if (w := c if v == 1 else v if c == 1 else v * c) == 1
-                         else w) for y, group in groups.items()
+        partners = {x: [(o * s + b, v * c) for y, group in groups.items()
                         for o, v in table[x * n + y if x_first else y * n + x].items()
                         for b, c in group] for x in {t[x_leg] for t, _, _ in state}}
     out = {}
     for t, b, c in state:
         for o, v in partners[t[x_leg]] if mixed else fixed:
-            prev, w = out.get(b + o), c if v is None else v if c == 1 else c * v
+            prev, w = out.get(b + o), c * v
             out[b + o] = w if prev is None else prev + w
     cols = [{} for _ in sums]
     for i, v in (_reduced(out, p) if p else out).items():

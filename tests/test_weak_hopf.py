@@ -32,7 +32,7 @@ from weakhopf import (
 )
 from weakhopf.cli import canonical_dumps
 from weakhopf.dense import rref, rref_with_transform
-from weakhopf.errors import CharacteristicDividesOrder
+from weakhopf.errors import CharacteristicDividesOrder, ShapeMismatch
 from weakhopf.jsonio import weakhopf_from_json
 from weakhopf.jsonwrite import weakhopf_to_json
 from weakhopf.report import (CheckResult, compare_maps, compare_scalars, compare_vectors,
@@ -338,29 +338,28 @@ def reference_pointwise(A, power, x, y):
 @settings(max_examples=40, deadline=None)
 @given(fields, st.integers(1, 3), st.data())
 def test_pointwise_product_matches_fresh_products(F, dim, data):
-    # the kernel groups each operand's terms into classes of equal coefficients
-    # and scales each pair of classes once; the draws make classes collide
     H = draw_structure(data, F, dim)
-    space = H.space
-    for power in (2, 3):
-        space = tensor_product(space, H.space)
-        x, y = draw_vector(data, space), draw_vector(data, space)
-        out = pointwise_product(H.alg, power, x, y)
-        assert out == reference_pointwise(H.alg, power, x, y)
-        assert all(out.terms.values())
-        n = space.dim
-        if F.characteristic:   # unreduced ints, zeros included: a different multiple of p
-            # per coordinate, so that congruent but unequal ints form separate classes
-            raw = [Vector(space, {i: v.terms.get(i, 0) + F.characteristic * k for i, k in
-                                  enumerate(data.draw(st.lists(st.integers(0, 3),
-                                                               min_size=n, max_size=n)))})
-                   for v in (x, y)]
-        else:   # 1 and Fraction(1) side by side, which are one class
-            raw = [Vector(space, {i: Fraction(c) if flip else c for (i, c), flip in
-                                  zip(v.terms.items(), data.draw(st.lists(
-                                      st.booleans(), min_size=n, max_size=n)))})
-                   for v in (x, y)]
-        assert pointwise_product(H.alg, power, *raw) == out
+    space = tensor_product(H.space, H.space)
+    x, y = draw_vector(data, space), draw_vector(data, space)
+    out = pointwise_product(H.alg, 2, x, y)
+    assert out == reference_pointwise(H.alg, 2, x, y)
+    assert all(out.terms.values())
+    n = space.dim
+    if F.characteristic:   # unreduced ints, zeros included, each off by its own multiple of p
+        raw = [Vector(space, {i: v.terms.get(i, 0) + F.characteristic * k for i, k in
+                              enumerate(data.draw(st.lists(st.integers(0, 3),
+                                                           min_size=n, max_size=n)))})
+               for v in (x, y)]
+    else:   # 1 and Fraction(1) side by side
+        raw = [Vector(space, {i: Fraction(c) if flip else c for (i, c), flip in
+                              zip(v.terms.items(), data.draw(st.lists(
+                                  st.booleans(), min_size=n, max_size=n)))})
+               for v in (x, y)]
+    assert pointwise_product(H.alg, 2, *raw) == out
+    # the product is defined on H⊗H only
+    cube = Vector(tensor_product(space, H.space), {})
+    with pytest.raises(ShapeMismatch):
+        pointwise_product(H.alg, 3, cube, cube)
 
 
 @settings(max_examples=60, deadline=None)

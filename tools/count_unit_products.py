@@ -13,6 +13,12 @@ wrapped by a counter.  Operations on two ints are not counted: they build no
 imports them, and each call is counted as empty (no terms), shared (its result
 is one of its operand columns itself: one term with coefficient 1) or other.
 The counts are exact and repeat from run to run.
+
+The "by 1" column counts the products with an operand equal to 1.  The
+sparse kernels form these like any other product: they skip no factor 1, and
+only hand back a stored column that one term with coefficient 1 selects (the
+shared column, counted among the kernel calls).  So the column shows what a
+rule that skipped such factors could still save.
 """
 
 import argparse
