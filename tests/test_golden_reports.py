@@ -68,7 +68,6 @@ from weakhopf import (
     two_object_iso_groupoid,
 )
 from weakhopf.cli import canonical_dumps, main
-from weakhopf.weak_hopf import _on_image
 from weakhopf.groupoid import groupoid_to_spec
 from weakhopf.jsonio import action_from_json
 from weakhopf.jsonwrite import (
@@ -79,6 +78,7 @@ from weakhopf.jsonwrite import (
     linmap_to_json,
     weakhopf_to_json,
 )
+from weakhopf.weak_hopf import _on_image
 
 GOLDEN = pathlib.Path(__file__).with_name("golden_reports.json")
 

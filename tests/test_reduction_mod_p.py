@@ -88,10 +88,9 @@ def _dual_lambda(F, component: str):
     return lambda_action(lam, grouplike_coalgebra(F, ["c0", "c1"]))
 
 
-_HOPF = {"averaged Z/3": (lambda F: abelian_group_weak_hopf(FiniteAbelianGroup((3,)), F), 3),
-         "averaged Z/4": (lambda F: abelian_group_weak_hopf(FiniteAbelianGroup((4,)), F), 4),
-         "kG of the two-object groupoid": INSTANCES["kG of the two-object groupoid"],
-         "(kG)* of the two-object groupoid": INSTANCES["(kG)* of the two-object groupoid"]}
+_HOPF = {name: INSTANCES[name] for name in ("averaged Z/3", "averaged Z/4",
+                                             "kG of the two-object groupoid",
+                                             "(kG)* of the two-object groupoid")}
 # name → (builder of a coalgebra action over a field, the denominators of its ℚ constants)
 COALGEBRA_ACTIONS = {
     **{f"{side} regular action of {name}": ((lambda F, b=build, s=side: regular_action(b(F), s)),
@@ -106,10 +105,16 @@ COALGEBRA_ACTIONS = {
         lambda F, c=component: _dual_lambda(F, c), size)
        for component, size in (("g1", 2), ("g2", 3))},
 }
-DUALIZE = {"left": dualize_coalgebra_action, "right": dualize_right_coalgebra_action}
-ACTIONS = {**COALGEBRA_ACTIONS, **{
-    f"dual of the {name}": ((lambda F, b=build: (lambda act: DUALIZE[act.side](act, check=False))(
-        b(F))), den) for name, (build, den) in COALGEBRA_ACTIONS.items()}}
+
+
+def _dual(act):
+    """The module-algebra action on the convolution dual that ``act`` transposes to."""
+    dualize = dualize_coalgebra_action if act.side == "left" else dualize_right_coalgebra_action
+    return dualize(act, check=False)
+
+
+ACTIONS = {**COALGEBRA_ACTIONS, **{f"dual of the {name}": ((lambda F, b=build: _dual(b(F))), den)
+                                   for name, (build, den) in COALGEBRA_ACTIONS.items()}}
 ACTION_CASES = [(name, p) for name, (_, den) in ACTIONS.items() for p in PRIMES if den % p]
 
 
