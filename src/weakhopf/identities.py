@@ -76,8 +76,8 @@ def check_identities(H: WeakHopfData) -> Report:
 
     rep.add(first_failure("Eq 4.10", restricted(comul, map_1h_1, H.Ht), at_h))
     rep.add(first_failure("Eq 4.11", restricted(comul, map_1_h1, H.Hs), at_h))
-    rep.add(compare_maps("Eq 4.12", _sweedler(dt, [(0, None, n), (1, etc, n)], n, p),
-                         map_1h_1.cols, one_two))
+    id_et = _sweedler(dt, [(0, None, n), (1, etc, n)], n, p)     # (id⊗ε_t)Δ(h), also for 4.17
+    rep.add(compare_maps("Eq 4.12", id_et, map_1h_1.cols, one_two))
     rep.add(compare_maps("Eq 4.13", _sweedler(dt, [(0, esc, n), (1, None, n)], n, p),
                          map_1_h1.cols, one_two))
 
@@ -97,9 +97,9 @@ def check_identities(H: WeakHopfData) -> Report:
     # 1₁⊗ε_t(1₂)⊗1₃ = 1₁1′₁⊗1₂⊗1′₂ and 1₁⊗ε_s(1₂)⊗1₃ = 1₁⊗1′₁⊗1₂1′₂, the left
     # sides as Σ (id⊗f)Δ(1₁)⊗1₂ over Δ(1), from the columns (id⊗f)Δ(h) in H⊗H
     triple = _where(space, 3)
-    for label, f, rhs in (("Eq 4.17", etc, [((0, 2), m, n), (1, None, n), (3, None, n)]),
-                          ("Eq 4.18", esc, [(0, None, n), (2, None, n), ((1, 3), m, n)])):
-        id_f = _sweedler(dt, [(0, None, n), (1, f, n)], n, p)
+    for label, id_f, rhs in (("Eq 4.17", id_et, [((0, 2), m, n), (1, None, n), (3, None, n)]),
+                             ("Eq 4.18", _sweedler(dt, [(0, None, n), (1, esc, n)], n, p),
+                              [(0, None, n), (2, None, n), ((1, 3), m, n)])):
         rep.add(compare_vectors(label, _sweedler([d1p], [(0, id_f, n * n), (1, None, n)], n, p)[0],
                                 _sweedler([d1p], rhs, n, p, d1p)[0], triple))
 

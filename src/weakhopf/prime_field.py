@@ -41,6 +41,8 @@ class PrimeField(Field):
             return x % self.p
         if isinstance(x, str):
             return self.parse(x)
+        if getattr(x, "denominator", self.p) % self.p:    # a rational a/b with b a unit
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         raise FieldMismatch(f"cannot interpret {x!r} as a GF({self.p}) element")
 
     def inv(self, a):

@@ -15,11 +15,11 @@ kernels of :mod:`tensor_space` take the field's ``characteristic`` as their
 modulus and reduce each entry they accumulate once, and scalars computed
 outside them are compared and printed through ``coerce``.
 
-Field mixing: scalars carry no field, so every field accepts an ``int``.
-``coerce`` of a ``Fraction`` into GF(p), or of anything that is neither a
-number nor a string, raises :class:`FieldMismatch`, as do ``tensor_product``
-and maps across fields; spaces carry their field, so composing, adding or
-applying across fields raises ``ShapeMismatch``.
+Field mixing: every field accepts an ``int``, and GF(p) reduces a ``Fraction``
+a/b to a·b⁻¹ as ``parse("a/b")`` does; ``coerce`` of one whose denominator p
+divides, or of anything but a number or a string, raises :class:`FieldMismatch`,
+as do ``tensor_product`` and maps across fields.  Spaces carry their field, so
+composing, adding or applying across fields raises ``ShapeMismatch``.
 """
 
 from __future__ import annotations

@@ -11,7 +11,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import Frozen, ShapeMismatch
-from .scalars import Field
+from .scalars import Field, _normal
 from .tensor_space import (FinVec, LinMap, Vector, _accumulate, _combine, _kron, ground,
                            tensor_product)
 
@@ -154,11 +154,13 @@ class WeakBialgebraData(Frozen):
 
 def _eps_contraction(wb: WeakBialgebraData, pairs, leg: int, k: int) -> dict:
     """Σ c·ε(·)·(other leg) over Sweedler terms (a, b, c), such as those of
-    Δ(1) or Δ(e_i), with ε(e_a·e_k) on leg 0 and ε(e_k·e_b) on leg 1."""
-    form = wb.eps_form
+    Δ(1) or Δ(e_i), with ε(e_a·e_k) on leg 0 and ε(e_k·e_b) on leg 1; over ℚ
+    an integral value is an int, which H_t, H_s and the modular image read fastest."""
+    form, p = wb.eps_form, wb.field.characteristic
     terms = [({t[1 - leg]: t[2]}, s) for t in pairs
              if (s := form[t[0]].get(k) if leg == 0 else form[k].get(t[1]))]
-    return _accumulate(terms, wb.field.characteristic) if terms else {}
+    out = _accumulate(terms, p) if terms else {}
+    return out if p else {i: _normal(v) for i, v in out.items()}
 
 
 def eps_t(wb: WeakBialgebraData) -> LinMap:

@@ -87,14 +87,15 @@ def check_weak_hopf(H: WeakHopfData) -> Report:
         _combine(m, _kron(Sc[x % n], Sc[x // n], n, p).items(), p) for x in range(n * n)),
         _where(space, 2, 1)))
 
-    flip = [(1, Sc, n), (0, Sc, n)]   # flip∘(S⊗S): Σ c·S(e_b)⊗S(e_a)
+    # flip∘(S⊗S): Σ c·S(e_b)⊗S(e_a), of Δ(e_h) for each h and of Δ(1) in one call
+    *flip, flip_one = _sweedler([*terms, H.wb.delta_one_pairs], [(1, Sc, n), (0, Sc, n)], n, p)
     rep.add(compare_maps("S-anticomult", (_combine(comul, col.items(), p) for col in Sc),
-                         _sweedler(terms, flip, n, p), _where(space, 1, 2)))
+                         flip, _where(space, 1, 2)))
     # S exchanges the target and source subalgebras, decided over ℚ
     for label, sub, image in (("S(Ht)=Hs", Q.Ht, Q.Hs), ("S(Hs)=Ht", Q.Hs, Q.Ht)):
         same = Subspace.from_vectors(Q.space, [Q.S(v) for v in sub.basis_vectors]) == image
         rep.add(CheckResult(label, same, None if same else "images differ"))
     # 1₁⊗1₂ = S(1₂)⊗S(1₁)
-    flipped = Vector(H.wb.delta_one.space, _sweedler([H.wb.delta_one_pairs], flip, n, p)[0])
-    rep.add(compare_vectors("Δ(1)=(S⊗S)flip(Δ(1))", H.wb.delta_one, flipped))
+    rep.add(compare_vectors("Δ(1)=(S⊗S)flip(Δ(1))", H.wb.delta_one,
+                            Vector(H.wb.delta_one.space, flip_one)))
     return rep

@@ -23,8 +23,8 @@ __getattr__ = forward(globals(), {**dict.fromkeys(
 
 def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vector:
     """Componentwise product (a1⊗a2)(b1⊗b2) = a1b1 ⊗ a2b2 in H⊗H, extended
-    bilinearly into one accumulator; pairs of terms whose first factors multiply
-    to zero are skipped.  ``power`` is the number of legs, which must be 2."""
+    bilinearly into one accumulator; a pair with a1b1 = 0 is skipped, and one with
+    a2b2 = 0 before a1b1 is walked.  ``power`` is the number of legs, which must be 2."""
     n, m, p = alg.space.dim, alg.mul.cols, alg.field.characteristic
     if power != 2 or x.space != y.space or x.space.dim != n * n:
         raise ShapeMismatch("operands must both live in H⊗H")
@@ -35,12 +35,12 @@ def pointwise_product(alg: AlgebraData, power: int, x: Vector, y: Vector) -> Vec
         f, t = divmod(i, n)
         for f2 in alg.nonzero_products[f]:
             for t2, b in by_first.get(f2, ()):
-                w, second = a * b, m[t * n + t2]
-                for h, u in m[f * n + f2].items():
-                    base, uw = h * n, u * w
-                    for k, v in second.items():
-                        prev, uv = out.get(base + k), v * uw
-                        out[base + k] = uv if prev is None else prev + uv
+                if second := m[t * n + t2]:
+                    w = a * b
+                    for h, u in m[f * n + f2].items():
+                        base, uw = h * n, u * w
+                        for k, v in second.items():
+                            out[base + k] = out.get(base + k, 0) + v * uw
     return Vector(x.space, _reduced(out, p) if p else {i: s for i, s in out.items() if s})
 
 
@@ -145,11 +145,10 @@ def _on_image(H, family: str):
     if H.field.characteristic:
         return H
     wb = H if family == "wb" else H.wb
-    tables = {"mul": wb.alg.mul.cols, "unit": [wb.alg.unit.terms], "comul": wb.coalg.comul.cols,
-              "counit": wb.coalg.counit.cols, "delta_one": [wb.delta_one.terms],
-              "eps_form": wb.eps_form}
+    tables = {"m": wb.alg.mul.cols, "u": [wb.alg.unit.terms], "Δ": wb.coalg.comul.cols,
+              "ε": wb.coalg.counit.cols, "Δ1": [wb.delta_one.terms], "εm": wb.eps_form}
     if family != "wb":
-        tables.update(antipode=H.antipode.cols, eps_t=H.eps_t.cols, eps_s=H.eps_s.cols)
+        tables.update({"S": H.antipode.cols, "εt": H.eps_t.cols, "εs": H.eps_s.cols})
     if family == "identities":
         tables.update({"S⁻¹": H.antipode_inverse.cols if H.antipode_inverse else (),
                        "Ht": H.Ht.basis.values(), "Hs": H.Hs.basis.values()})

@@ -575,23 +575,27 @@ def test_golden_file_covers_every_case():
 
 
 # the modulus M of each family's image (``modular.image``): the least integer above
-# 2·n^k·max(A, D)^F prime to D, with D the lcm of the denominators and A the largest
-# |D·entry| of the tables that the family reads, and (F, k) the family's bound
+# 2B prime to every D_t, with D_t the lcm of the denominators and A_t the largest
+# |D_t·entry| of table t, s the lcm over the family's sides (``modular.SIDES``) of
+# ∏D_t, and B the largest n^k·(s/∏D_t)·∏A_t over its sides "k tables"
 MODULI = {
-    # the averaged example of Z/3: n = 3, D = 3 and A = 9 in each family
-    "averaged-Z3": {"wb": 6973568803,               # 2·3⁶·9⁷ + 1, (F, k) = (7, 6)
-                    "weak Hopf": 20920706407,       # 2·3⁷·9⁷ + 1, (F, k) = (7, 7)
-                    "identities": 1062883},         # 2·3⁴·9⁴ + 1, (F, k) = (4, 4)
-    # drawn-2: n = 2, D = 6 and A = 18 in each family
-    "drawn-2": {"wb": 78364164097,                  # 2·2⁶·18⁷ + 1, (F, k) = (7, 6)
-                "weak Hopf": 156728328193,          # 2·2⁷·18⁷ + 1, (F, k) = (7, 7)
-                "identities": 3359233},             # 2·2⁴·18⁴ + 1, (F, k) = (4, 4)
+    # the averaged example of Z/3: n = 3, (D, A) = (3, 1) for Δ and Δ(1), (1, 3) for ε
+    # and ε∘m, (1, 1) for every other table, so s = 9
+    "averaged-Z3": {"wb": 1459,             # 2·3⁶ + 1, side "6 Δ1 Δ1 u m m u m" of (iii)
+                    "weak Hopf": 4375,      # 2·3⁷ + 1, side "7 Δ Δ S m S m" of S-(iii)
+                    "identities": 487},     # 2·3³·3·3 + 1, side "3 Δ1 S m ε" of 4.30/4.31
+    # drawn-2: n = 2, (D, A) = (1, 2) for m, (6, 15) for Δ, (2, 5) for ε, (1, 3) for ε∘m,
+    # (1, 1) for S and (1, 0) for the zero unit, Δ(1), ε_t, ε_s, H_t and H_s, so s = 36
+    "drawn-2": {"wb": 28801,                # 2·2⁴·15²·2² + 1, side "4 Δ Δ m m" of (i)
+                "weak Hopf": 230401,        # 2·2⁷·15²·2² + 1, side "7 Δ Δ S m S m" of S-(iii)
+                "identities": 14401},       # 2·2⁴·15²·2 + 1, side "4 Δ Δ S m" of 4.36-4.39
 }
 
 
 @pytest.mark.parametrize("name", sorted(MODULI))
 def test_each_family_gets_the_modulus_of_its_height_bound(name):
-    """Pins each family's bound, not its proof: an F or k one short changes that M."""
+    """Pins each family's bound, not its proof: a side with a table or a power of n
+    fewer changes that M."""
     H = _drawn(2) if name == "drawn-2" else abelian_group_weak_hopf(FiniteAbelianGroup((3,)), QQ)
     assert {family: _on_image(H.wb if family == "wb" else H, family).field.characteristic
             for family in MODULI[name]} == MODULI[name]

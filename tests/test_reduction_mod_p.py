@@ -9,6 +9,8 @@ and module-algebra checkers, and the ``symmetric`` and ``globality`` verdicts,
 on an action built from such a structure.  No expected value is written by hand.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from conftest import grouplike_coalgebra, isotropy_lambda_action, regular_action
@@ -83,7 +85,7 @@ def _dual_lambda(F, component: str):
     λ = (1/|V|)·1_V for V the group ``component`` ("g1" or "g2")."""
     H = dual_groupoid_algebra(disjoint_union_of_cyclic([2, 3]), F)
     V = [label for label in H.space.labels if label.startswith(f"p_{component}.")]
-    share = F.inv(F.from_int(len(V)))
+    share = Fraction(1, len(V))     # the ℚ value, which GF(p) reduces
     lam = LambdaFunctional.from_values(H, [share if label in V else 0 for label in H.space.labels])
     return lambda_action(lam, grouplike_coalgebra(F, ["c0", "c1"]))
 

@@ -60,15 +60,28 @@ def test_char_divides():
 
 
 def test_field_mismatch():
-    # a GF(p) scalar is an int, so only coercion can refuse a foreign scalar
+    # a GF(p) scalar is an int, so only coercion can refuse a foreign scalar: a
+    # rational whose denominator p divides has no image in GF(p)
     with pytest.raises(FieldMismatch):
-        PrimeField(5).coerce(Fraction(1, 2))
+        PrimeField(5).coerce(Fraction(1, 5))
     with pytest.raises(FieldMismatch):
-        PrimeField(5).inv(Fraction(1, 2))
+        PrimeField(5).inv(Fraction(2, 5))
     with pytest.raises(FieldMismatch):
         PrimeField(5).coerce(1.0)
     with pytest.raises(FieldMismatch):
         QQ.coerce(0.5)
+
+
+def test_prime_field_reduces_a_fraction_whose_denominator_is_a_unit():
+    """A rational a/b with p ∤ b coerces to a·b⁻¹, as parse("a/b") gives it."""
+    F = PrimeField(3)
+    assert F.coerce(Fraction(1, 2)) == F.parse("1/2") == 2
+    assert PrimeField(7).coerce(Fraction(-3, 4)) == PrimeField(7).parse("-3/4") == 1
+    assert F.inv(Fraction(1, 2)) == 2
+    with pytest.raises(FieldMismatch):
+        F.coerce(Fraction(1, 3))
+    with pytest.raises(FieldMismatch):
+        F.coerce(Fraction(5, 6))
 
 
 def test_division():
@@ -215,8 +228,9 @@ def test_integral_rational_mixes_with_prime_field_scalars():
     F = PrimeField(7)
     product = QQ.one() * F.one()
     assert type(product) is int and product == F.one()
+    assert F.coerce(F.one() * QQ.inv(2)) == 4
     with pytest.raises(FieldMismatch):
-        F.coerce(F.one() * QQ.inv(2))
+        F.coerce(F.one() * QQ.inv(7))
 
 
 # -- QQ.parse accepts exactly what Fraction accepts ----------------------------------

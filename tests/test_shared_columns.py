@@ -49,6 +49,7 @@ from weakhopf import (
     two_object_iso_groupoid,
     validate_groupoid_partial_action,
 )
+from weakhopf.weak_hopf import pointwise_product
 
 KERNEL_MODULES = ("tensor_space", "elimination", "structures", "axioms", "weak_hopf",
                   "weak_axioms", "hopf", "identities", "actions", "partial_actions",
@@ -230,3 +231,29 @@ def test_no_kernel_call_is_made_with_no_terms_by_the_weak_hopf_checkers(field, m
             assert check_weak_hopf(H).ok and check_identities(H).ok
             is_hopf(H)
     assert calls and not empty, f"{len(empty)} of {len(calls) + len(empty)} calls had no terms"
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "GF7"])
+def test_pointwise_product_walks_no_product_whose_tails_multiply_to_zero(field):
+    """(a1⊗a2)(b1⊗b2) looks up a2b2 before it walks a1b1: on (kG)* most products
+    of basis vectors are zero, and no pair of terms whose tails multiply to zero
+    walks the product of its heads, or the empty product of its tails."""
+    walked = []
+
+    class Watched(dict):
+        def items(self):
+            if not self:
+                walked.append(self)
+            return super().items()
+
+    H = dual_groupoid_algebra(disjoint_union_of_cyclic([2, 3]), field)
+    A, n = H.alg, H.space.dim
+    watched = AlgebraData(A.space, LinMap(A.mul.domain, A.space, [Watched(c) for c in A.mul.cols]),
+                          A.unit)
+    deltas, empty_tails = [*H.coalg.comul.columns(), H.wb.delta_one], 0
+    for x in deltas:
+        for y in deltas:
+            assert pointwise_product(watched, 2, x, y) == pointwise_product(A, 2, x, y)
+            empty_tails += sum(1 for i in x.terms for j in y.terms
+                               if A.mul.cols[i // n * n + j // n] and not A.mul.cols[i % n * n + j % n])
+    assert empty_tails and not walked, f"{len(walked)} empty products walked"

@@ -42,6 +42,7 @@ from weakhopf.weak_hopf import (
     CoalgebraData,
     WeakBialgebraData,
     WeakHopfData,
+    _on_image,
     _sweedler,
     pointwise_product,
 )
@@ -632,6 +633,43 @@ def test_contracted_checks_match_composite_maps(F, data):
         results[label] = CheckResult(label, labelled(verdict, axiom).passed)
     for label, expected in reference.items():
         assert results[label] == expected, label
+
+
+# Per family, m, u, Δ, ε and S for a dense ℚ structure with one value per table: a
+# sum of products over its tables has every term and no cancellation, so each value
+# a check prints reaches the height bound of its side in ``modular.SIDES``, and one
+# side of the family leads all others, with a ratio above 1 in each of its tables:
+# (iii)'s "6 Δ1 Δ1 u m m u m", S-(iii)'s "7 Δ Δ S m S m" and 4.36-4.39's "4 Δ Δ S m".
+AT_HEIGHT = {
+    "wb": (3, 3, Fraction(3, 2), Fraction(1, 2), Fraction(3, 2)),
+    "weak Hopf": (Fraction(3, 2), Fraction(1, 2), Fraction(3, 2), Fraction(3, 2), 3),
+    "identities": (Fraction(3, 2), Fraction(1, 3), Fraction(3, 2), Fraction(1, 3), 5),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", sorted(AT_HEIGHT))
+def test_values_at_the_height_bound_keep_their_verdicts_and_witnesses(family, n):
+    """A height bound one table or one power of n short of the leading side gives an M
+    that its value does not fit: the image's report then differs from the one the
+    ℚ reference formulas give, in a verdict or in a printed value."""
+    V = FinVec(QQ, tuple(f"h{i}" for i in range(n)))
+    HH = tensor_product(V, V)
+
+    def dense(dom, cod, value):
+        return LinMap(dom, cod, [dict.fromkeys(range(cod.dim), value) for _ in range(dom.dim)])
+
+    m, u, delta, eps, S = AT_HEIGHT[family]
+    H = WeakHopfData(WeakBialgebraData(
+        AlgebraData(V, dense(HH, V, m), Vector(V, dict.fromkeys(range(n), u))),
+        CoalgebraData(V, dense(V, HH, delta), dense(V, FinVec(QQ, ("k0",)), eps))), dense(V, V, S))
+    assert _on_image(H.wb if family == "wb" else H, family).field.characteristic
+    report = {"wb": lambda: check_weak_bialgebra(H.wb), "weak Hopf": lambda: check_weak_hopf(H),
+              "identities": lambda: check_identities(H)}[family]()
+    reference = reference_composite_checks(H)
+    compared = [r for r in report.results if r.label in reference]
+    assert len(compared) >= 5 and not all(r.passed for r in compared)
+    assert [r for r in compared if r != reference[r.label]] == []
 
 
 # -- GF(p) scalars are reduced ints ---------------------------------------------------

@@ -1,7 +1,9 @@
 """Count the exact-rational multiplications and additions of one in-process
 pass over a benchmark workload, by the function that asked for them, and how
-many of the multiplications have an operand equal to 1; and count the calls of
-the sparse kernels ``_combine`` and ``_accumulate`` by shape.
+many of the multiplications have an operand equal to 1; count the calls of
+the sparse kernels ``_combine`` and ``_accumulate`` by shape, and the
+``_sweedler`` calls of each job; and print the bit length of the modulus M of
+every image in ℤ/M that ``modular.image`` builds for a ℚ structure.
 
     python3 tools/count_unit_products.py [--workload dense-coproduct] [--seed 1]
 
@@ -13,6 +15,11 @@ wrapped by a counter.  Operations on two ints are not counted: they build no
 imports them, and each call is counted as empty (no terms), shared (its result
 is one of its operand columns itself: one term with coefficient 1) or other.
 The counts are exact and repeat from run to run.
+
+``_sweedler`` is wrapped in the same modules and counted per job, and
+``modular.image`` is wrapped once the first pass has loaded it (a workload
+without a non-integral ℚ structure never does), so each job lists the
+families whose images it built with the bit length of each M.
 
 The "by 1" column counts the products with an operand equal to 1.  The
 sparse kernels form these like any other product: they skip no factor 1, and
@@ -39,8 +46,9 @@ SHAPES = ("empty", "shared", "other")
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_jobs(cli, jobs, workdir: Path) -> None:
+def run_jobs(cli, jobs, workdir: Path, started=lambda name: None) -> None:
     for job in jobs:
+        started(job.name)
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             try:
                 cli.main(job.argv(workdir))
@@ -88,6 +96,26 @@ def main() -> None:
             return got
         return wrapper
 
+    # job → _sweedler calls, and the (family, bit length of M) of each image it built
+    sweedler, moduli, current = collections.Counter(), collections.defaultdict(list), [None]
+
+    def counted_sweedler(kernel):
+        def wrapper(*args):
+            sweedler[current[0]] += 1
+            return kernel(*args)
+        return wrapper
+
+    def recorded_image(build):
+        def wrapper(H, family, tables):
+            img = build(H, family, tables)
+            moduli[current[0]].append((family, img.field.characteristic.bit_length()))
+            return img
+        return wrapper
+
+    def started(name):
+        current[0] = name
+        sweedler[name] += 0
+
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         jobs = corpus.build(args.workload, args.seed, workdir)
@@ -99,13 +127,24 @@ def main() -> None:
             setattr(Fraction, name, counted(op, "mul" in name))
         for m, name, kernel in kernels:
             setattr(m, name, shaped(name, kernel))
+        sweedlers = [(m, m._sweedler) for m in modules if hasattr(m, "_sweedler")]
+        for m, kernel in sweedlers:
+            m._sweedler = counted_sweedler(kernel)
+        modular = sys.modules.get("weakhopf.modular")
+        if modular:
+            build = modular.image
+            modular.image = recorded_image(build)
         try:
-            run_jobs(cli, jobs, workdir)
+            run_jobs(cli, jobs, workdir, started)
         finally:
             for name, op in originals.items():
                 setattr(Fraction, name, op)
             for m, name, kernel in kernels:
                 setattr(m, name, kernel)
+            for m, kernel in sweedlers:
+                m._sweedler = kernel
+            if modular:
+                modular.image = build
     products, ones, additions = (sum(row[i] for row in counts.values()) for i in range(3))
     print(f"{args.workload}, seed {args.seed}, {len(jobs)} jobs: {products} Fraction "
           f"multiplications ({ones} with an operand equal to 1) and {additions} "
@@ -118,6 +157,12 @@ def main() -> None:
         print(f"{name} calls: {sum(by_shape.values())}, of them "
               + ", ".join(f"{by_shape[s]} {s}" for s in SHAPES)
               + " (shared: the result is one operand column itself)")
+    print(f"_sweedler calls: {sum(sweedler.values())}; by job, with the bit length of the "
+          f"modulus of each image in ℤ/M the job built:")
+    width = max(map(len, sweedler), default=3)
+    for job, calls in sweedler.items():
+        images = ", ".join(f"{family} {bits} bits" for family, bits in moduli[job])
+        print(f"  {job:<{width}}  {calls:>4}" + (f"  ({images})" if images else ""))
 
 
 if __name__ == "__main__":
