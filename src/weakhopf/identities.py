@@ -87,9 +87,10 @@ def check_identities(H: WeakHopfData) -> Report:
     rep.add(compare_maps("Eq 4.15", es_h, (
         _eps_contraction(H.wb, C.delta_pairs(x % n), 1, x // n) for x in hk), by_hk))
 
-    # 4.16  hk = kh for h ∈ Ht, k ∈ Hs
+    # 4.16  hk = kh for h ∈ Ht, k ∈ Hs, multiplied as sparse dicts
+    by_i = (H.field, space.labels.__getitem__)
     rep.add(first_failure("Eq 4.16", (
-        ((t, s), compare_vectors("", A.product(t, s), A.product(s, t)))
+        ((t, s), compare_vectors("", A.times(t.terms, s.terms), A.times(s.terms, t.terms), by_i))
         for t in H.Ht.basis_vectors for s in H.Hs.basis_vectors),
         lambda ts: f"h={ts[0].describe()}, k={ts[1].describe()}: "))
 

@@ -65,8 +65,7 @@ class ImageField(Field):
         return x.numerator * pow(x.denominator, -1, M := self.characteristic) % M
 
     def fmt(self, a) -> str:
-        M = self.characteristic
-        r = a * self.scale % M
+        r = a * self.scale % (M := self.characteristic)
         return str(Fraction(r - M if 2 * r > M else r, self.scale))
 
 
