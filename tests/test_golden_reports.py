@@ -227,7 +227,8 @@ def _drawn(seed: int) -> WeakHopfData:
 
 
 # M for `check weak-hopf` and for `check identities` on the averaged example of Z/5 over
-# ℚ: the least integers above 2·5²¹ and 2·5¹² prime to 5 (D = 5, max(A, D) = 25)
+# ℚ when one height served every table: the least integers above 2·5²¹ and 2·5¹² prime
+# to 5 (D = 5, max(A, D) = 25); per-table heights give this document its own moduli
 ADVERSARIAL_SHIFT = 953674316406251 * 488281251
 
 

@@ -157,12 +157,14 @@ def main() -> None:
         print(f"{name} calls: {sum(by_shape.values())}, of them "
               + ", ".join(f"{by_shape[s]} {s}" for s in SHAPES)
               + " (shared: the result is one operand column itself)")
-    print(f"_sweedler calls: {sum(sweedler.values())}; by job, with the bit length of the "
-          f"modulus of each image in ℤ/M the job built:")
-    width = max(map(len, sweedler), default=3)
-    for job, calls in sweedler.items():
+    busy = [job for job, calls in sweedler.items() if calls or moduli[job]]
+    print(f"_sweedler calls: {sum(sweedler.values())}; {len(sweedler) - len(busy)} jobs make none "
+          f"and build no image; the others, with the bit length of the modulus of each image "
+          f"in ℤ/M the job built:")
+    width = max(map(len, busy), default=3)
+    for job in busy:
         images = ", ".join(f"{family} {bits} bits" for family, bits in moduli[job])
-        print(f"  {job:<{width}}  {calls:>4}" + (f"  ({images})" if images else ""))
+        print(f"  {job:<{width}}  {sweedler[job]:>4}" + (f"  ({images})" if images else ""))
 
 
 if __name__ == "__main__":
