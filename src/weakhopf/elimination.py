@@ -10,7 +10,7 @@ from collections.abc import Iterable
 
 from .errors import NotInjective, ShapeMismatch
 from .scalars import Field
-from .tensor_space import FinVec, LinMap, Vector, _accumulate, _combine, _reduced, _scale
+from .tensor_space import FinVec, LinMap, Vector, _accumulate, _combine, _reduced
 
 
 def _echelon(rows: Iterable[dict], field: Field) -> dict:
@@ -19,7 +19,7 @@ def _echelon(rows: Iterable[dict], field: Field) -> dict:
     GF(p) entries reduced), in ascending pivot order, a row being 1 at its
     pivot, 0 at the others and before its own.  As basis rows vanish at each
     other's pivots, one ``_accumulate`` reduces a new row against all of them;
-    its pivot is then normalised and eliminated from the earlier rows."""
+    further ones normalise its pivot and eliminate it from the earlier rows."""
     p, basis = field.characteristic, {}
     for row in rows:
         row = _reduced(row, p) if p else {i: c for i, c in row.items() if c}
@@ -27,7 +27,7 @@ def _echelon(rows: Iterable[dict], field: Field) -> dict:
         if not row:
             continue
         lead = min(row)
-        row = _scale(row, field.inv(row[lead]), p)
+        row = _accumulate([(row, field.inv(row[lead]))], p)
         for k, b in basis.items():
             if c := b.get(lead):
                 basis[k] = _accumulate(((b, 1), (row, -c)), p)

@@ -44,9 +44,11 @@ def check_identities(H: WeakHopfData) -> Report:
     rep.add(compare_maps("Eq 4.6", (_combine(form, col.items(), p) if col else {}
                                     for col in esc), form, by_h))
 
-    # 4.7  Δ(1) ∈ Hs⊗Ht, decided over ℚ
-    hs_ht = Subspace.from_vectors(tensor_product(Q.space, Q.space), [
-        s.tensor(t) for s in Q.Hs.basis_vectors for t in Q.Ht.basis_vectors])
+    # 4.7  Δ(1) ∈ Hs⊗Ht, decided over ℚ: as the rows s_a of Hs and t_b of Ht are 1 at their
+    # pivots and 0 at the others', the s_a⊗t_b, pivot a·n + b, are Hs⊗Ht's canonical basis
+    hs, ht, q = Q.Hs.basis, Q.Ht.basis, Q.field.characteristic
+    hs_ht = Subspace(tensor_product(Q.space, Q.space), {
+        a * n + b: _kron(s, t, n, q) for a, s in hs.items() for b, t in ht.items()})
     inside = hs_ht.contains(Q.wb.delta_one)
     rep.add(CheckResult("Eq 4.7", inside, None if inside else "Δ(1) ∉ Hs⊗Ht"))
 

@@ -17,8 +17,8 @@ n^k·height.  M is the least integer above 2B and every A_t that is prime to
 every D_t: reduction is a ring map, and lhs ≡ rhs (mod M) iff s·(lhs − rhs) = 0,
 iff lhs = rhs.  M need not be prime, as nothing is divided.  So a nonzero entry
 stays nonzero, and the symmetric residue of s·v over s is v: a witness prints as
-over ℚ.  S(Ht)=Hs, S(Hs)=Ht, Eq 4.7 and the elimination behind H_t, H_s and S⁻¹
-stay over ℚ.
+over ℚ.  S(Ht)=Hs, S(Hs)=Ht and the elimination behind H_t, H_s and S⁻¹ stay
+over ℚ, and so does Eq 4.7, which reads Hs⊗Ht off their canonical bases.
 """
 
 from __future__ import annotations

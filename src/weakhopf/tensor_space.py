@@ -85,12 +85,14 @@ def tensor_product(V: FinVec, W: FinVec) -> FinVec:
 # ``p`` is the field's characteristic: over GF(p) every stored entry is an int
 # in [1, p), and each kernel reduces the entries it accumulates once, at the
 # end; over ℚ (p = 0) the kernels branch once per call and reduce nothing.
-# The coefficients of ``terms`` may be unreduced.  One rule, the shared column:
-# a result that is one stored column times 1 is that column (``_combine``,
-# ``_accumulate``, ``_scale(a, 1)``, ``_sum(a, {})``), copied only if a second
-# term arrives and never filtered, since stored columns hold no zeros and are
-# reduced.  So a result may alias a stored column.  Every other product is
-# formed, a factor equal to 1 included.
+# The coefficients of ``terms`` may be unreduced.  ``_accumulate`` is every
+# sum of columns that are not columns of one map: a + b, a − b and s·a on
+# ``Vector`` and ``LinMap``, and elimination's row operations.  One rule, the
+# shared column: a result of ``_combine`` or ``_accumulate`` that is one stored
+# column times 1 is that column, copied only if a second term arrives and never
+# filtered, since stored columns hold no zeros and are reduced.  So a result
+# may alias a stored column: 1·a is a, and {} + b is b.
+# Every other product is formed, a factor equal to 1 included.
 # ---------------------------------------------------------------------------
 
 def _sparse(coords: Iterable) -> dict:
@@ -102,29 +104,6 @@ def _reduced(out: dict, p: int) -> dict:
     kernels call it only for p > 0, so that over ℚ no comprehension of theirs
     refers to p."""
     return {i: r for i, s in out.items() if (r := s % p)}
-
-
-def _sum(a: dict, b: dict, p: int) -> dict:
-    """a + b, dropping entries that cancel: ``a`` itself when b is empty."""
-    if not b:
-        return a
-    out = dict(a)
-    sums = {k: out.pop(k, 0) + v for k, v in b.items()}
-    out.update(_reduced(sums, p) if p else {k: s for k, s in sums.items() if s})
-    return out
-
-
-def _neg(a: dict) -> dict:
-    """-a, unreduced: only ``_sum`` consumes it, and reduces what it adds."""
-    return {k: -v for k, v in a.items()}
-
-
-def _scale(a: dict, s, p: int) -> dict:
-    """s·a for a scalar s already in the field: ``a`` itself when s = 1."""
-    if s == 1:
-        return a
-    out = {k: s * v for k, v in a.items()} if s else {}
-    return _reduced(out, p) if p else out
 
 
 def _accumulate(terms: Iterable, p: int) -> dict:
@@ -206,17 +185,18 @@ class Vector:
     def __add__(self, other: "Vector") -> "Vector":
         if other.space != self.space:
             raise ShapeMismatch("vector addition across different spaces")
-        return Vector(self.space, _sum(self.terms, other.terms, self.space.field.characteristic))
+        return Vector(self.space, _accumulate(((self.terms, 1), (other.terms, 1)),
+                                              self.space.field.characteristic))
 
     def __sub__(self, other: "Vector") -> "Vector":
         if other.space != self.space:
             raise ShapeMismatch("vector subtraction across different spaces")
-        return Vector(self.space, _sum(self.terms, _neg(other.terms),
-                                       self.space.field.characteristic))
+        return Vector(self.space, _accumulate(((self.terms, 1), (other.terms, -1)),
+                                              self.space.field.characteristic))
 
     def scale(self, s) -> "Vector":
         f = self.space.field
-        return Vector(self.space, _scale(self.terms, f.coerce(s), f.characteristic))
+        return Vector(self.space, _accumulate(((self.terms, f.coerce(s)),), f.characteristic))
 
     def tensor(self, other: "Vector") -> "Vector":
         """Kronecker product, landing in ``tensor_product(self.space, other.space)``."""
@@ -311,18 +291,18 @@ class LinMap:
             raise ShapeMismatch("sum of maps with different shapes")
         p = self.field.characteristic
         return LinMap(self.domain, self.codomain,
-                      [_sum(a, b, p) for a, b in zip(self.cols, other.cols)])
+                      [_accumulate(((a, 1), (b, 1)), p) for a, b in zip(self.cols, other.cols)])
 
     def __sub__(self, other: "LinMap") -> "LinMap":
         if other.domain != self.domain or other.codomain != self.codomain:
             raise ShapeMismatch("difference of maps with different shapes")
         p = self.field.characteristic
         return LinMap(self.domain, self.codomain,
-                      [_sum(a, _neg(b), p) for a, b in zip(self.cols, other.cols)])
+                      [_accumulate(((a, 1), (b, -1)), p) for a, b in zip(self.cols, other.cols)])
 
     def scale(self, s) -> "LinMap":
         s, p = self.field.coerce(s), self.field.characteristic
-        return LinMap(self.domain, self.codomain, [_scale(col, s, p) for col in self.cols])
+        return LinMap(self.domain, self.codomain, [_accumulate(((c, s),), p) for c in self.cols])
 
     def tensor(self, other: "LinMap") -> "LinMap":
         """Kronecker product consistent with the row-major basis ordering."""

@@ -20,8 +20,6 @@ from weakhopf.tensor_space import (
     _accumulate,
     _combine,
     _kron,
-    _scale,
-    _sum,
     tensor_product,
 )
 
@@ -545,15 +543,15 @@ def test_elimination_contract_against_literal_gauss_jordan(F, ncols, data):
 
 @pytest.mark.parametrize("F", [QQ, GF7], ids=["Q", "GF7"])
 def test_a_kernel_result_that_is_one_stored_column_is_that_column(F):
-    """One term with coefficient exactly 1 gives its column itself; any other sum
-    is a new dict, and no kernel changes an operand."""
+    """One term with coefficient exactly 1 gives its column itself, also through
+    ``scale(1)`` and ``{} + b``, which ``_accumulate`` computes; any other sum is
+    a new dict, and no kernel changes an operand."""
     p = F.characteristic
     a, b, zero = {0: F.coerce(2), 2: F.one()}, {1: F.coerce(3), 2: F.coerce(-1)}, {}
     cols = [a, b, zero]
     before = [dict(c) for c in cols]
     assert _combine(cols, [(0, 1)], p) is a and _accumulate([(a, 1)], p) is a
     assert p or _combine(cols, [(0, Fraction(1))], p) is a     # an integral Fraction 1 is 1
-    assert _scale(a, F.one(), p) is a and _sum(a, {}, p) is a
     assert _combine(cols, [], p) == {} and _accumulate([], p) == {}
     assert _combine(cols, [(2, 1), (1, 1)], p) is b         # 0 + b is b
     for terms in ([(0, 1), (1, 1)], [(1, 1), (0, 1)], [(0, 1), (2, 1)], [(0, 2)],
@@ -566,8 +564,15 @@ def test_a_kernel_result_that_is_one_stored_column_is_that_column(F):
     if p:   # an unreduced coefficient ≡ 1 is scaled and reduced, not shared
         got = _combine(cols, [(0, p + 1)], p)
         assert got == a and got is not a
-    for got in (_scale(a, F.coerce(2), p), _sum(a, b, p), _sum(zero, b, p)):
+    V = space(F, 3)
+    f, va, vb, vzero = LinMap(V, V, cols), Vector(V, a), Vector(V, b), Vector(V, zero)
+    assert va.scale(1).terms is a and all(x is y for x, y in zip(f.scale(1).cols, cols))
+    assert (vzero + vb).terms is b                          # {} + b is b
+    for got in (va.scale(2).terms, *f.scale(2).cols, (va + vb).terms, (vb + va).terms,
+                (va - vb).terms, (va + vzero).terms, *(f + f.scale(2)).cols):
         assert all(got is not c for c in cols)
+    assert (va + vb).terms == {0: F.coerce(2), 1: F.coerce(3)} and (va - va).terms == {}
+    assert va.scale(2).terms == {0: F.coerce(4), 2: F.coerce(2)} and va.scale(0).terms == {}
     assert cols == before
 
 

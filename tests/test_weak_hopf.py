@@ -236,6 +236,75 @@ def test_hs_ht_span_identity_components():
     assert H.Ht == idents and H.Hs == idents
 
 
+def shipped_structures(F) -> list:
+    """kG and (kG)* of every groupoid of ``groupoid_family``, and the averaged
+    example of Z/2, Z/3 and Z/4."""
+    return ([make(G, F) for _, G in groupoid_family()
+             for make in (groupoid_algebra, dual_groupoid_algebra)]
+            + [abelian_group_weak_hopf(FiniteAbelianGroup((N,)), F) for N in (2, 3, 4)])
+
+
+def hs_ht_of_eq_4_7(H) -> Subspace:
+    """The basis of Hs⊗Ht in which ``check_identities`` decides Eq 4.7."""
+    import weakhopf.identities
+
+    built = []
+
+    class Recorded(Subspace):
+        def __init__(self, space, basis):
+            super().__init__(space, basis)
+            built.append(self)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weakhopf.identities, "Subspace", Recorded)
+        check_identities(H)
+    [hs_ht] = built
+    return hs_ht
+
+
+def assert_hs_ht_is_eliminated_span(H):
+    hs_ht = hs_ht_of_eq_4_7(H)
+    eliminated = Subspace.from_vectors(tensor_product(H.space, H.space), [
+        s.tensor(t) for s in H.Hs.basis_vectors for t in H.Ht.basis_vectors])
+    assert hs_ht.space == eliminated.space
+    assert list(hs_ht.basis.items()) == list(eliminated.basis.items())   # key order included
+
+
+@pytest.mark.parametrize("F", [QQ, GF7], ids=["Q", "GF7"])
+def test_hs_ht_read_off_the_canonical_bases_is_the_eliminated_span(F):
+    """The products s_a⊗t_b of the canonical rows of H_s and H_t, keyed a·n + b,
+    are the canonical basis that elimination of all the products gives."""
+    for H in shipped_structures(F):
+        assert_hs_ht_is_eliminated_span(H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fields, st.integers(1, 3), st.data())
+def test_hs_ht_of_drawn_structures_is_the_eliminated_span(F, dim, data):
+    assert_hs_ht_is_eliminated_span(draw_structure(data, F, dim))
+
+
+@pytest.mark.parametrize("F", [QQ, GF7], ids=["Q", "GF7"])
+def test_check_identities_eliminates_nothing_once_ht_hs_and_s_inverse_are_built(F, monkeypatch):
+    """Eq 4.7 reads Hs⊗Ht off the cached canonical bases, so the catalogue makes no
+    ``_echelon`` call of its own, on the image in ℤ/M (the averaged examples over
+    ℚ) as on the structure itself."""
+    import weakhopf.elimination
+
+    real, calls = weakhopf.elimination._echelon, []
+
+    def counted(rows, field):
+        calls.append(field)
+        return real(rows, field)
+
+    monkeypatch.setattr(weakhopf.elimination, "_echelon", counted)
+    for H in shipped_structures(F):
+        H.Ht, H.Hs, H.antipode_inverse
+        calls.clear()
+        assert check_identities(H).ok
+        assert calls == []
+
+
 def test_json_round_trip_and_determinism():
     G = disjoint_union_of_cyclic([2, 3])
     H = groupoid_algebra(G, QQ)
@@ -647,23 +716,37 @@ AT_HEIGHT = {
 }
 
 
-@pytest.mark.parametrize("n", [2, 3])
-@pytest.mark.parametrize("family", sorted(AT_HEIGHT))
-def test_values_at_the_height_bound_keep_their_verdicts_and_witnesses(family, n):
+# A dense structure on n = 2 whose first candidate M, 2B + 1, is a multiple of 5, a
+# prime of the denominators' lcm 105, in every family: 222265 for the axioms and
+# 1016065 for the catalogue, so ``modular.image`` steps M up to the next integer prime
+# to 105.  Skipping that step leaves 5 without an inverse mod M.
+COPRIME_STEP = (Fraction(1, 7), 1, Fraction(3, 5), Fraction(2, 3), Fraction(1, 3))
+COPRIME_MODULUS = {"wb": 222266, "weak Hopf": 222266, "identities": 1016066}
+BOUND_CASES = ([pytest.param(family, n, AT_HEIGHT[family], None, id=f"{family}-{n}")
+                for family in sorted(AT_HEIGHT) for n in (2, 3)]
+               + [pytest.param(family, 2, COPRIME_STEP, M, id=f"{family}-coprime-step")
+                  for family, M in COPRIME_MODULUS.items()])
+
+
+@pytest.mark.parametrize("family,n,values,modulus", BOUND_CASES)
+def test_values_at_the_height_bound_keep_their_verdicts_and_witnesses(family, n, values,
+                                                                      modulus):
     """A height bound one table or one power of n short of the leading side gives an M
     that its value does not fit: the image's report then differs from the one the
-    ℚ reference formulas give, in a verdict or in a printed value."""
+    ℚ reference formulas give, in a verdict or in a printed value.  An M that shares a
+    prime with a denominator cannot invert it (``COPRIME_STEP``)."""
     V = FinVec(QQ, tuple(f"h{i}" for i in range(n)))
     HH = tensor_product(V, V)
 
     def dense(dom, cod, value):
         return LinMap(dom, cod, [dict.fromkeys(range(cod.dim), value) for _ in range(dom.dim)])
 
-    m, u, delta, eps, S = AT_HEIGHT[family]
+    m, u, delta, eps, S = values
     H = WeakHopfData(WeakBialgebraData(
         AlgebraData(V, dense(HH, V, m), Vector(V, dict.fromkeys(range(n), u))),
         CoalgebraData(V, dense(V, HH, delta), dense(V, FinVec(QQ, ("k0",)), eps))), dense(V, V, S))
-    assert _on_image(H.wb if family == "wb" else H, family).field.characteristic
+    M = _on_image(H.wb if family == "wb" else H, family).field.characteristic
+    assert M and modulus in (None, M)
     report = {"wb": lambda: check_weak_bialgebra(H.wb), "weak Hopf": lambda: check_weak_hopf(H),
               "identities": lambda: check_identities(H)}[family]()
     reference = reference_composite_checks(H)
