@@ -17,22 +17,29 @@ def _echelon(rows: Iterable[dict], field: Field) -> dict:
     """The canonical reduced echelon basis ``{pivot: row}`` of the span of
     ``rows`` (read as ``Subspace.contains`` reads a vector: zeros dropped,
     GF(p) entries reduced), in ascending pivot order, a row being 1 at its
-    pivot, 0 at the others and before its own.  As basis rows vanish at each
-    other's pivots, one ``_accumulate`` reduces a new row against all of them;
-    further ones normalise its pivot and eliminate it from the earlier rows."""
-    p, basis = field.characteristic, {}
+    pivot, 0 at the others and before its own."""
+    basis = {}
     for row in rows:
-        row = _reduced(row, p) if p else {i: c for i, c in row.items() if c}
-        row = _accumulate([(row, 1), *((basis[k], -c) for k, c in row.items() if k in basis)], p)
-        if not row:
-            continue
+        _echelon_step(basis, row, field)
+    return {k: basis[k] for k in sorted(basis)}
+
+
+def _echelon_step(basis: dict, row: dict, field: Field) -> dict:
+    """Adds ``row`` to the echelon basis ``basis``, returning what is left of it ({}
+    if it lay in the span).  As basis rows vanish at each other's pivots, one
+    ``_accumulate`` reduces it against all of them; further ones normalise its
+    pivot and eliminate it from the earlier rows."""
+    p = field.characteristic
+    row = _reduced(row, p) if p else {i: c for i, c in row.items() if c}
+    row = _accumulate([(row, 1), *((basis[k], -c) for k, c in row.items() if k in basis)], p)
+    if row:
         lead = min(row)
         row = _accumulate([(row, field.inv(row[lead]))], p)
         for k, b in basis.items():
             if c := b.get(lead):
                 basis[k] = _accumulate(((b, 1), (row, -c)), p)
         basis[lead] = row
-    return {k: basis[k] for k in sorted(basis)}
+    return row
 
 
 def left_inverse_on_image(f: LinMap) -> LinMap:

@@ -37,6 +37,7 @@ from weakhopf.jsonio import weakhopf_from_json
 from weakhopf.jsonwrite import weakhopf_to_json
 from weakhopf.report import (CheckResult, compare_maps, compare_scalars, compare_vectors,
                               first_failure)
+from weakhopf.weak_axioms import _generators
 from weakhopf.weak_hopf import (
     AlgebraData,
     CoalgebraData,
@@ -702,6 +703,136 @@ def test_contracted_checks_match_composite_maps(F, data):
         results[label] = CheckResult(label, labelled(verdict, axiom).passed)
     for label, expected in reference.items():
         assert results[label] == expected, label
+
+
+# -- assoc, (i) and S-antimult decided on a generating set ---------------------------
+
+GENERATED = {
+    "N=4 averaged": lambda F: abelian_group_weak_hopf(FiniteAbelianGroup((4,)), F),
+    "N=5 averaged": lambda F: abelian_group_weak_hopf(FiniteAbelianGroup((5,)), F),
+    "N=6 averaged": lambda F: abelian_group_weak_hopf(FiniteAbelianGroup((6,)), F),
+    "kG(Z/2⊔Z/3)": lambda F: groupoid_algebra(disjoint_union_of_cyclic([2, 3]), F),
+    "kG two-object": lambda F: groupoid_algebra(two_object_iso_groupoid(), F),
+}
+
+
+def off_generator_mutants(H) -> list:
+    """H with 1 added to one entry of Δ, m or S in a column that no reduced scan
+    reads: Δ(e_j) or S(e_j) with j ∉ G, or e_h·e_k with h ∉ G; per map, the first,
+    the middle and the last such column, each at one output."""
+    n, gens, F = H.space.dim, set(_generators(H.alg)), H.field
+    out = []
+    for part, f in (("comul", H.coalg.comul), ("mul", H.alg.mul), ("antipode", H.antipode)):
+        off = [j for j in range(f.domain.dim) if (j // n if part == "mul" else j) not in gens]
+        for j in dict.fromkeys((off[0], off[len(off) // 2], off[-1])):
+            cols, i = [dict(c) for c in f.cols], (5 * j + 1) % f.codomain.dim
+            if value := F.coerce(cols[j].pop(i, F.zero()) + F.one()):
+                cols[j][i] = value
+            g = LinMap(f.domain, f.codomain, cols)
+            alg = AlgebraData(H.space, g, H.unit) if part == "mul" else H.alg
+            coalg = CoalgebraData(H.space, g, H.coalg.counit) if part == "comul" else H.coalg
+            out.append(WeakHopfData(WeakBialgebraData(alg, coalg),
+                                    g if part == "antipode" else H.antipode))
+    return out
+
+
+@pytest.mark.parametrize("F", [QQ, GF7], ids=["Q", "GF7"])
+@pytest.mark.parametrize("name", sorted(GENERATED))
+def test_mutants_off_the_generating_set_keep_the_composite_map_reports(name, F):
+    """By the proof in ``_generators``, a mutant of Δ, m or S off the rows that the
+    reduced scans read breaks assoc or one of those rows, or none of the three
+    statements: every weak Hopf label reports what its composite map gives."""
+    verdicts = set()
+    for M in off_generator_mutants(GENERATED[name](F)):
+        reference = reference_composite_checks(M)
+        results = [r for r in check_weak_hopf(M).results if r.label in reference]
+        assert len(results) == 11
+        assert [r for r in results if r != reference[r.label]] == []
+        verdicts.add(tuple(r.passed for r in results if r.label in
+                           ("assoc", "(i)", "S-antimult")))
+    assert len(verdicts) > 1
+
+
+def words_span(A, gens) -> int:
+    """The dimension of the span of the words g₁(g₂(…g_k)) over ``gens`` of every
+    length k ≤ n, each product formed fresh: the closure of span(gens) under left
+    multiplication by them, as the span grows at each length until it is closed."""
+    level = [Vector.basis(A.space, g) for g in gens]
+    words = list(level)
+    for _ in range(A.space.dim - 1):
+        level = [A.product(Vector.basis(A.space, g), w) for g in gens for w in level]
+        words += level
+    return Subspace.from_vectors(A.space, words).dim
+
+
+def assert_generates(A):
+    n, gens = A.space.dim, _generators(A)
+    if gens == range(n):   # G would need more than n/2 rows: the full scan
+        return
+    assert len(set(gens)) == len(gens) <= n / 2 and set(gens) <= set(range(n))
+    assert words_span(A, gens) == n
+
+
+@pytest.mark.parametrize("F", [QQ, GF7], ids=["Q", "GF7"])
+def test_generating_sets_of_the_shipped_families_generate(F):
+    structures = shipped_structures(F) + [make(F) for make in GENERATED.values()]
+    for H in structures:
+        assert_generates(H.alg)
+    # the averaged example is generated by one element, kG by one per component
+    assert [len(_generators(H.alg)) for H in structures[-5:]] == [1, 1, 1, 2, 2]
+
+
+@settings(max_examples=100, deadline=None)
+@given(fields, st.integers(1, 4), st.data())
+def test_generating_sets_of_drawn_structures_generate(F, dim, data):
+    assert_generates(draw_structure(data, F, dim).alg)
+
+
+# (structure, |G|, closure steps): (kG)* has only idempotents, so G stops at n/2
+COST_PINS = [
+    ("N=5 averaged", lambda F: abelian_group_weak_hopf(FiniteAbelianGroup((5,)), F), 1, 6),
+    ("kG(Z/4⊔Z/4)", lambda F: groupoid_algebra(disjoint_union_of_cyclic([4, 4]), F), 2, 10),
+    ("(kG)*(Z/4⊔Z/4)", lambda F: dual_groupoid_algebra(disjoint_union_of_cyclic([4, 4]), F),
+     8, 8),
+]
+
+
+@pytest.mark.parametrize("F", [QQ, GF7], ids=["Q", "GF7"])
+@pytest.mark.parametrize("make,rows,steps", [p[1:] for p in COST_PINS],
+                         ids=[p[0] for p in COST_PINS])
+def test_reduced_scans_pin_their_cost(make, rows, steps, F, monkeypatch):
+    """The columns that assoc, (i) and S-antimult evaluate, the ``pointwise_product``
+    calls of (i) and the elimination steps of the closure, counted on passing
+    structures: |G|·n columns each (5 rather than 25 on the averaged example of
+    Z/5), and n² with no more than n/2 + 1 generators tried on (kG)*."""
+    import weakhopf.axioms
+    import weakhopf.weak_axioms as wa
+
+    calls = dict.fromkeys(("assoc", "(i)", "S-antimult", "pointwise", "steps"), 0)
+
+    def counting(key, real):
+        def counted(*args):
+            calls[key] += 1
+            return real(*args)
+        return counted
+
+    def on_rows(label, lhs, *rest):
+        def columns(xs):
+            for col in lhs(xs):
+                calls[label] += 1
+                yield col
+        return real_rows(label, columns, *rest)
+
+    real_rows = weakhopf.axioms._on_rows
+    for module in (weakhopf.axioms, wa):
+        monkeypatch.setattr(module, "_on_rows", on_rows)
+    monkeypatch.setattr(wa, "pointwise_product", counting("pointwise", wa.pointwise_product))
+    monkeypatch.setattr(wa, "_echelon_step", counting("steps", wa._echelon_step))
+    H = make(F)
+    assert check_weak_hopf(H).ok
+    n = H.space.dim
+    assert calls == {**dict.fromkeys(("assoc", "(i)", "S-antimult", "pointwise"), rows * n),
+                     "steps": steps}
 
 
 # Per family, m, u, Δ, ε and S for a dense ℚ structure with one value per table: a
